@@ -6,7 +6,6 @@ central-limit and large-deviation behaviour against independent closed-form
 (Hopf-Lax) and finite-difference (viscosity PDE) oracles.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .chernoff import (FirstOrderAffine, OneStepOperator, Partition,
                        Perturbed, ScalingFamily, SecondOrder,
                        chernoff_limit, iterate, one_step,
@@ -25,6 +24,10 @@ from .limits import (RateReport, brute_force_functional, clt_functional,
 from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
 
 __version__ = "0.1.0"
+
+# the kernels are plain numpy; tools that record the compiled-kernel backend
+# read this name
+NUMBA_ENABLED = False
 
 __all__ = [
     "NUMBA_ENABLED",

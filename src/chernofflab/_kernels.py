@@ -1,35 +1,24 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels in plain numpy.
 
-Every kernel has a pure-numpy twin (suffix ``_py``). Selection happens once
-at import time: the environment variable ``CHERNOFFLAB_NUMBA=0`` forces the
-numpy path, otherwise numba is used whenever it imports. Both twins are kept
-importable so they can be benchmarked and cross-checked against each other
-(see ``benchmarks/bench_kernels.py`` and ``tests/test_kernels.py``).
+``interp1`` is the 1D gather behind every grid evaluation and every
+one-step operator. The three ``one_step_*`` kernels are fused reference
+implementations of single Chernoff steps; ``chernoff.one_step`` computes
+the same steps through the models' ``reduce`` and the tests compare the two.
+The explicit marches and the Legendre scan serve the PDE and Hopf-Lax
+oracles. ``perfbench/`` times each kernel by name.
 
 All kernels are sequential on purpose: reductions keep a fixed summation
 order so that repeated runs of an experiment produce byte-identical output.
 """
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    _HAVE_NUMBA = False
-
-NUMBA_ENABLED = _HAVE_NUMBA and os.environ.get("CHERNOFFLAB_NUMBA", "1") != "0"
 
 
 # ---------------------------------------------------------------------------
 # piecewise-linear interpolation on a uniform 1D grid
 # ---------------------------------------------------------------------------
 
-def interp1_py(values, origin, spacing, queries, constant_ext):
+def interp1(values, origin, spacing, queries, constant_ext):
     """Evaluate the piecewise-linear interpolant of node ``values``.
 
     ``constant_ext`` selects constant continuation outside the grid box;
@@ -45,22 +34,22 @@ def interp1_py(values, origin, spacing, queries, constant_ext):
     return (1.0 - theta) * values[idx] + theta * values[idx + 1]
 
 
-def one_step_weighted_py(values, origin, spacing, constant_ext, base, offsets, weights):
+def one_step_weighted(values, origin, spacing, constant_ext, base, offsets, weights):
     """out[i] = sum_j weights[j] * interp(values, base[i] + offsets[j])."""
     q = base[:, None] + offsets[None, :]
-    return interp1_py(values, origin, spacing, q, constant_ext) @ weights
+    return interp1(values, origin, spacing, q, constant_ext) @ weights
 
 
-def one_step_entropic_py(values, origin, spacing, constant_ext, base, offsets, logw, t):
+def one_step_entropic(values, origin, spacing, constant_ext, base, offsets, logw, t):
     """out[i] = t * log sum_j exp(logw[j] + interp(base[i]+offsets[j]) / t)."""
     q = base[:, None] + offsets[None, :]
-    g = interp1_py(values, origin, spacing, q, constant_ext) / t + logw[None, :]
+    g = interp1(values, origin, spacing, q, constant_ext) / t + logw[None, :]
     m = g.max(axis=1)
     return t * (m + np.log(np.exp(g - m[:, None]).sum(axis=1)))
 
 
-def one_step_shiftmax_py(values, origin, spacing, constant_ext, base, atom_offsets,
-                         weights, shift_offsets, shift_cost, t, symmetric):
+def one_step_shiftmax(values, origin, spacing, constant_ext, base, atom_offsets,
+                      weights, shift_offsets, shift_cost, t, symmetric):
     """Penalized supremum over deterministic shifts of the sample cloud.
 
     out[i] = max_l ( sum_j w[j] * interp(base[i] + atoms[j] + shifts[l])
@@ -71,15 +60,15 @@ def one_step_shiftmax_py(values, origin, spacing, constant_ext, base, atom_offse
     out = np.full(n, -np.inf)
     for l in range(shift_offsets.shape[0]):
         qp = base[:, None] + (atom_offsets[None, :] + shift_offsets[l])
-        acc = interp1_py(values, origin, spacing, qp, constant_ext) @ weights
+        acc = interp1(values, origin, spacing, qp, constant_ext) @ weights
         if symmetric:
             qm = base[:, None] + (atom_offsets[None, :] - shift_offsets[l])
-            acc = 0.5 * (acc + interp1_py(values, origin, spacing, qm, constant_ext) @ weights)
+            acc = 0.5 * (acc + interp1(values, origin, spacing, qm, constant_ext) @ weights)
         np.maximum(out, acc - t * shift_cost[l], out=out)
     return out
 
 
-def lax_friedrichs_py(values, spacing, dt, steps, ham_p, ham_v, alpha):
+def lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha):
     """March u_t = H(u_x) with the monotone Lax-Friedrichs scheme.
 
     ``ham_p``/``ham_v`` sample the Hamiltonian; evaluation is piecewise
@@ -108,7 +97,7 @@ def lax_friedrichs_py(values, spacing, dt, steps, ham_p, ham_v, alpha):
     return u
 
 
-def g_heat_py(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
+def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
     """March u_t = G(u_xx), G(a) = max_l (lam[l]^2 a / 2 - cost[l]) + half_sigma2 * a."""
     u = values.copy()
     n = u.shape[0]
@@ -128,7 +117,7 @@ def g_heat_py(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
     return u
 
 
-def _lower_hull_py(z, g):
+def _lower_hull(z, g):
     """Indices of the lower convex hull of the finite points (z_i, g_i).
 
     The conjugate of g equals the conjugate of its hull, and on the hull the
@@ -149,13 +138,13 @@ def _lower_hull_py(z, g):
     return np.asarray(hull, dtype=np.int64)
 
 
-def legendre_scan_py(z, g, y):
+def legendre_scan(z, g, y):
     """Discrete convex conjugate g*(y_j) = max_i (y_j z_i - g_i).
 
     Works for any finite-or-+inf input by conjugating the lower convex hull;
     one monotone sweep over the sorted dual grid gives O(m + n).
     """
-    hull = _lower_hull_py(z, g)
+    hull = _lower_hull(z, g)
     zf = z[hull]
     gf = g[hull]
     m = zf.shape[0]
@@ -173,203 +162,3 @@ def legendre_scan_py(z, g, y):
                 break
         out[j] = best
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-    _njit = numba.njit(cache=True, fastmath=False)
-
-    @_njit
-    def _interp1_scalar(values, origin, spacing, q, constant_ext):
-        n = values.shape[0]
-        u = (q - origin) / spacing
-        if constant_ext:
-            if u < 0.0:
-                u = 0.0
-            elif u > n - 1.0:
-                u = n - 1.0
-        i = int(np.floor(u))
-        if i < 0:
-            i = 0
-        elif i > n - 2:
-            i = n - 2
-        th = u - i
-        return (1.0 - th) * values[i] + th * values[i + 1]
-
-    @_njit
-    def interp1_nb(values, origin, spacing, queries, constant_ext):
-        flat = queries.ravel()
-        out = np.empty(flat.shape[0])
-        for k in range(flat.shape[0]):
-            out[k] = _interp1_scalar(values, origin, spacing, flat[k], constant_ext)
-        return out.reshape(queries.shape)
-
-    @_njit
-    def one_step_weighted_nb(values, origin, spacing, constant_ext, base, offsets, weights):
-        n = base.shape[0]
-        m = offsets.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(m):
-                acc += weights[j] * _interp1_scalar(values, origin, spacing,
-                                                    base[i] + offsets[j], constant_ext)
-            out[i] = acc
-        return out
-
-    @_njit
-    def one_step_entropic_nb(values, origin, spacing, constant_ext, base, offsets, logw, t):
-        n = base.shape[0]
-        m = offsets.shape[0]
-        out = np.empty(n)
-        g = np.empty(m)
-        for i in range(n):
-            gmax = -np.inf
-            for j in range(m):
-                v = _interp1_scalar(values, origin, spacing,
-                                    base[i] + offsets[j], constant_ext) / t + logw[j]
-                g[j] = v
-                if v > gmax:
-                    gmax = v
-            acc = 0.0
-            for j in range(m):
-                acc += np.exp(g[j] - gmax)
-            out[i] = t * (gmax + np.log(acc))
-        return out
-
-    @_njit
-    def one_step_shiftmax_nb(values, origin, spacing, constant_ext, base, atom_offsets,
-                             weights, shift_offsets, shift_cost, t, symmetric):
-        n = base.shape[0]
-        m = atom_offsets.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            best = -np.inf
-            for l in range(shift_offsets.shape[0]):
-                acc = 0.0
-                for j in range(m):
-                    vp = _interp1_scalar(values, origin, spacing,
-                                         base[i] + atom_offsets[j] + shift_offsets[l],
-                                         constant_ext)
-                    if symmetric:
-                        vm = _interp1_scalar(values, origin, spacing,
-                                             base[i] + atom_offsets[j] - shift_offsets[l],
-                                             constant_ext)
-                        acc += weights[j] * 0.5 * (vp + vm)
-                    else:
-                        acc += weights[j] * vp
-                cand = acc - t * shift_cost[l]
-                if cand > best:
-                    best = cand
-            out[i] = best
-        return out
-
-    @_njit
-    def lax_friedrichs_nb(values, spacing, dt, steps, ham_p, ham_v, alpha):
-        u = values.copy()
-        n = u.shape[0]
-        unew = np.empty(n)
-        hp0 = ham_p[0]
-        hstep = ham_p[1] - ham_p[0]
-        hm = ham_p.shape[0]
-        for _ in range(steps):
-            unew[0] = u[0]
-            unew[1] = u[1]
-            unew[n - 2] = u[n - 2]
-            unew[n - 1] = u[n - 1]
-            for i in range(2, n - 2):
-                p = (u[i + 1] - u[i - 1]) / (2.0 * spacing)
-                pu = (p - hp0) / hstep
-                if pu < 0.0:
-                    pu = 0.0
-                elif pu > hm - 1.0:
-                    pu = hm - 1.0
-                k = int(np.floor(pu))
-                if k > hm - 2:
-                    k = hm - 2
-                th = pu - k
-                hval = (1.0 - th) * ham_v[k] + th * ham_v[k + 1]
-                diff = u[i + 1] - 2.0 * u[i] + u[i - 1]
-                unew[i] = u[i] + dt * hval + (alpha * dt / (2.0 * spacing)) * diff
-            u, unew = unew, u
-            for i in range(n):
-                unew[i] = u[i]
-        return u
-
-    @_njit
-    def g_heat_nb(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
-        u = values.copy()
-        n = u.shape[0]
-        unew = np.empty(n)
-        for _ in range(steps):
-            unew[0] = u[0]
-            unew[1] = u[1]
-            unew[n - 2] = u[n - 2]
-            unew[n - 1] = u[n - 1]
-            for i in range(2, n - 2):
-                lap = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / (spacing * spacing)
-                g = -np.inf
-                for l in range(lam.shape[0]):
-                    cand = 0.5 * lam[l] * lam[l] * lap - lam_cost[l]
-                    if cand > g:
-                        g = cand
-                unew[i] = u[i] + dt * (g + half_sigma2 * lap)
-            u, unew = unew, u
-            for i in range(n):
-                unew[i] = u[i]
-        return u
-
-    @_njit
-    def legendre_scan_nb(z, g, y):
-        m0 = z.shape[0]
-        hull_z = np.empty(m0)
-        hull_g = np.empty(m0)
-        m = 0
-        for i in range(m0):
-            if not np.isfinite(g[i]):
-                continue
-            while m >= 2:
-                a_z, a_g = hull_z[m - 2], hull_g[m - 2]
-                b_z, b_g = hull_z[m - 1], hull_g[m - 1]
-                if (b_g - a_g) * (z[i] - a_z) >= (g[i] - a_g) * (b_z - a_z):
-                    m -= 1
-                else:
-                    break
-            hull_z[m] = z[i]
-            hull_g[m] = g[i]
-            m += 1
-        out = np.empty(y.shape[0])
-        i = 0
-        for j in range(y.shape[0]):
-            yj = y[j]
-            best = yj * hull_z[i] - hull_g[i]
-            while i + 1 < m:
-                cand = yj * hull_z[i + 1] - hull_g[i + 1]
-                if cand >= best:
-                    best = cand
-                    i += 1
-                else:
-                    break
-            out[j] = best
-        return out
-
-
-if NUMBA_ENABLED:
-    interp1 = interp1_nb
-    one_step_weighted = one_step_weighted_nb
-    one_step_entropic = one_step_entropic_nb
-    one_step_shiftmax = one_step_shiftmax_nb
-    lax_friedrichs = lax_friedrichs_nb
-    g_heat = g_heat_nb
-    legendre_scan = legendre_scan_nb
-else:
-    interp1 = interp1_py
-    one_step_weighted = one_step_weighted_py
-    one_step_entropic = one_step_entropic_py
-    one_step_shiftmax = one_step_shiftmax_py
-    lax_friedrichs = lax_friedrichs_py
-    g_heat = g_heat_py
-    legendre_scan = legendre_scan_py

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import InputError
-from .expectations import (Centered, Entropic, ExpectationModel, Linear,
-                           ShiftSup, Shortfall, shortfall_root)
+from .expectations import ExpectationModel
 from .grid import GrowthWeight
 
 _REMAINDER_EPS = 1e-13
@@ -29,17 +27,18 @@ _REMAINDER_EPS = 1e-13
 # ---------------------------------------------------------------------------
 
 class ScalingFamily:
-    """Randomization map psi(t, x, y) applied to the running state."""
+    """Randomization map psi(t, x, y) = base(t, x) + scale(t) * y."""
+
+    def base_and_scale(self, t, x):
+        """The decomposition psi(t, x, y) = base + scale * y at the points x."""
+        raise NotImplementedError
 
     def map(self, t, x, y):
-        raise NotImplementedError
+        base, scale = self.base_and_scale(t, x)
+        return base + scale * y
 
     def psi0(self, x, y):
         """Small-time derivative psi_0(x, y) = lim (psi(h,x,y) - x) / h."""
-        raise NotImplementedError
-
-    def base_and_scale(self, t, nodes):
-        """Decompose psi(t, x, y) = base(x) + scale * y for the 1D fast path."""
         raise NotImplementedError
 
 
@@ -47,14 +46,11 @@ class ScalingFamily:
 class FirstOrderAffine(ScalingFamily):
     """psi(t, x, y) = x + t y, the averaged-sum scaling."""
 
-    def map(self, t, x, y):
-        return x + t * y
+    def base_and_scale(self, t, x):
+        return x, t
 
     def psi0(self, x, y):
         return np.broadcast_to(y, np.broadcast(x, y).shape).astype(float)
-
-    def base_and_scale(self, t, nodes):
-        return nodes, t
 
 
 @dataclass(frozen=True)
@@ -68,28 +64,22 @@ class Perturbed(ScalingFamily):
     phi0: object
     lip: float
 
-    def map(self, t, x, y):
-        return x + t * self.phi0(x) + t * y
+    def base_and_scale(self, t, x):
+        return x + t * np.asarray(self.phi0(x), dtype=float), t
 
     def psi0(self, x, y):
         return self.phi0(x) + y
-
-    def base_and_scale(self, t, nodes):
-        return nodes + t * np.asarray(self.phi0(nodes), dtype=float), t
 
 
 @dataclass(frozen=True)
 class SecondOrder(ScalingFamily):
     """psi(t, x, y) = x + sqrt(t) y, the CLT scaling."""
 
-    def map(self, t, x, y):
-        return x + np.sqrt(t) * y
+    def base_and_scale(self, t, x):
+        return x, float(np.sqrt(t))
 
     def psi0(self, x, y):
         raise InputError("second-order scaling has no first-order derivative map")
-
-    def base_and_scale(self, t, nodes):
-        return nodes, float(np.sqrt(t))
 
 
 # ---------------------------------------------------------------------------
@@ -132,68 +122,25 @@ class OneStepOperator:
 
 
 def one_step(op, t, f):
-    """Apply I(t) to a grid function; t = 0 returns f unchanged."""
+    """Apply I(t) to a grid function; t = 0 returns f unchanged.
+
+    Every node x gathers f at psi(t, x, y) = base(x) + scale * y for the
+    sample points y the model asks for, and the model reduces the resulting
+    (nodes, k) matrix to t * E[f(psi(t, x, .)) / t].
+    """
     if t < 0:
         raise InputError("one_step requires t >= 0")
     if t == 0.0:
         return f
     g = f.grid
-    model = op.model
-    if g.dimension == 1 and not isinstance(model, Centered):
-        base, scale = op.scaling.base_and_scale(t, g.axis)
-        vals = _step_fast_1d(model, f, base, scale, t)
-    else:
-        vals = _step_generic(model, op.scaling, f, t)
-    return f.replace_values(vals)
+    one_d = g.dimension == 1
+    base, scale = op.scaling.base_and_scale(t, g.axis if one_d else g.nodes())
 
+    def gather(y):
+        return f.gather(base[:, None] + scale * (y[:, 0] if one_d else y))
 
-def _step_fast_1d(model, f, base, scale, t):
-    g = f.grid
-    origin = -g.half_width
-    h = g.spacing
-    const = f.extension == "constant"
-    if isinstance(model, Linear):
-        offs = scale * model.measure.atoms[:, 0]
-        return _kernels.one_step_weighted(f.values, origin, h, const, base,
-                                          offs, model.measure.weights)
-    if isinstance(model, Entropic):
-        offs = scale * model.measure.atoms[:, 0]
-        return _kernels.one_step_entropic(f.values, origin, h, const, base,
-                                          offs, np.log(model.measure.weights), t)
-    if isinstance(model, ShiftSup):
-        offs = scale * model.measure.atoms[:, 0]
-        shift_offs = scale * model.shifts[:, 0]
-        return _kernels.one_step_shiftmax(f.values, origin, h, const, base, offs,
-                                          model.measure.weights, shift_offs,
-                                          model._costs, t, model.symmetric)
-    if isinstance(model, Shortfall):
-        offs = scale * model.measure.atoms[:, 0]
-        q = base[:, None] + offs[None, :]
-        F = _kernels.interp1(f.values, origin, h, q, const)
-        return t * shortfall_root(F / t, model.measure.weights, model.power)
-    raise InputError(f"unsupported expectation model {type(model).__name__}")
-
-
-def _step_generic(model, scaling, f, t):
-    """Slow path: build the payoff per node through callables (any d, any model)."""
-    g = f.grid
-    nodes = g.axis if g.dimension == 1 else g.nodes()
-    out = np.empty(nodes.shape[0] if g.dimension > 1 else nodes.shape[0])
-    for k in range(out.shape[0]):
-        x = nodes[k]
-        payoff = _node_payoff(scaling, f, t, x)
-        out[k] = t * model.expect(lambda y: payoff(y) / t)
-    if g.dimension == 1:
-        return out
-    return out.reshape(f.values.shape)
-
-
-def _node_payoff(scaling, f, t, x):
-    def payoff(y):
-        y = np.asarray(y, dtype=float)
-        pts = scaling.map(t, x, y)
-        return f.eval(pts)
-    return payoff
+    vals = op.model.reduce(gather, t)
+    return f.replace_values(vals.reshape(f.values.shape))
 
 
 def iterate(op, partition, f):

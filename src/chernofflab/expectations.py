@@ -12,8 +12,13 @@ convex on evaluations:
 * ``SymmetricTwoPointSup``  penalized supremum over symmetric two-point
                       mixtures of shifts, the second-order analogue.
 
-Payoffs are callables mapping sample points to values; each model queries
-exactly the points it needs, so all expectations are finite sums.
+Each model implements a single method, ``reduce(payoff, t)``, returning
+t * E[payoff / t] for every row of a payoff matrix: ``payoff`` maps the
+sample points the model needs, shape (k, d), to a (rows, k) matrix. One row
+is a scalar expectation (``expect``), one row per coefficient is
+``expect_linear``, and one row per grid node is a step of the one-step
+operator. Each model queries exactly the points it needs, so all
+expectations are finite sums.
 """
 
 from dataclasses import dataclass, field
@@ -189,53 +194,70 @@ class PenaltyFunction:
 # expectation models
 # ---------------------------------------------------------------------------
 
-def _payoff_values(g, pts):
-    vals = np.asarray(g(pts) if callable(g) else g, dtype=float)
+def _finite(vals):
+    vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise InputError("payoff must be finite at all required sample points")
     return vals
 
 
 class ExpectationModel:
-    """Base class; subclasses implement ``expect`` on payoff callables."""
+    """Base class; subclasses implement ``reduce``, everything else calls it."""
 
     measure: DiscreteMeasure
 
-    def expect(self, g):
+    def reduce(self, payoff, t=1.0):
+        """t * E[payoff / t] per row.
+
+        ``payoff`` maps sample points of shape (k, d) to a (rows, k) matrix;
+        the result has shape (rows,).
+        """
         raise NotImplementedError
+
+    def expect(self, g):
+        """E[g] for a payoff callable on sample points ((k,) in 1D, else (k, d))."""
+        if not callable(g):
+            raise InputError("payoffs must be callables on sample points")
+        one_d = self.measure.dimension == 1
+
+        def row(y):
+            return _finite(g(y[:, 0] if one_d else y)).reshape(1, -1)
+        return float(self.reduce(row)[0])
 
     def __call__(self, g):
         return self.expect(g)
 
     def expect_linear(self, a):
-        """E[a . xi] for a coefficient vector (scalar in 1D)."""
-        a = np.asarray(a, dtype=float)
-        return self.expect(lambda y: y @ a if a.ndim else
-                           (y[:, 0] if y.ndim > 1 else y) * a)
+        """E[a xi] per coefficient, with xi the first coordinate.
+
+        A scalar gives a float, a 1D array of scalars one value per entry. In
+        2D a coefficient vector gives the single value E[a . xi].
+        """
+        a = _finite(a)
+        if a.ndim == 1 and self.measure.dimension > 1:
+            return self.expect(lambda y: y @ a)
+        vals = self.reduce(lambda y: np.multiply.outer(np.atleast_1d(a), y[:, 0]))
+        return vals if a.ndim else float(vals[0])
 
     def is_centered(self, tol=1e-9, probes=CENTERING_PROBES):
-        return all(abs(self.expect_linear(a)) <= tol for a in probes)
-
-    def _atom_points(self):
-        a = self.measure.atoms
-        return a[:, 0] if a.shape[1] == 1 else a
+        return bool(np.all(np.abs(self.expect_linear(np.asarray(probes))) <= tol))
 
 
 @dataclass(frozen=True)
 class Linear(ExpectationModel):
     measure: DiscreteMeasure
 
-    def expect(self, g):
-        return float(self.measure.weights @ _payoff_values(g, self._atom_points()))
+    def reduce(self, payoff, t=1.0):
+        return payoff(self.measure.atoms) @ self.measure.weights
 
 
 @dataclass(frozen=True)
 class Entropic(ExpectationModel):
     measure: DiscreteMeasure
 
-    def expect(self, g):
-        vals = _payoff_values(g, self._atom_points())
-        return float(_logsumexp(vals + np.log(self.measure.weights)))
+    def reduce(self, payoff, t=1.0):
+        logw = np.log(self.measure.weights)
+        return t * _logsumexp(payoff(self.measure.atoms) / t + logw, axis=1)
 
 
 @dataclass(frozen=True)
@@ -249,9 +271,9 @@ class Shortfall(ExpectationModel):
         if not self.power > 1:
             raise InputError("shortfall power must exceed 1")
 
-    def expect(self, g):
-        vals = _payoff_values(g, self._atom_points())
-        return float(shortfall_root(vals[None, :], self.measure.weights, self.power)[0])
+    def reduce(self, payoff, t=1.0):
+        vals = payoff(self.measure.atoms) / t
+        return t * shortfall_root(vals, self.measure.weights, self.power)
 
 
 @dataclass(frozen=True)
@@ -280,21 +302,21 @@ class ShiftSup(ExpectationModel):
         object.__setattr__(self, "shifts", s)
         object.__setattr__(self, "_costs", cost)
 
-    def expect(self, g):
+    def reduce(self, payoff, t=1.0):
+        # one payoff call per shift: gathering every shift at once would
+        # hold rows x shifts x atoms values
         a = self.measure.atoms
         w = self.measure.weights
-        pts_p = a[None, :, :] + self.shifts[:, None, :]
-        flat = pts_p.reshape(-1, a.shape[1])
-        flat = flat[:, 0] if a.shape[1] == 1 else flat
-        vals = _payoff_values(g, flat).reshape(len(self.shifts), len(w))
-        means = vals @ w
-        if self.symmetric:
-            pts_m = a[None, :, :] - self.shifts[:, None, :]
-            flat = pts_m.reshape(-1, a.shape[1])
-            flat = flat[:, 0] if a.shape[1] == 1 else flat
-            vals_m = _payoff_values(g, flat).reshape(len(self.shifts), len(w))
-            means = 0.5 * (means + vals_m @ w)
-        return float(np.max(means - self._costs))
+        k = w.shape[0]
+        best = -np.inf
+        for s, cost in zip(self.shifts, self._costs):
+            if self.symmetric:
+                vals = payoff(np.concatenate([a + s, a - s]))
+                mean = 0.5 * (vals[:, :k] @ w + vals[:, k:] @ w)
+            else:
+                mean = payoff(a + s) @ w
+            best = np.maximum(best, mean - t * cost)
+        return best
 
 
 def SymmetricTwoPointSup(measure, penalty, shifts):
@@ -319,16 +341,12 @@ class Centered(ExpectationModel):
                 raise PreconditionError(
                     f"centering requires E[a xi] >= 0; probe a={probe} fails")
 
-    def expect(self, g):
+    def reduce(self, payoff, t=1.0):
         best = np.inf
         for a in self.a_grid:
-            if callable(g):
-                shifted = lambda y, a=a: np.asarray(g(y)) + a * (
-                    y[:, 0] if np.ndim(y) > 1 else np.asarray(y))
-            else:
-                raise InputError("centered models need callable payoffs")
-            best = min(best, self.base.expect(shifted))
-        return float(best)
+            shifted = lambda y, a=a: payoff(y) + (t * a) * y[:, 0]
+            best = np.minimum(best, self.base.reduce(shifted, t))
+        return best
 
 
 def centered(model, a_grid=None):
@@ -343,8 +361,7 @@ def centered(model, a_grid=None):
 
 def _logsumexp(x, axis=None):
     m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return out.reshape(np.shape(np.max(x, axis=axis)))
+    return np.squeeze(m, axis) + np.log(np.sum(np.exp(x - m), axis=axis))
 
 
 def shortfall_root(vals, weights, power, tol=SHORTFALL_TOL):

@@ -149,13 +149,18 @@ class GridFunction:
         q = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(q)):
             raise InputError("evaluation points must be finite")
+        if self.grid.dimension == 1:
+            return self.gather(np.atleast_1d(q)).reshape(np.shape(x))
+        if q.shape[-1] != 2:
+            raise InputError("2D grid functions take points with trailing axis 2")
+        return self.gather(q)
+
+    def gather(self, q):
+        """``eval`` without its input checks, for float arrays of finite points."""
         g = self.grid
         const = self.extension == "constant"
         if g.dimension == 1:
-            return _kernels.interp1(self.values, -g.half_width, g.spacing,
-                                    np.atleast_1d(q), const).reshape(np.shape(x))
-        if q.shape[-1] != 2:
-            raise InputError("2D grid functions take points with trailing axis 2")
+            return _kernels.interp1(self.values, -g.half_width, g.spacing, q, const)
         return self._eval2(q, const)
 
     def _eval2(self, q, const):

@@ -91,8 +91,7 @@ def conjugate_rate(model, z_grid, y_grid, tol=1e-6):
     z = np.asarray(z_grid, dtype=float)
     if 0.0 not in z:
         raise InputError("z-grid must contain 0 so the rate is nonnegative")
-    vals = np.array([model.expect_linear(zz) for zz in z])
-    phi = legendre(z, vals, np.asarray(y_grid, dtype=float))
+    phi = legendre(z, model.expect_linear(z), np.asarray(y_grid, dtype=float))
     m = float(np.min(phi))
     if abs(m) > tol:
         raise GridTooSmallError(

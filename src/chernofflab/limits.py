@@ -223,7 +223,7 @@ def poly_rate(measure, power, threshold, n_grid, shift_radius=0.0,
         if x_grid is None:
             x_grid = np.linspace(-6.0, 6.0, 1201)
         model = Shortfall(measure, power)
-        lam = np.array([model.expect_linear(x) for x in x_grid])
+        lam = model.expect_linear(x_grid)
         lstar = float(legendre(x_grid, lam, np.array([x0]))[0])
         bound = lstar ** (-power) if lstar > 1e-12 else np.inf
     passed = bool(values[-1] <= bound * (1.0 + tol)) if np.isfinite(bound) else True
@@ -261,21 +261,13 @@ def generator_values(op, f, nodes):
     g = f.grid
     if g.dimension != 1:
         raise InputError("generator checks are one-dimensional")
-    grad = f.fd_gradient()
-    hess = f.fd_hessian()
-    axis = g.axis
-    out = np.empty(nodes.shape[0])
-    for k, x in enumerate(nodes):
-        i = int(np.argmin(np.abs(axis - x)))
-        if isinstance(op.scaling, SecondOrder):
-            c = 0.5 * hess[i]
-            out[k] = op.model.expect(lambda y: c * np.asarray(y) ** 2)
-        else:
-            c = grad[i]
-            scaling = op.scaling
-            out[k] = op.model.expect(
-                lambda y: c * np.asarray(scaling.psi0(x, np.asarray(y))))
-    return out
+    x = np.asarray(nodes, dtype=float)
+    idx = [int(np.argmin(np.abs(g.axis - xk))) for xk in x]
+    if isinstance(op.scaling, SecondOrder):
+        c = 0.5 * f.fd_hessian()[idx][:, None]
+        return op.model.reduce(lambda y: c * y[:, 0] ** 2)
+    c = f.fd_gradient()[idx][:, None]
+    return op.model.reduce(lambda y: c * op.scaling.psi0(x[:, None], y[:, 0]))
 
 
 def interpolation_floor(f, compact, h_min, reach=1.0):

@@ -47,7 +47,7 @@ class Hamiltonian1:
     def from_model(cls, model, p_grid):
         """Sample H(p) = E[p xi] from an expectation model."""
         p = np.asarray(p_grid, dtype=float)
-        return cls(p, np.array([model.expect_linear(pp) for pp in p]))
+        return cls(p, model.expect_linear(p))
 
     @classmethod
     def from_callable(cls, fn, p_grid):

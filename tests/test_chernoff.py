@@ -4,10 +4,11 @@ import pytest
 from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          GridFunction, GrowthWeight, Linear, OneStepOperator,
                          Partition, PenaltyFunction, Perturbed, SecondOrder,
-                         ShiftSup, chernoff_limit, gauss_hermite, iterate,
-                         log_mgf, one_step, two_point,
+                         ShiftSup, Shortfall, centered, chernoff_limit,
+                         gauss_hermite, iterate, log_mgf, one_step, two_point,
                          upper_lipschitz_certificate)
 from chernofflab.errors import InputError
+from chernofflab.expectations import SHORTFALL_TOL
 
 POINT0 = DiscreteMeasure(np.array([0.0]), np.array([1.0]))
 
@@ -97,19 +98,31 @@ class TestOneStep:
             u = one_step(OneStepOperator(model), 0.5, zero)
             assert np.allclose(u.values, 0.0, atol=1e-9)
 
-    def test_generic_path_matches_fast_path(self):
-        from chernofflab.chernoff import _step_generic
-        g = Grid(4.0, 65)
-        f = GridFunction.sample(g, lambda x: np.sin(x) + 0.2 * x**2)
-        mu = gauss_hermite(16)
-        for model in (Linear(mu), Entropic(mu)):
-            op = OneStepOperator(model, FirstOrderAffine())
-            fast = one_step(op, 0.3, f).values
-            slow = _step_generic(model, op.scaling, f, 0.3)
-            assert np.allclose(fast, slow, atol=1e-9)
+    def test_steps_match_per_node_expect(self):
+        # centered and 2D steps against t E[f(psi(t, x, .)) / t] node by node
+        atoms = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.5, -0.5]])
+        mu2 = DiscreteMeasure(atoms, np.array([0.4, 0.3, 0.2, 0.1]))
+        drift = Perturbed(phi0=lambda x: 0.2 * np.sin(x), lip=0.2)
+        f1 = GridFunction.sample(Grid(4.0, 33), lambda x: np.sin(x) + 0.2 * x**2)
+        f2 = GridFunction.sample(Grid(2.0, 9, dimension=2),
+                                 lambda x, y: np.sin(x) + 0.5 * y**2)
+        cases = [(f1, centered(Entropic(two_point())), SecondOrder()),
+                 (f1, centered(Linear(two_point())), FirstOrderAffine()),
+                 (f2, Linear(mu2), FirstOrderAffine()),
+                 (f2, Entropic(mu2), drift),
+                 (f2, Shortfall(mu2, 2.0), SecondOrder())]
+        t = 0.3
+        for f, model, scaling in cases:
+            u = one_step(OneStepOperator(model, scaling), t, f)
+            nodes = f.grid.axis if f.grid.dimension == 1 else f.grid.nodes()
+            want = [t * model.expect(lambda y: f.eval(scaling.map(t, x, y)) / t)
+                    for x in nodes]
+            # shortfall bisects all nodes in one pass, to its own tolerance
+            tol = SHORTFALL_TOL if isinstance(model, Shortfall) else 1e-12
+            assert np.max(np.abs(u.values.ravel() - want)) <= tol
 
     def test_two_dimensional_linear_step(self):
-        # 2D goes through the generic path; check against the direct average
+        # check the 2D step against the direct average
         g = Grid(3.0, 25, dimension=2)
         f = GridFunction.sample(g, lambda x, y: np.sin(x) + 0.5 * y**2)
         atoms = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

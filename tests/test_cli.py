@@ -92,6 +92,17 @@ class TestRunners:
             assert ok, (name, lines)
             assert elapsed < 60.0, (name, elapsed)
 
+    @pytest.mark.parametrize("name, key", [("lln_entropic_gaussian", "uniform"),
+                                           ("clt_two_point_gaussian", "n")])
+    def test_single_entry_schedule_fails_partition_check(self, tmp_path, name, key):
+        # one schedule entry leaves no Cauchy gap to compare the cross gap with
+        sections = parse_config_text(BUILTINS[name][1])
+        sections["schedule"][key] = "128"
+        ok, lines = run_config_text(serialize_config(sections), str(tmp_path))
+        assert not ok
+        assert any(ln.startswith("partition_independence: FAIL (not evaluated")
+                   for ln in lines), lines
+
     def test_deterministic_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_config_text(BUILTINS["cramer_bernoulli"][1], str(out1))

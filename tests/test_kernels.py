@@ -1,100 +1,81 @@
-"""The numba kernels and their pure-numpy twins must agree."""
+"""``one_step`` and ``expect_linear`` against their reference computations.
+
+``one_step`` reduces one gather per step through the model's ``reduce``;
+the fused ``_kernels.one_step_*`` kernels compute the same steps directly
+and serve as the reference. ``expect_linear`` on an array of coefficients
+must equal its per-coefficient values.
+"""
 
 import numpy as np
 import pytest
 
+from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction,
+                         Linear, OneStepOperator, PenaltyFunction, Perturbed,
+                         SecondOrder, ShiftSup, Shortfall, SymmetricTwoPointSup,
+                         centered, gauss_hermite, one_step, two_point)
 from chernofflab import _kernels as K
+from chernofflab.expectations import SHORTFALL_TOL, shortfall_root
 
-pytestmark = pytest.mark.skipif(
-    not K._HAVE_NUMBA, reason="numba not importable; only the numpy path exists")
+MU = gauss_hermite(16)
+PENALTY = PenaltyFunction.quadratic(2.0, 65)
+SHIFTS = np.linspace(-1.0, 1.0, 17)
 
-RNG = np.random.default_rng(100)
-VALUES = np.cumsum(RNG.normal(size=257))
-ORIGIN, SPACING = -4.0, 8.0 / 256
+MODELS = {
+    "linear": Linear(MU),
+    "entropic": Entropic(MU),
+    "shortfall": Shortfall(MU, 2.0),
+    "shift_sup": ShiftSup(two_point(), PENALTY, SHIFTS),
+    "symmetric_sup": SymmetricTwoPointSup(two_point(), PENALTY, SHIFTS),
+}
 
-
-def test_interp1_twins_agree():
-    q = RNG.uniform(-6, 6, size=(37, 11))
-    for ext in (True, False):
-        a = K.interp1_py(VALUES, ORIGIN, SPACING, q, ext)
-        b = K.interp1_nb(VALUES, ORIGIN, SPACING, q, ext)
-        assert np.allclose(a, b, atol=1e-13)
-
-
-def test_one_step_weighted_twins_agree():
-    base = np.linspace(-4, 4, 257)
-    offs = RNG.normal(size=16) * 0.3
-    w = RNG.uniform(0.1, 1, size=16)
-    w /= w.sum()
-    a = K.one_step_weighted_py(VALUES, ORIGIN, SPACING, True, base, offs, w)
-    b = K.one_step_weighted_nb(VALUES, ORIGIN, SPACING, True, base, offs, w)
-    assert np.allclose(a, b, atol=1e-12)
+SCALINGS = {
+    "first_order": FirstOrderAffine(),
+    "perturbed": Perturbed(phi0=lambda x: 0.3 * np.sin(x), lip=0.3),
+    "second_order": SecondOrder(),
+}
 
 
-def test_one_step_entropic_twins_agree():
-    base = np.linspace(-4, 4, 257)
-    offs = RNG.normal(size=16) * 0.3
-    w = RNG.uniform(0.1, 1, size=16)
-    w /= w.sum()
-    for t in (0.5, 0.01):
-        a = K.one_step_entropic_py(VALUES, ORIGIN, SPACING, True, base, offs,
-                                   np.log(w), t)
-        b = K.one_step_entropic_nb(VALUES, ORIGIN, SPACING, True, base, offs,
-                                   np.log(w), t)
-        assert np.allclose(a, b, atol=1e-11)
+def reference_step(model, scaling, f, t):
+    """One step through the fused kernel of the model."""
+    g = f.grid
+    grid_args = (f.values, -g.half_width, g.spacing, f.extension == "constant")
+    base, scale = scaling.base_and_scale(t, g.axis)
+    offsets = scale * model.measure.atoms[:, 0]
+    w = model.measure.weights
+    if isinstance(model, Linear):
+        return K.one_step_weighted(*grid_args, base, offsets, w)
+    if isinstance(model, Entropic):
+        return K.one_step_entropic(*grid_args, base, offsets, np.log(w), t)
+    if isinstance(model, Shortfall):
+        values, origin, spacing, const = grid_args
+        gathered = K.interp1(values, origin, spacing, base[:, None] + offsets, const)
+        return t * shortfall_root(gathered / t, w, model.power)
+    return K.one_step_shiftmax(*grid_args, base, offsets, w,
+                               scale * model.shifts[:, 0], model._costs, t,
+                               model.symmetric)
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_one_step_shiftmax_twins_agree(symmetric):
-    base = np.linspace(-4, 4, 257)
-    offs = np.array([-0.3, 0.4])
-    w = np.array([0.5, 0.5])
-    shifts = np.linspace(-1, 1, 9)
-    cost = shifts**2
-    a = K.one_step_shiftmax_py(VALUES, ORIGIN, SPACING, True, base, offs, w,
-                               shifts, cost, 0.25, symmetric)
-    b = K.one_step_shiftmax_nb(VALUES, ORIGIN, SPACING, True, base, offs, w,
-                               shifts, cost, 0.25, symmetric)
-    assert np.allclose(a, b, atol=1e-12)
+@pytest.mark.parametrize("extension", ["constant", "linear"])
+@pytest.mark.parametrize("scaling", list(SCALINGS))
+@pytest.mark.parametrize("model", list(MODELS))
+def test_one_step_matches_reference_kernel(model, scaling, extension):
+    f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.2 * x**2,
+                            extension=extension)
+    op = OneStepOperator(MODELS[model], SCALINGS[scaling])
+    for t in (0.3, 1.0 / 64):
+        got = one_step(op, t, f).values
+        want = reference_step(op.model, op.scaling, f, t)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_lax_friedrichs_twins_agree():
-    u0 = -np.abs(np.linspace(-4, 4, 257))
-    p = np.linspace(-2, 2, 81)
-    hv = np.abs(p)
-    a = K.lax_friedrichs_py(u0, SPACING, 1e-3, 200, p, hv, 1.0)
-    b = K.lax_friedrichs_nb(u0, SPACING, 1e-3, 200, p, hv, 1.0)
-    assert np.allclose(a, b, atol=1e-11)
-
-
-def test_g_heat_twins_agree():
-    u0 = np.cos(np.linspace(-4, 4, 257))
-    lam = np.linspace(0, 1, 9)
-    cost = np.zeros(9)
-    a = K.g_heat_py(u0, SPACING, 1e-4, 200, lam, cost, 0.25)
-    b = K.g_heat_nb(u0, SPACING, 1e-4, 200, lam, cost, 0.25)
-    assert np.allclose(a, b, atol=1e-11)
-
-
-def test_legendre_scan_twins_agree():
-    z = np.linspace(-4, 4, 101)
-    g = np.cosh(z)
-    g[::17] = np.inf
-    g[50] = np.cosh(z[50])
-    y = np.linspace(-20, 20, 333)
-    a = K.legendre_scan_py(z, g, y)
-    b = K.legendre_scan_nb(z, g, y)
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def test_env_flag_selects_fallback():
-    import subprocess
-    import sys
-    code = ("import os; os.environ['CHERNOFFLAB_NUMBA'] = '0'; "
-            "from chernofflab import _kernels; "
-            "assert not _kernels.NUMBA_ENABLED; "
-            "assert _kernels.interp1 is _kernels.interp1_py; "
-            "print('fallback ok')")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert "fallback ok" in out.stdout
+@pytest.mark.parametrize("model", [*MODELS, "centered"])
+def test_expect_linear_array_matches_scalars(model):
+    m = centered(Entropic(two_point())) if model == "centered" else MODELS[model]
+    z = np.linspace(-3.0, 3.0, 25)
+    got = m.expect_linear(z)
+    want = np.array([m.expect_linear(zz) for zz in z])
+    assert got.shape == z.shape
+    # one bisection over all rows runs as many steps as the widest row
+    # needs, so shortfall rows agree to the bisection tolerance
+    tol = SHORTFALL_TOL if model == "shortfall" else 1e-12
+    assert np.max(np.abs(got - want)) <= tol
