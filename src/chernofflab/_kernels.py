@@ -1,9 +1,12 @@
 """Hot numeric kernels in plain numpy.
 
 ``interp1`` is the 1D gather behind every grid evaluation and every
-one-step operator. The three ``one_step_*`` kernels are fused reference
-implementations of single Chernoff steps; ``chernoff.one_step`` computes
-the same steps through the models' ``reduce`` and the tests compare the two.
+one-step operator whose query points move with the node. ``shift_stencil``
+is the gather of grid-aligned steps, where every node is queried at the
+same offsets: a shifted slice of the padded values per offset. The three
+``one_step_*`` kernels are fused reference implementations of single
+Chernoff steps; ``chernoff.one_step`` computes the same steps through the
+models' ``reduce`` and the tests compare the two.
 The explicit marches and the Legendre scan serve the PDE and Hopf-Lax
 oracles. ``perfbench/`` times each kernel by name.
 
@@ -12,6 +15,7 @@ order so that repeated runs of an experiment produce byte-identical output.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +36,43 @@ def interp1(values, origin, spacing, queries, constant_ext):
     np.clip(idx, 0, n - 2, out=idx)
     theta = u - idx
     return (1.0 - theta) * values[idx] + theta * values[idx + 1]
+
+
+def shift_stencil(values, spacing, constant_ext):
+    """Gather at node-independent offsets: ``stencil(c)[i, j] = f(x_i + c[j])``.
+
+    The values are padded once by n nodes on each side, with the edge value
+    (``constant_ext``) or the edge cells' linear extrapolation. With
+    k = floor(c / spacing) and theta = c / spacing - k, column j is then
+    (1 - theta) p[i + k] + theta p[i + k + 1], two shifted slices of the pad
+    p, the same piecewise-linear interpolant ``interp1`` evaluates. Offsets
+    beyond the box clamp k so that both slices lie in the padding.
+    """
+    n = values.shape[0]
+    if constant_ext:
+        left = np.full(n, values[0])
+        right = np.full(n, values[-1])
+    else:
+        steps = np.arange(1, n + 1)
+        left = values[0] - (values[1] - values[0]) * steps[::-1]
+        right = values[-1] + (values[-1] - values[-2]) * steps
+    # windows[n + k] = p[k:k + n], the values shifted by k nodes, k in [-n, n]
+    windows = sliding_window_view(np.concatenate([left, values, right]), n)
+
+    def stencil(c):
+        u = c / spacing
+        if constant_ext:
+            u = np.clip(u, -n, n - 1.0)
+        k = np.clip(np.floor(u), -n, n - 1.0)
+        theta = (u - k)[:, None]
+        rows = n + k.astype(np.int64)
+        out = windows[rows]
+        out *= 1.0 - theta
+        upper = windows[rows + 1]
+        upper *= theta
+        out += upper
+        return out.T
+    return stencil
 
 
 def one_step_weighted(values, origin, spacing, constant_ext, base, offsets, weights):
@@ -101,11 +142,10 @@ def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
     """March u_t = G(u_xx), G(a) = max_l (lam[l]^2 a / 2 - cost[l]) + half_sigma2 * a."""
     u = values.copy()
     n = u.shape[0]
+    coef = 0.5 * lam * lam
     for _ in range(steps):
         lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (spacing * spacing)
-        g = np.full(lap.shape, -np.inf)
-        for l in range(lam.shape[0]):
-            np.maximum(g, 0.5 * lam[l] * lam[l] * lap - lam_cost[l], out=g)
+        g = (coef[:, None] * lap - lam_cost[:, None]).max(axis=0)
         g += half_sigma2 * lap
         unew = u.copy()
         unew[1:-1] = u[1:-1] + dt * g

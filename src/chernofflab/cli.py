@@ -18,14 +18,14 @@ import numpy as np
 from .chernoff import (FirstOrderAffine, OneStepOperator, Partition, Perturbed,
                        SecondOrder, chernoff_limit, iterate)
 from .configs import BUILTINS
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .expectations import (DiscreteMeasure, Entropic, Linear, PenaltyFunction,
                            ShiftSup, Shortfall, SymmetricTwoPointSup,
                            gauss_hermite)
 from .grid import Grid, GridFunction, GrowthWeight
 from .hopflax import conjugate_rate, envelope, hopf_lax
-from .limits import (clt_functional, generator_check, interpolation_floor,
-                     ld_rate, poly_rate)
+from .limits import (generator_check, interpolation_floor, ld_rate, poly_rate,
+                     require_centered)
 from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
 
 KINDS = ("lln", "cramer", "poly_rate", "clt", "wasserstein", "generator",
@@ -57,7 +57,11 @@ def parse_config_text(text):
             raise ConfigError(f"key outside any section at line {lineno}",
                               line=lineno)
         key, val = line.split("=", 1)
-        sections[current][key.strip()] = val.strip()
+        key = key.strip()
+        if key in sections[current]:
+            raise ConfigError(f"duplicate key {key!r} in [{current}] at line {lineno}",
+                              line=lineno)
+        sections[current][key] = val.strip()
     if not sections:
         raise ConfigError("empty configuration", line=1)
     return sections
@@ -113,7 +117,11 @@ class _Fields:
             self._fail(key, f"is not a comma-separated number list: {raw!r}")
 
     def ints(self, key, default=None):
-        return [int(v) for v in self.floats(key, default)]
+        raw = self.str_(key, default)
+        try:
+            return [int(tok) for tok in raw.split(",") if tok.strip()]
+        except ValueError:
+            self._fail(key, f"is not a comma-separated integer list: {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +130,34 @@ class _Fields:
 
 def _build_measure(spec, fields):
     spec = spec.strip()
-    if spec.startswith("gauss_hermite(") and spec.endswith(")"):
-        return gauss_hermite(int(spec[14:-1]))
-    if spec.startswith("point(") and spec.endswith(")"):
-        return DiscreteMeasure(np.array([float(spec[6:-1])]), np.array([1.0]))
-    if spec.startswith("atoms(") and spec.endswith(")"):
-        pairs = []
-        for tok in spec[6:-1].split(","):
-            a, w = tok.split(":")
-            pairs.append((float(a), float(w)))
-        return DiscreteMeasure.from_pairs(pairs)
+    try:
+        if spec.startswith("gauss_hermite(") and spec.endswith(")"):
+            return gauss_hermite(int(spec[14:-1]))
+        if spec.startswith("point(") and spec.endswith(")"):
+            return DiscreteMeasure(np.array([float(spec[6:-1])]), np.array([1.0]))
+        if spec.startswith("atoms(") and spec.endswith(")"):
+            pairs = []
+            for tok in spec[6:-1].split(","):
+                a, w = tok.split(":")
+                pairs.append((float(a), float(w)))
+            return DiscreteMeasure.from_pairs(pairs)
+    except ValueError as exc:  # malformed numbers and InputError alike
+        fields._fail("measure", f"invalid measure spec {spec!r}: {exc}")
     fields._fail("measure", f"unknown measure spec {spec!r}")
 
 
 def _build_penalty(spec, fields):
     spec = spec.strip()
-    if spec.startswith("quadratic(") and spec.endswith(")"):
-        args = [float(t) for t in spec[10:-1].split(",")]
-        radius = args[0]
-        n = int(args[1]) if len(args) > 1 else 129
-        return PenaltyFunction.quadratic(radius, n)
-    if spec.startswith("indicator(") and spec.endswith(")"):
-        return PenaltyFunction.indicator(float(spec[10:-1]))
+    try:
+        if spec.startswith("quadratic(") and spec.endswith(")"):
+            args = [float(t) for t in spec[10:-1].split(",")]
+            radius = args[0]
+            n = int(args[1]) if len(args) > 1 else 129
+            return PenaltyFunction.quadratic(radius, n)
+        if spec.startswith("indicator(") and spec.endswith(")"):
+            return PenaltyFunction.indicator(float(spec[10:-1]))
+    except ValueError as exc:  # malformed numbers and InputError alike
+        fields._fail("penalty", f"invalid penalty spec {spec!r}: {exc}")
     fields._fail("penalty", f"unknown penalty spec {spec!r}")
 
 
@@ -159,7 +173,10 @@ def _build_model(sections):
         return Shortfall(measure, fields.float_("power", 2.0))
     if variant in ("shift_sup", "symmetric_two_point"):
         penalty = _build_penalty(fields.str_("penalty", "quadratic(2, 129)"), fields)
-        lo, hi, n = fields.floats("shifts")
+        grid = fields.floats("shifts")
+        if len(grid) != 3:
+            fields._fail("shifts", f"must be lo,hi,count, got {grid}")
+        lo, hi, n = grid
         shifts = np.linspace(lo, hi, int(n))
         if variant == "shift_sup":
             return ShiftSup(measure, penalty, shifts)
@@ -183,9 +200,12 @@ def _build_scaling(sections):
 def _build_grid(sections):
     fields = _Fields(sections, "grid")
     n = fields.int_("N")
-    if n % 2 == 0:
-        fields._fail("N", "must be odd so the origin is a node")
-    grid = Grid(fields.float_("R"), n)
+    if n < 3 or n % 2 == 0:
+        fields._fail("N", "must be odd and >= 3 so the origin is a node")
+    half_width = fields.float_("R")
+    if not half_width > 0:
+        fields._fail("R", "must be positive")
+    grid = Grid(half_width, n)
     ext = fields.str_("extension", "constant")
     if ext not in ("constant", "linear"):
         fields._fail("extension", f"must be constant or linear, got {ext!r}")
@@ -343,7 +363,16 @@ def _run_clt(sections, outdir):
     else:
         target = float(target_spec)
 
-    values = [clt_functional(model, f, n) for n in n_list]
+    # one pass over the schedule gives the values, the interior iterate
+    # and, with a cross_factor, the partition diagnostics
+    require_centered(model)
+    cross = "cross_factor" in check.kv
+    compact = check.float_("compact", 2.0)
+    dyadic_base = sched.float_("dyadic_base", 0.75)
+    u, diag = chernoff_limit(OneStepOperator(model, SecondOrder()), 1.0, f, n_list,
+                             tol=tol, compact=(-compact, compact) if cross else None,
+                             dyadic_base=dyadic_base if cross else None)
+    values = diag.values_at_origin
     with open(os.path.join(outdir, "clt_values.csv"), "w") as fh:
         fh.write("n,value,target\n")
         for n, v in zip(n_list, values):
@@ -361,8 +390,6 @@ def _run_clt(sections, outdir):
                                  f" <= {tol}"))
         interior = check.float_("interior", 0.0)
         if interior > 0:
-            op = OneStepOperator(model, SecondOrder())
-            u = iterate(op, Partition(1.0, 1.0 / n_list[-1]), f)
             x2 = f.grid.axis ** 2
             dev = u.replace_values(u.values - x2 - 1.0)
             sup = dev.sup_norm_on((-interior, interior))
@@ -385,12 +412,7 @@ def _run_clt(sections, outdir):
                                  f"|{values[-1]:.6f} - {pde0:.6f}| <= {gtol}"))
         upde.to_csv(os.path.join(outdir, "g_heat.csv"))
 
-    if "cross_factor" in check.kv:
-        op = OneStepOperator(model, SecondOrder())
-        compact = check.float_("compact", 2.0)
-        _, diag = chernoff_limit(op, 1.0, f, n_list, tol=tol,
-                                 compact=(-compact, compact),
-                                 dyadic_base=sched.float_("dyadic_base", 0.75))
+    if cross:
         diag.to_csv(os.path.join(outdir, "diagnostics.csv"))
         lines.append(_partition_line(diag, check.float_("cross_factor")))
     return lines
@@ -534,6 +556,8 @@ def run_config_text(text, output_root=None):
     if kind not in KINDS:
         exp._fail("kind", f"must be one of {KINDS}")
     name = exp.str_("name")
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        exp._fail("name", f"must be a plain directory name, got {name!r}")
     root = output_root or os.environ.get("CHERNOFFLAB_OUT", "chernofflab_out")
     outdir = os.path.join(root, name)
     os.makedirs(outdir, exist_ok=True)
@@ -592,6 +616,9 @@ def main(argv=None):
         where = f" (field {exc.field})" if exc.field else where
         print(f"config error: {exc}{where}", file=sys.stderr)
         return 2 if exc.line else 3
+    except InputError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 3
     for ln in lines:
         print(ln)
     return 0 if ok else 1

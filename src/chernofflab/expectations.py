@@ -29,6 +29,8 @@ from . import _kernels
 from .errors import InputError, PreconditionError
 
 SHORTFALL_TOL = 1e-10
+# payoff values gathered per ShiftSup payoff call (rows x shifts x points)
+SHIFT_BLOCK_POINTS = 1 << 15
 CENTERING_PROBES = (1.0, -1.0, 2.0, -2.0)
 
 
@@ -303,19 +305,28 @@ class ShiftSup(ExpectationModel):
         object.__setattr__(self, "_costs", cost)
 
     def reduce(self, payoff, t=1.0):
-        # one payoff call per shift: gathering every shift at once would
-        # hold rows x shifts x atoms values
+        # shifts are gathered in blocks of at most SHIFT_BLOCK_POINTS payoff
+        # values; the first call takes one shift and tells the row count
         a = self.measure.atoms
         w = self.measure.weights
         k = w.shape[0]
+        signs = (1.0, -1.0) if self.symmetric else (1.0,)
+        per_shift = len(signs) * k
         best = -np.inf
-        for s, cost in zip(self.shifts, self._costs):
-            if self.symmetric:
-                vals = payoff(np.concatenate([a + s, a - s]))
-                mean = 0.5 * (vals[:, :k] @ w + vals[:, k:] @ w)
-            else:
-                mean = payoff(a + s) @ w
-            best = np.maximum(best, mean - t * cost)
+        start, block = 0, 1
+        while start < self.shifts.shape[0]:
+            s = self.shifts[start:start + block]
+            # points ordered (atom, shift, sign) make the atom mean one 2-D
+            # dot over vals.T, a view of the stencil gather's layout
+            pts = np.stack([a[:, None] + sign * s[None] for sign in signs], axis=2)
+            vals = payoff(pts.reshape(-1, a.shape[1]))
+            rows = vals.shape[0]
+            means = np.dot(w, vals.T.reshape(k, -1)).reshape(s.shape[0], len(signs), rows)
+            mean = 0.5 * (means[:, 0] + means[:, 1]) if self.symmetric else means[:, 0]
+            cost = self._costs[start:start + block]
+            best = np.maximum(best, (mean - t * cost[:, None]).max(axis=0))
+            start += s.shape[0]
+            block = max(1, SHIFT_BLOCK_POINTS // (rows * per_shift))
         return best
 
 
@@ -342,11 +353,15 @@ class Centered(ExpectationModel):
                     f"centering requires E[a xi] >= 0; probe a={probe} fails")
 
     def reduce(self, payoff, t=1.0):
-        best = np.inf
-        for a in self.a_grid:
-            shifted = lambda y, a=a: payoff(y) + (t * a) * y[:, 0]
-            best = np.minimum(best, self.base.reduce(shifted, t))
-        return best
+        # the payoff does not depend on a: gather it once per base-model
+        # call and stack one block of rows per a, so one base reduction
+        # covers the whole a-grid (it holds a-grid x rows x points values)
+        ta = t * self.a_grid
+
+        def stacked(y):
+            vals = payoff(y)
+            return (vals + ta[:, None, None] * y[:, 0]).reshape(-1, vals.shape[1])
+        return self.base.reduce(stacked, t).reshape(ta.shape[0], -1).min(axis=0)
 
 
 def centered(model, a_grid=None):

@@ -46,16 +46,24 @@ def nonlinear_functional(model, scaling, f, n):
     return float(u.values[f.grid.origin_index])
 
 
-def clt_functional(model, f, n, probe_tol=1e-8):
-    """(1/n) E_bar[n f(sum xi_i / sqrt(n))] via the second-order scaling.
+def require_centered(model, probe_tol=1e-8):
+    """Raise PreconditionError unless E[a xi] = 0 for the probe coefficients.
 
-    Requires a centered model: E[a xi] = 0 for the probe coefficients.
-    Apply :func:`chernofflab.expectations.centered` first otherwise.
+    The second-order scaling has a limit only for centered models; apply
+    :func:`chernofflab.expectations.centered` first otherwise.
     """
     for a in CENTERING_PROBES:
         if abs(model.expect_linear(a)) > probe_tol:
             raise PreconditionError(
-                f"clt_functional needs a centered model; E[{a} xi] != 0")
+                f"the second-order scaling needs a centered model; E[{a} xi] != 0")
+
+
+def clt_functional(model, f, n, probe_tol=1e-8):
+    """(1/n) E_bar[n f(sum xi_i / sqrt(n))] via the second-order scaling.
+
+    Requires a centered model (:func:`require_centered`).
+    """
+    require_centered(model, probe_tol)
     op = OneStepOperator(model, SecondOrder())
     u = iterate(op, Partition(1.0, 1.0 / n), f)
     return float(u.values[f.grid.origin_index])

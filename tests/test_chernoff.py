@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chernofflab import chernoff
 from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          GridFunction, GrowthWeight, Linear, OneStepOperator,
                          Partition, PenaltyFunction, Perturbed, SecondOrder,
@@ -106,8 +107,11 @@ class TestOneStep:
         f1 = GridFunction.sample(Grid(4.0, 33), lambda x: np.sin(x) + 0.2 * x**2)
         f2 = GridFunction.sample(Grid(2.0, 9, dimension=2),
                                  lambda x, y: np.sin(x) + 0.5 * y**2)
+        shift_sup = ShiftSup(two_point(), PenaltyFunction.quadratic(2.0, 65),
+                             np.linspace(-1.0, 1.0, 9))
         cases = [(f1, centered(Entropic(two_point())), SecondOrder()),
                  (f1, centered(Linear(two_point())), FirstOrderAffine()),
+                 (f1, centered(shift_sup), SecondOrder()),
                  (f2, Linear(mu2), FirstOrderAffine()),
                  (f2, Entropic(mu2), drift),
                  (f2, Shortfall(mu2, 2.0), SecondOrder())]
@@ -120,6 +124,18 @@ class TestOneStep:
             # shortfall bisects all nodes in one pass, to its own tolerance
             tol = SHORTFALL_TOL if isinstance(model, Shortfall) else 1e-12
             assert np.max(np.abs(u.values.ravel() - want)) <= tol
+
+    def test_centered_gathers_once_per_base_call(self):
+        # the a-grid entries share one gather of the payoff
+        f = GridFunction.sample(Grid(4.0, 33), np.sin)
+        calls = []
+
+        def payoff(y):
+            calls.append(y.shape)
+            return f.eval(f.grid.axis[:, None] + 0.3 * y[:, 0])
+        model = centered(Linear(two_point()))
+        model.reduce(payoff, 0.3)
+        assert calls == [(2, 1)]
 
     def test_two_dimensional_linear_step(self):
         # check the 2D step against the direct average
@@ -198,6 +214,39 @@ class TestChernoffLimit:
                                  compact=(-2.0, 2.0))
         assert diag.values_at_origin[-1] == pytest.approx(-1.0 / 3.0, abs=2e-2)
         assert diag.gaps[-1] < diag.gaps[1]
+
+    @pytest.mark.parametrize("scaling", [FirstOrderAffine(), SecondOrder()])
+    def test_diagnostics_equal_all_levels_run(self, scaling, monkeypatch):
+        # the dyadic partition at level round(log2(n_max)) alone gives the
+        # same diagnostics, bit for bit, as running every level up to it
+        f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.1 * x**2)
+        op = OneStepOperator(Entropic(two_point()), scaling)
+        schedule, t, base, box = [4, 8, 16], 0.8, 0.75, (-1.0, 1.0)
+        steps = []
+        monkeypatch.setattr(chernoff, "one_step",
+                            lambda *args: steps.append(1) or one_step(*args))
+        u, diag = chernoff_limit(op, t, f, schedule, tol=1e-3, compact=box,
+                                 dyadic_base=base)
+        monkeypatch.undo()
+        # each schedule entry once, then 21 full steps and a remainder
+        assert len(steps) == sum(schedule) + 22
+        runs = [iterate(op, Partition(t, t / n), f) for n in schedule]
+        for j in (2, 3, 4):
+            ud = iterate(op, Partition(t, base * t * 2.0 ** (-j)), f)
+        gaps = [np.nan] + [b.replace_values(b.values - a.values).sup_norm_on(box)
+                           for a, b in zip(runs, runs[1:])]
+        cross = runs[-1].replace_values(runs[-1].values - ud.values).sup_norm_on(box)
+        assert np.array_equal(u.values, runs[-1].values)
+        assert diag.cross_schedule_gap == cross
+        assert np.array_equal(diag.gaps, gaps, equal_nan=True)
+        assert diag.cauchy_gap == gaps[-1]
+        assert diag.values_at_origin == [float(r.values[64]) for r in runs]
+
+    def test_no_dyadic_base_skips_the_cross_schedule(self):
+        f = GridFunction.sample(Grid(4.0, 129), np.sin)
+        op = OneStepOperator(Linear(two_point()))
+        _, diag = chernoff_limit(op, 1.0, f, [2, 4], dyadic_base=None)
+        assert np.isnan(diag.cross_schedule_gap)
 
     def test_schedule_must_increase(self):
         g = Grid(4.0, 129)

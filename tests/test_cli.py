@@ -1,5 +1,6 @@
 import pytest
 
+from chernofflab import chernoff
 from chernofflab.cli import (KINDS, list_experiments, main, parse_config_text,
                              run_config_text, serialize_config)
 from chernofflab.configs import BUILTINS
@@ -103,6 +104,30 @@ class TestRunners:
         assert any(ln.startswith("partition_independence: FAIL (not evaluated")
                    for ln in lines), lines
 
+    @pytest.mark.parametrize("name, steps", [("lln_entropic_gaussian", 423),
+                                             ("clt_two_point_gaussian", 411),
+                                             ("clt_binary_exact", 85)])
+    def test_one_step_count(self, tmp_path, monkeypatch, name, steps):
+        # every schedule entry is iterated once, plus the finest dyadic
+        # partition when the partition check is declared
+        calls = []
+        one_step = chernoff.one_step
+        monkeypatch.setattr(chernoff, "one_step",
+                            lambda *args: calls.append(1) or one_step(*args))
+        ok, lines = run_config_text(BUILTINS[name][1], str(tmp_path))
+        assert ok, lines
+        assert len(calls) == steps
+
+    @pytest.mark.parametrize("name", ["lln_entropic_gaussian", "clt_two_point_gaussian"])
+    def test_deterministic_chernoff_artifacts(self, tmp_path, name):
+        for out in ("a", "b"):
+            run_config_text(BUILTINS[name][1], str(tmp_path / out))
+        files = sorted(p.name for p in (tmp_path / "a" / name).glob("*.csv"))
+        assert files
+        for fname in files:
+            assert ((tmp_path / "a" / name / fname).read_bytes()
+                    == (tmp_path / "b" / name / fname).read_bytes()), fname
+
     def test_deterministic_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_config_text(BUILTINS["cramer_bernoulli"][1], str(out1))
@@ -166,3 +191,59 @@ class TestMain:
         assert ok
         assert (tmp_path / "envroot" / "generator_entropic_constant"
                 / "summary.txt").exists()
+
+
+class TestErrorContract:
+    def run_main(self, tmp_path, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        return main(["run", str(cfg), "--out", str(tmp_path / "out")])
+
+    def test_invalid_measure_exit_3(self, tmp_path, capsys):
+        text = BUILTINS["clt_binary_exact"][1].replace(
+            "atoms(-1:0.5, 1:0.5)", "atoms(-1:0.5, 1:0.6)")
+        assert self.run_main(tmp_path, text) == 3
+        err = capsys.readouterr().err
+        assert "weights must sum to one" in err and "expectation.measure" in err
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("shifts = 0,1,33", "shifts = 0,1", "expectation.shifts"),
+        ("indicator(1)", "indicator(x)", "expectation.penalty")])
+    def test_malformed_shift_model_exit_3(self, tmp_path, capsys, old, new, field):
+        text = BUILTINS["clt_two_point_gaussian"][1].replace(old, new)
+        assert self.run_main(tmp_path, text) == 3
+        assert field in capsys.readouterr().err
+
+    def test_one_node_grid_exit_3(self, tmp_path, capsys):
+        text = BUILTINS["clt_binary_exact"][1].replace("N = 257", "N = 1")
+        assert self.run_main(tmp_path, text) == 3
+        assert "grid.N" in capsys.readouterr().err
+
+    def test_input_error_in_a_run_exit_3(self, tmp_path, capsys):
+        text = BUILTINS["clt_binary_exact"][1].replace("n = 1,4,16,64", "n = 64,16")
+        assert self.run_main(tmp_path, text) == 3
+        assert "schedule must be strictly increasing" in capsys.readouterr().err
+
+    def test_fractional_integer_rejected(self, tmp_path):
+        text = BUILTINS["lln_entropic_gaussian"][1].replace(
+            "uniform = 4,8,16,32,64,128", "uniform = 4,8,128.5")
+        with pytest.raises(ConfigError) as err:
+            run_config_text(text, str(tmp_path))
+        assert err.value.field == "schedule.uniform"
+
+    def test_duplicate_key_names_its_line(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("[a]\nx = 1\n\nx = 2\n")
+        assert err.value.line == 4
+        text = BUILTINS["cramer_bernoulli"][1].replace(
+            "threshold = 0.5", "threshold = 0.5\nthreshold = 0.7")
+        assert self.run_main(tmp_path, text) == 2
+
+    @pytest.mark.parametrize("name", ["../escape_probe", "a/../../escape_probe",
+                                      "..", ""])
+    def test_name_cannot_leave_the_output_root(self, tmp_path, capsys, name):
+        text = BUILTINS["cramer_bernoulli"][1].replace(
+            "name = cramer_bernoulli", f"name = {name}")
+        assert self.run_main(tmp_path, text) == 3
+        assert "experiment.name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]

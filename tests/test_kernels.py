@@ -1,9 +1,10 @@
-"""``one_step`` and ``expect_linear`` against their reference computations.
+"""``one_step``, ``expect_linear`` and the kernels against reference computations.
 
 ``one_step`` reduces one gather per step through the model's ``reduce``;
 the fused ``_kernels.one_step_*`` kernels compute the same steps directly
 and serve as the reference. ``expect_linear`` on an array of coefficients
-must equal its per-coefficient values.
+must equal its per-coefficient values. The shifted-slice stencil must equal
+``interp1`` at the same query points, and ``g_heat`` its per-shift loop.
 """
 
 import numpy as np
@@ -79,3 +80,51 @@ def test_expect_linear_array_matches_scalars(model):
     # needs, so shortfall rows agree to the bisection tolerance
     tol = SHORTFALL_TOL if model == "shortfall" else 1e-12
     assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("extension", ["constant", "linear"])
+def test_shift_stencil_matches_interp1(extension):
+    g = Grid(4.0, 65)
+    h = g.spacing
+    values = np.sin(g.axis) + 0.2 * g.axis ** 2
+    const = extension == "constant"
+    offsets = np.concatenate([
+        [0.0, h, -h, 7 * h, -12 * h],              # on nodes, theta = 0
+        [0.3 * h, -0.3 * h, 2.5 * h, -40.75 * h],  # between nodes
+        [-3.7, 1.9, 4.0 * h - 1e-13],              # negative, and next to a node
+        [8.0, -8.0, 8.3, -9.1, 30.0, -25.0],       # half the box and beyond it
+    ])
+    got = K.shift_stencil(values, h, const)(offsets)
+    want = K.interp1(values, -g.half_width, h, g.axis[:, None] + offsets, const)
+    assert got.shape == (g.points_per_axis, offsets.size)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_grid_aligned_steps_use_the_stencil(monkeypatch):
+    # first- and second-order steps never reach the per-point gather
+    def no_gather(*args):
+        raise AssertionError("grid-aligned step went through interp1")
+    f = GridFunction.sample(Grid(4.0, 129), np.sin)
+    monkeypatch.setattr(K, "interp1", no_gather)
+    for scaling in (FirstOrderAffine(), SecondOrder()):
+        for model in MODELS.values():
+            one_step(OneStepOperator(model, scaling), 0.1, f)
+
+
+def test_g_heat_matches_per_shift_loop():
+    spacing, dt, steps = 0.05, 1e-3, 40
+    x = np.arange(-60, 61) * spacing
+    values = np.minimum(np.cosh(x), 20.0)
+    lam = np.linspace(0.0, 1.0, 33)
+    cost = np.where(lam > 0.9, 0.05, 0.0)
+    u = values.copy()
+    for _ in range(steps):
+        lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (spacing * spacing)
+        g = np.full(lap.shape, -np.inf)
+        for l in range(lam.shape[0]):
+            np.maximum(g, 0.5 * lam[l] * lam[l] * lap - cost[l], out=g)
+        g += 0.25 * lap
+        unew = u.copy()
+        unew[2:-2] = u[2:-2] + dt * g[1:-1]
+        u = unew
+    assert np.array_equal(K.g_heat(values, spacing, dt, steps, lam, cost, 0.25), u)
