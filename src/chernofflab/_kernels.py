@@ -1,9 +1,13 @@
 """Hot numeric kernels in plain numpy.
 
-``interp1`` is the 1D gather behind every grid evaluation and every
-one-step operator whose query points move with the node. ``shift_stencil``
-is the gather of grid-aligned steps, where every node is queried at the
-same offsets: a shifted slice of the padded values per offset. The three
+``gather_plan`` is the multilinear gather on a uniform grid, d = 1 or 2: it
+computes the floor indices and interpolation weights of a set of query
+points once and returns a map from node values to the gathered values, so
+a gather whose query points repeat (the equal-``t`` steps of one Chernoff
+partition) pays for its geometry once. ``interp1`` is the one-shot 1D
+gather behind every grid evaluation. ``shift_stencil`` is the gather at
+node-independent offsets (grid-aligned one-steps, the 1D Hopf-Lax
+candidates): a shifted slice of the padded values per offset. The three
 ``one_step_*`` kernels are fused reference implementations of single
 Chernoff steps; ``chernoff.one_step`` computes the same steps through the
 models' ``reduce`` and the tests compare the two.
@@ -19,23 +23,64 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
-# piecewise-linear interpolation on a uniform 1D grid
+# piecewise-multilinear interpolation on a uniform grid
 # ---------------------------------------------------------------------------
 
-def interp1(values, origin, spacing, queries, constant_ext):
-    """Evaluate the piecewise-linear interpolant of node ``values``.
+def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
+    """The piecewise-multilinear gather at ``queries``, geometry computed once.
 
+    The grid has ``n`` nodes per axis from ``origin`` with ``spacing``; 1D
+    queries may have any shape, 2D queries a trailing axis of length 2.
     ``constant_ext`` selects constant continuation outside the grid box;
-    otherwise the edge cells extrapolate linearly.
+    otherwise the edge cells extrapolate linearly. Returns ``apply`` with
+    ``apply(values)`` the interpolant of the node values at the queries,
+    for any values on that grid. Its arithmetic runs in the order of a
+    direct evaluation, so a plan applied many times gives the same bits as
+    fresh gathers.
     """
-    n = values.shape[0]
     u = (queries - origin) / spacing
     if constant_ext:
         u = np.clip(u, 0.0, n - 1.0)
     idx = np.floor(u).astype(np.int64)
     np.clip(idx, 0, n - 2, out=idx)
     theta = u - idx
-    return (1.0 - theta) * values[idx] + theta * values[idx + 1]
+    if dimension == 1:
+        upper = idx + 1
+        lower_w = 1.0 - theta
+
+        # products formed in place: fewer fresh temporaries, which a process
+        # pays page faults for on its first gathers
+        def apply(values):
+            out = values[idx]
+            out *= lower_w
+            hi = values[upper]
+            hi *= theta
+            out += hi
+            return out
+        return apply
+
+    # flat indices of the four cell corners, (i, j), (i+1, j), (i, j+1),
+    # (i+1, j+1), with their bilinear weights
+    tx, ty = theta[..., 0], theta[..., 1]
+    corner = idx[..., 0] * n + idx[..., 1]
+    corners = (corner, corner + n, corner + 1, corner + n + 1)
+    weights = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
+
+    def apply(values):
+        flat = values.reshape(-1)
+        out = flat[corners[0]]
+        out *= weights[0]
+        for c, w in zip(corners[1:], weights[1:]):
+            term = flat[c]
+            term *= w
+            out += term
+        return out
+    return apply
+
+
+def interp1(values, origin, spacing, queries, constant_ext):
+    """Evaluate the piecewise-linear interpolant of node ``values`` once."""
+    return gather_plan(origin, spacing, values.shape[0], queries, constant_ext)(values)
 
 
 def shift_stencil(values, spacing, constant_ext):
@@ -118,23 +163,50 @@ def lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha):
     The two outermost layers stay frozen.
     """
     u = values.copy()
-    n = u.shape[0]
+    unew = values.copy()
+    m = u.shape[0] - 4  # nodes 2 .. n-3 move
+    if m <= 0:
+        return u
     hp0 = ham_p[0]
     hstep = ham_p[1] - ham_p[0]
+    top = ham_p.shape[0] - 1.0
+    last_cell = ham_p.shape[0] - 2
+    lower_v, upper_v = ham_v[:-1], ham_v[1:]
+    two_h = 2.0 * spacing
+    visc = alpha * dt / (2.0 * spacing)
+    pu, th, hval, diff = (np.empty(m) for _ in range(4))
+    idx = np.empty(m, dtype=np.int64)
     for _ in range(steps):
-        p = (u[2:] - u[:-2]) / (2.0 * spacing)
-        pu = np.clip((p - hp0) / hstep, 0.0, ham_p.shape[0] - 1.0)
-        idx = np.clip(np.floor(pu).astype(np.int64), 0, ham_p.shape[0] - 2)
-        th = pu - idx
-        hval = (1.0 - th) * ham_v[idx] + th * ham_v[idx + 1]
-        diff = u[2:] - 2.0 * u[1:-1] + u[:-2]
-        unew = u.copy()
-        unew[1:-1] = u[1:-1] + dt * hval + (alpha * dt / (2.0 * spacing)) * diff
-        unew[0] = u[0]
-        unew[n - 1] = u[n - 1]
-        unew[1] = u[1]
-        unew[n - 2] = u[n - 2]
-        u = unew
+        left, mid, right = u[1:-3], u[2:-2], u[3:-1]
+        # gradient in Hamiltonian-grid units, clamped to the sampled range
+        np.subtract(right, left, out=pu)
+        pu /= two_h
+        pu -= hp0
+        pu /= hstep
+        np.maximum(pu, 0.0, out=pu)
+        np.minimum(pu, top, out=pu)
+        np.floor(pu, out=th)
+        idx[...] = th
+        np.minimum(idx, last_cell, out=idx)  # pu >= 0, so idx >= 0 already
+        np.subtract(pu, idx, out=th)
+        # hval = (1 - th) * H[idx] + th * H[idx + 1]
+        lower_v.take(idx, out=hval)
+        np.subtract(1.0, th, out=pu)
+        hval *= pu
+        upper_v.take(idx, out=diff)
+        diff *= th
+        hval += diff
+        # diff = u[i+1] - 2 u[i] + u[i-1]
+        np.multiply(mid, 2.0, out=diff)
+        np.subtract(right, diff, out=diff)
+        diff += left
+        # u[i] + dt * hval + visc * diff, in that order
+        hval *= dt
+        diff *= visc
+        out = unew[2:-2]
+        np.add(mid, hval, out=out)
+        out += diff
+        u, unew = unew, u
     return u
 
 

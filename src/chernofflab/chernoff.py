@@ -117,6 +117,8 @@ class OneStepOperator:
     model: ExpectationModel
     scaling: ScalingFamily = field(default_factory=FirstOrderAffine)
     weight: GrowthWeight = field(default_factory=GrowthWeight)
+    # the last per-point gather plan, (t, grid, extension, sample points, plan)
+    _plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, t, f):
         return one_step(self, t, f)
@@ -129,7 +131,10 @@ def one_step(op, t, f):
     sample points y the model asks for, and the model reduces the resulting
     (nodes, k) matrix to t * E[f(psi(t, x, .)) / t]. When the base is the
     grid axis itself, each y is one offset for every node and the gather is
-    a shifted-slice stencil.
+    a shifted-slice stencil. Otherwise the gather's geometry is a plan that
+    the operator keeps and reuses while t, the grid, the extension and the
+    sample points stay the same, as they do over the full steps of one
+    partition.
     """
     if t < 0:
         raise InputError("one_step requires t >= 0")
@@ -147,7 +152,13 @@ def one_step(op, t, f):
             return stencil(scale * y[:, 0])
     else:
         def gather(y):
-            return f.gather(base[:, None] + scale * (y[:, 0] if one_d else y))
+            held = op._plan
+            if not (held is not None and held[0] == t and held[1] == g
+                    and held[2] == f.extension and np.array_equal(held[3], y)):
+                plan = f.gather_plan(base[:, None] + scale * (y[:, 0] if one_d else y))
+                held = (t, g, f.extension, y.copy(), plan)
+                object.__setattr__(op, "_plan", held)
+            return held[4](f.values)
 
     vals = op.model.reduce(gather, t)
     return f.replace_values(vals.reshape(f.values.shape))

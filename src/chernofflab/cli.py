@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,8 +253,20 @@ def _build_payoff(sections):
 # experiment runners
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Check:
+    """One declared check of a run; ``str`` renders its summary line."""
+
+    name: str
+    passed: bool
+    detail: str
+
+    def __str__(self):
+        return f"{self.name}: {'PASS' if self.passed else 'FAIL'} ({self.detail})"
+
+
 def _check_line(name, ok, detail):
-    return f"{name}: {'PASS' if ok else 'FAIL'} ({detail})"
+    return Check(name, bool(ok), detail)
 
 
 def _partition_line(diag, factor):
@@ -294,16 +307,16 @@ def _run_lln(sections, outdir):
     u.to_csv(os.path.join(outdir, "limit.csv"))
     rate.to_csv(os.path.join(outdir, "rate.csv"))
 
-    lines = []
+    checks = []
     tol = check.float_("tolerance")
     target = check.float_("target")
-    lines.append(_check_line("target_value", abs(value0 - target) <= tol,
-                             f"|{value0:.6f} - {target:.6f}| <= {tol}"))
+    checks.append(_check_line("target_value", abs(value0 - target) <= tol,
+                              f"|{value0:.6f} - {target:.6f}| <= {tol}"))
     otol = check.float_("oracle_tolerance", tol)
-    lines.append(_check_line("hopf_lax_oracle", abs(value0 - oracle0) <= otol,
-                             f"|{value0:.6f} - {oracle0:.6f}| <= {otol}"))
-    lines.append(_partition_line(diag, check.float_("cross_factor", 2.0)))
-    return lines
+    checks.append(_check_line("hopf_lax_oracle", abs(value0 - oracle0) <= otol,
+                              f"|{value0:.6f} - {oracle0:.6f}| <= {otol}"))
+    checks.append(_partition_line(diag, check.float_("cross_factor", 2.0)))
+    return checks
 
 
 def _run_cramer(sections, outdir):
@@ -315,17 +328,17 @@ def _run_cramer(sections, outdir):
                      shift_radius=sset.float_("shift_radius", 0.0))
     report.to_csv(os.path.join(outdir, "rate_report.csv"))
     lo, hi = check.floats("slope_window")
-    lines = [_check_line("slope_window", lo <= report.fitted_rate <= hi,
-                         f"{report.fitted_rate:.6f} in [{lo}, {hi}]")]
+    checks = [_check_line("slope_window", lo <= report.fitted_rate <= hi,
+                          f"{report.fitted_rate:.6f} in [{lo}, {hi}]")]
     if "bound_target" in check.kv:
         bt = check.float_("bound_target")
         btol = check.float_("bound_tolerance", 1e-4)
-        lines.append(_check_line("bound_value", abs(report.bound - bt) <= btol,
-                                 f"|{report.bound:.6f} - {bt:.6f}| <= {btol}"))
+        checks.append(_check_line("bound_value", abs(report.bound - bt) <= btol,
+                                  f"|{report.bound:.6f} - {bt:.6f}| <= {btol}"))
     below = all(v <= report.bound + 1e-12 for v in report.values)
-    lines.append(_check_line("approach_from_below", below,
-                             "every (1/n) log P sits below the bound"))
-    return lines
+    checks.append(_check_line("approach_from_below", below,
+                              "every (1/n) log P sits below the bound"))
+    return checks
 
 
 def _run_poly_rate(sections, outdir):
@@ -378,23 +391,23 @@ def _run_clt(sections, outdir):
         for n, v in zip(n_list, values):
             fh.write(f"{n},{v:.12g},{target:.12g}\n")
 
-    lines = []
+    checks = []
     if target_spec == "gaussian":
         ok = abs(values[-1] - target) <= tol
-        lines.append(_check_line("gaussian_limit", ok,
-                                 f"|{values[-1]:.6f} - {target:.6f}| <= {tol}"))
+        checks.append(_check_line("gaussian_limit", ok,
+                                  f"|{values[-1]:.6f} - {target:.6f}| <= {tol}"))
     else:
         ok = all(abs(v - target) <= tol for v in values)
-        lines.append(_check_line("exact_identity", ok,
-                                 f"max dev {max(abs(v - target) for v in values):.2e}"
-                                 f" <= {tol}"))
+        checks.append(_check_line("exact_identity", ok,
+                                  f"max dev {max(abs(v - target) for v in values):.2e}"
+                                  f" <= {tol}"))
         interior = check.float_("interior", 0.0)
         if interior > 0:
             x2 = f.grid.axis ** 2
             dev = u.replace_values(u.values - x2 - 1.0)
             sup = dev.sup_norm_on((-interior, interior))
-            lines.append(_check_line("interior_identity", sup <= tol,
-                                     f"sup on [-{interior},{interior}] = {sup:.2e}"))
+            checks.append(_check_line("interior_identity", sup <= tol,
+                                      f"sup on [-{interior},{interior}] = {sup:.2e}"))
 
     if "gheat_tolerance" in check.kv:
         gtol = check.float_("gheat_tolerance")
@@ -408,14 +421,14 @@ def _run_clt(sections, outdir):
         upde = solve_g_heat(g2, pf, sched_horizon(sections))
         pde0 = float(upde.values[pgrid.origin_index])
         ok = abs(values[-1] - pde0) <= gtol
-        lines.append(_check_line("g_heat_crosscheck", ok,
-                                 f"|{values[-1]:.6f} - {pde0:.6f}| <= {gtol}"))
+        checks.append(_check_line("g_heat_crosscheck", ok,
+                                  f"|{values[-1]:.6f} - {pde0:.6f}| <= {gtol}"))
         upde.to_csv(os.path.join(outdir, "g_heat.csv"))
 
     if cross:
         diag.to_csv(os.path.join(outdir, "diagnostics.csv"))
-        lines.append(_partition_line(diag, check.float_("cross_factor")))
-    return lines
+        checks.append(_partition_line(diag, check.float_("cross_factor")))
+    return checks
 
 
 def sched_horizon(sections):
@@ -527,13 +540,13 @@ def _run_pde_crosscheck(sections, outdir):
     u.to_csv(os.path.join(outdir, "pde.csv"))
     hl.to_csv(os.path.join(outdir, "hopf_lax.csv"))
     tol = check.float_("tolerance")
-    lines = [_check_line("pde_vs_hopf_lax", abs(pde0 - hl0) <= tol,
-                         f"|{pde0:.6f} - {hl0:.6f}| <= {tol}")]
+    checks = [_check_line("pde_vs_hopf_lax", abs(pde0 - hl0) <= tol,
+                          f"|{pde0:.6f} - {hl0:.6f}| <= {tol}")]
     if "target" in check.kv:
         target = check.float_("target")
-        lines.append(_check_line("pde_vs_target", abs(pde0 - target) <= tol,
-                                 f"|{pde0:.6f} - {target:.6f}| <= {tol}"))
-    return lines
+        checks.append(_check_line("pde_vs_target", abs(pde0 - target) <= tol,
+                                  f"|{pde0:.6f} - {target:.6f}| <= {tol}"))
+    return checks
 
 
 _RUNNERS = {
@@ -562,9 +575,10 @@ def run_config_text(text, output_root=None):
     outdir = os.path.join(root, name)
     os.makedirs(outdir, exist_ok=True)
     start = time.perf_counter()
-    lines = _RUNNERS[kind](sections, outdir)
+    checks = _RUNNERS[kind](sections, outdir)
     elapsed = time.perf_counter() - start
-    ok = all(": PASS" in ln for ln in lines)
+    ok = all(c.passed for c in checks)
+    lines = [str(c) for c in checks]
     lines.append(f"{name}: {'PASS' if ok else 'FAIL'} in {elapsed:.2f}s")
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -161,22 +161,14 @@ class GridFunction:
         const = self.extension == "constant"
         if g.dimension == 1:
             return _kernels.interp1(self.values, -g.half_width, g.spacing, q, const)
-        return self._eval2(q, const)
+        return self.gather_plan(q)(self.values)
 
-    def _eval2(self, q, const):
+    def gather_plan(self, q):
+        """The gather at the points ``q`` as a reusable map from node values
+        on this grid, under this function's extension, to values at ``q``."""
         g = self.grid
-        n = g.points_per_axis
-        u = (q - (-g.half_width)) / g.spacing
-        if const:
-            u = np.clip(u, 0.0, n - 1.0)
-        idx = np.floor(u).astype(np.int64)
-        np.clip(idx, 0, n - 2, out=idx)
-        th = u - idx
-        i, j = idx[..., 0], idx[..., 1]
-        tx, ty = th[..., 0], th[..., 1]
-        v = self.values
-        return ((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
-                + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
+        return _kernels.gather_plan(-g.half_width, g.spacing, g.points_per_axis, q,
+                                    self.extension == "constant", g.dimension)
 
     # -- norms ---------------------------------------------------------------
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import GridTooSmallError, InputError
 from .expectations import legendre
+
 _CHUNK = 256
 
 
@@ -131,12 +133,14 @@ def hopf_lax(f, t, rate):
     g = f.grid
     ys, phis = _candidates(rate)
     if g.dimension == 1:
-        nodes = g.axis
-        best = np.full(nodes.shape, -np.inf)
+        # every node is queried at the same offsets t * y: a shift stencil
+        stencil = _kernels.shift_stencil(f.values, g.spacing,
+                                         f.extension == "constant")
+        best = np.full(f.values.shape, -np.inf)
         for k0 in range(0, ys.shape[0], _CHUNK):
             yy = ys[k0:k0 + _CHUNK]
             pp = phis[k0:k0 + _CHUNK]
-            vals = f.eval(nodes[:, None] + t * yy[None, :]) - t * pp[None, :]
+            vals = stencil(t * yy) - t * pp[None, :]
             np.maximum(best, vals.max(axis=1), out=best)
         return f.replace_values(best)
     if ys.ndim == 1:

@@ -196,6 +196,83 @@ class TestIterate:
         assert np.allclose(u.values, v.values, atol=1e-14)
 
 
+PLAN_GRID_2D = Grid(2.0, 17, dimension=2)
+PLAN_MU_2D = DiscreteMeasure(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                             np.array([0.25, 0.25, 0.5]))
+DRIFT = Perturbed(phi0=lambda x: 0.3 * np.sin(x), lip=0.3)
+PLAN_CASES = {
+    "perturbed_linear": (Linear(gauss_hermite(8)), DRIFT),
+    "perturbed_entropic": (Entropic(gauss_hermite(8)), DRIFT),
+    "perturbed_shortfall": (Shortfall(gauss_hermite(8), 2.0), DRIFT),
+    "perturbed_shift_sup": (ShiftSup(two_point(), PenaltyFunction.quadratic(2.0, 65),
+                                     np.linspace(-1.0, 1.0, 9)), DRIFT),
+    "linear_2d": (Linear(PLAN_MU_2D), FirstOrderAffine()),
+    "entropic_2d": (Entropic(PLAN_MU_2D), FirstOrderAffine()),
+}
+
+
+def plan_case_payoff(case, extension):
+    if case.endswith("_2d"):
+        return GridFunction.sample(PLAN_GRID_2D, lambda x, y: np.sin(x) + 0.3 * x * y,
+                                   extension=extension)
+    return GridFunction.sample(Grid(4.0, 65), lambda x: np.sin(x) + 0.2 * x**2,
+                               extension=extension)
+
+
+class TestPlanReuse:
+    """The per-point gather plan is reused across a partition's equal steps."""
+
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    @pytest.mark.parametrize("case", list(PLAN_CASES))
+    def test_iterate_equals_fresh_one_steps(self, case, extension):
+        # horizon 0.9 with step 0.2: a remainder step of t = 0.1, then four
+        # full steps; each fresh operator builds its own plan
+        model, scaling = PLAN_CASES[case]
+        f = plan_case_payoff(case, extension)
+        partition = Partition(0.9, 0.2)
+        want = f
+        for t in [partition.remainder] + [partition.step] * partition.full_steps:
+            want = one_step(OneStepOperator(model, scaling), t, want)
+        got = iterate(OneStepOperator(model, scaling), partition, f)
+        assert np.array_equal(got.values, want.values)
+
+    def test_one_plan_per_partition(self, monkeypatch):
+        builds = []
+        gather_plan = chernoff._kernels.gather_plan
+        monkeypatch.setattr(chernoff._kernels, "gather_plan",
+                            lambda *args: builds.append(1) or gather_plan(*args))
+        model, scaling = PLAN_CASES["perturbed_entropic"]
+        op = OneStepOperator(model, scaling)
+        f = plan_case_payoff("perturbed_entropic", "constant")
+        iterate(op, Partition(1.0, 1.0 / 16), f)
+        assert len(builds) == 1
+        # a remainder step has its own t: one plan for it, one for the rest
+        builds.clear()
+        iterate(op, Partition(0.9, 0.2), f)
+        assert len(builds) == 2
+        # another grid or extension is never served the held plan: each of
+        # the three calls builds one for op and one for the fresh operator
+        builds.clear()
+        for g in (plan_case_payoff("perturbed_entropic", "linear"), f,
+                  GridFunction.sample(Grid(4.0, 33), np.sin)):
+            got = one_step(op, 0.2, g)
+            assert np.array_equal(got.values,
+                                  one_step(OneStepOperator(model, scaling), 0.2, g).values)
+        assert len(builds) == 6
+
+    def test_operator_holds_one_plan(self):
+        model, scaling = PLAN_CASES["perturbed_shift_sup"]
+        op = OneStepOperator(model, scaling)
+        f = plan_case_payoff("perturbed_shift_sup", "constant")
+        one_step(op, 0.2, f)
+        t, grid, extension, points, _ = op._plan
+        assert (t, grid, extension) == (0.2, f.grid, "constant")
+        assert points.shape[1] == 1
+        # the held plan is no part of the operator's identity
+        assert op == OneStepOperator(model, scaling)
+        assert "_plan" not in repr(op)
+
+
 class TestChernoffLimit:
     def test_constant_converges_immediately(self):
         g = Grid(4.0, 129)

@@ -1,6 +1,6 @@
 import pytest
 
-from chernofflab import chernoff
+from chernofflab import chernoff, cli
 from chernofflab.cli import (KINDS, list_experiments, main, parse_config_text,
                              run_config_text, serialize_config)
 from chernofflab.configs import BUILTINS
@@ -106,7 +106,8 @@ class TestRunners:
 
     @pytest.mark.parametrize("name, steps", [("lln_entropic_gaussian", 423),
                                              ("clt_two_point_gaussian", 411),
-                                             ("clt_binary_exact", 85)])
+                                             ("clt_binary_exact", 85),
+                                             ("envelope_perturbed", 256)])
     def test_one_step_count(self, tmp_path, monkeypatch, name, steps):
         # every schedule entry is iterated once, plus the finest dyadic
         # partition when the partition check is declared
@@ -117,6 +118,20 @@ class TestRunners:
         ok, lines = run_config_text(BUILTINS[name][1], str(tmp_path))
         assert ok, lines
         assert len(calls) == steps
+
+    def test_run_status_reads_check_verdicts_not_text(self, tmp_path, monkeypatch):
+        # a failed check whose detail happens to contain ": PASS"
+        def runner(sections, outdir):
+            return [cli._check_line("probe", True, "fine"),
+                    cli._check_line("slope_window", False, "previous run: PASS")]
+        monkeypatch.setitem(cli._RUNNERS, "cramer", runner)
+        ok, lines = run_config_text(BUILTINS["cramer_bernoulli"][1], str(tmp_path))
+        assert not ok
+        assert lines[:2] == ["probe: PASS (fine)",
+                             "slope_window: FAIL (previous run: PASS)"]
+        assert lines[2].startswith("cramer_bernoulli: FAIL in ")
+        summary = (tmp_path / "cramer_bernoulli" / "summary.txt").read_text()
+        assert summary == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("name", ["lln_entropic_gaussian", "clt_two_point_gaussian"])
     def test_deterministic_chernoff_artifacts(self, tmp_path, name):

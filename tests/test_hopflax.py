@@ -7,6 +7,7 @@ from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          chernoff_limit, conjugate_rate, envelope,
                          gauss_hermite, hopf_lax, legendre,
                          semigroup_defect, two_point)
+from chernofflab import _kernels as K
 from chernofflab.errors import GridTooSmallError, InputError
 
 
@@ -134,6 +135,25 @@ class TestHopfLax:
         shifted = f.shift(t * rate.argmin())
         interior = np.abs(g.axis) <= 2.0
         assert np.all(u.values[interior] >= shifted.values[interior] - 1e-12)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    def test_1d_matches_per_point_gather(self, extension, t):
+        # the shift stencil against interp1 at every node and candidate; the
+        # candidates t * y reach beyond the box [-4, 4] on both sides, span
+        # more than one chunk and include infinite (skipped) rate entries
+        g = Grid(4.0, 129)
+        f = GridFunction.sample(g, lambda x: np.sin(2.0 * x) + 0.1 * x**2,
+                                extension=extension)
+        y = np.linspace(-12.0, 12.0, 601)
+        phi = 0.05 * y**2
+        phi[::7] = np.inf
+        got = hopf_lax(f, t, RateFunction(y, phi)).values
+        fin = np.isfinite(phi)
+        gathered = K.interp1(f.values, -g.half_width, g.spacing,
+                             g.axis[:, None] + t * y[fin], extension == "constant")
+        want = (gathered - t * phi[fin]).max(axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_radial_2d_matches_1d_on_axis_payoff(self):
         g2 = Grid(4.0, 65, dimension=2)

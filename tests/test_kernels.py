@@ -4,7 +4,9 @@
 the fused ``_kernels.one_step_*`` kernels compute the same steps directly
 and serve as the reference. ``expect_linear`` on an array of coefficients
 must equal its per-coefficient values. The shifted-slice stencil must equal
-``interp1`` at the same query points, and ``g_heat`` its per-shift loop.
+``interp1`` at the same query points, and ``g_heat`` its per-shift loop. A
+gather plan must give the one-shot gathers bit for bit for any values on its
+grid, and ``lax_friedrichs`` its plain per-step march.
 """
 
 import numpy as np
@@ -128,3 +130,71 @@ def test_g_heat_matches_per_shift_loop():
         unew[2:-2] = u[2:-2] + dt * g[1:-1]
         u = unew
     assert np.array_equal(K.g_heat(values, spacing, dt, steps, lam, cost, 0.25), u)
+
+
+@pytest.mark.parametrize("extension", ["constant", "linear"])
+def test_gather_plan_1d_reuses_geometry_bit_for_bit(extension):
+    g = Grid(4.0, 65)
+    const = extension == "constant"
+    q = np.linspace(-6.0, 6.0, 37)[:, None] + np.array([0.0, 0.013, -2.5])
+    plan = K.gather_plan(-g.half_width, g.spacing, g.points_per_axis, q, const)
+    for values in (np.sin(g.axis), np.cosh(0.5 * g.axis) - g.axis):
+        u = (q + g.half_width) / g.spacing
+        if const:
+            u = np.clip(u, 0.0, g.points_per_axis - 1.0)
+        idx = np.clip(np.floor(u).astype(np.int64), 0, g.points_per_axis - 2)
+        theta = u - idx
+        want = (1.0 - theta) * values[idx] + theta * values[idx + 1]
+        assert np.array_equal(plan(values), want)
+        assert np.array_equal(K.interp1(values, -g.half_width, g.spacing, q, const), want)
+
+
+@pytest.mark.parametrize("extension", ["constant", "linear"])
+def test_gather_plan_2d_matches_bilinear_formula(extension):
+    g = Grid(2.0, 17, dimension=2)
+    n = g.points_per_axis
+    const = extension == "constant"
+    rng = np.random.default_rng(3)
+    q = rng.uniform(-3.0, 3.0, size=(40, 5, 2))
+    plan = K.gather_plan(-g.half_width, g.spacing, n, q, const, dimension=2)
+    for seed in (0, 1):
+        v = np.random.default_rng(seed).normal(size=(n, n))
+        u = (q + g.half_width) / g.spacing
+        if const:
+            u = np.clip(u, 0.0, n - 1.0)
+        idx = np.clip(np.floor(u).astype(np.int64), 0, n - 2)
+        th = u - idx
+        i, j = idx[..., 0], idx[..., 1]
+        tx, ty = th[..., 0], th[..., 1]
+        want = ((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
+                + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
+        assert np.array_equal(plan(v), want)
+        assert np.array_equal(GridFunction(g, v, extension).eval(q), want)
+
+
+def test_lax_friedrichs_matches_plain_march():
+    spacing, dt, steps, alpha = 0.05, 4e-3, 60, 3.0
+    x = np.arange(-60, 61) * spacing
+    values = np.minimum(np.abs(x) ** 1.5, 4.0) + 0.3 * np.sin(3.0 * x)
+    ham_p = np.linspace(-2.0, 2.0, 81)
+    ham_v = np.log(np.cosh(ham_p))
+    u = values.copy()
+    n = u.shape[0]
+    for _ in range(steps):
+        p = (u[2:] - u[:-2]) / (2.0 * spacing)
+        pu = np.clip((p - ham_p[0]) / (ham_p[1] - ham_p[0]), 0.0, ham_p.shape[0] - 1.0)
+        idx = np.clip(np.floor(pu).astype(np.int64), 0, ham_p.shape[0] - 2)
+        th = pu - idx
+        hval = (1.0 - th) * ham_v[idx] + th * ham_v[idx + 1]
+        diff = u[2:] - 2.0 * u[1:-1] + u[:-2]
+        unew = u.copy()
+        unew[1:-1] = u[1:-1] + dt * hval + (alpha * dt / (2.0 * spacing)) * diff
+        unew[[0, 1, n - 2, n - 1]] = u[[0, 1, n - 2, n - 1]]
+        u = unew
+    # the gradient leaves the sampled range [-2, 2] near the kinks
+    assert np.max(np.abs(values[2:] - values[:-2])) / (2.0 * spacing) > 2.0
+    got = K.lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha)
+    assert np.array_equal(got, u)
+    tiny = np.array([1.0, 2.0, 0.5, 3.0])
+    assert np.array_equal(K.lax_friedrichs(tiny, spacing, dt, steps, ham_p, ham_v, alpha),
+                          tiny)

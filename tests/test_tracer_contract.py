@@ -1,0 +1,75 @@
+"""The benchmark tracer's view of the package still matches the package.
+
+``perfbench/tracing.py`` patches ``_kernels`` functions by name and calls a
+counter with the same arguments as each patched function. A kernel that is
+renamed away, or a signature that gains or loses a parameter, breaks the
+traced benchmark run (``perfbench/run.py --trace 1``) without failing any
+other test, so this file checks the tracer's names and counter signatures
+against the package.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from chernofflab import _kernels
+from chernofflab.grid import GridFunction
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _target(name):
+    layer, attr = name.split(".", 1)
+    module = _kernels if layer == "kernels" else importlib.import_module(
+        f"chernofflab.{layer}")
+    return getattr(module, attr)
+
+
+def _positional(fn):
+    return [p for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+def _assert_same_arguments(fn, counter):
+    """After its tracer argument, ``counter`` binds every positional call of
+    ``fn``, and ``fn`` takes every argument that ``counter`` names."""
+    params = _positional(fn)
+    required = [p for p in params if p.default is p.empty]
+    for n in {len(required), len(params)}:
+        inspect.signature(counter).bind(None, *range(n))
+    assert len(_positional(counter)) - 1 <= len(params)
+
+
+def test_every_traced_kernel_exists(tracing):
+    missing = [k for k in tracing.KERNELS if not callable(getattr(_kernels, k, None))]
+    assert not missing
+
+
+def test_counted_functions_take_the_counters_arguments(tracing):
+    names = set(tracing._COUNTERS)
+    assert {"chernoff.one_step", "hopflax.hopf_lax", "kernels.interp1"} <= names
+    for name, counter in tracing._COUNTERS.items():
+        _assert_same_arguments(_target(name), counter)
+    _assert_same_arguments(GridFunction.eval, tracing._count_eval)
+
+
+def test_a_changed_signature_is_caught(tracing):
+    def one_step(op, t, f, plan=None):
+        return f
+    def hopf_lax(f, t):
+        return f
+    with pytest.raises(TypeError):
+        _assert_same_arguments(one_step, tracing._COUNTERS["chernoff.one_step"])
+    with pytest.raises(TypeError):
+        _assert_same_arguments(hopf_lax, tracing._COUNTERS["hopflax.hopf_lax"])
