@@ -1,16 +1,20 @@
 """Hot numeric kernels in plain numpy.
 
+``pad`` extends node values past the grid box along axis 0, with the edge
+value (constant continuation) or the edge cells' linear extrapolation; it
+is the one place the extension rule is spelled out for whole arrays.
 ``gather_plan`` is the multilinear gather on a uniform grid, d = 1 or 2: it
 computes the floor indices and interpolation weights of a set of query
 points once and returns a map from node values to the gathered values, so
 a gather whose query points repeat (the equal-``t`` steps of one Chernoff
 partition) pays for its geometry once. ``interp1`` is the one-shot 1D
-gather behind every grid evaluation. ``shift_stencil`` is the gather at
+gather behind every 1D grid evaluation. ``shift_stencil`` is the gather at
 node-independent offsets (grid-aligned one-steps, the 1D Hopf-Lax
-candidates): a shifted slice of the padded values per offset. The three
-``one_step_*`` kernels are fused reference implementations of single
-Chernoff steps; ``chernoff.one_step`` computes the same steps through the
-models' ``reduce`` and the tests compare the two.
+candidates): a shifted slice of the padded values per offset. The package
+reaches these gathers through ``GridFunction`` (``eval``, ``gather_plan``,
+``stencil``). The three ``one_step_*`` kernels are fused reference
+implementations of single Chernoff steps; ``chernoff.one_step`` computes
+the same steps through the models' ``reduce`` and the tests compare the two.
 The explicit marches and the Legendre scan serve the PDE and Hopf-Lax
 oracles. ``perfbench/`` times each kernel by name.
 
@@ -25,6 +29,23 @@ from numpy.lib.stride_tricks import sliding_window_view
 # ---------------------------------------------------------------------------
 # piecewise-multilinear interpolation on a uniform grid
 # ---------------------------------------------------------------------------
+
+def pad(values, m, constant_ext):
+    """``values`` extended by ``m`` nodes on each side along axis 0.
+
+    The extension repeats the edge value (``constant_ext``) or continues the
+    edge cells linearly: node -k takes v[0] - k (v[1] - v[0]) and node
+    n - 1 + k takes v[n-1] + k (v[n-1] - v[n-2]), for k = 1 .. m.
+    """
+    if constant_ext:
+        top = np.repeat(values[:1], m, axis=0)
+        bottom = np.repeat(values[-1:], m, axis=0)
+    else:
+        steps = np.arange(1, m + 1).reshape(-1, *([1] * (values.ndim - 1)))
+        top = values[0] - (values[1] - values[0]) * steps[::-1]
+        bottom = values[-1] + (values[-1] - values[-2]) * steps
+    return np.concatenate([top, values, bottom])
+
 
 def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
     """The piecewise-multilinear gather at ``queries``, geometry computed once.
@@ -86,23 +107,15 @@ def interp1(values, origin, spacing, queries, constant_ext):
 def shift_stencil(values, spacing, constant_ext):
     """Gather at node-independent offsets: ``stencil(c)[i, j] = f(x_i + c[j])``.
 
-    The values are padded once by n nodes on each side, with the edge value
-    (``constant_ext``) or the edge cells' linear extrapolation. With
+    The values are padded once by n nodes on each side (``pad``). With
     k = floor(c / spacing) and theta = c / spacing - k, column j is then
     (1 - theta) p[i + k] + theta p[i + k + 1], two shifted slices of the pad
     p, the same piecewise-linear interpolant ``interp1`` evaluates. Offsets
     beyond the box clamp k so that both slices lie in the padding.
     """
     n = values.shape[0]
-    if constant_ext:
-        left = np.full(n, values[0])
-        right = np.full(n, values[-1])
-    else:
-        steps = np.arange(1, n + 1)
-        left = values[0] - (values[1] - values[0]) * steps[::-1]
-        right = values[-1] + (values[-1] - values[-2]) * steps
     # windows[n + k] = p[k:k + n], the values shifted by k nodes, k in [-n, n]
-    windows = sliding_window_view(np.concatenate([left, values, right]), n)
+    windows = sliding_window_view(pad(values, n, constant_ext), n)
 
     def stencil(c):
         u = c / spacing

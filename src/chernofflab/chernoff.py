@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import InputError
 from .expectations import ExpectationModel
-from .grid import GrowthWeight
 
 _REMAINDER_EPS = 1e-13
 
@@ -116,7 +114,6 @@ class Partition:
 class OneStepOperator:
     model: ExpectationModel
     scaling: ScalingFamily = field(default_factory=FirstOrderAffine)
-    weight: GrowthWeight = field(default_factory=GrowthWeight)
     # the last per-point gather plan, (t, grid, extension, sample points, plan)
     _plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -145,8 +142,7 @@ def one_step(op, t, f):
     x = g.axis if one_d else g.nodes()
     base, scale = op.scaling.base_and_scale(t, x)
     if one_d and base is x:
-        stencil = _kernels.shift_stencil(f.values, g.spacing,
-                                         f.extension == "constant")
+        stencil = f.stencil()
 
         def gather(y):
             return stencil(scale * y[:, 0])

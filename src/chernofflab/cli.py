@@ -99,9 +99,12 @@ class _Fields:
     def float_(self, key, default=None):
         raw = self.str_(key, None if default is None else str(default))
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
+            value = np.nan
+        if np.isnan(value):
             self._fail(key, f"is not a number: {raw!r}")
+        return value
 
     def int_(self, key, default=None):
         raw = self.str_(key, None if default is None else str(default))
@@ -113,9 +116,12 @@ class _Fields:
     def floats(self, key, default=None):
         raw = self.str_(key, default)
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            vals = [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError:
+            vals = [np.nan]
+        if np.any(np.isnan(vals)):
             self._fail(key, f"is not a comma-separated number list: {raw!r}")
+        return vals
 
     def ints(self, key, default=None):
         raw = self.str_(key, default)
@@ -123,6 +129,28 @@ class _Fields:
             return [int(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError:
             self._fail(key, f"is not a comma-separated integer list: {raw!r}")
+
+    def pair(self, key, default=None):
+        """Exactly two comma-separated numbers."""
+        vals = self.floats(key, default)
+        if len(vals) != 2:
+            self._fail(key, f"needs exactly two entries, got {len(vals)}")
+        return vals
+
+    def span(self, key, default):
+        """np.linspace(-r, r, count) from an ``r,count`` field."""
+        r, count = self.pair(key, default)
+        if not (0 < r < np.inf and 2 <= count < np.inf and count == int(count)):
+            self._fail(key, f"needs a finite r > 0 and an integer count >= 2, "
+                            f"got {r:g},{count:g}")
+        return np.linspace(-r, r, int(count))
+
+    def positive(self, key, integer=True):
+        """A non-empty list of positive schedule entries."""
+        vals = self.ints(key) if integer else self.floats(key)
+        if not vals or min(vals) <= 0:
+            self._fail(key, f"needs positive entries, got {vals}")
+        return vals
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +316,7 @@ def _run_lln(sections, outdir):
     f, _ = _build_payoff(sections)
     sched = _Fields(sections, "schedule")
     check = _Fields(sections, "check")
-    schedule = sched.ints("uniform")
+    schedule = sched.positive("uniform")
     base = sched.float_("dyadic_base", 0.75)
     compact = check.float_("compact", 2.0)
     op = OneStepOperator(model, scaling)
@@ -296,10 +324,8 @@ def _run_lln(sections, outdir):
                              compact=(-compact, compact), dyadic_base=base)
     value0 = diag.values_at_origin[-1]
 
-    zr, zn = check.floats("rate_z", "8,1601")
-    yr, yn = check.floats("rate_y", "10,2001")
-    rate = conjugate_rate(model, np.linspace(-zr, zr, int(zn)),
-                          np.linspace(-yr, yr, int(yn)))
+    rate = conjugate_rate(model, check.span("rate_z", "8,1601"),
+                          check.span("rate_y", "10,2001"))
     oracle = hopf_lax(f, 1.0, rate)
     oracle0 = float(oracle.values[f.grid.origin_index])
 
@@ -323,11 +349,11 @@ def _run_cramer(sections, outdir):
     model = _build_model(sections)
     sset = _Fields(sections, "set")
     check = _Fields(sections, "check")
-    n_grid = _Fields(sections, "schedule").ints("n")
+    n_grid = _Fields(sections, "schedule").positive("n")
     report = ld_rate(model.measure, sset.float_("threshold"), n_grid,
                      shift_radius=sset.float_("shift_radius", 0.0))
     report.to_csv(os.path.join(outdir, "rate_report.csv"))
-    lo, hi = check.floats("slope_window")
+    lo, hi = check.pair("slope_window")
     checks = [_check_line("slope_window", lo <= report.fitted_rate <= hi,
                           f"{report.fitted_rate:.6f} in [{lo}, {hi}]")]
     if "bound_target" in check.kv:
@@ -345,7 +371,7 @@ def _run_poly_rate(sections, outdir):
     model = _build_model(sections)
     sset = _Fields(sections, "set")
     check = _Fields(sections, "check")
-    n_grid = _Fields(sections, "schedule").ints("n")
+    n_grid = _Fields(sections, "schedule").positive("n")
     power = _Fields(sections, "expectation").float_("power", 2.0)
     report = poly_rate(model.measure, power, sset.float_("threshold"), n_grid,
                        shift_radius=sset.float_("shift_radius", 0.0),
@@ -361,7 +387,7 @@ def _run_clt(sections, outdir):
     f, payoff_fn = _build_payoff(sections)
     sched = _Fields(sections, "schedule")
     check = _Fields(sections, "check")
-    n_list = sched.ints("n")
+    n_list = sched.positive("n")
     tol = check.float_("tolerance")
 
     target_spec = check.str_("target")
@@ -411,7 +437,7 @@ def _run_clt(sections, outdir):
 
     if "gheat_tolerance" in check.kv:
         gtol = check.float_("gheat_tolerance")
-        rg, ng = check.floats("gheat_grid", "6,385")
+        rg, ng = check.pair("gheat_grid", "6,385")
         pgrid = Grid(rg, int(ng))
         pf = GridFunction.sample(pgrid, payoff_fn)
         exp_fields = _Fields(sections, "expectation")
@@ -438,7 +464,7 @@ def sched_horizon(sections):
 def _run_wasserstein(sections, outdir):
     model = _build_model(sections)
     f, _ = _build_payoff(sections)
-    h_grid = _Fields(sections, "schedule").floats("h")
+    h_grid = _Fields(sections, "schedule").positive("h", integer=False)
     check = _Fields(sections, "check")
     compact = check.float_("compact", 2.0)
     op = OneStepOperator(model, FirstOrderAffine())
@@ -454,10 +480,7 @@ def _run_wasserstein(sections, outdir):
     m = float(model.measure.mean_and_cov()[0][0])
     formula += m * f.fd_gradient(i0)
 
-    with open(os.path.join(outdir, "generator.csv"), "w") as fh:
-        fh.write("h,defect\n")
-        for h, d in zip(diag.h_grid, diag.defects):
-            fh.write(f"{h:.12g},{d:.12g}\n")
+    diag.to_csv(os.path.join(outdir, "generator.csv"))
     tol = check.float_("tolerance")
     return [_check_line("generator_formula", abs(est0 - formula) <= tol,
                         f"|{est0:.6f} - {formula:.6f}| <= {tol}")]
@@ -467,7 +490,7 @@ def _run_generator(sections, outdir):
     model = _build_model(sections)
     scaling = _build_scaling(sections)
     f, _ = _build_payoff(sections)
-    h_grid = _Fields(sections, "schedule").floats("h")
+    h_grid = _Fields(sections, "schedule").positive("h", integer=False)
     check = _Fields(sections, "check")
     compact = check.float_("compact", 2.0)
     op = OneStepOperator(model, scaling)
@@ -478,10 +501,7 @@ def _run_generator(sections, outdir):
     floor = interpolation_floor(f, (-compact, compact), min(h_grid))
     mono = all(b <= a + floor for a, b in zip(diag.defects, diag.defects[1:]))
     final_tol = check.float_("final_tolerance", 0.01)
-    with open(os.path.join(outdir, "generator.csv"), "w") as fh:
-        fh.write("h,defect\n")
-        for h, d in zip(diag.h_grid, diag.defects):
-            fh.write(f"{h:.12g},{d:.12g}\n")
+    diag.to_csv(os.path.join(outdir, "generator.csv"))
     return [
         _check_line("defect_monotone", mono,
                     f"defects {['%.2e' % d for d in diag.defects]}, "
@@ -496,19 +516,17 @@ def _run_envelope(sections, outdir):
     scaling = _build_scaling(sections)
     f, _ = _build_payoff(sections)
     check = _Fields(sections, "check")
-    n = _Fields(sections, "schedule").ints("uniform")[-1]
+    n = _Fields(sections, "schedule").positive("uniform")[-1]
     compact = check.float_("compact", 2.0)
     op = OneStepOperator(model, scaling)
     u = iterate(op, Partition(1.0, 1.0 / n), f)
 
-    zr, zn = check.floats("z_grid", "8,1601")
-    yr, yn = check.floats("y_grid", "12,2401")
-    z = np.linspace(-zr, zr, int(zn))
+    z = check.span("z_grid", "8,1601")
     lam = model.expect_linear(z)
     amp = scaling.lip
     s_minus, s_plus = envelope(f, 1.0, z, lam - amp * np.abs(z),
-                               lam + amp * np.abs(z), np.linspace(-yr, yr, int(yn)))
-    mask = np.abs(f.grid.axis) <= compact + 1e-12
+                               lam + amp * np.abs(z), check.span("y_grid", "12,2401"))
+    mask = f.grid.within(-compact, compact)
     slack_hi = float(np.min((s_plus.values - u.values)[mask]))
     slack_lo = float(np.min((u.values - s_minus.values)[mask]))
     u.to_csv(os.path.join(outdir, "chernoff.csv"))
@@ -528,13 +546,11 @@ def _run_pde_crosscheck(sections, outdir):
     f, _ = _build_payoff(sections)
     check = _Fields(sections, "check")
     t = check.float_("horizon", 1.0)
-    pr, pn = check.floats("p_grid", "12,971")
-    ham = Hamiltonian1.from_model(model, np.linspace(-pr, pr, int(pn)))
+    ham = Hamiltonian1.from_model(model, check.span("p_grid", "12,971"))
     u = solve_hj(ham, f, t)
     pde0 = float(u.values[f.grid.origin_index])
 
-    yr, yn = check.floats("rate_y", "10,2001")
-    rate = conjugate_rate(model, ham.p_grid, np.linspace(-yr, yr, int(yn)))
+    rate = conjugate_rate(model, ham.p_grid, check.span("rate_y", "10,2001"))
     hl = hopf_lax(f, t, rate)
     hl0 = float(hl.values[f.grid.origin_index])
     u.to_csv(os.path.join(outdir, "pde.csv"))

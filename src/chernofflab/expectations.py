@@ -376,7 +376,11 @@ def centered(model, a_grid=None):
 
 def _logsumexp(x, axis=None):
     m = np.max(x, axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.sum(np.exp(x - m), axis=axis))
+    # exp in place: one fresh (rows, k) temporary, not two, so a cold run's
+    # one-steps do not make glibc trim and re-fault the heap on every step
+    e = x - m
+    np.exp(e, out=e)
+    return np.squeeze(m, axis) + np.log(np.sum(e, axis=axis))
 
 
 def shortfall_root(vals, weights, power, tol=SHORTFALL_TOL):

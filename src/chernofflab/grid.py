@@ -54,6 +54,10 @@ class Grid:
         mid = self.points_per_axis // 2
         return mid if self.dimension == 1 else (mid, mid)
 
+    def within(self, lo, hi):
+        """Mask of the axis nodes in [lo, hi], with 1e-12 of slack at both ends."""
+        return (self.axis >= lo - 1e-12) & (self.axis <= hi + 1e-12)
+
 
 @dataclass(frozen=True)
 class GrowthWeight:
@@ -149,18 +153,13 @@ class GridFunction:
         q = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(q)):
             raise InputError("evaluation points must be finite")
-        if self.grid.dimension == 1:
-            return self.gather(np.atleast_1d(q)).reshape(np.shape(x))
+        g = self.grid
+        if g.dimension == 1:
+            return _kernels.interp1(self.values, -g.half_width, g.spacing,
+                                    np.atleast_1d(q), self.extension == "constant"
+                                    ).reshape(np.shape(x))
         if q.shape[-1] != 2:
             raise InputError("2D grid functions take points with trailing axis 2")
-        return self.gather(q)
-
-    def gather(self, q):
-        """``eval`` without its input checks, for float arrays of finite points."""
-        g = self.grid
-        const = self.extension == "constant"
-        if g.dimension == 1:
-            return _kernels.interp1(self.values, -g.half_width, g.spacing, q, const)
         return self.gather_plan(q)(self.values)
 
     def gather_plan(self, q):
@@ -169,6 +168,12 @@ class GridFunction:
         g = self.grid
         return _kernels.gather_plan(-g.half_width, g.spacing, g.points_per_axis, q,
                                     self.extension == "constant", g.dimension)
+
+    def stencil(self):
+        """The 1D gather at node-independent offsets, ``stencil(c)[i, j] =
+        f(x_i + c[j])``, as shifted slices of the values padded once."""
+        return _kernels.shift_stencil(self.values, self.grid.spacing,
+                                      self.extension == "constant")
 
     # -- norms ---------------------------------------------------------------
 
@@ -186,20 +191,12 @@ class GridFunction:
         sit inside the grid box.
         """
         g = self.grid
-        if g.dimension == 1:
-            lo, hi = box
+        boxes = [box] if g.dimension == 1 else list(box)
+        for lo, hi in boxes:
             if lo < -g.half_width - 1e-12 or hi > g.half_width + 1e-12:
                 raise InputError("compact box must lie inside the grid box")
-            mask = (g.axis >= lo - 1e-12) & (g.axis <= hi + 1e-12)
-            return float(np.max(np.abs(self.values[mask])))
-        (lo1, hi1), (lo2, hi2) = box
-        for lo, hi in ((lo1, hi1), (lo2, hi2)):
-            if lo < -g.half_width - 1e-12 or hi > g.half_width + 1e-12:
-                raise InputError("compact box must lie inside the grid box")
-        ax = g.axis
-        m1 = (ax >= lo1 - 1e-12) & (ax <= hi1 + 1e-12)
-        m2 = (ax >= lo2 - 1e-12) & (ax <= hi2 + 1e-12)
-        return float(np.max(np.abs(self.values[np.ix_(m1, m2)])))
+        inside = np.ix_(*(g.within(lo, hi) for lo, hi in boxes))
+        return float(np.max(np.abs(self.values[inside])))
 
     # -- transformations ----------------------------------------------------
 
@@ -226,18 +223,8 @@ class GridFunction:
         w = (1.0 - (offs * spec.scale / spec.radius) ** 2) ** 2
         w[np.abs(offs) > spec.support] = 0.0
         w /= w.sum()
-        if g.dimension == 1:
-            pad = np.concatenate([
-                np.full(m, self.values[0]) if self.extension == "constant"
-                else self.values[0] + (self.values[1] - self.values[0]) * np.arange(-m, 0),
-                self.values,
-                np.full(m, self.values[-1]) if self.extension == "constant"
-                else self.values[-1] + (self.values[-1] - self.values[-2]) * np.arange(1, m + 1),
-            ]) if m else self.values
-            out = np.convolve(pad, w, mode="valid") if m else self.values.copy()
-            return self.replace_values(out)
         out = self.values
-        for axis in (0, 1):
+        for axis in range(g.dimension):
             out = _convolve_axis(out, w, m, axis, self.extension)
         return self.replace_values(out)
 
@@ -250,28 +237,21 @@ class GridFunction:
         2D: shape (N, N, 2)); with an index returns it at that node.
         """
         g = self.grid
-        h = g.spacing
+        grads = [_axis_gradient(self.values, g.spacing, axis)
+                 for axis in range(g.dimension)]
         if g.dimension == 1:
-            d = np.empty_like(self.values)
-            d[1:-1] = (self.values[2:] - self.values[:-2]) / (2 * h)
-            d[0] = (self.values[1] - self.values[0]) / h
-            d[-1] = (self.values[-1] - self.values[-2]) / h
-            return d if index is None else float(d[index])
-        out = np.stack([_axis_gradient(self.values, h, 0),
-                        _axis_gradient(self.values, h, 1)], axis=-1)
+            return grads[0] if index is None else float(grads[0][index])
+        out = np.stack(grads, axis=-1)
         return out if index is None else out[index]
 
     def fd_hessian(self, index=None):
         """Second-order central Hessian; symmetric by construction."""
         g = self.grid
         h = g.spacing
-        if g.dimension == 1:
-            d2 = np.empty_like(self.values)
-            d2[1:-1] = (self.values[2:] - 2 * self.values[1:-1] + self.values[:-2]) / h**2
-            d2[0] = d2[1]
-            d2[-1] = d2[-2]
-            return d2 if index is None else float(d2[index])
         v = self.values
+        if g.dimension == 1:
+            d2 = _axis_second(v, h, 0)
+            return d2 if index is None else float(d2[index])
         dxx = _axis_second(v, h, 0)
         dyy = _axis_second(v, h, 1)
         dxy = np.zeros_like(v)
@@ -337,19 +317,8 @@ def _axis_second(v, h, axis):
 
 def _convolve_axis(v, w, m, axis, extension):
     v = np.moveaxis(v, axis, 0)
-    if m:
-        if extension == "constant":
-            top = np.repeat(v[:1], m, axis=0)
-            bot = np.repeat(v[-1:], m, axis=0)
-        else:
-            steps = np.arange(-m, 0).reshape(-1, *([1] * (v.ndim - 1)))
-            top = v[0] + (v[1] - v[0]) * steps
-            steps = np.arange(1, m + 1).reshape(-1, *([1] * (v.ndim - 1)))
-            bot = v[-1] + (v[-1] - v[-2]) * steps
-        pad = np.concatenate([top, v, bot], axis=0)
-        out = np.zeros_like(v)
-        for k, wk in enumerate(w):
-            out += wk * pad[k:k + v.shape[0]]
-    else:
-        out = v.copy()
+    padded = _kernels.pad(v, m, extension == "constant")
+    out = np.zeros_like(v)
+    for k, wk in enumerate(w):
+        out += wk * padded[k:k + v.shape[0]]
     return np.moveaxis(out, 0, axis)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import GridTooSmallError, InputError
 from .expectations import legendre
 
@@ -130,28 +129,24 @@ def hopf_lax(f, t, rate):
         raise InputError("hopf_lax requires t >= 0")
     if t == 0.0:
         return f
-    g = f.grid
     ys, phis = _candidates(rate)
-    if g.dimension == 1:
+    if f.grid.dimension == 1:
         # every node is queried at the same offsets t * y: a shift stencil
-        stencil = _kernels.shift_stencil(f.values, g.spacing,
-                                         f.extension == "constant")
-        best = np.full(f.values.shape, -np.inf)
-        for k0 in range(0, ys.shape[0], _CHUNK):
-            yy = ys[k0:k0 + _CHUNK]
-            pp = phis[k0:k0 + _CHUNK]
-            vals = stencil(t * yy) - t * pp[None, :]
-            np.maximum(best, vals.max(axis=1), out=best)
-        return f.replace_values(best)
-    if ys.ndim == 1:
-        raise InputError("2D grid functions need a radial rate function")
-    nodes = g.nodes()
-    best = np.full(nodes.shape[0], -np.inf)
+        stencil = f.stencil()
+
+        def gather(yy):
+            return stencil(t * yy)
+    else:
+        if ys.ndim == 1:
+            raise InputError("2D grid functions need a radial rate function")
+        nodes = f.grid.nodes()
+
+        def gather(yy):
+            return f.eval(nodes[:, None, :] + t * yy[None, :, :])
+
+    best = np.full(f.values.size, -np.inf)
     for k0 in range(0, ys.shape[0], _CHUNK):
-        yy = ys[k0:k0 + _CHUNK]
-        pp = phis[k0:k0 + _CHUNK]
-        pts = nodes[:, None, :] + t * yy[None, :, :]
-        vals = f.eval(pts) - t * pp[None, :]
+        vals = gather(ys[k0:k0 + _CHUNK]) - t * phis[k0:k0 + _CHUNK][None, :]
         np.maximum(best, vals.max(axis=1), out=best)
     return f.replace_values(best.reshape(f.values.shape))
 

@@ -64,9 +64,7 @@ def clt_functional(model, f, n, probe_tol=1e-8):
     Requires a centered model (:func:`require_centered`).
     """
     require_centered(model, probe_tol)
-    op = OneStepOperator(model, SecondOrder())
-    u = iterate(op, Partition(1.0, 1.0 / n), f)
-    return float(u.values[f.grid.origin_index])
+    return nonlinear_functional(model, SecondOrder(), f, n)
 
 
 def brute_force_functional(model, scaling, f, n, t=1.0):
@@ -259,18 +257,26 @@ class GeneratorDiagnostics:
         k = int(np.argmin(np.abs(self.nodes - x)))
         return float(self.estimate[k])
 
+    def to_csv(self, path):
+        with open(path, "w") as fh:
+            fh.write("h,defect\n")
+            for h, d in zip(self.h_grid, self.defects):
+                fh.write(f"{h:.12g},{d:.12g}\n")
+
 
 def generator_values(op, f, nodes):
     """Analytic generator A f on the given nodes, from the model formulas.
 
     First-order scalings: A f(x) = E[ f'(x) psi_0(x, .) ]; second order:
-    A f(x) = E[ y^2 f''(x) / 2 ]. Derivatives of f come from the grid.
+    A f(x) = E[ y^2 f''(x) / 2 ]. Derivatives of f come from the grid, at
+    the grid node nearest to each x (the lower one on a tie).
     """
     g = f.grid
     if g.dimension != 1:
         raise InputError("generator checks are one-dimensional")
     x = np.asarray(nodes, dtype=float)
-    idx = [int(np.argmin(np.abs(g.axis - xk))) for xk in x]
+    u = np.ceil((x + g.half_width) / g.spacing - 0.5)
+    idx = np.clip(u, 0, g.points_per_axis - 1).astype(np.int64)
     if isinstance(op.scaling, SecondOrder):
         c = 0.5 * f.fd_hessian()[idx][:, None]
         return op.model.reduce(lambda y: c * y[:, 0] ** 2)
@@ -287,8 +293,7 @@ def interpolation_floor(f, compact, h_min, reach=1.0):
     """
     g = f.grid
     lo, hi = compact
-    mask = (g.axis >= lo - reach - 1e-12) & (g.axis <= hi + reach + 1e-12)
-    curv = float(np.max(np.abs(f.fd_hessian()[mask])))
+    curv = float(np.max(np.abs(f.fd_hessian()[g.within(lo - reach, hi + reach)])))
     return g.spacing ** 2 * max(curv, 1.0) / (4.0 * h_min) + 1e-12
 
 
@@ -300,10 +305,8 @@ def generator_check(op, f, h_grid, compact, analytic=None):
     difference quotient at the smallest h.
     """
     h_grid = sorted(h_grid, reverse=True)
-    g = f.grid
-    lo, hi = compact
-    mask = (g.axis >= lo - 1e-12) & (g.axis <= hi + 1e-12)
-    nodes = g.axis[mask]
+    mask = f.grid.within(*compact)
+    nodes = f.grid.axis[mask]
     if analytic is None:
         analytic = generator_values(op, f, nodes)
     defects = []

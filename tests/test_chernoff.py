@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chernofflab import chernoff
+from chernofflab import _kernels, chernoff
 from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          GridFunction, GrowthWeight, Linear, OneStepOperator,
                          Partition, PenaltyFunction, Perturbed, SecondOrder,
@@ -238,8 +238,8 @@ class TestPlanReuse:
 
     def test_one_plan_per_partition(self, monkeypatch):
         builds = []
-        gather_plan = chernoff._kernels.gather_plan
-        monkeypatch.setattr(chernoff._kernels, "gather_plan",
+        gather_plan = _kernels.gather_plan
+        monkeypatch.setattr(_kernels, "gather_plan",
                             lambda *args: builds.append(1) or gather_plan(*args))
         model, scaling = PLAN_CASES["perturbed_entropic"]
         op = OneStepOperator(model, scaling)

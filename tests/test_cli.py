@@ -1,3 +1,8 @@
+import json
+import math
+import time
+from pathlib import Path
+
 import pytest
 
 from chernofflab import chernoff, cli
@@ -5,6 +10,67 @@ from chernofflab.cli import (KINDS, list_experiments, main, parse_config_text,
                              run_config_text, serialize_config)
 from chernofflab.configs import BUILTINS
 from chernofflab.errors import ConfigError
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "builtins.json"
+SMALL_TABLES = ("diagnostics.csv", "clt_values.csv", "rate_report.csv",
+                "generator.csv")
+
+
+def _number(x):
+    """A float as a JSON value: itself, or its text ('nan', 'inf') when not
+    finite."""
+    return x if math.isfinite(x) else repr(x)
+
+
+def golden_record(outdir):
+    """The pinned outputs of one built-in run in ``outdir``: every value of its
+    small tables, its check lines, and the origin value, sum and max |value|
+    of each grid CSV."""
+    outdir = Path(outdir)
+    record = {"checks": (outdir / "summary.txt").read_text().splitlines()[:-1],
+              "tables": {}, "grids": {}}
+    for path in sorted(outdir.glob("*.csv")):
+        lines = path.read_text().splitlines()
+        body = lines[2:] if lines[0].startswith("#") else lines[1:]
+        rows = [[float(tok) for tok in ln.split(",")] for ln in body]
+        if path.name in SMALL_TABLES:
+            record["tables"][path.name] = [[_number(x) for x in row] for row in rows]
+            continue
+        values = [row[-1] for row in rows]
+        origin = [row[-1] for row in rows if not any(row[:-1])]
+        record["grids"][path.name] = {
+            "origin": _number(origin[0]),
+            "sum": _number(math.fsum(values)),
+            "max_abs": _number(max(abs(v) for v in values))}
+    return record
+
+
+def _assert_close(got, want, where):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}/{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_close(a, b, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12 * abs(want), \
+            (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+@pytest.fixture(scope="module")
+def builtin_runs(tmp_path_factory):
+    """One run of every built-in: {name: (ok, lines, seconds, outdir)}."""
+    root = tmp_path_factory.mktemp("builtins")
+    runs = {}
+    for name, (_, text) in BUILTINS.items():
+        start = time.perf_counter()
+        ok, lines = run_config_text(text, str(root))
+        runs[name] = ok, lines, time.perf_counter() - start, root / name
+    return runs
 
 
 class TestCatalog:
@@ -84,14 +150,17 @@ class TestRunners:
         assert ok, lines
         assert (tmp_path / "clt_binary_exact" / "clt_values.csv").exists()
 
-    def test_every_builtin_passes_within_budget(self, tmp_path):
-        import time
-        for name, (_, text) in BUILTINS.items():
-            start = time.perf_counter()
-            ok, lines = run_config_text(text, str(tmp_path))
-            elapsed = time.perf_counter() - start
+    def test_every_builtin_passes_within_budget(self, builtin_runs):
+        for name, (ok, lines, elapsed, _) in builtin_runs.items():
             assert ok, (name, lines)
             assert elapsed < 60.0, (name, elapsed)
+
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_builtin_outputs_match_golden(self, builtin_runs, name):
+        # refactors must keep every pinned number; a change that alters one
+        # on purpose rewrites tests/golden/builtins.json and says why
+        want = json.loads(GOLDEN.read_text())[name]
+        _assert_close(golden_record(builtin_runs[name][3]), want, name)
 
     @pytest.mark.parametrize("name, key", [("lln_entropic_gaussian", "uniform"),
                                            ("clt_two_point_gaussian", "n")])
@@ -253,6 +322,26 @@ class TestErrorContract:
         text = BUILTINS["cramer_bernoulli"][1].replace(
             "threshold = 0.5", "threshold = 0.5\nthreshold = 0.7")
         assert self.run_main(tmp_path, text) == 2
+
+    @pytest.mark.parametrize("name, old, new, field", [
+        ("cramer_bernoulli", "slope_window = -0.1409,-0.1259",
+         "slope_window = -0.1409", "check.slope_window"),
+        ("lln_entropic_gaussian", "rate_z = 8,1601", "rate_z = 8", "check.rate_z"),
+        ("clt_two_point_gaussian", "gheat_grid = 6,385", "gheat_grid = 6",
+         "check.gheat_grid"),
+        ("cramer_bernoulli", "threshold = 0.5", "threshold = nan", "set.threshold"),
+        ("generator_affine_drift", "h = 0.125,0.0625,0.03125,0.015625", "h = 0",
+         "schedule.h"),
+        ("envelope_perturbed", "uniform = 256", "uniform = 0", "schedule.uniform"),
+        ("clt_binary_exact", "n = 1,4,16,64", "n = 0,4", "schedule.n")])
+    def test_malformed_field_exit_3(self, tmp_path, capsys, name, old, new, field):
+        # wrong entry counts, nan and non-positive schedule entries
+        assert old in BUILTINS[name][1]
+        text = BUILTINS[name][1].replace(old, new)
+        assert self.run_main(tmp_path, text) == 3
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["../escape_probe", "a/../../escape_probe",
                                       "..", ""])

@@ -25,6 +25,38 @@ class TestGrid:
             Grid(1.0, 1)
 
 
+class TestWithin:
+    def test_equals_the_inline_masks(self):
+        g = Grid(4.0, 129)
+        ax, h = g.axis, g.spacing
+        # bounds on nodes, just inside and just outside the 1e-12 slack
+        boxes = [(-2.0, 2.0), (-1.0, 0.5), (0.0, np.pi), (-4.0, 4.0),
+                 (-2.0 + 0.9e-12, 2.0 - 0.9e-12), (-2.0 + 1.1e-12, 2.0 - 1.1e-12),
+                 (ax[40] + 0.5 * h, ax[90] - 0.5 * h)]
+        for lo, hi in boxes:
+            want = (ax >= lo - 1e-12) & (ax <= hi + 1e-12)
+            assert np.array_equal(g.within(lo, hi), want)
+            # the generator's curvature window, widened by a reach
+            for reach in (0.5, 1.0):
+                want = (ax >= lo - reach - 1e-12) & (ax <= hi + reach + 1e-12)
+                assert np.array_equal(g.within(lo - reach, hi + reach), want)
+        # the envelope runner's symmetric mask
+        for c in (2.0, 2.0 - 0.9e-12, 2.0 - 1.1e-12, 1.0 + 0.5 * h, 0.0):
+            assert np.array_equal(g.within(-c, c), np.abs(ax) <= c + 1e-12)
+
+    def test_2d_sup_norm_equals_the_inline_masks(self):
+        g = Grid(2.0, 33, dimension=2)
+        v = np.random.default_rng(5).normal(size=(33, 33))
+        f = GridFunction(g, v)
+        ax = g.axis
+        for (lo1, hi1), (lo2, hi2) in [((-1.0, 1.0), (-0.5, 2.0)),
+                                       ((0.0, 0.0), (-2.0, 2.0))]:
+            m1 = (ax >= lo1 - 1e-12) & (ax <= hi1 + 1e-12)
+            m2 = (ax >= lo2 - 1e-12) & (ax <= hi2 + 1e-12)
+            want = float(np.max(np.abs(v[np.ix_(m1, m2)])))
+            assert f.sup_norm_on(((lo1, hi1), (lo2, hi2))) == want
+
+
 class TestEval:
     def test_constant_everywhere(self):
         f = make(lambda x: np.full_like(x, 3.0))
@@ -206,6 +238,33 @@ class TestMollify:
         lhs = f.replace_values(f.values + 3.0).mollify(spec)
         rhs = f.mollify(spec).replace_values(f.mollify(spec).values + 3.0)
         assert np.allclose(lhs.values, rhs.values, atol=1e-12)
+
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    def test_1d_matches_np_convolve(self, extension):
+        # against np.convolve over the same pad: same terms, another
+        # summation order
+        f = make(lambda x: np.sin(3 * x) + 0.2 * x**2, R=4.0, N=257,
+                 extension=extension)
+        v = f.values
+        for spec in (MollifierSpec(radius=1.0, scale=1), MollifierSpec(0.5, 4),
+                     MollifierSpec(radius=0.01, scale=1)):
+            h = f.grid.spacing
+            m = max(int(np.floor(spec.support / h)), 0)
+            offs = h * np.arange(-m, m + 1)
+            w = (1.0 - (offs * spec.scale / spec.radius) ** 2) ** 2
+            w[np.abs(offs) > spec.support] = 0.0
+            w /= w.sum()
+            if not m:
+                want = v
+            elif extension == "constant":
+                pad = np.concatenate([np.full(m, v[0]), v, np.full(m, v[-1])])
+                want = np.convolve(pad, w, mode="valid")
+            else:
+                pad = np.concatenate([v[0] + (v[1] - v[0]) * np.arange(-m, 0), v,
+                                      v[-1] + (v[-1] - v[-2]) * np.arange(1, m + 1)])
+                want = np.convolve(pad, w, mode="valid")
+            err = np.max(np.abs(f.mollify(spec).values - want))
+            assert err <= 1e-15 * np.max(np.abs(want))
 
     def test_support_too_large_rejected(self):
         f = make(np.sin, R=2.0, N=65)

@@ -8,6 +8,7 @@ from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          gauss_hermite, hopf_lax, legendre,
                          semigroup_defect, two_point)
 from chernofflab import _kernels as K
+from chernofflab import hopflax
 from chernofflab.errors import GridTooSmallError, InputError
 
 
@@ -154,6 +155,28 @@ class TestHopfLax:
                              g.axis[:, None] + t * y[fin], extension == "constant")
         want = (gathered - t * phi[fin]).max(axis=1)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    def test_2d_matches_per_chunk_eval(self, extension):
+        # against a plain per-chunk eval of the candidates, bit for bit;
+        # 528 finite candidates make three chunks and reach beyond the box
+        g = Grid(2.0, 17, dimension=2)
+        f = GridFunction.sample(g, lambda x, y: np.sin(x) * np.cos(2 * y) + 0.1 * x * y,
+                                extension=extension)
+        r = np.linspace(0.0, 3.0, 33)
+        rate = RateFunction(r, r**2 / 2, radial=True, directions=16)
+        t = 0.7
+        ys, phis = hopflax._candidates(rate)
+        assert ys.shape[0] > 2 * hopflax._CHUNK
+        nodes = g.nodes()
+        best = np.full(nodes.shape[0], -np.inf)
+        for k0 in range(0, ys.shape[0], hopflax._CHUNK):
+            yy = ys[k0:k0 + hopflax._CHUNK]
+            pp = phis[k0:k0 + hopflax._CHUNK]
+            vals = f.eval(nodes[:, None, :] + t * yy[None, :, :]) - t * pp[None, :]
+            np.maximum(best, vals.max(axis=1), out=best)
+        got = hopf_lax(f, t, rate).values
+        assert got.tobytes() == best.reshape(f.values.shape).tobytes()
 
     def test_radial_2d_matches_1d_on_axis_payoff(self):
         g2 = Grid(4.0, 65, dimension=2)

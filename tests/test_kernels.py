@@ -6,7 +6,8 @@ and serve as the reference. ``expect_linear`` on an array of coefficients
 must equal its per-coefficient values. The shifted-slice stencil must equal
 ``interp1`` at the same query points, and ``g_heat`` its per-shift loop. A
 gather plan must give the one-shot gathers bit for bit for any values on its
-grid, and ``lax_friedrichs`` its plain per-step march.
+grid, and ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
+extension written out per side, as the stencil and the mollifier took it.
 """
 
 import numpy as np
@@ -198,3 +199,40 @@ def test_lax_friedrichs_matches_plain_march():
     tiny = np.array([1.0, 2.0, 0.5, 3.0])
     assert np.array_equal(K.lax_friedrichs(tiny, spacing, dt, steps, ham_p, ham_v, alpha),
                           tiny)
+
+
+def stencil_pad(values, m, constant_ext):
+    # the extension of a 1D array, one side at a time
+    if constant_ext:
+        left, right = np.full(m, values[0]), np.full(m, values[-1])
+    else:
+        steps = np.arange(1, m + 1)
+        left = values[0] - (values[1] - values[0]) * steps[::-1]
+        right = values[-1] + (values[-1] - values[-2]) * steps
+    return np.concatenate([left, values, right])
+
+
+def convolve_pad(v, m, constant_ext):
+    # the extension along axis 0, with the steps counted from -m
+    if constant_ext:
+        top = np.repeat(v[:1], m, axis=0)
+        bot = np.repeat(v[-1:], m, axis=0)
+    else:
+        steps = np.arange(-m, 0).reshape(-1, *([1] * (v.ndim - 1)))
+        top = v[0] + (v[1] - v[0]) * steps
+        steps = np.arange(1, m + 1).reshape(-1, *([1] * (v.ndim - 1)))
+        bot = v[-1] + (v[-1] - v[-2]) * steps
+    return np.concatenate([top, v, bot], axis=0)
+
+
+@pytest.mark.parametrize("constant_ext", [True, False])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_pad_matches_the_inline_pads(dimension, constant_ext):
+    n = 9
+    v = np.random.default_rng(dimension).normal(size=(n,) * dimension)
+    for m in (1, n):
+        got = K.pad(v, m, constant_ext)
+        assert got.shape == (n + 2 * m,) + (n,) * (dimension - 1)
+        assert got.tobytes() == convolve_pad(v, m, constant_ext).tobytes()
+        if dimension == 1:
+            assert got.tobytes() == stencil_pad(v, m, constant_ext).tobytes()

@@ -292,6 +292,30 @@ class TestGeneratorCheck:
         assert diag.final_defect <= 1e-12
         assert np.allclose(diag.analytic, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("scaling", [FirstOrderAffine(), SecondOrder(),
+                                         Perturbed(phi0=np.sin, lip=1.0)])
+    def test_generator_values_index_the_nearest_node(self, scaling):
+        # against a per-node argmin of the distance: nodes, points off the
+        # nodes, exact midpoints (ties go to the lower node) and points
+        # beyond the box
+        from chernofflab.limits import generator_values
+        g = Grid(4.0, 129)
+        h = g.spacing
+        f = GridFunction.sample(g, lambda x: np.sin(x) + 0.1 * x**3)
+        rng = np.random.default_rng(7)
+        x = np.concatenate([g.axis, g.axis[:-1] + 0.5 * h,
+                            g.axis + rng.uniform(-0.49, 0.49, g.axis.size) * h,
+                            [-9.0, -4.0 - 0.3 * h, 4.0 + 0.7 * h, 11.0]])
+        op = OneStepOperator(Entropic(BERNOULLI), scaling)
+        idx = [int(np.argmin(np.abs(g.axis - xk))) for xk in x]
+        if isinstance(scaling, SecondOrder):
+            c = 0.5 * f.fd_hessian()[idx][:, None]
+            want = op.model.reduce(lambda y: c * y[:, 0] ** 2)
+        else:
+            c = f.fd_gradient()[idx][:, None]
+            want = op.model.reduce(lambda y: c * scaling.psi0(x[:, None], y[:, 0]))
+        assert np.array_equal(generator_values(op, f, x), want)
+
     def test_estimate_at_origin(self):
         g = Grid(4.0, 1025)
         f = GridFunction.sample(g, np.sin)
