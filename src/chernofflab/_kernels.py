@@ -15,8 +15,12 @@ reaches these gathers through ``GridFunction`` (``eval``, ``gather_plan``,
 ``stencil``). The three ``one_step_*`` kernels are fused reference
 implementations of single Chernoff steps; ``chernoff.one_step`` computes
 the same steps through the models' ``reduce`` and the tests compare the two.
-The explicit marches and the Legendre scan serve the PDE and Hopf-Lax
-oracles. ``perfbench/`` times each kernel by name.
+The explicit marches serve the PDE oracle and run whole-array numpy calls
+per step into two swapped buffers: ``lax_friedrichs`` four (a difference,
+``np.interp`` of the rescaled Hamiltonian, a three-tap ``np.correlate``, a
+sum), ``g_heat`` one ``np.maximum`` per line on the lower convex hull of its
+lines. The Legendre scan serves the Hopf-Lax oracle. ``perfbench/`` times
+each kernel by name.
 
 All kernels are sequential on purpose: reductions keep a fixed summation
 order so that repeated runs of an experiment produce byte-identical output.
@@ -170,80 +174,76 @@ def one_step_shiftmax(values, origin, spacing, constant_ext, base, atom_offsets,
 def lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha):
     """March u_t = H(u_x) with the monotone Lax-Friedrichs scheme.
 
-    ``ham_p``/``ham_v`` sample the Hamiltonian; evaluation is piecewise
-    linear and saturates beyond the sampled gradient range, which keeps the
-    scheme monotone no matter how steep the frozen-boundary layer becomes.
-    The two outermost layers stay frozen.
+    A step sets, at each moving node i,
+        u[i] <- dt H((u[i+1] - u[i-1]) / 2h) + visc u[i-1] + (1 - 2 visc) u[i]
+                + visc u[i+1],                     visc = alpha dt / 2h,
+    in four whole-array calls: the central difference, ``np.interp`` of it
+    on the Hamiltonian rescaled once to (2h ham_p, dt ham_v), the three-tap
+    ``np.correlate`` and the sum, written into the other of two buffers.
+    ``np.interp`` is the piecewise-linear interpolant ``Hamiltonian1`` uses,
+    on any strictly increasing ``ham_p``; it saturates beyond the sampled
+    gradient range, which keeps the scheme monotone no matter how steep the
+    frozen-boundary layer becomes. The two outermost layers stay frozen.
     """
     u = values.copy()
     unew = values.copy()
     m = u.shape[0] - 4  # nodes 2 .. n-3 move
     if m <= 0:
         return u
-    hp0 = ham_p[0]
-    hstep = ham_p[1] - ham_p[0]
-    top = ham_p.shape[0] - 1.0
-    last_cell = ham_p.shape[0] - 2
-    lower_v, upper_v = ham_v[:-1], ham_v[1:]
-    two_h = 2.0 * spacing
+    diff_p = 2.0 * spacing * ham_p
+    step_v = dt * ham_v
     visc = alpha * dt / (2.0 * spacing)
-    pu, th, hval, diff = (np.empty(m) for _ in range(4))
-    idx = np.empty(m, dtype=np.int64)
+    taps = np.array([visc, 1.0 - 2.0 * visc, visc])
+    du = np.empty(m)
     for _ in range(steps):
-        left, mid, right = u[1:-3], u[2:-2], u[3:-1]
-        # gradient in Hamiltonian-grid units, clamped to the sampled range
-        np.subtract(right, left, out=pu)
-        pu /= two_h
-        pu -= hp0
-        pu /= hstep
-        np.maximum(pu, 0.0, out=pu)
-        np.minimum(pu, top, out=pu)
-        np.floor(pu, out=th)
-        idx[...] = th
-        np.minimum(idx, last_cell, out=idx)  # pu >= 0, so idx >= 0 already
-        np.subtract(pu, idx, out=th)
-        # hval = (1 - th) * H[idx] + th * H[idx + 1]
-        lower_v.take(idx, out=hval)
-        np.subtract(1.0, th, out=pu)
-        hval *= pu
-        upper_v.take(idx, out=diff)
-        diff *= th
-        hval += diff
-        # diff = u[i+1] - 2 u[i] + u[i-1]
-        np.multiply(mid, 2.0, out=diff)
-        np.subtract(right, diff, out=diff)
-        diff += left
-        # u[i] + dt * hval + visc * diff, in that order
-        hval *= dt
-        diff *= visc
-        out = unew[2:-2]
-        np.add(mid, hval, out=out)
-        out += diff
+        np.subtract(u[3:-1], u[1:-3], out=du)
+        np.add(np.interp(du, diff_p, step_v), np.correlate(u[1:-1], taps),
+               out=unew[2:-2])
         u, unew = unew, u
     return u
 
 
 def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
-    """March u_t = G(u_xx), G(a) = max_l (lam[l]^2 a / 2 - cost[l]) + half_sigma2 * a."""
-    u = values.copy()
-    n = u.shape[0]
+    """March u_t = G(u_xx), G(a) = max_l (lam[l]^2 a / 2 - cost[l]) + half_sigma2 * a.
+
+    Only the lines (lam^2 / 2, cost) on their lower convex hull can attain
+    the maximum, so they are sorted and reduced once (``_lower_hull``); each
+    step then takes one ``np.maximum`` per hull line, in preallocated
+    buffers. The two outermost layers stay frozen.
+    """
     coef = 0.5 * lam * lam
+    order = np.lexsort((lam_cost, coef))
+    hull = order[_lower_hull(coef[order], lam_cost[order])]
+    lines = list(zip(coef[hull], lam_cost[hull]))
+    u = values.copy()
+    unew = values.copy()
+    m = u.shape[0] - 4  # nodes 2 .. n-3 move
+    if m <= 0:
+        return u
+    h2 = spacing * spacing
+    lap, g, term = np.empty(m), np.empty(m), np.empty(m)
     for _ in range(steps):
-        lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (spacing * spacing)
-        g = (coef[:, None] * lap - lam_cost[:, None]).max(axis=0)
-        g += half_sigma2 * lap
-        unew = u.copy()
-        unew[1:-1] = u[1:-1] + dt * g
-        unew[0] = u[0]
-        unew[n - 1] = u[n - 1]
-        unew[1] = u[1]
-        unew[n - 2] = u[n - 2]
-        u = unew
+        # lap = (u[i+1] - 2 u[i] + u[i-1]) / h^2, in that order
+        np.multiply(u[2:-2], 2.0, out=lap)
+        np.subtract(u[3:-1], lap, out=lap)
+        lap += u[1:-3]
+        lap /= h2
+        g.fill(-np.inf)
+        for c, k in lines:
+            np.multiply(lap, c, out=term)
+            term -= k
+            np.maximum(g, term, out=g)
+        # u[i] + dt * (g + half_sigma2 * lap)
+        lap *= half_sigma2
+        g += lap
+        g *= dt
+        np.add(u[2:-2], g, out=unew[2:-2])
+        u, unew = unew, u
     return u
 
 
 def _lower_hull(z, g):
-    """Indices of the lower convex hull of the finite points (z_i, g_i).
+    """Lower convex hull indices of the finite points (z_i, g_i), z ascending.
 
     The conjugate of g equals the conjugate of its hull, and on the hull the
     maximizing index is nondecreasing in the dual variable, which makes a

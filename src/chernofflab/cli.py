@@ -137,13 +137,21 @@ class _Fields:
             self._fail(key, f"needs exactly two entries, got {len(vals)}")
         return vals
 
+    def radius_count(self, key, default, odd=False):
+        """The finite r > 0 and integer count >= 2 of an ``r,count`` field;
+        ``odd`` asks for an odd count >= 3, a grid with a node at 0."""
+        r, count = self.pair(key, default)
+        least = 3 if odd else 2
+        if not (0 < r < np.inf and least <= count < np.inf and count == int(count)
+                and (count % 2 == 1 or not odd)):
+            self._fail(key, f"needs a finite r > 0 and an {'odd ' if odd else ''}"
+                            f"integer count >= {least}, got {r:g},{count:g}")
+        return r, int(count)
+
     def span(self, key, default):
         """np.linspace(-r, r, count) from an ``r,count`` field."""
-        r, count = self.pair(key, default)
-        if not (0 < r < np.inf and 2 <= count < np.inf and count == int(count)):
-            self._fail(key, f"needs a finite r > 0 and an integer count >= 2, "
-                            f"got {r:g},{count:g}")
-        return np.linspace(-r, r, int(count))
+        r, count = self.radius_count(key, default)
+        return np.linspace(-r, r, count)
 
     def positive(self, key, integer=True):
         """A non-empty list of positive schedule entries."""
@@ -151,6 +159,20 @@ class _Fields:
         if not vals or min(vals) <= 0:
             self._fail(key, f"needs positive entries, got {vals}")
         return vals
+
+    def schedule(self, key):
+        """Strictly increasing positive step counts, as ``chernoff_limit`` needs."""
+        vals = self.positive(key)
+        if any(b <= a for a, b in zip(vals, vals[1:])):
+            self._fail(key, f"schedule must be strictly increasing, got {vals}")
+        return vals
+
+    def positive_float(self, key, default=None):
+        """A number > 0."""
+        value = self.float_(key, default)
+        if not value > 0:
+            self._fail(key, f"must be positive, got {value:g}")
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +225,10 @@ def _build_model(sections):
     if variant in ("shift_sup", "symmetric_two_point"):
         penalty = _build_penalty(fields.str_("penalty", "quadratic(2, 129)"), fields)
         grid = fields.floats("shifts")
-        if len(grid) != 3:
-            fields._fail("shifts", f"must be lo,hi,count, got {grid}")
+        if not (len(grid) == 3 and -np.inf < grid[0] <= grid[1] < np.inf
+                and 1 <= grid[2] < np.inf and grid[2] == int(grid[2])):
+            fields._fail("shifts", f"must be lo,hi,count with finite lo <= hi and "
+                                   f"an integer count >= 1, got {grid}")
         lo, hi, n = grid
         shifts = np.linspace(lo, hi, int(n))
         if variant == "shift_sup":
@@ -316,8 +340,8 @@ def _run_lln(sections, outdir):
     f, _ = _build_payoff(sections)
     sched = _Fields(sections, "schedule")
     check = _Fields(sections, "check")
-    schedule = sched.positive("uniform")
-    base = sched.float_("dyadic_base", 0.75)
+    schedule = sched.schedule("uniform")
+    base = sched.positive_float("dyadic_base", 0.75)
     compact = check.float_("compact", 2.0)
     op = OneStepOperator(model, scaling)
     u, diag = chernoff_limit(op, 1.0, f, schedule, tol=check.float_("tolerance"),
@@ -387,8 +411,12 @@ def _run_clt(sections, outdir):
     f, payoff_fn = _build_payoff(sections)
     sched = _Fields(sections, "schedule")
     check = _Fields(sections, "check")
-    n_list = sched.positive("n")
+    n_list = sched.schedule("n")
     tol = check.float_("tolerance")
+    gheat = "gheat_tolerance" in check.kv
+    if gheat:
+        gtol = check.float_("gheat_tolerance")
+        pgrid = Grid(*check.radius_count("gheat_grid", "6,385", odd=True))
 
     target_spec = check.str_("target")
     if target_spec == "gaussian":
@@ -407,7 +435,7 @@ def _run_clt(sections, outdir):
     require_centered(model)
     cross = "cross_factor" in check.kv
     compact = check.float_("compact", 2.0)
-    dyadic_base = sched.float_("dyadic_base", 0.75)
+    dyadic_base = sched.positive_float("dyadic_base", 0.75)
     u, diag = chernoff_limit(OneStepOperator(model, SecondOrder()), 1.0, f, n_list,
                              tol=tol, compact=(-compact, compact) if cross else None,
                              dyadic_base=dyadic_base if cross else None)
@@ -435,10 +463,7 @@ def _run_clt(sections, outdir):
             checks.append(_check_line("interior_identity", sup <= tol,
                                       f"sup on [-{interior},{interior}] = {sup:.2e}"))
 
-    if "gheat_tolerance" in check.kv:
-        gtol = check.float_("gheat_tolerance")
-        rg, ng = check.pair("gheat_grid", "6,385")
-        pgrid = Grid(rg, int(ng))
+    if gheat:
         pf = GridFunction.sample(pgrid, payoff_fn)
         exp_fields = _Fields(sections, "expectation")
         penalty = _build_penalty(exp_fields.str_("penalty"), exp_fields)

@@ -9,7 +9,9 @@ Two explicit marches on the 1D grid:
 
 Both schemes are monotone by their CFL restriction, freeze the two outermost
 node layers, and are first-order accurate; they cross-check the Chernoff
-limits without sharing any code path with them.
+limits without sharing any code path with them. ``solve_hj`` reads H
+through the interpolant of ``Hamiltonian1`` on any strictly increasing
+gradient grid; ``solve_g_heat`` marches on the lower convex hull of G's lines.
 """
 
 from dataclasses import dataclass
@@ -116,7 +118,9 @@ def solve_hj(ham, f, t, safety=0.5):
     The dissipation is max |H'| over the whole sampled gradient range (the
     Hamiltonian saturates beyond it) and the time step obeys
     dt <= safety * h / (2 alpha), so the scheme is monotone for arbitrary
-    data, including the artificial frozen-boundary layer.
+    data, including the artificial frozen-boundary layer. H is evaluated as
+    ``ham(p)`` does, piecewise linear on ``ham.p_grid`` and constant beyond
+    it, so the gradient grid need not be uniform.
     """
     if t < 0:
         raise InputError("solve_hj requires t >= 0")
@@ -135,7 +139,13 @@ def solve_hj(ham, f, t, safety=0.5):
 
 
 def solve_g_heat(g2, f, t, safety=0.5):
-    """March u_t = G(u_xx) from u(0) = f up to time t (explicit monotone)."""
+    """March u_t = G(u_xx) from u(0) = f up to time t (explicit monotone).
+
+    The time step obeys dt <= safety * h^2 / (2 max_diffusion). The lines
+    of G are reduced once to their lower convex hull in (lam^2 / 2, cost),
+    which gives the same maximum, so a step costs one comparison per hull
+    line rather than one per entry of ``g2.lam_grid``.
+    """
     if t < 0:
         raise InputError("solve_g_heat requires t >= 0")
     if f.grid.dimension != 1:

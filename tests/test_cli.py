@@ -333,9 +333,23 @@ class TestErrorContract:
         ("generator_affine_drift", "h = 0.125,0.0625,0.03125,0.015625", "h = 0",
          "schedule.h"),
         ("envelope_perturbed", "uniform = 256", "uniform = 0", "schedule.uniform"),
-        ("clt_binary_exact", "n = 1,4,16,64", "n = 0,4", "schedule.n")])
+        ("clt_binary_exact", "n = 1,4,16,64", "n = 0,4", "schedule.n"),
+        ("clt_two_point_gaussian", "shifts = 0,1,33", "shifts = 0,1,inf",
+         "expectation.shifts"),
+        ("clt_two_point_gaussian", "shifts = 0,1,33", "shifts = 0,1,-3",
+         "expectation.shifts"),
+        ("clt_two_point_gaussian", "shifts = 0,1,33", "shifts = 0,1,2.5",
+         "expectation.shifts"),
+        ("clt_two_point_gaussian", "gheat_grid = 6,385", "gheat_grid = 6,384",
+         "check.gheat_grid"),
+        ("lln_entropic_gaussian", "dyadic_base = 0.75", "dyadic_base = -0.5",
+         "schedule.dyadic_base"),
+        ("lln_entropic_gaussian", "uniform = 4,8,16,32,64,128", "uniform = 64,32",
+         "schedule.uniform"),
+        ("clt_binary_exact", "n = 1,4,16,64", "n = 1,4,4,64", "schedule.n")])
     def test_malformed_field_exit_3(self, tmp_path, capsys, name, old, new, field):
-        # wrong entry counts, nan and non-positive schedule entries
+        # wrong entry counts, nan, infinite and fractional counts, even grid
+        # counts, non-positive and non-increasing schedule entries
         assert old in BUILTINS[name][1]
         text = BUILTINS[name][1].replace(old, new)
         assert self.run_main(tmp_path, text) == 3

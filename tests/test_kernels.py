@@ -4,9 +4,10 @@
 the fused ``_kernels.one_step_*`` kernels compute the same steps directly
 and serve as the reference. ``expect_linear`` on an array of coefficients
 must equal its per-coefficient values. The shifted-slice stencil must equal
-``interp1`` at the same query points, and ``g_heat`` its per-shift loop. A
-gather plan must give the one-shot gathers bit for bit for any values on its
-grid, and ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
+``interp1`` at the same query points, and ``g_heat``, which marches on the
+lower hull of its lines only, the loop over every line. A gather plan must
+give the one-shot gathers bit for bit for any values on its grid, and
+``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
 extension written out per side, as the stencil and the mollifier took it.
 """
 
@@ -114,23 +115,52 @@ def test_grid_aligned_steps_use_the_stencil(monkeypatch):
             one_step(OneStepOperator(model, scaling), 0.1, f)
 
 
-def test_g_heat_matches_per_shift_loop():
-    spacing, dt, steps = 0.05, 1e-3, 40
-    x = np.arange(-60, 61) * spacing
-    values = np.minimum(np.cosh(x), 20.0)
-    lam = np.linspace(0.0, 1.0, 33)
-    cost = np.where(lam > 0.9, 0.05, 0.0)
+def g_heat_per_line(values, spacing, dt, steps, lam, cost, half_sigma2):
+    # every line, in its given order, on fresh arrays; two frozen layers a side
     u = values.copy()
     for _ in range(steps):
         lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (spacing * spacing)
         g = np.full(lap.shape, -np.inf)
         for l in range(lam.shape[0]):
             np.maximum(g, 0.5 * lam[l] * lam[l] * lap - cost[l], out=g)
-        g += 0.25 * lap
+        g += half_sigma2 * lap
         unew = u.copy()
         unew[2:-2] = u[2:-2] + dt * g[1:-1]
         u = unew
-    assert np.array_equal(K.g_heat(values, spacing, dt, steps, lam, cost, 0.25), u)
+    return u
+
+
+def test_g_heat_matches_per_shift_loop():
+    spacing, dt, steps = 0.05, 1e-3, 40
+    x = np.arange(-60, 61) * spacing
+    values = np.minimum(np.cosh(x), 20.0)
+    lam = np.linspace(0.0, 1.0, 33)
+    cost = np.where(lam > 0.9, 0.05, 0.0)
+    assert np.array_equal(K.g_heat(values, spacing, dt, steps, lam, cost, 0.25),
+                          g_heat_per_line(values, spacing, dt, steps, lam, cost, 0.25))
+
+
+def test_g_heat_hull_matches_every_line():
+    # lines (lam^2 / 2, cost), unsorted, with negative and duplicate |lam|:
+    # the lower hull runs (0, 0), (0.125, 0), (1.125, 0.25), (2, 0.6875),
+    # with slopes 0, 1/4, 1/2, so the maximizing line changes at
+    # u_xx = 0, 1/4, 1/2; (0.5, 0.09375) lies on the edge of slope 1/4
+    # (collinear), the duplicates -1, -2 and the entry 1.25 lie on or above it
+    lam = np.array([1.5, -0.5, 2.0, 0.0, -1.0, 1.25, 1.0, -2.0, 0.5])
+    cost = np.array([0.25, 0.0, 0.6875, 0.0, 0.2, 0.3, 0.09375, 0.6875, 0.0])
+    spacing, dt, steps = 0.05, 2e-4, 40
+    x = np.arange(-60, 61) * spacing
+    values = 0.1 * np.sin(3.0 * x) + 0.1 * x ** 2
+    lap = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / spacing ** 2
+    for lo, hi in ((-np.inf, 0.0), (0.0, 0.25), (0.25, 0.5), (0.5, np.inf)):
+        assert np.count_nonzero((lap > lo) & (lap < hi)) >= 5
+    for half_sigma2 in (0.0, 0.15):
+        got = K.g_heat(values, spacing, dt, steps, lam, cost, half_sigma2)
+        assert np.array_equal(
+            got, g_heat_per_line(values, spacing, dt, steps, lam, cost, half_sigma2))
+        assert not np.array_equal(got, values)
+    tiny = np.array([1.0, 2.0, 0.5, 3.0])
+    assert np.array_equal(K.g_heat(tiny, spacing, dt, steps, lam, cost, 0.15), tiny)
 
 
 @pytest.mark.parametrize("extension", ["constant", "linear"])
@@ -179,6 +209,9 @@ def test_lax_friedrichs_matches_plain_march():
     values = np.minimum(np.abs(x) ** 1.5, 4.0) + 0.3 * np.sin(3.0 * x)
     ham_p = np.linspace(-2.0, 2.0, 81)
     ham_v = np.log(np.cosh(ham_p))
+    visc = alpha * dt / (2.0 * spacing)
+    # the scheme as first written: H by its uniform-grid cell formula, then
+    # u + dt H + visc (u[i+1] - 2 u[i] + u[i-1])
     u = values.copy()
     n = u.shape[0]
     for _ in range(steps):
@@ -189,13 +222,21 @@ def test_lax_friedrichs_matches_plain_march():
         hval = (1.0 - th) * ham_v[idx] + th * ham_v[idx + 1]
         diff = u[2:] - 2.0 * u[1:-1] + u[:-2]
         unew = u.copy()
-        unew[1:-1] = u[1:-1] + dt * hval + (alpha * dt / (2.0 * spacing)) * diff
+        unew[1:-1] = u[1:-1] + dt * hval + visc * diff
         unew[[0, 1, n - 2, n - 1]] = u[[0, 1, n - 2, n - 1]]
         u = unew
+    # the same scheme in the kernel's order, on fresh arrays
+    v = values.copy()
+    for _ in range(steps):
+        w = v.copy()
+        w[2:-2] = (np.interp(v[3:-1] - v[1:-3], 2.0 * spacing * ham_p, dt * ham_v)
+                   + (visc * v[1:-3] + (1.0 - 2.0 * visc) * v[2:-2] + visc * v[3:-1]))
+        v = w
     # the gradient leaves the sampled range [-2, 2] near the kinks
     assert np.max(np.abs(values[2:] - values[:-2])) / (2.0 * spacing) > 2.0
     got = K.lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha)
-    assert np.array_equal(got, u)
+    assert np.array_equal(got, v)
+    assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
     tiny = np.array([1.0, 2.0, 0.5, 3.0])
     assert np.array_equal(K.lax_friedrichs(tiny, spacing, dt, steps, ham_p, ham_v, alpha),
                           tiny)

@@ -77,6 +77,32 @@ class TestSolveHJ:
         u = solve_hj(ham, f, 1.0)
         assert u.values[f.grid.origin_index] == pytest.approx(-1.0 / 3.0, abs=5e-2)
 
+    def test_nonuniform_gradient_grid(self):
+        # H = p^2/2 sampled densely near p = 0: the march reads H through
+        # the interpolant of Hamiltonian1 on any strictly increasing grid
+        f = sample(lambda x: -(x - 1.0)**2, N=257)
+        s = np.linspace(-1.0, 1.0, 481)
+        p_uniform = 12.0 * s
+        p_graded = 12.0 * s * np.sqrt(np.abs(s))
+        uniform = solve_hj(Hamiltonian1(p_uniform, p_uniform**2 / 2), f, 1.0)
+        ham = Hamiltonian1(p_graded, p_graded**2 / 2)
+        graded = solve_hj(ham, f, 1.0)
+        mask = f.grid.within(-2.0, 2.0)
+        assert np.max(np.abs(graded.values - uniform.values)[mask]) <= 1e-3
+        # the plain march, with the solver's step and dissipation
+        h = f.grid.spacing
+        alpha = ham.max_slope(p_graded[0], p_graded[-1])
+        steps = int(np.ceil(1.0 / (0.5 * h / (2.0 * alpha))))
+        dt = 1.0 / steps
+        u = f.values.copy()
+        for _ in range(steps):
+            unew = u.copy()
+            lap = u[3:-1] - 2.0 * u[2:-2] + u[1:-3]
+            unew[2:-2] = (u[2:-2] + dt * ham((u[3:-1] - u[1:-3]) / (2.0 * h))
+                          + alpha * dt / (2.0 * h) * lap)
+            u = unew
+        assert np.max(np.abs(graded.values - u)) <= 1e-12 * np.max(np.abs(u))
+
     def test_comparison_principle(self):
         rng = np.random.default_rng(7)
         g = Grid(4.0, 257)
