@@ -10,7 +10,9 @@ a gather whose query points repeat (the equal-``t`` steps of one Chernoff
 partition) pays for its geometry once. ``interp1`` is the one-shot 1D
 gather behind every 1D grid evaluation. ``shift_stencil`` is the gather at
 node-independent offsets (grid-aligned one-steps, the 1D Hopf-Lax
-candidates): a shifted slice of the padded values per offset. The package
+candidates): a shifted slice of the padded values per offset; its ``mean``
+entry takes weighted means over rows of offsets as one banded matrix
+product over those slices, with no gathered matrix. The package
 reaches these gathers through ``GridFunction`` (``eval``, ``gather_plan``,
 ``stencil``). The three ``one_step_*`` kernels are fused reference
 implementations of single Chernoff steps; ``chernoff.one_step`` computes
@@ -28,6 +30,9 @@ order so that repeated runs of an experiment produce byte-identical output.
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+# window values one block of a stencil's weighted mean copies (nodes x band)
+WINDOW_BLOCK_VALUES = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +78,13 @@ def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
         upper = idx + 1
         lower_w = 1.0 - theta
 
-        # products formed in place: fewer fresh temporaries, which a process
-        # pays page faults for on its first gathers
+        # take gathers the same values as fancy indexing, faster on large
+        # plans; products formed in place: fewer fresh temporaries, which a
+        # process pays page faults for on its first gathers
         def apply(values):
-            out = values[idx]
+            out = values.take(idx)
             out *= lower_w
-            hi = values[upper]
+            hi = values.take(upper)
             hi *= theta
             out += hi
             return out
@@ -93,10 +99,10 @@ def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
 
     def apply(values):
         flat = values.reshape(-1)
-        out = flat[corners[0]]
+        out = flat.take(corners[0])
         out *= weights[0]
         for c, w in zip(corners[1:], weights[1:]):
-            term = flat[c]
+            term = flat.take(c)
             term *= w
             out += term
         return out
@@ -116,24 +122,55 @@ def shift_stencil(values, spacing, constant_ext):
     (1 - theta) p[i + k] + theta p[i + k + 1], two shifted slices of the pad
     p, the same piecewise-linear interpolant ``interp1`` evaluates. Offsets
     beyond the box clamp k so that both slices lie in the padding.
+
+    ``stencil.mean(c, w)``, with c of shape (L, m), is the weighted mean
+    ``sum_j w[j] f(x_i + c[l, j])`` at every node i, shape (L, n). It is
+    linear in p with a band of coefficients per row l: K[l, k - lo] collects
+    w (1 - theta) and K[l, k + 1 - lo] collects w theta (one ``np.bincount``),
+    so the mean is one matrix product K @ windows[lo:hi + 1] over the band,
+    taken over blocks of nodes so that the window block it copies holds at
+    most ``WINDOW_BLOCK_VALUES`` values.
     """
     n = values.shape[0]
     # windows[n + k] = p[k:k + n], the values shifted by k nodes, k in [-n, n]
     windows = sliding_window_view(pad(values, n, constant_ext), n)
 
-    def stencil(c):
+    def cells(c):
+        # window row of the lower cell node and the weight of the upper one
         u = c / spacing
         if constant_ext:
             u = np.clip(u, -n, n - 1.0)
         k = np.clip(np.floor(u), -n, n - 1.0)
-        theta = (u - k)[:, None]
-        rows = n + k.astype(np.int64)
+        return n + k.astype(np.int64), u - k
+
+    def stencil(c):
+        rows, theta = cells(c)
+        theta = theta[:, None]
         out = windows[rows]
         out *= 1.0 - theta
         upper = windows[rows + 1]
         upper *= theta
         out += upper
         return out.T
+
+    def mean(c, w):
+        rows, theta = cells(c)
+        lo = rows.min()
+        width = rows.max() + 2 - lo
+        band = rows - lo + width * np.arange(c.shape[0])[:, None]
+        kernel = np.bincount(np.concatenate([band.ravel(), band.ravel() + 1]),
+                             np.concatenate([(w * (1.0 - theta)).ravel(),
+                                             (w * theta).ravel()]),
+                             minlength=c.shape[0] * width).reshape(c.shape[0], width)
+        out = np.empty((c.shape[0], n))
+        block = max(1, WINDOW_BLOCK_VALUES // width)
+        for i in range(0, n, block):
+            # the strided window block is copied once, for one BLAS product
+            np.matmul(kernel, np.ascontiguousarray(windows[lo:lo + width, i:i + block]),
+                      out=out[:, i:i + block])
+        return out
+
+    stencil.mean = mean
     return stencil
 
 

@@ -146,6 +146,8 @@ def one_step(op, t, f):
 
         def gather(y):
             return stencil(scale * y[:, 0])
+        # mean(y, w)[l] = gather(y[l]) @ w for a stack of sample clouds
+        gather.mean = lambda y, w: stencil.mean(scale * y[..., 0], w)
     else:
         def gather(y):
             held = op._plan

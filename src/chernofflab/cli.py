@@ -417,6 +417,12 @@ def _run_clt(sections, outdir):
     if gheat:
         gtol = check.float_("gheat_tolerance")
         pgrid = Grid(*check.radius_count("gheat_grid", "6,385", odd=True))
+        # a shift model already holds its penalty, with the default applied
+        if isinstance(model, ShiftSup):
+            penalty = model.penalty
+        else:
+            exp_fields = _Fields(sections, "expectation")
+            penalty = _build_penalty(exp_fields.str_("penalty"), exp_fields)
 
     target_spec = check.str_("target")
     if target_spec == "gaussian":
@@ -465,8 +471,6 @@ def _run_clt(sections, outdir):
 
     if gheat:
         pf = GridFunction.sample(pgrid, payoff_fn)
-        exp_fields = _Fields(sections, "expectation")
-        penalty = _build_penalty(exp_fields.str_("penalty"), exp_fields)
         lam = model.shifts[:, 0] if isinstance(model, ShiftSup) else np.array([0.0, 1.0])
         g2 = Hamiltonian2.from_model(model.measure, penalty, lam)
         upde = solve_g_heat(g2, pf, sched_horizon(sections))

@@ -19,6 +19,13 @@ is a scalar expectation (``expect``), one row per coefficient is
 ``expect_linear``, and one row per grid node is a step of the one-step
 operator. Each model queries exactly the points it needs, so all
 expectations are finite sums.
+
+A payoff may also carry an optional entry ``mean(points, weights)``: for
+points of shape (L, m, d) it returns the (L, rows) matrix whose row l is
+``payoff(points[l]) @ weights``. The grid-aligned gather of a one-step
+provides it (one banded matrix product), and ``ShiftSup`` then takes all of
+its atom means in one call; for payoffs without it, ``ShiftSup`` gathers
+its shifts in blocks of ``SHIFT_BLOCK_POINTS`` values.
 """
 
 from dataclasses import dataclass, field
@@ -257,9 +264,13 @@ class Linear(ExpectationModel):
 class Entropic(ExpectationModel):
     measure: DiscreteMeasure
 
+    def __post_init__(self):
+        object.__setattr__(self, "_logw", np.log(self.measure.weights))
+
     def reduce(self, payoff, t=1.0):
-        logw = np.log(self.measure.weights)
-        return t * _logsumexp(payoff(self.measure.atoms) / t + logw, axis=1)
+        g = payoff(self.measure.atoms) / t
+        g += self._logw
+        return t * _logsumexp(g, axis=1)
 
 
 @dataclass(frozen=True)
@@ -303,10 +314,24 @@ class ShiftSup(ExpectationModel):
         cost.flags.writeable = False
         object.__setattr__(self, "shifts", s)
         object.__setattr__(self, "_costs", cost)
+        # the atom cloud of each shift, (shifts, signs x atoms, d), and the
+        # weights of its mean: both signs of the symmetric variant in one row
+        signs = (1.0, -1.0) if self.symmetric else (1.0,)
+        a, w = self.measure.atoms, self.measure.weights
+        object.__setattr__(self, "_clouds", np.concatenate(
+            [a[None] + sign * s[:, None] for sign in signs], axis=1))
+        object.__setattr__(self, "_cloud_weights", np.tile(w / len(signs), len(signs)))
 
     def reduce(self, payoff, t=1.0):
-        # shifts are gathered in blocks of at most SHIFT_BLOCK_POINTS payoff
-        # values; the first call takes one shift and tells the row count
+        if hasattr(payoff, "mean"):
+            # every atom mean at once, (shifts, rows), from the payoff's
+            # linear mean entry
+            best = payoff.mean(self._clouds, self._cloud_weights)
+            best -= t * self._costs[:, None]
+            return best.max(axis=0)
+        # otherwise shifts are gathered in blocks of at most
+        # SHIFT_BLOCK_POINTS payoff values; the first call takes one shift
+        # and tells the row count
         a = self.measure.atoms
         w = self.measure.weights
         k = w.shape[0]
@@ -317,7 +342,7 @@ class ShiftSup(ExpectationModel):
         while start < self.shifts.shape[0]:
             s = self.shifts[start:start + block]
             # points ordered (atom, shift, sign) make the atom mean one 2-D
-            # dot over vals.T, a view of the stencil gather's layout
+            # dot over vals.T
             pts = np.stack([a[:, None] + sign * s[None] for sign in signs], axis=2)
             vals = payoff(pts.reshape(-1, a.shape[1]))
             rows = vals.shape[0]

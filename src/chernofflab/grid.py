@@ -171,7 +171,9 @@ class GridFunction:
 
     def stencil(self):
         """The 1D gather at node-independent offsets, ``stencil(c)[i, j] =
-        f(x_i + c[j])``, as shifted slices of the values padded once."""
+        f(x_i + c[j])``, as shifted slices of the values padded once; its
+        ``mean(c, w)`` entry takes ``sum_j w[j] f(x_i + c[l, j])`` per row of
+        offsets ``c`` without gathering them."""
         return _kernels.shift_stencil(self.values, self.grid.spacing,
                                       self.extension == "constant")
 

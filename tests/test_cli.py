@@ -357,6 +357,31 @@ class TestErrorContract:
         assert field in err
         assert "Traceback" not in err
 
+    def test_clt_g_heat_check_uses_the_shift_model_penalty(self, tmp_path):
+        # with no penalty line the shift model takes quadratic(2, 129), and
+        # the G-heat cross-check uses the same penalty
+        text = BUILTINS["clt_two_point_gaussian"][1]
+        line = "penalty = indicator(1)\n"
+        assert line in text
+        g_heat = {}
+        for label, penalty in (("default", ""),
+                               ("explicit", "penalty = quadratic(2, 129)\n")):
+            cfg = tmp_path / f"{label}.cfg"
+            cfg.write_text(text.replace(line, penalty))
+            out = tmp_path / label
+            assert main(["run", str(cfg), "--out", str(out)]) in (0, 1)
+            g_heat[label] = (out / "clt_two_point_gaussian" / "g_heat.csv").read_bytes()
+        assert g_heat["default"] == g_heat["explicit"]
+
+    def test_clt_g_heat_check_reads_its_penalty_before_iterating(self, tmp_path, capsys):
+        # a linear model has no penalty of its own: the check needs the field
+        text = BUILTINS["clt_binary_exact"][1]
+        assert "penalty" not in text and "[check]\n" in text
+        text = text.replace("[check]\n", "[check]\ngheat_tolerance = 0.05\n")
+        assert self.run_main(tmp_path, text) == 3
+        assert "expectation.penalty" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "clt_binary_exact" / "clt_values.csv").exists()
+
     @pytest.mark.parametrize("name", ["../escape_probe", "a/../../escape_probe",
                                       "..", ""])
     def test_name_cannot_leave_the_output_root(self, tmp_path, capsys, name):

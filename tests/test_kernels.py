@@ -9,7 +9,13 @@ lower hull of its lines only, the loop over every line. A gather plan must
 give the one-shot gathers bit for bit for any values on its grid, and
 ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
 extension written out per side, as the stencil and the mollifier took it.
+The stencil's weighted mean must equal its gather followed by a dot, a
+grid-aligned ``ShiftSup`` step must equal the block loop over the same
+gather, take one mean call and no gather, and stay within 16 MB on a band
+as wide as the padded values.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,3 +283,101 @@ def test_pad_matches_the_inline_pads(dimension, constant_ext):
         assert got.tobytes() == convolve_pad(v, m, constant_ext).tobytes()
         if dimension == 1:
             assert got.tobytes() == stencil_pad(v, m, constant_ext).tobytes()
+
+
+def mean_by_gather(stencil, clouds, w):
+    # each cloud gathered as stencil columns, then averaged by one dot
+    return np.stack([stencil(c) @ w for c in clouds])
+
+
+@pytest.mark.parametrize("budget", [1 << 15, 600])
+@pytest.mark.parametrize("extension", ["constant", "linear"])
+def test_stencil_mean_matches_gather_and_dot(extension, budget, monkeypatch):
+    # a budget of 600 values splits the 65 nodes into blocks of 4 or of 15
+    # nodes (bands 131 and 38 wide), the last one short
+    monkeypatch.setattr(K, "WINDOW_BLOCK_VALUES", budget)
+    g = Grid(4.0, 65)
+    h = g.spacing
+    values = np.sin(g.axis) + 0.2 * g.axis ** 2
+    stencil = K.shift_stencil(values, h, extension == "constant")
+    # atoms on nodes (theta = 0) and three atoms on one floor index
+    atoms = np.array([0.0, 2 * h, 0.3 * h, 0.55 * h, 0.9 * h, -1.45, 3.1])
+    w = np.array([0.1, 0.2, 0.15, 0.05, 0.2, 0.2, 0.1])
+    # shifts of +-9 put every node's cloud beyond the box, 2R = 8
+    shifts = np.array([-9.0, -3.3, 0.0, 0.4, 2.0 * h, 5.0, 9.0])
+    plus = atoms[None] + shifts[:, None]
+    minus = atoms[None] - shifts[:, None]
+    clouds = [(plus, w),                                   # one-sided
+              (np.concatenate([plus, minus], axis=1),      # symmetric
+               np.tile(0.5 * w, 2)),
+              (atoms[None] + 0.37, w)]                     # a single shift
+    for c, cw in clouds:
+        want = mean_by_gather(stencil, c, cw)
+        got = stencil.mean(c, cw)
+        assert got.shape == (c.shape[0], g.points_per_axis)
+        scale = np.max(np.abs(stencil(c.ravel())))
+        assert np.max(np.abs(got - want)) <= 4e-15 * scale
+
+
+SHIFT_MODELS = {
+    "shift_sup": MODELS["shift_sup"],
+    "symmetric_sup": MODELS["symmetric_sup"],
+    "shift_sup_16_atoms": ShiftSup(MU, PENALTY, SHIFTS),
+    "symmetric_sup_16_atoms": SymmetricTwoPointSup(MU, PENALTY, SHIFTS),
+}
+
+
+@pytest.mark.parametrize("extension", ["constant", "linear"])
+@pytest.mark.parametrize("scaling", ["first_order", "second_order"])
+@pytest.mark.parametrize("model", list(SHIFT_MODELS))
+def test_grid_aligned_shift_sup_step_matches_block_loop(model, scaling, extension):
+    f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.2 * x**2,
+                            extension=extension)
+    op = OneStepOperator(SHIFT_MODELS[model], SCALINGS[scaling])
+    stencil = f.stencil()
+    for t in (1.0, 0.3, 1.0 / 64):
+        _, scale = op.scaling.base_and_scale(t, f.grid.axis)
+        # a gather with no mean entry takes the block loop
+        want = op.model.reduce(lambda y: stencil(scale * y[:, 0]), t)
+        got = one_step(op, t, f).values
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(f.values))
+
+
+def test_grid_aligned_shift_sup_step_is_one_mean_call(monkeypatch):
+    calls = {}
+    shift_stencil = K.shift_stencil
+
+    def counting_stencil(*args):
+        stencil = shift_stencil(*args)
+
+        def gather(c):
+            calls["gather"] += 1
+            return stencil(c)
+
+        def mean(c, w):
+            calls["mean"] += 1
+            return stencil.mean(c, w)
+        gather.mean = mean
+        return gather
+    monkeypatch.setattr(K, "shift_stencil", counting_stencil)
+    f = GridFunction.sample(Grid(4.0, 129), np.sin)
+    for scaling in (FirstOrderAffine(), SecondOrder()):
+        for model in SHIFT_MODELS.values():
+            calls.update(gather=0, mean=0)
+            one_step(OneStepOperator(model, scaling), 0.1, f)
+            assert calls == {"gather": 0, "mean": 1}
+
+
+def test_wide_band_mean_step_memory():
+    # every cloud spans the padded values: the band is 2n + 1 nodes wide, and
+    # one unblocked copy of its windows would take 67 MB
+    model = ShiftSup(gauss_hermite(64), PenaltyFunction.quadratic(2.0, 129),
+                     np.linspace(-2.0, 2.0, 257))
+    f = GridFunction.sample(Grid(4.0, 2049), np.sin)
+    tracemalloc.start()
+    try:
+        one_step(OneStepOperator(model), 1.0, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
