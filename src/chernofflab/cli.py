@@ -6,6 +6,11 @@ writes CSV artifacts plus one PASS/FAIL line per declared check; the exit
 status is 0 iff every check passes, 1 on a numerical failure, 2 on a parse
 error and 3 on a validation error. Payoffs are named analytic families
 evaluated on the grid at load time, never arbitrary expressions.
+
+Each runner reads every field it uses, fails on a key that nothing read
+(exit 3, naming ``section.key``), then computes and returns its checks and
+its artifacts; ``run_config_text`` alone writes files, after the run
+returns, so exit 2 or 3 writes nothing.
 """
 
 import argparse
@@ -13,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,9 +34,6 @@ from .hopflax import conjugate_rate, envelope, hopf_lax
 from .limits import (generator_check, interpolation_floor, ld_rate, poly_rate,
                      require_centered)
 from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
-
-KINDS = ("lln", "cramer", "poly_rate", "clt", "wasserstein", "generator",
-         "envelope", "pde_crosscheck")
 
 
 # ---------------------------------------------------------------------------
@@ -78,23 +81,38 @@ def serialize_config(sections):
     return "\n".join(out)
 
 
+class _Config(dict):
+    """A parsed config that records the (section, key) pairs read from it."""
+
+    def __init__(self, sections):
+        super().__init__(sections)
+        self.read = set()
+
+    def reject_unread(self):
+        """Fail, naming ``section.key``, on the first key that nothing read."""
+        for section, kv in self.items():
+            for key in kv:
+                if (section, key) not in self.read:
+                    _Fields(self, section)._fail(key, "unknown key, nothing reads it")
+
+
 class _Fields:
-    """Typed access into one section with field-naming validation errors."""
+    """Typed, recorded access into one config section; errors name the field."""
 
     def __init__(self, sections, section):
         self.section = section
         self.kv = sections.get(section, {})
+        self.read = sections.read
 
     def _fail(self, key, why):
         raise ConfigError(f"field [{self.section}] {key}: {why}",
                           field=f"{self.section}.{key}")
 
     def str_(self, key, default=None):
-        if key not in self.kv:
-            if default is None:
-                self._fail(key, "is required")
-            return default
-        return self.kv[key]
+        self.read.add((self.section, key))
+        if key not in self.kv and default is None:
+            self._fail(key, "is required")
+        return self.kv.get(key, default)
 
     def float_(self, key, default=None):
         raw = self.str_(key, None if default is None else str(default))
@@ -167,12 +185,17 @@ class _Fields:
             self._fail(key, f"schedule must be strictly increasing, got {vals}")
         return vals
 
-    def positive_float(self, key, default=None):
-        """A number > 0."""
+    def number(self, key, default=None, lo=-np.inf, hi=np.inf):
+        """A finite number x with lo < x <= hi."""
         value = self.float_(key, default)
-        if not value > 0:
-            self._fail(key, f"must be positive, got {value:g}")
+        if not (np.isfinite(value) and lo < value <= hi):
+            self._fail(key, f"needs a finite {lo:g} < x <= {hi:g}, got {value:g}")
         return value
+
+    def compact(self, grid, key="compact"):
+        """The box (-c, c) of a ``key = c`` field, 0 < c <= R (default 2)."""
+        c = self.number(key, 2.0, 0.0, grid.half_width)
+        return -c, c
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +278,11 @@ def _build_grid(sections):
     n = fields.int_("N")
     if n < 3 or n % 2 == 0:
         fields._fail("N", "must be odd and >= 3 so the origin is a node")
-    half_width = fields.float_("R")
-    if not half_width > 0:
-        fields._fail("R", "must be positive")
-    grid = Grid(half_width, n)
+    grid = Grid(fields.number("R", lo=0.0), n)
     ext = fields.str_("extension", "constant")
     if ext not in ("constant", "linear"):
         fields._fail("extension", f"must be constant or linear, got {ext!r}")
-    weight = GrowthWeight(fields.int_("weight", 0))
-    return grid, ext, weight
+    return grid, ext, GrowthWeight(fields.int_("weight", 0))
 
 
 def _payoff_callable(sections):
@@ -302,7 +321,7 @@ def _build_payoff(sections):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each returns (checks, {file name: writer})
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -317,8 +336,10 @@ class Check:
         return f"{self.name}: {'PASS' if self.passed else 'FAIL'} ({self.detail})"
 
 
-def _check_line(name, ok, detail):
-    return Check(name, bool(ok), detail)
+def _close(name, value, target, tol):
+    """The check |value - target| <= tol."""
+    return Check(name, bool(abs(value - target) <= tol),
+                 f"|{value:.6f} - {target:.6f}| <= {tol}")
 
 
 def _partition_line(diag, factor):
@@ -326,180 +347,166 @@ def _partition_line(diag, factor):
     entries; a one-entry schedule has no Cauchy gap (it is inf), so the
     check is not evaluated and fails."""
     if not np.isfinite(diag.cauchy_gap):
-        return _check_line("partition_independence", False,
-                           "not evaluated: the schedule needs at least two entries")
-    ok = diag.cross_schedule_gap <= factor * diag.cauchy_gap
-    return _check_line("partition_independence", ok,
-                       f"cross {diag.cross_schedule_gap:.2e} <= "
-                       f"{factor} x cauchy {diag.cauchy_gap:.2e}")
+        return Check("partition_independence", False,
+                     "not evaluated: the schedule needs at least two entries")
+    return Check("partition_independence",
+                 bool(diag.cross_schedule_gap <= factor * diag.cauchy_gap),
+                 f"cross {diag.cross_schedule_gap:.2e} <= "
+                 f"{factor} x cauchy {diag.cauchy_gap:.2e}")
 
 
-def _run_lln(sections, outdir):
+def _write_text(text, path):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _run_lln(sections):
     model = _build_model(sections)
     scaling = _build_scaling(sections)
     f, _ = _build_payoff(sections)
     sched = _Fields(sections, "schedule")
     check = _Fields(sections, "check")
     schedule = sched.schedule("uniform")
-    base = sched.positive_float("dyadic_base", 0.75)
-    compact = check.float_("compact", 2.0)
-    op = OneStepOperator(model, scaling)
-    u, diag = chernoff_limit(op, 1.0, f, schedule, tol=check.float_("tolerance"),
-                             compact=(-compact, compact), dyadic_base=base)
-    value0 = diag.values_at_origin[-1]
-
-    rate = conjugate_rate(model, check.span("rate_z", "8,1601"),
-                          check.span("rate_y", "10,2001"))
-    oracle = hopf_lax(f, 1.0, rate)
-    oracle0 = float(oracle.values[f.grid.origin_index])
-
-    diag.to_csv(os.path.join(outdir, "diagnostics.csv"))
-    u.to_csv(os.path.join(outdir, "limit.csv"))
-    rate.to_csv(os.path.join(outdir, "rate.csv"))
-
-    checks = []
+    base = sched.number("dyadic_base", 0.75, 0.0)
+    compact = check.compact(f.grid)
     tol = check.float_("tolerance")
     target = check.float_("target")
-    checks.append(_check_line("target_value", abs(value0 - target) <= tol,
-                              f"|{value0:.6f} - {target:.6f}| <= {tol}"))
     otol = check.float_("oracle_tolerance", tol)
-    checks.append(_check_line("hopf_lax_oracle", abs(value0 - oracle0) <= otol,
-                              f"|{value0:.6f} - {oracle0:.6f}| <= {otol}"))
-    checks.append(_partition_line(diag, check.float_("cross_factor", 2.0)))
-    return checks
+    factor = check.float_("cross_factor", 2.0)
+    rate_z = check.span("rate_z", "8,1601")
+    rate_y = check.span("rate_y", "10,2001")
+    sections.reject_unread()
+    u, diag = chernoff_limit(OneStepOperator(model, scaling), 1.0, f, schedule,
+                             tol=tol, compact=compact, dyadic_base=base)
+    value0 = diag.values_at_origin[-1]
+    rate = conjugate_rate(model, rate_z, rate_y)
+    oracle0 = float(hopf_lax(f, 1.0, rate).values[f.grid.origin_index])
+    checks = [_close("target_value", value0, target, tol),
+              _close("hopf_lax_oracle", value0, oracle0, otol),
+              _partition_line(diag, factor)]
+    return checks, {"diagnostics.csv": diag.to_csv, "limit.csv": u.to_csv,
+                    "rate.csv": rate.to_csv}
 
 
-def _run_cramer(sections, outdir):
-    model = _build_model(sections)
+def _tail_event(sections):
+    """The measure, threshold, shift radius and step counts of a tail run."""
     sset = _Fields(sections, "set")
+    return (_build_model(sections).measure, sset.number("threshold"),
+            sset.number("shift_radius", 0.0), _Fields(sections, "schedule").schedule("n"))
+
+
+def _run_cramer(sections):
+    measure, threshold, shift_radius, n_grid = _tail_event(sections)
     check = _Fields(sections, "check")
-    n_grid = _Fields(sections, "schedule").positive("n")
-    report = ld_rate(model.measure, sset.float_("threshold"), n_grid,
-                     shift_radius=sset.float_("shift_radius", 0.0))
-    report.to_csv(os.path.join(outdir, "rate_report.csv"))
     lo, hi = check.pair("slope_window")
-    checks = [_check_line("slope_window", lo <= report.fitted_rate <= hi,
-                          f"{report.fitted_rate:.6f} in [{lo}, {hi}]")]
+    bound = None
     if "bound_target" in check.kv:
-        bt = check.float_("bound_target")
-        btol = check.float_("bound_tolerance", 1e-4)
-        checks.append(_check_line("bound_value", abs(report.bound - bt) <= btol,
-                                  f"|{report.bound:.6f} - {bt:.6f}| <= {btol}"))
+        bound = check.float_("bound_target"), check.float_("bound_tolerance", 1e-4)
+    sections.reject_unread()
+    report = ld_rate(measure, threshold, n_grid, shift_radius=shift_radius)
+    checks = [Check("slope_window", lo <= report.fitted_rate <= hi,
+                    f"{report.fitted_rate:.6f} in [{lo}, {hi}]")]
+    if bound:
+        checks.append(_close("bound_value", report.bound, *bound))
     below = all(v <= report.bound + 1e-12 for v in report.values)
-    checks.append(_check_line("approach_from_below", below,
-                              "every (1/n) log P sits below the bound"))
-    return checks
+    checks.append(Check("approach_from_below", below,
+                        "every (1/n) log P sits below the bound"))
+    return checks, {"rate_report.csv": report.to_csv}
 
 
-def _run_poly_rate(sections, outdir):
-    model = _build_model(sections)
-    sset = _Fields(sections, "set")
-    check = _Fields(sections, "check")
-    n_grid = _Fields(sections, "schedule").positive("n")
+def _run_poly_rate(sections):
+    measure, threshold, shift_radius, n_grid = _tail_event(sections)
     power = _Fields(sections, "expectation").float_("power", 2.0)
-    report = poly_rate(model.measure, power, sset.float_("threshold"), n_grid,
-                       shift_radius=sset.float_("shift_radius", 0.0),
-                       tol=check.float_("tolerance", 0.05))
-    report.to_csv(os.path.join(outdir, "rate_report.csv"))
-    return [_check_line("polynomial_bound", report.passed,
-                        f"n^(p-1) P = {report.values[-1]:.3e} <= "
-                        f"bound {report.bound:.4g} x (1 + tol)")]
+    tol = _Fields(sections, "check").float_("tolerance", 0.05)
+    sections.reject_unread()
+    report = poly_rate(measure, power, threshold, n_grid,
+                       shift_radius=shift_radius, tol=tol)
+    return [Check("polynomial_bound", report.passed,
+                  f"n^(p-1) P = {report.values[-1]:.3e} <= "
+                  f"bound {report.bound:.4g} x (1 + tol)")], \
+        {"rate_report.csv": report.to_csv}
 
 
-def _run_clt(sections, outdir):
+def _run_clt(sections):
     model = _build_model(sections)
     f, payoff_fn = _build_payoff(sections)
     sched = _Fields(sections, "schedule")
     check = _Fields(sections, "check")
     n_list = sched.schedule("n")
     tol = check.float_("tolerance")
+    gaussian = check.str_("target") == "gaussian"
+    if not gaussian:
+        target = check.float_("target")
+        interior = check.compact(f.grid, "interior") if "interior" in check.kv else None
     gheat = "gheat_tolerance" in check.kv
     if gheat:
         gtol = check.float_("gheat_tolerance")
         pgrid = Grid(*check.radius_count("gheat_grid", "6,385", odd=True))
+        horizon = sched.number("horizon", 1.0, 0.0)
         # a shift model already holds its penalty, with the default applied
-        if isinstance(model, ShiftSup):
-            penalty = model.penalty
-        else:
-            exp_fields = _Fields(sections, "expectation")
-            penalty = _build_penalty(exp_fields.str_("penalty"), exp_fields)
-
-    target_spec = check.str_("target")
-    if target_spec == "gaussian":
-        lam_max = 0.0
-        if isinstance(model, ShiftSup):
-            lam_max = float(np.max(np.abs(model.shifts)))
+        exp_fields = _Fields(sections, "expectation")
+        penalty = (model.penalty if isinstance(model, ShiftSup)
+                   else _build_penalty(exp_fields.str_("penalty"), exp_fields))
+    cross = "cross_factor" in check.kv
+    compact = base = None
+    if cross:
+        factor = check.float_("cross_factor")
+        compact = check.compact(f.grid)
+        base = sched.number("dyadic_base", 0.75, 0.0)
+    sections.reject_unread()
+    if gaussian:
+        lam_max = float(np.max(np.abs(model.shifts))) if isinstance(model, ShiftSup) else 0.0
         _, sig = model.measure.mean_and_cov()
         std = float(np.sqrt(lam_max ** 2 + sig[0, 0]))
         gx, gw = np.polynomial.hermite.hermgauss(128)
         target = float(gw @ payoff_fn(np.sqrt(2.0) * std * gx) / np.sqrt(np.pi))
-    else:
-        target = float(target_spec)
 
     # one pass over the schedule gives the values, the interior iterate
     # and, with a cross_factor, the partition diagnostics
     require_centered(model)
-    cross = "cross_factor" in check.kv
-    compact = check.float_("compact", 2.0)
-    dyadic_base = sched.positive_float("dyadic_base", 0.75)
     u, diag = chernoff_limit(OneStepOperator(model, SecondOrder()), 1.0, f, n_list,
-                             tol=tol, compact=(-compact, compact) if cross else None,
-                             dyadic_base=dyadic_base if cross else None)
+                             tol=tol, compact=compact, dyadic_base=base)
     values = diag.values_at_origin
-    with open(os.path.join(outdir, "clt_values.csv"), "w") as fh:
-        fh.write("n,value,target\n")
-        for n, v in zip(n_list, values):
-            fh.write(f"{n},{v:.12g},{target:.12g}\n")
+    rows = "".join(f"{n},{v:.12g},{target:.12g}\n" for n, v in zip(n_list, values))
+    artifacts = {"clt_values.csv": partial(_write_text, "n,value,target\n" + rows)}
 
-    checks = []
-    if target_spec == "gaussian":
-        ok = abs(values[-1] - target) <= tol
-        checks.append(_check_line("gaussian_limit", ok,
-                                  f"|{values[-1]:.6f} - {target:.6f}| <= {tol}"))
+    if gaussian:
+        checks = [_close("gaussian_limit", values[-1], target, tol)]
     else:
-        ok = all(abs(v - target) <= tol for v in values)
-        checks.append(_check_line("exact_identity", ok,
-                                  f"max dev {max(abs(v - target) for v in values):.2e}"
-                                  f" <= {tol}"))
-        interior = check.float_("interior", 0.0)
-        if interior > 0:
+        checks = [Check("exact_identity", all(abs(v - target) <= tol for v in values),
+                        f"max dev {max(abs(v - target) for v in values):.2e} <= {tol}")]
+        if interior:
             x2 = f.grid.axis ** 2
-            dev = u.replace_values(u.values - x2 - 1.0)
-            sup = dev.sup_norm_on((-interior, interior))
-            checks.append(_check_line("interior_identity", sup <= tol,
-                                      f"sup on [-{interior},{interior}] = {sup:.2e}"))
+            sup = u.replace_values(u.values - x2 - 1.0).sup_norm_on(interior)
+            checks.append(Check("interior_identity", sup <= tol,
+                                f"sup on [{interior[0]},{interior[1]}] = {sup:.2e}"))
 
     if gheat:
         pf = GridFunction.sample(pgrid, payoff_fn)
         lam = model.shifts[:, 0] if isinstance(model, ShiftSup) else np.array([0.0, 1.0])
         g2 = Hamiltonian2.from_model(model.measure, penalty, lam)
-        upde = solve_g_heat(g2, pf, sched_horizon(sections))
+        upde = solve_g_heat(g2, pf, horizon)
         pde0 = float(upde.values[pgrid.origin_index])
-        ok = abs(values[-1] - pde0) <= gtol
-        checks.append(_check_line("g_heat_crosscheck", ok,
-                                  f"|{values[-1]:.6f} - {pde0:.6f}| <= {gtol}"))
-        upde.to_csv(os.path.join(outdir, "g_heat.csv"))
+        checks.append(_close("g_heat_crosscheck", values[-1], pde0, gtol))
+        artifacts["g_heat.csv"] = upde.to_csv
 
     if cross:
-        diag.to_csv(os.path.join(outdir, "diagnostics.csv"))
-        checks.append(_partition_line(diag, check.float_("cross_factor")))
-    return checks
+        artifacts["diagnostics.csv"] = diag.to_csv
+        checks.append(_partition_line(diag, factor))
+    return checks, artifacts
 
 
-def sched_horizon(sections):
-    return _Fields(sections, "schedule").float_("horizon", 1.0)
-
-
-def _run_wasserstein(sections, outdir):
+def _run_wasserstein(sections):
     model = _build_model(sections)
+    if not isinstance(model, ShiftSup):
+        _Fields(sections, "expectation")._fail("variant", "needs a shift model")
     f, _ = _build_payoff(sections)
     h_grid = _Fields(sections, "schedule").positive("h", integer=False)
     check = _Fields(sections, "check")
-    compact = check.float_("compact", 2.0)
-    op = OneStepOperator(model, FirstOrderAffine())
-    diag = generator_check(op, f, h_grid, (-compact, compact))
-    est0 = diag.estimate_at(0.0)
-
+    compact = check.compact(f.grid)
+    tol = check.float_("tolerance")
+    sections.reject_unread()
+    diag = generator_check(OneStepOperator(model), f, h_grid, compact)
     # sup_c (c |f'(0)| - phi(c)) + m f'(0) straight from the penalty grid
     i0 = f.grid.origin_index
     slope = abs(f.fd_gradient(i0))
@@ -508,90 +515,79 @@ def _run_wasserstein(sections, outdir):
     formula = float(np.max(pen.grid[fin] * slope - pen.values[fin]))
     m = float(model.measure.mean_and_cov()[0][0])
     formula += m * f.fd_gradient(i0)
-
-    diag.to_csv(os.path.join(outdir, "generator.csv"))
-    tol = check.float_("tolerance")
-    return [_check_line("generator_formula", abs(est0 - formula) <= tol,
-                        f"|{est0:.6f} - {formula:.6f}| <= {tol}")]
+    return [_close("generator_formula", diag.estimate_at(0.0), formula, tol)], \
+        {"generator.csv": diag.to_csv}
 
 
-def _run_generator(sections, outdir):
+def _run_generator(sections):
     model = _build_model(sections)
     scaling = _build_scaling(sections)
     f, _ = _build_payoff(sections)
     h_grid = _Fields(sections, "schedule").positive("h", integer=False)
     check = _Fields(sections, "check")
-    compact = check.float_("compact", 2.0)
-    op = OneStepOperator(model, scaling)
-    diag = generator_check(op, f, h_grid, (-compact, compact))
-
+    compact = check.compact(f.grid)
+    final_tol = check.float_("final_tolerance", 0.01)
+    sections.reject_unread()
+    diag = generator_check(OneStepOperator(model, scaling), f, h_grid, compact)
     # interpolation floor: linear interpolation quantizes each defect by up
     # to hg^2 max|f''| / (4 h); below that level ordering is not meaningful
-    floor = interpolation_floor(f, (-compact, compact), min(h_grid))
+    floor = interpolation_floor(f, compact, min(h_grid))
     mono = all(b <= a + floor for a, b in zip(diag.defects, diag.defects[1:]))
-    final_tol = check.float_("final_tolerance", 0.01)
-    diag.to_csv(os.path.join(outdir, "generator.csv"))
     return [
-        _check_line("defect_monotone", mono,
-                    f"defects {['%.2e' % d for d in diag.defects]}, "
-                    f"floor {floor:.1e}"),
-        _check_line("final_defect", diag.final_defect <= final_tol,
-                    f"{diag.final_defect:.2e} <= {final_tol}"),
-    ]
+        Check("defect_monotone", mono,
+              f"defects {['%.2e' % d for d in diag.defects]}, floor {floor:.1e}"),
+        Check("final_defect", diag.final_defect <= final_tol,
+              f"{diag.final_defect:.2e} <= {final_tol}"),
+    ], {"generator.csv": diag.to_csv}
 
 
-def _run_envelope(sections, outdir):
+def _run_envelope(sections):
     model = _build_model(sections)
     scaling = _build_scaling(sections)
+    if not isinstance(scaling, Perturbed):
+        _Fields(sections, "scaling")._fail("family", "must be perturbed")
     f, _ = _build_payoff(sections)
     check = _Fields(sections, "check")
     n = _Fields(sections, "schedule").positive("uniform")[-1]
-    compact = check.float_("compact", 2.0)
-    op = OneStepOperator(model, scaling)
-    u = iterate(op, Partition(1.0, 1.0 / n), f)
-
+    compact = check.compact(f.grid)
     z = check.span("z_grid", "8,1601")
-    lam = model.expect_linear(z)
-    amp = scaling.lip
-    s_minus, s_plus = envelope(f, 1.0, z, lam - amp * np.abs(z),
-                               lam + amp * np.abs(z), check.span("y_grid", "12,2401"))
-    mask = f.grid.within(-compact, compact)
+    y = check.span("y_grid", "12,2401")
+    slack = check.float_("slack", -5e-3)
+    sections.reject_unread()
+    u = iterate(OneStepOperator(model, scaling), Partition(1.0, 1.0 / n), f)
+    lam, band = model.expect_linear(z), scaling.lip * np.abs(z)
+    s_minus, s_plus = envelope(f, 1.0, z, lam - band, lam + band, y)
+    mask = f.grid.within(*compact)
     slack_hi = float(np.min((s_plus.values - u.values)[mask]))
     slack_lo = float(np.min((u.values - s_minus.values)[mask]))
-    u.to_csv(os.path.join(outdir, "chernoff.csv"))
-    s_minus.to_csv(os.path.join(outdir, "envelope_lower.csv"))
-    s_plus.to_csv(os.path.join(outdir, "envelope_upper.csv"))
-    slack = check.float_("slack", -5e-3)
     return [
-        _check_line("upper_envelope", slack_hi >= slack,
-                    f"min(S+ - u) = {slack_hi:+.2e} >= {slack}"),
-        _check_line("lower_envelope", slack_lo >= slack,
-                    f"min(u - S-) = {slack_lo:+.2e} >= {slack}"),
-    ]
+        Check("upper_envelope", slack_hi >= slack,
+              f"min(S+ - u) = {slack_hi:+.2e} >= {slack}"),
+        Check("lower_envelope", slack_lo >= slack,
+              f"min(u - S-) = {slack_lo:+.2e} >= {slack}"),
+    ], {"chernoff.csv": u.to_csv, "envelope_lower.csv": s_minus.to_csv,
+        "envelope_upper.csv": s_plus.to_csv}
 
 
-def _run_pde_crosscheck(sections, outdir):
+def _run_pde_crosscheck(sections):
     model = _build_model(sections)
     f, _ = _build_payoff(sections)
     check = _Fields(sections, "check")
-    t = check.float_("horizon", 1.0)
-    ham = Hamiltonian1.from_model(model, check.span("p_grid", "12,971"))
+    t = check.number("horizon", 1.0, 0.0)
+    p_grid = check.span("p_grid", "12,971")
+    rate_y = check.span("rate_y", "10,2001")
+    tol = check.float_("tolerance")
+    target = check.float_("target") if "target" in check.kv else None
+    sections.reject_unread()
+    ham = Hamiltonian1.from_model(model, p_grid)
     u = solve_hj(ham, f, t)
     pde0 = float(u.values[f.grid.origin_index])
-
-    rate = conjugate_rate(model, ham.p_grid, check.span("rate_y", "10,2001"))
-    hl = hopf_lax(f, t, rate)
+    hl = hopf_lax(f, t, conjugate_rate(model, ham.p_grid, rate_y))
     hl0 = float(hl.values[f.grid.origin_index])
-    u.to_csv(os.path.join(outdir, "pde.csv"))
-    hl.to_csv(os.path.join(outdir, "hopf_lax.csv"))
-    tol = check.float_("tolerance")
-    checks = [_check_line("pde_vs_hopf_lax", abs(pde0 - hl0) <= tol,
-                          f"|{pde0:.6f} - {hl0:.6f}| <= {tol}")]
-    if "target" in check.kv:
-        target = check.float_("target")
-        checks.append(_check_line("pde_vs_target", abs(pde0 - target) <= tol,
-                                  f"|{pde0:.6f} - {target:.6f}| <= {tol}"))
-    return checks
+    checks = [_close("pde_vs_hopf_lax", pde0, hl0, tol)]
+    if target is not None:
+        checks.append(_close("pde_vs_target", pde0, target, tol))
+    return checks, {"pde.csv": u.to_csv, "hopf_lax.csv": hl.to_csv}
 
 
 _RUNNERS = {
@@ -604,11 +600,13 @@ _RUNNERS = {
     "envelope": _run_envelope,
     "pde_crosscheck": _run_pde_crosscheck,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_config_text(text, output_root=None):
-    """Parse, validate and execute one experiment; returns (ok, lines)."""
-    sections = parse_config_text(text)
+    """Parse, validate and execute one experiment, then write its artifacts
+    and summary.txt under <root>/<name>/; returns (ok, lines)."""
+    sections = _Config(parse_config_text(text))
     exp = _Fields(sections, "experiment")
     kind = exp.str_("kind")
     if kind not in KINDS:
@@ -616,17 +614,18 @@ def run_config_text(text, output_root=None):
     name = exp.str_("name")
     if name in ("", ".", "..") or "/" in name or "\\" in name:
         exp._fail("name", f"must be a plain directory name, got {name!r}")
-    root = output_root or os.environ.get("CHERNOFFLAB_OUT", "chernofflab_out")
-    outdir = os.path.join(root, name)
-    os.makedirs(outdir, exist_ok=True)
     start = time.perf_counter()
-    checks = _RUNNERS[kind](sections, outdir)
+    checks, artifacts = _RUNNERS[kind](sections)
     elapsed = time.perf_counter() - start
     ok = all(c.passed for c in checks)
     lines = [str(c) for c in checks]
     lines.append(f"{name}: {'PASS' if ok else 'FAIL'} in {elapsed:.2f}s")
-    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    artifacts["summary.txt"] = partial(_write_text, "\n".join(lines) + "\n")
+    root = output_root or os.environ.get("CHERNOFFLAB_OUT", "chernofflab_out")
+    outdir = os.path.join(root, name)
+    os.makedirs(outdir, exist_ok=True)
+    for fname, write in artifacts.items():
+        write(os.path.join(outdir, fname))
     return ok, lines
 
 

@@ -20,7 +20,6 @@ _register(
 [experiment]
 kind = lln
 name = lln_entropic_gaussian
-seed = 0
 
 [expectation]
 variant = entropic
@@ -62,7 +61,6 @@ _register(
 [experiment]
 kind = cramer
 name = cramer_bernoulli
-seed = 0
 
 [expectation]
 variant = linear
@@ -89,7 +87,6 @@ _register(
 [experiment]
 kind = poly_rate
 name = poly_rate_bernoulli
-seed = 0
 
 [expectation]
 variant = shortfall
@@ -115,7 +112,6 @@ _register(
 [experiment]
 kind = clt
 name = clt_binary_exact
-seed = 0
 
 [expectation]
 variant = linear
@@ -150,7 +146,6 @@ _register(
 [experiment]
 kind = clt
 name = clt_two_point_gaussian
-seed = 0
 
 [expectation]
 variant = symmetric_two_point
@@ -189,7 +184,6 @@ _register(
 [experiment]
 kind = wasserstein
 name = wasserstein_generator
-seed = 0
 
 [expectation]
 variant = shift_sup
@@ -222,7 +216,6 @@ _register(
 [experiment]
 kind = generator
 name = generator_affine_drift
-seed = 0
 
 [expectation]
 variant = linear
@@ -256,7 +249,6 @@ _register(
 [experiment]
 kind = generator
 name = generator_clt_quadratic
-seed = 0
 
 [expectation]
 variant = linear
@@ -293,7 +285,6 @@ _register(
 [experiment]
 kind = generator
 name = generator_entropic_constant
-seed = 0
 
 [expectation]
 variant = entropic
@@ -328,7 +319,6 @@ _register(
 [experiment]
 kind = envelope
 name = envelope_perturbed
-seed = 0
 
 [expectation]
 variant = entropic
@@ -365,7 +355,6 @@ _register(
 [experiment]
 kind = pde_crosscheck
 name = pde_crosscheck_hj
-seed = 0
 
 [expectation]
 variant = entropic

@@ -29,6 +29,7 @@ its shifts in blocks of ``SHIFT_BLOCK_POINTS`` values.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -323,36 +324,29 @@ class ShiftSup(ExpectationModel):
         object.__setattr__(self, "_cloud_weights", np.tile(w / len(signs), len(signs)))
 
     def reduce(self, payoff, t=1.0):
-        if hasattr(payoff, "mean"):
-            # every atom mean at once, (shifts, rows), from the payoff's
-            # linear mean entry
-            best = payoff.mean(self._clouds, self._cloud_weights)
-            best -= t * self._costs[:, None]
-            return best.max(axis=0)
-        # otherwise shifts are gathered in blocks of at most
-        # SHIFT_BLOCK_POINTS payoff values; the first call takes one shift
-        # and tells the row count
-        a = self.measure.atoms
-        w = self.measure.weights
-        k = w.shape[0]
-        signs = (1.0, -1.0) if self.symmetric else (1.0,)
-        per_shift = len(signs) * k
-        best = -np.inf
-        start, block = 0, 1
-        while start < self.shifts.shape[0]:
-            s = self.shifts[start:start + block]
-            # points ordered (atom, shift, sign) make the atom mean one 2-D
-            # dot over vals.T
-            pts = np.stack([a[:, None] + sign * s[None] for sign in signs], axis=2)
-            vals = payoff(pts.reshape(-1, a.shape[1]))
-            rows = vals.shape[0]
-            means = np.dot(w, vals.T.reshape(k, -1)).reshape(s.shape[0], len(signs), rows)
-            mean = 0.5 * (means[:, 0] + means[:, 1]) if self.symmetric else means[:, 0]
-            cost = self._costs[start:start + block]
-            best = np.maximum(best, (mean - t * cost[:, None]).max(axis=0))
-            start += s.shape[0]
-            block = max(1, SHIFT_BLOCK_POINTS // (rows * per_shift))
-        return best
+        # every atom mean at once, (shifts, rows), from the payoff's linear
+        # mean entry when it has one
+        mean = getattr(payoff, "mean", None) or partial(_block_mean, payoff)
+        best = mean(self._clouds, self._cloud_weights)
+        best -= t * self._costs[:, None]
+        return best.max(axis=0)
+
+
+def _block_mean(payoff, points, weights):
+    """``payoff(points[l]) @ weights`` for every l, shape (L, rows), with the
+    clouds gathered in blocks of at most SHIFT_BLOCK_POINTS payoff values;
+    the first block holds one cloud and tells the row count."""
+    first = payoff(points[0]) @ weights
+    out = np.empty((points.shape[0], first.shape[0]))
+    out[0] = first
+    m, d = points.shape[1:]
+    block = max(1, SHIFT_BLOCK_POINTS // max(first.shape[0] * m, 1))
+    for start in range(1, points.shape[0], block):
+        clouds = points[start:start + block]
+        vals = payoff(clouds.reshape(-1, d))
+        means = vals.reshape(-1, m) @ weights
+        out[start:start + clouds.shape[0]] = means.reshape(-1, clouds.shape[0]).T
+    return out
 
 
 def SymmetricTwoPointSup(measure, penalty, shifts):

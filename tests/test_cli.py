@@ -190,9 +190,9 @@ class TestRunners:
 
     def test_run_status_reads_check_verdicts_not_text(self, tmp_path, monkeypatch):
         # a failed check whose detail happens to contain ": PASS"
-        def runner(sections, outdir):
-            return [cli._check_line("probe", True, "fine"),
-                    cli._check_line("slope_window", False, "previous run: PASS")]
+        def runner(sections):
+            return [cli.Check("probe", True, "fine"),
+                    cli.Check("slope_window", False, "previous run: PASS")], {}
         monkeypatch.setitem(cli._RUNNERS, "cramer", runner)
         ok, lines = run_config_text(BUILTINS["cramer_bernoulli"][1], str(tmp_path))
         assert not ok
@@ -346,16 +346,73 @@ class TestErrorContract:
          "schedule.dyadic_base"),
         ("lln_entropic_gaussian", "uniform = 4,8,16,32,64,128", "uniform = 64,32",
          "schedule.uniform"),
-        ("clt_binary_exact", "n = 1,4,16,64", "n = 1,4,4,64", "schedule.n")])
+        ("clt_binary_exact", "n = 1,4,16,64", "n = 1,4,4,64", "schedule.n"),
+        ("cramer_bernoulli", "threshold = 0.5", "threshold = inf", "set.threshold"),
+        ("poly_rate_bernoulli", "threshold = 0.5", "threshold = inf", "set.threshold"),
+        ("clt_binary_exact", "R = 8", "R = inf", "grid.R"),
+        ("pde_crosscheck_hj", "horizon = 1", "horizon = inf", "check.horizon"),
+        ("lln_entropic_gaussian", "compact = 2", "compact = -1", "check.compact"),
+        ("envelope_perturbed", "compact = 2", "compact = -1", "check.compact"),
+        ("wasserstein_generator", "compact = 2", "compact = -1", "check.compact"),
+        ("generator_affine_drift", "compact = 2", "compact = -1", "check.compact"),
+        ("lln_entropic_gaussian", "compact = 2", "compact = 20", "check.compact"),
+        ("clt_binary_exact", "interior = 0.5", "interior = 99", "check.interior")])
     def test_malformed_field_exit_3(self, tmp_path, capsys, name, old, new, field):
         # wrong entry counts, nan, infinite and fractional counts, even grid
-        # counts, non-positive and non-increasing schedule entries
+        # counts, non-positive and non-increasing schedule entries, infinite
+        # numbers and boxes that do not fit in the grid
         assert old in BUILTINS[name][1]
         text = BUILTINS[name][1].replace(old, new)
         assert self.run_main(tmp_path, text) == 3
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["lln_entropic_gaussian", "cramer_bernoulli",
+                                      "poly_rate_bernoulli", "clt_binary_exact",
+                                      "wasserstein_generator", "generator_affine_drift",
+                                      "envelope_perturbed", "pde_crosscheck_hj"])
+    def test_unknown_key_exit_3(self, tmp_path, capsys, name):
+        # one built-in per kind, with a key that nothing reads
+        assert "[check]\n" in BUILTINS[name][1]
+        text = BUILTINS[name][1].replace("[check]\n", "[check]\nbogus = 1\n")
+        assert self.run_main(tmp_path, text) == 3
+        assert "check.bogus" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_misspelled_keys_exit_3(self, tmp_path, capsys):
+        # a misspelled key once fell back to its default and the run passed
+        text = BUILTINS["lln_entropic_gaussian"][1]
+        for old, new in (("oracle_tolerance = 0.02", "oracle_tolerence = 0.02"),
+                         ("compact = 2", "compactt = 99")):
+            assert old in text
+            text = text.replace(old, new)
+        assert self.run_main(tmp_path, text) == 3
+        assert "check.compactt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, old, new, field", [
+        ("envelope_perturbed", "slack = -0.005", "slack = nope", "check.slack"),
+        ("pde_crosscheck_hj", "tolerance = 0.05", "tolerance = nope", "check.tolerance"),
+        ("clt_binary_exact", "interior = 0.5", "interior = nope", "check.interior"),
+        ("cramer_bernoulli", "bound_tolerance = 1e-4", "bound_tolerance = nope",
+         "check.bound_tolerance"),
+        ("wasserstein_generator", "tolerance = 0.02", "tolerance = nope",
+         "check.tolerance")])
+    def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
+                                                      name, old, new, field):
+        # fields once read after the computation; every compute entry point
+        # now raises, so a ConfigError shows that none was reached
+        def computed(*args, **kwargs):
+            raise AssertionError("computation started before the fields were read")
+        for entry in ("chernoff_limit", "iterate", "generator_check", "ld_rate",
+                      "poly_rate", "solve_hj", "conjugate_rate"):
+            monkeypatch.setattr(cli, entry, computed)
+        assert old in BUILTINS[name][1]
+        with pytest.raises(ConfigError) as err:
+            run_config_text(BUILTINS[name][1].replace(old, new), str(tmp_path / "out"))
+        assert err.value.field == field
+        assert not (tmp_path / "out").exists()
 
     def test_clt_g_heat_check_uses_the_shift_model_penalty(self, tmp_path):
         # with no penalty line the shift model takes quadratic(2, 129), and
