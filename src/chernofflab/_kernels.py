@@ -7,8 +7,10 @@ is the one place the extension rule is spelled out for whole arrays.
 computes the floor indices and interpolation weights of a set of query
 points once and returns a map from node values to the gathered values, so
 a gather whose query points repeat (the equal-``t`` steps of one Chernoff
-partition) pays for its geometry once. ``interp1`` is the one-shot 1D
-gather behind every 1D grid evaluation. ``shift_stencil`` is the gather at
+partition) pays for its geometry once; both dimensions share one body, a
+take, an in-place weight product and a sum per cell corner (2 in 1D, 4 in
+2D). ``interp1`` is the one-shot 1D gather behind every 1D grid
+evaluation. ``shift_stencil`` is the gather at
 node-independent offsets (grid-aligned one-steps, the 1D Hopf-Lax
 candidates): a shifted slice of the padded values per offset; its ``mean``
 entry takes weighted means over rows of offsets as one banded matrix
@@ -74,35 +76,28 @@ def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
     idx = np.floor(u).astype(np.int64)
     np.clip(idx, 0, n - 2, out=idx)
     theta = u - idx
-    if dimension == 1:
-        upper = idx + 1
-        lower_w = 1.0 - theta
+    # flat indices of the 2^d cell corners, axis 0 varying fastest, and
+    # their multilinear weights: i, i+1 in 1D; (i, j), (i+1, j), (i, j+1),
+    # (i+1, j+1) in 2D
+    base = idx if dimension == 1 else idx[..., 0] * n + idx[..., 1]
+    t = theta if dimension == 1 else theta[..., 0]
+    corners = [base, base + n ** (dimension - 1)]
+    weights = [1.0 - t, t]
+    if dimension == 2:
+        t = theta[..., 1]
+        lower = 1.0 - t
+        corners += [c + 1 for c in corners]
+        weights = [w * lower for w in weights] + [w * t for w in weights]
+    (c0, w0), *rest = zip(corners, weights)
 
-        # take gathers the same values as fancy indexing, faster on large
-        # plans; products formed in place: fewer fresh temporaries, which a
-        # process pays page faults for on its first gathers
-        def apply(values):
-            out = values.take(idx)
-            out *= lower_w
-            hi = values.take(upper)
-            hi *= theta
-            out += hi
-            return out
-        return apply
-
-    # flat indices of the four cell corners, (i, j), (i+1, j), (i, j+1),
-    # (i+1, j+1), with their bilinear weights
-    tx, ty = theta[..., 0], theta[..., 1]
-    corner = idx[..., 0] * n + idx[..., 1]
-    corners = (corner, corner + n, corner + 1, corner + n + 1)
-    weights = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
-
+    # take gathers the same values as fancy indexing, faster on large plans;
+    # products formed in place: fewer fresh temporaries, which a process
+    # pays page faults for on its first gathers
     def apply(values):
-        flat = values.reshape(-1)
-        out = flat.take(corners[0])
-        out *= weights[0]
-        for c, w in zip(corners[1:], weights[1:]):
-            term = flat.take(c)
+        out = values.take(c0)
+        out *= w0
+        for c, w in rest:
+            term = values.take(c)
             term *= w
             out += term
         return out

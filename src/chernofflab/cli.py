@@ -4,13 +4,14 @@ Configs are line-oriented key/value files with ``[section]`` headers; the
 ``inf`` token marks infinite penalty values. ``run`` executes a config and
 writes CSV artifacts plus one PASS/FAIL line per declared check; the exit
 status is 0 iff every check passes, 1 on a numerical failure, 2 on a parse
-error and 3 on a validation error. Payoffs are named analytic families
-evaluated on the grid at load time, never arbitrary expressions.
+error or an unwritable output path and 3 on a validation error. Payoffs
+are named analytic families evaluated on the grid at load time, never
+arbitrary expressions.
 
 Each runner reads every field it uses, fails on a key that nothing read
 (exit 3, naming ``section.key``), then computes and returns its checks and
 its artifacts; ``run_config_text`` alone writes files, after the run
-returns, so exit 2 or 3 writes nothing.
+returns, so a parse, output-path or validation error writes nothing.
 """
 
 import argparse
@@ -369,10 +370,10 @@ def _run_lln(sections):
     schedule = sched.schedule("uniform")
     base = sched.number("dyadic_base", 0.75, 0.0)
     compact = check.compact(f.grid)
-    tol = check.float_("tolerance")
-    target = check.float_("target")
-    otol = check.float_("oracle_tolerance", tol)
-    factor = check.float_("cross_factor", 2.0)
+    tol = check.number("tolerance", lo=0.0)
+    target = check.number("target")
+    otol = check.number("oracle_tolerance", tol, lo=0.0)
+    factor = check.number("cross_factor", 2.0, lo=0.0)
     rate_z = check.span("rate_z", "8,1601")
     rate_y = check.span("rate_y", "10,2001")
     sections.reject_unread()
@@ -399,9 +400,12 @@ def _run_cramer(sections):
     measure, threshold, shift_radius, n_grid = _tail_event(sections)
     check = _Fields(sections, "check")
     lo, hi = check.pair("slope_window")
+    if not -np.inf < lo <= hi < np.inf:
+        check._fail("slope_window", f"needs finite lo <= hi, got {lo:g},{hi:g}")
     bound = None
     if "bound_target" in check.kv:
-        bound = check.float_("bound_target"), check.float_("bound_tolerance", 1e-4)
+        bound = (check.number("bound_target"),
+                 check.number("bound_tolerance", 1e-4, lo=0.0))
     sections.reject_unread()
     report = ld_rate(measure, threshold, n_grid, shift_radius=shift_radius)
     checks = [Check("slope_window", lo <= report.fitted_rate <= hi,
@@ -417,7 +421,7 @@ def _run_cramer(sections):
 def _run_poly_rate(sections):
     measure, threshold, shift_radius, n_grid = _tail_event(sections)
     power = _Fields(sections, "expectation").float_("power", 2.0)
-    tol = _Fields(sections, "check").float_("tolerance", 0.05)
+    tol = _Fields(sections, "check").number("tolerance", 0.05, lo=0.0)
     sections.reject_unread()
     report = poly_rate(measure, power, threshold, n_grid,
                        shift_radius=shift_radius, tol=tol)
@@ -433,14 +437,14 @@ def _run_clt(sections):
     sched = _Fields(sections, "schedule")
     check = _Fields(sections, "check")
     n_list = sched.schedule("n")
-    tol = check.float_("tolerance")
+    tol = check.number("tolerance", lo=0.0)
     gaussian = check.str_("target") == "gaussian"
     if not gaussian:
-        target = check.float_("target")
+        target = check.number("target")
         interior = check.compact(f.grid, "interior") if "interior" in check.kv else None
     gheat = "gheat_tolerance" in check.kv
     if gheat:
-        gtol = check.float_("gheat_tolerance")
+        gtol = check.number("gheat_tolerance", lo=0.0)
         pgrid = Grid(*check.radius_count("gheat_grid", "6,385", odd=True))
         horizon = sched.number("horizon", 1.0, 0.0)
         # a shift model already holds its penalty, with the default applied
@@ -450,7 +454,7 @@ def _run_clt(sections):
     cross = "cross_factor" in check.kv
     compact = base = None
     if cross:
-        factor = check.float_("cross_factor")
+        factor = check.number("cross_factor", lo=0.0)
         compact = check.compact(f.grid)
         base = sched.number("dyadic_base", 0.75, 0.0)
     sections.reject_unread()
@@ -504,7 +508,7 @@ def _run_wasserstein(sections):
     h_grid = _Fields(sections, "schedule").positive("h", integer=False)
     check = _Fields(sections, "check")
     compact = check.compact(f.grid)
-    tol = check.float_("tolerance")
+    tol = check.number("tolerance", lo=0.0)
     sections.reject_unread()
     diag = generator_check(OneStepOperator(model), f, h_grid, compact)
     # sup_c (c |f'(0)| - phi(c)) + m f'(0) straight from the penalty grid
@@ -526,7 +530,7 @@ def _run_generator(sections):
     h_grid = _Fields(sections, "schedule").positive("h", integer=False)
     check = _Fields(sections, "check")
     compact = check.compact(f.grid)
-    final_tol = check.float_("final_tolerance", 0.01)
+    final_tol = check.number("final_tolerance", 0.01, lo=0.0)
     sections.reject_unread()
     diag = generator_check(OneStepOperator(model, scaling), f, h_grid, compact)
     # interpolation floor: linear interpolation quantizes each defect by up
@@ -552,7 +556,7 @@ def _run_envelope(sections):
     compact = check.compact(f.grid)
     z = check.span("z_grid", "8,1601")
     y = check.span("y_grid", "12,2401")
-    slack = check.float_("slack", -5e-3)
+    slack = check.number("slack", -5e-3)
     sections.reject_unread()
     u = iterate(OneStepOperator(model, scaling), Partition(1.0, 1.0 / n), f)
     lam, band = model.expect_linear(z), scaling.lip * np.abs(z)
@@ -576,8 +580,8 @@ def _run_pde_crosscheck(sections):
     t = check.number("horizon", 1.0, 0.0)
     p_grid = check.span("p_grid", "12,971")
     rate_y = check.span("rate_y", "10,2001")
-    tol = check.float_("tolerance")
-    target = check.float_("target") if "target" in check.kv else None
+    tol = check.number("tolerance", lo=0.0)
+    target = check.number("target") if "target" in check.kv else None
     sections.reject_unread()
     ham = Hamiltonian1.from_model(model, p_grid)
     u = solve_hj(ham, f, t)
@@ -605,7 +609,8 @@ KINDS = tuple(_RUNNERS)
 
 def run_config_text(text, output_root=None):
     """Parse, validate and execute one experiment, then write its artifacts
-    and summary.txt under <root>/<name>/; returns (ok, lines)."""
+    and summary.txt under <root>/<name>/, each absent or a directory before
+    the run starts (else ``NotADirectoryError``); returns (ok, lines)."""
     sections = _Config(parse_config_text(text))
     exp = _Fields(sections, "experiment")
     kind = exp.str_("kind")
@@ -614,6 +619,11 @@ def run_config_text(text, output_root=None):
     name = exp.str_("name")
     if name in ("", ".", "..") or "/" in name or "\\" in name:
         exp._fail("name", f"must be a plain directory name, got {name!r}")
+    root = output_root or os.environ.get("CHERNOFFLAB_OUT", "chernofflab_out")
+    outdir = os.path.join(root, name)
+    for path in (root, outdir):
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise NotADirectoryError(f"not a directory: {path}")
     start = time.perf_counter()
     checks, artifacts = _RUNNERS[kind](sections)
     elapsed = time.perf_counter() - start
@@ -621,8 +631,6 @@ def run_config_text(text, output_root=None):
     lines = [str(c) for c in checks]
     lines.append(f"{name}: {'PASS' if ok else 'FAIL'} in {elapsed:.2f}s")
     artifacts["summary.txt"] = partial(_write_text, "\n".join(lines) + "\n")
-    root = output_root or os.environ.get("CHERNOFFLAB_OUT", "chernofflab_out")
-    outdir = os.path.join(root, name)
     os.makedirs(outdir, exist_ok=True)
     for fname, write in artifacts.items():
         write(os.path.join(outdir, fname))
@@ -677,6 +685,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     for ln in lines:
         print(ln)
     return 0 if ok else 1

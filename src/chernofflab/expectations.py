@@ -24,12 +24,11 @@ A payoff may also carry an optional entry ``mean(points, weights)``: for
 points of shape (L, m, d) it returns the (L, rows) matrix whose row l is
 ``payoff(points[l]) @ weights``. The grid-aligned gather of a one-step
 provides it (one banded matrix product), and ``ShiftSup`` then takes all of
-its atom means in one call; for payoffs without it, ``ShiftSup`` gathers
-its shifts in blocks of ``SHIFT_BLOCK_POINTS`` values.
+its atom means in one call; for payoffs without it, ``ShiftSup`` calls the
+payoff once per shift and keeps a running maximum.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from . import _kernels
 from .errors import InputError, PreconditionError
 
 SHORTFALL_TOL = 1e-10
-# payoff values gathered per ShiftSup payoff call (rows x shifts x points)
-SHIFT_BLOCK_POINTS = 1 << 15
 CENTERING_PROBES = (1.0, -1.0, 2.0, -2.0)
 
 
@@ -240,17 +237,15 @@ class ExpectationModel:
     def expect_linear(self, a):
         """E[a xi] per coefficient, with xi the first coordinate.
 
-        A scalar gives a float, a 1D array of scalars one value per entry. In
-        2D a coefficient vector gives the single value E[a . xi].
+        A scalar gives a float, an array of scalars one value per entry, in
+        its shape. In 2D a coefficient vector gives the single value
+        E[a . xi].
         """
         a = _finite(a)
         if a.ndim == 1 and self.measure.dimension > 1:
             return self.expect(lambda y: y @ a)
-        vals = self.reduce(lambda y: np.multiply.outer(np.atleast_1d(a), y[:, 0]))
-        return vals if a.ndim else float(vals[0])
-
-    def is_centered(self, tol=1e-9, probes=CENTERING_PROBES):
-        return bool(np.all(np.abs(self.expect_linear(np.asarray(probes))) <= tol))
+        vals = self.reduce(lambda y: np.multiply.outer(a.ravel(), y[:, 0]))
+        return vals.reshape(a.shape) if a.ndim else float(vals[0])
 
 
 @dataclass(frozen=True)
@@ -325,28 +320,15 @@ class ShiftSup(ExpectationModel):
 
     def reduce(self, payoff, t=1.0):
         # every atom mean at once, (shifts, rows), from the payoff's linear
-        # mean entry when it has one
-        mean = getattr(payoff, "mean", None) or partial(_block_mean, payoff)
-        best = mean(self._clouds, self._cloud_weights)
-        best -= t * self._costs[:, None]
-        return best.max(axis=0)
-
-
-def _block_mean(payoff, points, weights):
-    """``payoff(points[l]) @ weights`` for every l, shape (L, rows), with the
-    clouds gathered in blocks of at most SHIFT_BLOCK_POINTS payoff values;
-    the first block holds one cloud and tells the row count."""
-    first = payoff(points[0]) @ weights
-    out = np.empty((points.shape[0], first.shape[0]))
-    out[0] = first
-    m, d = points.shape[1:]
-    block = max(1, SHIFT_BLOCK_POINTS // max(first.shape[0] * m, 1))
-    for start in range(1, points.shape[0], block):
-        clouds = points[start:start + block]
-        vals = payoff(clouds.reshape(-1, d))
-        means = vals.reshape(-1, m) @ weights
-        out[start:start + clouds.shape[0]] = means.reshape(-1, clouds.shape[0]).T
-    return out
+        # mean entry when it has one; else one payoff call per shift
+        if hasattr(payoff, "mean"):
+            best = payoff.mean(self._clouds, self._cloud_weights)
+            best -= t * self._costs[:, None]
+            return best.max(axis=0)
+        best = -np.inf
+        for cloud, cost in zip(self._clouds, self._costs):
+            best = np.maximum(best, payoff(cloud) @ self._cloud_weights - t * cost)
+        return best
 
 
 def SymmetricTwoPointSup(measure, penalty, shifts):
@@ -422,15 +404,8 @@ def shortfall_root(vals, weights, power, tol=SHORTFALL_TOL):
 
 
 def log_mgf(measure, x):
-    """Lambda(x) = log sum_i w_i exp(x . a_i), max-shifted for stability."""
-    x = np.asarray(x, dtype=float)
-    a = measure.atoms
-    logw = np.log(measure.weights)
-    if x.ndim == 0 or (x.ndim == 1 and a.shape[1] > 1):
-        e = a @ np.atleast_1d(x) if a.shape[1] > 1 else a[:, 0] * float(x)
-        return float(_logsumexp(e + logw))
-    e = np.multiply.outer(x, a[:, 0])
-    return _logsumexp(e + logw[None, :], axis=-1)
+    """Lambda(x) = log sum_i w_i exp(x . a_i), the entropic E[x xi]."""
+    return Entropic(measure).expect_linear(x)
 
 
 def legendre(z_grid, values, y_grid):

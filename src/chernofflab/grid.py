@@ -74,13 +74,6 @@ class GrowthWeight:
         r = np.abs(x) if x.ndim <= 1 else np.linalg.norm(x, axis=-1)
         return (1.0 + r) ** (-float(self.exponent))
 
-    def shift_ratio_bound(self):
-        """sup_x sup_{|y|<=1} kappa(x)/kappa(x-y), a diagnostic constant.
-
-        Equals 2^p for these weights; no operation depends on it.
-        """
-        return 2.0 ** self.exponent
-
 
 @dataclass(frozen=True)
 class MollifierSpec:

@@ -51,11 +51,6 @@ class Hamiltonian1:
         p = np.asarray(p_grid, dtype=float)
         return cls(p, model.expect_linear(p))
 
-    @classmethod
-    def from_callable(cls, fn, p_grid):
-        p = np.asarray(p_grid, dtype=float)
-        return cls(p, np.asarray(fn(p), dtype=float))
-
     def __call__(self, p):
         return np.interp(p, self.p_grid, self.values)
 

@@ -356,7 +356,29 @@ class TestErrorContract:
         ("wasserstein_generator", "compact = 2", "compact = -1", "check.compact"),
         ("generator_affine_drift", "compact = 2", "compact = -1", "check.compact"),
         ("lln_entropic_gaussian", "compact = 2", "compact = 20", "check.compact"),
-        ("clt_binary_exact", "interior = 0.5", "interior = 99", "check.interior")])
+        ("clt_binary_exact", "interior = 0.5", "interior = 99", "check.interior"),
+        # checks that could not fail (inf) or could not pass (negative)
+        ("lln_entropic_gaussian", "\ntolerance = 0.02", "\ntolerance = inf",
+         "check.tolerance"),
+        ("lln_entropic_gaussian", "\ntolerance = 0.02", "\ntolerance = -1",
+         "check.tolerance"),
+        ("lln_entropic_gaussian", "oracle_tolerance = 0.02", "oracle_tolerance = inf",
+         "check.oracle_tolerance"),
+        ("lln_entropic_gaussian", "cross_factor = 2", "cross_factor = inf",
+         "check.cross_factor"),
+        ("lln_entropic_gaussian", "target = -0.3333333333333333", "target = inf",
+         "check.target"),
+        ("clt_two_point_gaussian", "gheat_tolerance = 0.05", "gheat_tolerance = inf",
+         "check.gheat_tolerance"),
+        ("generator_affine_drift", "final_tolerance = 0.01", "final_tolerance = 0",
+         "check.final_tolerance"),
+        ("cramer_bernoulli", "bound_tolerance = 1e-4", "bound_tolerance = inf",
+         "check.bound_tolerance"),
+        ("cramer_bernoulli", "bound_target = -0.1308120359411", "bound_target = -inf",
+         "check.bound_target"),
+        ("cramer_bernoulli", "slope_window = -0.1409,-0.1259", "slope_window = -inf,inf",
+         "check.slope_window"),
+        ("envelope_perturbed", "slack = -0.005", "slack = -inf", "check.slack")])
     def test_malformed_field_exit_3(self, tmp_path, capsys, name, old, new, field):
         # wrong entry counts, nan, infinite and fractional counts, even grid
         # counts, non-positive and non-increasing schedule entries, infinite
@@ -438,6 +460,38 @@ class TestErrorContract:
         assert self.run_main(tmp_path, text) == 3
         assert "expectation.penalty" in capsys.readouterr().err
         assert not (tmp_path / "out" / "clt_binary_exact" / "clt_values.csv").exists()
+
+    @pytest.mark.parametrize("name", ["lln_entropic_gaussian",
+                                      "generator_entropic_constant"])
+    @pytest.mark.parametrize("blocked", ["root", "run_dir"])
+    def test_output_path_that_is_a_file_exit_2(self, tmp_path, capsys, monkeypatch,
+                                               name, blocked):
+        # the output root and <root>/<name> are checked before the run; a
+        # file there once raised NotADirectoryError after the whole run
+        def computed(*args, **kwargs):
+            raise AssertionError("the run started with an unwritable output path")
+        for entry in ("chernoff_limit", "generator_check"):
+            monkeypatch.setattr(cli, entry, computed)
+        root = tmp_path / "out"
+        if blocked == "root":
+            path = root
+        else:
+            root.mkdir()
+            path = root / name
+        path.write_text("keep")
+        assert main(["run", name, "--out", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and str(path) in err
+        assert "Traceback" not in err
+        assert path.read_text() == "keep"
+
+    def test_failed_write_exit_2(self, tmp_path, capsys):
+        # a write that fails after the run is an output error, not a crash
+        blocker = tmp_path / "out" / "cramer_bernoulli" / "summary.txt"
+        blocker.mkdir(parents=True)
+        assert main(["run", "cramer_bernoulli", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and str(blocker) in err
 
     @pytest.mark.parametrize("name", ["../escape_probe", "a/../../escape_probe",
                                       "..", ""])

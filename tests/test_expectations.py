@@ -170,6 +170,24 @@ class TestLogMgf:
     def test_large_argument_stable(self):
         assert np.isfinite(log_mgf(BERNOULLI, 800.0))
 
+    @pytest.mark.parametrize("mu, x", [
+        (gauss_hermite(16), 0.7),
+        (gauss_hermite(16), np.linspace(-3.0, 3.0, 13)),
+        (gauss_hermite(16), np.linspace(-3.0, 3.0, 12).reshape(3, 4)),
+        (DiscreteMeasure(np.array([[0.0, 1.0], [1.0, -0.5], [-2.0, 0.25]]),
+                         np.array([0.5, 0.3, 0.2])), np.array([0.4, -1.5]))])
+    def test_is_the_entropic_expectation_bit_for_bit(self, mu, x):
+        # log_mgf is Entropic.expect_linear, and both equal the max-shifted
+        # log-sum-exp written out
+        got = log_mgf(mu, x)
+        assert np.array_equal(got, Entropic(mu).expect_linear(x))
+        a = mu.atoms
+        e = (a @ x if a.shape[1] > 1 else np.multiply.outer(x, a[:, 0]))
+        e = e + np.log(mu.weights)
+        m = e.max(axis=-1)
+        assert np.array_equal(got, m + np.log(np.exp(e - m[..., None]).sum(axis=-1)))
+        assert np.ndim(got) == np.ndim(x) - (a.shape[1] > 1)
+
 
 class TestLegendre:
     def test_self_conjugate_quadratic(self):

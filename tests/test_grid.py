@@ -148,9 +148,6 @@ class TestNorms:
         with pytest.raises(InputError):
             f.sup_norm_on((-3.0, 1.0))
 
-    def test_kappa_ratio_diagnostic(self):
-        assert GrowthWeight(2).shift_ratio_bound() == 4.0
-
 
 class TestShift:
     def test_zero_shift_identity(self):

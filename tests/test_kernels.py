@@ -3,16 +3,17 @@
 ``one_step`` reduces one gather per step through the model's ``reduce``;
 the fused ``_kernels.one_step_*`` kernels compute the same steps directly
 and serve as the reference. ``expect_linear`` on an array of coefficients
-must equal its per-coefficient values. The shifted-slice stencil must equal
+must equal its per-coefficient values, in the array's shape. The shifted-slice stencil must equal
 ``interp1`` at the same query points, and ``g_heat``, which marches on the
 lower hull of its lines only, the loop over every line. A gather plan must
 give the one-shot gathers bit for bit for any values on its grid, and
 ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
 extension written out per side, as the stencil and the mollifier took it.
 The stencil's weighted mean must equal its gather followed by a dot, a
-grid-aligned ``ShiftSup`` step must equal the block loop over the same
-gather, take one mean call and no gather, and stay within 16 MB on a band
-as wide as the padded values.
+grid-aligned ``ShiftSup`` step must equal the per-shift loop over the same
+gather (the reduction of a payoff with no ``mean`` entry), take one mean
+call and no gather, and stay within 16 MB on a band as wide as the padded
+values.
 """
 
 import tracemalloc
@@ -90,6 +91,8 @@ def test_expect_linear_array_matches_scalars(model):
     # needs, so shortfall rows agree to the bisection tolerance
     tol = SHORTFALL_TOL if model == "shortfall" else 1e-12
     assert np.max(np.abs(got - want)) <= tol
+    # an array of any shape gives its values in that shape
+    assert np.array_equal(m.expect_linear(z.reshape(5, 5)), got.reshape(5, 5))
 
 
 @pytest.mark.parametrize("extension", ["constant", "linear"])
@@ -337,7 +340,7 @@ def test_grid_aligned_shift_sup_step_matches_block_loop(model, scaling, extensio
     stencil = f.stencil()
     for t in (1.0, 0.3, 1.0 / 64):
         _, scale = op.scaling.base_and_scale(t, f.grid.axis)
-        # a gather with no mean entry takes the block loop
+        # a gather with no mean entry takes the per-shift loop
         want = op.model.reduce(lambda y: stencil(scale * y[:, 0]), t)
         got = one_step(op, t, f).values
         assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(f.values))

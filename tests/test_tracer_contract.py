@@ -5,18 +5,24 @@ counter with the same arguments as each patched function. A kernel that is
 renamed away, or a signature that gains or loses a parameter, breaks the
 traced benchmark run (``perfbench/run.py --trace 1``) without failing any
 other test, so this file checks the tracer's names and counter signatures
-against the package.
+against the package. ``Tracer.install`` also patches some methods
+unconditionally, by name; installing and uninstalling it must raise
+nothing and leave every attribute of the package as it was.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 from chernofflab import _kernels
+from chernofflab.chernoff import ChernoffDiagnostics
 from chernofflab.grid import GridFunction
+from chernofflab.hopflax import RateFunction
+from chernofflab.limits import RateReport
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -73,3 +79,33 @@ def test_a_changed_signature_is_caught(tracing):
         _assert_same_arguments(one_step, tracing._COUNTERS["chernoff.one_step"])
     with pytest.raises(TypeError):
         _assert_same_arguments(hopf_lax, tracing._COUNTERS["hopflax.hopf_lax"])
+
+
+def _package_attributes():
+    """{owner: {name: value}} for every module of the package and every
+    class defined in one."""
+    modules = [mod for name, mod in sys.modules.items()
+               if name == "chernofflab" or name.startswith("chernofflab.")]
+    classes = {cls for mod in modules for cls in vars(mod).values()
+               if isinstance(cls, type) and cls.__module__.startswith("chernofflab")}
+    return {owner: dict(vars(owner)) for owner in [*modules, *classes]}
+
+
+def test_install_then_uninstall_restores_every_attribute(tracing):
+    before = _package_attributes()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        unconditional = [(GridFunction, "sample")] + [
+            (cls, "to_csv") for cls in (GridFunction, ChernoffDiagnostics,
+                                        RateFunction, RateReport)]
+        for cls, attr in unconditional:
+            assert vars(cls)[attr] is not before[cls][attr]
+    finally:
+        tracer.uninstall()
+    after = _package_attributes()
+    assert after.keys() == before.keys()
+    for owner, attrs in before.items():
+        assert after[owner].keys() == attrs.keys(), owner
+        changed = [name for name, value in attrs.items() if after[owner][name] is not value]
+        assert not changed, (owner, changed)
