@@ -240,18 +240,18 @@ def chernoff_limit(op, t, f, schedule, tol=1e-3, compact=None, dyadic_base=0.75)
     return prev, diag
 
 
-def upper_lipschitz_certificate(op, f, probe_times, weight=None):
-    """c_hat = max over probe t of || (I(t) f - f)^+ ||_kappa / t.
+def upper_lipschitz_certificate(op, f, probe_times):
+    """c_hat = max over probe t of || (I(t) f - f)^+ ||_kappa / t, with kappa
+    the growth weight of f.
 
     A finite value that is stable under refining the probes witnesses
     membership of f in the upper Lipschitz set of the operator family.
     """
-    w = weight if weight is not None else f.weight
     best = 0.0
     for t in probe_times:
         if not (0 < t <= 1):
             raise InputError("probe times must lie in (0, 1]")
         diff = one_step(op, t, f).values - f.values
         pos = f.replace_values(np.maximum(diff, 0.0))
-        best = max(best, pos.weighted_norm(w) / t)
+        best = max(best, pos.weighted_norm() / t)
     return best

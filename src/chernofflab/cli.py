@@ -12,6 +12,12 @@ Each runner reads every field it uses, fails on a key that nothing read
 (exit 3, naming ``section.key``), then computes and returns its checks and
 its artifacts; ``run_config_text`` alone writes files, after the run
 returns, so a parse, output-path or validation error writes nothing.
+
+Each rule is written once. The constructors (``Grid``, ``GrowthWeight``,
+``Shortfall``, ``DiscreteMeasure``, ``PenaltyFunction``) own the rules on
+their arguments, and ``_Fields.build`` reports a broken one against the
+field it came from; the readers own only what no constructor checks:
+parsing, finiteness and the ranges that make a check able to fail.
 """
 
 import argparse
@@ -30,7 +36,7 @@ from .errors import ConfigError, InputError
 from .expectations import (DiscreteMeasure, Entropic, Linear, PenaltyFunction,
                            ShiftSup, Shortfall, SymmetricTwoPointSup,
                            gauss_hermite)
-from .grid import Grid, GridFunction, GrowthWeight
+from .grid import EXTENSIONS, Grid, GridFunction, GrowthWeight
 from .hopflax import conjugate_rate, envelope, hopf_lax
 from .limits import (generator_check, interpolation_floor, ld_rate, poly_rate,
                      require_centered)
@@ -109,62 +115,54 @@ class _Fields:
         raise ConfigError(f"field [{self.section}] {key}: {why}",
                           field=f"{self.section}.{key}")
 
+    def build(self, key, make, *args):
+        """``make(*args)``; its ValueError (an InputError among them), or the
+        TypeError of a wrong argument count, fails naming this field."""
+        try:
+            return make(*args)
+        except (TypeError, ValueError) as exc:
+            self._fail(key, str(exc))
+
     def str_(self, key, default=None):
         self.read.add((self.section, key))
         if key not in self.kv and default is None:
             self._fail(key, "is required")
         return self.kv.get(key, default)
 
-    def float_(self, key, default=None):
+    def numbers(self, key, default=None, lo=-np.inf, hi=np.inf, cast=float):
+        """A non-empty comma-separated list of numbers x with lo < x <= hi,
+        each parsed by ``cast`` (``int`` takes whole numbers only) and finite
+        unless it equals an infinite default."""
         raw = self.str_(key, None if default is None else str(default))
         try:
-            value = float(raw)
+            vals = [cast(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError:
-            value = np.nan
-        if np.isnan(value):
-            self._fail(key, f"is not a number: {raw!r}")
-        return value
-
-    def int_(self, key, default=None):
-        raw = self.str_(key, None if default is None else str(default))
-        try:
-            return int(raw)
-        except ValueError:
-            self._fail(key, f"is not an integer: {raw!r}")
-
-    def floats(self, key, default=None):
-        raw = self.str_(key, default)
-        try:
-            vals = [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            vals = [np.nan]
-        if np.any(np.isnan(vals)):
-            self._fail(key, f"is not a comma-separated number list: {raw!r}")
+            vals = None
+        if not vals or not all(lo < v <= hi and (-np.inf < v < np.inf or v == default)
+                               for v in vals):
+            self._fail(key, f"needs finite {'whole ' * (cast is int)}numbers x with "
+                            f"{lo:g} < x <= {hi:g}, got {raw!r}")
         return vals
 
-    def ints(self, key, default=None):
-        raw = self.str_(key, default)
-        try:
-            return [int(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            self._fail(key, f"is not a comma-separated integer list: {raw!r}")
+    def number(self, key, default=None, lo=-np.inf, hi=np.inf, cast=float):
+        """The one entry of a :meth:`numbers` field."""
+        vals = self.numbers(key, default, lo, hi, cast)
+        if len(vals) != 1:
+            self._fail(key, f"needs one entry, got {len(vals)}")
+        return vals[0]
 
     def pair(self, key, default=None):
         """Exactly two comma-separated numbers."""
-        vals = self.floats(key, default)
+        vals = self.numbers(key, default)
         if len(vals) != 2:
             self._fail(key, f"needs exactly two entries, got {len(vals)}")
         return vals
 
-    def radius_count(self, key, default, odd=False):
-        """The finite r > 0 and integer count >= 2 of an ``r,count`` field;
-        ``odd`` asks for an odd count >= 3, a grid with a node at 0."""
+    def radius_count(self, key, default):
+        """The r > 0 and whole count >= 2 of an ``r,count`` field."""
         r, count = self.pair(key, default)
-        least = 3 if odd else 2
-        if not (0 < r < np.inf and least <= count < np.inf and count == int(count)
-                and (count % 2 == 1 or not odd)):
-            self._fail(key, f"needs a finite r > 0 and an {'odd ' if odd else ''}"
-                            f"integer count >= {least}, got {r:g},{count:g}")
+        if not (r > 0 and count >= 2 and count == int(count)):
+            self._fail(key, f"needs r > 0 and a whole count >= 2, got {r:g},{count:g}")
         return r, int(count)
 
     def span(self, key, default):
@@ -172,26 +170,12 @@ class _Fields:
         r, count = self.radius_count(key, default)
         return np.linspace(-r, r, count)
 
-    def positive(self, key, integer=True):
-        """A non-empty list of positive schedule entries."""
-        vals = self.ints(key) if integer else self.floats(key)
-        if not vals or min(vals) <= 0:
-            self._fail(key, f"needs positive entries, got {vals}")
-        return vals
-
     def schedule(self, key):
         """Strictly increasing positive step counts, as ``chernoff_limit`` needs."""
-        vals = self.positive(key)
+        vals = self.numbers(key, lo=0, cast=int)
         if any(b <= a for a, b in zip(vals, vals[1:])):
             self._fail(key, f"schedule must be strictly increasing, got {vals}")
         return vals
-
-    def number(self, key, default=None, lo=-np.inf, hi=np.inf):
-        """A finite number x with lo < x <= hi."""
-        value = self.float_(key, default)
-        if not (np.isfinite(value) and lo < value <= hi):
-            self._fail(key, f"needs a finite {lo:g} < x <= {hi:g}, got {value:g}")
-        return value
 
     def compact(self, grid, key="compact"):
         """The box (-c, c) of a ``key = c`` field, 0 < c <= R (default 2)."""
@@ -203,58 +187,47 @@ class _Fields:
 # component builders
 # ---------------------------------------------------------------------------
 
-def _build_measure(spec, fields):
-    spec = spec.strip()
-    try:
-        if spec.startswith("gauss_hermite(") and spec.endswith(")"):
-            return gauss_hermite(int(spec[14:-1]))
-        if spec.startswith("point(") and spec.endswith(")"):
-            return DiscreteMeasure(np.array([float(spec[6:-1])]), np.array([1.0]))
-        if spec.startswith("atoms(") and spec.endswith(")"):
-            pairs = []
-            for tok in spec[6:-1].split(","):
-                a, w = tok.split(":")
-                pairs.append((float(a), float(w)))
-            return DiscreteMeasure.from_pairs(pairs)
-    except ValueError as exc:  # malformed numbers and InputError alike
-        fields._fail("measure", f"invalid measure spec {spec!r}: {exc}")
-    fields._fail("measure", f"unknown measure spec {spec!r}")
+_MEASURES = {
+    "gauss_hermite": lambda n: gauss_hermite(int(n)),
+    "point": lambda a: DiscreteMeasure.from_pairs([(float(a), 1.0)]),
+    "atoms": lambda *pairs: DiscreteMeasure.from_pairs(
+        [(float(a), float(w)) for a, w in (p.split(":") for p in pairs)]),
+}
+_PENALTIES = {
+    "quadratic": lambda r, n="129": PenaltyFunction.quadratic(float(r), int(n)),
+    "indicator": lambda r: PenaltyFunction.indicator(float(r)),
+}
 
 
-def _build_penalty(spec, fields):
-    spec = spec.strip()
-    try:
-        if spec.startswith("quadratic(") and spec.endswith(")"):
-            args = [float(t) for t in spec[10:-1].split(",")]
-            radius = args[0]
-            n = int(args[1]) if len(args) > 1 else 129
-            return PenaltyFunction.quadratic(radius, n)
-        if spec.startswith("indicator(") and spec.endswith(")"):
-            return PenaltyFunction.indicator(float(spec[10:-1]))
-    except ValueError as exc:  # malformed numbers and InputError alike
-        fields._fail("penalty", f"invalid penalty spec {spec!r}: {exc}")
-    fields._fail("penalty", f"unknown penalty spec {spec!r}")
+def _spec(fields, key, default, makers):
+    """The object of a ``name(arg, ...)`` field, ``makers[name](*args)``
+    with the argument texts; a broken rule names the field."""
+    spec = fields.str_(key, default)
+    name, _, args = spec.strip().partition("(")
+    make = makers.get(name.strip())
+    if make is None or not args.endswith(")"):
+        fields._fail(key, f"unknown {key} spec {spec!r}")
+    return fields.build(key, make, *args[:-1].split(","))
 
 
 def _build_model(sections):
     fields = _Fields(sections, "expectation")
     variant = fields.str_("variant")
-    measure = _build_measure(fields.str_("measure"), fields)
+    measure = _spec(fields, "measure", None, _MEASURES)
     if variant == "linear":
         return Linear(measure)
     if variant == "entropic":
         return Entropic(measure)
     if variant == "shortfall":
-        return Shortfall(measure, fields.float_("power", 2.0))
+        return fields.build("power", Shortfall, measure, fields.number("power", 2.0))
     if variant in ("shift_sup", "symmetric_two_point"):
-        penalty = _build_penalty(fields.str_("penalty", "quadratic(2, 129)"), fields)
-        grid = fields.floats("shifts")
-        if not (len(grid) == 3 and -np.inf < grid[0] <= grid[1] < np.inf
-                and 1 <= grid[2] < np.inf and grid[2] == int(grid[2])):
-            fields._fail("shifts", f"must be lo,hi,count with finite lo <= hi and "
-                                   f"an integer count >= 1, got {grid}")
-        lo, hi, n = grid
-        shifts = np.linspace(lo, hi, int(n))
+        penalty = _spec(fields, "penalty", "quadratic(2, 129)", _PENALTIES)
+        shifts = fields.numbers("shifts")
+        if not (len(shifts) == 3 and shifts[0] <= shifts[1] and shifts[2] >= 1
+                and shifts[2] == int(shifts[2])):
+            fields._fail("shifts", f"must be lo,hi,count with lo <= hi and "
+                                   f"a whole count >= 1, got {shifts}")
+        shifts = np.linspace(shifts[0], shifts[1], int(shifts[2]))
         if variant == "shift_sup":
             return ShiftSup(measure, penalty, shifts)
         return SymmetricTwoPointSup(measure, penalty, shifts)
@@ -269,54 +242,48 @@ def _build_scaling(sections):
     if family == "second_order":
         return SecondOrder()
     if family == "perturbed":
-        amp = fields.float_("amplitude", 0.1)
-        return Perturbed(phi0=lambda x, a=amp: a * np.sin(x), lip=amp)
+        amp = fields.number("amplitude", 0.1)
+        return Perturbed(phi0=lambda x, a=amp: a * np.sin(x), lip=abs(amp))
     fields._fail("family", f"unknown scaling family {family!r}")
-
-
-def _build_grid(sections):
-    fields = _Fields(sections, "grid")
-    n = fields.int_("N")
-    if n < 3 or n % 2 == 0:
-        fields._fail("N", "must be odd and >= 3 so the origin is a node")
-    grid = Grid(fields.number("R", lo=0.0), n)
-    ext = fields.str_("extension", "constant")
-    if ext not in ("constant", "linear"):
-        fields._fail("extension", f"must be constant or linear, got {ext!r}")
-    return grid, ext, GrowthWeight(fields.int_("weight", 0))
 
 
 def _payoff_callable(sections):
     fields = _Fields(sections, "payoff")
     family = fields.str_("family")
     if family == "quadratic":
-        center = fields.float_("center", 0.0)
-        sign = fields.float_("sign", 1.0)
-        clip = fields.float_("clip", np.inf)
+        center = fields.number("center", 0.0)
+        sign = fields.number("sign", 1.0)
+        clip = fields.number("clip", np.inf)
         return lambda x: sign * np.minimum((np.asarray(x) - center) ** 2, clip)
     if family == "cosh":
-        clip = fields.float_("clip", 6.0)
+        clip = fields.number("clip", 6.0)
         return lambda x: np.minimum(np.cosh(np.asarray(x)), np.cosh(clip))
     if family == "sin":
-        amp = fields.float_("amplitude", 1.0)
-        freq = fields.float_("frequency", 1.0)
+        amp = fields.number("amplitude", 1.0)
+        freq = fields.number("frequency", 1.0)
         return lambda x: amp * np.sin(freq * np.asarray(x))
     if family == "abs_clipped":
-        center = fields.float_("center", 0.0)
-        cap = fields.float_("cap", 4.0)
+        center = fields.number("center", 0.0)
+        cap = fields.number("cap", 4.0)
         return lambda x: np.minimum(np.abs(np.asarray(x) - center), cap)
     if family == "indicator_approx":
-        edge = fields.float_("edge", 0.5)
-        width = fields.float_("width", 0.2)
+        edge = fields.number("edge", 0.5)
+        width = fields.number("width", 0.2, lo=0.0)
         return lambda x: 0.5 * (1.0 + np.tanh((np.asarray(x) - edge) / width))
     if family == "constant":
-        value = fields.float_("value", 1.0)
+        value = fields.number("value", 1.0)
         return lambda x: np.full(np.shape(x), value, dtype=float)
     fields._fail("family", f"unknown payoff family {family!r}")
 
 
 def _build_payoff(sections):
-    grid, ext, weight = _build_grid(sections)
+    fields = _Fields(sections, "grid")
+    grid = fields.build("N", Grid, fields.number("R", lo=0.0),
+                        fields.number("N", cast=int))
+    ext = fields.str_("extension", "constant")
+    if ext not in EXTENSIONS:
+        fields._fail("extension", f"must be one of {EXTENSIONS}, got {ext!r}")
+    weight = fields.build("weight", GrowthWeight, fields.number("weight", 0, cast=int))
     fn = _payoff_callable(sections)
     return GridFunction.sample(grid, fn, ext, weight), fn
 
@@ -400,8 +367,8 @@ def _run_cramer(sections):
     measure, threshold, shift_radius, n_grid = _tail_event(sections)
     check = _Fields(sections, "check")
     lo, hi = check.pair("slope_window")
-    if not -np.inf < lo <= hi < np.inf:
-        check._fail("slope_window", f"needs finite lo <= hi, got {lo:g},{hi:g}")
+    if lo > hi:
+        check._fail("slope_window", f"needs lo <= hi, got {lo:g},{hi:g}")
     bound = None
     if "bound_target" in check.kv:
         bound = (check.number("bound_target"),
@@ -420,7 +387,7 @@ def _run_cramer(sections):
 
 def _run_poly_rate(sections):
     measure, threshold, shift_radius, n_grid = _tail_event(sections)
-    power = _Fields(sections, "expectation").float_("power", 2.0)
+    power = _Fields(sections, "expectation").number("power", 2.0, 1.0, 4.0)
     tol = _Fields(sections, "check").number("tolerance", 0.05, lo=0.0)
     sections.reject_unread()
     report = poly_rate(measure, power, threshold, n_grid,
@@ -445,12 +412,12 @@ def _run_clt(sections):
     gheat = "gheat_tolerance" in check.kv
     if gheat:
         gtol = check.number("gheat_tolerance", lo=0.0)
-        pgrid = Grid(*check.radius_count("gheat_grid", "6,385", odd=True))
+        pgrid = check.build("gheat_grid", Grid,
+                            *check.radius_count("gheat_grid", "6,385"))
         horizon = sched.number("horizon", 1.0, 0.0)
         # a shift model already holds its penalty, with the default applied
-        exp_fields = _Fields(sections, "expectation")
-        penalty = (model.penalty if isinstance(model, ShiftSup)
-                   else _build_penalty(exp_fields.str_("penalty"), exp_fields))
+        penalty = (model.penalty if isinstance(model, ShiftSup) else
+                   _spec(_Fields(sections, "expectation"), "penalty", None, _PENALTIES))
     cross = "cross_factor" in check.kv
     compact = base = None
     if cross:
@@ -505,7 +472,7 @@ def _run_wasserstein(sections):
     if not isinstance(model, ShiftSup):
         _Fields(sections, "expectation")._fail("variant", "needs a shift model")
     f, _ = _build_payoff(sections)
-    h_grid = _Fields(sections, "schedule").positive("h", integer=False)
+    h_grid = _Fields(sections, "schedule").numbers("h", lo=0.0)
     check = _Fields(sections, "check")
     compact = check.compact(f.grid)
     tol = check.number("tolerance", lo=0.0)
@@ -527,7 +494,7 @@ def _run_generator(sections):
     model = _build_model(sections)
     scaling = _build_scaling(sections)
     f, _ = _build_payoff(sections)
-    h_grid = _Fields(sections, "schedule").positive("h", integer=False)
+    h_grid = _Fields(sections, "schedule").numbers("h", lo=0.0)
     check = _Fields(sections, "check")
     compact = check.compact(f.grid)
     final_tol = check.number("final_tolerance", 0.01, lo=0.0)
@@ -552,7 +519,7 @@ def _run_envelope(sections):
         _Fields(sections, "scaling")._fail("family", "must be perturbed")
     f, _ = _build_payoff(sections)
     check = _Fields(sections, "check")
-    n = _Fields(sections, "schedule").positive("uniform")[-1]
+    n = _Fields(sections, "schedule").numbers("uniform", lo=0, cast=int)[-1]
     compact = check.compact(f.grid)
     z = check.span("z_grid", "8,1601")
     y = check.span("y_grid", "12,2401")

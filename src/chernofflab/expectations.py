@@ -28,7 +28,7 @@ its atom means in one call; for payoffs without it, ``ShiftSup`` calls the
 payoff once per shift and keeps a running maximum.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .errors import InputError, PreconditionError
 
 SHORTFALL_TOL = 1e-10
 CENTERING_PROBES = (1.0, -1.0, 2.0, -2.0)
+CENTERING_GRID = np.arange(-80, 81) / 20.0
+CENTERING_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -164,9 +166,10 @@ class PenaltyFunction:
         return out if out.ndim else float(out)
 
     @classmethod
-    def quadratic(cls, radius=4.0, n=129, coeff=1.0):
+    def quadratic(cls, radius=4.0, n=129):
+        """c^2 on [0, radius], n grid points."""
         c = np.linspace(0.0, radius, n)
-        return cls(c, coeff * c**2, slope_bound=coeff * radius * 0.5)
+        return cls(c, c**2, slope_bound=radius * 0.5)
 
     @classmethod
     def indicator(cls, radius=1.0, n=65):
@@ -338,15 +341,12 @@ def SymmetricTwoPointSup(measure, penalty, shifts):
 
 @dataclass(frozen=True)
 class Centered(ExpectationModel):
-    """Mean-centering transform: E~[g] = min over a-grid of E[g + a . xi]."""
+    """Mean-centering transform: E~[g] = min over a of E[g + a . xi], with a
+    on ``CENTERING_GRID`` (-4 to 4 in steps of 0.05)."""
 
     base: ExpectationModel
-    a_grid: np.ndarray = field(default_factory=lambda: np.arange(-80, 81) / 20.0)
 
     def __post_init__(self):
-        a = np.asarray(self.a_grid, dtype=float).copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "a_grid", a)
         object.__setattr__(self, "measure", self.base.measure)
         for probe in CENTERING_PROBES:
             if self.base.expect_linear(probe) < -1e-9:
@@ -357,7 +357,7 @@ class Centered(ExpectationModel):
         # the payoff does not depend on a: gather it once per base-model
         # call and stack one block of rows per a, so one base reduction
         # covers the whole a-grid (it holds a-grid x rows x points values)
-        ta = t * self.a_grid
+        ta = t * CENTERING_GRID
 
         def stacked(y):
             vals = payoff(y)
@@ -365,10 +365,9 @@ class Centered(ExpectationModel):
         return self.base.reduce(stacked, t).reshape(ta.shape[0], -1).min(axis=0)
 
 
-def centered(model, a_grid=None):
-    if a_grid is None:
-        return Centered(model)
-    return Centered(model, np.asarray(a_grid, dtype=float))
+def centered(model):
+    """The mean-centered model :class:`Centered` of ``model``."""
+    return Centered(model)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +383,18 @@ def _logsumexp(x, axis=None):
     return np.squeeze(m, axis) + np.log(np.sum(e, axis=axis))
 
 
-def shortfall_root(vals, weights, power, tol=SHORTFALL_TOL):
+def shortfall_root(vals, weights, power):
     """Vectorized bisection for the shortfall level, rows = payoff vectors.
 
     The defining map m -> sum w ((1 + v - m)^+)^p is strictly decreasing, so
-    the bracket [min v - 1, max v + 1] always contains the root.
+    the bracket [min v - 1, max v + 1] always contains the root; the
+    bisection stops once the bracket is below ``SHORTFALL_TOL``.
     """
     vals = np.asarray(vals, dtype=float)
     lo = vals.min(axis=1) - 1.0
     hi = vals.max(axis=1) + 1.0
     assert np.all(lo < hi)
-    for _ in range(int(np.ceil(np.log2((hi - lo).max() / tol))) + 2):
+    for _ in range(int(np.ceil(np.log2((hi - lo).max() / SHORTFALL_TOL))) + 2):
         mid = 0.5 * (lo + hi)
         s = (np.maximum(1.0 + vals - mid[:, None], 0.0) ** power) @ weights
         high = s > 1.0

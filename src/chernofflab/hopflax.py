@@ -83,47 +83,42 @@ class RateFunction:
         return cls(np.asarray(ys), np.asarray(vs))
 
 
-def conjugate_rate(model, z_grid, y_grid, tol=1e-6):
+def conjugate_rate(model, z_grid, y_grid):
     """Rate phi(y) = sup_z (y z - E[z xi]) from an expectation model (1D).
 
     The infimum of the exact rate is zero; if the discrete minimum deviates
-    beyond ``tol`` the z-grid was too small for the requested dual range.
+    beyond 1e-6 the z-grid was too small for the requested dual range.
     """
     z = np.asarray(z_grid, dtype=float)
     if 0.0 not in z:
         raise InputError("z-grid must contain 0 so the rate is nonnegative")
     phi = legendre(z, model.expect_linear(z), np.asarray(y_grid, dtype=float))
     m = float(np.min(phi))
-    if abs(m) > tol:
+    if abs(m) > 1e-6:
         raise GridTooSmallError(
-            f"rate minimum {m:.3e} deviates from 0 beyond tol; enlarge the y-grid")
+            f"rate minimum {m:.3e} deviates from 0 beyond 1e-6; enlarge the y-grid")
     return RateFunction(np.asarray(y_grid, dtype=float), phi)
 
 
 def _candidates(rate):
-    """Finite (y, phi) pairs ordered by |y| then y, for deterministic ties."""
+    """The finite (y, phi) pairs of the rate."""
     if rate.radial:
         radii = rate.grid
         angles = 2 * np.pi * np.arange(rate.directions) / rate.directions
         ys = np.concatenate([np.outer(radii, [np.cos(a), np.sin(a)])
                              for a in angles])
         phis = np.tile(rate.values, rate.directions)
-        norms = np.tile(rate.grid, rate.directions)
     else:
         ys = rate.grid
         phis = rate.values
-        norms = np.abs(ys)
     fin = np.isfinite(phis)
-    ys, phis, norms = ys[fin], phis[fin], norms[fin]
-    order = np.lexsort((ys if ys.ndim == 1 else ys[:, 0], norms))
-    return ys[order], phis[order]
+    return ys[fin], phis[fin]
 
 
 def hopf_lax(f, t, rate):
     """sup over the rate grid of f(x + t y) - phi(y) t, per node x.
 
-    Infinite rate entries are skipped; ties in the maximum resolve toward
-    the candidate of smallest |y|. t = 0 returns f unchanged.
+    Infinite rate entries are skipped. t = 0 returns f unchanged.
     """
     if t < 0:
         raise InputError("hopf_lax requires t >= 0")

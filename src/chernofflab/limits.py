@@ -46,35 +46,36 @@ def nonlinear_functional(model, scaling, f, n):
     return float(u.values[f.grid.origin_index])
 
 
-def require_centered(model, probe_tol=1e-8):
-    """Raise PreconditionError unless E[a xi] = 0 for the probe coefficients.
+def require_centered(model):
+    """Raise PreconditionError unless E[a xi] = 0, up to 1e-8, for the probe
+    coefficients.
 
     The second-order scaling has a limit only for centered models; apply
     :func:`chernofflab.expectations.centered` first otherwise.
     """
     for a in CENTERING_PROBES:
-        if abs(model.expect_linear(a)) > probe_tol:
+        if abs(model.expect_linear(a)) > 1e-8:
             raise PreconditionError(
                 f"the second-order scaling needs a centered model; E[{a} xi] != 0")
 
 
-def clt_functional(model, f, n, probe_tol=1e-8):
+def clt_functional(model, f, n):
     """(1/n) E_bar[n f(sum xi_i / sqrt(n))] via the second-order scaling.
 
     Requires a centered model (:func:`require_centered`).
     """
-    require_centered(model, probe_tol)
+    require_centered(model)
     return nonlinear_functional(model, SecondOrder(), f, n)
 
 
-def brute_force_functional(model, scaling, f, n, t=1.0):
-    """(I(t/n)^n f)(0) by exact recursion over atom sequences.
+def brute_force_functional(model, scaling, f, n):
+    """(I(1/n)^n f)(0) by exact recursion over atom sequences.
 
     Independent of the grid-sweep path: intermediate values are evaluated at
     the exactly reachable points, never resampled. Exponential in n; meant
     for n <= 6 with few atoms.
     """
-    h = t / n
+    h = 1.0 / n
     memo = {}
 
     def value(x, k):
@@ -178,13 +179,14 @@ def _fit_rate(n_grid, values):
     return float(coef[0])
 
 
-def ld_rate(measure, threshold, n_grid, shift_radius=0.0,
-            z_grid=None, tol=1e-3):
+def ld_rate(measure, threshold, n_grid, shift_radius=0.0):
     """Exponential decay of P(X_n >= threshold) against the conjugate bound.
 
     Reports (1/n) log P per n, the extrapolated slope, and the analytic
     bound -inf_{x >= threshold - shift_radius} Lambda*(x) from the
-    log-moment-generating / conjugation pipeline.
+    log-moment-generating / conjugation pipeline, with Lambda on 4801
+    points of [-12, 12]; the report passes if the slope is at most the
+    bound plus 1e-3.
     """
     probs = exact_tail_probabilities(measure, threshold, n_grid)
     if all(p == 0.0 for p in probs):
@@ -198,21 +200,20 @@ def ld_rate(measure, threshold, n_grid, shift_radius=0.0,
     if x0 <= mean + 1e-15:
         bound = 0.0
     else:
-        if z_grid is None:
-            z_grid = np.linspace(-12.0, 12.0, 4801)
+        z_grid = np.linspace(-12.0, 12.0, 4801)
         lam = log_mgf(measure, z_grid)
         bound = -float(legendre(z_grid, lam, np.array([x0]))[0])
     return RateReport(list(n_grid), values, fitted, bound,
-                      passed=bool(fitted <= bound + tol))
+                      passed=bool(fitted <= bound + 1e-3))
 
 
-def poly_rate(measure, power, threshold, n_grid, shift_radius=0.0,
-              x_grid=None, tol=0.05):
+def poly_rate(measure, power, threshold, n_grid, shift_radius=0.0, tol=0.05):
     """Polynomial decay n^(p-1) P(X_n >= threshold) against the shortfall bound.
 
     The bound is (inf_{x >= threshold - shift_radius} Lambda*(x))^(-p) with
-    Lambda the shortfall transform of linear payoffs; an infinite bound (the
-    infimum is zero) is reported as +inf and passes trivially.
+    Lambda the shortfall transform of linear payoffs, on 1201 points of
+    [-6, 6]; an infinite bound (the infimum is zero) is reported as +inf
+    and passes trivially.
     """
     if not (1.0 < power <= 4.0):
         raise InputError("power must lie in (1, 4]")
@@ -226,8 +227,7 @@ def poly_rate(measure, power, threshold, n_grid, shift_radius=0.0,
     if x0 <= mean + 1e-15:
         bound = np.inf
     else:
-        if x_grid is None:
-            x_grid = np.linspace(-6.0, 6.0, 1201)
+        x_grid = np.linspace(-6.0, 6.0, 1201)
         model = Shortfall(measure, power)
         lam = model.expect_linear(x_grid)
         lstar = float(legendre(x_grid, lam, np.array([x0]))[0])
@@ -284,21 +284,23 @@ def generator_values(op, f, nodes):
     return op.model.reduce(lambda y: c * op.scaling.psi0(x[:, None], y[:, 0]))
 
 
-def interpolation_floor(f, compact, h_min, reach=1.0):
+def interpolation_floor(f, compact, h_min):
     """Quantization level of a generator defect from linear interpolation.
 
     Each probe quotient carries up to hg^2 |f''| / (4 h) of interpolation
-    error, with the curvature taken over the compact widened by the largest
-    query offset; below this level defect orderings are not meaningful.
+    error, with the curvature taken over the compact widened by 1 on each
+    side, the largest query offset; below this level defect orderings are
+    not meaningful.
     """
     g = f.grid
     lo, hi = compact
-    curv = float(np.max(np.abs(f.fd_hessian()[g.within(lo - reach, hi + reach)])))
+    curv = float(np.max(np.abs(f.fd_hessian()[g.within(lo - 1.0, hi + 1.0)])))
     return g.spacing ** 2 * max(curv, 1.0) / (4.0 * h_min) + 1e-12
 
 
-def generator_check(op, f, h_grid, compact, analytic=None):
-    """Defect max over the compact of |(I(h) f - f)/h - A f| per probe h.
+def generator_check(op, f, h_grid, compact):
+    """Defect max over the compact of |(I(h) f - f)/h - A f| per probe h,
+    with A f from :func:`generator_values`.
 
     The defect sequence of a consistent one-step family decreases to the
     interpolation floor as h shrinks; the returned estimate is the
@@ -307,8 +309,7 @@ def generator_check(op, f, h_grid, compact, analytic=None):
     h_grid = sorted(h_grid, reverse=True)
     mask = f.grid.within(*compact)
     nodes = f.grid.axis[mask]
-    if analytic is None:
-        analytic = generator_values(op, f, nodes)
+    analytic = generator_values(op, f, nodes)
     defects = []
     estimate = None
     for h in h_grid:
@@ -317,4 +318,4 @@ def generator_check(op, f, h_grid, compact, analytic=None):
         defects.append(float(np.max(np.abs(quot - analytic))))
         estimate = quot
     return GeneratorDiagnostics(list(h_grid), defects, nodes, estimate,
-                                np.asarray(analytic))
+                                analytic)

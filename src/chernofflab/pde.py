@@ -107,15 +107,15 @@ class Hamiltonian2:
         return 0.5 * float(np.max(self.lam_grid ** 2)) + 0.5 * self.sigma2
 
 
-def solve_hj(ham, f, t, safety=0.5):
+def solve_hj(ham, f, t):
     """March u_t = H(u_x) from u(0) = f up to time t (monotone Lax-Friedrichs).
 
     The dissipation is max |H'| over the whole sampled gradient range (the
     Hamiltonian saturates beyond it) and the time step obeys
-    dt <= safety * h / (2 alpha), so the scheme is monotone for arbitrary
-    data, including the artificial frozen-boundary layer. H is evaluated as
-    ``ham(p)`` does, piecewise linear on ``ham.p_grid`` and constant beyond
-    it, so the gradient grid need not be uniform.
+    dt <= h / (4 alpha), half the CFL bound, so the scheme is monotone for
+    arbitrary data, including the artificial frozen-boundary layer. H is
+    evaluated as ``ham(p)`` does, piecewise linear on ``ham.p_grid`` and
+    constant beyond it, so the gradient grid need not be uniform.
     """
     if t < 0:
         raise InputError("solve_hj requires t >= 0")
@@ -125,7 +125,7 @@ def solve_hj(ham, f, t, safety=0.5):
         return f
     h = f.grid.spacing
     alpha = max(ham.max_slope(ham.p_grid[0], ham.p_grid[-1]), 1e-8)
-    dt = safety * h / (2.0 * alpha)
+    dt = 0.5 * h / (2.0 * alpha)
     steps = max(int(np.ceil(t / dt)), 1)
     dt = t / steps
     vals = _kernels.lax_friedrichs(f.values, h, dt, steps,
@@ -133,13 +133,13 @@ def solve_hj(ham, f, t, safety=0.5):
     return f.replace_values(vals)
 
 
-def solve_g_heat(g2, f, t, safety=0.5):
+def solve_g_heat(g2, f, t):
     """March u_t = G(u_xx) from u(0) = f up to time t (explicit monotone).
 
-    The time step obeys dt <= safety * h^2 / (2 max_diffusion). The lines
-    of G are reduced once to their lower convex hull in (lam^2 / 2, cost),
-    which gives the same maximum, so a step costs one comparison per hull
-    line rather than one per entry of ``g2.lam_grid``.
+    The time step obeys dt <= h^2 / (4 max_diffusion), half the CFL bound.
+    The lines of G are reduced once to their lower convex hull in
+    (lam^2 / 2, cost), which gives the same maximum, so a step costs one
+    comparison per hull line rather than one per entry of ``g2.lam_grid``.
     """
     if t < 0:
         raise InputError("solve_g_heat requires t >= 0")
@@ -149,7 +149,7 @@ def solve_g_heat(g2, f, t, safety=0.5):
         return f
     h = f.grid.spacing
     diff = max(g2.max_diffusion, 1e-8)
-    dt = safety * h * h / (2.0 * diff)
+    dt = 0.5 * h * h / (2.0 * diff)
     steps = max(int(np.ceil(t / dt)), 1)
     dt = t / steps
     vals = _kernels.g_heat(f.values, h, dt, steps, g2.lam_grid, g2.costs,

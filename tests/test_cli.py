@@ -378,7 +378,20 @@ class TestErrorContract:
          "check.bound_target"),
         ("cramer_bernoulli", "slope_window = -0.1409,-0.1259", "slope_window = -inf,inf",
          "check.slope_window"),
-        ("envelope_perturbed", "slack = -0.005", "slack = -inf", "check.slack")])
+        ("envelope_perturbed", "slack = -0.005", "slack = -inf", "check.slack"),
+        # rules that the constructors own, reported against their field
+        ("poly_rate_bernoulli", "power = 2", "power = 1", "expectation.power"),
+        ("poly_rate_bernoulli", "power = 2", "power = 5", "expectation.power"),
+        ("lln_entropic_gaussian", "weight = 1", "weight = 3", "grid.weight"),
+        ("wasserstein_generator", "penalty = quadratic(2, 129)",
+         "penalty = quadratic(2, 129.5)", "expectation.penalty"),
+        # payoff and scaling parameters must be finite
+        ("lln_entropic_gaussian", "center = 1", "center = inf", "payoff.center"),
+        ("clt_binary_exact", "clip = 36", "clip = -inf", "payoff.clip"),
+        ("envelope_perturbed", "amplitude = 0.1", "amplitude = inf",
+         "scaling.amplitude"),
+        ("generator_affine_drift", "family = sin", "family = sin\nfrequency = inf",
+         "payoff.frequency")])
     def test_malformed_field_exit_3(self, tmp_path, capsys, name, old, new, field):
         # wrong entry counts, nan, infinite and fractional counts, even grid
         # counts, non-positive and non-increasing schedule entries, infinite
@@ -390,6 +403,13 @@ class TestErrorContract:
         assert field in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_drift_amplitude_runs(self, tmp_path):
+        # a sin x has Lipschitz bound |a|: a negative amplitude is a valid drift
+        text = BUILTINS["envelope_perturbed"][1]
+        assert "amplitude = 0.1" in text
+        assert self.run_main(tmp_path, text.replace("amplitude = 0.1",
+                                                    "amplitude = -0.1")) == 0
 
     @pytest.mark.parametrize("name", ["lln_entropic_gaussian", "cramer_bernoulli",
                                       "poly_rate_bernoulli", "clt_binary_exact",

@@ -4,8 +4,8 @@ any of them.
 Each example takes a cheap built-in and applies one to three mutations:
 drop a key, duplicate it, misspell it, or replace its value with junk,
 ``nan``, ``inf`` or a negative number. Whatever comes out, ``run`` returns
-exit 0, 1, 2 or 3 without a traceback, writes nothing outside ``--out``,
-and writes nothing at all on exit 2 or 3.
+exit 0, 1, 2 or 3 without a traceback, names the field on exit 3, writes
+nothing outside ``--out``, and writes nothing at all on exit 2 or 3.
 """
 
 import contextlib
@@ -48,7 +48,7 @@ def mutated_configs(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(mutated_configs())
 def test_mutated_config_keeps_the_error_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -65,6 +65,7 @@ def test_mutated_config_keeps_the_error_contract(text):
             os.chdir(cwd)
         assert rc in (0, 1, 2, 3), (rc, text)
         assert "Traceback" not in err.getvalue()
+        assert rc != 3 or "(field " in err.getvalue(), (text, err.getvalue())
         written = sorted(p.name for p in base.iterdir())
         assert written == (["exp.cfg"] if rc in (2, 3) else ["exp.cfg", "out"]), \
             (rc, written, err.getvalue())
