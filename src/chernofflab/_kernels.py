@@ -9,7 +9,12 @@ points once and returns a map from node values to the gathered values, so
 a gather whose query points repeat (the equal-``t`` steps of one Chernoff
 partition) pays for its geometry once; both dimensions share one body, a
 take, an in-place weight product and a sum per cell corner (2 in 1D, 4 in
-2D). ``interp1`` is the one-shot 1D gather behind every 1D grid
+2D), each corner one index array shifted into the flat values, all into an
+output buffer and a corner buffer the plan holds, so applying it
+allocates nothing and each apply overwrites the last result.
+``chernoff.one_step`` lays its queries out (k, nodes) and reduces the
+transpose, so the models reduce contiguous rows per sample point.
+``interp1`` is the one-shot 1D gather behind every 1D grid
 evaluation. ``shift_stencil`` is the gather at
 node-independent offsets (grid-aligned one-steps, the 1D Hopf-Lax
 candidates): a shifted slice of the padded values per offset; its ``mean``
@@ -69,6 +74,17 @@ def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
     for any values on that grid. Its arithmetic runs in the order of a
     direct evaluation, so a plan applied many times gives the same bits as
     fresh gathers.
+
+    The plan keeps one index array, the flat index of each query's lower
+    cell corner; the other corners are the same indices into the flat
+    values shifted by 1 (1D) or by n, 1 and n + 1 (2D). It holds its
+    workspace: an output buffer and a corner buffer of the queries' shape,
+    filled by ``take`` with ``out``. ``apply`` returns the output buffer
+    itself, so the next ``apply`` overwrites what the last one returned;
+    copy a result that must outlive it. The indices are clipped to the grid
+    already, so ``mode="clip"`` changes no value; it lets ``take`` write
+    straight into ``out``, where the default ``mode="raise"`` gathers into
+    a temporary and copies it over.
     """
     u = (queries - origin) / spacing
     if constant_ext:
@@ -76,30 +92,32 @@ def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
     idx = np.floor(u).astype(np.int64)
     np.clip(idx, 0, n - 2, out=idx)
     theta = u - idx
-    # flat indices of the 2^d cell corners, axis 0 varying fastest, and
-    # their multilinear weights: i, i+1 in 1D; (i, j), (i+1, j), (i, j+1),
-    # (i+1, j+1) in 2D
+    # flat index of each query's lower cell corner and the offsets of the
+    # 2^d corners from it, axis 0 varying fastest, with their multilinear
+    # weights: i, i+1 in 1D; (i, j), (i+1, j), (i, j+1), (i+1, j+1) in 2D
     base = idx if dimension == 1 else idx[..., 0] * n + idx[..., 1]
     t = theta if dimension == 1 else theta[..., 0]
-    corners = [base, base + n ** (dimension - 1)]
+    offsets = [0, n ** (dimension - 1)]
     weights = [1.0 - t, t]
     if dimension == 2:
         t = theta[..., 1]
         lower = 1.0 - t
-        corners += [c + 1 for c in corners]
+        offsets += [k + 1 for k in offsets]
         weights = [w * lower for w in weights] + [w * t for w in weights]
-    (c0, w0), *rest = zip(corners, weights)
+    (_, w0), *rest = zip(offsets, weights)
+    out, term = np.empty(base.shape), np.empty(base.shape)
 
     # take gathers the same values as fancy indexing, faster on large plans;
-    # products formed in place: fewer fresh temporaries, which a process
-    # pays page faults for on its first gathers
+    # products land in the held buffers, so repeated applies allocate
+    # nothing a process would pay page faults for
     def apply(values):
-        out = values.take(c0)
-        out *= w0
-        for c, w in rest:
-            term = values.take(c)
-            term *= w
-            out += term
+        flat = values.reshape(-1)
+        flat.take(base, out=out, mode="clip")
+        np.multiply(out, w0, out=out)
+        for k, w in rest:
+            flat[k:].take(base, out=term, mode="clip")
+            np.multiply(term, w, out=term)
+            np.add(out, term, out=out)
         return out
     return apply
 

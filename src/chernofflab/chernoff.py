@@ -126,12 +126,17 @@ def one_step(op, t, f):
 
     Every node x gathers f at psi(t, x, y) = base(x) + scale * y for the
     sample points y the model asks for, and the model reduces the resulting
-    (nodes, k) matrix to t * E[f(psi(t, x, .)) / t]. When the base is the
-    grid axis itself, each y is one offset for every node and the gather is
-    a shifted-slice stencil. Otherwise the gather's geometry is a plan that
-    the operator keeps and reuses while t, the grid, the extension and the
-    sample points stay the same, as they do over the full steps of one
-    partition.
+    (nodes, k) matrix to t * E[f(psi(t, x, .)) / t]. That matrix is always
+    column-major, the transpose of a C-ordered (k, nodes) gather, so the
+    models' reductions over the k sample points run over contiguous rows.
+    When the base is the grid axis itself, each y is one offset for every
+    node and the gather is a shifted-slice stencil. Otherwise the queries
+    are laid out (k, nodes) in 1D and (k, nodes, 2) in 2D, and the gather's
+    geometry is a plan that the operator keeps and reuses while t, the
+    grid, the extension and the sample points stay the same, as they do
+    over the full steps of one partition. The plan's output is its own held
+    buffer, which the next gather overwrites; a model's reduction reads it
+    and returns a fresh array.
     """
     if t < 0:
         raise InputError("one_step requires t >= 0")
@@ -153,10 +158,10 @@ def one_step(op, t, f):
             held = op._plan
             if not (held is not None and held[0] == t and held[1] == g
                     and held[2] == f.extension and np.array_equal(held[3], y)):
-                plan = f.gather_plan(base[:, None] + scale * (y[:, 0] if one_d else y))
+                plan = f.gather_plan(base + scale * (y if one_d else y[:, None]))
                 held = (t, g, f.extension, y.copy(), plan)
                 object.__setattr__(op, "_plan", held)
-            return held[4](f.values)
+            return held[4](f.values).T
 
     vals = op.model.reduce(gather, t)
     return f.replace_values(vals.reshape(f.values.shape))

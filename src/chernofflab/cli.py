@@ -285,7 +285,12 @@ def _build_payoff(sections):
         fields._fail("extension", f"must be one of {EXTENSIONS}, got {ext!r}")
     weight = fields.build("weight", GrowthWeight, fields.number("weight", 0, cast=int))
     fn = _payoff_callable(sections)
-    return GridFunction.sample(grid, fn, ext, weight), fn
+    # finite parameters can still overflow the payoff on the grid: sample
+    # quietly, and let the rule that the values be finite name the family
+    with np.errstate(all="ignore"):
+        f = _Fields(sections, "payoff").build("family", GridFunction.sample,
+                                              grid, fn, ext, weight)
+    return f, fn
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +362,20 @@ def _run_lln(sections):
 
 
 def _tail_event(sections):
-    """The measure, threshold, shift radius and step counts of a tail run."""
+    """The measure, threshold, shift radius and step counts of a tail run.
+
+    No average of the atoms exceeds the largest atom, so a threshold above
+    it leaves the event X_n >= threshold empty for every n and fails here,
+    before the exact-tail DP."""
     sset = _Fields(sections, "set")
-    return (_build_model(sections).measure, sset.number("threshold"),
-            sset.number("shift_radius", 0.0), _Fields(sections, "schedule").schedule("n"))
+    measure = _build_model(sections).measure
+    threshold = sset.number("threshold")
+    top = float(measure.atoms[:, 0].max())
+    if threshold > top:
+        sset._fail("threshold", f"the event X_n >= {threshold:g} is empty: "
+                                f"it exceeds the largest atom {top:g}")
+    return (measure, threshold, sset.number("shift_radius", 0.0),
+            _Fields(sections, "schedule").schedule("n"))
 
 
 def _run_cramer(sections):

@@ -375,12 +375,12 @@ def centered(model):
 # ---------------------------------------------------------------------------
 
 def _logsumexp(x, axis=None):
+    """log sum exp of ``x`` along ``axis``; overwrites ``x``, which the
+    caller owns, so a one-step allocates no (rows, k) temporary here."""
     m = np.max(x, axis=axis, keepdims=True)
-    # exp in place: one fresh (rows, k) temporary, not two, so a cold run's
-    # one-steps do not make glibc trim and re-fault the heap on every step
-    e = x - m
-    np.exp(e, out=e)
-    return np.squeeze(m, axis) + np.log(np.sum(e, axis=axis))
+    x -= m
+    np.exp(x, out=x)
+    return np.squeeze(m, axis) + np.log(np.sum(x, axis=axis))
 
 
 def shortfall_root(vals, weights, power):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,88 @@ class TestPlanReuse:
         # the held plan is no part of the operator's identity
         assert op == OneStepOperator(model, scaling)
         assert "_plan" not in repr(op)
+
+    @pytest.mark.parametrize("case", ["perturbed_entropic", "entropic_2d"])
+    def test_next_step_leaves_the_last_values_alone(self, case):
+        # the plan overwrites its output buffer on every gather; no step
+        # result may share it
+        model, scaling = PLAN_CASES[case]
+        op = OneStepOperator(model, scaling)
+        u = one_step(op, 0.2, plan_case_payoff(case, "constant"))
+        held = u.values.copy()
+        v = one_step(op, 0.2, u)
+        assert op._plan[0] == 0.2
+        assert np.array_equal(u.values, held)
+        assert not np.array_equal(v.values, held)
+
+
+# every per-point model: the plan cases' models, all taken under DRIFT,
+# and a centered one
+ROW_LAYOUT_CASES = {case: model for case, (model, _) in PLAN_CASES.items()}
+ROW_LAYOUT_CASES["centered_entropic"] = centered(Entropic(two_point()))
+
+
+def row_layout_step(model, scaling, f, t):
+    """The per-point step gathered (nodes, k), one C-ordered row per node:
+    f at base[:, None] + scale * y, reduced by the same model."""
+    g = f.grid
+    base, scale = scaling.base_and_scale(t, g.axis if g.dimension == 1 else g.nodes())
+
+    def gather(y):
+        if g.dimension == 1:
+            return _kernels.interp1(f.values, -g.half_width, g.spacing,
+                                    base[:, None] + scale * y[:, 0],
+                                    f.extension == "constant")
+        return f.eval(base[:, None] + scale * y)
+    return model.reduce(gather, t).reshape(f.values.shape)
+
+
+class TestColumnLayout:
+    """Per-point steps gather (k, nodes) and reduce the column-major transpose."""
+
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    @pytest.mark.parametrize("case", list(ROW_LAYOUT_CASES))
+    def test_agrees_with_the_row_layout(self, case, extension):
+        model = ROW_LAYOUT_CASES[case]
+        f = plan_case_payoff(case, extension)
+        # only the order of each k-term sum may differ
+        for t in (0.2, 1.0 / 64):
+            got = one_step(OneStepOperator(model, DRIFT), t, f).values
+            want = row_layout_step(model, DRIFT, f, t)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", ["perturbed_linear", "entropic_2d"])
+    def test_models_reduce_column_major_matrices(self, case):
+        layouts = []
+
+        class Spy(Linear):
+            def reduce(self, payoff, t=1.0):
+                def seen(y):
+                    vals = payoff(y)
+                    layouts.append(vals.flags.f_contiguous)
+                    return vals
+                return super().reduce(seen, t)
+        model = Spy(PLAN_CASES[case][0].measure)
+        f = plan_case_payoff(case, "constant")
+        one_step(OneStepOperator(model, DRIFT), 0.2, f)
+        assert layouts == [True]
+
+    def test_equal_steps_hold_their_workspace(self):
+        # after the first step builds the plan, an entropic step on 2049
+        # nodes x 64 atoms allocates one (nodes, k) array, the one it divides
+        # into; a gather into fresh arrays would add at least one more
+        g = Grid(8.0, 2049)
+        op = OneStepOperator(Entropic(gauss_hermite(64)), DRIFT)
+        u = one_step(op, 1.0 / 16, GridFunction.sample(g, np.sin))
+        buffer = g.points_per_axis * 64 * 8
+        tracemalloc.start()
+        try:
+            for _ in range(16):
+                u = one_step(op, 1.0 / 16, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * buffer
 
 
 class TestChernoffLimit:

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -391,14 +392,24 @@ class TestErrorContract:
         ("envelope_perturbed", "amplitude = 0.1", "amplitude = inf",
          "scaling.amplitude"),
         ("generator_affine_drift", "family = sin", "family = sin\nfrequency = inf",
-         "payoff.frequency")])
+         "payoff.frequency"),
+        # a finite parameter that overflows the sampled payoff
+        ("lln_entropic_gaussian", "sign = -1", "sign = -1e308", "(field payoff."),
+        # thresholds above the largest atom: the tail event is empty
+        ("cramer_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
+        ("poly_rate_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
+        ("cramer_bernoulli", "threshold = 0.5\nshift_radius = 0",
+         "threshold = 2\nshift_radius = 1.5", "set.threshold")])
     def test_malformed_field_exit_3(self, tmp_path, capsys, name, old, new, field):
         # wrong entry counts, nan, infinite and fractional counts, even grid
         # counts, non-positive and non-increasing schedule entries, infinite
-        # numbers and boxes that do not fit in the grid
+        # numbers and boxes that do not fit in the grid; a warning that
+        # escapes (numpy's overflow warnings among them) fails the probe
         assert old in BUILTINS[name][1]
         text = BUILTINS[name][1].replace(old, new)
-        assert self.run_main(tmp_path, text) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_main(tmp_path, text) == 3
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
@@ -440,7 +451,9 @@ class TestErrorContract:
         ("cramer_bernoulli", "bound_tolerance = 1e-4", "bound_tolerance = nope",
          "check.bound_tolerance"),
         ("wasserstein_generator", "tolerance = 0.02", "tolerance = nope",
-         "check.tolerance")])
+         "check.tolerance"),
+        ("cramer_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
+        ("poly_rate_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
         # fields once read after the computation; every compute entry point

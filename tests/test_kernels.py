@@ -7,6 +7,7 @@ must equal its per-coefficient values, in the array's shape. The shifted-slice s
 ``interp1`` at the same query points, and ``g_heat``, which marches on the
 lower hull of its lines only, the loop over every line. A gather plan must
 give the one-shot gathers bit for bit for any values on its grid, and
+return its one held buffer from every apply, refilled; and
 ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
 extension written out per side, as the stencil and the mollifier took it.
 The stencil's weighted mean must equal its gather followed by a dot, a
@@ -187,6 +188,23 @@ def test_gather_plan_1d_reuses_geometry_bit_for_bit(extension):
         want = (1.0 - theta) * values[idx] + theta * values[idx + 1]
         assert np.array_equal(plan(values), want)
         assert np.array_equal(K.interp1(values, -g.half_width, g.spacing, q, const), want)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_gather_plan_apply_overwrites_its_buffer(dimension):
+    # the plan holds one output buffer: each apply returns it, refilled
+    g = Grid(2.0, 17, dimension=dimension)
+    n = g.points_per_axis
+    q = np.random.default_rng(5).uniform(-2.5, 2.5, (6, 30, dimension)[:1 + dimension])
+    plan = K.gather_plan(-g.half_width, g.spacing, n, q, True, dimension)
+    v1, v2 = np.random.default_rng(6).normal(size=(2,) + (n,) * dimension)
+    first = plan(v1)
+    want1, want2 = first.copy(), K.gather_plan(-g.half_width, g.spacing, n, q, True,
+                                               dimension)(v2)
+    second = plan(v2)
+    assert second is first
+    assert np.array_equal(second, want2)
+    assert not np.array_equal(first, want1)
 
 
 @pytest.mark.parametrize("extension", ["constant", "linear"])
