@@ -1,12 +1,11 @@
 """Declarative experiment runner.
 
-Configs are line-oriented key/value files with ``[section]`` headers; the
-``inf`` token marks infinite penalty values. ``run`` executes a config and
-writes CSV artifacts plus one PASS/FAIL line per declared check; the exit
-status is 0 iff every check passes, 1 on a numerical failure, 2 on a parse
-error or an unwritable output path and 3 on a validation error. Payoffs
-are named analytic families evaluated on the grid at load time, never
-arbitrary expressions.
+Configs are line-oriented key/value files with ``[section]`` headers.
+``run`` executes a config and writes CSV artifacts plus one PASS/FAIL line
+per declared check; the exit status is 0 iff every check passes, 1 on a
+numerical failure, 2 on a parse error or an unwritable output path and 3
+on a validation error. Payoffs are named analytic families evaluated on
+the grid at load time, never arbitrary expressions.
 
 Each runner reads every field it uses, fails on a key that nothing read
 (exit 3, naming ``section.key``), then computes and returns its checks and
@@ -14,10 +13,11 @@ its artifacts; ``run_config_text`` alone writes files, after the run
 returns, so a parse, output-path or validation error writes nothing.
 
 Each rule is written once. The constructors (``Grid``, ``GrowthWeight``,
-``Shortfall``, ``DiscreteMeasure``, ``PenaltyFunction``) own the rules on
-their arguments, and ``_Fields.build`` reports a broken one against the
-field it came from; the readers own only what no constructor checks:
-parsing, finiteness and the ranges that make a check able to fail.
+``Shortfall``, ``DiscreteMeasure``, ``PenaltyFunction``) and
+``limits.poly_power`` own the rules on their arguments, and
+``_Fields.build`` reports a broken one against the field it came from;
+the readers own only what no constructor checks: parsing, finiteness and
+the ranges that make a check able to fail.
 """
 
 import argparse
@@ -38,8 +38,8 @@ from .expectations import (DiscreteMeasure, Entropic, Linear, PenaltyFunction,
                            gauss_hermite)
 from .grid import EXTENSIONS, Grid, GridFunction, GrowthWeight
 from .hopflax import conjugate_rate, envelope, hopf_lax
-from .limits import (generator_check, interpolation_floor, ld_rate, poly_rate,
-                     require_centered)
+from .limits import (generator_check, interpolation_floor, ld_rate, poly_power,
+                     poly_rate, require_centered)
 from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
 
 
@@ -374,8 +374,10 @@ def _tail_event(sections):
     if threshold > top:
         sset._fail("threshold", f"the event X_n >= {threshold:g} is empty: "
                                 f"it exceeds the largest atom {top:g}")
-    return (measure, threshold, sset.number("shift_radius", 0.0),
-            _Fields(sections, "schedule").schedule("n"))
+    radius = sset.number("shift_radius", 0.0)
+    if radius < 0:
+        sset._fail("shift_radius", f"needs a radius >= 0, got {radius:g}")
+    return measure, threshold, radius, _Fields(sections, "schedule").schedule("n")
 
 
 def _run_cramer(sections):
@@ -402,7 +404,8 @@ def _run_cramer(sections):
 
 def _run_poly_rate(sections):
     measure, threshold, shift_radius, n_grid = _tail_event(sections)
-    power = _Fields(sections, "expectation").number("power", 2.0, 1.0, 4.0)
+    expectation = _Fields(sections, "expectation")
+    power = expectation.build("power", poly_power, expectation.number("power", 2.0))
     tol = _Fields(sections, "check").number("tolerance", 0.05, lo=0.0)
     sections.reject_unread()
     report = poly_rate(measure, power, threshold, n_grid,

@@ -43,7 +43,8 @@ CENTERING_GRID.flags.writeable = False
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finitely supported probability measure on R^d."""
+    """Finitely supported probability measure on R^d, built in code or from a
+    config spec (``gauss_hermite``, ``atoms``, ``point``)."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -83,28 +84,6 @@ class DiscreteMeasure:
         atoms, weights = zip(*pairs)
         return cls(np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float))
 
-    @classmethod
-    def load(cls, path):
-        """Rows ``atom,weight`` (2D atoms written as ``x;y``)."""
-        atoms, weights = [], []
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#")[0].strip()
-                if not line:
-                    continue
-                left, right = line.rsplit(",", 1)
-                atoms.append([float(tok) for tok in left.split(";")])
-                weights.append(float(right))
-        a = np.asarray(atoms, dtype=float)
-        if a.shape[1] == 1:
-            a = a[:, 0]
-        return cls(a, np.asarray(weights, dtype=float))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            for a, w in zip(self.atoms, self.weights):
-                fh.write(";".join(f"{x:.12g}" for x in a) + f",{w:.12g}\n")
-
 
 def gauss_hermite(n_nodes, mean=0.0, std=1.0):
     """Gaussian N(mean, std^2) as Gauss-Hermite quadrature atoms."""
@@ -122,7 +101,8 @@ class PenaltyFunction:
     """Convex nondecreasing penalty on a parameter grid, with inf markers.
 
     ``phi(0) = 0`` is required; evaluation between grid points is linear and
-    becomes infinite as soon as an infinite neighbour is involved.
+    becomes infinite as soon as an infinite neighbour is involved. Configs
+    spell penalties as the specs ``quadratic`` and ``indicator``.
     """
 
     grid: np.ndarray
@@ -179,26 +159,6 @@ class PenaltyFunction:
         vals = np.append(np.zeros(n), np.inf)
         return cls(grid, vals)
 
-    @classmethod
-    def load(cls, path):
-        """Rows ``c,value`` where value may be the token ``inf``."""
-        cs, vs = [], []
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#")[0].strip()
-                if not line:
-                    continue
-                c, v = line.split(",")
-                cs.append(float(c))
-                vs.append(np.inf if v.strip().lower() == "inf" else float(v))
-        return cls(np.asarray(cs), np.asarray(vs))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            for c, v in zip(self.grid, self.values):
-                tok = "inf" if not np.isfinite(v) else f"{v:.12g}"
-                fh.write(f"{c:.12g},{tok}\n")
-
 
 # ---------------------------------------------------------------------------
 # expectation models
@@ -212,7 +172,8 @@ def _finite(vals):
 
 
 class ExpectationModel:
-    """Base class; subclasses implement ``reduce``, everything else calls it."""
+    """Base class; subclasses implement ``reduce``, and ``expect`` and
+    ``expect_linear`` call it."""
 
     measure: DiscreteMeasure
 
@@ -233,9 +194,6 @@ class ExpectationModel:
         def row(y):
             return _finite(g(y[:, 0] if one_d else y)).reshape(1, -1)
         return float(self.reduce(row)[0])
-
-    def __call__(self, g):
-        return self.expect(g)
 
     def expect_linear(self, a):
         """E[a xi] per coefficient, with xi the first coordinate.

@@ -95,7 +95,8 @@ class MollifierSpec:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real function sampled at the nodes of a :class:`Grid`."""
+    """Real function sampled at the nodes of a :class:`Grid`; ``eval``
+    interpolates it and ``to_csv`` writes it as an artifact."""
 
     grid: Grid
     values: np.ndarray
@@ -133,9 +134,6 @@ class GridFunction:
         return GridFunction(self.grid, values, self.extension, self.weight)
 
     # -- evaluation --------------------------------------------------------
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def eval(self, x):
         """Piecewise-multilinear evaluation at arbitrary (finite) points.
@@ -275,21 +273,6 @@ class GridFunction:
                 for i, x in enumerate(ax):
                     for j, y in enumerate(ax):
                         fh.write(f"{x:.12g},{y:.12g},{self.values[i, j]:.12g}\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise InputError("grid CSV must start with a metadata header line")
-            meta = dict(tok.split("=") for tok in header[1:].split())
-            fh.readline()  # column names
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        grid = Grid(float(meta["R"]), int(meta["N"]), int(meta.get("d", 1)))
-        n = grid.points_per_axis
-        vals = data[:, -1] if grid.dimension == 1 else data[:, -1].reshape(n, n)
-        return cls(grid, vals, meta.get("extension", "constant"),
-                   GrowthWeight(int(meta.get("weight", 0))))
 
 
 def _axis_gradient(v, h, axis):

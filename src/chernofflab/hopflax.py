@@ -22,7 +22,8 @@ _CHUNK = 256
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Convex rate on a 1D (or radial) grid, +inf marking infinite cost."""
+    """Convex rate on a 1D (or radial) grid, +inf marking infinite cost;
+    ``to_csv`` writes it as ``y,phi`` rows, with the token ``inf``."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -49,38 +50,12 @@ class RateFunction:
         object.__setattr__(self, "grid", y)
         object.__setattr__(self, "values", v)
 
-    def min_value(self):
-        return float(np.min(self.values[np.isfinite(self.values)]))
-
-    def argmin(self):
-        fin = np.where(np.isfinite(self.values))[0]
-        k = fin[np.argmin(self.values[fin])]
-        return float(self.grid[k])
-
-    def edge_slope(self):
-        """phi(y_max) / |y_max|, the observable superlinearity certificate."""
-        fin = np.isfinite(self.values)
-        y = self.grid[fin]
-        v = self.values[fin]
-        return float(v[-1] / abs(y[-1])) if y[-1] != 0 else np.inf
-
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("y,phi\n")
             for y, v in zip(self.grid, self.values):
                 tok = "inf" if not np.isfinite(v) else f"{v:.12g}"
                 fh.write(f"{y:.12g},{tok}\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        ys, vs = [], []
-        with open(path) as fh:
-            fh.readline()
-            for line in fh:
-                y, v = line.strip().split(",")
-                ys.append(float(y))
-                vs.append(np.inf if v == "inf" else float(v))
-        return cls(np.asarray(ys), np.asarray(vs))
 
 
 def conjugate_rate(model, z_grid, y_grid):

@@ -9,6 +9,9 @@ turns product-space functionals of recursively perturbed statistics into k
 grid sweeps, so no product measure is ever constructed; a brute-force
 enumeration over atom sequences doubles as the independent cross-check for
 small k.
+
+``poly_power`` is the one home of ``poly_rate``'s exponent range; the CLI
+reaches it through ``_Fields.build``, so a bad exponent names its field.
 """
 
 from dataclasses import dataclass
@@ -207,6 +210,13 @@ def ld_rate(measure, threshold, n_grid, shift_radius=0.0):
                       passed=bool(fitted <= bound + 1e-3))
 
 
+def poly_power(power):
+    """The exponent p of :func:`poly_rate` if it is in range, else InputError."""
+    if not (1.0 < power <= 4.0):
+        raise InputError("power must lie in (1, 4]")
+    return power
+
+
 def poly_rate(measure, power, threshold, n_grid, shift_radius=0.0, tol=0.05):
     """Polynomial decay n^(p-1) P(X_n >= threshold) against the shortfall bound.
 
@@ -215,8 +225,7 @@ def poly_rate(measure, power, threshold, n_grid, shift_radius=0.0, tol=0.05):
     [-6, 6]; an infinite bound (the infimum is zero) is reported as +inf
     and passes trivially.
     """
-    if not (1.0 < power <= 4.0):
-        raise InputError("power must lie in (1, 4]")
+    power = poly_power(power)
     probs = exact_tail_probabilities(measure, threshold, n_grid)
     if all(p == 0.0 for p in probs):
         raise DegenerateSetError("the event has probability zero for every n")

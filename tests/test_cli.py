@@ -399,7 +399,10 @@ class TestErrorContract:
         ("cramer_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
         ("poly_rate_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
         ("cramer_bernoulli", "threshold = 0.5\nshift_radius = 0",
-         "threshold = 2\nshift_radius = 1.5", "set.threshold")])
+         "threshold = 2\nshift_radius = 1.5", "set.threshold"),
+        # a radius cannot be negative
+        ("cramer_bernoulli", "shift_radius = 0", "shift_radius = -0.7",
+         "set.shift_radius")])
     def test_malformed_field_exit_3(self, tmp_path, capsys, name, old, new, field):
         # wrong entry counts, nan, infinite and fractional counts, even grid
         # counts, non-positive and non-increasing schedule entries, infinite
@@ -453,7 +456,10 @@ class TestErrorContract:
         ("wasserstein_generator", "tolerance = 0.02", "tolerance = nope",
          "check.tolerance"),
         ("cramer_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
-        ("poly_rate_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold")])
+        ("poly_rate_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
+        ("cramer_bernoulli", "shift_radius = 0", "shift_radius = -0.7",
+         "set.shift_radius"),
+        ("poly_rate_bernoulli", "power = 2", "power = 5", "expectation.power")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
         # fields once read after the computation; every compute entry point

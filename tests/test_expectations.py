@@ -51,13 +51,6 @@ class TestDiscreteMeasure:
         assert abs(m[0]) < 1e-12
         assert s[0, 0] == pytest.approx(1.0, abs=1e-10)
 
-    def test_file_round_trip(self, tmp_path):
-        p = tmp_path / "mu.csv"
-        BERNOULLI.save(p)
-        back = DiscreteMeasure.load(p)
-        assert np.allclose(back.atoms, BERNOULLI.atoms)
-        assert np.allclose(back.weights, BERNOULLI.weights)
-
 
 class TestPenaltyFunction:
     def test_quadratic_valid(self):
@@ -77,14 +70,6 @@ class TestPenaltyFunction:
     def test_convexity_required(self):
         with pytest.raises(InputError):
             PenaltyFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 3.0]))
-
-    def test_inf_token_round_trip(self, tmp_path):
-        pen = PenaltyFunction.indicator(1.0, n=5)
-        p = tmp_path / "pen.csv"
-        pen.save(p)
-        back = PenaltyFunction.load(p)
-        assert np.array_equal(back.grid, pen.grid)
-        assert back(2.0) == np.inf
 
 
 class TestExpect:

@@ -293,23 +293,26 @@ class TestFiniteDifferences:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        f = make(np.sin, R=2.0, N=17, weight=GrowthWeight(1))
+    def test_csv_bytes(self, tmp_path):
+        # the artifact layout: a metadata header, a column line, %.12g rows
+        f = GridFunction(Grid(2.5, 3), np.array([1.0, 0.0, 1 / 3]), "linear",
+                         GrowthWeight(1))
         path = tmp_path / "f.csv"
         f.to_csv(path)
-        g = GridFunction.from_csv(path)
-        assert g.grid == f.grid
-        assert g.extension == f.extension
-        assert g.weight == f.weight
-        assert np.allclose(g.values, f.values, atol=1e-12)
+        assert path.read_text() == (
+            "# R=2.5 N=3 d=1 extension=linear weight=1\n"
+            "x,value\n-2.5,1\n0,0\n2.5,0.333333333333\n")
 
-    def test_csv_round_trip_2d(self, tmp_path):
-        g = Grid(1.0, 5, dimension=2)
-        f = GridFunction.sample(g, lambda x, y: x * y)
+    def test_csv_bytes_2d(self, tmp_path):
+        # x runs slowest: one row per node in C order of values[i, j]
+        f = GridFunction(Grid(1.0, 3, dimension=2), np.arange(9.0).reshape(3, 3))
         path = tmp_path / "f2.csv"
         f.to_csv(path)
-        h = GridFunction.from_csv(path)
-        assert np.allclose(h.values, f.values, atol=1e-12)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["# R=1 N=3 d=2 extension=constant weight=0", "x,y,value"]
+        assert lines[2:5] == ["-1,-1,0", "-1,0,1", "-1,1,2"]
+        assert lines[-1] == "1,1,8"
+        assert len(lines) == 11
 
     def test_values_immutable(self):
         f = make(np.sin)

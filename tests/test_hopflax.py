@@ -20,27 +20,16 @@ def indicator_rate(at=0.0):
 
 
 class TestRateFunction:
-    def test_min_and_argmin(self):
-        r = RateFunction(np.linspace(-2, 2, 81), np.linspace(-2, 2, 81) ** 2)
-        assert r.min_value() == 0.0
-        assert r.argmin() == 0.0
-
     def test_negative_rate_rejected(self):
         with pytest.raises(InputError):
             RateFunction(np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
 
-    def test_edge_slope_certificate(self):
-        y = np.linspace(-4, 4, 81)
-        r = RateFunction(y, y**2)
-        assert r.edge_slope() == pytest.approx(4.0)
-
-    def test_csv_round_trip(self, tmp_path):
-        r = indicator_rate()
+    def test_csv_bytes(self, tmp_path):
+        # the rate.csv layout: a y,phi header, %.12g numbers, the token inf
+        r = RateFunction(np.array([-1.0, 0.0, 0.5]), np.array([np.inf, 0.0, 1 / 3]))
         p = tmp_path / "rate.csv"
         r.to_csv(p)
-        back = RateFunction.from_csv(p)
-        assert np.array_equal(back.grid, r.grid)
-        assert back.values[0] == np.inf
+        assert p.read_text() == "y,phi\n-1,inf\n0,0\n0.5,0.333333333333\n"
 
 
 class TestConjugateRate:
@@ -133,7 +122,7 @@ class TestHopfLax:
         rate = RateFunction(y, (y - 0.5) ** 2)
         t = 0.5
         u = hopf_lax(f, t, rate)
-        shifted = f.shift(t * rate.argmin())
+        shifted = f.shift(t * y[np.argmin(rate.values)])
         interior = np.abs(g.axis) <= 2.0
         assert np.all(u.values[interior] >= shifted.values[interior] - 1e-12)
 
