@@ -1,8 +1,9 @@
 """Hot numeric kernels in plain numpy.
 
 ``pad`` extends node values past the grid box along axis 0, with the edge
-value (constant continuation) or the edge cells' linear extrapolation; it
-is the one place the extension rule is spelled out for whole arrays.
+value (constant continuation) or the edge cells' linear extrapolation,
+into a new array or a held one; it is the one place the extension rule is
+spelled out for whole arrays.
 ``gather_plan`` is the multilinear gather on a uniform grid, d = 1 or 2: it
 computes the floor indices and interpolation weights of a set of query
 points once and returns a map from node values to the gathered values, so
@@ -17,9 +18,12 @@ transpose, so the models reduce contiguous rows per sample point.
 ``interp1`` is the one-shot 1D gather behind every 1D grid
 evaluation. ``shift_stencil`` is the gather at
 node-independent offsets (grid-aligned one-steps, the 1D Hopf-Lax
-candidates): a shifted slice of the padded values per offset; its ``mean``
-entry takes weighted means over rows of offsets as one banded matrix
-product over those slices, with no gathered matrix. The package
+candidates), a ``ShiftStencil`` plan: a shifted slice of the padded values
+per offset; its ``mean`` entry takes weighted means over rows of offsets
+as one banded matrix product over those slices, with no gathered matrix.
+The plan holds its pad, refilled in place for each new set of values on
+its grid, and each entry keeps the geometry of its last offsets, so equal
+steps compute it once. The package
 reaches these gathers through ``GridFunction`` (``eval``, ``gather_plan``,
 ``stencil``). The three ``one_step_*`` kernels are fused reference
 implementations of single Chernoff steps; ``chernoff.one_step`` computes
@@ -46,21 +50,30 @@ WINDOW_BLOCK_VALUES = 1 << 15
 # piecewise-multilinear interpolation on a uniform grid
 # ---------------------------------------------------------------------------
 
-def pad(values, m, constant_ext):
+def pad(values, m, constant_ext, out=None):
     """``values`` extended by ``m`` nodes on each side along axis 0.
 
     The extension repeats the edge value (``constant_ext``) or continues the
     edge cells linearly: node -k takes v[0] - k (v[1] - v[0]) and node
-    n - 1 + k takes v[n-1] + k (v[n-1] - v[n-2]), for k = 1 .. m.
+    n - 1 + k takes v[n-1] + k (v[n-1] - v[n-2]), for k = 1 .. m. The
+    result is written into ``out`` when given (shape (n + 2m, ...)), else
+    into a new array; either way each entry comes from the same operations.
     """
+    n = values.shape[0]
+    if out is None:
+        out = np.empty((n + 2 * m,) + values.shape[1:])
+    top, bottom = out[:m], out[m + n:]
+    out[m:m + n] = values
     if constant_ext:
-        top = np.repeat(values[:1], m, axis=0)
-        bottom = np.repeat(values[-1:], m, axis=0)
+        top[...] = values[0]
+        bottom[...] = values[-1]
     else:
         steps = np.arange(1, m + 1).reshape(-1, *([1] * (values.ndim - 1)))
-        top = values[0] - (values[1] - values[0]) * steps[::-1]
-        bottom = values[-1] + (values[-1] - values[-2]) * steps
-    return np.concatenate([top, values, bottom])
+        np.multiply(values[1] - values[0], steps[::-1], out=top)
+        np.subtract(values[0], top, out=top)
+        np.multiply(values[-1] - values[-2], steps, out=bottom)
+        np.add(values[-1], bottom, out=bottom)
+    return out
 
 
 def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
@@ -127,14 +140,26 @@ def interp1(values, origin, spacing, queries, constant_ext):
     return gather_plan(origin, spacing, values.shape[0], queries, constant_ext)(values)
 
 
-def shift_stencil(values, spacing, constant_ext):
+def shift_stencil(values, spacing, constant_ext, held=None):
+    """The :class:`ShiftStencil` of ``values``: ``held`` refilled in place
+    when it was built for the same node count, spacing and extension, else
+    a new one."""
+    key = (values.shape[0], spacing, constant_ext)
+    if held is None or held.key != key:
+        held = ShiftStencil(*key)
+    return held.load(values)
+
+
+class ShiftStencil:
     """Gather at node-independent offsets: ``stencil(c)[i, j] = f(x_i + c[j])``.
 
-    The values are padded once by n nodes on each side (``pad``). With
-    k = floor(c / spacing) and theta = c / spacing - k, column j is then
-    (1 - theta) p[i + k] + theta p[i + k + 1], two shifted slices of the pad
-    p, the same piecewise-linear interpolant ``interp1`` evaluates. Offsets
-    beyond the box clamp k so that both slices lie in the padding.
+    A plan over n nodes with ``spacing`` and one extension. It holds the
+    values padded by n nodes on each side (``pad``), which ``load`` refills
+    in place. With k = floor(c / spacing) and theta = c / spacing - k,
+    column j is then (1 - theta) p[i + k] + theta p[i + k + 1], two shifted
+    slices of the pad p, the same piecewise-linear interpolant ``interp1``
+    evaluates. Offsets beyond the box clamp k so that both slices lie in
+    the padding.
 
     ``stencil.mean(c, w)``, with c of shape (L, m), is the weighted mean
     ``sum_j w[j] f(x_i + c[l, j])`` at every node i, shape (L, n). It is
@@ -143,48 +168,75 @@ def shift_stencil(values, spacing, constant_ext):
     so the mean is one matrix product K @ windows[lo:hi + 1] over the band,
     taken over blocks of nodes so that the window block it copies holds at
     most ``WINDOW_BLOCK_VALUES`` values.
-    """
-    n = values.shape[0]
-    # windows[n + k] = p[k:k + n], the values shifted by k nodes, k in [-n, n]
-    windows = sliding_window_view(pad(values, n, constant_ext), n)
 
-    def cells(c):
+    Each entry keeps the geometry of its last offsets: the rows and the
+    weights 1 - theta and theta for ``stencil(c)``; lo, the band width,
+    K and the block size for ``mean(c, w)``. Equal steps of one partition
+    ask for equal offsets, so they compute it once; other offsets or
+    weights replace it.
+    """
+
+    def __init__(self, n, spacing, constant_ext):
+        self.key = (n, spacing, constant_ext)
+        self._pad = np.empty(3 * n)
+        # windows[n + k] = p[k:k + n], the values shifted by k nodes, k in [-n, n]
+        self._windows = sliding_window_view(self._pad, n)
+        self._columns = self._band = None
+
+    def load(self, values):
+        """Refill the pad with ``values``, n nodes; returns the stencil."""
+        n, _, constant_ext = self.key
+        pad(values, n, constant_ext, out=self._pad)
+        return self
+
+    def _cells(self, c):
         # window row of the lower cell node and the weight of the upper one
+        n, spacing, constant_ext = self.key
         u = c / spacing
         if constant_ext:
             u = np.clip(u, -n, n - 1.0)
         k = np.clip(np.floor(u), -n, n - 1.0)
         return n + k.astype(np.int64), u - k
 
-    def stencil(c):
-        rows, theta = cells(c)
-        theta = theta[:, None]
-        out = windows[rows]
-        out *= 1.0 - theta
-        upper = windows[rows + 1]
-        upper *= theta
+    def __call__(self, c):
+        held = self._columns
+        if held is None or not np.array_equal(held[0], c):
+            # the old geometry is freed first, so that the new one and the
+            # gathers after it can reuse its memory
+            held = self._columns = None
+            rows, theta = self._cells(c)
+            theta = theta[:, None]
+            held = self._columns = (c.copy(), rows, rows + 1, 1.0 - theta, theta)
+        _, rows, upper_rows, lower_w, upper_w = held
+        out = self._windows[rows]
+        out *= lower_w
+        upper = self._windows[upper_rows]
+        upper *= upper_w
         out += upper
         return out.T
 
-    def mean(c, w):
-        rows, theta = cells(c)
-        lo = rows.min()
-        width = rows.max() + 2 - lo
-        band = rows - lo + width * np.arange(c.shape[0])[:, None]
-        kernel = np.bincount(np.concatenate([band.ravel(), band.ravel() + 1]),
-                             np.concatenate([(w * (1.0 - theta)).ravel(),
-                                             (w * theta).ravel()]),
-                             minlength=c.shape[0] * width).reshape(c.shape[0], width)
+    def mean(self, c, w):
+        held = self._band
+        if held is None or not (np.array_equal(held[0], c) and np.array_equal(held[1], w)):
+            held = self._band = None  # freed first, as in __call__
+            rows, theta = self._cells(c)
+            lo = rows.min()
+            width = rows.max() + 2 - lo
+            band = rows - lo + width * np.arange(c.shape[0])[:, None]
+            kernel = np.bincount(np.concatenate([band.ravel(), band.ravel() + 1]),
+                                 np.concatenate([(w * (1.0 - theta)).ravel(),
+                                                 (w * theta).ravel()]),
+                                 minlength=c.shape[0] * width).reshape(c.shape[0], width)
+            block = max(1, WINDOW_BLOCK_VALUES // width)
+            held = self._band = (c.copy(), w.copy(), lo, width, kernel, block)
+        _, _, lo, width, kernel, block = held
+        n = self.key[0]
         out = np.empty((c.shape[0], n))
-        block = max(1, WINDOW_BLOCK_VALUES // width)
         for i in range(0, n, block):
             # the strided window block is copied once, for one BLAS product
-            np.matmul(kernel, np.ascontiguousarray(windows[lo:lo + width, i:i + block]),
+            np.matmul(kernel, np.ascontiguousarray(self._windows[lo:lo + width, i:i + block]),
                       out=out[:, i:i + block])
         return out
-
-    stencil.mean = mean
-    return stencil
 
 
 def one_step_weighted(values, origin, spacing, constant_ext, base, offsets, weights):

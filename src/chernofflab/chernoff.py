@@ -116,6 +116,8 @@ class OneStepOperator:
     scaling: ScalingFamily = field(default_factory=FirstOrderAffine)
     # the last per-point gather plan, (t, grid, extension, sample points, plan)
     _plan: tuple = field(default=None, init=False, repr=False, compare=False)
+    # the last grid-aligned stencil, with its pad and last geometry
+    _stencil: object = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, t, f):
         return one_step(self, t, f)
@@ -130,7 +132,10 @@ def one_step(op, t, f):
     column-major, the transpose of a C-ordered (k, nodes) gather, so the
     models' reductions over the k sample points run over contiguous rows.
     When the base is the grid axis itself, each y is one offset for every
-    node and the gather is a shifted-slice stencil. Otherwise the queries
+    node and the gather is a shifted-slice stencil; the operator keeps it,
+    refilled with each step's values while the grid and the extension stay
+    the same, and the stencil keeps the geometry of its last offsets and
+    weights, so equal steps compute it once. Otherwise the queries
     are laid out (k, nodes) in 1D and (k, nodes, 2) in 2D, and the gather's
     geometry is a plan that the operator keeps and reuses while t, the
     grid, the extension and the sample points stay the same, as they do
@@ -147,7 +152,8 @@ def one_step(op, t, f):
     x = g.axis if one_d else g.nodes()
     base, scale = op.scaling.base_and_scale(t, x)
     if one_d and base is x:
-        stencil = f.stencil()
+        stencil = f.stencil(op._stencil)
+        object.__setattr__(op, "_stencil", stencil)
 
         def gather(y):
             return stencil(scale * y[:, 0])

@@ -278,8 +278,11 @@ def _payoff_callable(sections):
 
 def _build_payoff(sections):
     fields = _Fields(sections, "grid")
-    grid = fields.build("N", Grid, fields.number("R", lo=0.0),
-                        fields.number("N", cast=int))
+    r, n = fields.number("R", lo=0.0), fields.number("N", cast=int)
+    # N's rules checked on a unit box first, so that the grid's own error
+    # can only be R's
+    fields.build("N", Grid, 1.0, n)
+    grid = fields.build("R", Grid, r, n)
     ext = fields.str_("extension", "constant")
     if ext not in EXTENSIONS:
         fields._fail("extension", f"must be one of {EXTENSIONS}, got {ext!r}")

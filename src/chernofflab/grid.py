@@ -32,6 +32,8 @@ class Grid:
             raise InputError("points_per_axis must be odd and >= 3")
         if not (self.half_width > 0):
             raise InputError("half_width must be positive")
+        if not np.isfinite(self.spacing):
+            raise InputError(f"half_width {self.half_width:g} gives a non-finite spacing")
 
     @property
     def spacing(self):
@@ -160,13 +162,16 @@ class GridFunction:
         return _kernels.gather_plan(-g.half_width, g.spacing, g.points_per_axis, q,
                                     self.extension == "constant", g.dimension)
 
-    def stencil(self):
+    def stencil(self, held=None):
         """The 1D gather at node-independent offsets, ``stencil(c)[i, j] =
-        f(x_i + c[j])``, as shifted slices of the values padded once; its
+        f(x_i + c[j])``, as shifted slices of the padded values; its
         ``mean(c, w)`` entry takes ``sum_j w[j] f(x_i + c[l, j])`` per row of
-        offsets ``c`` without gathering them."""
+        offsets ``c`` without gathering them. ``held``, a stencil an earlier
+        call returned, is refilled with these values in place and returned,
+        with the geometry of its last offsets, when it was built for this
+        grid and extension; otherwise a new stencil is built."""
         return _kernels.shift_stencil(self.values, self.grid.spacing,
-                                      self.extension == "constant")
+                                      self.extension == "constant", held)
 
     # -- norms ---------------------------------------------------------------
 

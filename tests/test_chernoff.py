@@ -7,9 +7,9 @@ from chernofflab import _kernels, chernoff
 from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          GridFunction, GrowthWeight, Linear, OneStepOperator,
                          Partition, PenaltyFunction, Perturbed, SecondOrder,
-                         ShiftSup, Shortfall, centered, chernoff_limit,
-                         gauss_hermite, iterate, log_mgf, one_step, two_point,
-                         upper_lipschitz_certificate)
+                         ShiftSup, Shortfall, SymmetricTwoPointSup, centered,
+                         chernoff_limit, gauss_hermite, iterate, log_mgf,
+                         one_step, two_point, upper_lipschitz_certificate)
 from chernofflab.errors import InputError
 from chernofflab.expectations import SHORTFALL_TOL
 
@@ -284,6 +284,123 @@ class TestPlanReuse:
         held = u.values.copy()
         v = one_step(op, 0.2, u)
         assert op._plan[0] == 0.2
+        assert np.array_equal(u.values, held)
+        assert not np.array_equal(v.values, held)
+
+
+# every grid-aligned model family, each under both grid-aligned scalings
+STENCIL_MODELS = {
+    "linear": Linear(gauss_hermite(8)),
+    "entropic": Entropic(gauss_hermite(8)),
+    "shortfall": Shortfall(gauss_hermite(8), 2.0),
+    "shift_sup": ShiftSup(two_point(), PenaltyFunction.quadratic(2.0, 65),
+                          np.linspace(-1.0, 1.0, 9)),
+    "symmetric_sup": SymmetricTwoPointSup(two_point(), PenaltyFunction.quadratic(2.0, 65),
+                                          np.linspace(0.0, 1.0, 9)),
+    "centered_entropic": centered(Entropic(two_point())),
+}
+STENCIL_SCALINGS = {"first_order": FirstOrderAffine(), "second_order": SecondOrder()}
+
+
+def count_geometry_builds(monkeypatch):
+    # each build of a held geometry (a stencil's columns or a mean's band)
+    # computes the cells of its offsets once
+    builds = []
+    cells = _kernels.ShiftStencil._cells
+    monkeypatch.setattr(_kernels.ShiftStencil, "_cells",
+                        lambda self, c: builds.append(c.shape) or cells(self, c))
+    return builds
+
+
+class TestStencilReuse:
+    """The grid-aligned stencil and its geometry are reused across equal steps."""
+
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    @pytest.mark.parametrize("scaling", list(STENCIL_SCALINGS))
+    @pytest.mark.parametrize("model", list(STENCIL_MODELS))
+    def test_iterate_equals_fresh_one_steps(self, model, scaling, extension):
+        # horizon 0.9 with step 0.2: a remainder step of t = 0.1, then four
+        # full steps; each fresh operator builds its own stencil
+        parts = (STENCIL_MODELS[model], STENCIL_SCALINGS[scaling])
+        f = plan_case_payoff(model, extension)
+        partition = Partition(0.9, 0.2)
+        want = f
+        for t in [partition.remainder] + [partition.step] * partition.full_steps:
+            want = one_step(OneStepOperator(*parts), t, want)
+        got = iterate(OneStepOperator(*parts), partition, f)
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("model", ["linear", "symmetric_sup"])
+    def test_one_geometry_per_partition(self, model, monkeypatch):
+        builds = count_geometry_builds(monkeypatch)
+        plans = []
+        stencil_init = _kernels.ShiftStencil.__init__
+        monkeypatch.setattr(_kernels.ShiftStencil, "__init__",
+                            lambda self, *key: plans.append(key) or stencil_init(self, *key))
+        op = OneStepOperator(STENCIL_MODELS[model], SecondOrder())
+        f = plan_case_payoff(model, "constant")
+        iterate(op, Partition(1.0, 1.0 / 16), f)
+        assert len(builds) == 1
+        # a remainder step has its own t: one geometry for it, one for the rest
+        builds.clear()
+        iterate(op, Partition(0.9, 0.2), f)
+        assert len(builds) == 2
+        # one grid and extension: one stencil over both partitions
+        assert len(plans) == 1
+
+    def test_changes_are_never_served_a_stale_geometry(self, monkeypatch):
+        builds = count_geometry_builds(monkeypatch)
+        model = STENCIL_MODELS["symmetric_sup"]
+        op = OneStepOperator(model, SecondOrder())
+        f = plan_case_payoff("symmetric_sup", "constant")
+        # another t, extension, node count or spacing (same node count) each
+        # gets its own geometry, and so does the return to the first case
+        cases = [(0.2, f), (0.1, f), (0.1, plan_case_payoff("symmetric_sup", "linear")),
+                 (0.1, GridFunction.sample(Grid(4.0, 33), np.sin)),
+                 (0.1, GridFunction.sample(Grid(3.0, 33), np.sin)), (0.2, f)]
+        for t, g in cases:
+            got = one_step(op, t, g)
+            assert np.array_equal(got.values,
+                                  one_step(OneStepOperator(model, SecondOrder()), t, g).values)
+        # two builds per case: one for op, one for the fresh operator
+        assert len(builds) == 2 * len(cases)
+
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    def test_changed_offsets_or_weights_rebuild(self, extension):
+        # both entries of one held stencil against fresh stencils, with the
+        # offsets, the clouds or the weights changed between calls
+        f = plan_case_payoff("linear", extension)
+        held = f.stencil()
+        c = np.array([0.0, 0.31, -0.7, 5.0])
+        clouds = np.array([[0.1, -0.2, 0.45], [1.3, -0.9, 0.0]])
+        w = np.array([0.2, 0.5, 0.3])
+        for offsets in (c, 2.0 * c, c[:3], c):
+            assert np.array_equal(held(offsets), f.stencil()(offsets))
+        for cl, cw in ((clouds, w), (clouds, w[::-1]), (0.5 * clouds, w[::-1]),
+                       (clouds[:1], w), (clouds, w)):
+            assert np.array_equal(held.mean(cl, cw), f.stencil().mean(cl, cw))
+
+    def test_operator_holds_one_stencil(self):
+        model = STENCIL_MODELS["shift_sup"]
+        op = OneStepOperator(model)
+        f = plan_case_payoff("shift_sup", "constant")
+        one_step(op, 0.2, f)
+        held = op._stencil
+        one_step(op, 0.1, f.replace_values(2.0 * f.values))
+        assert op._stencil is held
+        assert held.key == (f.grid.points_per_axis, f.grid.spacing, True)
+        # the held stencil is no part of the operator's identity
+        assert op == OneStepOperator(model)
+        assert "_stencil" not in repr(op)
+
+    @pytest.mark.parametrize("model", ["linear", "shift_sup", "centered_entropic"])
+    def test_next_step_leaves_the_last_values_alone(self, model):
+        # the stencil refills its pad on every step; no step result may
+        # share it
+        op = OneStepOperator(STENCIL_MODELS[model], SecondOrder())
+        u = one_step(op, 0.2, plan_case_payoff(model, "linear"))
+        held = u.values.copy()
+        v = one_step(op, 0.2, u)
         assert np.array_equal(u.values, held)
         assert not np.array_equal(v.values, held)
 

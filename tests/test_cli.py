@@ -395,6 +395,8 @@ class TestErrorContract:
          "payoff.frequency"),
         # a finite parameter that overflows the sampled payoff
         ("lln_entropic_gaussian", "sign = -1", "sign = -1e308", "(field payoff."),
+        # a finite half width whose grid spacing overflows
+        ("lln_entropic_gaussian", "R = 8", "R = 1e308", "grid.R"),
         # thresholds above the largest atom: the tail event is empty
         ("cramer_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
         ("poly_rate_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
@@ -459,7 +461,8 @@ class TestErrorContract:
         ("poly_rate_bernoulli", "threshold = 0.5", "threshold = 2", "set.threshold"),
         ("cramer_bernoulli", "shift_radius = 0", "shift_radius = -0.7",
          "set.shift_radius"),
-        ("poly_rate_bernoulli", "power = 2", "power = 5", "expectation.power")])
+        ("poly_rate_bernoulli", "power = 2", "power = 5", "expectation.power"),
+        ("lln_entropic_gaussian", "R = 8", "R = 1e308", "grid.R")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
         # fields once read after the computation; every compute entry point

@@ -24,6 +24,12 @@ class TestGrid:
         with pytest.raises(InputError):
             Grid(1.0, 1)
 
+    @pytest.mark.parametrize("half_width", [1e308, np.inf])
+    def test_box_whose_spacing_overflows_rejected(self, half_width):
+        # 2R overflows: the spacing and every node coordinate would be infinite
+        with pytest.raises(InputError, match="spacing"):
+            Grid(half_width, 5)
+
 
 class TestWithin:
     def test_equals_the_inline_masks(self):

@@ -9,15 +9,19 @@ lower hull of its lines only, the loop over every line. A gather plan must
 give the one-shot gathers bit for bit for any values on its grid, and
 return its one held buffer from every apply, refilled; and
 ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
-extension written out per side, as the stencil and the mollifier took it.
-The stencil's weighted mean must equal its gather followed by a dot, a
-grid-aligned ``ShiftSup`` step must equal the per-shift loop over the same
-gather (the reduction of a payoff with no ``mean`` entry), take one mean
-call and no gather, and stay within 16 MB on a band as wide as the padded
-values.
+extension written out per side, as the stencil and the mollifier took it,
+and so must the stencil's held pad, refilled in place. The stencil's
+weighted mean must equal its gather followed by a dot, a grid-aligned
+``ShiftSup`` step must equal the per-shift loop over the same gather (the
+reduction of a payoff with no ``mean`` entry), take one mean call and no
+gather, on a held stencil too, and stay within 16 MB on a band as wide as
+the padded values. ``chernoff`` and ``hopflax`` must not import
+``_kernels``.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +310,36 @@ def test_pad_matches_the_inline_pads(dimension, constant_ext):
             assert got.tobytes() == stencil_pad(v, m, constant_ext).tobytes()
 
 
+@pytest.mark.parametrize("constant_ext", [True, False])
+def test_stencil_refills_its_pad_as_pad_does(constant_ext):
+    # the held pad, refilled in place over other values, against a fresh
+    # pad and the extension written out per side; values of mixed scale
+    # make the linear ramps show a reordered product in their last bits
+    n = 65
+    rng = np.random.default_rng(7)
+    stencil = K.shift_stencil(rng.normal(size=n), 0.1, constant_ext)
+    for scale in (1.0, 1e-3, 3e5):
+        v = scale * rng.normal(size=n) + np.pi
+        got = stencil.load(v)._pad
+        assert got.tobytes() == K.pad(v, n, constant_ext).tobytes()
+        assert got.tobytes() == stencil_pad(v, n, constant_ext).tobytes()
+
+
+@pytest.mark.parametrize("module", ["chernoff", "hopflax"])
+def test_kernels_are_reached_only_through_the_grid(module):
+    # chernoff and hopflax gather through Grid and GridFunction, never by
+    # importing _kernels
+    path = Path(K.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("_kernels" in name for name in names), ast.unparse(node)
+
+
 def mean_by_gather(stencil, clouds, w):
     # each cloud gathered as stencil columns, then averaged by one dot
     return np.stack([stencil(c) @ w for c in clouds])
@@ -365,28 +399,27 @@ def test_grid_aligned_shift_sup_step_matches_block_loop(model, scaling, extensio
 
 
 def test_grid_aligned_shift_sup_step_is_one_mean_call(monkeypatch):
+    # every stencil's entries counted, the held one of a repeated step too
     calls = {}
-    shift_stencil = K.shift_stencil
+    stencil_call, stencil_mean = K.ShiftStencil.__call__, K.ShiftStencil.mean
 
-    def counting_stencil(*args):
-        stencil = shift_stencil(*args)
+    def gather(self, c):
+        calls["gather"] += 1
+        return stencil_call(self, c)
 
-        def gather(c):
-            calls["gather"] += 1
-            return stencil(c)
-
-        def mean(c, w):
-            calls["mean"] += 1
-            return stencil.mean(c, w)
-        gather.mean = mean
-        return gather
-    monkeypatch.setattr(K, "shift_stencil", counting_stencil)
+    def mean(self, c, w):
+        calls["mean"] += 1
+        return stencil_mean(self, c, w)
+    monkeypatch.setattr(K.ShiftStencil, "__call__", gather)
+    monkeypatch.setattr(K.ShiftStencil, "mean", mean)
     f = GridFunction.sample(Grid(4.0, 129), np.sin)
     for scaling in (FirstOrderAffine(), SecondOrder()):
         for model in SHIFT_MODELS.values():
-            calls.update(gather=0, mean=0)
-            one_step(OneStepOperator(model, scaling), 0.1, f)
-            assert calls == {"gather": 0, "mean": 1}
+            op = OneStepOperator(model, scaling)
+            for _ in range(3):
+                calls.update(gather=0, mean=0)
+                one_step(op, 0.1, f)
+                assert calls == {"gather": 0, "mean": 1}
 
 
 def test_wide_band_mean_step_memory():
