@@ -18,7 +18,9 @@ transpose, so the models reduce contiguous rows per sample point.
 ``interp1`` is the one-shot 1D gather behind every 1D grid
 evaluation. ``shift_stencil`` is the gather at
 node-independent offsets (grid-aligned one-steps, the 1D Hopf-Lax
-candidates), a ``ShiftStencil`` plan: a shifted slice of the padded values
+candidates: under constant extension only those that can attain the
+supremum, which leaves the outputs unchanged), a ``ShiftStencil`` plan: a
+shifted slice of the padded values
 per offset; its ``mean`` entry takes weighted means over rows of offsets
 as one banded matrix product over those slices, with no gathered matrix.
 The plan holds its pad, refilled in place for each new set of values on

@@ -139,19 +139,26 @@ def one_step(op, t, f):
     are laid out (k, nodes) in 1D and (k, nodes, 2) in 2D, and the gather's
     geometry is a plan that the operator keeps and reuses while t, the
     grid, the extension and the sample points stay the same, as they do
-    over the full steps of one partition. The plan's output is its own held
-    buffer, which the next gather overwrites; a model's reduction reads it
-    and returns a fresh array.
+    over the full steps of one partition; such steps do not compute the
+    scaling's base either. The plan's output is its own held buffer, which
+    the next gather overwrites; a model's reduction reads it and returns a
+    fresh array.
     """
-    if t < 0:
-        raise InputError("one_step requires t >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise InputError("one_step requires a finite t >= 0")
     if t == 0.0:
         return f
     g = f.grid
     one_d = g.dimension == 1
-    x = g.axis if one_d else g.nodes()
-    base, scale = op.scaling.base_and_scale(t, x)
-    if one_d and base is x:
+    key = (t, g, f.extension)
+    # a held plan for this t, grid and extension means the last step here
+    # gathered per point; its base is needed only if the plan is rebuilt
+    psi = None
+    if op._plan is None or op._plan[:3] != key:
+        x = g.axis if one_d else g.nodes()
+        psi = op.scaling.base_and_scale(t, x)
+    if psi is not None and one_d and psi[0] is x:
+        scale = psi[1]
         stencil = f.stencil(op._stencil)
         object.__setattr__(op, "_stencil", stencil)
 
@@ -161,11 +168,14 @@ def one_step(op, t, f):
         gather.mean = lambda y, w: stencil.mean(scale * y[..., 0], w)
     else:
         def gather(y):
+            nonlocal psi
             held = op._plan
-            if not (held is not None and held[0] == t and held[1] == g
-                    and held[2] == f.extension and np.array_equal(held[3], y)):
+            if not (held is not None and held[:3] == key and np.array_equal(held[3], y)):
+                if psi is None:
+                    psi = op.scaling.base_and_scale(t, g.axis if one_d else g.nodes())
+                base, scale = psi
                 plan = f.gather_plan(base + scale * (y if one_d else y[:, None]))
-                held = (t, g, f.extension, y.copy(), plan)
+                held = (*key, y.copy(), plan)
                 object.__setattr__(op, "_plan", held)
             return held[4](f.values).T
 

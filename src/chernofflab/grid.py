@@ -8,6 +8,7 @@ every operation is pure.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +40,12 @@ class Grid:
     def spacing(self):
         return 2.0 * self.half_width / (self.points_per_axis - 1)
 
-    @property
+    @cached_property
     def axis(self):
-        return -self.half_width + self.spacing * np.arange(self.points_per_axis)
+        """The node coordinates, computed once per grid and read-only."""
+        ax = -self.half_width + self.spacing * np.arange(self.points_per_axis)
+        ax.flags.writeable = False
+        return ax
 
     def nodes(self):
         """All node coordinates, shape (N, d) flattened in C order."""

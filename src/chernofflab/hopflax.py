@@ -93,13 +93,33 @@ def _candidates(rate):
 def hopf_lax(f, t, rate):
     """sup over the rate grid of f(x + t y) - phi(y) t, per node x.
 
-    Infinite rate entries are skipped. t = 0 returns f unchanged.
+    Infinite rate entries are skipped. t = 0 returns f unchanged; t must
+    be finite. Under constant extension every gathered value lies in
+    [min f, max f], so a candidate with t (phi(y) - min phi) above
+    max f - min f (plus a slack far above rounding) loses to the minimiser
+    of phi at every node; such candidates are dropped before the gather,
+    and the result is the same float at every node. Linear extension keeps
+    every candidate, since its interpolant is unbounded.
     """
-    if t < 0:
-        raise InputError("hopf_lax requires t >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise InputError("hopf_lax requires a finite t >= 0")
     if t == 0.0:
         return f
     ys, phis = _candidates(rate)
+    if f.extension == "constant":
+        # Each gathered value is a convex combination of node values, so it
+        # lies in [lo, hi] up to a few ulps of max|f|. A dropped candidate
+        # scores at most hi - t phi(y) < lo - t min(phi) - slack at every
+        # node, and the minimiser of phi, always kept, at least
+        # lo - t min(phi). Rounding moves either score, and the rule, by a
+        # few ulps of max|f| + t max(phi), a millionth of the slack, so no
+        # dropped candidate is the maximiser after rounding either, and the
+        # max over the kept candidates is the same float.
+        lo, hi = np.min(f.values), np.max(f.values)
+        pmin = np.min(phis)
+        slack = 1e-9 * (1.0 + max(-lo, hi) + t * np.max(phis))
+        keep = t * (phis - pmin) <= (hi - lo) + slack
+        ys, phis = ys[keep], phis[keep]
     if f.grid.dimension == 1:
         # every node is queried at the same offsets t * y: a shift stencil
         stencil = f.stencil()
@@ -143,8 +163,8 @@ def envelope(f, t, z_grid, h_minus, h_plus, y_grid):
 
 def semigroup_defect(f, s, t, rate, compact):
     """sup norm on the compact of S(s+t) f - S(s) S(t) f for Hopf-Lax flows."""
-    if s < 0 or t < 0:
-        raise InputError("semigroup_defect requires s, t >= 0")
+    if not (np.isfinite(s) and np.isfinite(t) and s >= 0 and t >= 0):
+        raise InputError("semigroup_defect requires finite s, t >= 0")
     direct = hopf_lax(f, s + t, rate)
     nested = hopf_lax(hopf_lax(f, t, rate), s, rate)
     return direct.replace_values(direct.values - nested.values).sup_norm_on(compact)

@@ -117,8 +117,8 @@ def solve_hj(ham, f, t):
     evaluated as ``ham(p)`` does, piecewise linear on ``ham.p_grid`` and
     constant beyond it, so the gradient grid need not be uniform.
     """
-    if t < 0:
-        raise InputError("solve_hj requires t >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise InputError("solve_hj requires a finite t >= 0")
     if f.grid.dimension != 1:
         raise InputError("the PDE oracle is one-dimensional")
     if t == 0.0:
@@ -141,8 +141,8 @@ def solve_g_heat(g2, f, t):
     (lam^2 / 2, cost), which gives the same maximum, so a step costs one
     comparison per hull line rather than one per entry of ``g2.lam_grid``.
     """
-    if t < 0:
-        raise InputError("solve_g_heat requires t >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise InputError("solve_g_heat requires a finite t >= 0")
     if f.grid.dimension != 1:
         raise InputError("the PDE oracle is one-dimensional")
     if t == 0.0:

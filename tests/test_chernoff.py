@@ -63,6 +63,16 @@ class TestOneStep:
         with pytest.raises(InputError):
             one_step(op, -0.1, f)
 
+    @pytest.mark.parametrize("scaling", [FirstOrderAffine(),
+                                         Perturbed(np.sin, 1.0)])
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t, scaling):
+        # a grid-aligned and a per-point step alike, before any gather
+        f = GridFunction.sample(Grid(4.0, 129), np.sin)
+        op = OneStepOperator(Linear(two_point()), scaling)
+        with pytest.raises(InputError, match="finite"):
+            one_step(op, t, f)
+
     def test_entropic_affine_payoff_adds_t_lambda(self):
         # I(t)(a x) = a x + t Lambda(a) for the affine scaling
         a, t = 0.75, 0.4

@@ -9,6 +9,8 @@ from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          semigroup_defect, two_point)
 from chernofflab import _kernels as K
 from chernofflab import hopflax
+from chernofflab.cli import run_config_text
+from chernofflab.configs import BUILTINS
 from chernofflab.errors import GridTooSmallError, InputError
 
 
@@ -17,6 +19,40 @@ def indicator_rate(at=0.0):
     y = np.array([at - 1.0, at - 1e-9, at, at + 1e-9, at + 1.0])
     v = np.array([np.inf, np.inf, 0.0, np.inf, np.inf])
     return RateFunction(y, v)
+
+
+def exhaustive_hopf_lax(f, t, rate):
+    """Every finite candidate gathered at once, as ``hopf_lax`` gathers
+    them, then the max: the Hopf-Lax values with nothing dropped."""
+    ys, phis = hopflax._candidates(rate)
+    if f.grid.dimension == 1:
+        gathered = f.stencil()(t * ys)
+    else:
+        nodes = f.grid.nodes()
+        gathered = f.eval(nodes[:, None, :] + t * ys[None, :, :])
+    return (gathered - t * phis[None, :]).max(axis=1).reshape(f.values.shape)
+
+
+@pytest.fixture
+def gathered_columns(monkeypatch):
+    """A one-entry list counting the columns every 1D shift stencil gathers."""
+    count = [0]
+    stencil_call = K.ShiftStencil.__call__
+
+    def gather(self, c):
+        count[0] += c.size
+        return stencil_call(self, c)
+    monkeypatch.setattr(K.ShiftStencil, "__call__", gather)
+    return count
+
+
+def quadratic_rate_with_gaps():
+    # phi = 0.2 + (y - 0.3)^2 / 2: min phi is neither 0 nor at y = 0; the
+    # candidates t y reach past the box [-4, 4]; every seventh entry is +inf
+    y = np.linspace(-12.0, 12.0, 601)
+    phi = 0.2 + 0.5 * (y - 0.3) ** 2
+    phi[::7] = np.inf
+    return RateFunction(y, phi)
 
 
 class TestRateFunction:
@@ -84,6 +120,12 @@ class TestHopfLax:
         f = GridFunction.sample(Grid(4.0, 257), np.sin)
         rate = RateFunction(np.linspace(-2, 2, 41), np.linspace(-2, 2, 41) ** 2)
         assert hopf_lax(f, 0.0, rate) is f
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        f = GridFunction.sample(Grid(4.0, 129), np.sin)
+        with pytest.raises(InputError, match="finite"):
+            hopf_lax(f, t, indicator_rate())
 
     def test_concave_quadratic_value(self):
         g = Grid(8.0, 1025)
@@ -182,6 +224,101 @@ class TestHopfLax:
         assert u.values[mid, mid] == pytest.approx(vals.max(), abs=5e-3)
 
 
+class TestHopfLaxPruning:
+    """Under constant extension hopf_lax drops the candidates that cannot
+    attain the supremum; the values stay those of the exhaustive max."""
+
+    # the step's winners near x = 0 pay t (phi - min phi) up to its range
+    PAYOFFS = {"sine": np.sin,
+               "quadratic": lambda x: 0.1 * (x - 1.0) ** 2,
+               "constant": lambda x: np.full_like(x, 1.3),
+               "step": lambda x: np.where(x > 0.0, 1.0, -1.0)}
+
+    @pytest.mark.parametrize("t", [0.125, 1.0, 3.0])
+    @pytest.mark.parametrize("payoff", PAYOFFS)
+    def test_1d_constant_extension_matches_exhaustive(self, payoff, t,
+                                                      gathered_columns):
+        f = GridFunction.sample(Grid(4.0, 129), self.PAYOFFS[payoff])
+        rate = quadratic_rate_with_gaps()
+        want = exhaustive_hopf_lax(f, t, rate)
+        gathered_columns[0] = 0
+        got = hopf_lax(f, t, rate).values
+        assert got.tobytes() == want.tobytes()
+        assert gathered_columns[0] < np.isfinite(rate.values).sum()
+
+    @pytest.mark.parametrize("t", [0.125, 1.0, 3.0])
+    def test_1d_linear_extension_keeps_every_candidate(self, t, gathered_columns):
+        # the extrapolated payoff grows past its node range: at t = 3 the
+        # winners gain more than max f - min f over the minimiser of phi
+        f = GridFunction.sample(Grid(1.0, 65), lambda x: np.sin(2.0 * x) + 3.0 * x,
+                                extension="linear")
+        rate = quadratic_rate_with_gaps()
+        want = exhaustive_hopf_lax(f, t, rate)
+        gathered_columns[0] = 0
+        got = hopf_lax(f, t, rate).values
+        assert got.tobytes() == want.tobytes()
+        assert gathered_columns[0] == np.isfinite(rate.values).sum()
+
+    @pytest.mark.parametrize("t", [0.125, 1.0, 3.0])
+    def test_2d_radial_constant_extension_matches_exhaustive(self, t):
+        g = Grid(2.0, 17, dimension=2)
+        f = GridFunction.sample(g, lambda x, y: np.sin(x) * np.cos(2 * y) + 0.1 * x * y)
+        r = np.linspace(0.0, 3.0, 33)
+        phi = r**2 / 2
+        phi[-4:] = np.inf
+        rate = RateFunction(r, phi, radial=True, directions=16)
+        got = hopf_lax(f, t, rate).values
+        assert got.tobytes() == exhaustive_hopf_lax(f, t, rate).tobytes()
+
+    def test_winner_on_the_bound(self):
+        # y = -2 costs t (phi - min phi) = 1.3 - 0.3 = max f - min f exactly,
+        # and at x = 4 it scores 1.3 - (1.3 - 0.3), one ulp above the 0.3 of
+        # the minimiser y = 0: the winner sits on the bound
+        v = np.full(9, 0.3)
+        v[6] = 1.3
+        f = GridFunction(Grid(4.0, 9), v)
+        rate = RateFunction(np.array([-2.0, 0.0]), np.array([1.3 - 0.3, 0.0]))
+        assert rate.values[0] - rate.values[1] == v.max() - v.min()
+        want = exhaustive_hopf_lax(f, 1.0, rate)
+        assert want[8] > 0.3
+        assert hopf_lax(f, 1.0, rate).values.tobytes() == want.tobytes()
+
+    def test_winner_past_the_bound_by_rounding(self):
+        # on a constant 1.3 the interpolant at offset -0.215 rounds up by
+        # one ulp, so y = -0.215 wins every node although its cost puts it
+        # 1e-300 past max f - min f = 0: only the slack keeps it
+        f = GridFunction(Grid(4.0, 9), np.full(9, 1.3))
+        rate = RateFunction(np.array([-0.215, 0.0]), np.array([1e-300, 0.0]))
+        want = exhaustive_hopf_lax(f, 1.0, rate)
+        assert np.all(want > 1.3)
+        assert hopf_lax(f, 1.0, rate).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    def test_envelope_perturbed_gathers_a_quarter(self, extension, tmp_path,
+                                                  gathered_columns, monkeypatch):
+        # the built-in's two Hopf-Lax calls, each against its finite
+        # candidates; linear extension gathers every one of them
+        calls, flow = [], hopflax.hopf_lax
+
+        def counted(f, t, rate):
+            before = gathered_columns[0]
+            out = flow(f, t, rate)
+            calls.append((gathered_columns[0] - before,
+                          hopflax._candidates(rate)[1].size))
+            return out
+        monkeypatch.setattr(hopflax, "hopf_lax", counted)
+        text = BUILTINS["envelope_perturbed"][1]
+        assert "extension = constant" in text
+        run_config_text(text.replace("extension = constant", f"extension = {extension}"),
+                        str(tmp_path))
+        assert len(calls) == 2
+        for gathered, finite in calls:
+            if extension == "constant":
+                assert gathered <= 0.25 * finite
+            else:
+                assert gathered == finite
+
+
 class TestEnvelope:
     def test_equal_bounds_identical_outputs(self):
         g = Grid(6.0, 513)
@@ -246,6 +383,12 @@ class TestSemigroupDefect:
         y = np.linspace(-3, 3, 121)
         rate = RateFunction(y, y**2 / 2)
         assert semigroup_defect(f, 0.0, 0.7, rate, (-2, 2)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s, t", [(np.nan, 0.5), (0.5, np.inf)])
+    def test_non_finite_times_rejected(self, s, t):
+        f = GridFunction.sample(Grid(4.0, 129), np.sin)
+        with pytest.raises(InputError, match="finite"):
+            semigroup_defect(f, s, t, indicator_rate(), (-2, 2))
 
     def test_indicator_rate_exact(self):
         g = Grid(6.0, 257)

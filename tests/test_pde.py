@@ -156,7 +156,20 @@ class TestSolveHJ:
             solve_hj(ham, f, 0.1)
 
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        ham = Hamiltonian1(np.linspace(-2, 2, 41), np.linspace(-2, 2, 41) ** 2)
+        with pytest.raises(InputError, match="finite"):
+            solve_hj(ham, sample(np.sin, N=129), t)
+
+
 class TestSolveGHeat:
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        g2 = Hamiltonian2(np.array([0.0, 1.0]), np.array([0.0, 0.0]), sigma2=0.0)
+        with pytest.raises(InputError, match="finite"):
+            solve_g_heat(g2, sample(np.sin, N=129), t)
+
     def test_linear_heat_of_quadratic(self):
         # u_t = u_xx / 2 sends x^2 to x^2 + t on interior compacts
         f = sample(lambda x: np.minimum(x**2, 36.0), R=8.0, N=513)
