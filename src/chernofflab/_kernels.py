@@ -25,7 +25,10 @@ per offset; its ``mean`` entry takes weighted means over rows of offsets
 as one banded matrix product over those slices, with no gathered matrix.
 The plan holds its pad, refilled in place for each new set of values on
 its grid, and each entry keeps the geometry of its last offsets, so equal
-steps compute it once. The package
+steps compute it once. One value budget, ``WINDOW_BLOCK_VALUES``, sizes
+both blocked loops over (nodes x columns) arrays: the node blocks of
+``mean`` and, through ``Grid.columns_per_block``, the candidate blocks of
+the Hopf-Lax scan. The package
 reaches these gathers through ``GridFunction`` (``eval``, ``gather_plan``,
 ``stencil``). The three ``one_step_*`` kernels are fused reference
 implementations of single Chernoff steps; ``chernoff.one_step`` computes
@@ -44,7 +47,8 @@ order so that repeated runs of an experiment produce byte-identical output.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# window values one block of a stencil's weighted mean copies (nodes x band)
+# values one block holds: the windows a stencil's weighted mean copies
+# (nodes x band), and the candidates a Hopf-Lax scan gathers (nodes x block)
 WINDOW_BLOCK_VALUES = 1 << 15
 
 

@@ -546,6 +546,9 @@ def _run_envelope(sections):
     y = check.span("y_grid", "12,2401")
     slack = check.number("slack", -5e-3)
     sections.reject_unread()
+    if not np.isfinite(scaling.lip * float(np.max(np.abs(z)))):
+        _Fields(sections, "scaling")._fail(
+            "amplitude", "makes the envelope band lip |z| overflow on the z-grid")
     u = iterate(OneStepOperator(model, scaling), Partition(1.0, 1.0 / n), f)
     lam, band = model.expect_linear(z), scaling.lip * np.abs(z)
     s_minus, s_plus = envelope(f, 1.0, z, lam - band, lam + band, y)

@@ -369,14 +369,17 @@ def log_mgf(measure, x):
 def legendre(z_grid, values, y_grid):
     """Discrete convex conjugate g*(y) = max_z (y z - g(z)) on the dual grid.
 
-    Entries of ``values`` may be +inf (skipped). Uses the monotone-maximizer
-    scan, linear in the two grid sizes.
+    Entries of ``values`` may be +inf (skipped); NaN and -inf raise
+    ``InputError``. Uses the monotone-maximizer scan, linear in the two grid
+    sizes.
     """
     z = np.asarray(z_grid, dtype=float)
     g = np.asarray(values, dtype=float)
     y = np.asarray(y_grid, dtype=float)
     if z.shape != g.shape or z.ndim != 1:
         raise InputError("legendre expects matching 1D grids")
+    if not np.all(np.isfinite(g) | (g == np.inf)):
+        raise InputError("legendre values must be finite or +inf, not NaN or -inf")
     if np.any(np.diff(z) <= 0) or (y.size > 1 and np.any(np.diff(y) <= 0)):
         raise InputError("legendre grids must be strictly increasing")
     if np.count_nonzero(np.isfinite(g)) < 2:

@@ -56,6 +56,12 @@ class Grid:
         return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
     @property
+    def columns_per_block(self):
+        """Columns of a (nodes x columns) gather that one block holds: as many
+        as fit the kernels' value budget ``WINDOW_BLOCK_VALUES``, at least 1."""
+        return max(1, _kernels.WINDOW_BLOCK_VALUES // self.points_per_axis ** self.dimension)
+
+    @property
     def origin_index(self):
         mid = self.points_per_axis // 2
         return mid if self.dimension == 1 else (mid, mid)

@@ -17,8 +17,6 @@ import numpy as np
 from .errors import GridTooSmallError, InputError
 from .expectations import legendre
 
-_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class RateFunction:
@@ -100,6 +98,12 @@ def hopf_lax(f, t, rate):
     of phi at every node; such candidates are dropped before the gather,
     and the result is the same float at every node. Linear extension keeps
     every candidate, since its interpolant is unbounded.
+
+    The kept candidates are gathered and maxed in blocks of
+    ``Grid.columns_per_block``: the value budget that also sizes a shift
+    stencil's mean blocks, spread over the nodes (15 candidates at 2049
+    nodes), so a call holds a few such (nodes x block) arrays at a time.
+    The max is exact, so the block size changes no value.
     """
     if not (np.isfinite(t) and t >= 0):
         raise InputError("hopf_lax requires a finite t >= 0")
@@ -134,9 +138,11 @@ def hopf_lax(f, t, rate):
         def gather(yy):
             return f.eval(nodes[:, None, :] + t * yy[None, :, :])
 
+    block = f.grid.columns_per_block
     best = np.full(f.values.size, -np.inf)
-    for k0 in range(0, ys.shape[0], _CHUNK):
-        vals = gather(ys[k0:k0 + _CHUNK]) - t * phis[k0:k0 + _CHUNK][None, :]
+    for k0 in range(0, ys.shape[0], block):
+        vals = gather(ys[k0:k0 + block])
+        vals -= t * phis[k0:k0 + block]
         np.maximum(best, vals.max(axis=1), out=best)
     return f.replace_values(best.reshape(f.values.shape))
 

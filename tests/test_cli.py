@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -13,6 +14,7 @@ from chernofflab.configs import BUILTINS
 from chernofflab.errors import ConfigError
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "builtins.json"
+PINS = GOLDEN.with_name("artifacts.json")
 SMALL_TABLES = ("diagnostics.csv", "clt_values.csv", "rate_report.csv",
                 "generator.csv")
 
@@ -44,6 +46,30 @@ def golden_record(outdir):
             "sum": _number(math.fsum(values)),
             "max_abs": _number(max(abs(v) for v in values))}
     return record
+
+
+def artifact_pins(outdir):
+    """The byte pins of one built-in run in ``outdir``: per artifact, the
+    sha256 of its bytes and 4 hex digits of each line's sha256, which locate
+    the first line that moved. summary.txt is pinned without its last line,
+    the run time."""
+    pins = {}
+    for path in sorted(Path(outdir).iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        if path.name == "summary.txt":
+            lines = lines[:-1]
+        pins[path.name] = {
+            "sha256": hashlib.sha256(b"".join(lines)).hexdigest(),
+            "lines": "".join(hashlib.sha256(ln).hexdigest()[:4] for ln in lines)}
+    return pins
+
+
+def _first_moved_line(got, want):
+    """1-based number of the first line whose digest differs, else None."""
+    for i in range(0, max(len(got), len(want)), 4):
+        if got[i:i + 4] != want[i:i + 4]:
+            return i // 4 + 1
+    return None
 
 
 def _assert_close(got, want, where):
@@ -162,6 +188,24 @@ class TestRunners:
         # on purpose rewrites tests/golden/builtins.json and says why
         want = json.loads(GOLDEN.read_text())[name]
         _assert_close(golden_record(builtin_runs[name][3]), want, name)
+
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_builtin_artifacts_match_pins(self, builtin_runs, name):
+        # every artifact keeps its bytes; a change that moves them on purpose
+        # rewrites tests/golden/artifacts.json (run this module as a script)
+        # and says why
+        outdir = builtin_runs[name][3]
+        want = json.loads(PINS.read_text())[name]
+        got = artifact_pins(outdir)
+        assert sorted(got) == sorted(want), name
+        for fname, pin in want.items():
+            if got[fname]["sha256"] == pin["sha256"]:
+                continue
+            line = _first_moved_line(got[fname]["lines"], pin["lines"])
+            lines = (outdir / fname).read_text().splitlines()
+            text = lines[line - 1] if line and line <= len(lines) else "<none>"
+            pytest.fail(f"{name}/{fname} differs from its pin, first at line "
+                        f"{line}: {text!r}")
 
     @pytest.mark.parametrize("name, key", [("lln_entropic_gaussian", "uniform"),
                                            ("clt_two_point_gaussian", "n")])
@@ -391,6 +435,9 @@ class TestErrorContract:
         ("clt_binary_exact", "clip = 36", "clip = -inf", "payoff.clip"),
         ("envelope_perturbed", "amplitude = 0.1", "amplitude = inf",
          "scaling.amplitude"),
+        # a finite drift amplitude whose envelope band overflows
+        ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e308",
+         "scaling.amplitude"),
         ("generator_affine_drift", "family = sin", "family = sin\nfrequency = inf",
          "payoff.frequency"),
         # a finite parameter that overflows the sampled payoff
@@ -462,7 +509,9 @@ class TestErrorContract:
         ("cramer_bernoulli", "shift_radius = 0", "shift_radius = -0.7",
          "set.shift_radius"),
         ("poly_rate_bernoulli", "power = 2", "power = 5", "expectation.power"),
-        ("lln_entropic_gaussian", "R = 8", "R = 1e308", "grid.R")])
+        ("lln_entropic_gaussian", "R = 8", "R = 1e308", "grid.R"),
+        ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e308",
+         "scaling.amplitude")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
         # fields once read after the computation; every compute entry point
@@ -543,3 +592,14 @@ class TestErrorContract:
         assert self.run_main(tmp_path, text) == 3
         assert "experiment.name" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+if __name__ == "__main__":
+    # rewrite the byte pins from a fresh run of every built-in
+    import tempfile
+    with tempfile.TemporaryDirectory() as root:
+        pins = {}
+        for name, (_, text) in BUILTINS.items():
+            run_config_text(text, root)
+            pins[name] = artifact_pins(Path(root) / name)
+    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,16 @@ class TestLegendre:
         with pytest.raises(InputError):
             legendre(np.array([0.0, 1.0]), np.array([np.inf, np.inf]),
                      np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nan_and_minus_infinity_rejected(self, bad):
+        # the hull scan skips non-finite entries: a -inf entry, whose
+        # conjugate is +inf everywhere, once gave finite values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="NaN or -inf"):
+                legendre(np.array([-1.0, 0.0, 1.0]), np.array([1.0, bad, 1.0]),
+                         np.array([0.0]))
 
     def test_matches_bruteforce_on_random_convex(self):
         rng = np.random.default_rng(4)

@@ -189,8 +189,9 @@ class TestHopfLax:
 
     @pytest.mark.parametrize("extension", ["constant", "linear"])
     def test_2d_matches_per_chunk_eval(self, extension):
-        # against a plain per-chunk eval of the candidates, bit for bit;
-        # 528 finite candidates make three chunks and reach beyond the box
+        # against a plain per-block eval of the candidates, bit for bit;
+        # 528 finite candidates make five blocks of at most 113 (the value
+        # budget over 289 nodes) and reach beyond the box
         g = Grid(2.0, 17, dimension=2)
         f = GridFunction.sample(g, lambda x, y: np.sin(x) * np.cos(2 * y) + 0.1 * x * y,
                                 extension=extension)
@@ -198,12 +199,13 @@ class TestHopfLax:
         rate = RateFunction(r, r**2 / 2, radial=True, directions=16)
         t = 0.7
         ys, phis = hopflax._candidates(rate)
-        assert ys.shape[0] > 2 * hopflax._CHUNK
+        block = K.WINDOW_BLOCK_VALUES // g.points_per_axis ** 2
+        assert ys.shape[0] > 4 * block
         nodes = g.nodes()
         best = np.full(nodes.shape[0], -np.inf)
-        for k0 in range(0, ys.shape[0], hopflax._CHUNK):
-            yy = ys[k0:k0 + hopflax._CHUNK]
-            pp = phis[k0:k0 + hopflax._CHUNK]
+        for k0 in range(0, ys.shape[0], block):
+            yy = ys[k0:k0 + block]
+            pp = phis[k0:k0 + block]
             vals = f.eval(nodes[:, None, :] + t * yy[None, :, :]) - t * pp[None, :]
             np.maximum(best, vals.max(axis=1), out=best)
         got = hopf_lax(f, t, rate).values
@@ -317,6 +319,69 @@ class TestHopfLaxPruning:
                 assert gathered <= 0.25 * finite
             else:
                 assert gathered == finite
+
+
+class TestHopfLaxBlocks:
+    """The candidates are scanned in blocks of ``Grid.columns_per_block``;
+    the max is exact, so the bytes are the same for any value budget."""
+
+    @staticmethod
+    def scans(f, t, rate, monkeypatch):
+        """hopf_lax under one candidate per block, the default budget and one
+        block for every candidate, with the columns of each 1D gather."""
+        widths, stencil_call = [], K.ShiftStencil.__call__
+
+        def gather(self, c):
+            widths[-1].append(c.size)
+            return stencil_call(self, c)
+        monkeypatch.setattr(K.ShiftStencil, "__call__", gather)
+        n, total = f.values.size, hopflax._candidates(rate)[1].size
+        out = []
+        for budget in (n, K.WINDOW_BLOCK_VALUES, n * total):
+            monkeypatch.setattr(K, "WINDOW_BLOCK_VALUES", budget)
+            widths.append([])
+            out.append(hopf_lax(f, t, rate).values.tobytes())
+        return out, widths
+
+    @pytest.mark.parametrize("t", [0.125, 1.0, 3.0])
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    def test_1d_block_size_keeps_the_bytes(self, extension, t, monkeypatch):
+        f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.3 * x,
+                                extension=extension)
+        rate = quadratic_rate_with_gaps()
+        want = exhaustive_hopf_lax(f, t, rate).tobytes()
+        block = f.grid.columns_per_block
+        out, widths = self.scans(f, t, rate, monkeypatch)
+        assert out == [want] * 3
+        kept = sum(widths[0])
+        assert widths[0] == [1] * kept
+        assert widths[1] == [block] * (kept // block) + [kept % block][:kept % block]
+        assert widths[2] == [kept]
+
+    @pytest.mark.parametrize("extension", ["constant", "linear"])
+    def test_2d_radial_block_size_keeps_the_bytes(self, extension, monkeypatch):
+        g = Grid(2.0, 17, dimension=2)
+        f = GridFunction.sample(g, lambda x, y: np.sin(x) * np.cos(2 * y) + 0.1 * x * y,
+                                extension=extension)
+        r = np.linspace(0.0, 3.0, 33)
+        phi = r**2 / 2
+        phi[-4:] = np.inf
+        rate = RateFunction(r, phi, radial=True, directions=16)
+        out, _ = self.scans(f, 0.7, rate, monkeypatch)
+        assert out == [exhaustive_hopf_lax(f, 0.7, rate).tobytes()] * 3
+
+    def test_pruned_below_one_block(self, monkeypatch):
+        # a payoff range of 0.02 keeps 9 of the 515 finite candidates, fewer
+        # than the 254 of one default block
+        f = GridFunction.sample(Grid(4.0, 129), lambda x: 0.01 * np.sin(x))
+        rate = quadratic_rate_with_gaps()
+        want = exhaustive_hopf_lax(f, 1.0, rate).tobytes()
+        block = f.grid.columns_per_block
+        out, widths = self.scans(f, 1.0, rate, monkeypatch)
+        assert out == [want] * 3
+        kept = sum(widths[0])
+        assert 1 < kept < block
+        assert widths[1] == widths[2] == [kept]
 
 
 class TestEnvelope:

@@ -28,8 +28,9 @@ import pytest
 
 from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction,
                          Linear, OneStepOperator, PenaltyFunction, Perturbed,
-                         SecondOrder, ShiftSup, Shortfall, SymmetricTwoPointSup,
-                         centered, gauss_hermite, one_step, two_point)
+                         RateFunction, SecondOrder, ShiftSup, Shortfall,
+                         SymmetricTwoPointSup, centered, gauss_hermite,
+                         hopf_lax, one_step, two_point)
 from chernofflab import _kernels as K
 from chernofflab.expectations import SHORTFALL_TOL, shortfall_root
 
@@ -435,3 +436,18 @@ def test_wide_band_mean_step_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+def test_hopf_lax_scan_memory():
+    # 2001 candidates at 2049 nodes, none pruned under linear extension: one
+    # unblocked gather would take 33 MB, and blocks of 256 candidates 12.7 MB
+    f = GridFunction.sample(Grid(4.0, 2049), np.sin, extension="linear")
+    y = np.linspace(-10.0, 10.0, 2001)
+    rate = RateFunction(y, 0.5 * y**2)
+    tracemalloc.start()
+    try:
+        hopf_lax(f, 1.0, rate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
