@@ -435,10 +435,9 @@ def _run_clt(sections):
         gtol = check.number("gheat_tolerance", lo=0.0)
         pgrid = check.build("gheat_grid", Grid,
                             *check.radius_count("gheat_grid", "6,385"))
-        horizon = sched.number("horizon", 1.0, 0.0)
-        # a shift model already holds its penalty, with the default applied
-        penalty = (model.penalty if isinstance(model, ShiftSup) else
-                   _spec(_Fields(sections, "expectation"), "penalty", None, _PENALTIES))
+    if gheat or gaussian:
+        g2 = check.build("gheat_tolerance" if gheat else "target",
+                         Hamiltonian2.from_model, model)
     cross = "cross_factor" in check.kv
     compact = base = None
     if cross:
@@ -447,9 +446,7 @@ def _run_clt(sections):
         base = sched.number("dyadic_base", 0.75, 0.0)
     sections.reject_unread()
     if gaussian:
-        lam_max = float(np.max(np.abs(model.shifts))) if isinstance(model, ShiftSup) else 0.0
-        _, sig = model.measure.mean_and_cov()
-        std = float(np.sqrt(lam_max ** 2 + sig[0, 0]))
+        std = float(np.sqrt(2.0 * g2.max_diffusion))
         gx, gw = np.polynomial.hermite.hermgauss(128)
         target = float(gw @ payoff_fn(np.sqrt(2.0) * std * gx) / np.sqrt(np.pi))
 
@@ -468,16 +465,14 @@ def _run_clt(sections):
         checks = [Check("exact_identity", all(abs(v - target) <= tol for v in values),
                         f"max dev {max(abs(v - target) for v in values):.2e} <= {tol}")]
         if interior:
-            x2 = f.grid.axis ** 2
-            sup = u.replace_values(u.values - x2 - 1.0).sup_norm_on(interior)
+            shift = target - f.values[f.grid.origin_index]  # u = f + shift
+            sup = u.replace_values(u.values - f.values - shift).sup_norm_on(interior)
             checks.append(Check("interior_identity", sup <= tol,
                                 f"sup on [{interior[0]},{interior[1]}] = {sup:.2e}"))
 
     if gheat:
         pf = GridFunction.sample(pgrid, payoff_fn)
-        lam = model.shifts[:, 0] if isinstance(model, ShiftSup) else np.array([0.0, 1.0])
-        g2 = Hamiltonian2.from_model(model.measure, penalty, lam)
-        upde = solve_g_heat(g2, pf, horizon)
+        upde = solve_g_heat(g2, pf, 1.0)
         pde0 = float(upde.values[pgrid.origin_index])
         checks.append(_close("g_heat_crosscheck", values[-1], pde0, gtol))
         artifacts["g_heat.csv"] = upde.to_csv
@@ -546,11 +541,12 @@ def _run_envelope(sections):
     y = check.span("y_grid", "12,2401")
     slack = check.number("slack", -5e-3)
     sections.reject_unread()
-    if not np.isfinite(scaling.lip * float(np.max(np.abs(z)))):
+    lam, zmax = model.expect_linear(z), float(z[-1])
+    if not np.isfinite((float(np.ptp(lam)) + scaling.lip * zmax) * 2.0 * zmax):
         _Fields(sections, "scaling")._fail(
-            "amplitude", "makes the envelope band lip |z| overflow on the z-grid")
+            "amplitude", "overflows the hull of the bands lam -+ lip |z| on the z-grid")
     u = iterate(OneStepOperator(model, scaling), Partition(1.0, 1.0 / n), f)
-    lam, band = model.expect_linear(z), scaling.lip * np.abs(z)
+    band = scaling.lip * np.abs(z)
     s_minus, s_plus = envelope(f, 1.0, z, lam - band, lam + band, y)
     mask = f.grid.within(*compact)
     slack_hi = float(np.min((s_plus.values - u.values)[mask]))

@@ -12,13 +12,13 @@ convex on evaluations:
 * ``SymmetricTwoPointSup``  penalized supremum over symmetric two-point
                       mixtures of shifts, the second-order analogue.
 
-Each model implements a single method, ``reduce(payoff, t)``, returning
-t * E[payoff / t] for every row of a payoff matrix: ``payoff`` maps the
-sample points the model needs, shape (k, d), to a (rows, k) matrix. One row
-is a scalar expectation (``expect``), one row per coefficient is
-``expect_linear``, and one row per grid node is a step of the one-step
-operator. Each model queries exactly the points it needs, so all
-expectations are finite sums.
+Each model implements ``reduce(payoff, t)``, returning t * E[payoff / t]
+for every row of a payoff matrix: ``payoff`` maps the sample points the
+model needs, shape (k, d), to a (rows, k) matrix. One row is a scalar
+expectation (``expect``), one row per coefficient is ``expect_linear``, and
+one row per grid node is a step of the one-step operator. Each model queries
+exactly the points it needs, so all expectations are finite sums. ``Linear``
+and ``ShiftSup`` also give the lines of their G (``second_order_lines``).
 
 A payoff may also carry an optional entry ``mean(points, weights)``: for
 points of shape (L, m, d) it returns the (L, rows) matrix whose row l is
@@ -185,6 +185,11 @@ class ExpectationModel:
         """
         raise NotImplementedError
 
+    def second_order_lines(self):
+        """The lines (lam, cost) of G(a) = max_l (lam_l^2 a / 2 - cost_l) +
+        sigma^2 a / 2, this model's generator under the second-order scaling."""
+        raise InputError(f"{type(self).__name__} has no known second-order G")
+
     def expect(self, g):
         """E[g] for a payoff callable on sample points ((k,) in 1D, else (k, d))."""
         if not callable(g):
@@ -215,6 +220,9 @@ class Linear(ExpectationModel):
 
     def reduce(self, payoff, t=1.0):
         return payoff(self.measure.atoms) @ self.measure.weights
+
+    def second_order_lines(self):
+        return np.zeros(1), np.zeros(1)  # the heat equation sigma^2 a / 2
 
 
 @dataclass(frozen=True)
@@ -290,6 +298,9 @@ class ShiftSup(ExpectationModel):
         for cloud, cost in zip(self._clouds, self._costs):
             best = np.maximum(best, payoff(cloud) @ self._cloud_weights - t * cost)
         return best
+
+    def second_order_lines(self):
+        return self.shifts[:, 0], self._costs
 
 
 def SymmetricTwoPointSup(measure, penalty, shifts):

@@ -9,9 +9,9 @@ Two explicit marches on the 1D grid:
 
 Both schemes are monotone by their CFL restriction, freeze the two outermost
 node layers, and are first-order accurate; they cross-check the Chernoff
-limits without sharing any code path with them. ``solve_hj`` reads H
-through the interpolant of ``Hamiltonian1`` on any strictly increasing
-gradient grid; ``solve_g_heat`` marches on the lower convex hull of G's lines.
+limits without sharing any code path with them. ``solve_hj`` interpolates H
+on a strictly increasing gradient grid; ``solve_g_heat`` marches on the lower
+convex hull of G's lines, which ``Hamiltonian2.from_model`` takes from a model.
 """
 
 from dataclasses import dataclass
@@ -90,11 +90,10 @@ class Hamiltonian2:
         object.__setattr__(self, "costs", cost)
 
     @classmethod
-    def from_model(cls, measure, penalty, lam_grid):
-        lam = np.asarray(lam_grid, dtype=float)
-        _, sig = measure.mean_and_cov()
-        return cls(lam, np.asarray(penalty(np.abs(lam)), dtype=float),
-                   float(sig[0, 0]))
+    def from_model(cls, model):
+        """G from ``model.second_order_lines()``; Sigma is its measure's second moment."""
+        _, sig = model.measure.mean_and_cov()
+        return cls(*model.second_order_lines(), float(sig[0, 0]))
 
     def __call__(self, a):
         a = np.asarray(a, dtype=float)

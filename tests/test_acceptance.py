@@ -147,8 +147,7 @@ def test_criterion_06_clt_g_distribution():
     pde_grid = Grid(6.0, 385)
     pf = GridFunction.sample(pde_grid, lambda x: np.minimum(np.cosh(x),
                                                             np.cosh(6.0)))
-    g2 = Hamiltonian2.from_model(model.measure, PenaltyFunction.indicator(1.0),
-                                 np.linspace(0.0, 1.0, 33))
+    g2 = Hamiltonian2.from_model(model)
     pde0 = float(solve_g_heat(g2, pf, 1.0).values[pde_grid.origin_index])
     gauss_err = abs(value - gauss)
     pde_err = abs(value - pde0)

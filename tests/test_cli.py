@@ -257,6 +257,40 @@ class TestRunners:
             assert ((tmp_path / "a" / name / fname).read_bytes()
                     == (tmp_path / "b" / name / fname).read_bytes()), fname
 
+    @pytest.mark.parametrize("name, old, new, failed", [
+        ("clt_two_point_gaussian", "\ntolerance = 0.03", "\ntolerance = 1e-4",
+         ["gaussian_limit"]),
+        ("clt_two_point_gaussian", "gheat_tolerance = 0.05", "gheat_tolerance = 1e-4",
+         ["g_heat_crosscheck"]),
+        ("clt_binary_exact", "tolerance = 1e-6", "tolerance = 1e-10",
+         ["exact_identity", "interior_identity"]),
+        ("clt_binary_exact", "tolerance = 1e-6", "tolerance = 1e-9",
+         ["interior_identity"])])
+    def test_every_clt_check_can_fail(self, tmp_path, capsys, name, old, new, failed):
+        # each bound moved below the value it measures: 3.2e-4 for the
+        # Gaussian limit, 3.5e-4 for the G-heat oracle, 2.7e-10 for the
+        # exact identity and 6.5e-9 for the interior identity
+        assert old in BUILTINS[name][1]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BUILTINS[name][1].replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert [ln.split(":")[0] for ln in lines if ": FAIL (" in ln] == failed, lines
+
+    @pytest.mark.parametrize("edits", [
+        (("sign = 1", "sign = -1"), ("target = 1.0", "target = -1.0")),
+        (("center = 0", "center = 0.25"), ("target = 1.0", "target = 1.0625"))])
+    def test_clt_interior_identity_follows_the_payoff(self, tmp_path, edits):
+        # u = f + target - f(0) on the interior box, for any quadratic payoff;
+        # the check once held u against x^2 + 1 whatever the payoff
+        text = BUILTINS["clt_binary_exact"][1]
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        ok, lines = run_config_text(text, str(tmp_path))
+        assert ok, lines
+        assert lines[1].startswith("interior_identity: PASS"), lines
+
     def test_deterministic_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_config_text(BUILTINS["cramer_bernoulli"][1], str(out1))
@@ -438,6 +472,9 @@ class TestErrorContract:
         # a finite drift amplitude whose envelope band overflows
         ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e308",
          "scaling.amplitude"),
+        # a finite band whose convex hull on the z-grid overflows
+        ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e307",
+         "scaling.amplitude"),
         ("generator_affine_drift", "family = sin", "family = sin\nfrequency = inf",
          "payoff.frequency"),
         # a finite parameter that overflows the sampled payoff
@@ -473,6 +510,16 @@ class TestErrorContract:
         assert "amplitude = 0.1" in text
         assert self.run_main(tmp_path, text.replace("amplitude = 0.1",
                                                     "amplitude = -0.1")) == 0
+
+    @pytest.mark.parametrize("amplitude", ["1e300", "1e306"])
+    def test_large_drift_amplitude_runs(self, tmp_path, amplitude):
+        # the hull of the bands fits in a double up to about 1.4e306; the
+        # envelope is true there, if very loose
+        text = BUILTINS["envelope_perturbed"][1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_main(tmp_path, text.replace(
+                "amplitude = 0.1", f"amplitude = {amplitude}")) == 0
 
     @pytest.mark.parametrize("name", ["lln_entropic_gaussian", "cramer_bernoulli",
                                       "poly_rate_bernoulli", "clt_binary_exact",
@@ -511,6 +558,8 @@ class TestErrorContract:
         ("poly_rate_bernoulli", "power = 2", "power = 5", "expectation.power"),
         ("lln_entropic_gaussian", "R = 8", "R = 1e308", "grid.R"),
         ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e308",
+         "scaling.amplitude"),
+        ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e307",
          "scaling.amplitude")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
@@ -519,7 +568,7 @@ class TestErrorContract:
         def computed(*args, **kwargs):
             raise AssertionError("computation started before the fields were read")
         for entry in ("chernoff_limit", "iterate", "generator_check", "ld_rate",
-                      "poly_rate", "solve_hj", "conjugate_rate"):
+                      "poly_rate", "solve_hj", "solve_g_heat", "conjugate_rate"):
             monkeypatch.setattr(cli, entry, computed)
         assert old in BUILTINS[name][1]
         with pytest.raises(ConfigError) as err:
@@ -543,14 +592,50 @@ class TestErrorContract:
             g_heat[label] = (out / "clt_two_point_gaussian" / "g_heat.csv").read_bytes()
         assert g_heat["default"] == g_heat["explicit"]
 
-    def test_clt_g_heat_check_reads_its_penalty_before_iterating(self, tmp_path, capsys):
-        # a linear model has no penalty of its own: the check needs the field
+    def test_clt_g_heat_check_of_a_linear_model_is_the_heat_equation(self, tmp_path,
+                                                                     capsys):
+        # a linear model's G is sigma^2 a / 2: the G-heat flow of x^2 is x^2 + t
         text = BUILTINS["clt_binary_exact"][1]
         assert "penalty" not in text and "[check]\n" in text
         text = text.replace("[check]\n", "[check]\ngheat_tolerance = 0.05\n")
+        assert self.run_main(tmp_path, text) == 0
+        assert "g_heat_crosscheck: PASS (|1.000000 - 1.000000| <= 0.05)" in \
+            capsys.readouterr().out
+        assert (tmp_path / "out" / "clt_binary_exact" / "g_heat.csv").exists()
+
+    @pytest.mark.parametrize("name, edits, field", [
+        # a linear model holds no penalty, and the G-heat march runs to t = 1
+        ("clt_binary_exact", [("[check]\n", "[check]\ngheat_tolerance = 0.05\n"),
+                              ("variant = linear\n",
+                               "variant = linear\npenalty = indicator(2)\n")],
+         "expectation.penalty"),
+        ("clt_two_point_gaussian", [("dyadic_base = 0.75\n",
+                                     "dyadic_base = 0.75\nhorizon = 0.25\n")],
+         "schedule.horizon"),
+        # an entropic model has no known G, for the oracle or the Gaussian target
+        ("clt_two_point_gaussian", [("variant = symmetric_two_point",
+                                     "variant = entropic"),
+                                    ("penalty = indicator(1)\nshifts = 0,1,33\n", "")],
+         "check.gheat_tolerance"),
+        ("clt_two_point_gaussian", [("variant = symmetric_two_point",
+                                     "variant = entropic"),
+                                    ("penalty = indicator(1)\nshifts = 0,1,33\n", ""),
+                                    ("gheat_tolerance = 0.05\ngheat_grid = 6,385\n", "")],
+         "check.target")])
+    def test_clt_takes_g_from_the_model(self, tmp_path, capsys, monkeypatch, name,
+                                        edits, field):
+        def computed(*args, **kwargs):
+            raise AssertionError("computation started before the fields were read")
+        for entry in ("chernoff_limit", "solve_g_heat"):
+            monkeypatch.setattr(cli, entry, computed)
+        text = BUILTINS[name][1]
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
         assert self.run_main(tmp_path, text) == 3
-        assert "expectation.penalty" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "clt_binary_exact" / "clt_values.csv").exists()
+        err = capsys.readouterr().err
+        assert f"(field {field})" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["lln_entropic_gaussian",
                                       "generator_entropic_constant"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from chernofflab import (Entropic, Grid, GridFunction, Hamiltonian1,
-                         Hamiltonian2, gauss_hermite, solve_g_heat, solve_hj)
+from chernofflab import (Centered, DiscreteMeasure, Entropic, Grid, GridFunction,
+                         Hamiltonian1, Hamiltonian2, Linear, PenaltyFunction,
+                         Shortfall, SymmetricTwoPointSup, gauss_hermite,
+                         solve_g_heat, solve_hj, two_point)
 from chernofflab.errors import InputError
 
 
@@ -44,6 +46,30 @@ class TestHamiltonian2:
     def test_needs_zero_cost_entry(self):
         with pytest.raises(InputError):
             Hamiltonian2(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
+
+    def test_linear_model_gives_the_heat_equation(self):
+        g2 = Hamiltonian2.from_model(Linear(two_point()))
+        assert g2.lam_grid.tolist() == [0.0] and g2.costs.tolist() == [0.0]
+        assert g2.sigma2 == 1.0
+        assert g2(2.0) == 1.0
+
+    def test_shift_model_gives_its_shifts_and_costs(self):
+        # the same bytes as G built by hand from the shift grid and penalty
+        measure = DiscreteMeasure.from_pairs([(0.0, 1.0)])
+        penalty, lam = PenaltyFunction.indicator(1.0), np.linspace(0.0, 1.0, 33)
+        g2 = Hamiltonian2.from_model(SymmetricTwoPointSup(measure, penalty, lam))
+        want = Hamiltonian2(lam, np.asarray(penalty(np.abs(lam)), dtype=float),
+                            float(measure.mean_and_cov()[1][0, 0]))
+        assert g2.lam_grid.tobytes() == want.lam_grid.tobytes()
+        assert g2.costs.tobytes() == want.costs.tobytes()
+        assert np.float64(g2.sigma2).tobytes() == np.float64(want.sigma2).tobytes()
+
+    @pytest.mark.parametrize("model", [Entropic(two_point()), Shortfall(two_point()),
+                                       Centered(Linear(two_point()))],
+                             ids=["entropic", "shortfall", "centered"])
+    def test_model_without_a_known_g_raises(self, model):
+        with pytest.raises(InputError, match="no known second-order G"):
+            Hamiltonian2.from_model(model)
 
 
 class TestSolveHJ:
