@@ -353,7 +353,7 @@ def _run_lln(sections):
     rate_y = check.span("rate_y", "10,2001")
     sections.reject_unread()
     u, diag = chernoff_limit(OneStepOperator(model, scaling), 1.0, f, schedule,
-                             tol=tol, compact=compact, dyadic_base=base)
+                             compact=compact, dyadic_base=base)
     value0 = diag.values_at_origin[-1]
     rate = conjugate_rate(model, rate_z, rate_y)
     oracle0 = float(hopf_lax(f, 1.0, rate).values[f.grid.origin_index])
@@ -438,6 +438,8 @@ def _run_clt(sections):
     if gheat or gaussian:
         g2 = check.build("gheat_tolerance" if gheat else "target",
                          Hamiltonian2.from_model, model)
+    if gaussian and np.any(g2.costs != 0):
+        check._fail("target", "gaussian needs a G whose kept lines all cost 0")
     cross = "cross_factor" in check.kv
     compact = base = None
     if cross:
@@ -454,7 +456,7 @@ def _run_clt(sections):
     # and, with a cross_factor, the partition diagnostics
     require_centered(model)
     u, diag = chernoff_limit(OneStepOperator(model, SecondOrder()), 1.0, f, n_list,
-                             tol=tol, compact=compact, dyadic_base=base)
+                             compact=compact, dyadic_base=base)
     values = diag.values_at_origin
     rows = "".join(f"{n},{v:.12g},{target:.12g}\n" for n, v in zip(n_list, values))
     artifacts = {"clt_values.csv": partial(_write_text, "n,value,target\n" + rows)}

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the constructor rules the value objects share:
+``freeze`` for their array fields and ``sampled`` for their 1D samples."""
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -24,3 +27,24 @@ class ConfigError(ValueError):
 
 class DegenerateSetError(InputError):
     """Raised when an event has probability zero for every sample size."""
+
+
+def freeze(obj, **arrays):
+    """Set each named field of the frozen dataclass ``obj`` to a read-only
+    float copy of the given array."""
+    for name, value in arrays.items():
+        arr = np.asarray(value, dtype=float).copy()
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
+def sampled(what, grid, values):
+    """``grid`` and ``values`` as float arrays, if ``grid`` is 1D with at
+    least two strictly increasing points and ``values`` has its shape;
+    otherwise InputError."""
+    x = np.asarray(grid, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.shape != v.shape or x.shape[0] < 2 or np.any(np.diff(x) <= 0):
+        raise InputError(f"{what} needs a 1D grid of at least two strictly "
+                         f"increasing points and one value per point")
+    return x, v

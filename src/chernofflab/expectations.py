@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, freeze, sampled
 
 SHORTFALL_TOL = 1e-10
 CENTERING_PROBES = (1.0, -1.0, 2.0, -2.0)
@@ -62,12 +62,7 @@ class DiscreteMeasure:
             raise InputError("weights must sum to one")
         if not np.all(np.isfinite(atoms)):
             raise InputError("atoms must be finite")
-        atoms = atoms.copy()
-        weights = weights.copy()
-        atoms.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+        freeze(self, atoms=atoms, weights=weights)
 
     @property
     def dimension(self):
@@ -100,22 +95,17 @@ def two_point(spread=1.0):
 class PenaltyFunction:
     """Convex nondecreasing penalty on a parameter grid, with inf markers.
 
-    ``phi(0) = 0`` is required; evaluation between grid points is linear and
+    The grid has at least two strictly increasing points and starts at 0,
+    where ``phi(0) = 0``; evaluation between grid points is linear and
     becomes infinite as soon as an infinite neighbour is involved. Configs
     spell penalties as the specs ``quadratic`` and ``indicator``.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    slope_bound: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if c.ndim != 1 or c.shape != v.shape or c.shape[0] < 2:
-            raise InputError("penalty needs matching 1D grids with >= 2 entries")
-        if np.any(np.diff(c) <= 0):
-            raise InputError("penalty parameter grid must be strictly increasing")
+        c, v = sampled("penalty", self.grid, self.values)
         if c[0] != 0.0 or v[0] != 0.0:
             raise InputError("penalty must have phi(0) = 0 with 0 the first grid point")
         if np.any(v < 0):
@@ -129,14 +119,7 @@ class PenaltyFunction:
             slopes = np.diff(vf) / np.diff(cf)
             if np.any(np.diff(slopes) < -1e-9):
                 raise InputError("penalty must be convex along its grid")
-        if self.slope_bound > 0 and np.isfinite(v[-1]):
-            if v[-1] / c[-1] < self.slope_bound - 1e-12:
-                raise InputError("penalty fails its declared superlinearity bound")
-        c = c.copy(); v = v.copy()
-        c.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "grid", c)
-        object.__setattr__(self, "values", v)
+        freeze(self, grid=c, values=v)
 
     def __call__(self, c):
         c = np.abs(np.asarray(c, dtype=float))
@@ -149,7 +132,7 @@ class PenaltyFunction:
     def quadratic(cls, radius=4.0, n=129):
         """c^2 on [0, radius], n grid points."""
         c = np.linspace(0.0, radius, n)
-        return cls(c, c**2, slope_bound=radius * 0.5)
+        return cls(c, c**2)
 
     @classmethod
     def indicator(cls, radius=1.0, n=65):
@@ -230,7 +213,7 @@ class Entropic(ExpectationModel):
     measure: DiscreteMeasure
 
     def __post_init__(self):
-        object.__setattr__(self, "_logw", np.log(self.measure.weights))
+        freeze(self, _logw=np.log(self.measure.weights))
 
     def reduce(self, payoff, t=1.0):
         g = payoff(self.measure.atoms) / t
@@ -273,19 +256,14 @@ class ShiftSup(ExpectationModel):
         keep = np.isfinite(cost)
         if not np.any(keep):
             raise InputError("penalty is infinite on the whole shift grid")
-        s = s[keep].copy()
-        cost = np.asarray(cost[keep], dtype=float).copy()
-        s.flags.writeable = False
-        cost.flags.writeable = False
-        object.__setattr__(self, "shifts", s)
-        object.__setattr__(self, "_costs", cost)
+        freeze(self, shifts=s[keep], _costs=cost[keep])
         # the atom cloud of each shift, (shifts, signs x atoms, d), and the
         # weights of its mean: both signs of the symmetric variant in one row
         signs = (1.0, -1.0) if self.symmetric else (1.0,)
         a, w = self.measure.atoms, self.measure.weights
-        object.__setattr__(self, "_clouds", np.concatenate(
-            [a[None] + sign * s[:, None] for sign in signs], axis=1))
-        object.__setattr__(self, "_cloud_weights", np.tile(w / len(signs), len(signs)))
+        freeze(self, _clouds=np.concatenate(
+            [a[None] + sign * self.shifts[:, None] for sign in signs], axis=1),
+            _cloud_weights=np.tile(w / len(signs), len(signs)))
 
     def reduce(self, payoff, t=1.0):
         # every atom mean at once, (shifts, rows), from the payoff's linear

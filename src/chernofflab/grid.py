@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, freeze
 
 EXTENSIONS = ("constant", "linear")
 
@@ -125,9 +125,7 @@ class GridFunction:
             raise InputError(f"values must have shape {shape}, got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise InputError("grid function values must all be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        freeze(self, values=vals)
 
     # -- construction -----------------------------------------------------
 

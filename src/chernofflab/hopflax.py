@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, InputError
+from .errors import GridTooSmallError, InputError, freeze, sampled
 from .expectations import legendre
 
 
@@ -29,12 +29,7 @@ class RateFunction:
     directions: int = 16
 
     def __post_init__(self):
-        y = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if y.ndim != 1 or y.shape != v.shape:
-            raise InputError("rate function needs matching 1D grids")
-        if np.any(np.diff(y) <= 0):
-            raise InputError("rate grid must be strictly increasing")
+        y, v = sampled("rate function", self.grid, self.values)
         fin = np.isfinite(v)
         if not np.any(fin):
             raise InputError("rate function must be finite somewhere")
@@ -42,11 +37,7 @@ class RateFunction:
             raise InputError("rate function must be nonnegative up to tolerance")
         if self.radial and y[0] < 0:
             raise InputError("radial rate grids start at radius >= 0")
-        y = y.copy(); v = v.copy()
-        y.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "grid", y)
-        object.__setattr__(self, "values", v)
+        freeze(self, grid=y, values=v)
 
     def to_csv(self, path):
         with open(path, "w") as fh:

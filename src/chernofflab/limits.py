@@ -20,7 +20,7 @@ import numpy as np
 
 from .chernoff import OneStepOperator, Partition, SecondOrder, iterate
 from .errors import DegenerateSetError, InputError, PreconditionError
-from .expectations import (CENTERING_PROBES, Shortfall, legendre, log_mgf)
+from .expectations import CENTERING_PROBES, Entropic, Shortfall, legendre
 
 _LATTICE_DENOMS = tuple(range(1, 65))
 
@@ -182,6 +182,20 @@ def _fit_rate(n_grid, values):
     return float(coef[0])
 
 
+def _tail(measure, threshold, n_grid, shift_radius, model, z_grid):
+    """The exact P(X_n >= threshold) for n in ``n_grid``, and the Legendre
+    value sup_z (x0 z - E[z xi]) of ``model`` on ``z_grid`` at
+    x0 = threshold - shift_radius, or None when x0 is at most the mean."""
+    probs = exact_tail_probabilities(measure, threshold, n_grid)
+    if all(p == 0.0 for p in probs):
+        raise DegenerateSetError("the event has probability zero for every n")
+    x0 = threshold - shift_radius
+    if x0 <= float(measure.mean_and_cov()[0][0]) + 1e-15:
+        return probs, None
+    lam = model.expect_linear(z_grid)
+    return probs, float(legendre(z_grid, lam, np.array([x0]))[0])
+
+
 def ld_rate(measure, threshold, n_grid, shift_radius=0.0):
     """Exponential decay of P(X_n >= threshold) against the conjugate bound.
 
@@ -191,21 +205,12 @@ def ld_rate(measure, threshold, n_grid, shift_radius=0.0):
     points of [-12, 12]; the report passes if the slope is at most the
     bound plus 1e-3.
     """
-    probs = exact_tail_probabilities(measure, threshold, n_grid)
-    if all(p == 0.0 for p in probs):
-        raise DegenerateSetError("the event has probability zero for every n")
+    probs, lstar = _tail(measure, threshold, n_grid, shift_radius,
+                         Entropic(measure), np.linspace(-12.0, 12.0, 4801))
     values = [np.log(p) / n if p > 0 else -np.inf
               for p, n in zip(probs, n_grid)]
     fitted = _fit_rate(n_grid, values)
-
-    mean = float(measure.mean_and_cov()[0][0])
-    x0 = threshold - shift_radius
-    if x0 <= mean + 1e-15:
-        bound = 0.0
-    else:
-        z_grid = np.linspace(-12.0, 12.0, 4801)
-        lam = log_mgf(measure, z_grid)
-        bound = -float(legendre(z_grid, lam, np.array([x0]))[0])
+    bound = 0.0 if lstar is None else -lstar
     return RateReport(list(n_grid), values, fitted, bound,
                       passed=bool(fitted <= bound + 1e-3))
 
@@ -226,21 +231,10 @@ def poly_rate(measure, power, threshold, n_grid, shift_radius=0.0, tol=0.05):
     and passes trivially.
     """
     power = poly_power(power)
-    probs = exact_tail_probabilities(measure, threshold, n_grid)
-    if all(p == 0.0 for p in probs):
-        raise DegenerateSetError("the event has probability zero for every n")
+    probs, lstar = _tail(measure, threshold, n_grid, shift_radius,
+                         Shortfall(measure, power), np.linspace(-6.0, 6.0, 1201))
     values = [n ** (power - 1.0) * p for p, n in zip(probs, n_grid)]
-
-    mean = float(measure.mean_and_cov()[0][0])
-    x0 = threshold - shift_radius
-    if x0 <= mean + 1e-15:
-        bound = np.inf
-    else:
-        x_grid = np.linspace(-6.0, 6.0, 1201)
-        model = Shortfall(measure, power)
-        lam = model.expect_linear(x_grid)
-        lstar = float(legendre(x_grid, lam, np.array([x0]))[0])
-        bound = lstar ** (-power) if lstar > 1e-12 else np.inf
+    bound = lstar ** (-power) if lstar is not None and lstar > 1e-12 else np.inf
     passed = bool(values[-1] <= bound * (1.0 + tol)) if np.isfinite(bound) else True
     return RateReport(list(n_grid), values, _fit_rate(n_grid, values),
                       float(bound), passed)
@@ -274,11 +268,10 @@ class GeneratorDiagnostics:
 
 
 def generator_values(op, f, nodes):
-    """Analytic generator A f on the given nodes, from the model formulas.
-
-    First-order scalings: A f(x) = E[ f'(x) psi_0(x, .) ]; second order:
-    A f(x) = E[ y^2 f''(x) / 2 ]. Derivatives of f come from the grid, at
-    the grid node nearest to each x (the lower one on a tie).
+    """Analytic generator A f on the given nodes: the model's expectation of
+    the scaling's ``generator_payoff``, E[f'(x) psi_0(x, .)] for first-order
+    scalings and E[y^2 f''(x) / 2] for the second-order one. Derivatives of
+    f come from the grid, at the node nearest to each x (the lower on a tie).
     """
     g = f.grid
     if g.dimension != 1:
@@ -286,11 +279,7 @@ def generator_values(op, f, nodes):
     x = np.asarray(nodes, dtype=float)
     u = np.ceil((x + g.half_width) / g.spacing - 0.5)
     idx = np.clip(u, 0, g.points_per_axis - 1).astype(np.int64)
-    if isinstance(op.scaling, SecondOrder):
-        c = 0.5 * f.fd_hessian()[idx][:, None]
-        return op.model.reduce(lambda y: c * y[:, 0] ** 2)
-    c = f.fd_gradient()[idx][:, None]
-    return op.model.reduce(lambda y: c * op.scaling.psi0(x[:, None], y[:, 0]))
+    return op.model.reduce(op.scaling.generator_payoff(f, idx, x))
 
 
 def interpolation_floor(f, compact, h_min):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, freeze, sampled
 
 
 @dataclass(frozen=True)
@@ -30,20 +30,11 @@ class Hamiltonian1:
     values: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if p.ndim != 1 or p.shape != v.shape or p.shape[0] < 2:
-            raise InputError("Hamiltonian needs matching 1D grids")
-        if np.any(np.diff(p) <= 0):
-            raise InputError("gradient grid must be strictly increasing")
+        p, v = sampled("Hamiltonian", self.p_grid, self.values)
         slopes = np.diff(v) / np.diff(p)
         if np.any(np.diff(slopes) < -1e-8):
             raise InputError("Hamiltonian must be convex along its grid")
-        p = p.copy(); v = v.copy()
-        p.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "p_grid", p)
-        object.__setattr__(self, "values", v)
+        freeze(self, p_grid=p, values=v)
 
     @classmethod
     def from_model(cls, model, p_grid):
@@ -80,14 +71,9 @@ class Hamiltonian2:
         fin = np.isfinite(cost)
         if not np.any(fin):
             raise InputError("all shift costs are infinite")
-        lam = lam[fin].copy()
-        cost = cost[fin].copy()
-        if not np.any(np.isclose(cost, 0.0)):
+        if not np.any(np.isclose(cost[fin], 0.0)):
             raise InputError("G(0) = 0 requires a zero-cost lambda entry")
-        lam.flags.writeable = False
-        cost.flags.writeable = False
-        object.__setattr__(self, "lam_grid", lam)
-        object.__setattr__(self, "costs", cost)
+        freeze(self, lam_grid=lam[fin], costs=cost[fin])
 
     @classmethod
     def from_model(cls, model):
@@ -116,20 +102,9 @@ def solve_hj(ham, f, t):
     evaluated as ``ham(p)`` does, piecewise linear on ``ham.p_grid`` and
     constant beyond it, so the gradient grid need not be uniform.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise InputError("solve_hj requires a finite t >= 0")
-    if f.grid.dimension != 1:
-        raise InputError("the PDE oracle is one-dimensional")
-    if t == 0.0:
-        return f
-    h = f.grid.spacing
     alpha = max(ham.max_slope(ham.p_grid[0], ham.p_grid[-1]), 1e-8)
-    dt = 0.5 * h / (2.0 * alpha)
-    steps = max(int(np.ceil(t / dt)), 1)
-    dt = t / steps
-    vals = _kernels.lax_friedrichs(f.values, h, dt, steps,
-                                   ham.p_grid, ham.values, alpha)
-    return f.replace_values(vals)
+    return _march(f, t, 0.5 * f.grid.spacing / (2.0 * alpha),
+                  _kernels.lax_friedrichs, ham.p_grid, ham.values, alpha)
 
 
 def solve_g_heat(g2, f, t):
@@ -140,17 +115,19 @@ def solve_g_heat(g2, f, t):
     (lam^2 / 2, cost), which gives the same maximum, so a step costs one
     comparison per hull line rather than one per entry of ``g2.lam_grid``.
     """
+    h = f.grid.spacing
+    return _march(f, t, 0.5 * h * h / (2.0 * max(g2.max_diffusion, 1e-8)),
+                  _kernels.g_heat, g2.lam_grid, g2.costs, 0.5 * g2.sigma2)
+
+
+def _march(f, t, dt_max, kernel, *args):
+    """``kernel(values, h, dt, steps, *args)`` from f up to time t, in the
+    fewest equal steps dt = t / steps no longer than dt_max; t = 0 returns f."""
     if not (np.isfinite(t) and t >= 0):
-        raise InputError("solve_g_heat requires a finite t >= 0")
+        raise InputError("the PDE oracle requires a finite t >= 0")
     if f.grid.dimension != 1:
         raise InputError("the PDE oracle is one-dimensional")
     if t == 0.0:
         return f
-    h = f.grid.spacing
-    diff = max(g2.max_diffusion, 1e-8)
-    dt = 0.5 * h * h / (2.0 * diff)
-    steps = max(int(np.ceil(t / dt)), 1)
-    dt = t / steps
-    vals = _kernels.g_heat(f.values, h, dt, steps, g2.lam_grid, g2.costs,
-                           0.5 * g2.sigma2)
-    return f.replace_values(vals)
+    steps = max(int(np.ceil(t / dt_max)), 1)
+    return f.replace_values(kernel(f.values, f.grid.spacing, t / steps, steps, *args))

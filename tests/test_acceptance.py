@@ -59,7 +59,7 @@ def _experiment1():
         op = OneStepOperator(Entropic(gauss_hermite(64)), FirstOrderAffine())
         start = time.perf_counter()
         u, diag = chernoff_limit(op, 1.0, f, [4, 8, 16, 32, 64, 128],
-                                 tol=5e-3, compact=(-2.0, 2.0))
+                                 compact=(-2.0, 2.0))
         _CACHE["exp1"] = (diag, time.perf_counter() - start)
     return _CACHE["exp1"]
 
@@ -75,7 +75,7 @@ def _experiment6():
         op = OneStepOperator(model, SecondOrder())
         start = time.perf_counter()
         u, diag = chernoff_limit(op, 1.0, f, [16, 32, 64, 128],
-                                 tol=2e-2, compact=(-2.0, 2.0))
+                                 compact=(-2.0, 2.0))
         _CACHE["exp6"] = (f, model, diag, time.perf_counter() - start)
     return _CACHE["exp6"]
 

@@ -475,6 +475,9 @@ class TestErrorContract:
         # a finite band whose convex hull on the z-grid overflows
         ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e307",
          "scaling.amplitude"),
+        # the Gaussian target is G's flow only when every kept line costs 0;
+        # with no penalty line the shift model takes quadratic(2, 129)
+        ("clt_two_point_gaussian", "penalty = indicator(1)\n", "", "check.target"),
         ("generator_affine_drift", "family = sin", "family = sin\nfrequency = inf",
          "payoff.frequency"),
         # a finite parameter that overflows the sampled payoff
@@ -560,7 +563,8 @@ class TestErrorContract:
         ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e308",
          "scaling.amplitude"),
         ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e307",
-         "scaling.amplitude")])
+         "scaling.amplitude"),
+        ("clt_two_point_gaussian", "penalty = indicator(1)\n", "", "check.target")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
         # fields once read after the computation; every compute entry point
@@ -578,10 +582,12 @@ class TestErrorContract:
 
     def test_clt_g_heat_check_uses_the_shift_model_penalty(self, tmp_path):
         # with no penalty line the shift model takes quadratic(2, 129), and
-        # the G-heat cross-check uses the same penalty
+        # the G-heat cross-check uses the same penalty; that G has costly
+        # lines, so the target is a number, not the Gaussian integral
         text = BUILTINS["clt_two_point_gaussian"][1]
         line = "penalty = indicator(1)\n"
-        assert line in text
+        assert line in text and "target = gaussian\n" in text
+        text = text.replace("target = gaussian\n", "target = 1\n")
         g_heat = {}
         for label, penalty in (("default", ""),
                                ("explicit", "penalty = quadratic(2, 129)\n")):

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from chernofflab import (DiscreteMeasure, Entropic, Linear,
-                         PenaltyFunction, ShiftSup, Shortfall,
+from chernofflab import (DiscreteMeasure, Entropic, Grid, GridFunction,
+                         Hamiltonian1, Hamiltonian2, Linear, PenaltyFunction,
+                         RateFunction, ShiftSup, Shortfall,
                          SymmetricTwoPointSup, centered, gauss_hermite,
                          legendre, log_mgf, two_point)
 from chernofflab.errors import InputError, PreconditionError
@@ -253,3 +254,52 @@ class TestLegendre:
         back = legendre(y, star, z)
         assert np.allclose(back, g, atol=1e-9)
         assert np.all(back <= g + 1e-12)
+
+
+# each value object: a builder from fresh caller arrays, and the array
+# fields it keeps; the caller's arrays are overwritten after construction
+CONSTRUCTORS = {
+    "DiscreteMeasure": (lambda: (np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+                        DiscreteMeasure, ("atoms", "weights")),
+    "PenaltyFunction": (lambda: (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5) ** 2),
+                        PenaltyFunction, ("grid", "values")),
+    "ShiftSup": (lambda: (np.linspace(0.0, 1.0, 5),),
+                 lambda s: ShiftSup(BERNOULLI, PenaltyFunction.quadratic(2.0, 9), s),
+                 ("shifts",)),
+    "RateFunction": (lambda: (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5) ** 2),
+                     RateFunction, ("grid", "values")),
+    "Hamiltonian1": (lambda: (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5) ** 2),
+                     Hamiltonian1, ("p_grid", "values")),
+    "Hamiltonian2": (lambda: (np.array([0.0, 1.0]), np.array([0.0, 0.25])),
+                     Hamiltonian2, ("lam_grid", "costs")),
+    "GridFunction": (lambda: (np.linspace(-1.0, 1.0, 5),),
+                     lambda v: GridFunction(Grid(1.0, 5), v), ("values",)),
+}
+
+
+class TestConstructorContract:
+    @pytest.mark.parametrize("name", list(CONSTRUCTORS))
+    def test_fields_are_read_only_copies(self, name):
+        arrays, make, fields = CONSTRUCTORS[name]
+        given = arrays()
+        obj = make(*given)
+        kept = {field: getattr(obj, field).copy() for field in fields}
+        for a in given:
+            a[...] = 7.0
+        for field in fields:
+            assert np.array_equal(getattr(obj, field), kept[field])
+            with pytest.raises(ValueError):
+                getattr(obj, field)[0] = 7.0
+
+    @pytest.mark.parametrize("make", [PenaltyFunction, RateFunction, Hamiltonian1])
+    @pytest.mark.parametrize("grid, values", [
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),   # repeated point
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),   # decreasing
+        ([0.0, 1.0, 2.0], [0.0, 1.0]),        # one value short
+        ([[0.0, 1.0, 2.0]], [[0.0, 1.0, 2.0]]),   # not 1D
+        ([0.0], [0.0]),                       # one point
+    ])
+    def test_sampled_grids_are_checked(self, make, grid, values):
+        make(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(InputError):
+            make(np.array(grid), np.array(values))

@@ -429,7 +429,7 @@ class TestEnvelope:
         f = GridFunction.sample(g, np.sin, weight=GrowthWeight(1))
         model = Entropic(gauss_hermite(32))
         op = OneStepOperator(model, FirstOrderAffine())
-        u, _ = chernoff_limit(op, 1.0, f, [16, 32, 64], tol=1e-2)
+        u, _ = chernoff_limit(op, 1.0, f, [16, 32, 64])
         z = np.linspace(-8, 8, 1601)
         lam = np.array([model.expect_linear(zz) for zz in z])
         lo, hi = envelope(f, 1.0, z, lam - 0.1 * np.abs(z), lam + 0.1 * np.abs(z),
