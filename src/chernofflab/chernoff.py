@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, write_csv
 from .expectations import ExpectationModel
 
 _REMAINDER_EPS = 1e-13
@@ -219,13 +219,10 @@ class ChernoffDiagnostics:
     cauchy_gap: float
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("n,h,sup_gap_on_K,cross_schedule_gap,value_at_origin\n")
-            last = len(self.schedule) - 1
-            for i, (n, h, gap, v) in enumerate(zip(self.schedule, self.steps,
-                                                   self.gaps, self.values_at_origin)):
-                cross = f"{self.cross_schedule_gap:.12g}" if i == last else "nan"
-                fh.write(f"{n},{h:.12g},{gap:.12g},{cross},{v:.12g}\n")
+        write_csv(path, "n,h,sup_gap_on_K,cross_schedule_gap,value_at_origin",
+                  self.schedule, self.steps, self.gaps,
+                  [np.nan] * (len(self.schedule) - 1) + [self.cross_schedule_gap],
+                  self.values_at_origin)
 
 
 def chernoff_limit(op, t, f, schedule, compact=None, dyadic_base=0.75):

@@ -1,5 +1,6 @@
-"""Exception types, and the constructor rules the value objects share:
-``freeze`` for their array fields and ``sampled`` for their 1D samples."""
+"""Exception types, and the rules the value objects share: ``freeze`` for
+their array fields, ``sampled`` for their 1D samples and ``write_csv`` for
+their artifact tables."""
 
 import numpy as np
 
@@ -48,3 +49,15 @@ def sampled(what, grid, values):
         raise InputError(f"{what} needs a 1D grid of at least two strictly "
                          f"increasing points and one value per point")
     return x, v
+
+
+def write_csv(path, names, *columns, preamble=""):
+    """Write ``preamble``, the column line ``names`` and one row per entry of
+    ``columns``, a scalar repeating on every row. Each entry prints as
+    ``%.12g``, so ``inf``, ``-inf`` and ``nan`` print as those tokens, and a
+    whole number below 10^12 as its digits."""
+    cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
+    line = ",".join(["%.12g"] * len(cols)) + "\n"
+    rows = "".join(line % row for row in zip(*(c.tolist() for c in cols)))
+    with open(path, "w") as fh:
+        fh.write(f"{preamble}{names}\n{rows}")

@@ -56,8 +56,8 @@ class DiscreteMeasure:
         weights = np.asarray(self.weights, dtype=float)
         if atoms.shape[0] != weights.shape[0]:
             raise InputError("atoms and weights must have matching lengths")
-        if np.any(weights < 0):
-            raise InputError("weights must be nonnegative")
+        if not np.all(weights >= 0):
+            raise InputError("weights must be nonnegative numbers")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise InputError("weights must sum to one")
         if not np.all(np.isfinite(atoms)):
@@ -86,9 +86,9 @@ def gauss_hermite(n_nodes, mean=0.0, std=1.0):
     return DiscreteMeasure(mean + std * np.sqrt(2.0) * x, w / np.sqrt(np.pi))
 
 
-def two_point(spread=1.0):
-    """The symmetric Bernoulli measure (delta_{-s} + delta_{+s}) / 2."""
-    return DiscreteMeasure(np.array([-spread, spread]), np.array([0.5, 0.5]))
+def two_point():
+    """The symmetric Bernoulli measure (delta_{-1} + delta_{+1}) / 2."""
+    return DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,11 @@ class PenaltyFunction:
         return cls(c, c**2)
 
     @classmethod
-    def indicator(cls, radius=1.0, n=65):
-        """0 on [0, radius], +inf beyond."""
-        c = np.linspace(0.0, radius, n)
+    def indicator(cls, radius=1.0):
+        """0 on 65 points of [0, radius], +inf beyond."""
+        c = np.linspace(0.0, radius, 65)
         grid = np.append(c, radius * (1 + 1e-9))
-        vals = np.append(np.zeros(n), np.inf)
+        vals = np.append(np.zeros(65), np.inf)
         return cls(grid, vals)
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, freeze
+from .errors import InputError, freeze, write_csv
 
 EXTENSIONS = ("constant", "linear")
 
@@ -183,11 +183,10 @@ class GridFunction:
 
     # -- norms ---------------------------------------------------------------
 
-    def weighted_norm(self, weight=None):
+    def weighted_norm(self):
         """max over nodes of |f| * kappa_p, the discrete weighted sup-norm."""
-        w = weight if weight is not None else self.weight
-        kappa = w(self.grid.nodes()[:, 0] if self.grid.dimension == 1
-                  else self.grid.nodes())
+        g = self.grid
+        kappa = self.weight(g.axis if g.dimension == 1 else g.nodes())
         return float(np.max(np.abs(self.values.ravel()) * kappa))
 
     def sup_norm_on(self, box):
@@ -273,19 +272,11 @@ class GridFunction:
     def to_csv(self, path):
         """One row per node: x[,y],value; header records the grid metadata."""
         g = self.grid
-        with open(path, "w") as fh:
-            fh.write(f"# R={g.half_width:.12g} N={g.points_per_axis} d={g.dimension} "
-                     f"extension={self.extension} weight={self.weight.exponent}\n")
-            if g.dimension == 1:
-                fh.write("x,value\n")
-                for x, v in zip(g.axis, self.values):
-                    fh.write(f"{x:.12g},{v:.12g}\n")
-            else:
-                fh.write("x,y,value\n")
-                ax = g.axis
-                for i, x in enumerate(ax):
-                    for j, y in enumerate(ax):
-                        fh.write(f"{x:.12g},{y:.12g},{self.values[i, j]:.12g}\n")
+        write_csv(path, "x,value" if g.dimension == 1 else "x,y,value",
+                  *g.nodes().T, self.values.ravel(),
+                  preamble=f"# R={g.half_width:.12g} N={g.points_per_axis} "
+                           f"d={g.dimension} extension={self.extension} "
+                           f"weight={self.weight.exponent}\n")
 
 
 def _axis_gradient(v, h, axis):

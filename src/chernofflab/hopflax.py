@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, InputError, freeze, sampled
+from .errors import GridTooSmallError, InputError, freeze, sampled, write_csv
 from .expectations import legendre
 
 
@@ -40,11 +40,7 @@ class RateFunction:
         freeze(self, grid=y, values=v)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("y,phi\n")
-            for y, v in zip(self.grid, self.values):
-                tok = "inf" if not np.isfinite(v) else f"{v:.12g}"
-                fh.write(f"{y:.12g},{tok}\n")
+        write_csv(path, "y,phi", self.grid, self.values)
 
 
 def conjugate_rate(model, z_grid, y_grid):

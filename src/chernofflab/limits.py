@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chernoff import OneStepOperator, Partition, SecondOrder, iterate
-from .errors import DegenerateSetError, InputError, PreconditionError
+from .errors import DegenerateSetError, InputError, PreconditionError, write_csv
 from .expectations import CENTERING_PROBES, Entropic, Shortfall, legendre
 
 _LATTICE_DENOMS = tuple(range(1, 65))
@@ -164,11 +164,8 @@ class RateReport:
     passed: bool
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("n,value,fitted_rate,bound,pass\n")
-            for n, v in zip(self.n_grid, self.values):
-                fh.write(f"{n},{v:.12g},{self.fitted_rate:.12g},"
-                         f"{self.bound:.12g},{int(self.passed)}\n")
+        write_csv(path, "n,value,fitted_rate,bound,pass", self.n_grid, self.values,
+                  self.fitted_rate, self.bound, self.passed)
 
 
 def _fit_rate(n_grid, values):
@@ -261,10 +258,7 @@ class GeneratorDiagnostics:
         return float(self.estimate[k])
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("h,defect\n")
-            for h, d in zip(self.h_grid, self.defects):
-                fh.write(f"{h:.12g},{d:.12g}\n")
+        write_csv(path, "h,defect", self.h_grid, self.defects)
 
 
 def generator_values(op, f, nodes):

@@ -45,14 +45,10 @@ class Hamiltonian1:
     def __call__(self, p):
         return np.interp(p, self.p_grid, self.values)
 
-    def max_slope(self, p_lo, p_hi):
-        """Largest |H'| over [p_lo, p_hi], from the grid slopes."""
-        slopes = np.diff(self.values) / np.diff(self.p_grid)
-        mids = 0.5 * (self.p_grid[:-1] + self.p_grid[1:])
-        mask = (mids >= p_lo) & (mids <= p_hi)
-        if not np.any(mask):
-            mask[:] = True
-        return float(np.max(np.abs(slopes[mask])))
+    @property
+    def max_slope(self):
+        """Largest |H'| over the whole grid, from the grid slopes."""
+        return float(np.max(np.abs(np.diff(self.values) / np.diff(self.p_grid))))
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ def solve_hj(ham, f, t):
     evaluated as ``ham(p)`` does, piecewise linear on ``ham.p_grid`` and
     constant beyond it, so the gradient grid need not be uniform.
     """
-    alpha = max(ham.max_slope(ham.p_grid[0], ham.p_grid[-1]), 1e-8)
+    alpha = max(ham.max_slope, 1e-8)
     return _march(f, t, 0.5 * f.grid.spacing / (2.0 * alpha),
                   _kernels.lax_friedrichs, ham.p_grid, ham.values, alpha)
 

@@ -265,11 +265,32 @@ class TestRunners:
         ("clt_binary_exact", "tolerance = 1e-6", "tolerance = 1e-10",
          ["exact_identity", "interior_identity"]),
         ("clt_binary_exact", "tolerance = 1e-6", "tolerance = 1e-9",
-         ["interior_identity"])])
-    def test_every_clt_check_can_fail(self, tmp_path, capsys, name, old, new, failed):
+         ["interior_identity"]),
+        ("lln_entropic_gaussian", "\ntolerance = 0.02", "\ntolerance = 0.01",
+         ["target_value"]),
+        ("lln_entropic_gaussian", "oracle_tolerance = 0.02", "oracle_tolerance = 0.01",
+         ["hopf_lax_oracle"]),
+        ("cramer_bernoulli", "bound_tolerance = 1e-4", "bound_tolerance = 1e-7",
+         ["bound_value"]),
+        ("wasserstein_generator", "tolerance = 0.02", "tolerance = 1e-5",
+         ["generator_formula"]),
+        ("generator_affine_drift", "final_tolerance = 0.01", "final_tolerance = 1e-3",
+         ["final_defect"]),
+        ("envelope_perturbed", "slack = -0.005", "slack = 0", ["lower_envelope"]),
+        ("envelope_perturbed", "slack = -0.005", "slack = 0.003",
+         ["upper_envelope", "lower_envelope"]),
+        ("pde_crosscheck_hj", "tolerance = 0.05", "tolerance = 0.02",
+         ["pde_vs_hopf_lax", "pde_vs_target"]),
+        ("pde_crosscheck_hj", "target = -0.3333333333333333", "target = 0",
+         ["pde_vs_target"])])
+    def test_every_check_can_fail(self, tmp_path, capsys, name, old, new, failed):
         # each bound moved below the value it measures: 3.2e-4 for the
         # Gaussian limit, 3.5e-4 for the G-heat oracle, 2.7e-10 for the
-        # exact identity and 6.5e-9 for the interior identity
+        # exact identity, 6.5e-9 for the interior identity and 1.8e-7 for
+        # the Cramer bound; approach_from_below (a fixed 1e-12 slack),
+        # polynomial_bound (1.5e-112 against 71.78) and the generator checks
+        # of generator_entropic_constant and generator_clt_quadratic (defects
+        # of 0 or under the floor) have no such edit
         assert old in BUILTINS[name][1]
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(BUILTINS[name][1].replace(old, new))
@@ -491,7 +512,16 @@ class TestErrorContract:
          "threshold = 2\nshift_radius = 1.5", "set.threshold"),
         # a radius cannot be negative
         ("cramer_bernoulli", "shift_radius = 0", "shift_radius = -0.7",
-         "set.shift_radius")])
+         "set.shift_radius"),
+        # nan weights, which once ran the tail DP or the iteration first
+        *[(name, "atoms(-1:0.5, 1:0.5)", "atoms(-1:nan, 1:nan)", "expectation.measure")
+          for name in ("cramer_bernoulli", "clt_binary_exact",
+                       "generator_clt_quadratic")],
+        ("lln_entropic_gaussian", "gauss_hermite(64)", "atoms(-1:nan, 1:nan)",
+         "expectation.measure"),
+        # the second-order scaling needs a centered measure
+        ("clt_binary_exact", "atoms(-1:0.5, 1:0.5)", "atoms(0:0.5, 1:0.5)",
+         "expectation.measure")])
     def test_malformed_field_exit_3(self, tmp_path, capsys, name, old, new, field):
         # wrong entry counts, nan, infinite and fractional counts, even grid
         # counts, non-positive and non-increasing schedule entries, infinite
@@ -564,7 +594,13 @@ class TestErrorContract:
          "scaling.amplitude"),
         ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e307",
          "scaling.amplitude"),
-        ("clt_two_point_gaussian", "penalty = indicator(1)\n", "", "check.target")])
+        ("clt_two_point_gaussian", "penalty = indicator(1)\n", "", "check.target"),
+        ("cramer_bernoulli", "atoms(-1:0.5, 1:0.5)", "atoms(-1:nan, 1:nan)",
+         "expectation.measure"),
+        ("clt_binary_exact", "atoms(-1:0.5, 1:0.5)", "atoms(-1:nan, 1:nan)",
+         "expectation.measure"),
+        ("clt_binary_exact", "atoms(-1:0.5, 1:0.5)", "atoms(0:0.5, 1:0.5)",
+         "expectation.measure")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
         # fields once read after the computation; every compute entry point

@@ -34,6 +34,12 @@ class TestDiscreteMeasure:
         with pytest.raises(InputError):
             DiscreteMeasure(np.array([0.0, 1.0]), np.array([-0.5, 1.5]))
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [0.5, np.nan]])
+    def test_nan_weight_rejected(self, weights):
+        # a nan weight passes both a `< 0` test and a `|sum - 1|` test
+        with pytest.raises(InputError):
+            DiscreteMeasure(np.array([-1.0, 1.0]), np.array(weights))
+
     def test_mean_and_cov_point_mass_zero(self):
         m, s = DiscreteMeasure(np.array([0.0]), np.array([1.0])).mean_and_cov()
         assert m[0] == 0.0 and s[0, 0] == 0.0
