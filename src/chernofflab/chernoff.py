@@ -26,19 +26,27 @@ _REMAINDER_EPS = 1e-13
 # ---------------------------------------------------------------------------
 
 class ScalingFamily:
-    """Randomization map psi(t, x, y) = base(t, x) + scale(t) * y."""
+    """Randomization map psi(t, x, y) = base(t, x) + scale(t) * y, with
+    base(t, x) = x + t drift(x), or x for a family with no drift."""
 
-    def base_and_scale(self, t, x):
-        """The decomposition psi(t, x, y) = base + scale * y at the points x."""
-        raise NotImplementedError
+    drift = None
+
+    def scale(self, t):
+        return t
+
+    def base(self, t, x):
+        if self.drift is None:
+            return x
+        return x + t * np.asarray(self.drift(x), dtype=float)
 
     def map(self, t, x, y):
-        base, scale = self.base_and_scale(t, x)
-        return base + scale * y
+        return self.base(t, x) + self.scale(t) * y
 
     def psi0(self, x, y):
         """Small-time derivative psi_0(x, y) = lim (psi(h,x,y) - x) / h."""
-        raise NotImplementedError
+        if self.drift is None:
+            return np.broadcast_to(y, np.broadcast(x, y).shape).astype(float)
+        return self.drift(x) + y
 
     def generator_payoff(self, f, idx, x):
         """The payoff y -> f'(x) psi_0(x, y) at the points x, whose expectation
@@ -50,12 +58,6 @@ class ScalingFamily:
 @dataclass(frozen=True)
 class FirstOrderAffine(ScalingFamily):
     """psi(t, x, y) = x + t y, the averaged-sum scaling."""
-
-    def base_and_scale(self, t, x):
-        return x, t
-
-    def psi0(self, x, y):
-        return np.broadcast_to(y, np.broadcast(x, y).shape).astype(float)
 
 
 @dataclass(frozen=True)
@@ -69,19 +71,17 @@ class Perturbed(ScalingFamily):
     phi0: object
     lip: float
 
-    def base_and_scale(self, t, x):
-        return x + t * np.asarray(self.phi0(x), dtype=float), t
-
-    def psi0(self, x, y):
-        return self.phi0(x) + y
+    @property
+    def drift(self):
+        return self.phi0
 
 
 @dataclass(frozen=True)
 class SecondOrder(ScalingFamily):
     """psi(t, x, y) = x + sqrt(t) y, the CLT scaling."""
 
-    def base_and_scale(self, t, x):
-        return x, float(np.sqrt(t))
+    def scale(self, t):
+        return float(np.sqrt(t))
 
     def psi0(self, x, y):
         raise InputError("second-order scaling has no first-order derivative map")
@@ -142,8 +142,8 @@ def one_step(op, t, f):
     (nodes, k) matrix to t * E[f(psi(t, x, .)) / t]. That matrix is always
     column-major, the transpose of a C-ordered (k, nodes) gather, so the
     models' reductions over the k sample points run over contiguous rows.
-    When the base is the grid axis itself, each y is one offset for every
-    node and the gather is a shifted-slice stencil; the operator keeps it,
+    A scaling with no drift moves every node by the same offset scale * y,
+    so in 1D the gather is a shifted-slice stencil; the operator keeps it,
     refilled with each step's values while the grid and the extension stay
     the same, and the stencil keeps the geometry of its last offsets and
     weights, so equal steps compute it once. Otherwise the queries
@@ -161,15 +161,9 @@ def one_step(op, t, f):
         return f
     g = f.grid
     one_d = g.dimension == 1
-    key = (t, g, f.extension)
-    # a held plan for this t, grid and extension means the last step here
-    # gathered per point; its base is needed only if the plan is rebuilt
-    psi = None
-    if op._plan is None or op._plan[:3] != key:
-        x = g.axis if one_d else g.nodes()
-        psi = op.scaling.base_and_scale(t, x)
-    if psi is not None and one_d and psi[0] is x:
-        scale = psi[1]
+    scaling = op.scaling
+    scale = scaling.scale(t)
+    if one_d and scaling.drift is None:
         stencil = f.stencil(op._stencil)
         object.__setattr__(op, "_stencil", stencil)
 
@@ -178,13 +172,12 @@ def one_step(op, t, f):
         # mean(y, w)[l] = gather(y[l]) @ w for a stack of sample clouds
         gather.mean = lambda y, w: stencil.mean(scale * y[..., 0], w)
     else:
+        key = (t, g, f.extension)
+
         def gather(y):
-            nonlocal psi
             held = op._plan
             if not (held is not None and held[:3] == key and np.array_equal(held[3], y)):
-                if psi is None:
-                    psi = op.scaling.base_and_scale(t, g.axis if one_d else g.nodes())
-                base, scale = psi
+                base = scaling.base(t, g.axis if one_d else g.nodes())
                 plan = f.gather_plan(base + scale * (y if one_d else y[:, None]))
                 held = (*key, y.copy(), plan)
                 object.__setattr__(op, "_plan", held)

@@ -13,7 +13,7 @@ its artifacts; ``run_config_text`` alone writes files, after the run
 returns, so a parse, output-path or validation error writes nothing.
 
 Each rule is written once. The constructors (``Grid``, ``GrowthWeight``,
-``Shortfall``, ``DiscreteMeasure``, ``PenaltyFunction``) and
+``Shortfall``, ``ShiftSup``, ``DiscreteMeasure``, ``PenaltyFunction``) and
 ``limits.poly_power`` own the rules on their arguments, and
 ``_Fields.build`` reports a broken one against the field it came from;
 the readers own only what no constructor checks: parsing, finiteness and
@@ -165,10 +165,15 @@ class _Fields:
             self._fail(key, f"needs r > 0 and a whole count >= 2, got {r:g},{count:g}")
         return r, int(count)
 
-    def span(self, key, default):
-        """np.linspace(-r, r, count) from an ``r,count`` field."""
+    def span(self, key, default, zero=False):
+        """np.linspace(-r, r, count) from an ``r,count`` field; with ``zero``,
+        a conjugation grid, which needs a node at exactly 0."""
         r, count = self.radius_count(key, default)
-        return np.linspace(-r, r, count)
+        z = np.linspace(-r, r, count)
+        if zero and 0.0 not in z:
+            self._fail(key, f"needs a node at exactly 0, and linspace(-r, r, count) "
+                            f"has none at {r:g},{count}")
+        return z
 
     def schedule(self, key):
         """Strictly increasing positive step counts, as ``chernoff_limit`` needs."""
@@ -228,9 +233,8 @@ def _build_model(sections):
             fields._fail("shifts", f"must be lo,hi,count with lo <= hi and "
                                    f"a whole count >= 1, got {shifts}")
         shifts = np.linspace(shifts[0], shifts[1], int(shifts[2]))
-        if variant == "shift_sup":
-            return ShiftSup(measure, penalty, shifts)
-        return SymmetricTwoPointSup(measure, penalty, shifts)
+        make = ShiftSup if variant == "shift_sup" else SymmetricTwoPointSup
+        return fields.build("shifts", make, measure, penalty, shifts)
     fields._fail("variant", f"unknown expectation variant {variant!r}")
 
 
@@ -262,14 +266,6 @@ def _payoff_callable(sections):
         amp = fields.number("amplitude", 1.0)
         freq = fields.number("frequency", 1.0)
         return lambda x: amp * np.sin(freq * np.asarray(x))
-    if family == "abs_clipped":
-        center = fields.number("center", 0.0)
-        cap = fields.number("cap", 4.0)
-        return lambda x: np.minimum(np.abs(np.asarray(x) - center), cap)
-    if family == "indicator_approx":
-        edge = fields.number("edge", 0.5)
-        width = fields.number("width", 0.2, lo=0.0)
-        return lambda x: 0.5 * (1.0 + np.tanh((np.asarray(x) - edge) / width))
     if family == "constant":
         value = fields.number("value", 1.0)
         return lambda x: np.full(np.shape(x), value, dtype=float)
@@ -340,20 +336,18 @@ def _run_lln(sections):
     model = _build_model(sections)
     scaling = _build_scaling(sections)
     f, _ = _build_payoff(sections)
-    sched = _Fields(sections, "schedule")
     check = _Fields(sections, "check")
-    schedule = sched.schedule("uniform")
-    base = sched.number("dyadic_base", 0.75, 0.0)
+    schedule = _Fields(sections, "schedule").schedule("uniform")
     compact = check.compact(f.grid)
     tol = check.number("tolerance", lo=0.0)
     target = check.number("target")
     otol = check.number("oracle_tolerance", tol, lo=0.0)
     factor = check.number("cross_factor", 2.0, lo=0.0)
-    rate_z = check.span("rate_z", "8,1601")
+    rate_z = check.span("rate_z", "8,1601", zero=True)
     rate_y = check.span("rate_y", "10,2001")
     sections.reject_unread()
     u, diag = chernoff_limit(OneStepOperator(model, scaling), 1.0, f, schedule,
-                             compact=compact, dyadic_base=base)
+                             compact=compact)
     value0 = diag.values_at_origin[-1]
     rate = conjugate_rate(model, rate_z, rate_y)
     oracle0 = float(hopf_lax(f, 1.0, rate).values[f.grid.origin_index])
@@ -423,9 +417,8 @@ def _run_clt(sections):
     model = _build_model(sections)
     _Fields(sections, "expectation").build("measure", require_centered, model)
     f, payoff_fn = _build_payoff(sections)
-    sched = _Fields(sections, "schedule")
     check = _Fields(sections, "check")
-    n_list = sched.schedule("n")
+    n_list = _Fields(sections, "schedule").schedule("n")
     tol = check.number("tolerance", lo=0.0)
     gaussian = check.str_("target") == "gaussian"
     if not gaussian:
@@ -442,11 +435,10 @@ def _run_clt(sections):
     if gaussian and np.any(g2.costs != 0):
         check._fail("target", "gaussian needs a G whose kept lines all cost 0")
     cross = "cross_factor" in check.kv
-    compact = base = None
+    compact = None
     if cross:
         factor = check.number("cross_factor", lo=0.0)
         compact = check.compact(f.grid)
-        base = sched.number("dyadic_base", 0.75, 0.0)
     sections.reject_unread()
     if gaussian:
         std = float(np.sqrt(2.0 * g2.max_diffusion))
@@ -455,7 +447,7 @@ def _run_clt(sections):
     # one pass over the schedule gives the values, the interior iterate
     # and, with a cross_factor, the partition diagnostics
     u, diag = chernoff_limit(OneStepOperator(model, SecondOrder()), 1.0, f, n_list,
-                             compact=compact, dyadic_base=base)
+                             compact=compact, dyadic_base=0.75 if cross else None)
     values = diag.values_at_origin
     artifacts = {"clt_values.csv": lambda path: write_csv(
         path, "n,value,target", n_list, values, target)}
@@ -538,7 +530,7 @@ def _run_envelope(sections):
     check = _Fields(sections, "check")
     n = _Fields(sections, "schedule").numbers("uniform", lo=0, cast=int)[-1]
     compact = check.compact(f.grid)
-    z = check.span("z_grid", "8,1601")
+    z = check.span("z_grid", "8,1601", zero=True)
     y = check.span("y_grid", "12,2401")
     slack = check.number("slack", -5e-3)
     sections.reject_unread()
@@ -565,16 +557,15 @@ def _run_pde_crosscheck(sections):
     model = _build_model(sections)
     f, _ = _build_payoff(sections)
     check = _Fields(sections, "check")
-    t = check.number("horizon", 1.0, 0.0)
-    p_grid = check.span("p_grid", "12,971")
+    p_grid = check.span("p_grid", "12,971", zero=True)
     rate_y = check.span("rate_y", "10,2001")
     tol = check.number("tolerance", lo=0.0)
     target = check.number("target") if "target" in check.kv else None
     sections.reject_unread()
     ham = Hamiltonian1.from_model(model, p_grid)
-    u = solve_hj(ham, f, t)
+    u = solve_hj(ham, f, 1.0)
     pde0 = float(u.values[f.grid.origin_index])
-    hl = hopf_lax(f, t, conjugate_rate(model, ham.p_grid, rate_y))
+    hl = hopf_lax(f, 1.0, conjugate_rate(model, ham.p_grid, rate_y))
     hl0 = float(hl.values[f.grid.origin_index])
     checks = [_close("pde_vs_hopf_lax", pde0, hl0, tol)]
     if target is not None:

@@ -41,7 +41,6 @@ weight = 1
 
 [schedule]
 uniform = 4,8,16,32,64,128
-dyadic_base = 0.75
 
 [check]
 target = -0.3333333333333333
@@ -165,7 +164,6 @@ weight = 2
 
 [schedule]
 n = 16,32,64,128
-dyadic_base = 0.75
 
 [check]
 target = gaussian
@@ -376,5 +374,4 @@ target = -0.3333333333333333
 tolerance = 0.05
 p_grid = 12,971
 rate_y = 10,2001
-horizon = 1
 """)

@@ -249,15 +249,14 @@ class GridFunction:
         out = np.stack(grads, axis=-1)
         return out if index is None else out[index]
 
-    def fd_hessian(self, index=None):
+    def fd_hessian(self):
         """Second-order central Hessian; symmetric by construction."""
         g = self.grid
         h = g.spacing
         v = self.values
-        if g.dimension == 1:
-            d2 = _axis_second(v, h, 0)
-            return d2 if index is None else float(d2[index])
         dxx = _axis_second(v, h, 0)
+        if g.dimension == 1:
+            return dxx
         dyy = _axis_second(v, h, 1)
         dxy = np.zeros_like(v)
         dxy[1:-1, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * h**2)
@@ -265,7 +264,7 @@ class GridFunction:
         hess[..., 0, 0] = dxx
         hess[..., 1, 1] = dyy
         hess[..., 0, 1] = hess[..., 1, 0] = dxy
-        return hess if index is None else hess[index]
+        return hess
 
     # -- serialization ---------------------------------------------------------
 

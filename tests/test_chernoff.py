@@ -425,7 +425,8 @@ def row_layout_step(model, scaling, f, t):
     """The per-point step gathered (nodes, k), one C-ordered row per node:
     f at base[:, None] + scale * y, reduced by the same model."""
     g = f.grid
-    base, scale = scaling.base_and_scale(t, g.axis if g.dimension == 1 else g.nodes())
+    base = scaling.base(t, g.axis if g.dimension == 1 else g.nodes())
+    scale = scaling.scale(t)
 
     def gather(y):
         if g.dimension == 1:

@@ -442,15 +442,34 @@ class TestErrorContract:
          "expectation.shifts"),
         ("clt_two_point_gaussian", "gheat_grid = 6,385", "gheat_grid = 6,384",
          "check.gheat_grid"),
-        ("lln_entropic_gaussian", "dyadic_base = 0.75", "dyadic_base = -0.5",
-         "schedule.dyadic_base"),
+        # a shift grid on which the penalty is infinite everywhere
+        ("wasserstein_generator", "shifts = -2,2,257", "shifts = 3,4,2",
+         "expectation.shifts"),
+        ("clt_two_point_gaussian", "shifts = 0,1,33", "shifts = 2,3,2",
+         "expectation.shifts"),
+        # conjugation grids with no node at 0
+        ("lln_entropic_gaussian", "rate_z = 8,1601", "rate_z = 8,1600", "check.rate_z"),
+        ("pde_crosscheck_hj", "p_grid = 12,971", "p_grid = 12,970", "check.p_grid"),
+        ("envelope_perturbed", "z_grid = 8,1601", "z_grid = 8,1600", "check.z_grid"),
+        # an odd count whose middle node rounds to -1.1e-16
+        ("lln_entropic_gaussian", "rate_z = 8,1601", "rate_z = 1,99", "check.rate_z"),
+        # keys and payoff families that no longer exist
+        ("pde_crosscheck_hj", "p_grid = 12,971", "p_grid = 12,971\nhorizon = 1",
+         "check.horizon"),
+        ("lln_entropic_gaussian", "uniform = 4,8,16,32,64,128",
+         "uniform = 4,8,16,32,64,128\ndyadic_base = 0.75", "schedule.dyadic_base"),
+        ("clt_two_point_gaussian", "n = 16,32,64,128",
+         "n = 16,32,64,128\ndyadic_base = 0.75", "schedule.dyadic_base"),
+        ("generator_affine_drift", "family = sin", "family = abs_clipped",
+         "payoff.family"),
+        ("generator_affine_drift", "family = sin", "family = indicator_approx",
+         "payoff.family"),
         ("lln_entropic_gaussian", "uniform = 4,8,16,32,64,128", "uniform = 64,32",
          "schedule.uniform"),
         ("clt_binary_exact", "n = 1,4,16,64", "n = 1,4,4,64", "schedule.n"),
         ("cramer_bernoulli", "threshold = 0.5", "threshold = inf", "set.threshold"),
         ("poly_rate_bernoulli", "threshold = 0.5", "threshold = inf", "set.threshold"),
         ("clt_binary_exact", "R = 8", "R = inf", "grid.R"),
-        ("pde_crosscheck_hj", "horizon = 1", "horizon = inf", "check.horizon"),
         ("lln_entropic_gaussian", "compact = 2", "compact = -1", "check.compact"),
         ("envelope_perturbed", "compact = 2", "compact = -1", "check.compact"),
         ("wasserstein_generator", "compact = 2", "compact = -1", "check.compact"),
@@ -600,7 +619,24 @@ class TestErrorContract:
         ("clt_binary_exact", "atoms(-1:0.5, 1:0.5)", "atoms(-1:nan, 1:nan)",
          "expectation.measure"),
         ("clt_binary_exact", "atoms(-1:0.5, 1:0.5)", "atoms(0:0.5, 1:0.5)",
-         "expectation.measure")])
+         "expectation.measure"),
+        ("wasserstein_generator", "shifts = -2,2,257", "shifts = 3,4,2",
+         "expectation.shifts"),
+        ("clt_two_point_gaussian", "shifts = 0,1,33", "shifts = 2,3,2",
+         "expectation.shifts"),
+        ("lln_entropic_gaussian", "rate_z = 8,1601", "rate_z = 8,1600", "check.rate_z"),
+        ("pde_crosscheck_hj", "p_grid = 12,971", "p_grid = 12,970", "check.p_grid"),
+        ("envelope_perturbed", "z_grid = 8,1601", "z_grid = 8,1600", "check.z_grid"),
+        ("pde_crosscheck_hj", "p_grid = 12,971", "p_grid = 12,971\nhorizon = 1",
+         "check.horizon"),
+        ("lln_entropic_gaussian", "uniform = 4,8,16,32,64,128",
+         "uniform = 4,8,16,32,64,128\ndyadic_base = 0.75", "schedule.dyadic_base"),
+        ("clt_two_point_gaussian", "n = 16,32,64,128",
+         "n = 16,32,64,128\ndyadic_base = 0.75", "schedule.dyadic_base"),
+        ("generator_affine_drift", "family = sin", "family = abs_clipped",
+         "payoff.family"),
+        ("generator_affine_drift", "family = sin", "family = indicator_approx",
+         "payoff.family")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
         # fields once read after the computation; every compute entry point
@@ -651,8 +687,8 @@ class TestErrorContract:
                               ("variant = linear\n",
                                "variant = linear\npenalty = indicator(2)\n")],
          "expectation.penalty"),
-        ("clt_two_point_gaussian", [("dyadic_base = 0.75\n",
-                                     "dyadic_base = 0.75\nhorizon = 0.25\n")],
+        ("clt_two_point_gaussian", [("n = 16,32,64,128\n",
+                                     "n = 16,32,64,128\nhorizon = 0.25\n")],
          "schedule.horizon"),
         # an entropic model has no known G, for the oracle or the Gaussian target
         ("clt_two_point_gaussian", [("variant = symmetric_two_point",
