@@ -346,10 +346,10 @@ def _run_lln(sections):
     rate_z = check.span("rate_z", "8,1601", zero=True)
     rate_y = check.span("rate_y", "10,2001")
     sections.reject_unread()
+    rate = check.build("rate_y", conjugate_rate, model, rate_z, rate_y)
     u, diag = chernoff_limit(OneStepOperator(model, scaling), 1.0, f, schedule,
                              compact=compact)
     value0 = diag.values_at_origin[-1]
-    rate = conjugate_rate(model, rate_z, rate_y)
     oracle0 = float(hopf_lax(f, 1.0, rate).values[f.grid.origin_index])
     checks = [_close("target_value", value0, target, tol),
               _close("hopf_lax_oracle", value0, oracle0, otol),
@@ -562,10 +562,11 @@ def _run_pde_crosscheck(sections):
     tol = check.number("tolerance", lo=0.0)
     target = check.number("target") if "target" in check.kv else None
     sections.reject_unread()
+    rate = check.build("rate_y", conjugate_rate, model, p_grid, rate_y)
     ham = Hamiltonian1.from_model(model, p_grid)
     u = solve_hj(ham, f, 1.0)
     pde0 = float(u.values[f.grid.origin_index])
-    hl = hopf_lax(f, 1.0, conjugate_rate(model, ham.p_grid, rate_y))
+    hl = hopf_lax(f, 1.0, rate)
     hl0 = float(hl.values[f.grid.origin_index])
     checks = [_close("pde_vs_hopf_lax", pde0, hl0, tol)]
     if target is not None:

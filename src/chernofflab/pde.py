@@ -109,7 +109,9 @@ def solve_g_heat(g2, f, t):
     The time step obeys dt <= h^2 / (4 max_diffusion), half the CFL bound.
     The lines of G are reduced once to their lower convex hull in
     (lam^2 / 2, cost), which gives the same maximum, so a step costs one
-    comparison per hull line rather than one per entry of ``g2.lam_grid``.
+    comparison per hull line after the first rather than one per entry of
+    ``g2.lam_grid``, and no subtraction for a line that costs +0.0 (exact,
+    see ``_kernels.g_heat``); its buffer views are built once per march.
     """
     h = f.grid.spacing
     return _march(f, t, 0.5 * h * h / (2.0 * max(g2.max_diffusion, 1e-8)),

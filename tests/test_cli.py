@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chernofflab import chernoff, cli
+from chernofflab import chernoff, cli, pde
 from chernofflab.cli import (KINDS, list_experiments, main, parse_config_text,
                              run_config_text, serialize_config)
 from chernofflab.configs import BUILTINS
@@ -232,6 +232,33 @@ class TestRunners:
         ok, lines = run_config_text(BUILTINS[name][1], str(tmp_path))
         assert ok, lines
         assert len(calls) == steps
+
+    @pytest.mark.parametrize("name, kernel, march", [
+        ("pde_crosscheck_hj", "lax_friedrichs", {"nodes": 2049, "steps": 12275}),
+        ("clt_two_point_gaussian", "g_heat",
+         {"nodes": 385, "steps": 2048, "lines": 33, "hull_lines": 2})])
+    def test_march_work(self, tmp_path, monkeypatch, name, kernel, march):
+        # the one march of each oracle: its nodes and steps, and for G-heat
+        # the lines of G and those its lower hull keeps
+        marches = []
+        march_kernel, lower_hull = getattr(pde._kernels, kernel), pde._kernels._lower_hull
+
+        def hull(z, g):
+            kept = lower_hull(z, g)
+            marches[-1].update(lines=z.shape[0], hull_lines=kept.shape[0])
+            return kept
+
+        def counted(values, spacing, dt, steps, *args):
+            marches.append({"nodes": values.shape[0], "steps": steps})
+            monkeypatch.setattr(pde._kernels, "_lower_hull", hull)
+            try:
+                return march_kernel(values, spacing, dt, steps, *args)
+            finally:
+                monkeypatch.setattr(pde._kernels, "_lower_hull", lower_hull)
+        monkeypatch.setattr(pde._kernels, kernel, counted)
+        ok, lines = run_config_text(BUILTINS[name][1], str(tmp_path))
+        assert ok, lines
+        assert marches == [march]
 
     def test_run_status_reads_check_verdicts_not_text(self, tmp_path, monkeypatch):
         # a failed check whose detail happens to contain ": PASS"
@@ -713,6 +740,22 @@ class TestErrorContract:
         assert self.run_main(tmp_path, text) == 3
         err = capsys.readouterr().err
         assert f"(field {field})" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["lln_entropic_gaussian", "pde_crosscheck_hj"])
+    def test_rate_grid_too_small_exits_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                      name):
+        # a y-grid too narrow for the rate's zero fails naming its field,
+        # before the Chernoff iteration or the HJ march starts
+        def computed(*args, **kwargs):
+            raise AssertionError("computation started before the rate was built")
+        for entry in ("chernoff_limit", "solve_hj"):
+            monkeypatch.setattr(cli, entry, computed)
+        text = BUILTINS[name][1]
+        assert "rate_y = 10,2001" in text
+        assert self.run_main(tmp_path, text.replace("rate_y = 10,2001", "rate_y = 10,2")) == 3
+        err = capsys.readouterr().err
+        assert "(field check.rate_y)" in err and "enlarge the y-grid" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["lln_entropic_gaussian",

@@ -17,6 +17,13 @@ reduction of a payoff with no ``mean`` entry), take one mean call and no
 gather, on a held stencil too, and stay within 16 MB on a band as wide as
 the padded values. ``chernoff`` and ``hopflax`` must not import
 ``_kernels``.
+
+The steps and marches skip the subtraction of +0.0 costs, so those are
+compared by bytes (``np.array_equal`` takes -0.0 for 0.0): grid-aligned and
+per-point ``ShiftSup`` steps against a reduction that subtracts every cost,
+and ``g_heat`` (all-zero, mixed, nonzero and -0.0 costs) and
+``lax_friedrichs`` against their plain marches at an odd step count too,
+which ends in the second of the two swapped buffers.
 """
 
 import ast
@@ -145,14 +152,25 @@ def g_heat_per_line(values, spacing, dt, steps, lam, cost, half_sigma2):
     return u
 
 
-def test_g_heat_matches_per_shift_loop():
-    spacing, dt, steps = 0.05, 1e-3, 40
+@pytest.mark.parametrize("steps", [40, 41])
+@pytest.mark.parametrize("costs", ["zero", "mixed", "nonzero", "signed_zero"])
+def test_g_heat_matches_per_shift_loop(costs, steps):
+    # the march skips the subtraction of a +0.0 cost and writes its first
+    # hull line straight into G; an odd step count returns the buffer the
+    # two swapped buffers leave, not the one the march started in. The
+    # node x = 0 holds -0.0 with u_xx < 0, where the line lam = 0 gives
+    # 0 * u_xx = -0.0: minus a cost of -0.0 that is +0.0, so it must not
+    # be skipped
+    spacing, dt = 0.05, 1e-3
     x = np.arange(-60, 61) * spacing
-    values = np.minimum(np.cosh(x), 20.0)
-    lam = np.linspace(0.0, 1.0, 33)
-    cost = np.where(lam > 0.9, 0.05, 0.0)
-    assert np.array_equal(K.g_heat(values, spacing, dt, steps, lam, cost, 0.25),
-                          g_heat_per_line(values, spacing, dt, steps, lam, cost, 0.25))
+    values = -np.minimum(x * x, 4.0)
+    lam = np.linspace(-1.0, 1.0, 33)
+    cost = {"zero": np.zeros(33), "mixed": np.where(np.abs(lam) > 0.9, 0.05, 0.0),
+            "nonzero": 0.01 + 0.1 * lam ** 2, "signed_zero": np.full(33, -0.0)}[costs]
+    got = K.g_heat(values, spacing, dt, steps, lam, cost, 0.0)
+    assert got.tobytes() == g_heat_per_line(values, spacing, dt, steps, lam, cost,
+                                            0.0).tobytes()
+    assert not np.array_equal(got, values)
 
 
 def test_g_heat_hull_matches_every_line():
@@ -235,8 +253,10 @@ def test_gather_plan_2d_matches_bilinear_formula(extension):
         assert np.array_equal(GridFunction(g, v, extension).eval(q), want)
 
 
-def test_lax_friedrichs_matches_plain_march():
-    spacing, dt, steps, alpha = 0.05, 4e-3, 60, 3.0
+@pytest.mark.parametrize("steps", [60, 61])
+def test_lax_friedrichs_matches_plain_march(steps):
+    # an odd step count ends in the second of the two swapped buffers
+    spacing, dt, alpha = 0.05, 4e-3, 3.0
     x = np.arange(-60, 61) * spacing
     values = np.minimum(np.abs(x) ** 1.5, 4.0) + 0.3 * np.sin(3.0 * x)
     ham_p = np.linspace(-2.0, 2.0, 81)
@@ -267,7 +287,7 @@ def test_lax_friedrichs_matches_plain_march():
     # the gradient leaves the sampled range [-2, 2] near the kinks
     assert np.max(np.abs(values[2:] - values[:-2])) / (2.0 * spacing) > 2.0
     got = K.lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha)
-    assert np.array_equal(got, v)
+    assert got.tobytes() == v.tobytes()
     assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
     tiny = np.array([1.0, 2.0, 0.5, 3.0])
     assert np.array_equal(K.lax_friedrichs(tiny, spacing, dt, steps, ham_p, ham_v, alpha),
@@ -397,6 +417,65 @@ def test_grid_aligned_shift_sup_step_matches_block_loop(model, scaling, extensio
         want = op.model.reduce(lambda y: stencil(scale * y[:, 0]), t)
         got = one_step(op, t, f).values
         assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(f.values))
+
+
+ZERO_COST_PENALTIES = {
+    "indicator": PenaltyFunction.indicator(1.0),  # every shift costs +0.0
+    "quadratic": PENALTY,                         # the shift 0 costs +0.0
+    # every shift costs -0.0 (np.interp returns the value at a grid point),
+    # which must still be subtracted: -0.0 - (-0.0) is +0.0
+    "signed_zero": PenaltyFunction(np.linspace(0.0, 1.0, 9), np.full(9, -0.0)),
+}
+
+
+def reduce_paying_every_shift(model, payoff, t=1.0):
+    # ShiftSup.reduce with t * cost subtracted for every shift, zero or not
+    if hasattr(payoff, "mean"):
+        best = payoff.mean(model._clouds, model._cloud_weights)
+        best -= t * model._costs[:, None]
+        return best.max(axis=0)
+    best = -np.inf
+    for cloud, cost in zip(model._clouds, model._costs):
+        best = np.maximum(best, payoff(cloud) @ model._cloud_weights - t * cost)
+    return best
+
+
+@pytest.mark.parametrize("scaling", list(SCALINGS))
+@pytest.mark.parametrize("variant", [ShiftSup, SymmetricTwoPointSup])
+@pytest.mark.parametrize("penalty", list(ZERO_COST_PENALTIES))
+def test_shift_sup_step_bytes_with_zero_costs(penalty, variant, scaling, monkeypatch):
+    # grid-aligned (first and second order) and per-point (perturbed) steps
+    # give the bytes of a reduction that subtracts every cost, on a payoff
+    # that is -0.0 near the origin
+    model = variant(MU, ZERO_COST_PENALTIES[penalty], SHIFTS)
+    zeros = 1 if penalty == "quadratic" else SHIFTS.size
+    assert np.count_nonzero(model._costs == 0) == zeros
+    assert np.count_nonzero(np.signbit(model._costs)) == (penalty == "signed_zero") * zeros
+    g = Grid(4.0, 129)
+    f = GridFunction(g, np.where(np.abs(g.axis) < 1.0, -0.0,
+                                 np.sin(g.axis) + 0.2 * g.axis ** 2))
+
+    def steps():
+        op = OneStepOperator(model, SCALINGS[scaling])
+        return [one_step(op, t, f).values.tobytes() for t in (1.0, 0.3, 1.0 / 64)]
+    got = steps()
+    monkeypatch.setattr(ShiftSup, "reduce", reduce_paying_every_shift)
+    assert got == steps()
+
+
+@pytest.mark.parametrize("penalty", list(ZERO_COST_PENALTIES))
+def test_shift_sup_skips_only_positive_zero_costs(penalty):
+    # the BLAS means of the steps above never come out -0.0, so a payoff
+    # whose mean entry returns -0.0 shows the sign: skipping a -0.0 cost
+    # would keep it, where the subtraction gives +0.0
+    model = ShiftSup(MU, ZERO_COST_PENALTIES[penalty], SHIFTS)
+
+    def payoff(y):
+        raise AssertionError("the mean entry serves every shift")
+    payoff.mean = lambda clouds, w: np.full((clouds.shape[0], 3), -0.0)
+    got = model.reduce(payoff, 0.5)
+    assert got.tobytes() == reduce_paying_every_shift(model, payoff, 0.5).tobytes()
+    assert np.signbit(got).all() == (penalty != "signed_zero")
 
 
 def test_grid_aligned_shift_sup_step_is_one_mean_call(monkeypatch):
