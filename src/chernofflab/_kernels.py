@@ -34,14 +34,13 @@ reaches these gathers through ``GridFunction`` (``eval``, ``gather_plan``,
 implementations of single Chernoff steps; ``chernoff.one_step`` computes
 the same steps through the models' ``reduce`` and the tests compare the two.
 The explicit marches serve the PDE oracle and run whole-array numpy calls
-per step into two swapped buffers, through slice views of both buffers
-built once (``_step_views``), so a step slices nothing: ``lax_friedrichs``
-four (a difference, ``np.interp`` of the rescaled Hamiltonian, a three-tap
-``np.correlate``, a sum), ``g_heat`` its first hull line written straight
-into G and one ``np.maximum`` per further line on the lower convex hull of
-its lines, with no subtraction for a line that costs +0.0
-(x - 0.0 is x bit for bit, signed zeros included). The Legendre scan
-serves the Hopf-Lax oracle. ``perfbench/`` times each kernel by name.
+per step into two swapped buffers: ``lax_friedrichs`` four (a difference,
+``np.interp`` of the rescaled Hamiltonian, a three-tap ``np.correlate``, a
+sum), ``g_heat`` its first hull line written straight into G and one
+``np.maximum`` per further line on the lower convex hull of its lines, with
+no subtraction for a line that costs +0.0 (x - 0.0 is x bit for bit,
+signed zeros included). The Legendre scan serves the Hopf-Lax oracle.
+``perfbench/`` times each kernel by name.
 
 All kernels are sequential on purpose: reductions keep a fixed summation
 order so that repeated runs of an experiment produce byte-identical output.
@@ -306,10 +305,12 @@ def lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha):
     visc = alpha * dt / (2.0 * spacing)
     taps = np.array([visc, 1.0 - 2.0 * visc, visc])
     du = np.empty(m)
-    for left, _, right, window, target in _step_views(u, unew, steps):
-        np.subtract(right, left, out=du)
-        np.add(np.interp(du, diff_p, step_v), np.correlate(window, taps), out=target)
-    return (u, unew)[steps % 2]
+    for _ in range(steps):
+        np.subtract(u[3:-1], u[1:-3], out=du)
+        np.add(np.interp(du, diff_p, step_v), np.correlate(u[1:-1], taps),
+               out=unew[2:-2])
+        u, unew = unew, u
+    return u
 
 
 def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
@@ -318,17 +319,17 @@ def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
     Only the lines (lam^2 / 2, cost) on their lower convex hull can attain
     the maximum, so they are sorted and reduced once (``_lower_hull``); each
     step then writes the first hull line into G and takes one ``np.maximum``
-    per further line, in preallocated buffers, reading slice views built
-    once. max(-inf, x) is x, so starting from the first line instead of
-    -inf changes no value. A line that costs +0.0 skips its subtraction,
-    which is exact: x - 0.0 is x bit for bit, signed zeros included; a cost
-    of -0.0 is subtracted, since -0.0 - (-0.0) is +0.0. The two outermost
-    layers stay frozen.
+    per further line, in preallocated buffers. max(-inf, x) is x, so
+    starting from the first line instead of -inf changes no value. A line
+    that costs +0.0 skips its subtraction, which is exact: x - 0.0 is x bit
+    for bit, signed zeros included; a cost of -0.0 is subtracted, since
+    -0.0 - (-0.0) is +0.0. The two outermost layers stay frozen.
     """
     coef = 0.5 * lam * lam
     order = np.lexsort((lam_cost, coef))
     hull = order[_lower_hull(coef[order], lam_cost[order])]
-    first, *rest = [(c, k, k != 0 or np.signbit(k)) for c, k in zip(coef[hull], lam_cost[hull])]
+    first, *rest = [(c, k, k != 0 or np.signbit(k))
+                    for c, k in zip(coef[hull], lam_cost[hull])]
     u = values.copy()
     unew = values.copy()
     m = u.shape[0] - 4  # nodes 2 .. n-3 move
@@ -336,11 +337,11 @@ def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
         return u
     h2 = spacing * spacing
     lap, g, term = np.empty(m), np.empty(m), np.empty(m)
-    for left, mid, right, _, target in _step_views(u, unew, steps):
+    for _ in range(steps):
         # lap = (u[i+1] - 2 u[i] + u[i-1]) / h^2, in that order
-        np.multiply(mid, 2.0, out=lap)
-        np.subtract(right, lap, out=lap)
-        lap += left
+        np.multiply(u[2:-2], 2.0, out=lap)
+        np.subtract(u[3:-1], lap, out=lap)
+        lap += u[1:-3]
         lap /= h2
         c, k, paid = first
         np.multiply(lap, c, out=g)
@@ -355,17 +356,9 @@ def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
         lap *= half_sigma2
         g += lap
         g *= dt
-        np.add(mid, g, out=target)
-    return (u, unew)[steps % 2]
-
-
-def _step_views(u, unew, steps):
-    """The views step k of a three-point march reads and writes, built once
-    per buffer: u[i-1], u[i], u[i+1] and u[i-1 .. i+1] over the moving nodes
-    i = 2 .. n-3 of one buffer, then those nodes of the other; the two
-    buffers swap roles every step."""
-    views = [(a[1:-3], a[2:-2], a[3:-1], a[1:-1], b[2:-2]) for a, b in ((u, unew), (unew, u))]
-    return (views[k % 2] for k in range(steps))
+        np.add(u[2:-2], g, out=unew[2:-2])
+        u, unew = unew, u
+    return u
 
 
 def _lower_hull(z, g):

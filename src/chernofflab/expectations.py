@@ -257,8 +257,11 @@ class ShiftSup(ExpectationModel):
         if not np.any(keep):
             raise InputError("penalty is infinite on the whole shift grid")
         freeze(self, shifts=s[keep], _costs=cost[keep])
-        # the shifts whose cost reduce subtracts: all but those costing +0.0
-        freeze(self, _paid=(self._costs != 0) | np.signbit(self._costs))
+        # whether reduce's mean entry subtracts the costs: not when every
+        # shift costs +0.0, since x - t * 0.0 is x bit for bit for t > 0,
+        # signed zeros included; -0.0 is paid, as -0.0 - (-0.0) is +0.0
+        object.__setattr__(self, "_paid", bool(np.any(cost[keep] != 0)
+                                               or np.any(np.signbit(cost[keep]))))
         # the atom cloud of each shift, (shifts, signs x atoms, d), and the
         # weights of its mean: both signs of the symmetric variant in one row
         signs = (1.0, -1.0) if self.symmetric else (1.0,)
@@ -271,19 +274,15 @@ class ShiftSup(ExpectationModel):
         # every atom mean at once, (shifts, rows), from the payoff's linear
         # mean entry when it has one; else one payoff call per shift. The
         # mean entry's rows skip t * cost when every shift costs +0.0 (the
-        # indicator penalty of the sublinear models), and the loop skips it
-        # for each shift that costs +0.0: x - t * 0.0 is x bit for bit for
-        # t > 0, signed zeros included. A cost of -0.0 is subtracted, since
-        # -0.0 - (-0.0) is +0.0
+        # indicator penalty of the sublinear models; see _paid)
         if hasattr(payoff, "mean"):
             best = payoff.mean(self._clouds, self._cloud_weights)
-            if self._paid.any():
+            if self._paid:
                 best -= t * self._costs[:, None]
             return best.max(axis=0)
         best = -np.inf
-        for cloud, cost, paid in zip(self._clouds, self._costs, self._paid):
-            mean = payoff(cloud) @ self._cloud_weights
-            best = np.maximum(best, mean - t * cost if paid else mean)
+        for cloud, cost in zip(self._clouds, self._costs):
+            best = np.maximum(best, payoff(cloud) @ self._cloud_weights - t * cost)
         return best
 
     def second_order_lines(self):

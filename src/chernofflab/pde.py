@@ -111,7 +111,7 @@ def solve_g_heat(g2, f, t):
     (lam^2 / 2, cost), which gives the same maximum, so a step costs one
     comparison per hull line after the first rather than one per entry of
     ``g2.lam_grid``, and no subtraction for a line that costs +0.0 (exact,
-    see ``_kernels.g_heat``); its buffer views are built once per march.
+    see ``_kernels.g_heat``).
     """
     h = f.grid.spacing
     return _march(f, t, 0.5 * h * h / (2.0 * max(g2.max_diffusion, 1e-8)),

@@ -18,8 +18,8 @@ gather, on a held stencil too, and stay within 16 MB on a band as wide as
 the padded values. ``chernoff`` and ``hopflax`` must not import
 ``_kernels``.
 
-The steps and marches skip the subtraction of +0.0 costs, so those are
-compared by bytes (``np.array_equal`` takes -0.0 for 0.0): grid-aligned and
+``ShiftSup``'s mean entry and ``g_heat`` skip the subtraction of +0.0
+costs, so the steps and marches are compared by bytes (``np.array_equal`` takes -0.0 for 0.0): grid-aligned and
 per-point ``ShiftSup`` steps against a reduction that subtracts every cost,
 and ``g_heat`` (all-zero, mixed, nonzero and -0.0 costs) and
 ``lax_friedrichs`` against their plain marches at an odd step count too,
