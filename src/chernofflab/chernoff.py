@@ -11,6 +11,7 @@ finest one is run alongside, so that the independence of the limit from the
 partition choice is observable.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,13 @@ from .errors import InputError, write_csv
 from .expectations import ExpectationModel
 
 _REMAINDER_EPS = 1e-13
+
+# the CPUs this process may run on, read once: the most node blocks one
+# per-point step splits into
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+# (pid, executor) of the threads that run node blocks 1 .. B - 1
+_pool = None
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +133,8 @@ class Partition:
 class OneStepOperator:
     model: ExpectationModel
     scaling: ScalingFamily = field(default_factory=FirstOrderAffine)
-    # the last per-point gather plan, (t, grid, extension, sample points, plan)
+    # the last per-point gather plans, (t, grid, extension, blocks): one
+    # (sample points, plan) entry per node block, None until it gathers
     _plan: tuple = field(default=None, init=False, repr=False, compare=False)
     # the last grid-aligned stencil, with its pad and last geometry
     _stencil: object = field(default=None, init=False, repr=False, compare=False)
@@ -146,14 +155,23 @@ def one_step(op, t, f):
     so in 1D the gather is a shifted-slice stencil; the operator keeps it,
     refilled with each step's values while the grid and the extension stay
     the same, and the stencil keeps the geometry of its last offsets and
-    weights, so equal steps compute it once. Otherwise the queries
-    are laid out (k, nodes) in 1D and (k, nodes, 2) in 2D, and the gather's
-    geometry is a plan that the operator keeps and reuses while t, the
-    grid, the extension and the sample points stay the same, as they do
-    over the full steps of one partition; such steps do not compute the
-    scaling's base either. The plan's output is its own held buffer, which
-    the next gather overwrites; a model's reduction reads it and returns a
-    fresh array.
+    weights, so equal steps compute it once. Otherwise a node reads f only
+    at its own points, so the step splits the nodes into B contiguous
+    blocks, B = min(usable CPUs, nodes, max(1, k // grid.columns_per_block))
+    with k the size of the model's measure. The model reduces each block on
+    its own into the block's rows of one output, the calling thread block 0
+    and a thread pool the others; an error in any block is raised once every
+    block has finished. A block's queries are laid out (k, block nodes) in
+    1D and (k, block nodes, 2) in 2D, and its gather's geometry is a plan
+    that the operator keeps and reuses while t, the grid, the extension and
+    the sample points stay the same, as they do over the full steps of one
+    partition; such steps do not compute the scaling's base either. A
+    plan's output is its own held buffer, which the next gather overwrites;
+    a model's reduction reads it and returns a fresh array. Each node
+    reduces the same k values in the same order for any B, so row-local
+    models (``Entropic``, and ``Centered`` over it) give the same bits;
+    ``Linear``'s matrix product and ``Shortfall``'s batch-wide bisection
+    count may move in the last bits.
     """
     if not (np.isfinite(t) and t >= 0):
         raise InputError("one_step requires a finite t >= 0")
@@ -171,20 +189,57 @@ def one_step(op, t, f):
             return stencil(scale * y[:, 0])
         # mean(y, w)[l] = gather(y[l]) @ w for a stack of sample clouds
         gather.mean = lambda y, w: stencil.mean(scale * y[..., 0], w)
-    else:
-        key = (t, g, f.extension)
+        return f.replace_values(op.model.reduce(gather, t).reshape(f.values.shape))
+
+    nodes = f.values.size
+    k = op.model.measure.atoms.shape[0]
+    count = min(_CPUS, nodes, max(1, k // g.columns_per_block))
+    bounds = [nodes * b // count for b in range(count + 1)]
+    key = (t, g, f.extension)
+    held = op._plan
+    if not (held is not None and held[:3] == key and len(held[3]) == count):
+        held = (*key, [None] * count)
+        object.__setattr__(op, "_plan", held)
+    blocks = held[3]
+
+    def reduce(b):
+        lo, hi = bounds[b], bounds[b + 1]
 
         def gather(y):
-            held = op._plan
-            if not (held is not None and held[:3] == key and np.array_equal(held[3], y)):
-                base = scaling.base(t, g.axis if one_d else g.nodes())
-                plan = f.gather_plan(base + scale * (y if one_d else y[:, None]))
-                held = (*key, y.copy(), plan)
-                object.__setattr__(op, "_plan", held)
-            return held[4](f.values).T
+            entry = blocks[b]
+            if entry is None or not np.array_equal(entry[0], y):
+                base = scaling.base(t, g.axis if one_d else g.nodes())[lo:hi]
+                entry = blocks[b] = (y.copy(), f.gather_plan(
+                    base + scale * (y if one_d else y[:, None])))
+            return entry[1](f.values).T
+        return op.model.reduce(gather, t)
 
-    vals = op.model.reduce(gather, t)
+    if count == 1:
+        return f.replace_values(reduce(0).reshape(f.values.shape))
+    vals = np.empty(nodes)
+
+    def fill(b):
+        vals[bounds[b]:bounds[b + 1]] = reduce(b)
+    pool = _block_pool()
+    futures = [pool.submit(fill, b) for b in range(1, count)]
+    try:
+        fill(0)
+    finally:
+        errors = [fut.exception() for fut in futures]
+    for err in errors:
+        if err is not None:
+            raise err
     return f.replace_values(vals.reshape(f.values.shape))
+
+
+def _block_pool():
+    """The executor of the node blocks past the first, built on first use
+    and again in a forked child, whose copy has no threads."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(), ThreadPoolExecutor(max(1, _CPUS - 1)))
+    return _pool[1]
 
 
 def iterate(op, partition, f):

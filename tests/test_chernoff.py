@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -271,13 +275,21 @@ class TestPlanReuse:
             assert np.array_equal(got.values,
                                   one_step(OneStepOperator(model, scaling), 0.2, g).values)
         assert len(builds) == 6
+        # above the threshold each of the B node blocks builds its own
+        # plan, once for all the equal steps
+        builds.clear()
+        monkeypatch.setattr(chernoff, "_CPUS", 3)
+        op = OneStepOperator(Entropic(BLOCK_MU), scaling)
+        iterate(op, Partition(1.0, 1.0 / 16), GridFunction.sample(BLOCK_GRID, np.sin))
+        assert len(builds) == len(op._plan[3]) == 3
 
     def test_operator_holds_one_plan(self):
         model, scaling = PLAN_CASES["perturbed_shift_sup"]
         op = OneStepOperator(model, scaling)
         f = plan_case_payoff("perturbed_shift_sup", "constant")
         one_step(op, 0.2, f)
-        t, grid, extension, points, _ = op._plan
+        # 65 nodes x 2 points take one node block, with one plan
+        t, grid, extension, ((points, _),) = op._plan
         assert (t, grid, extension) == (0.2, f.grid, "constant")
         assert points.shape[1] == 1
         # the held plan is no part of the operator's identity
@@ -296,6 +308,151 @@ class TestPlanReuse:
         assert op._plan[0] == 0.2
         assert np.array_equal(u.values, held)
         assert not np.array_equal(v.values, held)
+
+
+# 2049 nodes x 64 atoms: up to 64 // 15 = 4 node blocks; 129^2 nodes x 3
+# atoms in 2D: up to 3
+BLOCK_GRID = Grid(8.0, 2049)
+BLOCK_MU = gauss_hermite(64)
+BLOCK_GRID_2D = Grid(2.0, 129, dimension=2)
+BLOCK_CASES = {
+    "entropic": (Entropic(BLOCK_MU), DRIFT),
+    "centered_entropic": (centered(Entropic(BLOCK_MU)), DRIFT),
+    "entropic_2d": (Entropic(PLAN_MU_2D), FirstOrderAffine()),
+    "linear": (Linear(BLOCK_MU), DRIFT),
+    "shortfall": (Shortfall(BLOCK_MU, 2.0), DRIFT),
+    # no gather mean on a per-point step: one payoff call per shift
+    "shift_sup": (ShiftSup(BLOCK_MU, PenaltyFunction.quadratic(2.0, 129),
+                           np.linspace(-1.0, 1.0, 9)), DRIFT),
+}
+
+
+def block_case_payoff(case):
+    if case.endswith("_2d"):
+        return GridFunction.sample(BLOCK_GRID_2D, lambda x, y: np.sin(x) + 0.3 * x * y)
+    return GridFunction.sample(BLOCK_GRID, lambda x: np.minimum(x**2, 36.0) + np.sin(3 * x))
+
+
+def one_block_step(model, scaling, t, f):
+    # the step as one reduction over every node, the (k, nodes) gather of
+    # one plan
+    g = f.grid
+    one_d = g.dimension == 1
+    base = scaling.base(t, g.axis if one_d else g.nodes())
+    scale = scaling.scale(t)
+
+    def gather(y):
+        return f.gather_plan(base + scale * (y if one_d else y[:, None]))(f.values).T
+    return model.reduce(gather, t).reshape(f.values.shape)
+
+
+class TestNodeBlocks:
+    """Per-point steps above the threshold reduce node blocks on threads;
+    the usable CPU count is patched, so any host runs every block count."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["entropic", "centered_entropic", "entropic_2d"])
+    def test_row_local_models_keep_their_bytes(self, case, cpus, monkeypatch):
+        monkeypatch.setattr(chernoff, "_CPUS", cpus)
+        model, scaling = BLOCK_CASES[case]
+        f = block_case_payoff(case)
+        op = OneStepOperator(model, scaling)
+        got = one_step(op, 1.0 / 16, f).values
+        assert len(op._plan[3]) == cpus
+        assert got.tobytes() == one_block_step(model, scaling, 1.0 / 16, f).tobytes()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("case", ["linear", "shortfall", "shift_sup"])
+    def test_batch_wide_models_stay_within_rounding(self, case, cpus, monkeypatch):
+        # BLAS blocks the rows of payoff @ weights, and the bisection count
+        # follows the widest row of the batch
+        monkeypatch.setattr(chernoff, "_CPUS", cpus)
+        model, scaling = BLOCK_CASES[case]
+        f = block_case_payoff(case)
+        for t in (1.0 / 16, 0.5):
+            op = OneStepOperator(model, scaling)
+            got = one_step(op, t, f).values
+            want = one_block_step(model, scaling, t, f)
+            assert len(op._plan[3]) == cpus
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_steps_below_the_threshold_build_no_pool(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("a step below the threshold built the pool")
+        monkeypatch.setattr(chernoff, "_CPUS", 4)
+        monkeypatch.setattr(chernoff, "_block_pool", no_pool)
+        mu_2d = DiscreteMeasure(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                                np.full(4, 0.25))
+        cases = [
+            # 513 nodes x 64 atoms: 64 // 63 = 1 block
+            (Entropic(BLOCK_MU), DRIFT, GridFunction.sample(Grid(8.0, 513), np.sin)),
+            # 1089 nodes x 4 points in 2D: 4 // 30 = 0, so 1 block
+            (Entropic(mu_2d), FirstOrderAffine(),
+             GridFunction.sample(Grid(2.0, 33, dimension=2), lambda x, y: np.sin(x) * y)),
+            # grid-aligned steps stay serial at any size
+            (Entropic(BLOCK_MU), FirstOrderAffine(), GridFunction.sample(BLOCK_GRID, np.sin)),
+        ]
+        for model, scaling, f in cases:
+            one_step(OneStepOperator(model, scaling), 1.0 / 16, f)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_waits_for_every_block(self, failing, monkeypatch):
+        # one block raises at once while the other is slow: the step raises
+        # only after the slow one has finished, and the operator's next
+        # step is the one-block step
+        monkeypatch.setattr(chernoff, "_CPUS", 2)
+        caller = threading.current_thread()
+        state = {"fail": True, "finished": []}
+
+        class FailsInOneBlock(Entropic):
+            def reduce(self, payoff, t=1.0):
+                block = 0 if threading.current_thread() is caller else 1
+                if state["fail"] and block == failing:
+                    raise InputError(f"block {block} fails")
+                if state["fail"]:
+                    time.sleep(0.05)
+                out = super().reduce(payoff, t)
+                state["finished"].append(block)
+                return out
+        model = FailsInOneBlock(BLOCK_MU)
+        f = block_case_payoff("entropic")
+        op = OneStepOperator(model, DRIFT)
+        with pytest.raises(InputError, match=f"block {failing} fails"):
+            one_step(op, 1.0 / 16, f)
+        assert state["finished"] == [1 - failing]
+        state["fail"] = False
+        got = one_step(op, 1.0 / 16, f).values
+        assert got.tobytes() == one_block_step(model, DRIFT, 1.0 / 16, f).tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not exist in the child; a child that
+        # used the parent's executor would wait for them forever (the alarm
+        # ends it then)
+        monkeypatch.setattr(chernoff, "_CPUS", 2)
+        model, scaling = BLOCK_CASES["entropic"]
+        f = block_case_payoff("entropic")
+        want = one_step(OneStepOperator(model, scaling), 1.0 / 16, f).values
+        assert chernoff._pool[0] == os.getpid()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                os.close(read)
+                signal.alarm(30)
+                got = one_step(OneStepOperator(model, scaling), 1.0 / 16, f).values
+                ok = got.tobytes() == want.tobytes() and chernoff._pool[0] == os.getpid()
+            finally:
+                os.write(write, b"1" if ok else b"0")
+                os._exit(0)
+        os.close(write)
+        try:
+            status = os.read(read, 1)
+        finally:
+            os.close(read)
+            os.waitpid(pid, 0)
+        assert status == b"1"
 
 
 # every grid-aligned model family, each under both grid-aligned scalings
