@@ -45,8 +45,9 @@ signed zeros included). The Legendre scan serves the Hopf-Lax oracle.
 All kernels are sequential on purpose: reductions keep a fixed summation
 order so that repeated runs of an experiment produce byte-identical output.
 The package's only threads live in ``chernoff.one_step``: a per-point step
-splits its nodes into blocks, each with its own gather plan, and reduces
-them on a thread pool; every kernel call still runs on one thread.
+of a row-local model splits its nodes into blocks, each with its own gather
+plan, and reduces them on a thread pool; every kernel call still runs on
+one thread.
 """
 
 import numpy as np

@@ -156,22 +156,23 @@ def one_step(op, t, f):
     refilled with each step's values while the grid and the extension stay
     the same, and the stencil keeps the geometry of its last offsets and
     weights, so equal steps compute it once. Otherwise a node reads f only
-    at its own points, so the step splits the nodes into B contiguous
-    blocks, B = min(usable CPUs, nodes, max(1, k // grid.columns_per_block))
-    with k the size of the model's measure. The model reduces each block on
-    its own into the block's rows of one output, the calling thread block 0
-    and a thread pool the others; an error in any block is raised once every
+    at its own points, so the step of a row-local model splits the nodes
+    into B contiguous blocks, B = min(usable CPUs, nodes, max(1, k //
+    grid.columns_per_block)) with k the size of the model's measure; any
+    other model takes one block. The model reduces each block on its own
+    into the block's rows of one output, the calling thread block 0 and a
+    thread pool the others; an error in any block is raised once every
     block has finished. A block's queries are laid out (k, block nodes) in
     1D and (k, block nodes, 2) in 2D, and its gather's geometry is a plan
     that the operator keeps and reuses while t, the grid, the extension and
     the sample points stay the same, as they do over the full steps of one
     partition; such steps do not compute the scaling's base either. A
     plan's output is its own held buffer, which the next gather overwrites;
-    a model's reduction reads it and returns a fresh array. Each node
-    reduces the same k values in the same order for any B, so row-local
-    models (``Entropic``, and ``Centered`` over it) give the same bits;
-    ``Linear``'s matrix product and ``Shortfall``'s batch-wide bisection
-    count may move in the last bits.
+    a model's reduction reads it and returns a fresh array. A row-local
+    model reduces each node's k values alone, in the same order for any B,
+    so the bits do not depend on the CPU count; ``Linear``'s matrix product
+    and ``Shortfall``'s batch-wide bisection count would move in the last
+    bits, so they are not split.
     """
     if not (np.isfinite(t) and t >= 0):
         raise InputError("one_step requires a finite t >= 0")
@@ -193,7 +194,8 @@ def one_step(op, t, f):
 
     nodes = f.values.size
     k = op.model.measure.atoms.shape[0]
-    count = min(_CPUS, nodes, max(1, k // g.columns_per_block))
+    count = (min(_CPUS, nodes, max(1, k // g.columns_per_block))
+             if op.model.row_local else 1)
     bounds = [nodes * b // count for b in range(count + 1)]
     key = (t, g, f.extension)
     held = op._plan

@@ -159,6 +159,10 @@ class ExpectationModel:
     ``expect_linear`` call it."""
 
     measure: DiscreteMeasure
+    # whether reduce computes each row from that row's values alone, in an
+    # order that no other row changes: the rows of such a model may then be
+    # reduced in blocks with the same bits (see chernoff.one_step)
+    row_local = False
 
     def reduce(self, payoff, t=1.0):
         """t * E[payoff / t] per row.
@@ -211,6 +215,7 @@ class Linear(ExpectationModel):
 @dataclass(frozen=True)
 class Entropic(ExpectationModel):
     measure: DiscreteMeasure
+    row_local = True
 
     def __post_init__(self):
         freeze(self, _logw=np.log(self.measure.weights))
@@ -307,6 +312,10 @@ class Centered(ExpectationModel):
             if self.base.expect_linear(probe) < -1e-9:
                 raise PreconditionError(
                     f"centering requires E[a xi] >= 0; probe a={probe} fails")
+
+    @property
+    def row_local(self):
+        return self.base.row_local
 
     def reduce(self, payoff, t=1.0):
         # the payoff does not depend on a: gather it once per base-model

@@ -310,8 +310,8 @@ class TestPlanReuse:
         assert not np.array_equal(v.values, held)
 
 
-# 2049 nodes x 64 atoms: up to 64 // 15 = 4 node blocks; 129^2 nodes x 3
-# atoms in 2D: up to 3
+# 2049 nodes x 64 atoms: up to 64 // 15 = 4 node blocks for a row-local
+# model; 129^2 nodes x 3 atoms in 2D: up to 3
 BLOCK_GRID = Grid(8.0, 2049)
 BLOCK_MU = gauss_hermite(64)
 BLOCK_GRID_2D = Grid(2.0, 129, dimension=2)
@@ -320,6 +320,7 @@ BLOCK_CASES = {
     "centered_entropic": (centered(Entropic(BLOCK_MU)), DRIFT),
     "entropic_2d": (Entropic(PLAN_MU_2D), FirstOrderAffine()),
     "linear": (Linear(BLOCK_MU), DRIFT),
+    "centered_linear": (centered(Linear(BLOCK_MU)), DRIFT),
     "shortfall": (Shortfall(BLOCK_MU, 2.0), DRIFT),
     # no gather mean on a per-point step: one payoff call per shift
     "shift_sup": (ShiftSup(BLOCK_MU, PenaltyFunction.quadratic(2.0, 129),
@@ -350,7 +351,7 @@ class TestNodeBlocks:
     """Per-point steps above the threshold reduce node blocks on threads;
     the usable CPU count is patched, so any host runs every block count."""
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", ["entropic", "centered_entropic", "entropic_2d"])
     def test_row_local_models_keep_their_bytes(self, case, cpus, monkeypatch):
         monkeypatch.setattr(chernoff, "_CPUS", cpus)
@@ -358,23 +359,27 @@ class TestNodeBlocks:
         f = block_case_payoff(case)
         op = OneStepOperator(model, scaling)
         got = one_step(op, 1.0 / 16, f).values
-        assert len(op._plan[3]) == cpus
+        assert len(op._plan[3]) == min(cpus, 3 if case.endswith("_2d") else 4)
         assert got.tobytes() == one_block_step(model, scaling, 1.0 / 16, f).tobytes()
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize("case", ["linear", "shortfall", "shift_sup"])
-    def test_batch_wide_models_stay_within_rounding(self, case, cpus, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["linear", "centered_linear", "shortfall", "shift_sup"])
+    def test_batch_wide_models_take_one_block(self, case, cpus, monkeypatch):
         # BLAS blocks the rows of payoff @ weights, and the bisection count
-        # follows the widest row of the batch
+        # follows the widest row of the batch: a node block would move the
+        # last bits with the CPU count, so these steps stay one block
+        def no_pool():
+            raise AssertionError("a model that is not row-local built the pool")
         monkeypatch.setattr(chernoff, "_CPUS", cpus)
+        monkeypatch.setattr(chernoff, "_block_pool", no_pool)
         model, scaling = BLOCK_CASES[case]
+        assert not model.row_local
         f = block_case_payoff(case)
         for t in (1.0 / 16, 0.5):
             op = OneStepOperator(model, scaling)
             got = one_step(op, t, f).values
-            want = one_block_step(model, scaling, t, f)
-            assert len(op._plan[3]) == cpus
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert len(op._plan[3]) == 1
+            assert got.tobytes() == one_block_step(model, scaling, t, f).tobytes()
 
     def test_steps_below_the_threshold_build_no_pool(self, monkeypatch):
         def no_pool():
