@@ -7,8 +7,9 @@ The iteration identity
 
 turns product-space functionals of recursively perturbed statistics into k
 grid sweeps, so no product measure is ever constructed; a brute-force
-enumeration over atom sequences doubles as the independent cross-check for
-small k.
+enumeration over the exactly reachable points doubles as the independent
+cross-check for small k. It reduces each level of the recursion in one
+batch: one ``model.reduce`` over that level's new points.
 
 ``poly_power`` is the one home of ``poly_rate``'s exponent range; the CLI
 reaches it through ``_Fields.build``, so a bad exponent names its field.
@@ -20,7 +21,8 @@ import numpy as np
 
 from .chernoff import OneStepOperator, Partition, SecondOrder, iterate
 from .errors import DegenerateSetError, InputError, PreconditionError, write_csv
-from .expectations import CENTERING_PROBES, Entropic, Shortfall, legendre
+from .expectations import (CENTERING_PROBES, Entropic, Shortfall, _finite,
+                           legendre)
 
 _LATTICE_DENOMS = tuple(range(1, 65))
 
@@ -40,10 +42,17 @@ def recursive_statistic(scaling, t, samples):
     return x
 
 
+def _steps(n):
+    """``n`` as an int if it is an integer >= 1 (numpy integers included),
+    else InputError."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputError("n must be a positive integer")
+    return int(n)
+
+
 def nonlinear_functional(model, scaling, f, n):
     """(1/n) E_bar[n f(X_n)] computed as (I(1/n)^n f)(0)."""
-    if n < 1:
-        raise InputError("n must be a positive integer")
+    n = _steps(n)
     op = OneStepOperator(model, scaling)
     u = iterate(op, Partition(1.0, 1.0 / n), f)
     return float(u.values[f.grid.origin_index])
@@ -72,30 +81,51 @@ def clt_functional(model, f, n):
 
 
 def brute_force_functional(model, scaling, f, n):
-    """(I(1/n)^n f)(0) by exact recursion over atom sequences.
+    """(I(1/n)^n f)(0) by exact recursion over the reachable points.
 
     Independent of the grid-sweep path: intermediate values are evaluated at
-    the exactly reachable points, never resampled. Exponential in n; meant
-    for n <= 6 with few atoms.
+    the exactly reachable points, never resampled; points that agree to 12
+    decimals are merged, and a merged value is computed at the first of them
+    met. Level k of the recursion evaluates its new points in one batch:
+    ``f.eval`` at level 0, one ``h * model.reduce`` above, whose payoff
+    gathers the level k - 1 values the same way (a model that calls its
+    payoff more than once, as ``ShiftSup`` does once per shift, batches each
+    call's new points). Every gathered matrix must be finite. The cost is
+    the number of distinct reachable points: at most n + 1 per level for
+    two atoms, and up to m^j after j steps for m sample points off a
+    lattice or under a drift. The measure must be one-dimensional.
     """
+    n = _steps(n)
+    if model.measure.dimension != 1:
+        raise InputError("brute force enumeration needs a one-dimensional measure")
     h = 1.0 / n
-    memo = {}
+    memos = [{} for _ in range(n)]
 
-    def value(x, k):
-        key = (round(float(x), 12), k)
-        if key in memo:
-            return memo[key]
-        if k == 0:
-            out = float(f.eval(x))
-        else:
-            def payoff(y):
-                pts = scaling.map(h, x, np.atleast_1d(np.asarray(y, dtype=float)))
-                return np.array([value(p, k - 1) for p in np.atleast_1d(pts)]) / h
-            out = h * model.expect(payoff)
-        memo[key] = out
-        return out
+    def values(x, k):
+        # level-k values at the points x, any shape; the points not yet in
+        # the level's memo are evaluated together
+        flat = x.ravel().tolist()
+        keys = [round(p, 12) for p in flat]
+        memo = memos[k]
+        new = {}
+        for key, p in zip(keys, flat):
+            if key not in memo:
+                new.setdefault(key, p)
+        if new:
+            pts = np.array(list(new.values()))
+            if k == 0:
+                vals = f.eval(pts)
+            else:
+                vals = h * model.reduce(lambda y: payoff(pts[:, None], y[:, 0], k))
+            memo.update(zip(new, vals.tolist()))
+        return np.array([memo[key] for key in keys]).reshape(x.shape)
 
-    return value(0.0, n)
+    def payoff(x, y, k):
+        # the level k - 1 values / h at psi(h, x, y), one row per point x
+        return _finite(values(scaling.map(h, x, y), k - 1) / h)
+
+    # the origin is one point, reduced by the public one-row path
+    return h * model.expect(lambda y: payoff(0.0, y, n))
 
 
 def sample_iid(measure, n, seed):

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
-                         GridFunction, GrowthWeight, Linear, OneStepOperator,
-                         PenaltyFunction, Perturbed, RateFunction, SecondOrder,
-                         ShiftSup, SymmetricTwoPointSup, brute_force_functional,
+from chernofflab import (Centered, DiscreteMeasure, Entropic, FirstOrderAffine,
+                         Grid, GridFunction, GrowthWeight, Linear,
+                         OneStepOperator, PenaltyFunction, Perturbed,
+                         RateFunction, SecondOrder, ShiftSup, Shortfall,
+                         SymmetricTwoPointSup, brute_force_functional,
                          clt_functional, exact_tail_probabilities,
                          generator_check, hopf_lax, ld_rate,
                          legendre, log_mgf, nonlinear_functional, one_step,
                          poly_rate, recursive_statistic, sample_iid, two_point)
 from chernofflab.errors import (DegenerateSetError, InputError,
                                 PreconditionError)
+from chernofflab.expectations import SHORTFALL_TOL
 BERNOULLI = two_point()
 
 
@@ -130,6 +132,149 @@ class TestBruteForceEquivalence:
         a = nonlinear_functional(model, FirstOrderAffine(), f, n)
         b = brute_force_functional(model, FirstOrderAffine(), f, n)
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def per_point_brute_force(model, scaling, f, n):
+    """The enumeration one point at a time: one ``model.expect`` per
+    reachable point, memoized on the point rounded to 12 decimals."""
+    h = 1.0 / n
+    memo = {}
+
+    def value(x, k):
+        key = (round(float(x), 12), k)
+        if key in memo:
+            return memo[key]
+        if k == 0:
+            out = float(f.eval(x))
+        else:
+            def payoff(y):
+                pts = scaling.map(h, x, np.atleast_1d(np.asarray(y, dtype=float)))
+                return np.array([value(p, k - 1) for p in np.atleast_1d(pts)]) / h
+            out = h * model.expect(payoff)
+        memo[key] = out
+        return out
+
+    return value(0.0, n)
+
+
+THREE_ATOMS = DiscreteMeasure(np.array([-1.0, 0.25, 1.5]),
+                              np.array([0.3, 0.5, 0.2]))
+SHIFT_PENALTY = PenaltyFunction(np.array([0.0, 0.5]), np.array([0.0, 0.25]))
+# name -> (model on a measure, how close the batched value must come to the
+# per-point one): row-local models keep their bytes; the BLAS row blocking
+# of Linear and ShiftSup and the batch-wide bisection count of Shortfall
+# may move the last bits
+BATCH_MODELS = {
+    "entropic": (Entropic, "bytes"),
+    "centered_entropic": (lambda mu: Centered(Entropic(mu)), "bytes"),
+    "linear": (Linear, "rel"),
+    "shift_sup": (lambda mu: ShiftSup(mu, SHIFT_PENALTY,
+                                      np.array([-0.5, 0.0, 0.5])), "rel"),
+    "shortfall": (lambda mu: Shortfall(mu, 2.0), "abs"),
+}
+BATCH_SCALINGS = {"affine": FirstOrderAffine(),
+                  "perturbed": Perturbed(phi0=lambda x: 0.5 * np.sin(x), lip=0.5)}
+
+
+def batch_cases():
+    for name in BATCH_MODELS:
+        for measure in ("two_point", "three_atoms"):
+            for scaling in BATCH_SCALINGS:
+                # a drift makes every atom sequence reach its own point, so
+                # the per-point reference of ShiftSup (9 sample points per
+                # node on three atoms) is held to n <= 4
+                top = 4 if (name, scaling) == ("shift_sup", "perturbed") else 6
+                for n in range(1, top + 1):
+                    yield pytest.param(name, measure, scaling, n,
+                                       id=f"{name}-{measure}-{scaling}-{n}")
+
+
+class TestBatchedBruteForce:
+    def payoff(self, values=None):
+        g = Grid(4.0, 481)
+        if values is not None:
+            return GridFunction(g, np.full(481, values))
+        return GridFunction.sample(g, lambda x: np.sin(1.3 * x) + 0.25 * x**2,
+                                   weight=GrowthWeight(1))
+
+    @pytest.mark.parametrize("name, measure, scaling, n", batch_cases())
+    def test_matches_per_point_recursion(self, name, measure, scaling, n):
+        build, rule = BATCH_MODELS[name]
+        mu = BERNOULLI if measure == "two_point" else THREE_ATOMS
+        args = (build(mu), BATCH_SCALINGS[scaling], self.payoff(), n)
+        got = brute_force_functional(*args)
+        want = per_point_brute_force(*args)
+        if rule == "bytes":
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        elif rule == "rel":
+            assert abs(got - want) <= 1e-15 * abs(want)
+        else:
+            assert abs(got - want) <= SHORTFALL_TOL
+
+    @pytest.mark.parametrize("model", [Entropic(BERNOULLI), Linear(BERNOULLI),
+                                       Shortfall(BERNOULLI, 2.0)],
+                             ids=["entropic", "linear", "shortfall"])
+    def test_one_reduction_per_level(self, model, monkeypatch):
+        # one reduction per level; a reduction per reachable point would
+        # make 21 reductions and 21 expectations here
+        calls = {"reduce": 0, "expect": 0}
+        cls = type(model)
+
+        def counted(name):
+            inner = getattr(cls, name)
+
+            def call(self, *args):
+                calls[name] += 1
+                return inner(self, *args)
+            return call
+        for name in calls:
+            monkeypatch.setattr(cls, name, counted(name))
+        brute_force_functional(model, FirstOrderAffine(), self.payoff(), 6)
+        assert calls == {"reduce": 6, "expect": 1}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    @pytest.mark.parametrize("model", [Entropic(BERNOULLI), Linear(BERNOULLI)],
+                             ids=["entropic", "linear"])
+    def test_overflow_raises_at_its_level(self, model, monkeypatch):
+        # f / h overflows at level 1 for n = 3; no reduction may return
+        # and carry the inf upward
+        returned = []
+        inner = type(model).reduce
+
+        def reduce(self, *args):
+            out = inner(self, *args)
+            returned.append(out)
+            return out
+        monkeypatch.setattr(type(model), "reduce", reduce)
+        with pytest.raises(InputError, match="payoff must be finite at all "
+                                             "required sample points"):
+            brute_force_functional(model, FirstOrderAffine(),
+                                   self.payoff(1e308), 3)
+        assert returned == []
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, "3"])
+    def test_steps_must_be_positive_integers(self, n):
+        f = self.payoff()
+        model = Entropic(BERNOULLI)
+        for functional in (brute_force_functional, nonlinear_functional):
+            with pytest.raises(InputError, match="n must be a positive integer"):
+                functional(model, FirstOrderAffine(), f, n)
+        with pytest.raises(InputError, match="n must be a positive integer"):
+            clt_functional(Linear(BERNOULLI), f, n)
+
+    def test_numpy_integer_steps(self):
+        f = self.payoff()
+        model = Entropic(BERNOULLI)
+        for functional in (brute_force_functional, nonlinear_functional):
+            assert functional(model, FirstOrderAffine(), f, np.int64(4)) \
+                == functional(model, FirstOrderAffine(), f, 4)
+
+    def test_two_dimensional_measure_rejected(self):
+        mu = DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                             np.array([0.5, 0.5]))
+        with pytest.raises(InputError, match="one-dimensional"):
+            brute_force_functional(Linear(mu), FirstOrderAffine(),
+                                   self.payoff(), 2)
 
 
 class TestExactTails:
