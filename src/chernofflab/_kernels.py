@@ -39,7 +39,10 @@ per step into two swapped buffers: ``lax_friedrichs`` four (a difference,
 sum), ``g_heat`` its first hull line written straight into G and one
 ``np.maximum`` per further line on the lower convex hull of its lines, with
 no subtraction for a line that costs +0.0 (x - 0.0 is x bit for bit,
-signed zeros included). The Legendre scan serves the Hopf-Lax oracle.
+signed zeros included). The Legendre scan serves the Hopf-Lax and
+large-deviation oracles: one sequential sweep builds the lower convex hull,
+and one ``searchsorted`` of the dual grid into the hull's chord slopes finds
+every maximizer, with no loop over the dual grid.
 ``perfbench/`` times each kernel by name.
 
 All kernels are sequential on purpose: reductions keep a fixed summation
@@ -389,24 +392,18 @@ def _lower_hull(z, g):
 def legendre_scan(z, g, y):
     """Discrete convex conjugate g*(y_j) = max_i (y_j z_i - g_i).
 
-    Works for any finite-or-+inf input by conjugating the lower convex hull;
-    one monotone sweep over the sorted dual grid gives O(m + n).
+    Works for any finite-or-+inf input by conjugating the lower convex hull.
+    On the hull, y_j z_i - g_i peaks at the vertex whose chord slopes
+    bracket y_j, which one ``searchsorted`` of the ascending dual grid into
+    the slopes finds; rounding can shift the peak by one vertex, so each
+    y_j takes the best of that vertex and its two neighbours, a later
+    vertex winning ties. That is the value a monotone sweep over the dual
+    grid reaches, at O(n + m log n).
     """
     hull = _lower_hull(z, g)
-    zf = z[hull]
-    gf = g[hull]
-    m = zf.shape[0]
-    out = np.empty(y.shape[0])
-    i = 0
-    for j in range(y.shape[0]):
-        yj = y[j]
-        best = yj * zf[i] - gf[i]
-        while i + 1 < m:
-            cand = yj * zf[i + 1] - gf[i + 1]
-            if cand >= best:
-                best = cand
-                i += 1
-            else:
-                break
-        out[j] = best
-    return out
+    i = np.searchsorted(np.diff(g[hull]) / np.diff(z[hull]), y)
+    best = -np.inf
+    for j in hull[np.clip([i - 1, i, i + 1], 0, hull.shape[0] - 1)]:
+        cand = y * z[j] - g[j]
+        best = np.where(cand >= best, cand, best)
+    return best

@@ -13,6 +13,7 @@ partition choice is observable.
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -159,9 +160,10 @@ def one_step(op, t, f):
     at its own points, so the step of a row-local model splits the nodes
     into B contiguous blocks, B = min(usable CPUs, nodes, max(1, k //
     grid.columns_per_block)) with k the size of the model's measure; any
-    other model takes one block. The model reduces each block on its own
-    into the block's rows of one output, the calling thread block 0 and a
-    thread pool the others; an error in any block is raised once every
+    other model takes one block, and so does the stencil step. The model
+    reduces each block on its own, the calling thread block 0 and a thread
+    pool the others (one block builds no pool), and the step joins the
+    block results in node order; an error in any block is raised once every
     block has finished. A block's queries are laid out (k, block nodes) in
     1D and (k, block nodes, 2) in 2D, and its gather's geometry is a plan
     that the operator keeps and reuses while t, the grid, the extension and
@@ -190,48 +192,37 @@ def one_step(op, t, f):
             return stencil(scale * y[:, 0])
         # mean(y, w)[l] = gather(y[l]) @ w for a stack of sample clouds
         gather.mean = lambda y, w: stencil.mean(scale * y[..., 0], w)
-        return f.replace_values(op.model.reduce(gather, t).reshape(f.values.shape))
+        gathers = [gather]
+    else:
+        nodes = f.values.size
+        k = op.model.measure.atoms.shape[0]
+        count = (min(_CPUS, nodes, max(1, k // g.columns_per_block))
+                 if op.model.row_local else 1)
+        key = (t, g, f.extension)
+        held = op._plan
+        if not (held is not None and held[:3] == key and len(held[3]) == count):
+            held = (*key, [None] * count)
+            object.__setattr__(op, "_plan", held)
+        plans = held[3]
 
-    nodes = f.values.size
-    k = op.model.measure.atoms.shape[0]
-    count = (min(_CPUS, nodes, max(1, k // g.columns_per_block))
-             if op.model.row_local else 1)
-    bounds = [nodes * b // count for b in range(count + 1)]
-    key = (t, g, f.extension)
-    held = op._plan
-    if not (held is not None and held[:3] == key and len(held[3]) == count):
-        held = (*key, [None] * count)
-        object.__setattr__(op, "_plan", held)
-    blocks = held[3]
-
-    def reduce(b):
-        lo, hi = bounds[b], bounds[b + 1]
-
-        def gather(y):
-            entry = blocks[b]
+        def gather(b, y):
+            entry = plans[b]
             if entry is None or not np.array_equal(entry[0], y):
-                base = scaling.base(t, g.axis if one_d else g.nodes())[lo:hi]
-                entry = blocks[b] = (y.copy(), f.gather_plan(
-                    base + scale * (y if one_d else y[:, None])))
+                base = scaling.base(t, g.axis if one_d else g.nodes())
+                entry = plans[b] = (y.copy(), f.gather_plan(
+                    base[nodes * b // count:nodes * (b + 1) // count]
+                    + scale * (y if one_d else y[:, None])))
             return entry[1](f.values).T
-        return op.model.reduce(gather, t)
+        gathers = [partial(gather, b) for b in range(count)]
 
-    if count == 1:
-        return f.replace_values(reduce(0).reshape(f.values.shape))
-    vals = np.empty(nodes)
-
-    def fill(b):
-        vals[bounds[b]:bounds[b + 1]] = reduce(b)
-    pool = _block_pool()
-    futures = [pool.submit(fill, b) for b in range(1, count)]
+    futures = [_block_pool().submit(op.model.reduce, gather, t) for gather in gathers[1:]]
     try:
-        fill(0)
+        parts = [op.model.reduce(gathers[0], t)]
     finally:
-        errors = [fut.exception() for fut in futures]
-    for err in errors:
-        if err is not None:
-            raise err
-    return f.replace_values(vals.reshape(f.values.shape))
+        for fut in futures:
+            fut.exception()  # waits for the block
+    parts += [fut.result() for fut in futures]
+    return f.replace_values(np.concatenate(parts).reshape(f.values.shape))
 
 
 def _block_pool():

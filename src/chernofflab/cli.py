@@ -42,6 +42,12 @@ from .limits import (generator_check, interpolation_floor, ld_rate, poly_power,
                      poly_rate, require_centered)
 from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
 
+# the most node updates (march steps x nodes) a PDE oracle may take, about
+# 40 times the 12,275 steps x 2,049 nodes of pde_crosscheck_hj: a march
+# takes 1/h (Lax-Friedrichs) or 1/h^2 (G-heat) steps, so a fine grid would
+# otherwise march for hours
+MAX_MARCH_WORK = 10 ** 9
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -174,6 +180,16 @@ class _Fields:
             self._fail(key, f"needs a node at exactly 0, and linspace(-r, r, count) "
                             f"has none at {r:g},{count}")
         return z
+
+    def march(self, key, ham, grid):
+        """Fail on ``key`` when the PDE march of ``ham`` to t = 1 on ``grid``
+        takes more than ``MAX_MARCH_WORK`` node updates."""
+        steps = self.build(key, ham.march_steps, grid.spacing)
+        nodes = grid.points_per_axis
+        if steps * nodes > MAX_MARCH_WORK:
+            self._fail(key, f"spacing {grid.spacing:.3g} makes the PDE march take {steps:.3g} "
+                            f"steps x {nodes} nodes, above MAX_MARCH_WORK = "
+                            f"{MAX_MARCH_WORK:.0e} node updates")
 
     def schedule(self, key):
         """Strictly increasing positive step counts, as ``chernoff_limit`` needs."""
@@ -434,6 +450,8 @@ def _run_clt(sections):
                          Hamiltonian2.from_model, model)
     if gaussian and np.any(g2.costs != 0):
         check._fail("target", "gaussian needs a G whose kept lines all cost 0")
+    if gheat:
+        check.march("gheat_grid", g2, pgrid)
     cross = "cross_factor" in check.kv
     compact = None
     if cross:
@@ -561,9 +579,10 @@ def _run_pde_crosscheck(sections):
     rate_y = check.span("rate_y", "10,2001")
     tol = check.number("tolerance", lo=0.0)
     target = check.number("target") if "target" in check.kv else None
+    ham = Hamiltonian1.from_model(model, p_grid)
+    _Fields(sections, "grid").march("R", ham, f.grid)
     sections.reject_unread()
     rate = check.build("rate_y", conjugate_rate, model, p_grid, rate_y)
-    ham = Hamiltonian1.from_model(model, p_grid)
     u = solve_hj(ham, f, 1.0)
     pde0 = float(u.values[f.grid.origin_index])
     hl = hopf_lax(f, 1.0, rate)
@@ -662,7 +681,7 @@ def main(argv=None):
         where = f" (field {exc.field})" if exc.field else where
         print(f"config error: {exc}{where}", file=sys.stderr)
         return 2 if exc.line else 3
-    except InputError as exc:
+    except (InputError, MemoryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -25,7 +25,8 @@ points of shape (L, m, d) it returns the (L, rows) matrix whose row l is
 ``payoff(points[l]) @ weights``. The grid-aligned gather of a one-step
 provides it (one banded matrix product), and ``ShiftSup`` then takes all of
 its atom means in one call; for payoffs without it, ``ShiftSup`` calls the
-payoff once per shift and keeps a running maximum.
+payoff once per shift and stacks the means. Either way it subtracts the
+penalties from one (shifts, rows) matrix and takes one max over the shifts.
 """
 
 from dataclasses import dataclass
@@ -262,9 +263,9 @@ class ShiftSup(ExpectationModel):
         if not np.any(keep):
             raise InputError("penalty is infinite on the whole shift grid")
         freeze(self, shifts=s[keep], _costs=cost[keep])
-        # whether reduce's mean entry subtracts the costs: not when every
-        # shift costs +0.0, since x - t * 0.0 is x bit for bit for t > 0,
-        # signed zeros included; -0.0 is paid, as -0.0 - (-0.0) is +0.0
+        # whether reduce subtracts the costs: not when every shift costs
+        # +0.0, since x - t * 0.0 is x bit for bit for t > 0, signed zeros
+        # included; -0.0 is paid, as -0.0 - (-0.0) is +0.0
         object.__setattr__(self, "_paid", bool(np.any(cost[keep] != 0)
                                                or np.any(np.signbit(cost[keep]))))
         # the atom cloud of each shift, (shifts, signs x atoms, d), and the
@@ -276,19 +277,17 @@ class ShiftSup(ExpectationModel):
             _cloud_weights=np.tile(w / len(signs), len(signs)))
 
     def reduce(self, payoff, t=1.0):
-        # every atom mean at once, (shifts, rows), from the payoff's linear
-        # mean entry when it has one; else one payoff call per shift. The
-        # mean entry's rows skip t * cost when every shift costs +0.0 (the
-        # indicator penalty of the sublinear models; see _paid)
+        # every atom mean at once, (shifts, rows): from the payoff's linear
+        # mean entry when it has one, else one payoff call per shift. The
+        # rows skip t * cost when every shift costs +0.0 (the indicator
+        # penalty of the sublinear models; see _paid)
         if hasattr(payoff, "mean"):
             best = payoff.mean(self._clouds, self._cloud_weights)
-            if self._paid:
-                best -= t * self._costs[:, None]
-            return best.max(axis=0)
-        best = -np.inf
-        for cloud, cost in zip(self._clouds, self._costs):
-            best = np.maximum(best, payoff(cloud) @ self._cloud_weights - t * cost)
-        return best
+        else:
+            best = np.stack([payoff(cloud) @ self._cloud_weights for cloud in self._clouds])
+        if self._paid:
+            best -= t * self._costs[:, None]
+        return best.max(axis=0)
 
     def second_order_lines(self):
         return self.shifts[:, 0], self._costs
@@ -376,8 +375,9 @@ def legendre(z_grid, values, y_grid):
     """Discrete convex conjugate g*(y) = max_z (y z - g(z)) on the dual grid.
 
     Entries of ``values`` may be +inf (skipped); NaN and -inf raise
-    ``InputError``. Uses the monotone-maximizer scan, linear in the two grid
-    sizes.
+    ``InputError``. Conjugates the lower convex hull of the finite values:
+    one sweep over z, then one ``searchsorted`` of the dual grid into the
+    hull's chord slopes (``_kernels.legendre_scan``).
     """
     z = np.asarray(z_grid, dtype=float)
     g = np.asarray(values, dtype=float)

@@ -50,6 +50,10 @@ class Hamiltonian1:
         """Largest |H'| over the whole grid, from the grid slopes."""
         return float(np.max(np.abs(np.diff(self.values) / np.diff(self.p_grid))))
 
+    def march_steps(self, h, t=1.0):
+        """The steps ``solve_hj`` takes up to time t on spacing h."""
+        return _march_steps(t, 0.5 * h / (2.0 * max(self.max_slope, 1e-8)))
+
 
 @dataclass(frozen=True)
 class Hamiltonian2:
@@ -87,6 +91,10 @@ class Hamiltonian2:
     def max_diffusion(self):
         return 0.5 * float(np.max(self.lam_grid ** 2)) + 0.5 * self.sigma2
 
+    def march_steps(self, h, t=1.0):
+        """The steps ``solve_g_heat`` takes up to time t on spacing h."""
+        return _march_steps(t, 0.5 * h * h / (2.0 * max(self.max_diffusion, 1e-8)))
+
 
 def solve_hj(ham, f, t):
     """March u_t = H(u_x) from u(0) = f up to time t (monotone Lax-Friedrichs).
@@ -98,9 +106,8 @@ def solve_hj(ham, f, t):
     evaluated as ``ham(p)`` does, piecewise linear on ``ham.p_grid`` and
     constant beyond it, so the gradient grid need not be uniform.
     """
-    alpha = max(ham.max_slope, 1e-8)
-    return _march(f, t, 0.5 * f.grid.spacing / (2.0 * alpha),
-                  _kernels.lax_friedrichs, ham.p_grid, ham.values, alpha)
+    return _march(f, t, ham.march_steps, _kernels.lax_friedrichs, ham.p_grid, ham.values,
+                  max(ham.max_slope, 1e-8))
 
 
 def solve_g_heat(g2, f, t):
@@ -113,19 +120,27 @@ def solve_g_heat(g2, f, t):
     ``g2.lam_grid``, and no subtraction for a line that costs +0.0 (exact,
     see ``_kernels.g_heat``).
     """
-    h = f.grid.spacing
-    return _march(f, t, 0.5 * h * h / (2.0 * max(g2.max_diffusion, 1e-8)),
-                  _kernels.g_heat, g2.lam_grid, g2.costs, 0.5 * g2.sigma2)
+    return _march(f, t, g2.march_steps, _kernels.g_heat, g2.lam_grid, g2.costs,
+                  0.5 * g2.sigma2)
 
 
-def _march(f, t, dt_max, kernel, *args):
-    """``kernel(values, h, dt, steps, *args)`` from f up to time t, in the
-    fewest equal steps dt = t / steps no longer than dt_max; t = 0 returns f."""
+def _march_steps(t, dt_max):
+    """The fewest equal steps dt = t / steps no longer than dt_max, at least 1;
+    a dt_max so small that their count overflows raises ``InputError``."""
+    steps = np.ceil(t / dt_max) if dt_max > 0 else np.inf
+    if not np.isfinite(steps):
+        raise InputError(f"a PDE march step of {dt_max:.3g} is too short to count")
+    return max(int(steps), 1)
+
+
+def _march(f, t, march_steps, kernel, *args):
+    """``kernel(values, h, dt, steps, *args)`` from f up to time t, in
+    ``march_steps(h, t)`` equal steps; t = 0 returns f."""
     if not (np.isfinite(t) and t >= 0):
         raise InputError("the PDE oracle requires a finite t >= 0")
     if f.grid.dimension != 1:
         raise InputError("the PDE oracle is one-dimensional")
     if t == 0.0:
         return f
-    steps = max(int(np.ceil(t / dt_max)), 1)
+    steps = march_steps(f.grid.spacing, t)
     return f.replace_values(kernel(f.values, f.grid.spacing, t / steps, steps, *args))

@@ -5,6 +5,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chernofflab import chernoff, cli, pde
@@ -12,6 +13,11 @@ from chernofflab.cli import (KINDS, list_experiments, main, parse_config_text,
                              run_config_text, serialize_config)
 from chernofflab.configs import BUILTINS
 from chernofflab.errors import ConfigError
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "builtins.json"
 PINS = GOLDEN.with_name("artifacts.json")
@@ -663,7 +669,16 @@ class TestErrorContract:
         ("generator_affine_drift", "family = sin", "family = abs_clipped",
          "payoff.family"),
         ("generator_affine_drift", "family = sin", "family = indicator_approx",
-         "payoff.family")])
+         "payoff.family"),
+        # marches of 4.9e7 Lax-Friedrichs steps x 2,049 nodes and of 7.4e10
+        # G-heat steps x 385 nodes, each hours long, and time steps that
+        # underflow to 0, with no step count at all
+        ("pde_crosscheck_hj", "R = 4\n", "R = 0.001\n", "grid.R"),
+        ("clt_two_point_gaussian", "gheat_grid = 6,385", "gheat_grid = 0.001,385",
+         "check.gheat_grid"),
+        ("pde_crosscheck_hj", "R = 4\n", "R = 1e-320\n", "grid.R"),
+        ("clt_two_point_gaussian", "gheat_grid = 6,385", "gheat_grid = 1e-300,385",
+         "check.gheat_grid")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
         # fields once read after the computation; every compute entry point
@@ -756,6 +771,19 @@ class TestErrorContract:
         assert self.run_main(tmp_path, text.replace("rate_y = 10,2001", "rate_y = 10,2")) == 3
         err = capsys.readouterr().err
         assert "(field check.rate_y)" in err and "enlarge the y-grid" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error", [
+        MemoryError(), _ArrayMemoryError((10 ** 12,), np.dtype(float))])
+    def test_failed_allocation_exit_3(self, tmp_path, capsys, monkeypatch, error):
+        # numpy's error for an array it cannot allocate, raised by hand, so
+        # that nothing is allocated
+        def runner(sections):
+            raise error
+        monkeypatch.setitem(cli._RUNNERS, "cramer", runner)
+        assert main(["run", "cramer_bernoulli", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"invalid input: {error}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["lln_entropic_gaussian",

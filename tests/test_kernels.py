@@ -12,18 +12,23 @@ return its one held buffer from every apply, refilled; and
 extension written out per side, as the stencil and the mollifier took it,
 and so must the stencil's held pad, refilled in place. The stencil's
 weighted mean must equal its gather followed by a dot, a grid-aligned
-``ShiftSup`` step must equal the per-shift loop over the same gather (the
-reduction of a payoff with no ``mean`` entry), take one mean call and no
+``ShiftSup`` step must equal the reduction of the same gather with no
+``mean`` entry (one payoff call per shift), take one mean call and no
 gather, on a held stencil too, and stay within 16 MB on a band as wide as
 the padded values. ``chernoff`` and ``hopflax`` must not import
 ``_kernels``.
 
-``ShiftSup``'s mean entry and ``g_heat`` skip the subtraction of +0.0
-costs, so the steps and marches are compared by bytes (``np.array_equal`` takes -0.0 for 0.0): grid-aligned and
-per-point ``ShiftSup`` steps against a reduction that subtracts every cost,
-and ``g_heat`` (all-zero, mixed, nonzero and -0.0 costs) and
+``ShiftSup`` and ``g_heat`` skip the subtraction of +0.0 costs, so the
+steps and marches are compared by bytes (``np.array_equal`` takes -0.0
+for 0.0): grid-aligned ``ShiftSup`` steps against a reduction that
+subtracts every cost, per-point ones (whose gathers have no ``mean``
+entry) against a running maximum over the shifts that subtracts every
+cost, and ``g_heat`` (all-zero, mixed, nonzero and -0.0 costs) and
 ``lax_friedrichs`` against their plain marches at an odd step count too,
-which ends in the second of the two swapped buffers.
+which ends in the second of the two swapped buffers. ``legendre_scan``
+must give the bytes of the monotone sweep over the dual grid
+(``legendre_sweep``) on convex, random, nearly collinear and +inf inputs
+and on the conjugates of the built-ins.
 """
 
 import ast
@@ -39,6 +44,8 @@ from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction,
                          SymmetricTwoPointSup, centered, gauss_hermite,
                          hopf_lax, one_step, two_point)
 from chernofflab import _kernels as K
+from chernofflab.cli import run_config_text
+from chernofflab.configs import BUILTINS
 from chernofflab.expectations import SHORTFALL_TOL, shortfall_root
 
 MU = gauss_hermite(16)
@@ -171,6 +178,80 @@ def test_g_heat_matches_per_shift_loop(costs, steps):
     assert got.tobytes() == g_heat_per_line(values, spacing, dt, steps, lam, cost,
                                             0.0).tobytes()
     assert not np.array_equal(got, values)
+
+
+def legendre_sweep(z, g, y):
+    """g*(y_j) by one monotone sweep over the ascending dual grid: the
+    maximizing hull vertex only moves right, one y_j at a time."""
+    hull = K._lower_hull(z, g)
+    zf = z[hull]
+    gf = g[hull]
+    m = zf.shape[0]
+    out = np.empty(y.shape[0])
+    i = 0
+    for j in range(y.shape[0]):
+        yj = y[j]
+        best = yj * zf[i] - gf[i]
+        while i + 1 < m:
+            cand = yj * zf[i + 1] - gf[i + 1]
+            if cand >= best:
+                best = cand
+                i += 1
+            else:
+                break
+        out[j] = best
+    return out
+
+
+LEGENDRE_VALUES = {
+    "quadratic": lambda z, rng: rng.uniform(0.1, 3.0) * z ** 2,
+    "abs": lambda z, rng: rng.uniform(0.1, 3.0) * np.abs(z),
+    "log_cosh": lambda z, rng: np.log(np.cosh(z)),
+    "random": lambda z, rng: rng.normal(size=z.size),
+    # nearly collinear points, where rounding decides the hull and the peak
+    "rounded_linear": lambda z, rng: (
+        np.round(rng.uniform(-2.0, 2.0) * z + rng.uniform(-1.0, 1.0), 3)
+        + 1e-13 * rng.normal(size=z.size)),
+    "with_inf": lambda z, rng: np.where(rng.random(z.size) < 0.3, np.inf, z ** 2 / 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(LEGENDRE_VALUES))
+def test_legendre_scan_matches_the_sweep(kind):
+    # the searchsorted peak and its two neighbours give the sweep's bytes
+    rng = np.random.default_rng(list(LEGENDRE_VALUES).index(kind))
+    for _ in range(300):
+        z = np.unique(rng.uniform(-5.0, 5.0, rng.integers(2, 300)))
+        y = np.unique(rng.uniform(-10.0, 10.0, rng.integers(1, 300)))
+        g = LEGENDRE_VALUES[kind](z, rng)
+        if np.isfinite(g).any():
+            assert K.legendre_scan(z, g, y).tobytes() == legendre_sweep(z, g, y).tobytes()
+
+
+def test_legendre_scan_ties_take_the_later_vertex():
+    # for y = -1, y z - |z| is +0.0 at z = -4 and -0.0 at z = 0: the sweep
+    # moves on at a tie, so the conjugate there is -0.0
+    z = np.arange(-4.0, 5.0)
+    y = np.arange(-2.0, 2.5, 0.5)
+    got = K.legendre_scan(z, np.abs(z), y)
+    assert got.tobytes() == legendre_sweep(z, np.abs(z), y).tobytes()
+    assert np.signbit(got[y == -1.0]).all()
+
+
+@pytest.mark.parametrize("name", ["lln_entropic_gaussian", "cramer_bernoulli",
+                                  "poly_rate_bernoulli", "envelope_perturbed",
+                                  "pde_crosscheck_hj"])
+def test_legendre_scan_matches_the_sweep_on_builtin_conjugates(name, tmp_path, monkeypatch):
+    same = []
+    scan = K.legendre_scan
+
+    def checked(z, g, y):
+        out = scan(z, g, y)
+        same.append(out.tobytes() == legendre_sweep(z, g, y).tobytes())
+        return out
+    monkeypatch.setattr(K, "legendre_scan", checked)
+    run_config_text(BUILTINS[name][1], str(tmp_path))
+    assert same and all(same)
 
 
 def test_g_heat_hull_matches_every_line():
@@ -413,7 +494,7 @@ def test_grid_aligned_shift_sup_step_matches_block_loop(model, scaling, extensio
     stencil = f.stencil()
     for t in (1.0, 0.3, 1.0 / 64):
         scale = op.scaling.scale(t)
-        # a gather with no mean entry takes the per-shift loop
+        # a gather with no mean entry is called once per shift
         want = op.model.reduce(lambda y: stencil(scale * y[:, 0]), t)
         got = one_step(op, t, f).values
         assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(f.values))
@@ -429,7 +510,8 @@ ZERO_COST_PENALTIES = {
 
 
 def reduce_paying_every_shift(model, payoff, t=1.0):
-    # ShiftSup.reduce with t * cost subtracted for every shift, zero or not
+    # ShiftSup.reduce with t * cost subtracted for every shift, zero or not,
+    # and a running maximum over the shifts for a payoff with no mean entry
     if hasattr(payoff, "mean"):
         best = payoff.mean(model._clouds, model._cloud_weights)
         best -= t * model._costs[:, None]
