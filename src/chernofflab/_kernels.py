@@ -43,7 +43,9 @@ signed zeros included). The Legendre scan serves the Hopf-Lax and
 large-deviation oracles: one sequential sweep builds the lower convex hull,
 and one ``searchsorted`` of the dual grid into the hull's chord slopes finds
 every maximizer, with no loop over the dual grid.
-``perfbench/`` times each kernel by name.
+``perfbench/`` times ``interp1``, the three ``one_step_*`` kernels,
+``lax_friedrichs``, ``g_heat`` and ``legendre_scan`` by name; ``pad``,
+``gather_plan`` and ``shift_stencil`` count toward their callers' time.
 
 All kernels are sequential on purpose: reductions keep a fixed summation
 order so that repeated runs of an experiment produce byte-identical output.

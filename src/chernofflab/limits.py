@@ -7,9 +7,14 @@ The iteration identity
 
 turns product-space functionals of recursively perturbed statistics into k
 grid sweeps, so no product measure is ever constructed; a brute-force
-enumeration over the exactly reachable points doubles as the independent
-cross-check for small k. It reduces each level of the recursion in one
-batch: one ``model.reduce`` over that level's new points.
+enumeration over the exactly reachable points doubles as the grid-free
+cross-check, which tells time-step error from grid error. It runs in two
+flat sweeps with no recursion: a probe reduction records the model's
+sample points, a forward sweep maps and merges each level's reachable
+points (keys ``np.round(p, 12)``), and a backward sweep takes one
+``model.reduce`` per level, finding each level's points among the next by
+one ``searchsorted``. A two-point model reaches at most n + 1 points per
+level, so its work grows as n^2, and n has no depth limit.
 
 ``poly_power`` is the one home of ``poly_rate``'s exponent range; the CLI
 reaches it through ``_Fields.build``, so a bad exponent names its field.
@@ -81,51 +86,63 @@ def clt_functional(model, f, n):
 
 
 def brute_force_functional(model, scaling, f, n):
-    """(I(1/n)^n f)(0) by exact recursion over the reachable points.
+    """(I(1/n)^n f)(0) by exact enumeration of the reachable points.
 
     Independent of the grid-sweep path: intermediate values are evaluated at
-    the exactly reachable points, never resampled; points that agree to 12
-    decimals are merged, and a merged value is computed at the first of them
-    met. Level k of the recursion evaluates its new points in one batch:
-    ``f.eval`` at level 0, one ``h * model.reduce`` above, whose payoff
-    gathers the level k - 1 values the same way (a model that calls its
-    payoff more than once, as ``ShiftSup`` does once per shift, batches each
-    call's new points). Every gathered matrix must be finite. The cost is
-    the number of distinct reachable points: at most n + 1 per level for
-    two atoms, and up to m^j after j steps for m sample points off a
-    lattice or under a drift. The measure must be one-dimensional.
+    the exactly reachable points, never resampled. Two flat sweeps, with no
+    recursion and no per-point Python loop:
+
+    * a probe ``model.reduce`` of zero rows records the points ys of every
+      payoff call. The oracle assumes they do not depend on the payoff's
+      values or row count, as holds for every model in the package;
+    * the forward sweep maps the points of each level, from the origin,
+      to psi(1/n, x, ys) and merges those whose ``np.round(p, 12)`` keys
+      agree into the first of them met, keeping the sorted keys;
+    * the backward sweep evaluates ``f`` at the deepest level, then takes
+      one ``h * model.reduce`` per level above and ``h * model.expect`` at
+      the origin. Each payoff finds its points among the level below by one
+      ``searchsorted`` of their keys; a point the forward sweep did not
+      reach raises InputError, and every gathered matrix must be finite.
+
+    A call makes n + 1 reductions, the probe's and the one inside
+    ``expect`` included. Its cost is the number of distinct reachable
+    points times the sample points: at most n + 1 points per level for two
+    atoms, and up to m^j after j steps for m sample points off a lattice or
+    under a drift. The measure must be one-dimensional.
     """
     n = _steps(n)
     if model.measure.dimension != 1:
         raise InputError("brute force enumeration needs a one-dimensional measure")
     h = 1.0 / n
-    memos = [{} for _ in range(n)]
+    # the probe records the points of every payoff call and returns zero rows
+    probed = []
+    model.reduce(lambda y: probed.append(y[:, 0]) or np.zeros((1, y.shape[0])))
+    ys = np.concatenate(probed)
+    # levels[j]: the points j steps from the origin and the sorted keys of
+    # the points one step further; x ends at the deepest level
+    x, levels = np.zeros(1), []
+    for _ in range(n):
+        pts = scaling.map(h, x[:, None], ys).ravel()
+        key, first = np.unique(np.round(pts, 12), return_index=True)
+        levels.append((x, key))
+        x = pts[first]
 
-    def values(x, k):
-        # level-k values at the points x, any shape; the points not yet in
-        # the level's memo are evaluated together
-        flat = x.ravel().tolist()
-        keys = [round(p, 12) for p in flat]
-        memo = memos[k]
-        new = {}
-        for key, p in zip(keys, flat):
-            if key not in memo:
-                new.setdefault(key, p)
-        if new:
-            pts = np.array(list(new.values()))
-            if k == 0:
-                vals = f.eval(pts)
-            else:
-                vals = h * model.reduce(lambda y: payoff(pts[:, None], y[:, 0], k))
-            memo.update(zip(new, vals.tolist()))
-        return np.array([memo[key] for key in keys]).reshape(x.shape)
+    def payoff(points, key, below, y):
+        # the values / h of the level below at psi(h, points, y), one row
+        # per point; the index is at most the last key's, so a miss reads
+        # another key
+        q = np.round(scaling.map(h, points[:, None], y), 12)
+        i = np.searchsorted(key[:-1], q)
+        if not np.array_equal(key[i], q):
+            raise InputError("the model sampled a point its probe did not reach")
+        return _finite(below[i] / h)
 
-    def payoff(x, y, k):
-        # the level k - 1 values / h at psi(h, x, y), one row per point x
-        return _finite(values(scaling.map(h, x, y), k - 1) / h)
-
-    # the origin is one point, reduced by the public one-row path
-    return h * model.expect(lambda y: payoff(0.0, y, n))
+    # each payoff is called only inside its own reduction, so it reads that
+    # level's points and keys and the values one level below
+    vals = f.eval(x)
+    for points, key in levels[:0:-1]:
+        vals = h * model.reduce(lambda y: payoff(points, key, vals, y[:, 0]))
+    return h * model.expect(lambda y: payoff(*levels[0], vals, y))
 
 
 def sample_iid(measure, n, seed):
@@ -160,16 +177,13 @@ def exact_tail_probabilities(measure, threshold, n_grid):
     if measure.dimension != 1:
         raise InputError("tail probabilities are one-dimensional")
     n_grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
+    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise InputError("n grid must be strictly increasing positive integers")
     atoms = measure.atoms[:, 0]
     d = _lattice_scale(atoms)
     ints = np.round(atoms * d).astype(np.int64)
-    lo, hi = int(ints.min()), int(ints.max())
-    span = hi - lo
-    kernel = np.zeros(span + 1)
-    for a, w in zip(ints, measure.weights):
-        kernel[a - lo] += w
+    lo = int(ints.min())
+    kernel = np.bincount(ints - lo, measure.weights)
     dist = np.array([1.0])
     offset = 0  # dist[j] = P(sum_int = offset + j)
     out = {}

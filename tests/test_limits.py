@@ -12,7 +12,7 @@ from chernofflab import (Centered, DiscreteMeasure, Entropic, FirstOrderAffine,
                          poly_rate, recursive_statistic, sample_iid, two_point)
 from chernofflab.errors import (DegenerateSetError, InputError,
                                 PreconditionError)
-from chernofflab.expectations import SHORTFALL_TOL
+from chernofflab.expectations import SHORTFALL_TOL, ExpectationModel
 BERNOULLI = two_point()
 
 
@@ -212,11 +212,16 @@ class TestBatchedBruteForce:
             assert abs(got - want) <= SHORTFALL_TOL
 
     @pytest.mark.parametrize("model", [Entropic(BERNOULLI), Linear(BERNOULLI),
-                                       Shortfall(BERNOULLI, 2.0)],
-                             ids=["entropic", "linear", "shortfall"])
+                                       Shortfall(BERNOULLI, 2.0),
+                                       ShiftSup(BERNOULLI, SHIFT_PENALTY,
+                                                np.array([-0.5, 0.0, 0.5])),
+                                       Centered(Entropic(BERNOULLI))],
+                             ids=["entropic", "linear", "shortfall", "shift_sup",
+                                  "centered_entropic"])
     def test_one_reduction_per_level(self, model, monkeypatch):
-        # one reduction per level; a reduction per reachable point would
-        # make 21 reductions and 21 expectations here
+        # the probe, one reduction per level below the origin and the
+        # origin's expectation, which reduces once; a reduction per
+        # reachable point would make 21 reductions and 21 expectations here
         calls = {"reduce": 0, "expect": 0}
         cls = type(model)
 
@@ -230,16 +235,17 @@ class TestBatchedBruteForce:
         for name in calls:
             monkeypatch.setattr(cls, name, counted(name))
         brute_force_functional(model, FirstOrderAffine(), self.payoff(), 6)
-        assert calls == {"reduce": 6, "expect": 1}
+        assert calls == {"reduce": 7, "expect": 1}
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
     @pytest.mark.parametrize("model", [Entropic(BERNOULLI), Linear(BERNOULLI)],
                              ids=["entropic", "linear"])
     def test_overflow_raises_at_its_level(self, model, monkeypatch):
-        # f / h overflows at level 1 for n = 3; no reduction may return
-        # and carry the inf upward
+        # f / h overflows at level 1 for n = 3; no reduction of values may
+        # return and carry the inf upward, only the probe's of a zero row
         returned = []
         inner = type(model).reduce
+        probe = inner(model, lambda y: np.zeros((1, y.shape[0])))
 
         def reduce(self, *args):
             out = inner(self, *args)
@@ -250,7 +256,7 @@ class TestBatchedBruteForce:
                                              "required sample points"):
             brute_force_functional(model, FirstOrderAffine(),
                                    self.payoff(1e308), 3)
-        assert returned == []
+        assert [out.tobytes() for out in returned] == [probe.tobytes()]
 
     @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, "3"])
     def test_steps_must_be_positive_integers(self, n):
@@ -275,6 +281,72 @@ class TestBatchedBruteForce:
         with pytest.raises(InputError, match="one-dimensional"):
             brute_force_functional(Linear(mu), FirstOrderAffine(),
                                    self.payoff(), 2)
+
+    def test_four_hundred_steps(self):
+        # spacing 1/400 puts every reachable point on a node; 400 levels are
+        # deeper than Python's default recursion limit
+        f = GridFunction.sample(Grid(4.0, 3201),
+                                lambda x: np.sin(1.3 * x) + 0.25 * x**2,
+                                weight=GrowthWeight(1))
+        model = Entropic(BERNOULLI)
+        got = brute_force_functional(model, FirstOrderAffine(), f, 400)
+        want = nonlinear_functional(model, FirstOrderAffine(), f, 400)
+        assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("model", [
+        Linear(THREE_ATOMS), Entropic(THREE_ATOMS), Shortfall(THREE_ATOMS, 2.0),
+        ShiftSup(THREE_ATOMS, SHIFT_PENALTY, np.array([-0.5, 0.0, 0.5])),
+        SymmetricTwoPointSup(THREE_ATOMS, SHIFT_PENALTY, np.array([0.0, 0.25, 0.5])),
+        Centered(Entropic(BERNOULLI))],
+        ids=["linear", "entropic", "shortfall", "shift_sup", "two_point_sup",
+             "centered_entropic"])
+    def test_sample_points_do_not_follow_the_payoff(self, model):
+        # the oracle's probe assumes it: the same points, in the same order
+        # and calls, whatever the payoff's values and row count
+        rng = np.random.default_rng(5)
+
+        def seen(rows, draw):
+            points = []
+
+            def payoff(y):
+                points.append(y.tobytes())
+                return draw((rows, y.shape[0]))
+            model.reduce(payoff, 0.25)
+            return points
+        assert seen(1, np.zeros) == seen(3, rng.standard_normal)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_point_the_probe_did_not_reach(self, n):
+        class Wandering(ExpectationModel):
+            # a two-point average whose atoms move by 1/4 after its first call
+            measure = BERNOULLI
+
+            def __init__(self):
+                self.calls = 0
+
+            def reduce(self, payoff, t=1.0):
+                self.calls += 1
+                atoms = self.measure.atoms + (0.25 if self.calls > 1 else 0.0)
+                return payoff(atoms) @ self.measure.weights
+        with pytest.raises(InputError, match="did not reach"):
+            brute_force_functional(Wandering(), FirstOrderAffine(), self.payoff(), n)
+
+    def test_tells_time_step_error_from_grid_error(self):
+        # the model and payoff of clt_two_point_gaussian. The payoff is
+        # convex, so the widest shift, 1, wins every step; its step sqrt(1/n)
+        # is a whole number of the grid's 1/128 spacings at n = 16 and 64,
+        # and at n = 32 the grid iterate interpolates between nodes
+        model = SymmetricTwoPointSup(DiscreteMeasure.from_pairs([(0.0, 1.0)]),
+                                     PenaltyFunction.indicator(1.0),
+                                     np.linspace(0.0, 1.0, 33))
+        f = GridFunction.sample(Grid(6.0, 1537),
+                                lambda x: np.minimum(np.cosh(x), np.cosh(6.0)),
+                                "constant", GrowthWeight(2))
+        gap = {n: brute_force_functional(model, SecondOrder(), f, n)
+               - nonlinear_functional(model, SecondOrder(), f, n)
+               for n in (16, 32, 64)}
+        assert abs(gap[16]) <= 1e-11 and abs(gap[64]) <= 1e-11
+        assert abs(gap[32]) > 1e-4
 
 
 class TestExactTails:
@@ -303,6 +375,11 @@ class TestExactTails:
         mu = DiscreteMeasure(np.array([0.0, np.pi]), np.array([0.5, 0.5]))
         with pytest.raises(InputError):
             exact_tail_probabilities(mu, 1.0, [4])
+
+    @pytest.mark.parametrize("n_grid", [[], [0, 2], [3, 3]])
+    def test_n_grid_rejected(self, n_grid):
+        with pytest.raises(InputError, match="n grid"):
+            exact_tail_probabilities(BERNOULLI, 0.5, n_grid)
 
 
 class TestLdRate:
