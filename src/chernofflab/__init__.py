@@ -13,14 +13,13 @@ from .chernoff import (FirstOrderAffine, OneStepOperator, Partition,
 from .expectations import (Centered, DiscreteMeasure, Entropic, Linear,
                            PenaltyFunction, ShiftSup, Shortfall,
                            SymmetricTwoPointSup, centered, gauss_hermite,
-                           legendre, log_mgf, two_point)
-from .grid import Grid, GridFunction, GrowthWeight, MollifierSpec
+                           legendre, two_point)
+from .grid import Grid, GridFunction, GrowthWeight
 from .hopflax import (RateFunction, conjugate_rate, envelope, hopf_lax,
                       semigroup_defect)
 from .limits import (RateReport, brute_force_functional, clt_functional,
                      exact_tail_probabilities, generator_check, ld_rate,
-                     nonlinear_functional, poly_rate, recursive_statistic,
-                     sample_iid)
+                     nonlinear_functional, poly_rate)
 from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
 
 __version__ = "0.1.0"
@@ -31,17 +30,17 @@ NUMBA_ENABLED = False
 
 __all__ = [
     "NUMBA_ENABLED",
-    "Grid", "GridFunction", "GrowthWeight", "MollifierSpec",
+    "Grid", "GridFunction", "GrowthWeight",
     "DiscreteMeasure", "PenaltyFunction", "Linear", "Entropic", "Shortfall",
     "ShiftSup", "SymmetricTwoPointSup", "Centered", "centered",
-    "gauss_hermite", "two_point", "log_mgf", "legendre",
+    "gauss_hermite", "two_point", "legendre",
     "ScalingFamily", "FirstOrderAffine", "Perturbed", "SecondOrder",
     "Partition", "OneStepOperator", "one_step", "iterate", "chernoff_limit",
     "upper_lipschitz_certificate",
     "RateFunction", "conjugate_rate", "hopf_lax", "envelope",
     "semigroup_defect",
     "Hamiltonian1", "Hamiltonian2", "solve_hj", "solve_g_heat",
-    "recursive_statistic", "nonlinear_functional", "clt_functional",
-    "brute_force_functional", "sample_iid", "exact_tail_probabilities",
+    "nonlinear_functional", "clt_functional", "brute_force_functional",
+    "exact_tail_probabilities",
     "ld_rate", "poly_rate", "RateReport", "generator_check",
 ]

@@ -1,8 +1,8 @@
 """Hot numeric kernels in plain numpy.
 
-``pad`` extends node values past the grid box along axis 0, with the edge
-value (constant continuation) or the edge cells' linear extrapolation,
-into a new array or a held one; it is the one place the extension rule is
+``pad`` extends 1D node values past the grid box, with the edge value
+(constant continuation) or the edge cells' linear extrapolation, into the
+array a ``ShiftStencil`` holds; it is the one place the extension rule is
 spelled out for whole arrays.
 ``gather_plan`` is the multilinear gather on a uniform grid, d = 1 or 2: it
 computes the floor indices and interpolation weights of a set of query
@@ -67,25 +67,22 @@ WINDOW_BLOCK_VALUES = 1 << 15
 # piecewise-multilinear interpolation on a uniform grid
 # ---------------------------------------------------------------------------
 
-def pad(values, m, constant_ext, out=None):
-    """``values`` extended by ``m`` nodes on each side along axis 0.
+def pad(values, m, constant_ext, out):
+    """The n node ``values`` extended by ``m`` nodes on each side, written
+    into ``out`` (n + 2m entries) and returned.
 
     The extension repeats the edge value (``constant_ext``) or continues the
     edge cells linearly: node -k takes v[0] - k (v[1] - v[0]) and node
-    n - 1 + k takes v[n-1] + k (v[n-1] - v[n-2]), for k = 1 .. m. The
-    result is written into ``out`` when given (shape (n + 2m, ...)), else
-    into a new array; either way each entry comes from the same operations.
+    n - 1 + k takes v[n-1] + k (v[n-1] - v[n-2]), for k = 1 .. m.
     """
     n = values.shape[0]
-    if out is None:
-        out = np.empty((n + 2 * m,) + values.shape[1:])
     top, bottom = out[:m], out[m + n:]
     out[m:m + n] = values
     if constant_ext:
         top[...] = values[0]
         bottom[...] = values[-1]
     else:
-        steps = np.arange(1, m + 1).reshape(-1, *([1] * (values.ndim - 1)))
+        steps = np.arange(1, m + 1)
         np.multiply(values[1] - values[0], steps[::-1], out=top)
         np.subtract(values[0], top, out=top)
         np.multiply(values[-1] - values[-2], steps, out=bottom)
@@ -203,7 +200,7 @@ class ShiftStencil:
     def load(self, values):
         """Refill the pad with ``values``, n nodes; returns the stencil."""
         n, _, constant_ext = self.key
-        pad(values, n, constant_ext, out=self._pad)
+        pad(values, n, constant_ext, self._pad)
         return self
 
     def _cells(self, c):

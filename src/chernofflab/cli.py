@@ -546,7 +546,7 @@ def _run_envelope(sections):
         _Fields(sections, "scaling")._fail("family", "must be perturbed")
     f, _ = _build_payoff(sections)
     check = _Fields(sections, "check")
-    n = _Fields(sections, "schedule").numbers("uniform", lo=0, cast=int)[-1]
+    n = _Fields(sections, "schedule").number("uniform", lo=0, cast=int)
     compact = check.compact(f.grid)
     z = check.span("z_grid", "8,1601", zero=True)
     y = check.span("y_grid", "12,2401")
@@ -616,7 +616,7 @@ def run_config_text(text, output_root=None):
     if kind not in KINDS:
         exp._fail("kind", f"must be one of {KINDS}")
     name = exp.str_("name")
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         exp._fail("name", f"must be a plain directory name, got {name!r}")
     root = output_root or os.environ.get("CHERNOFFLAB_OUT", "chernofflab_out")
     outdir = os.path.join(root, name)

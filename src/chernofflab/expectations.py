@@ -366,11 +366,6 @@ def shortfall_root(vals, weights, power):
     return 0.5 * (lo + hi)
 
 
-def log_mgf(measure, x):
-    """Lambda(x) = log sum_i w_i exp(x . a_i), the entropic E[x xi]."""
-    return Entropic(measure).expect_linear(x)
-
-
 def legendre(z_grid, values, y_grid):
     """Discrete convex conjugate g*(y) = max_z (y z - g(z)) on the dual grid.
 

@@ -1,10 +1,12 @@
-"""Uniform-grid function space: storage, interpolation, norms, calculus.
+"""Uniform-grid function space: storage, interpolation, norms, 1D finite
+differences.
 
 Functions live on a symmetric box [-R, R]^d (d = 1 or 2) with an odd number
 of nodes per axis so that the origin is always a node. Evaluation between
 nodes is piecewise multilinear; outside the box either constant or linear
-continuation applies. All containers are immutable after construction and
-every operation is pure.
+continuation applies. Finite differences are one-dimensional, as the
+generator checks and the CLI's slope probes that take them are. All
+containers are immutable after construction and every operation is pure.
 """
 
 from dataclasses import dataclass, field
@@ -85,24 +87,6 @@ class GrowthWeight:
         x = np.asarray(x, dtype=float)
         r = np.abs(x) if x.ndim <= 1 else np.linalg.norm(x, axis=-1)
         return (1.0 + r) ** (-float(self.exponent))
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Polynomial bump kernel (1 - |n x / delta|^2)^2 scaled to radius delta/n."""
-
-    radius: float = 1.0
-    scale: int = 1
-
-    def __post_init__(self):
-        if not (0.0 < self.radius <= 1.0):
-            raise InputError("mollifier radius must lie in (0, 1]")
-        if self.scale < 1:
-            raise InputError("mollifier scale index must be >= 1")
-
-    @property
-    def support(self):
-        return self.radius / self.scale
 
 
 @dataclass(frozen=True)
@@ -203,68 +187,18 @@ class GridFunction:
         inside = np.ix_(*(g.within(lo, hi) for lo, hi in boxes))
         return float(np.max(np.abs(self.values[inside])))
 
-    # -- transformations ----------------------------------------------------
-
-    def shift(self, x):
-        """tau_x f with (tau_x f)(y) = f(x + y), resampled on the same grid."""
-        g = self.grid
-        if g.dimension == 1:
-            q = g.axis + float(np.asarray(x).reshape(()))
-            return self.replace_values(self.eval(q))
-        vec = np.asarray(x, dtype=float).reshape(2)
-        return self.replace_values(self.eval(g.nodes() + vec).reshape(self.values.shape))
-
-    def mollify(self, spec):
-        """Discrete convolution with the bump kernel of ``spec``.
-
-        Output extrema stay inside the input extrema and constants are
-        preserved because the kernel is a probability vector.
-        """
-        g = self.grid
-        if spec.support > g.half_width / 4.0 + 1e-12:
-            raise InputError("mollifier support exceeds a quarter of the box")
-        m = max(int(np.floor(spec.support / g.spacing)), 0)
-        offs = g.spacing * np.arange(-m, m + 1)
-        w = (1.0 - (offs * spec.scale / spec.radius) ** 2) ** 2
-        w[np.abs(offs) > spec.support] = 0.0
-        w /= w.sum()
-        out = self.values
-        for axis in range(g.dimension):
-            out = _convolve_axis(out, w, m, axis, self.extension)
-        return self.replace_values(out)
-
     # -- finite-difference calculus ------------------------------------------
 
     def fd_gradient(self, index=None):
-        """Central-difference gradient, one-sided at the boundary.
-
-        Without ``index`` returns the gradient at every node (axis 0 last in
-        2D: shape (N, N, 2)); with an index returns it at that node.
-        """
-        g = self.grid
-        grads = [_axis_gradient(self.values, g.spacing, axis)
-                 for axis in range(g.dimension)]
-        if g.dimension == 1:
-            return grads[0] if index is None else float(grads[0][index])
-        out = np.stack(grads, axis=-1)
-        return out if index is None else out[index]
+        """Central-difference derivative, one-sided at the boundary: at every
+        node, or with ``index`` at that node. One-dimensional only."""
+        d = _axis_gradient(_values_1d(self), self.grid.spacing)
+        return d if index is None else float(d[index])
 
     def fd_hessian(self):
-        """Second-order central Hessian; symmetric by construction."""
-        g = self.grid
-        h = g.spacing
-        v = self.values
-        dxx = _axis_second(v, h, 0)
-        if g.dimension == 1:
-            return dxx
-        dyy = _axis_second(v, h, 1)
-        dxy = np.zeros_like(v)
-        dxy[1:-1, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * h**2)
-        hess = np.empty(v.shape + (2, 2))
-        hess[..., 0, 0] = dxx
-        hess[..., 1, 1] = dyy
-        hess[..., 0, 1] = hess[..., 1, 0] = dxy
-        return hess
+        """Central second difference, the edge nodes taking their
+        neighbours'. One-dimensional only."""
+        return _axis_second(_values_1d(self), self.grid.spacing)
 
     # -- serialization ---------------------------------------------------------
 
@@ -278,28 +212,24 @@ class GridFunction:
                            f"weight={self.weight.exponent}\n")
 
 
-def _axis_gradient(v, h, axis):
-    v = np.moveaxis(v, axis, 0)
+def _values_1d(f):
+    """The values of a 1D grid function, else InputError."""
+    if f.grid.dimension != 1:
+        raise InputError("finite differences are one-dimensional")
+    return f.values
+
+
+def _axis_gradient(v, h):
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - v[:-2]) / (2 * h)
     d[0] = (v[1] - v[0]) / h
     d[-1] = (v[-1] - v[-2]) / h
-    return np.moveaxis(d, 0, axis)
+    return d
 
 
-def _axis_second(v, h, axis):
-    v = np.moveaxis(v, axis, 0)
+def _axis_second(v, h):
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
     d[0] = d[1]
     d[-1] = d[-2]
-    return np.moveaxis(d, 0, axis)
-
-
-def _convolve_axis(v, w, m, axis, extension):
-    v = np.moveaxis(v, axis, 0)
-    padded = _kernels.pad(v, m, extension == "constant")
-    out = np.zeros_like(v)
-    for k, wk in enumerate(w):
-        out += wk * padded[k:k + v.shape[0]]
-    return np.moveaxis(out, 0, axis)
+    return d

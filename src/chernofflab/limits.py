@@ -1,5 +1,6 @@
-"""Probabilistic laboratory: recursive statistics, nonlinear limit
-functionals, large-deviation rate measurements, and generator checks.
+"""Probabilistic laboratory: nonlinear limit functionals, the brute-force
+oracle, exact tail probabilities, large-deviation rate measurements, and
+generator checks.
 
 The iteration identity
 
@@ -33,19 +34,8 @@ _LATTICE_DENOMS = tuple(range(1, 65))
 
 
 # ---------------------------------------------------------------------------
-# recursive statistics and exact functionals
+# limit functionals and the brute-force oracle
 # ---------------------------------------------------------------------------
-
-def recursive_statistic(scaling, t, samples):
-    """X = psi_n(t, 0, y_1, ..., y_n): left fold of the scaling map from 0."""
-    samples = np.atleast_1d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise InputError("recursive_statistic needs at least one sample")
-    x = 0.0
-    for y in samples:
-        x = float(scaling.map(t, x, y))
-    return x
-
 
 def _steps(n):
     """``n`` as an int if it is an integer >= 1 (numpy integers included),
@@ -143,16 +133,6 @@ def brute_force_functional(model, scaling, f, n):
     for points, key in levels[:0:-1]:
         vals = h * model.reduce(lambda y: payoff(points, key, vals, y[:, 0]))
     return h * model.expect(lambda y: payoff(*levels[0], vals, y))
-
-
-def sample_iid(measure, n, seed):
-    """Deterministic iid draws from a discrete measure (Monte Carlo companion)."""
-    if n < 1:
-        raise InputError("sample count must be >= 1")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(measure.weights), size=n, p=measure.weights)
-    atoms = measure.atoms
-    return atoms[idx, 0] if atoms.shape[1] == 1 else atoms[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -244,20 +244,6 @@ def suite_one_step_lipschitz(cases=100, seed=7):
     return failures
 
 
-def suite_mollifier_order(cases=100, seed=8):
-    from chernofflab import MollifierSpec
-    rng = np.random.default_rng(seed)
-    grid = Grid(6.0, 193)
-    spec = MollifierSpec(radius=1.0, scale=2)
-    failures = []
-    for k in range(cases):
-        f = _random_grid_function(rng, grid)
-        g = f.replace_values(f.values + np.abs(_random_grid_function(rng, grid).values))
-        if np.any(f.mollify(spec).values > g.mollify(spec).values + EXACT_TOL):
-            failures.append(f"mollifier order case {k}")
-    return failures
-
-
 def suite_legendre_biconjugation(cases=100, seed=9):
     """With the dual grid holding every slope, conjugating twice restores
     convex grid data exactly."""
@@ -287,6 +273,5 @@ ALL_SUITES = [
     ("one_step_convexity", suite_one_step_convexity),
     ("one_step_contraction", suite_one_step_contraction),
     ("one_step_lipschitz", suite_one_step_lipschitz),
-    ("mollifier_order", suite_mollifier_order),
     ("legendre_biconjugation", suite_legendre_biconjugation),
 ]

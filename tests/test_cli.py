@@ -466,6 +466,8 @@ class TestErrorContract:
         ("generator_affine_drift", "h = 0.125,0.0625,0.03125,0.015625", "h = 0",
          "schedule.h"),
         ("envelope_perturbed", "uniform = 256", "uniform = 0", "schedule.uniform"),
+        # one step count, not a list whose last entry alone would run
+        ("envelope_perturbed", "uniform = 256", "uniform = 4,256", "schedule.uniform"),
         ("clt_binary_exact", "n = 1,4,16,64", "n = 0,4", "schedule.n"),
         ("clt_two_point_gaussian", "shifts = 0,1,33", "shifts = 0,1,inf",
          "expectation.shifts"),
@@ -819,7 +821,7 @@ class TestErrorContract:
         assert "cannot write output" in err and str(blocker) in err
 
     @pytest.mark.parametrize("name", ["../escape_probe", "a/../../escape_probe",
-                                      "..", ""])
+                                      "..", "", "a\x00b"])
     def test_name_cannot_leave_the_output_root(self, tmp_path, capsys, name):
         text = BUILTINS["cramer_bernoulli"][1].replace(
             "name = cramer_bernoulli", f"name = {name}")

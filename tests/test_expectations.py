@@ -7,7 +7,7 @@ from chernofflab import (DiscreteMeasure, Entropic, Grid, GridFunction,
                          Hamiltonian1, Hamiltonian2, Linear, PenaltyFunction,
                          RateFunction, ShiftSup, Shortfall,
                          SymmetricTwoPointSup, centered, gauss_hermite,
-                         legendre, log_mgf, two_point)
+                         legendre, two_point)
 from chernofflab.errors import InputError, PreconditionError
 
 BERNOULLI = two_point()
@@ -147,22 +147,22 @@ class TestCentered:
 
 class TestLogMgf:
     def test_zero_argument(self):
-        assert log_mgf(BERNOULLI, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert Entropic(BERNOULLI).expect_linear(0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_logcosh(self):
-        assert log_mgf(BERNOULLI, 1.0) == pytest.approx(np.log(np.cosh(1.0)))
+        assert Entropic(BERNOULLI).expect_linear(1.0) == pytest.approx(np.log(np.cosh(1.0)))
 
     def test_point_mass_linear(self):
         mu = DiscreteMeasure(np.array([2.5]), np.array([1.0]))
-        assert log_mgf(mu, 3.0) == pytest.approx(7.5)
+        assert Entropic(mu).expect_linear(3.0) == pytest.approx(7.5)
 
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(-2, 2, 7)
-        vec = log_mgf(BERNOULLI, xs)
-        assert np.allclose(vec, [log_mgf(BERNOULLI, float(x)) for x in xs])
+        vec = Entropic(BERNOULLI).expect_linear(xs)
+        assert np.allclose(vec, [Entropic(BERNOULLI).expect_linear(float(x)) for x in xs])
 
     def test_large_argument_stable(self):
-        assert np.isfinite(log_mgf(BERNOULLI, 800.0))
+        assert np.isfinite(Entropic(BERNOULLI).expect_linear(800.0))
 
     @pytest.mark.parametrize("mu, x", [
         (gauss_hermite(16), 0.7),
@@ -171,10 +171,8 @@ class TestLogMgf:
         (DiscreteMeasure(np.array([[0.0, 1.0], [1.0, -0.5], [-2.0, 0.25]]),
                          np.array([0.5, 0.3, 0.2])), np.array([0.4, -1.5]))])
     def test_is_the_entropic_expectation_bit_for_bit(self, mu, x):
-        # log_mgf is Entropic.expect_linear, and both equal the max-shifted
-        # log-sum-exp written out
-        got = log_mgf(mu, x)
-        assert np.array_equal(got, Entropic(mu).expect_linear(x))
+        # Entropic.expect_linear is the max-shifted log-sum-exp written out
+        got = Entropic(mu).expect_linear(x)
         a = mu.atoms
         e = (a @ x if a.shape[1] > 1 else np.multiply.outer(x, a[:, 0]))
         e = e + np.log(mu.weights)
@@ -200,7 +198,7 @@ class TestLegendre:
 
     def test_binary_entropy_point(self):
         z = np.linspace(-8, 8, 3201)
-        lam = log_mgf(BERNOULLI, z)
+        lam = Entropic(BERNOULLI).expect_linear(z)
         star = legendre(z, lam, np.array([0.5]))
         want = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
         assert star[0] == pytest.approx(want, abs=1e-5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chernofflab import Grid, GridFunction, GrowthWeight, MollifierSpec
+from chernofflab import Grid, GridFunction, GrowthWeight
 from chernofflab.errors import InputError
 
 
@@ -155,126 +155,6 @@ class TestNorms:
             f.sup_norm_on((-3.0, 1.0))
 
 
-class TestShift:
-    def test_zero_shift_identity(self):
-        f = make(np.cos)
-        assert np.array_equal(f.shift(0.0).values, f.values)
-
-    def test_affine_shift(self):
-        f = make(lambda x: x, R=4.0, N=129)
-        g = f.shift(1.0)
-        interior = np.abs(f.grid.axis) <= 2.0
-        assert np.allclose(g.values[interior], f.grid.axis[interior] + 1.0, atol=1e-12)
-
-    def test_shift_composition_on_aligned_offsets(self):
-        rng = np.random.default_rng(1)
-        f = make(lambda x: np.sin(x) + 0.1 * x, R=4.0, N=129)
-        h = f.grid.spacing
-        a, b = 3 * h, 5 * h
-        lhs = f.shift(a).shift(b)
-        rhs = f.shift(a + b)
-        interior = np.abs(f.grid.axis) <= 2.0
-        assert np.allclose(lhs.values[interior], rhs.values[interior], atol=1e-12)
-
-    def test_shift_composition_generic_second_order(self):
-        f = make(np.sin, R=4.0, N=513)
-        h = f.grid.spacing
-        lhs = f.shift(0.13).shift(0.29)
-        rhs = f.shift(0.42)
-        interior = np.abs(f.grid.axis) <= 2.0
-        assert np.max(np.abs(lhs.values - rhs.values)[interior]) <= h**2
-
-    def test_shift_isometry_interior(self):
-        f = make(np.sin, R=4.0, N=257)
-        h = f.grid.spacing
-        shifted = f.shift(8 * h)
-        assert shifted.sup_norm_on((-2.0, 2.0)) == pytest.approx(
-            f.sup_norm_on((-2.0 + 8 * h, 2.0 + 8 * h)), abs=1e-12)
-
-    def test_shift_2d(self):
-        g = Grid(2.0, 33, dimension=2)
-        f = GridFunction.sample(g, lambda x, y: x + 2 * y)
-        s = f.shift((g.spacing, -g.spacing))
-        mid = g.points_per_axis // 2
-        assert s.values[mid, mid] == pytest.approx(g.spacing - 2 * g.spacing)
-
-
-class TestMollify:
-    def test_constant_preserved(self):
-        f = make(lambda x: np.full_like(x, 2.5))
-        m = f.mollify(MollifierSpec(radius=1.0, scale=2))
-        assert np.allclose(m.values, 2.5, atol=1e-14)
-
-    def test_step_becomes_monotone_ramp(self):
-        f = make(lambda x: (x >= 0).astype(float), R=4.0, N=257)
-        m = f.mollify(MollifierSpec(radius=1.0, scale=2))
-        assert np.all(np.diff(m.values) >= -1e-14)
-        assert m.values[0] == pytest.approx(0.0, abs=1e-12)
-        assert m.values[-1] == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("scale", [4, 8, 16])
-    def test_lipschitz_distance_bound(self, scale):
-        f = make(np.abs, R=4.0, N=1025)
-        spec = MollifierSpec(radius=1.0, scale=scale)
-        m = f.mollify(spec)
-        diff = m.replace_values(m.values - f.values)
-        assert diff.sup_norm_on((-2.0, 2.0)) <= spec.radius / scale + 1e-12
-
-    def test_extrema_within_input_range(self):
-        rng = np.random.default_rng(2)
-        f = make(lambda x: np.sin(3 * x), R=4.0, N=257)
-        m = f.mollify(MollifierSpec(radius=0.5, scale=1))
-        assert m.values.min() >= f.values.min() - 1e-12
-        assert m.values.max() <= f.values.max() + 1e-12
-
-    def test_order_preserved(self):
-        g = Grid(4.0, 257)
-        rng = np.random.default_rng(3)
-        a = GridFunction(g, rng.normal(size=257))
-        b = a.replace_values(a.values + rng.uniform(0, 1, size=257))
-        spec = MollifierSpec(radius=1.0, scale=2)
-        assert np.all(a.mollify(spec).values <= b.mollify(spec).values + 1e-14)
-
-    def test_commutes_with_constants(self):
-        f = make(np.sin, R=4.0, N=257)
-        spec = MollifierSpec(radius=0.5, scale=1)
-        lhs = f.replace_values(f.values + 3.0).mollify(spec)
-        rhs = f.mollify(spec).replace_values(f.mollify(spec).values + 3.0)
-        assert np.allclose(lhs.values, rhs.values, atol=1e-12)
-
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
-    def test_1d_matches_np_convolve(self, extension):
-        # against np.convolve over the same pad: same terms, another
-        # summation order
-        f = make(lambda x: np.sin(3 * x) + 0.2 * x**2, R=4.0, N=257,
-                 extension=extension)
-        v = f.values
-        for spec in (MollifierSpec(radius=1.0, scale=1), MollifierSpec(0.5, 4),
-                     MollifierSpec(radius=0.01, scale=1)):
-            h = f.grid.spacing
-            m = max(int(np.floor(spec.support / h)), 0)
-            offs = h * np.arange(-m, m + 1)
-            w = (1.0 - (offs * spec.scale / spec.radius) ** 2) ** 2
-            w[np.abs(offs) > spec.support] = 0.0
-            w /= w.sum()
-            if not m:
-                want = v
-            elif extension == "constant":
-                pad = np.concatenate([np.full(m, v[0]), v, np.full(m, v[-1])])
-                want = np.convolve(pad, w, mode="valid")
-            else:
-                pad = np.concatenate([v[0] + (v[1] - v[0]) * np.arange(-m, 0), v,
-                                      v[-1] + (v[-1] - v[-2]) * np.arange(1, m + 1)])
-                want = np.convolve(pad, w, mode="valid")
-            err = np.max(np.abs(f.mollify(spec).values - want))
-            assert err <= 1e-15 * np.max(np.abs(want))
-
-    def test_support_too_large_rejected(self):
-        f = make(np.sin, R=2.0, N=65)
-        with pytest.raises(InputError):
-            f.mollify(MollifierSpec(radius=1.0, scale=1))
-
-
 class TestFiniteDifferences:
     def test_gradient_exact_on_affine(self):
         f = make(lambda x: 2.0 * x + 1.0)
@@ -290,12 +170,12 @@ class TestFiniteDifferences:
         i0 = f.grid.origin_index
         assert abs(f.fd_gradient(i0) - 1.0) <= h**2
 
-    def test_2d_hessian_on_quadratic_form(self):
+    def test_2d_rejected(self):
         g = Grid(2.0, 65, dimension=2)
         f = GridFunction.sample(g, lambda x, y: x**2 + x * y + 2 * y**2)
-        mid = g.points_per_axis // 2
-        hess = f.fd_hessian()[mid, mid]
-        assert np.allclose(hess, [[2.0, 1.0], [1.0, 4.0]], atol=1e-8)
+        for fd in (f.fd_gradient, f.fd_hessian):
+            with pytest.raises(InputError, match="one-dimensional"):
+                fd()
 
 
 class TestSerialization:

@@ -9,13 +9,12 @@ lower hull of its lines only, the loop over every line. A gather plan must
 give the one-shot gathers bit for bit for any values on its grid, and
 return its one held buffer from every apply, refilled; and
 ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
-extension written out per side, as the stencil and the mollifier took it,
-and so must the stencil's held pad, refilled in place. The stencil's
-weighted mean must equal its gather followed by a dot, a grid-aligned
-``ShiftSup`` step must equal the reduction of the same gather with no
-``mean`` entry (one payoff call per shift), take one mean call and no
-gather, on a held stencil too, and stay within 16 MB on a band as wide as
-the padded values. ``chernoff`` and ``hopflax`` must not import
+extension written out per side, and so must the stencil's held pad,
+refilled in place. The stencil's weighted mean must equal its gather
+followed by a dot, a grid-aligned ``ShiftSup`` step must equal the
+reduction of the same gather with no ``mean`` entry (one payoff call per
+shift), take one mean call and no gather, on a held stencil too, and stay
+within 16 MB on a band as wide as the padded values. ``chernoff`` and ``hopflax`` must not import
 ``_kernels``.
 
 ``ShiftSup`` and ``g_heat`` skip the subtraction of +0.0 costs, so the
@@ -386,30 +385,14 @@ def stencil_pad(values, m, constant_ext):
     return np.concatenate([left, values, right])
 
 
-def convolve_pad(v, m, constant_ext):
-    # the extension along axis 0, with the steps counted from -m
-    if constant_ext:
-        top = np.repeat(v[:1], m, axis=0)
-        bot = np.repeat(v[-1:], m, axis=0)
-    else:
-        steps = np.arange(-m, 0).reshape(-1, *([1] * (v.ndim - 1)))
-        top = v[0] + (v[1] - v[0]) * steps
-        steps = np.arange(1, m + 1).reshape(-1, *([1] * (v.ndim - 1)))
-        bot = v[-1] + (v[-1] - v[-2]) * steps
-    return np.concatenate([top, v, bot], axis=0)
-
-
 @pytest.mark.parametrize("constant_ext", [True, False])
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_pad_matches_the_inline_pads(dimension, constant_ext):
+def test_pad_matches_the_inline_pads(constant_ext):
     n = 9
-    v = np.random.default_rng(dimension).normal(size=(n,) * dimension)
+    v = np.random.default_rng(1).normal(size=n)
     for m in (1, n):
-        got = K.pad(v, m, constant_ext)
-        assert got.shape == (n + 2 * m,) + (n,) * (dimension - 1)
-        assert got.tobytes() == convolve_pad(v, m, constant_ext).tobytes()
-        if dimension == 1:
-            assert got.tobytes() == stencil_pad(v, m, constant_ext).tobytes()
+        out = np.empty(n + 2 * m)
+        assert K.pad(v, m, constant_ext, out) is out
+        assert out.tobytes() == stencil_pad(v, m, constant_ext).tobytes()
 
 
 @pytest.mark.parametrize("constant_ext", [True, False])
@@ -423,7 +406,7 @@ def test_stencil_refills_its_pad_as_pad_does(constant_ext):
     for scale in (1.0, 1e-3, 3e5):
         v = scale * rng.normal(size=n) + np.pi
         got = stencil.load(v)._pad
-        assert got.tobytes() == K.pad(v, n, constant_ext).tobytes()
+        assert got.tobytes() == K.pad(v, n, constant_ext, np.empty(3 * n)).tobytes()
         assert got.tobytes() == stencil_pad(v, n, constant_ext).tobytes()
 
 

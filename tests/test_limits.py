@@ -8,32 +8,12 @@ from chernofflab import (Centered, DiscreteMeasure, Entropic, FirstOrderAffine,
                          SymmetricTwoPointSup, brute_force_functional,
                          clt_functional, exact_tail_probabilities,
                          generator_check, hopf_lax, ld_rate,
-                         legendre, log_mgf, nonlinear_functional, one_step,
-                         poly_rate, recursive_statistic, sample_iid, two_point)
+                         legendre, nonlinear_functional, one_step, poly_rate,
+                         two_point)
 from chernofflab.errors import (DegenerateSetError, InputError,
                                 PreconditionError)
 from chernofflab.expectations import SHORTFALL_TOL, ExpectationModel
 BERNOULLI = two_point()
-
-
-class TestRecursiveStatistic:
-    def test_affine_fold_is_scaled_sum(self):
-        x = recursive_statistic(FirstOrderAffine(), 1.0 / 3.0, [1.0, 2.0, 3.0])
-        assert x == pytest.approx(2.0)
-
-    def test_trivial_perturbation_reduces_to_average(self):
-        fam = Perturbed(phi0=lambda x: 0.0 * x, lip=0.0)
-        x = recursive_statistic(fam, 0.25, [1.0, 2.0, 3.0, 4.0])
-        assert x == pytest.approx(2.5)
-
-    def test_two_step_hand_fold(self):
-        fam = Perturbed(phi0=np.sin, lip=1.0)
-        x = recursive_statistic(fam, 0.5, [0.0, 0.0])
-        assert x == pytest.approx(0.0)
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(InputError):
-            recursive_statistic(FirstOrderAffine(), 1.0, [])
 
 
 class TestNonlinearFunctional:
@@ -54,7 +34,7 @@ class TestNonlinearFunctional:
         vals = [nonlinear_functional(model, FirstOrderAffine(), f, n)
                 for n in (32, 64, 128)]
         z = np.linspace(-12, 12, 4801)
-        lam = log_mgf(BERNOULLI, z)
+        lam = Entropic(BERNOULLI).expect_linear(z)
         y = np.linspace(-0.999, 0.999, 3997)
         rate = RateFunction(y, legendre(z, lam, y))
         oracle = float(hopf_lax(f, 1.0, rate).values[f.grid.origin_index])
@@ -366,7 +346,9 @@ class TestExactTails:
     def test_matches_monte_carlo(self):
         n, trials = 100, 20000
         p = exact_tail_probabilities(BERNOULLI, 0.2, [n])[0]
-        draws = sample_iid(BERNOULLI, n * trials, seed=11).reshape(trials, n)
+        w = BERNOULLI.weights
+        idx = np.random.default_rng(11).choice(len(w), n * trials, p=w)
+        draws = BERNOULLI.atoms[idx, 0].reshape(trials, n)
         freq = float(np.mean(draws.mean(axis=1) >= 0.2))
         se = np.sqrt(p * (1 - p) / trials)
         assert abs(freq - p) <= 4 * se
@@ -545,28 +527,3 @@ class TestGeneratorCheck:
         op = OneStepOperator(model, FirstOrderAffine())
         diag = generator_check(op, f, [1/64], (-2.0, 2.0))
         assert diag.estimate_at(0.0) == pytest.approx(0.5, abs=1e-2)
-
-
-class TestSampleIid:
-    def test_point_mass_all_zero(self):
-        mu = DiscreteMeasure(np.array([0.0]), np.array([1.0]))
-        assert np.all(sample_iid(mu, 100, seed=0) == 0.0)
-
-    def test_determinism(self):
-        a = sample_iid(BERNOULLI, 1000, seed=42)
-        b = sample_iid(BERNOULLI, 1000, seed=42)
-        assert np.array_equal(a, b)
-
-    def test_mean_within_clt_band(self):
-        n = 100_000
-        draws = sample_iid(BERNOULLI, n, seed=3)
-        assert abs(draws.mean()) <= 3.0 / np.sqrt(n)
-
-    def test_frequencies_match_weights(self):
-        mu = DiscreteMeasure(np.array([-1.0, 0.0, 2.0]),
-                             np.array([0.2, 0.5, 0.3]))
-        n = 100_000
-        draws = sample_iid(mu, n, seed=4)
-        for atom, w in zip(mu.atoms[:, 0], mu.weights):
-            freq = np.mean(draws == atom)
-            assert abs(freq - w) <= 4 * np.sqrt(w * (1 - w) / n)
