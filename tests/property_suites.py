@@ -244,6 +244,25 @@ def suite_one_step_lipschitz(cases=100, seed=7):
     return failures
 
 
+def suite_interpolation_order(cases=100, seed=8):
+    """Evaluation between nodes keeps order: f <= g at the nodes gives
+    f <= g at every point of the box, and past it under constant
+    continuation (a linear one follows the edge slopes, which need not
+    keep order)."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(6.0, 193)
+    failures = []
+    for k in range(cases):
+        f = _random_grid_function(rng, grid)
+        g = f.replace_values(f.values + np.abs(_random_grid_function(rng, grid).values))
+        ext, reach = (("constant", 8.0), ("linear", 6.0))[k % 2]
+        f, g = (GridFunction(grid, h.values, extension=ext) for h in (f, g))
+        q = rng.uniform(-reach, reach, size=400)
+        if np.any(f.eval(q) > g.eval(q) + EXACT_TOL):
+            failures.append(f"interpolation order case {k}")
+    return failures
+
+
 def suite_legendre_biconjugation(cases=100, seed=9):
     """With the dual grid holding every slope, conjugating twice restores
     convex grid data exactly."""
@@ -273,5 +292,6 @@ ALL_SUITES = [
     ("one_step_convexity", suite_one_step_convexity),
     ("one_step_contraction", suite_one_step_contraction),
     ("one_step_lipschitz", suite_one_step_lipschitz),
+    ("interpolation_order", suite_interpolation_order),
     ("legendre_biconjugation", suite_legendre_biconjugation),
 ]

@@ -468,6 +468,7 @@ class TestErrorContract:
         ("envelope_perturbed", "uniform = 256", "uniform = 0", "schedule.uniform"),
         # one step count, not a list whose last entry alone would run
         ("envelope_perturbed", "uniform = 256", "uniform = 4,256", "schedule.uniform"),
+        ("envelope_perturbed", "uniform = 256", "uniform = 2.5", "schedule.uniform"),
         ("clt_binary_exact", "n = 1,4,16,64", "n = 0,4", "schedule.n"),
         ("clt_two_point_gaussian", "shifts = 0,1,33", "shifts = 0,1,inf",
          "expectation.shifts"),

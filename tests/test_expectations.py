@@ -164,6 +164,32 @@ class TestLogMgf:
     def test_large_argument_stable(self):
         assert np.isfinite(Entropic(BERNOULLI).expect_linear(800.0))
 
+    def test_convex_in_its_argument(self):
+        mu = DiscreteMeasure(np.array([-1.0, 0.0, 2.0]), np.array([0.2, 0.5, 0.3]))
+        lam = Entropic(mu).expect_linear(np.linspace(-4.0, 4.0, 81))
+        assert np.all(lam[:-2] + lam[2:] - 2.0 * lam[1:-1] >= -1e-12)
+
+    def test_slope_at_zero_is_the_mean(self):
+        mu = DiscreteMeasure(np.array([-1.0, 0.0, 2.0]), np.array([0.2, 0.5, 0.3]))
+        e = 1e-6
+        lam = Entropic(mu).expect_linear(np.array([-e, e]))
+        assert (lam[1] - lam[0]) / (2 * e) == pytest.approx(0.4, abs=1e-8)
+
+    def test_between_the_mean_and_the_largest_atom(self):
+        # Jensen below, the largest atom above: m x <= log E[e^{xY}] <= max(xY)
+        mu = DiscreteMeasure(np.array([-1.0, 0.0, 2.0]), np.array([0.2, 0.5, 0.3]))
+        x = np.linspace(-5.0, 5.0, 41)
+        lam = Entropic(mu).expect_linear(x)
+        assert np.all(0.4 * x <= lam + 1e-12)
+        assert np.all(lam <= np.maximum(-x, 2.0 * x) + 1e-12)
+
+    def test_translated_atoms_add_a_linear_term(self):
+        x = np.linspace(-3.0, 3.0, 13)
+        moved = DiscreteMeasure(BERNOULLI.atoms + 1.5, BERNOULLI.weights)
+        assert np.allclose(Entropic(moved).expect_linear(x),
+                           Entropic(BERNOULLI).expect_linear(x) + 1.5 * x,
+                           atol=1e-12)
+
     @pytest.mark.parametrize("mu, x", [
         (gauss_hermite(16), 0.7),
         (gauss_hermite(16), np.linspace(-3.0, 3.0, 13)),

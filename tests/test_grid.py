@@ -112,6 +112,80 @@ class TestEval:
         assert np.allclose(f.eval(pts), want, atol=1e-12)
 
 
+def translate(f, x):
+    # (tau_x f)(y) = f(x + y), resampled on the same grid: what the one-step
+    # operators and the Hopf-Lax tests read through eval
+    g = f.grid
+    if g.dimension == 1:
+        return f.replace_values(f.eval(g.axis + x))
+    return f.replace_values(f.eval(g.nodes() + np.asarray(x)).reshape(f.values.shape))
+
+
+class TestTranslation:
+    def test_affine_translated_exactly(self):
+        f = make(lambda x: x, R=4.0, N=129)
+        g = translate(f, 1.0)
+        interior = np.abs(f.grid.axis) <= 2.0
+        assert np.allclose(g.values[interior], f.grid.axis[interior] + 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cells", [-5, -1, 1, 5])
+    def test_whole_cells_move_the_nodes(self, cells):
+        f = make(lambda x: np.sin(x) + 0.1 * x, R=4.0, N=129)
+        g = translate(f, cells * f.grid.spacing)
+        k = abs(cells)
+        got, want = (g.values[:-k], f.values[k:]) if cells > 0 else \
+            (g.values[k:], f.values[:-k])
+        assert np.allclose(got, want, atol=1e-12)
+
+    def test_aligned_translations_compose(self):
+        f = make(lambda x: np.sin(x) + 0.1 * x, R=4.0, N=129)
+        h = f.grid.spacing
+        lhs = translate(translate(f, 3 * h), 5 * h)
+        rhs = translate(f, 8 * h)
+        interior = np.abs(f.grid.axis) <= 2.0
+        assert np.allclose(lhs.values[interior], rhs.values[interior], atol=1e-12)
+
+    def test_generic_translations_compose_to_second_order(self):
+        f = make(np.sin, R=4.0, N=513)
+        h = f.grid.spacing
+        lhs = translate(translate(f, 0.13), 0.29)
+        rhs = translate(f, 0.42)
+        interior = np.abs(f.grid.axis) <= 2.0
+        assert np.max(np.abs(lhs.values - rhs.values)[interior]) <= h**2
+
+    def test_aligned_translation_is_an_isometry_on_the_interior(self):
+        f = make(np.sin, R=4.0, N=257)
+        h = f.grid.spacing
+        assert translate(f, 8 * h).sup_norm_on((-2.0, 2.0)) == pytest.approx(
+            f.sup_norm_on((-2.0 + 8 * h, 2.0 + 8 * h)), abs=1e-12)
+
+    def test_2d_aligned_translation(self):
+        g = Grid(2.0, 33, dimension=2)
+        f = GridFunction.sample(g, lambda x, y: x + 2 * y)
+        s = translate(f, (g.spacing, -g.spacing))
+        mid = g.points_per_axis // 2
+        assert s.values[mid, mid] == pytest.approx(g.spacing - 2 * g.spacing)
+
+    def test_order_preserved(self):
+        rng = np.random.default_rng(3)
+        a = GridFunction(Grid(4.0, 257), rng.normal(size=257))
+        b = a.replace_values(a.values + rng.uniform(0, 1, size=257))
+        for x in (0.013, -0.7, 2.9, 5.0):
+            assert np.all(translate(a, x).values <= translate(b, x).values)
+
+    def test_commutes_with_constants(self):
+        f = make(np.sin, R=4.0, N=257)
+        lhs = translate(f.replace_values(f.values + 3.0), 0.37)
+        rhs = translate(f, 0.37).values + 3.0
+        assert np.allclose(lhs.values, rhs, atol=1e-12)
+
+    def test_constant_extension_stays_within_the_input_range(self):
+        f = make(lambda x: np.sin(3 * x), R=4.0, N=257)
+        for x in (0.011, -1.3, 3.7, -9.0):
+            v = translate(f, x).values
+            assert v.min() >= f.values.min() and v.max() <= f.values.max()
+
+
 class TestNorms:
     def test_weighted_norm_constant_one(self):
         f = make(lambda x: np.ones_like(x), weight=GrowthWeight(1))
@@ -169,6 +243,36 @@ class TestFiniteDifferences:
         h = f.grid.spacing
         i0 = f.grid.origin_index
         assert abs(f.fd_gradient(i0) - 1.0) <= h**2
+
+    def test_central_gradient_exact_on_quadratic(self):
+        f = make(lambda x: x**2 - 3.0 * x)
+        assert np.allclose(f.fd_gradient()[1:-1], 2.0 * f.grid.axis[1:-1] - 3.0,
+                           atol=1e-10)
+
+    def test_gradient_one_sided_at_the_edges(self):
+        f = make(lambda x: x**2, R=2.0, N=9)
+        v, h = f.values, f.grid.spacing
+        d = f.fd_gradient()
+        assert d[0] == (v[1] - v[0]) / h and d[-1] == (v[-1] - v[-2]) / h
+
+    def test_gradient_at_an_index_is_that_entry(self):
+        f = make(np.cos, R=4.0, N=65)
+        d = f.fd_gradient()
+        for i in (0, 7, f.grid.origin_index, 64):
+            got = f.fd_gradient(i)
+            assert isinstance(got, float) and got == d[i]
+
+    def test_hessian_edges_take_their_neighbours(self):
+        f = make(lambda x: x**3, R=2.0, N=17)
+        d = f.fd_hessian()
+        assert d[0] == d[1] and d[-1] == d[-2]
+
+    def test_sine_hessian_second_order(self):
+        f = make(np.sin, R=4.0, N=257)
+        h = f.grid.spacing
+        interior = np.abs(f.grid.axis) <= 3.0
+        err = np.abs(f.fd_hessian() + np.sin(f.grid.axis))[interior]
+        assert np.max(err) <= h**2
 
     def test_2d_rejected(self):
         g = Grid(2.0, 65, dimension=2)

@@ -396,6 +396,26 @@ def test_pad_matches_the_inline_pads(constant_ext):
 
 
 @pytest.mark.parametrize("constant_ext", [True, False])
+def test_pad_fills_every_entry_and_keeps_its_input(constant_ext):
+    n, m = 9, 12
+    v = np.random.default_rng(2).normal(size=n)
+    before = v.copy()
+    out = np.full(n + 2 * m, np.nan)
+    K.pad(v, m, constant_ext, out)
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out[m:m + n], v) and np.array_equal(v, before)
+
+
+def test_linear_pad_continues_affine_values_exactly():
+    # integer-valued affine nodes: every extrapolated node is exact
+    n, m = 7, 5
+    v = 3.0 - 2.0 * np.arange(n)
+    out = np.empty(n + 2 * m)
+    K.pad(v, m, False, out)
+    assert np.array_equal(out, 3.0 - 2.0 * np.arange(-m, n + m))
+
+
+@pytest.mark.parametrize("constant_ext", [True, False])
 def test_stencil_refills_its_pad_as_pad_does(constant_ext):
     # the held pad, refilled in place over other values, against a fresh
     # pad and the extension written out per side; values of mixed scale
