@@ -40,8 +40,9 @@ sum), ``g_heat`` its first hull line written straight into G and one
 ``np.maximum`` per further line on the lower convex hull of its lines, with
 no subtraction for a line that costs +0.0 (x - 0.0 is x bit for bit,
 signed zeros included). The Legendre scan serves the Hopf-Lax and
-large-deviation oracles: one sequential sweep builds the lower convex hull,
-and one ``searchsorted`` of the dual grid into the hull's chord slopes finds
+large-deviation oracles: one numpy pass puts the convex prefix of the
+points on the lower convex hull, a sequential sweep builds the rest, and
+one ``searchsorted`` of the dual grid into the hull's chord slopes finds
 every maximizer, with no loop over the dual grid.
 ``perfbench/`` times ``interp1``, the three ``one_step_*`` kernels,
 ``lax_friedrichs``, ``g_heat`` and ``legendre_scan`` by name; ``pad``,
@@ -373,10 +374,23 @@ def _lower_hull(z, g):
     The conjugate of g equals the conjugate of its hull, and on the hull the
     maximizing index is nondecreasing in the dual variable, which makes a
     single monotone sweep exact for arbitrary finite inputs.
+
+    Until its first pop the sweep's stack holds every point met so far, so
+    the triples it tests are the consecutive ones. One numpy pass evaluates
+    the sweep's own pop test on every consecutive triple of finite points;
+    the points before the first triple that pops go on the hull at once,
+    and the Python sweep runs from that triple's last point. A strictly
+    convex input takes no sweep, and one whose first triple pops takes all
+    of it.
     """
-    finite = np.where(np.isfinite(g))[0]
-    hull = []
-    for i in finite:
+    finite = np.flatnonzero(np.isfinite(g))
+    zf, gf = z[finite], g[finite]
+    # the pop test below on every consecutive triple (a, b, i)
+    popped = np.flatnonzero((gf[1:-1] - gf[:-2]) * (zf[2:] - zf[:-2])
+                            >= (gf[2:] - gf[:-2]) * (zf[1:-1] - zf[:-2]))
+    start = popped[0] + 2 if popped.size else finite.size
+    hull = finite[:start].tolist()
+    for i in finite[start:]:
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # pop b when it lies on or above the chord a -> i

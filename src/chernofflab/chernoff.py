@@ -12,6 +12,7 @@ partition choice is observable.
 """
 
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -132,13 +133,24 @@ class Partition:
 
 @dataclass(frozen=True)
 class OneStepOperator:
+    """I(t) of ``model`` under ``scaling``; ``op(t, f)`` is ``one_step``.
+
+    The operator keeps what its last step built, per thread, in ``_memo``:
+    ``plan``, the per-point gather plans (t, grid, extension, blocks) with
+    one (sample points, plan) entry per node block, and ``stencil``, the
+    grid-aligned stencil with its pad and last geometry. Both hold buffers
+    that each step refills, so threads that step one operator each fill
+    their own. The memo is no part of the operator's identity.
+    """
+
     model: ExpectationModel
     scaling: ScalingFamily = field(default_factory=FirstOrderAffine)
-    # the last per-point gather plans, (t, grid, extension, blocks): one
-    # (sample points, plan) entry per node block, None until it gathers
-    _plan: tuple = field(default=None, init=False, repr=False, compare=False)
-    # the last grid-aligned stencil, with its pad and last geometry
-    _stencil: object = field(default=None, init=False, repr=False, compare=False)
+    _memo: threading.local = field(default_factory=threading.local, init=False,
+                                   repr=False, compare=False)
+
+    def __reduce__(self):
+        # a thread-local cannot be pickled: a copy starts with an empty memo
+        return type(self), (self.model, self.scaling)
 
     def __call__(self, t, f):
         return one_step(self, t, f)
@@ -153,28 +165,29 @@ def one_step(op, t, f):
     column-major, the transpose of a C-ordered (k, nodes) gather, so the
     models' reductions over the k sample points run over contiguous rows.
     A scaling with no drift moves every node by the same offset scale * y,
-    so in 1D the gather is a shifted-slice stencil; the operator keeps it,
-    refilled with each step's values while the grid and the extension stay
-    the same, and the stencil keeps the geometry of its last offsets and
-    weights, so equal steps compute it once. Otherwise a node reads f only
-    at its own points, so the step of a row-local model splits the nodes
-    into B contiguous blocks, B = min(usable CPUs, nodes, max(1, k //
-    grid.columns_per_block)) with k the size of the model's measure; any
-    other model takes one block, and so does the stencil step. The model
-    reduces each block on its own, the calling thread block 0 and a thread
-    pool the others (one block builds no pool), and the step joins the
-    block results in node order; an error in any block is raised once every
-    block has finished. A block's queries are laid out (k, block nodes) in
-    1D and (k, block nodes, 2) in 2D, and its gather's geometry is a plan
-    that the operator keeps and reuses while t, the grid, the extension and
-    the sample points stay the same, as they do over the full steps of one
-    partition; such steps do not compute the scaling's base either. A
-    plan's output is its own held buffer, which the next gather overwrites;
-    a model's reduction reads it and returns a fresh array. A row-local
-    model reduces each node's k values alone, in the same order for any B,
-    so the bits do not depend on the CPU count; ``Linear``'s matrix product
-    and ``Shortfall``'s batch-wide bisection count would move in the last
-    bits, so they are not split.
+    so in 1D the gather is a shifted-slice stencil; the operator keeps it
+    for the calling thread, refilled with each step's values while the grid
+    and the extension stay the same, and the stencil keeps the geometry of
+    its last offsets and weights, so equal steps compute it once. Otherwise
+    a node reads f only at its own points, so the step of a row-local model
+    splits the nodes into B contiguous blocks, B = min(usable CPUs, nodes,
+    max(1, k // grid.columns_per_block)) with k the size of the model's
+    measure; any other model takes one block, and so does the stencil step.
+    The model reduces each block on its own, the calling thread block 0 and
+    a thread pool the others (one block builds no pool), and the step joins
+    the block results in node order; an error in any block is raised once
+    every block has finished. A block's queries are laid out (k, block
+    nodes) in 1D and (k, block nodes, 2) in 2D, and its gather's geometry
+    is a plan that the operator keeps for the calling thread and reuses
+    while t, the grid, the extension and the sample points stay the same,
+    as they do over the full steps of one partition; such steps do not
+    compute the scaling's base either. A plan's output is its own held
+    buffer, which the next gather overwrites; a model's reduction reads it
+    and returns a fresh array. A row-local model reduces each node's k
+    values alone, in the same order for any B, so the bits do not depend on
+    the CPU count; ``Linear``'s matrix product and ``Shortfall``'s
+    batch-wide bisection count would move in the last bits, so they are not
+    split.
     """
     if not (np.isfinite(t) and t >= 0):
         raise InputError("one_step requires a finite t >= 0")
@@ -185,8 +198,8 @@ def one_step(op, t, f):
     scaling = op.scaling
     scale = scaling.scale(t)
     if one_d and scaling.drift is None:
-        stencil = f.stencil(op._stencil)
-        object.__setattr__(op, "_stencil", stencil)
+        memo = op._memo
+        stencil = memo.stencil = f.stencil(getattr(memo, "stencil", None))
 
         def gather(y):
             return stencil(scale * y[:, 0])
@@ -199,10 +212,9 @@ def one_step(op, t, f):
         count = (min(_CPUS, nodes, max(1, k // g.columns_per_block))
                  if op.model.row_local else 1)
         key = (t, g, f.extension)
-        held = op._plan
+        held = getattr(op._memo, "plan", None)
         if not (held is not None and held[:3] == key and len(held[3]) == count):
-            held = (*key, [None] * count)
-            object.__setattr__(op, "_plan", held)
+            held = op._memo.plan = (*key, [None] * count)
         plans = held[3]
 
         def gather(b, y):

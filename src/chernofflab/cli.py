@@ -47,6 +47,10 @@ from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
 # takes 1/h (Lax-Friedrichs) or 1/h^2 (G-heat) steps, so a fine grid would
 # otherwise march for hours
 MAX_MARCH_WORK = 10 ** 9
+# the most points of a grid, a conjugation grid or a shift grid, about 400
+# times the largest count a built-in uses (2,401): a count above it fails
+# while its field is read, before an array of that size is allocated
+MAX_POINTS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +168,19 @@ class _Fields:
             self._fail(key, f"needs exactly two entries, got {len(vals)}")
         return vals
 
+    def points(self, key, count):
+        """``count`` if it is at most ``MAX_POINTS``, else fail on ``key``."""
+        if count > MAX_POINTS:
+            self._fail(key, f"count {count:g} is above MAX_POINTS = {MAX_POINTS:.0e}")
+        return count
+
     def radius_count(self, key, default):
-        """The r > 0 and whole count >= 2 of an ``r,count`` field."""
+        """The r > 0 and whole count >= 2 of an ``r,count`` field, the count
+        at most ``MAX_POINTS``."""
         r, count = self.pair(key, default)
         if not (r > 0 and count >= 2 and count == int(count)):
             self._fail(key, f"needs r > 0 and a whole count >= 2, got {r:g},{count:g}")
-        return r, int(count)
+        return r, int(self.points(key, count))
 
     def span(self, key, default, zero=False):
         """np.linspace(-r, r, count) from an ``r,count`` field; with ``zero``,
@@ -248,7 +259,8 @@ def _build_model(sections):
                 and shifts[2] == int(shifts[2])):
             fields._fail("shifts", f"must be lo,hi,count with lo <= hi and "
                                    f"a whole count >= 1, got {shifts}")
-        shifts = np.linspace(shifts[0], shifts[1], int(shifts[2]))
+        count = int(fields.points("shifts", shifts[2]))
+        shifts = np.linspace(shifts[0], shifts[1], count)
         make = ShiftSup if variant == "shift_sup" else SymmetricTwoPointSup
         return fields.build("shifts", make, measure, penalty, shifts)
     fields._fail("variant", f"unknown expectation variant {variant!r}")
@@ -290,7 +302,7 @@ def _payoff_callable(sections):
 
 def _build_payoff(sections):
     fields = _Fields(sections, "grid")
-    r, n = fields.number("R", lo=0.0), fields.number("N", cast=int)
+    r, n = fields.number("R", lo=0.0), fields.points("N", fields.number("N", cast=int))
     # N's rules checked on a unit box first, so that the grid's own error
     # can only be R's
     fields.build("N", Grid, 1.0, n)

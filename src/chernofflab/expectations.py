@@ -16,9 +16,12 @@ Each model implements ``reduce(payoff, t)``, returning t * E[payoff / t]
 for every row of a payoff matrix: ``payoff`` maps the sample points the
 model needs, shape (k, d), to a (rows, k) matrix. One row is a scalar
 expectation (``expect``), one row per coefficient is ``expect_linear``, and
-one row per grid node is a step of the one-step operator. Each model queries
-exactly the points it needs, so all expectations are finite sums. ``Linear``
-and ``ShiftSup`` also give the lines of their G (``second_order_lines``).
+one row per grid node is a step of the one-step operator. Zero rows give
+shape (0,) and reduce nothing, which is how a caller learns the points
+without a reduction (``limits.brute_force_functional``'s probe). Each model
+queries exactly the points it needs, so all expectations are finite sums.
+``Linear`` and ``ShiftSup`` also give the lines of their G
+(``second_order_lines``).
 
 A payoff may also carry an optional entry ``mean(points, weights)``: for
 points of shape (L, m, d) it returns the (L, rows) matrix whose row l is
@@ -169,7 +172,7 @@ class ExpectationModel:
         """t * E[payoff / t] per row.
 
         ``payoff`` maps sample points of shape (k, d) to a (rows, k) matrix;
-        the result has shape (rows,).
+        the result has shape (rows,), (0,) for zero rows.
         """
         raise NotImplementedError
 
@@ -351,15 +354,21 @@ def shortfall_root(vals, weights, power):
 
     The defining map m -> sum w ((1 + v - m)^+)^p is strictly decreasing, so
     the bracket [min v - 1, max v + 1] always contains the root; the
-    bisection stops once the bracket is below ``SHORTFALL_TOL``.
+    bisection stops once the bracket is below ``SHORTFALL_TOL``, after a
+    count of iterations set by the widest row. Zero rows give no levels
+    and run no iteration. ``1 + v`` is formed once, before the loop:
+    ``1 + v - m`` evaluates left to right, so each iterate keeps its bits.
     """
     vals = np.asarray(vals, dtype=float)
     lo = vals.min(axis=1) - 1.0
+    if lo.size == 0:
+        return lo
     hi = vals.max(axis=1) + 1.0
     assert np.all(lo < hi)
+    shifted = 1.0 + vals
     for _ in range(int(np.ceil(np.log2((hi - lo).max() / SHORTFALL_TOL))) + 2):
         mid = 0.5 * (lo + hi)
-        s = (np.maximum(1.0 + vals - mid[:, None], 0.0) ** power) @ weights
+        s = (np.maximum(shifted - mid[:, None], 0.0) ** power) @ weights
         high = s > 1.0
         lo = np.where(high, mid, lo)
         hi = np.where(high, hi, mid)

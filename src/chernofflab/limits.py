@@ -10,9 +10,9 @@ turns product-space functionals of recursively perturbed statistics into k
 grid sweeps, so no product measure is ever constructed; a brute-force
 enumeration over the exactly reachable points doubles as the grid-free
 cross-check, which tells time-step error from grid error. It runs in two
-flat sweeps with no recursion: a probe reduction records the model's
-sample points, a forward sweep maps and merges each level's reachable
-points (keys ``np.round(p, 12)``), and a backward sweep takes one
+flat sweeps with no recursion: a probe reduction of zero rows records
+the model's sample points, a forward sweep maps and merges each level's
+reachable points (keys ``np.round(p, 12)``), and a backward sweep takes one
 ``model.reduce`` per level, finding each level's points among the next by
 one ``searchsorted``. A two-point model reaches at most n + 1 points per
 level, so its work grows as n^2, and n has no depth limit.
@@ -94,8 +94,8 @@ def brute_force_functional(model, scaling, f, n):
       ``searchsorted`` of their keys; a point the forward sweep did not
       reach raises InputError, and every gathered matrix must be finite.
 
-    A call makes n + 1 reductions, the probe's and the one inside
-    ``expect`` included. Its cost is the number of distinct reachable
+    A call makes n reductions of rows, the one inside ``expect`` included,
+    besides the probe, which has no rows to reduce. Its cost is the number of distinct reachable
     points times the sample points: at most n + 1 points per level for two
     atoms, and up to m^j after j steps for m sample points off a lattice or
     under a drift. The measure must be one-dimensional.
@@ -104,9 +104,10 @@ def brute_force_functional(model, scaling, f, n):
     if model.measure.dimension != 1:
         raise InputError("brute force enumeration needs a one-dimensional measure")
     h = 1.0 / n
-    # the probe records the points of every payoff call and returns zero rows
+    # the probe records the points of every payoff call and returns zero
+    # rows, so the model reduces nothing
     probed = []
-    model.reduce(lambda y: probed.append(y[:, 0]) or np.zeros((1, y.shape[0])))
+    model.reduce(lambda y: probed.append(y[:, 0]) or np.zeros((0, y.shape[0])))
     ys = np.concatenate(probed)
     # levels[j]: the points j steps from the origin and the sorted keys of
     # the points one step further; x ends at the deepest level

@@ -1,5 +1,8 @@
+import copy
 import os
+import pickle
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -281,7 +284,7 @@ class TestPlanReuse:
         monkeypatch.setattr(chernoff, "_CPUS", 3)
         op = OneStepOperator(Entropic(BLOCK_MU), scaling)
         iterate(op, Partition(1.0, 1.0 / 16), GridFunction.sample(BLOCK_GRID, np.sin))
-        assert len(builds) == len(op._plan[3]) == 3
+        assert len(builds) == len(op._memo.plan[3]) == 3
 
     def test_operator_holds_one_plan(self):
         model, scaling = PLAN_CASES["perturbed_shift_sup"]
@@ -289,12 +292,12 @@ class TestPlanReuse:
         f = plan_case_payoff("perturbed_shift_sup", "constant")
         one_step(op, 0.2, f)
         # 65 nodes x 2 points take one node block, with one plan
-        t, grid, extension, ((points, _),) = op._plan
+        t, grid, extension, ((points, _),) = op._memo.plan
         assert (t, grid, extension) == (0.2, f.grid, "constant")
         assert points.shape[1] == 1
         # the held plan is no part of the operator's identity
         assert op == OneStepOperator(model, scaling)
-        assert "_plan" not in repr(op)
+        assert "_memo" not in repr(op)
 
     @pytest.mark.parametrize("case", ["perturbed_entropic", "entropic_2d"])
     def test_next_step_leaves_the_last_values_alone(self, case):
@@ -305,7 +308,7 @@ class TestPlanReuse:
         u = one_step(op, 0.2, plan_case_payoff(case, "constant"))
         held = u.values.copy()
         v = one_step(op, 0.2, u)
-        assert op._plan[0] == 0.2
+        assert op._memo.plan[0] == 0.2
         assert np.array_equal(u.values, held)
         assert not np.array_equal(v.values, held)
 
@@ -359,7 +362,7 @@ class TestNodeBlocks:
         f = block_case_payoff(case)
         op = OneStepOperator(model, scaling)
         got = one_step(op, 1.0 / 16, f).values
-        assert len(op._plan[3]) == min(cpus, 3 if case.endswith("_2d") else 4)
+        assert len(op._memo.plan[3]) == min(cpus, 3 if case.endswith("_2d") else 4)
         assert got.tobytes() == one_block_step(model, scaling, 1.0 / 16, f).tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -378,7 +381,7 @@ class TestNodeBlocks:
         for t in (1.0 / 16, 0.5):
             op = OneStepOperator(model, scaling)
             got = one_step(op, t, f).values
-            assert len(op._plan[3]) == 1
+            assert len(op._memo.plan[3]) == 1
             assert got.tobytes() == one_block_step(model, scaling, t, f).tobytes()
 
     def test_steps_below_the_threshold_build_no_pool(self, monkeypatch):
@@ -458,6 +461,56 @@ class TestNodeBlocks:
             os.close(read)
             os.waitpid(pid, 0)
         assert status == b"1"
+
+
+class TestSharedOperator:
+    """One operator stepped by several threads at once: each thread keeps its
+    own plans and stencil, so none refills another's buffers."""
+
+    @pytest.mark.parametrize("model, scaling", [
+        (Entropic(BLOCK_MU), FirstOrderAffine()),  # the stencil
+        (Entropic(BLOCK_MU), DRIFT),  # per-point plans, node blocks
+        (Linear(BLOCK_MU), DRIFT),  # per-point plans, one block
+    ], ids=["stencil", "per_point_blocks", "per_point"])
+    def test_threads_match_the_serial_values(self, model, scaling):
+        # four threads, more than the CPUs of a small host, on two payoffs,
+        # switching often: a shared buffer would mix their steps
+        payoffs = [block_case_payoff("entropic"),
+                   GridFunction.sample(BLOCK_GRID, lambda x: np.cos(2 * x) - 0.1 * x)]
+        partition = Partition(1.0, 1.0 / 64)
+        want = [iterate(OneStepOperator(model, scaling), partition, f).values.tobytes()
+                for f in payoffs]
+        op = OneStepOperator(model, scaling)
+        start = threading.Barrier(4)
+        got = [None] * 4
+
+        def run(i):
+            start.wait()
+            got[i] = iterate(op, partition, payoffs[i % 2]).values.tobytes()
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want * 2
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda op: pickle.loads(pickle.dumps(op))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_start_with_an_empty_memo(self, duplicate):
+        op = OneStepOperator(Entropic(BLOCK_MU))
+        f = block_case_payoff("entropic")
+        want = one_step(op, 0.25, f).values
+        twin = duplicate(op)
+        assert not hasattr(twin._memo, "stencil")
+        assert one_step(twin, 0.25, f).values.tobytes() == want.tobytes()
+        assert op._memo.stencil is not twin._memo.stencil
 
 
 # every grid-aligned model family, each under both grid-aligned scalings
@@ -557,13 +610,13 @@ class TestStencilReuse:
         op = OneStepOperator(model)
         f = plan_case_payoff("shift_sup", "constant")
         one_step(op, 0.2, f)
-        held = op._stencil
+        held = op._memo.stencil
         one_step(op, 0.1, f.replace_values(2.0 * f.values))
-        assert op._stencil is held
+        assert op._memo.stencil is held
         assert held.key == (f.grid.points_per_axis, f.grid.spacing, True)
         # the held stencil is no part of the operator's identity
         assert op == OneStepOperator(model)
-        assert "_stencil" not in repr(op)
+        assert "_memo" not in repr(op)
 
     @pytest.mark.parametrize("model", ["linear", "shift_sup", "centered_entropic"])
     def test_next_step_leaves_the_last_values_alone(self, model):

@@ -478,6 +478,13 @@ class TestErrorContract:
          "expectation.shifts"),
         ("clt_two_point_gaussian", "gheat_grid = 6,385", "gheat_grid = 6,384",
          "check.gheat_grid"),
+        # counts above MAX_POINTS, which fail before anything of their size
+        # is allocated (np.linspace would ask for about 8 TB)
+        ("lln_entropic_gaussian", "N = 513", "N = 1000000000001", "grid.N"),
+        ("lln_entropic_gaussian", "rate_z = 8,1601", "rate_z = 8,1000000000001",
+         "check.rate_z"),
+        ("clt_two_point_gaussian", "shifts = 0,1,33", "shifts = 0,1,1000000000001",
+         "expectation.shifts"),
         # a shift grid on which the penalty is infinite everywhere
         ("wasserstein_generator", "shifts = -2,2,257", "shifts = 3,4,2",
          "expectation.shifts"),
@@ -591,6 +598,17 @@ class TestErrorContract:
         assert field in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_point_counts_stop_at_max_points(self):
+        # MAX_POINTS passes and one more fails naming the field, read from
+        # the text alone: nothing of either size is built
+        top = cli.MAX_POINTS
+        fields = cli._Fields(cli._Config({"check": {"ok": f"8,{top}",
+                                                    "over": f"8,{top + 1}"}}), "check")
+        assert fields.radius_count("ok", None) == (8.0, top)
+        with pytest.raises(ConfigError, match="above MAX_POINTS") as info:
+            fields.radius_count("over", None)
+        assert info.value.field == "check.over"
 
     def test_negative_drift_amplitude_runs(self, tmp_path):
         # a sin x has Lipschitz bound |a|: a negative amplitude is a valid drift

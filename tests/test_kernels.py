@@ -179,6 +179,48 @@ def test_g_heat_matches_per_shift_loop(costs, steps):
     assert not np.array_equal(got, values)
 
 
+def lower_hull_sweep(z, g):
+    """The lower hull by the sequential sweep alone, the stack popped while
+    its top lies on or above the chord to the next finite point."""
+    hull = []
+    for i in np.flatnonzero(np.isfinite(g)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (g[b] - g[a]) * (z[i] - z[a]) >= (g[i] - g[a]) * (z[b] - z[a]):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return np.asarray(hull, dtype=np.int64)
+
+
+HULL_VALUES = {
+    # a random line plus 1e-15 noise: rounding decides every pop
+    "nearly_collinear": lambda z, rng: (rng.uniform(-2.0, 2.0) * z + rng.uniform(-1.0, 1.0)
+                                        + 1e-15 * rng.normal(size=z.size)),
+    "convex": lambda z, rng: rng.uniform(0.1, 3.0) * z ** 2,
+    # convex up to a random point, then anything
+    "convex_prefix": lambda z, rng: np.where(
+        np.arange(z.size) < rng.integers(0, z.size + 1), z ** 2, rng.normal(size=z.size)),
+    "random": lambda z, rng: rng.normal(size=z.size),
+}
+
+
+@pytest.mark.parametrize("kind", list(HULL_VALUES))
+def test_lower_hull_matches_the_sweep(kind):
+    # the convex-prefix pass gives the sweep's indices, with duplicate z
+    # and +inf entries among the points
+    rng = np.random.default_rng(list(HULL_VALUES).index(kind))
+    for _ in range(1500):
+        z = np.sort(rng.uniform(-5.0, 5.0, rng.integers(1, 200)))
+        if rng.random() < 0.3:
+            z = np.sort(np.concatenate([z, rng.choice(z, rng.integers(1, z.size + 1))]))
+        g = HULL_VALUES[kind](z, rng)
+        if rng.random() < 0.3:
+            g = np.where(rng.random(z.size) < 0.2, np.inf, g)
+        assert np.array_equal(K._lower_hull(z, g), lower_hull_sweep(z, g))
+
+
 def legendre_sweep(z, g, y):
     """g*(y_j) by one monotone sweep over the ascending dual grid: the
     maximizing hull vertex only moves right, one y_j at a time."""
