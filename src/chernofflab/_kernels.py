@@ -1,9 +1,9 @@
 """Hot numeric kernels in plain numpy.
 
-``pad`` extends 1D node values past the grid box, with the edge value
-(constant continuation) or the edge cells' linear extrapolation, into the
-array a ``ShiftStencil`` holds; it is the one place the extension rule is
-spelled out for whole arrays.
+``pad`` extends 1D node values past the grid box with the edge value, into
+the array a ``ShiftStencil`` holds: the constant continuation that every
+gather of the package applies, which keeps each gathered value a convex
+combination of node values and so keeps the Chernoff steps monotone.
 ``gather_plan`` is the multilinear gather on a uniform grid, d = 1 or 2: it
 computes the floor indices and interpolation weights of a set of query
 points once and returns a map from node values to the gathered values, so
@@ -18,8 +18,8 @@ transpose, so the models reduce contiguous rows per sample point.
 ``interp1`` is the one-shot 1D gather behind every 1D grid
 evaluation. ``shift_stencil`` is the gather at
 node-independent offsets (grid-aligned one-steps, the 1D Hopf-Lax
-candidates: under constant extension only those that can attain the
-supremum, which leaves the outputs unchanged), a ``ShiftStencil`` plan: a
+candidates: only those that can attain the supremum, which leaves the
+outputs unchanged), a ``ShiftStencil`` plan: a
 shifted slice of the padded values
 per offset; its ``mean`` entry takes weighted means over rows of offsets
 as one banded matrix product over those slices, with no gathered matrix.
@@ -68,26 +68,13 @@ WINDOW_BLOCK_VALUES = 1 << 15
 # piecewise-multilinear interpolation on a uniform grid
 # ---------------------------------------------------------------------------
 
-def pad(values, m, constant_ext, out):
-    """The n node ``values`` extended by ``m`` nodes on each side, written
-    into ``out`` (n + 2m entries) and returned.
-
-    The extension repeats the edge value (``constant_ext``) or continues the
-    edge cells linearly: node -k takes v[0] - k (v[1] - v[0]) and node
-    n - 1 + k takes v[n-1] + k (v[n-1] - v[n-2]), for k = 1 .. m.
-    """
+def pad(values, m, out):
+    """The n node ``values`` extended by ``m`` copies of the edge value on
+    each side, written into ``out`` (n + 2m entries) and returned."""
     n = values.shape[0]
-    top, bottom = out[:m], out[m + n:]
+    out[:m] = values[0]
     out[m:m + n] = values
-    if constant_ext:
-        top[...] = values[0]
-        bottom[...] = values[-1]
-    else:
-        steps = np.arange(1, m + 1)
-        np.multiply(values[1] - values[0], steps[::-1], out=top)
-        np.subtract(values[0], top, out=top)
-        np.multiply(values[-1] - values[-2], steps, out=bottom)
-        np.add(values[-1], bottom, out=bottom)
+    out[m + n:] = values[-1]
     return out
 
 
@@ -96,8 +83,11 @@ def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
 
     The grid has ``n`` nodes per axis from ``origin`` with ``spacing``; 1D
     queries may have any shape, 2D queries a trailing axis of length 2.
-    ``constant_ext`` selects constant continuation outside the grid box;
-    otherwise the edge cells extrapolate linearly. Returns ``apply`` with
+    ``constant_ext`` clips the queries to the grid box: the constant
+    continuation, which every package call asks for. Without it the edge
+    cells extrapolate linearly; the switch stays only because
+    ``perfbench/tracing.py`` binds the positional arguments of ``interp1``
+    and of the ``one_step_*`` references. Returns ``apply`` with
     ``apply(values)`` the interpolant of the node values at the queries,
     for any values on that grid. Its arithmetic runs in the order of a
     direct evaluation, so a plan applied many times gives the same bits as
@@ -155,11 +145,10 @@ def interp1(values, origin, spacing, queries, constant_ext):
     return gather_plan(origin, spacing, values.shape[0], queries, constant_ext)(values)
 
 
-def shift_stencil(values, spacing, constant_ext, held=None):
+def shift_stencil(values, spacing, held=None):
     """The :class:`ShiftStencil` of ``values``: ``held`` refilled in place
-    when it was built for the same node count, spacing and extension, else
-    a new one."""
-    key = (values.shape[0], spacing, constant_ext)
+    when it was built for the same node count and spacing, else a new one."""
+    key = (values.shape[0], spacing)
     if held is None or held.key != key:
         held = ShiftStencil(*key)
     return held.load(values)
@@ -168,13 +157,13 @@ def shift_stencil(values, spacing, constant_ext, held=None):
 class ShiftStencil:
     """Gather at node-independent offsets: ``stencil(c)[i, j] = f(x_i + c[j])``.
 
-    A plan over n nodes with ``spacing`` and one extension. It holds the
-    values padded by n nodes on each side (``pad``), which ``load`` refills
-    in place. With k = floor(c / spacing) and theta = c / spacing - k,
-    column j is then (1 - theta) p[i + k] + theta p[i + k + 1], two shifted
-    slices of the pad p, the same piecewise-linear interpolant ``interp1``
-    evaluates. Offsets beyond the box clamp k so that both slices lie in
-    the padding.
+    A plan over n nodes with ``spacing``. It holds the values padded by n
+    edge values on each side (``pad``), which ``load`` refills in place.
+    With k = floor(c / spacing) and theta = c / spacing - k, column j is
+    then (1 - theta) p[i + k] + theta p[i + k + 1], two shifted slices of
+    the pad p, the same piecewise-linear interpolant ``interp1`` evaluates.
+    Offsets beyond the box are clipped to it, so both slices lie in the
+    padding and read the edge value there.
 
     ``stencil.mean(c, w)``, with c of shape (L, m), is the weighted mean
     ``sum_j w[j] f(x_i + c[l, j])`` at every node i, shape (L, n). It is
@@ -191,8 +180,8 @@ class ShiftStencil:
     weights replace it.
     """
 
-    def __init__(self, n, spacing, constant_ext):
-        self.key = (n, spacing, constant_ext)
+    def __init__(self, n, spacing):
+        self.key = (n, spacing)
         self._pad = np.empty(3 * n)
         # windows[n + k] = p[k:k + n], the values shifted by k nodes, k in [-n, n]
         self._windows = sliding_window_view(self._pad, n)
@@ -200,17 +189,14 @@ class ShiftStencil:
 
     def load(self, values):
         """Refill the pad with ``values``, n nodes; returns the stencil."""
-        n, _, constant_ext = self.key
-        pad(values, n, constant_ext, self._pad)
+        pad(values, self.key[0], self._pad)
         return self
 
     def _cells(self, c):
         # window row of the lower cell node and the weight of the upper one
-        n, spacing, constant_ext = self.key
-        u = c / spacing
-        if constant_ext:
-            u = np.clip(u, -n, n - 1.0)
-        k = np.clip(np.floor(u), -n, n - 1.0)
+        n, spacing = self.key
+        u = np.clip(c / spacing, -n, n - 1.0)
+        k = np.floor(u)
         return n + k.astype(np.int64), u - k
 
     def __call__(self, c):

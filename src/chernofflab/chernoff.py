@@ -136,7 +136,7 @@ class OneStepOperator:
     """I(t) of ``model`` under ``scaling``; ``op(t, f)`` is ``one_step``.
 
     The operator keeps what its last step built, per thread, in ``_memo``:
-    ``plan``, the per-point gather plans (t, grid, extension, blocks) with
+    ``plan``, the per-point gather plans (t, grid, blocks) with
     one (sample points, plan) entry per node block, and ``stencil``, the
     grid-aligned stencil with its pad and last geometry. Both hold buffers
     that each step refills, so threads that step one operator each fill
@@ -167,7 +167,7 @@ def one_step(op, t, f):
     A scaling with no drift moves every node by the same offset scale * y,
     so in 1D the gather is a shifted-slice stencil; the operator keeps it
     for the calling thread, refilled with each step's values while the grid
-    and the extension stay the same, and the stencil keeps the geometry of
+    stays the same, and the stencil keeps the geometry of
     its last offsets and weights, so equal steps compute it once. Otherwise
     a node reads f only at its own points, so the step of a row-local model
     splits the nodes into B contiguous blocks, B = min(usable CPUs, nodes,
@@ -179,7 +179,7 @@ def one_step(op, t, f):
     every block has finished. A block's queries are laid out (k, block
     nodes) in 1D and (k, block nodes, 2) in 2D, and its gather's geometry
     is a plan that the operator keeps for the calling thread and reuses
-    while t, the grid, the extension and the sample points stay the same,
+    while t, the grid and the sample points stay the same,
     as they do over the full steps of one partition; such steps do not
     compute the scaling's base either. A plan's output is its own held
     buffer, which the next gather overwrites; a model's reduction reads it
@@ -211,11 +211,10 @@ def one_step(op, t, f):
         k = op.model.measure.atoms.shape[0]
         count = (min(_CPUS, nodes, max(1, k // g.columns_per_block))
                  if op.model.row_local else 1)
-        key = (t, g, f.extension)
         held = getattr(op._memo, "plan", None)
-        if not (held is not None and held[:3] == key and len(held[3]) == count):
-            held = op._memo.plan = (*key, [None] * count)
-        plans = held[3]
+        if not (held is not None and held[:2] == (t, g) and len(held[2]) == count):
+            held = op._memo.plan = (t, g, [None] * count)
+        plans = held[2]
 
         def gather(b, y):
             entry = plans[b]

@@ -13,8 +13,9 @@ its artifacts; ``run_config_text`` alone writes files, after the run
 returns, so a parse, output-path or validation error writes nothing.
 
 Each rule is written once. The constructors (``Grid``, ``GrowthWeight``,
-``Shortfall``, ``ShiftSup``, ``DiscreteMeasure``, ``PenaltyFunction``) and
-``limits.poly_power`` own the rules on their arguments, and
+``Shortfall``, ``ShiftSup``, ``DiscreteMeasure``, ``PenaltyFunction``,
+``gauss_hermite``), ``limits.poly_power`` and ``limits.lattice_scale`` own
+the rules on their arguments, and
 ``_Fields.build`` reports a broken one against the field it came from;
 the readers own only what no constructor checks: parsing, finiteness and
 the ranges that make a check able to fail.
@@ -36,10 +37,10 @@ from .errors import ConfigError, InputError, write_csv
 from .expectations import (DiscreteMeasure, Entropic, Linear, PenaltyFunction,
                            ShiftSup, Shortfall, SymmetricTwoPointSup,
                            gauss_hermite)
-from .grid import EXTENSIONS, Grid, GridFunction, GrowthWeight
+from .grid import Grid, GridFunction, GrowthWeight
 from .hopflax import conjugate_rate, envelope, hopf_lax
-from .limits import (generator_check, interpolation_floor, ld_rate, poly_power,
-                     poly_rate, require_centered)
+from .limits import (generator_check, interpolation_floor, lattice_scale, ld_rate,
+                     poly_power, poly_rate, require_centered)
 from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
 
 # the most node updates (march steps x nodes) a PDE oracle may take, about
@@ -51,6 +52,13 @@ MAX_MARCH_WORK = 10 ** 9
 # times the largest count a built-in uses (2,401): a count above it fails
 # while its field is read, before an array of that size is allocated
 MAX_POINTS = 10 ** 6
+
+
+def _capped(count):
+    """``count`` if it is at most ``MAX_POINTS``, else InputError."""
+    if count > MAX_POINTS:
+        raise InputError(f"count {count:g} is above MAX_POINTS = {MAX_POINTS:.0e}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +178,7 @@ class _Fields:
 
     def points(self, key, count):
         """``count`` if it is at most ``MAX_POINTS``, else fail on ``key``."""
-        if count > MAX_POINTS:
-            self._fail(key, f"count {count:g} is above MAX_POINTS = {MAX_POINTS:.0e}")
-        return count
+        return self.build(key, _capped, count)
 
     def radius_count(self, key, default):
         """The r > 0 and whole count >= 2 of an ``r,count`` field, the count
@@ -226,7 +232,7 @@ _MEASURES = {
         [(float(a), float(w)) for a, w in (p.split(":") for p in pairs)]),
 }
 _PENALTIES = {
-    "quadratic": lambda r, n="129": PenaltyFunction.quadratic(float(r), int(n)),
+    "quadratic": lambda r, n="129": PenaltyFunction.quadratic(float(r), _capped(int(n))),
     "indicator": lambda r: PenaltyFunction.indicator(float(r)),
 }
 
@@ -307,16 +313,13 @@ def _build_payoff(sections):
     # can only be R's
     fields.build("N", Grid, 1.0, n)
     grid = fields.build("R", Grid, r, n)
-    ext = fields.str_("extension", "constant")
-    if ext not in EXTENSIONS:
-        fields._fail("extension", f"must be one of {EXTENSIONS}, got {ext!r}")
     weight = fields.build("weight", GrowthWeight, fields.number("weight", 0, cast=int))
     fn = _payoff_callable(sections)
     # finite parameters can still overflow the payoff on the grid: sample
     # quietly, and let the rule that the values be finite name the family
     with np.errstate(all="ignore"):
         f = _Fields(sections, "payoff").build("family", GridFunction.sample,
-                                              grid, fn, ext, weight)
+                                              grid, fn, weight)
     return f, fn
 
 
@@ -391,9 +394,10 @@ def _tail_event(sections):
 
     No average of the atoms exceeds the largest atom, so a threshold above
     it leaves the event X_n >= threshold empty for every n and fails here,
-    before the exact-tail DP."""
+    before the exact-tail DP, as do atoms off the DP's lattice."""
     sset = _Fields(sections, "set")
     measure = _build_model(sections).measure
+    _Fields(sections, "expectation").build("measure", lattice_scale, measure.atoms[:, 0])
     threshold = sset.number("threshold")
     top = float(measure.atoms[:, 0].max())
     if threshold > top:

@@ -36,7 +36,6 @@ sign = -1
 [grid]
 R = 8
 N = 513
-extension = constant
 weight = 1
 
 [schedule]
@@ -125,7 +124,6 @@ clip = 36
 [grid]
 R = 8
 N = 257
-extension = constant
 weight = 2
 
 [schedule]
@@ -159,7 +157,6 @@ clip = 6
 [grid]
 R = 6
 N = 1537
-extension = constant
 weight = 2
 
 [schedule]
@@ -195,7 +192,6 @@ family = sin
 [grid]
 R = 4
 N = 1025
-extension = constant
 weight = 1
 
 [schedule]
@@ -228,7 +224,6 @@ family = sin
 [grid]
 R = 4
 N = 1025
-extension = constant
 weight = 1
 
 [schedule]
@@ -264,7 +259,6 @@ clip = 36
 [grid]
 R = 8
 N = 2049
-extension = constant
 weight = 2
 
 [schedule]
@@ -298,7 +292,6 @@ value = 3
 [grid]
 R = 4
 N = 513
-extension = constant
 weight = 1
 
 [schedule]
@@ -332,7 +325,6 @@ family = sin
 [grid]
 R = 8
 N = 2049
-extension = constant
 weight = 1
 
 [schedule]
@@ -366,7 +358,6 @@ sign = -1
 [grid]
 R = 4
 N = 2049
-extension = constant
 weight = 1
 
 [check]

@@ -43,6 +43,10 @@ SHORTFALL_TOL = 1e-10
 CENTERING_PROBES = (1.0, -1.0, 2.0, -2.0)
 CENTERING_GRID = np.arange(-80, 81) / 20.0
 CENTERING_GRID.flags.writeable = False
+# the most Gauss-Hermite atoms: numpy's hermgauss weights underflow to
+# subnormals near 370 atoms and turn to NaN after that (numpy 2.4), and its
+# companion matrix grows as the square of the count
+GAUSS_HERMITE_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,11 @@ class DiscreteMeasure:
 
 
 def gauss_hermite(n_nodes, mean=0.0, std=1.0):
-    """Gaussian N(mean, std^2) as Gauss-Hermite quadrature atoms."""
+    """Gaussian N(mean, std^2) as Gauss-Hermite quadrature atoms, 1 to
+    ``GAUSS_HERMITE_MAX`` of them."""
+    if not 1 <= n_nodes <= GAUSS_HERMITE_MAX:
+        raise InputError(f"gauss_hermite takes 1 to {GAUSS_HERMITE_MAX} atoms, "
+                         f"got {n_nodes}")
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     return DiscreteMeasure(mean + std * np.sqrt(2.0) * x, w / np.sqrt(np.pi))
 

@@ -3,10 +3,14 @@ differences.
 
 Functions live on a symmetric box [-R, R]^d (d = 1 or 2) with an odd number
 of nodes per axis so that the origin is always a node. Evaluation between
-nodes is piecewise multilinear; outside the box either constant or linear
-continuation applies. Finite differences are one-dimensional, as the
-generator checks and the CLI's slope probes that take them are. All
-containers are immutable after construction and every operation is pure.
+nodes is piecewise multilinear; outside the box the value of the nearest
+boundary point continues constantly. Each evaluated value is then a convex
+combination of node values, so a Chernoff step built on it stays monotone,
+which its limit needs (the comparison principle); a linear extrapolation
+would put a negative weight on a node. Finite differences are
+one-dimensional, as the generator checks and the CLI's slope probes that
+take them are. All containers are immutable after construction and every
+operation is pure.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +20,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, freeze, write_csv
-
-EXTENSIONS = ("constant", "linear")
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,9 @@ class GridFunction:
 
     grid: Grid
     values: np.ndarray
-    extension: str = "constant"
     weight: GrowthWeight = field(default_factory=GrowthWeight)
 
     def __post_init__(self):
-        if self.extension not in EXTENSIONS:
-            raise InputError(f"extension must be one of {EXTENSIONS}")
         vals = np.asarray(self.values, dtype=float)
         n = self.grid.points_per_axis
         shape = (n,) if self.grid.dimension == 1 else (n, n)
@@ -114,7 +113,7 @@ class GridFunction:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def sample(cls, grid, fn, extension="constant", weight=GrowthWeight()):
+    def sample(cls, grid, fn, weight=GrowthWeight()):
         """Sample a callable at the grid nodes."""
         if grid.dimension == 1:
             vals = np.asarray(fn(grid.axis), dtype=float)
@@ -122,10 +121,10 @@ class GridFunction:
             ax = grid.axis
             xx, yy = np.meshgrid(ax, ax, indexing="ij")
             vals = np.asarray(fn(xx, yy), dtype=float)
-        return cls(grid, vals, extension, weight)
+        return cls(grid, vals, weight)
 
     def replace_values(self, values):
-        return GridFunction(self.grid, values, self.extension, self.weight)
+        return GridFunction(self.grid, values, self.weight)
 
     # -- evaluation --------------------------------------------------------
 
@@ -141,18 +140,17 @@ class GridFunction:
         g = self.grid
         if g.dimension == 1:
             return _kernels.interp1(self.values, -g.half_width, g.spacing,
-                                    np.atleast_1d(q), self.extension == "constant"
-                                    ).reshape(np.shape(x))
+                                    np.atleast_1d(q), True).reshape(np.shape(x))
         if q.shape[-1] != 2:
             raise InputError("2D grid functions take points with trailing axis 2")
         return self.gather_plan(q)(self.values)
 
     def gather_plan(self, q):
         """The gather at the points ``q`` as a reusable map from node values
-        on this grid, under this function's extension, to values at ``q``."""
+        on this grid to values at ``q``."""
         g = self.grid
         return _kernels.gather_plan(-g.half_width, g.spacing, g.points_per_axis, q,
-                                    self.extension == "constant", g.dimension)
+                                    True, g.dimension)
 
     def stencil(self, held=None):
         """The 1D gather at node-independent offsets, ``stencil(c)[i, j] =
@@ -161,9 +159,8 @@ class GridFunction:
         offsets ``c`` without gathering them. ``held``, a stencil an earlier
         call returned, is refilled with these values in place and returned,
         with the geometry of its last offsets, when it was built for this
-        grid and extension; otherwise a new stencil is built."""
-        return _kernels.shift_stencil(self.values, self.grid.spacing,
-                                      self.extension == "constant", held)
+        grid; otherwise a new stencil is built."""
+        return _kernels.shift_stencil(self.values, self.grid.spacing, held)
 
     # -- norms ---------------------------------------------------------------
 
@@ -203,12 +200,13 @@ class GridFunction:
     # -- serialization ---------------------------------------------------------
 
     def to_csv(self, path):
-        """One row per node: x[,y],value; header records the grid metadata."""
+        """One row per node: x[,y],value; header records the grid metadata
+        and the constant continuation past the box."""
         g = self.grid
         write_csv(path, "x,value" if g.dimension == 1 else "x,y,value",
                   *g.nodes().T, self.values.ravel(),
                   preamble=f"# R={g.half_width:.12g} N={g.points_per_axis} "
-                           f"d={g.dimension} extension={self.extension} "
+                           f"d={g.dimension} extension=constant "
                            f"weight={self.weight.exponent}\n")
 
 

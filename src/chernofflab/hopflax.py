@@ -79,12 +79,12 @@ def hopf_lax(f, t, rate):
     """sup over the rate grid of f(x + t y) - phi(y) t, per node x.
 
     Infinite rate entries are skipped. t = 0 returns f unchanged; t must
-    be finite. Under constant extension every gathered value lies in
-    [min f, max f], so a candidate with t (phi(y) - min phi) above
-    max f - min f (plus a slack far above rounding) loses to the minimiser
-    of phi at every node; such candidates are dropped before the gather,
-    and the result is the same float at every node. Linear extension keeps
-    every candidate, since its interpolant is unbounded.
+    be finite. The grid function continues constantly past its box, so
+    every gathered value lies in [min f, max f], and a candidate with
+    t (phi(y) - min phi) above max f - min f (plus a slack far above
+    rounding) loses to the minimiser of phi at every node; such candidates
+    are dropped before the gather, and the result is the same float at
+    every node.
 
     The kept candidates are gathered and maxed in blocks of
     ``Grid.columns_per_block``: the value budget that also sizes a shift
@@ -97,20 +97,19 @@ def hopf_lax(f, t, rate):
     if t == 0.0:
         return f
     ys, phis = _candidates(rate)
-    if f.extension == "constant":
-        # Each gathered value is a convex combination of node values, so it
-        # lies in [lo, hi] up to a few ulps of max|f|. A dropped candidate
-        # scores at most hi - t phi(y) < lo - t min(phi) - slack at every
-        # node, and the minimiser of phi, always kept, at least
-        # lo - t min(phi). Rounding moves either score, and the rule, by a
-        # few ulps of max|f| + t max(phi), a millionth of the slack, so no
-        # dropped candidate is the maximiser after rounding either, and the
-        # max over the kept candidates is the same float.
-        lo, hi = np.min(f.values), np.max(f.values)
-        pmin = np.min(phis)
-        slack = 1e-9 * (1.0 + max(-lo, hi) + t * np.max(phis))
-        keep = t * (phis - pmin) <= (hi - lo) + slack
-        ys, phis = ys[keep], phis[keep]
+    # Each gathered value is a convex combination of node values, so it
+    # lies in [lo, hi] up to a few ulps of max|f|. A dropped candidate
+    # scores at most hi - t phi(y) < lo - t min(phi) - slack at every
+    # node, and the minimiser of phi, always kept, at least
+    # lo - t min(phi). Rounding moves either score, and the rule, by a
+    # few ulps of max|f| + t max(phi), a millionth of the slack, so no
+    # dropped candidate is the maximiser after rounding either, and the
+    # max over the kept candidates is the same float.
+    lo, hi = np.min(f.values), np.max(f.values)
+    pmin = np.min(phis)
+    slack = 1e-9 * (1.0 + max(-lo, hi) + t * np.max(phis))
+    keep = t * (phis - pmin) <= (hi - lo) + slack
+    ys, phis = ys[keep], phis[keep]
     if f.grid.dimension == 1:
         # every node is queried at the same offsets t * y: a shift stencil
         stencil = f.stencil()

@@ -140,7 +140,9 @@ def brute_force_functional(model, scaling, f, n):
 # exact tail probabilities by dynamic programming
 # ---------------------------------------------------------------------------
 
-def _lattice_scale(values):
+def lattice_scale(values):
+    """The least denominator d <= 64 with every value on the lattice Z / d,
+    which the exact tail DP walks, else InputError."""
     for d in _LATTICE_DENOMS:
         scaled = values * d
         if np.all(np.abs(scaled - np.round(scaled)) < 1e-9):
@@ -161,7 +163,7 @@ def exact_tail_probabilities(measure, threshold, n_grid):
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise InputError("n grid must be strictly increasing positive integers")
     atoms = measure.atoms[:, 0]
-    d = _lattice_scale(atoms)
+    d = lattice_scale(atoms)
     ints = np.round(atoms * d).astype(np.int64)
     lo = int(ints.min())
     kernel = np.bincount(ints - lo, measure.weights)

@@ -85,7 +85,7 @@ class TestOneStep:
         a, t = 0.75, 0.4
         mu = two_point()
         g = Grid(8.0, 513)
-        f = GridFunction.sample(g, lambda x: a * x, extension="linear")
+        f = GridFunction.sample(g, lambda x: a * x)
         op = OneStepOperator(Entropic(mu), FirstOrderAffine())
         u = one_step(op, t, f)
         interior = np.abs(g.axis) <= 4.0
@@ -172,13 +172,15 @@ class TestOneStep:
 
 class TestIterate:
     def test_remainder_applied_first(self):
-        # remainder-first composition: I(h)^k I(rem); with a drift-only model
-        # the order is observable through the constant-continuation boundary
+        # remainder-first composition: I(h)^k I(rem) of a drift by 1. The
+        # steps 0.1, 0.3, 0.3, 0.3 read u at x + 0.3, x + 0.6, x + 0.9 and
+        # f at x + 1; a node x <= 1/4 reads only the nodes that the constant
+        # continuation at x = 2 has not reached, where u is still affine
         g = Grid(2.0, 17)
-        f = GridFunction.sample(g, lambda x: x, extension="linear")
+        f = GridFunction.sample(g, lambda x: x)
         op = OneStepOperator(Linear(DiscreteMeasure(np.array([1.0]), np.array([1.0]))))
         u = iterate(op, Partition(1.0, 0.3), f)
-        interior = np.abs(g.axis) <= 0.5
+        interior = np.abs(g.axis) <= 0.25
         assert np.allclose(u.values[interior], g.axis[interior] + 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 4, 16, 64])
@@ -230,24 +232,21 @@ PLAN_CASES = {
 }
 
 
-def plan_case_payoff(case, extension):
+def plan_case_payoff(case):
     if case.endswith("_2d"):
-        return GridFunction.sample(PLAN_GRID_2D, lambda x, y: np.sin(x) + 0.3 * x * y,
-                                   extension=extension)
-    return GridFunction.sample(Grid(4.0, 65), lambda x: np.sin(x) + 0.2 * x**2,
-                               extension=extension)
+        return GridFunction.sample(PLAN_GRID_2D, lambda x, y: np.sin(x) + 0.3 * x * y)
+    return GridFunction.sample(Grid(4.0, 65), lambda x: np.sin(x) + 0.2 * x**2)
 
 
 class TestPlanReuse:
     """The per-point gather plan is reused across a partition's equal steps."""
 
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
     @pytest.mark.parametrize("case", list(PLAN_CASES))
-    def test_iterate_equals_fresh_one_steps(self, case, extension):
+    def test_iterate_equals_fresh_one_steps(self, case):
         # horizon 0.9 with step 0.2: a remainder step of t = 0.1, then four
         # full steps; each fresh operator builds its own plan
         model, scaling = PLAN_CASES[case]
-        f = plan_case_payoff(case, extension)
+        f = plan_case_payoff(case)
         partition = Partition(0.9, 0.2)
         want = f
         for t in [partition.remainder] + [partition.step] * partition.full_steps:
@@ -262,18 +261,18 @@ class TestPlanReuse:
                             lambda *args: builds.append(1) or gather_plan(*args))
         model, scaling = PLAN_CASES["perturbed_entropic"]
         op = OneStepOperator(model, scaling)
-        f = plan_case_payoff("perturbed_entropic", "constant")
+        f = plan_case_payoff("perturbed_entropic")
         iterate(op, Partition(1.0, 1.0 / 16), f)
         assert len(builds) == 1
         # a remainder step has its own t: one plan for it, one for the rest
         builds.clear()
         iterate(op, Partition(0.9, 0.2), f)
         assert len(builds) == 2
-        # another grid or extension is never served the held plan: each of
-        # the three calls builds one for op and one for the fresh operator
+        # another grid is never served the held plan: each of the three
+        # calls builds one for op and one for the fresh operator
         builds.clear()
-        for g in (plan_case_payoff("perturbed_entropic", "linear"), f,
-                  GridFunction.sample(Grid(4.0, 33), np.sin)):
+        for g in (GridFunction.sample(Grid(4.0, 33), np.sin), f,
+                  GridFunction.sample(Grid(2.0, 65), np.sin)):
             got = one_step(op, 0.2, g)
             assert np.array_equal(got.values,
                                   one_step(OneStepOperator(model, scaling), 0.2, g).values)
@@ -284,16 +283,16 @@ class TestPlanReuse:
         monkeypatch.setattr(chernoff, "_CPUS", 3)
         op = OneStepOperator(Entropic(BLOCK_MU), scaling)
         iterate(op, Partition(1.0, 1.0 / 16), GridFunction.sample(BLOCK_GRID, np.sin))
-        assert len(builds) == len(op._memo.plan[3]) == 3
+        assert len(builds) == len(op._memo.plan[2]) == 3
 
     def test_operator_holds_one_plan(self):
         model, scaling = PLAN_CASES["perturbed_shift_sup"]
         op = OneStepOperator(model, scaling)
-        f = plan_case_payoff("perturbed_shift_sup", "constant")
+        f = plan_case_payoff("perturbed_shift_sup")
         one_step(op, 0.2, f)
         # 65 nodes x 2 points take one node block, with one plan
-        t, grid, extension, ((points, _),) = op._memo.plan
-        assert (t, grid, extension) == (0.2, f.grid, "constant")
+        t, grid, ((points, _),) = op._memo.plan
+        assert (t, grid) == (0.2, f.grid)
         assert points.shape[1] == 1
         # the held plan is no part of the operator's identity
         assert op == OneStepOperator(model, scaling)
@@ -305,7 +304,7 @@ class TestPlanReuse:
         # result may share it
         model, scaling = PLAN_CASES[case]
         op = OneStepOperator(model, scaling)
-        u = one_step(op, 0.2, plan_case_payoff(case, "constant"))
+        u = one_step(op, 0.2, plan_case_payoff(case))
         held = u.values.copy()
         v = one_step(op, 0.2, u)
         assert op._memo.plan[0] == 0.2
@@ -362,7 +361,7 @@ class TestNodeBlocks:
         f = block_case_payoff(case)
         op = OneStepOperator(model, scaling)
         got = one_step(op, 1.0 / 16, f).values
-        assert len(op._memo.plan[3]) == min(cpus, 3 if case.endswith("_2d") else 4)
+        assert len(op._memo.plan[2]) == min(cpus, 3 if case.endswith("_2d") else 4)
         assert got.tobytes() == one_block_step(model, scaling, 1.0 / 16, f).tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -381,7 +380,7 @@ class TestNodeBlocks:
         for t in (1.0 / 16, 0.5):
             op = OneStepOperator(model, scaling)
             got = one_step(op, t, f).values
-            assert len(op._memo.plan[3]) == 1
+            assert len(op._memo.plan[2]) == 1
             assert got.tobytes() == one_block_step(model, scaling, t, f).tobytes()
 
     def test_steps_below_the_threshold_build_no_pool(self, monkeypatch):
@@ -540,14 +539,13 @@ def count_geometry_builds(monkeypatch):
 class TestStencilReuse:
     """The grid-aligned stencil and its geometry are reused across equal steps."""
 
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
     @pytest.mark.parametrize("scaling", list(STENCIL_SCALINGS))
     @pytest.mark.parametrize("model", list(STENCIL_MODELS))
-    def test_iterate_equals_fresh_one_steps(self, model, scaling, extension):
+    def test_iterate_equals_fresh_one_steps(self, model, scaling):
         # horizon 0.9 with step 0.2: a remainder step of t = 0.1, then four
         # full steps; each fresh operator builds its own stencil
         parts = (STENCIL_MODELS[model], STENCIL_SCALINGS[scaling])
-        f = plan_case_payoff(model, extension)
+        f = plan_case_payoff(model)
         partition = Partition(0.9, 0.2)
         want = f
         for t in [partition.remainder] + [partition.step] * partition.full_steps:
@@ -563,25 +561,24 @@ class TestStencilReuse:
         monkeypatch.setattr(_kernels.ShiftStencil, "__init__",
                             lambda self, *key: plans.append(key) or stencil_init(self, *key))
         op = OneStepOperator(STENCIL_MODELS[model], SecondOrder())
-        f = plan_case_payoff(model, "constant")
+        f = plan_case_payoff(model)
         iterate(op, Partition(1.0, 1.0 / 16), f)
         assert len(builds) == 1
         # a remainder step has its own t: one geometry for it, one for the rest
         builds.clear()
         iterate(op, Partition(0.9, 0.2), f)
         assert len(builds) == 2
-        # one grid and extension: one stencil over both partitions
+        # one grid: one stencil over both partitions
         assert len(plans) == 1
 
     def test_changes_are_never_served_a_stale_geometry(self, monkeypatch):
         builds = count_geometry_builds(monkeypatch)
         model = STENCIL_MODELS["symmetric_sup"]
         op = OneStepOperator(model, SecondOrder())
-        f = plan_case_payoff("symmetric_sup", "constant")
-        # another t, extension, node count or spacing (same node count) each
-        # gets its own geometry, and so does the return to the first case
-        cases = [(0.2, f), (0.1, f), (0.1, plan_case_payoff("symmetric_sup", "linear")),
-                 (0.1, GridFunction.sample(Grid(4.0, 33), np.sin)),
+        f = plan_case_payoff("symmetric_sup")
+        # another t, node count or spacing (same node count) each gets its
+        # own geometry, and so does the return to the first case
+        cases = [(0.2, f), (0.1, f), (0.1, GridFunction.sample(Grid(4.0, 33), np.sin)),
                  (0.1, GridFunction.sample(Grid(3.0, 33), np.sin)), (0.2, f)]
         for t, g in cases:
             got = one_step(op, t, g)
@@ -590,11 +587,10 @@ class TestStencilReuse:
         # two builds per case: one for op, one for the fresh operator
         assert len(builds) == 2 * len(cases)
 
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
-    def test_changed_offsets_or_weights_rebuild(self, extension):
+    def test_changed_offsets_or_weights_rebuild(self):
         # both entries of one held stencil against fresh stencils, with the
         # offsets, the clouds or the weights changed between calls
-        f = plan_case_payoff("linear", extension)
+        f = plan_case_payoff("linear")
         held = f.stencil()
         c = np.array([0.0, 0.31, -0.7, 5.0])
         clouds = np.array([[0.1, -0.2, 0.45], [1.3, -0.9, 0.0]])
@@ -608,12 +604,12 @@ class TestStencilReuse:
     def test_operator_holds_one_stencil(self):
         model = STENCIL_MODELS["shift_sup"]
         op = OneStepOperator(model)
-        f = plan_case_payoff("shift_sup", "constant")
+        f = plan_case_payoff("shift_sup")
         one_step(op, 0.2, f)
         held = op._memo.stencil
         one_step(op, 0.1, f.replace_values(2.0 * f.values))
         assert op._memo.stencil is held
-        assert held.key == (f.grid.points_per_axis, f.grid.spacing, True)
+        assert held.key == (f.grid.points_per_axis, f.grid.spacing)
         # the held stencil is no part of the operator's identity
         assert op == OneStepOperator(model)
         assert "_memo" not in repr(op)
@@ -623,7 +619,7 @@ class TestStencilReuse:
         # the stencil refills its pad on every step; no step result may
         # share it
         op = OneStepOperator(STENCIL_MODELS[model], SecondOrder())
-        u = one_step(op, 0.2, plan_case_payoff(model, "linear"))
+        u = one_step(op, 0.2, plan_case_payoff(model))
         held = u.values.copy()
         v = one_step(op, 0.2, u)
         assert np.array_equal(u.values, held)
@@ -646,8 +642,7 @@ def row_layout_step(model, scaling, f, t):
     def gather(y):
         if g.dimension == 1:
             return _kernels.interp1(f.values, -g.half_width, g.spacing,
-                                    base[:, None] + scale * y[:, 0],
-                                    f.extension == "constant")
+                                    base[:, None] + scale * y[:, 0], True)
         return f.eval(base[:, None] + scale * y)
     return model.reduce(gather, t).reshape(f.values.shape)
 
@@ -655,11 +650,10 @@ def row_layout_step(model, scaling, f, t):
 class TestColumnLayout:
     """Per-point steps gather (k, nodes) and reduce the column-major transpose."""
 
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
     @pytest.mark.parametrize("case", list(ROW_LAYOUT_CASES))
-    def test_agrees_with_the_row_layout(self, case, extension):
+    def test_agrees_with_the_row_layout(self, case):
         model = ROW_LAYOUT_CASES[case]
-        f = plan_case_payoff(case, extension)
+        f = plan_case_payoff(case)
         # only the order of each k-term sum may differ
         for t in (0.2, 1.0 / 64):
             got = one_step(OneStepOperator(model, DRIFT), t, f).values
@@ -678,7 +672,7 @@ class TestColumnLayout:
                     return vals
                 return super().reduce(seen, t)
         model = Spy(PLAN_CASES[case][0].measure)
-        f = plan_case_payoff(case, "constant")
+        f = plan_case_payoff(case)
         one_step(OneStepOperator(model, DRIFT), 0.2, f)
         assert layouts == [True]
 

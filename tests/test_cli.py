@@ -485,6 +485,16 @@ class TestErrorContract:
          "check.rate_z"),
         ("clt_two_point_gaussian", "shifts = 0,1,33", "shifts = 0,1,1000000000001",
          "expectation.shifts"),
+        ("wasserstein_generator", "penalty = quadratic(2, 129)",
+         "penalty = quadratic(2, 1000000000001)", "expectation.penalty"),
+        # atom counts that gauss_hermite refuses: a count numpy cannot
+        # allocate, one under MAX_POINTS whose companion matrix would take
+        # 65.5 TiB, and one whose weights numpy gives as NaN, with warnings
+        *[("lln_entropic_gaussian", "gauss_hermite(64)", f"gauss_hermite({n})",
+           "expectation.measure") for n in (1000000000001, 3000000, 400)],
+        # atoms off the exact-tail lattice, once caught inside the DP
+        *[(name, "atoms(-1:0.5, 1:0.5)", "atoms(-1:0.5, 0.7071:0.5)",
+           "expectation.measure") for name in ("cramer_bernoulli", "poly_rate_bernoulli")],
         # a shift grid on which the penalty is infinite everywhere
         ("wasserstein_generator", "shifts = -2,2,257", "shifts = 3,4,2",
          "expectation.shifts"),
@@ -499,6 +509,8 @@ class TestErrorContract:
         # keys and payoff families that no longer exist
         ("pde_crosscheck_hj", "p_grid = 12,971", "p_grid = 12,971\nhorizon = 1",
          "check.horizon"),
+        ("lln_entropic_gaussian", "N = 513", "N = 513\nextension = constant",
+         "grid.extension"),
         ("lln_entropic_gaussian", "uniform = 4,8,16,32,64,128",
          "uniform = 4,8,16,32,64,128\ndyadic_base = 0.75", "schedule.dyadic_base"),
         ("clt_two_point_gaussian", "n = 16,32,64,128",
@@ -683,6 +695,8 @@ class TestErrorContract:
         ("envelope_perturbed", "z_grid = 8,1601", "z_grid = 8,1600", "check.z_grid"),
         ("pde_crosscheck_hj", "p_grid = 12,971", "p_grid = 12,971\nhorizon = 1",
          "check.horizon"),
+        ("lln_entropic_gaussian", "N = 513", "N = 513\nextension = constant",
+         "grid.extension"),
         ("lln_entropic_gaussian", "uniform = 4,8,16,32,64,128",
          "uniform = 4,8,16,32,64,128\ndyadic_base = 0.75", "schedule.dyadic_base"),
         ("clt_two_point_gaussian", "n = 16,32,64,128",
@@ -691,6 +705,8 @@ class TestErrorContract:
          "payoff.family"),
         ("generator_affine_drift", "family = sin", "family = indicator_approx",
          "payoff.family"),
+        *[(name, "atoms(-1:0.5, 1:0.5)", "atoms(-1:0.5, 0.7071:0.5)",
+           "expectation.measure") for name in ("cramer_bernoulli", "poly_rate_bernoulli")],
         # marches of 4.9e7 Lax-Friedrichs steps x 2,049 nodes and of 7.4e10
         # G-heat steps x 385 nodes, each hours long, and time steps that
         # underflow to 0, with no step count at all

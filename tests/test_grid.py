@@ -89,11 +89,6 @@ class TestEval:
         assert f.eval(10.0) == 2.0
         assert f.eval(-10.0) == -2.0
 
-    def test_linear_continuation(self):
-        f = make(lambda x: x, R=2.0, N=5, extension="linear")
-        assert f.eval(10.0) == pytest.approx(10.0)
-        assert f.eval(-3.5) == pytest.approx(-3.5)
-
     def test_nonfinite_point_rejected(self):
         f = make(np.sin)
         with pytest.raises(InputError):
@@ -285,12 +280,11 @@ class TestFiniteDifferences:
 class TestSerialization:
     def test_csv_bytes(self, tmp_path):
         # the artifact layout: a metadata header, a column line, %.12g rows
-        f = GridFunction(Grid(2.5, 3), np.array([1.0, 0.0, 1 / 3]), "linear",
-                         GrowthWeight(1))
+        f = GridFunction(Grid(2.5, 3), np.array([1.0, 0.0, 1 / 3]), GrowthWeight(1))
         path = tmp_path / "f.csv"
         f.to_csv(path)
         assert path.read_text() == (
-            "# R=2.5 N=3 d=1 extension=linear weight=1\n"
+            "# R=2.5 N=3 d=1 extension=constant weight=1\n"
             "x,value\n-2.5,1\n0,0\n2.5,0.333333333333\n")
 
     def test_csv_bytes_2d(self, tmp_path):

@@ -170,32 +170,28 @@ class TestHopfLax:
         assert np.all(u.values[interior] >= shifted.values[interior] - 1e-12)
 
     @pytest.mark.parametrize("t", [0.3, 1.0])
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
-    def test_1d_matches_per_point_gather(self, extension, t):
+    def test_1d_matches_per_point_gather(self, t):
         # the shift stencil against interp1 at every node and candidate; the
         # candidates t * y reach beyond the box [-4, 4] on both sides, span
         # more than one chunk and include infinite (skipped) rate entries
         g = Grid(4.0, 129)
-        f = GridFunction.sample(g, lambda x: np.sin(2.0 * x) + 0.1 * x**2,
-                                extension=extension)
+        f = GridFunction.sample(g, lambda x: np.sin(2.0 * x) + 0.1 * x**2)
         y = np.linspace(-12.0, 12.0, 601)
         phi = 0.05 * y**2
         phi[::7] = np.inf
         got = hopf_lax(f, t, RateFunction(y, phi)).values
         fin = np.isfinite(phi)
         gathered = K.interp1(f.values, -g.half_width, g.spacing,
-                             g.axis[:, None] + t * y[fin], extension == "constant")
+                             g.axis[:, None] + t * y[fin], True)
         want = (gathered - t * phi[fin]).max(axis=1)
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
-    def test_2d_matches_per_chunk_eval(self, extension):
+    def test_2d_matches_per_chunk_eval(self):
         # against a plain per-block eval of the candidates, bit for bit;
         # 528 finite candidates make five blocks of at most 113 (the value
         # budget over 289 nodes) and reach beyond the box
         g = Grid(2.0, 17, dimension=2)
-        f = GridFunction.sample(g, lambda x, y: np.sin(x) * np.cos(2 * y) + 0.1 * x * y,
-                                extension=extension)
+        f = GridFunction.sample(g, lambda x, y: np.sin(x) * np.cos(2 * y) + 0.1 * x * y)
         r = np.linspace(0.0, 3.0, 33)
         rate = RateFunction(r, r**2 / 2, radial=True, directions=16)
         t = 0.7
@@ -228,8 +224,8 @@ class TestHopfLax:
 
 
 class TestHopfLaxPruning:
-    """Under constant extension hopf_lax drops the candidates that cannot
-    attain the supremum; the values stay those of the exhaustive max."""
+    """hopf_lax drops the candidates that cannot attain the supremum; the
+    values stay those of the exhaustive max."""
 
     # the step's winners near x = 0 pay t (phi - min phi) up to its range
     PAYOFFS = {"sine": np.sin,
@@ -248,19 +244,6 @@ class TestHopfLaxPruning:
         got = hopf_lax(f, t, rate).values
         assert got.tobytes() == want.tobytes()
         assert gathered_columns[0] < np.isfinite(rate.values).sum()
-
-    @pytest.mark.parametrize("t", [0.125, 1.0, 3.0])
-    def test_1d_linear_extension_keeps_every_candidate(self, t, gathered_columns):
-        # the extrapolated payoff grows past its node range: at t = 3 the
-        # winners gain more than max f - min f over the minimiser of phi
-        f = GridFunction.sample(Grid(1.0, 65), lambda x: np.sin(2.0 * x) + 3.0 * x,
-                                extension="linear")
-        rate = quadratic_rate_with_gaps()
-        want = exhaustive_hopf_lax(f, t, rate)
-        gathered_columns[0] = 0
-        got = hopf_lax(f, t, rate).values
-        assert got.tobytes() == want.tobytes()
-        assert gathered_columns[0] == np.isfinite(rate.values).sum()
 
     @pytest.mark.parametrize("t", [0.125, 1.0, 3.0])
     def test_2d_radial_constant_extension_matches_exhaustive(self, t):
@@ -296,11 +279,10 @@ class TestHopfLaxPruning:
         assert np.all(want > 1.3)
         assert hopf_lax(f, 1.0, rate).values.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
-    def test_envelope_perturbed_gathers_a_quarter(self, extension, tmp_path,
-                                                  gathered_columns, monkeypatch):
+    def test_envelope_perturbed_gathers_a_quarter(self, tmp_path, gathered_columns,
+                                                  monkeypatch):
         # the built-in's two Hopf-Lax calls, each against its finite
-        # candidates; linear extension gathers every one of them
+        # candidates
         calls, flow = [], hopflax.hopf_lax
 
         def counted(f, t, rate):
@@ -310,16 +292,10 @@ class TestHopfLaxPruning:
                           hopflax._candidates(rate)[1].size))
             return out
         monkeypatch.setattr(hopflax, "hopf_lax", counted)
-        text = BUILTINS["envelope_perturbed"][1]
-        assert "extension = constant" in text
-        run_config_text(text.replace("extension = constant", f"extension = {extension}"),
-                        str(tmp_path))
+        run_config_text(BUILTINS["envelope_perturbed"][1], str(tmp_path))
         assert len(calls) == 2
         for gathered, finite in calls:
-            if extension == "constant":
-                assert gathered <= 0.25 * finite
-            else:
-                assert gathered == finite
+            assert gathered <= 0.25 * finite
 
 
 class TestHopfLaxBlocks:
@@ -345,10 +321,8 @@ class TestHopfLaxBlocks:
         return out, widths
 
     @pytest.mark.parametrize("t", [0.125, 1.0, 3.0])
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
-    def test_1d_block_size_keeps_the_bytes(self, extension, t, monkeypatch):
-        f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.3 * x,
-                                extension=extension)
+    def test_1d_block_size_keeps_the_bytes(self, t, monkeypatch):
+        f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.3 * x)
         rate = quadratic_rate_with_gaps()
         want = exhaustive_hopf_lax(f, t, rate).tobytes()
         block = f.grid.columns_per_block
@@ -359,11 +333,9 @@ class TestHopfLaxBlocks:
         assert widths[1] == [block] * (kept // block) + [kept % block][:kept % block]
         assert widths[2] == [kept]
 
-    @pytest.mark.parametrize("extension", ["constant", "linear"])
-    def test_2d_radial_block_size_keeps_the_bytes(self, extension, monkeypatch):
+    def test_2d_radial_block_size_keeps_the_bytes(self, monkeypatch):
         g = Grid(2.0, 17, dimension=2)
-        f = GridFunction.sample(g, lambda x, y: np.sin(x) * np.cos(2 * y) + 0.1 * x * y,
-                                extension=extension)
+        f = GridFunction.sample(g, lambda x, y: np.sin(x) * np.cos(2 * y) + 0.1 * x * y)
         r = np.linspace(0.0, 3.0, 33)
         phi = r**2 / 2
         phi[-4:] = np.inf

@@ -9,7 +9,7 @@ lower hull of its lines only, the loop over every line. A gather plan must
 give the one-shot gathers bit for bit for any values on its grid, and
 return its one held buffer from every apply, refilled; and
 ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
-extension written out per side, and so must the stencil's held pad,
+edge values written out per side, and so must the stencil's held pad,
 refilled in place. The stencil's weighted mean must equal its gather
 followed by a dot, a grid-aligned ``ShiftSup`` step must equal the
 reduction of the same gather with no ``mean`` entry (one payoff call per
@@ -69,7 +69,7 @@ SCALINGS = {
 def reference_step(model, scaling, f, t):
     """One step through the fused kernel of the model."""
     g = f.grid
-    grid_args = (f.values, -g.half_width, g.spacing, f.extension == "constant")
+    grid_args = (f.values, -g.half_width, g.spacing, True)
     base, scale = scaling.base(t, g.axis), scaling.scale(t)
     offsets = scale * model.measure.atoms[:, 0]
     w = model.measure.weights
@@ -86,12 +86,10 @@ def reference_step(model, scaling, f, t):
                                model.symmetric)
 
 
-@pytest.mark.parametrize("extension", ["constant", "linear"])
 @pytest.mark.parametrize("scaling", list(SCALINGS))
 @pytest.mark.parametrize("model", list(MODELS))
-def test_one_step_matches_reference_kernel(model, scaling, extension):
-    f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.2 * x**2,
-                            extension=extension)
+def test_one_step_matches_reference_kernel(model, scaling):
+    f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.2 * x**2)
     op = OneStepOperator(MODELS[model], SCALINGS[scaling])
     for t in (0.3, 1.0 / 64):
         got = one_step(op, t, f).values
@@ -114,20 +112,18 @@ def test_expect_linear_array_matches_scalars(model):
     assert np.array_equal(m.expect_linear(z.reshape(5, 5)), got.reshape(5, 5))
 
 
-@pytest.mark.parametrize("extension", ["constant", "linear"])
-def test_shift_stencil_matches_interp1(extension):
+def test_shift_stencil_matches_interp1():
     g = Grid(4.0, 65)
     h = g.spacing
     values = np.sin(g.axis) + 0.2 * g.axis ** 2
-    const = extension == "constant"
     offsets = np.concatenate([
         [0.0, h, -h, 7 * h, -12 * h],              # on nodes, theta = 0
         [0.3 * h, -0.3 * h, 2.5 * h, -40.75 * h],  # between nodes
         [-3.7, 1.9, 4.0 * h - 1e-13],              # negative, and next to a node
         [8.0, -8.0, 8.3, -9.1, 30.0, -25.0],       # half the box and beyond it
     ])
-    got = K.shift_stencil(values, h, const)(offsets)
-    want = K.interp1(values, -g.half_width, h, g.axis[:, None] + offsets, const)
+    got = K.shift_stencil(values, h)(offsets)
+    want = K.interp1(values, -g.half_width, h, g.axis[:, None] + offsets, True)
     assert got.shape == (g.points_per_axis, offsets.size)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -318,21 +314,17 @@ def test_g_heat_hull_matches_every_line():
     assert np.array_equal(K.g_heat(tiny, spacing, dt, steps, lam, cost, 0.15), tiny)
 
 
-@pytest.mark.parametrize("extension", ["constant", "linear"])
-def test_gather_plan_1d_reuses_geometry_bit_for_bit(extension):
+def test_gather_plan_1d_reuses_geometry_bit_for_bit():
     g = Grid(4.0, 65)
-    const = extension == "constant"
     q = np.linspace(-6.0, 6.0, 37)[:, None] + np.array([0.0, 0.013, -2.5])
-    plan = K.gather_plan(-g.half_width, g.spacing, g.points_per_axis, q, const)
+    plan = K.gather_plan(-g.half_width, g.spacing, g.points_per_axis, q, True)
     for values in (np.sin(g.axis), np.cosh(0.5 * g.axis) - g.axis):
-        u = (q + g.half_width) / g.spacing
-        if const:
-            u = np.clip(u, 0.0, g.points_per_axis - 1.0)
+        u = np.clip((q + g.half_width) / g.spacing, 0.0, g.points_per_axis - 1.0)
         idx = np.clip(np.floor(u).astype(np.int64), 0, g.points_per_axis - 2)
         theta = u - idx
         want = (1.0 - theta) * values[idx] + theta * values[idx + 1]
         assert np.array_equal(plan(values), want)
-        assert np.array_equal(K.interp1(values, -g.half_width, g.spacing, q, const), want)
+        assert np.array_equal(K.interp1(values, -g.half_width, g.spacing, q, True), want)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -352,19 +344,15 @@ def test_gather_plan_apply_overwrites_its_buffer(dimension):
     assert not np.array_equal(first, want1)
 
 
-@pytest.mark.parametrize("extension", ["constant", "linear"])
-def test_gather_plan_2d_matches_bilinear_formula(extension):
+def test_gather_plan_2d_matches_bilinear_formula():
     g = Grid(2.0, 17, dimension=2)
     n = g.points_per_axis
-    const = extension == "constant"
     rng = np.random.default_rng(3)
     q = rng.uniform(-3.0, 3.0, size=(40, 5, 2))
-    plan = K.gather_plan(-g.half_width, g.spacing, n, q, const, dimension=2)
+    plan = K.gather_plan(-g.half_width, g.spacing, n, q, True, dimension=2)
     for seed in (0, 1):
         v = np.random.default_rng(seed).normal(size=(n, n))
-        u = (q + g.half_width) / g.spacing
-        if const:
-            u = np.clip(u, 0.0, n - 1.0)
+        u = np.clip((q + g.half_width) / g.spacing, 0.0, n - 1.0)
         idx = np.clip(np.floor(u).astype(np.int64), 0, n - 2)
         th = u - idx
         i, j = idx[..., 0], idx[..., 1]
@@ -372,7 +360,7 @@ def test_gather_plan_2d_matches_bilinear_formula(extension):
         want = ((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
                 + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
         assert np.array_equal(plan(v), want)
-        assert np.array_equal(GridFunction(g, v, extension).eval(q), want)
+        assert np.array_equal(GridFunction(g, v).eval(q), want)
 
 
 @pytest.mark.parametrize("steps", [60, 61])
@@ -416,60 +404,41 @@ def test_lax_friedrichs_matches_plain_march(steps):
                           tiny)
 
 
-def stencil_pad(values, m, constant_ext):
-    # the extension of a 1D array, one side at a time
-    if constant_ext:
-        left, right = np.full(m, values[0]), np.full(m, values[-1])
-    else:
-        steps = np.arange(1, m + 1)
-        left = values[0] - (values[1] - values[0]) * steps[::-1]
-        right = values[-1] + (values[-1] - values[-2]) * steps
-    return np.concatenate([left, values, right])
+def stencil_pad(values, m):
+    # the edge values of a 1D array repeated m times, one side at a time
+    return np.concatenate([np.full(m, values[0]), values, np.full(m, values[-1])])
 
 
-@pytest.mark.parametrize("constant_ext", [True, False])
-def test_pad_matches_the_inline_pads(constant_ext):
+def test_pad_matches_the_inline_pads():
     n = 9
     v = np.random.default_rng(1).normal(size=n)
     for m in (1, n):
         out = np.empty(n + 2 * m)
-        assert K.pad(v, m, constant_ext, out) is out
-        assert out.tobytes() == stencil_pad(v, m, constant_ext).tobytes()
+        assert K.pad(v, m, out) is out
+        assert out.tobytes() == stencil_pad(v, m).tobytes()
 
 
-@pytest.mark.parametrize("constant_ext", [True, False])
-def test_pad_fills_every_entry_and_keeps_its_input(constant_ext):
+def test_pad_fills_every_entry_and_keeps_its_input():
     n, m = 9, 12
     v = np.random.default_rng(2).normal(size=n)
     before = v.copy()
     out = np.full(n + 2 * m, np.nan)
-    K.pad(v, m, constant_ext, out)
+    K.pad(v, m, out)
     assert np.all(np.isfinite(out))
     assert np.array_equal(out[m:m + n], v) and np.array_equal(v, before)
 
 
-def test_linear_pad_continues_affine_values_exactly():
-    # integer-valued affine nodes: every extrapolated node is exact
-    n, m = 7, 5
-    v = 3.0 - 2.0 * np.arange(n)
-    out = np.empty(n + 2 * m)
-    K.pad(v, m, False, out)
-    assert np.array_equal(out, 3.0 - 2.0 * np.arange(-m, n + m))
-
-
-@pytest.mark.parametrize("constant_ext", [True, False])
-def test_stencil_refills_its_pad_as_pad_does(constant_ext):
+def test_stencil_refills_its_pad_as_pad_does():
     # the held pad, refilled in place over other values, against a fresh
-    # pad and the extension written out per side; values of mixed scale
-    # make the linear ramps show a reordered product in their last bits
+    # pad and the edge values written out per side
     n = 65
     rng = np.random.default_rng(7)
-    stencil = K.shift_stencil(rng.normal(size=n), 0.1, constant_ext)
+    stencil = K.shift_stencil(rng.normal(size=n), 0.1)
     for scale in (1.0, 1e-3, 3e5):
         v = scale * rng.normal(size=n) + np.pi
         got = stencil.load(v)._pad
-        assert got.tobytes() == K.pad(v, n, constant_ext, np.empty(3 * n)).tobytes()
-        assert got.tobytes() == stencil_pad(v, n, constant_ext).tobytes()
+        assert got.tobytes() == K.pad(v, n, np.empty(3 * n)).tobytes()
+        assert got.tobytes() == stencil_pad(v, n).tobytes()
 
 
 @pytest.mark.parametrize("module", ["chernoff", "hopflax"])
@@ -493,15 +462,14 @@ def mean_by_gather(stencil, clouds, w):
 
 
 @pytest.mark.parametrize("budget", [1 << 15, 600])
-@pytest.mark.parametrize("extension", ["constant", "linear"])
-def test_stencil_mean_matches_gather_and_dot(extension, budget, monkeypatch):
+def test_stencil_mean_matches_gather_and_dot(budget, monkeypatch):
     # a budget of 600 values splits the 65 nodes into blocks of 4 or of 15
     # nodes (bands 131 and 38 wide), the last one short
     monkeypatch.setattr(K, "WINDOW_BLOCK_VALUES", budget)
     g = Grid(4.0, 65)
     h = g.spacing
     values = np.sin(g.axis) + 0.2 * g.axis ** 2
-    stencil = K.shift_stencil(values, h, extension == "constant")
+    stencil = K.shift_stencil(values, h)
     # atoms on nodes (theta = 0) and three atoms on one floor index
     atoms = np.array([0.0, 2 * h, 0.3 * h, 0.55 * h, 0.9 * h, -1.45, 3.1])
     w = np.array([0.1, 0.2, 0.15, 0.05, 0.2, 0.2, 0.1])
@@ -529,12 +497,10 @@ SHIFT_MODELS = {
 }
 
 
-@pytest.mark.parametrize("extension", ["constant", "linear"])
 @pytest.mark.parametrize("scaling", ["first_order", "second_order"])
 @pytest.mark.parametrize("model", list(SHIFT_MODELS))
-def test_grid_aligned_shift_sup_step_matches_block_loop(model, scaling, extension):
-    f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.2 * x**2,
-                            extension=extension)
+def test_grid_aligned_shift_sup_step_matches_block_loop(model, scaling):
+    f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.2 * x**2)
     op = OneStepOperator(SHIFT_MODELS[model], SCALINGS[scaling])
     stencil = f.stencil()
     for t in (1.0, 0.3, 1.0 / 64):
@@ -645,9 +611,10 @@ def test_wide_band_mean_step_memory():
 
 
 def test_hopf_lax_scan_memory():
-    # 2001 candidates at 2049 nodes, none pruned under linear extension: one
-    # unblocked gather would take 33 MB, and blocks of 256 candidates 12.7 MB
-    f = GridFunction.sample(Grid(4.0, 2049), np.sin, extension="linear")
+    # 2001 candidates at 2049 nodes, none pruned, since the payoff's range
+    # 60 exceeds the rate's 50: one unblocked gather would take 33 MB, and
+    # blocks of 256 candidates 12.7 MB
+    f = GridFunction.sample(Grid(4.0, 2049), lambda x: 30.0 * np.sin(x))
     y = np.linspace(-10.0, 10.0, 2001)
     rate = RateFunction(y, 0.5 * y**2)
     tracemalloc.start()

@@ -322,7 +322,7 @@ class TestBatchedBruteForce:
                                      np.linspace(0.0, 1.0, 33))
         f = GridFunction.sample(Grid(6.0, 1537),
                                 lambda x: np.minimum(np.cosh(x), np.cosh(6.0)),
-                                "constant", GrowthWeight(2))
+                                GrowthWeight(2))
         gap = {n: brute_force_functional(model, SecondOrder(), f, n)
                - nonlinear_functional(model, SecondOrder(), f, n)
                for n in (16, 32, 64)}
@@ -429,8 +429,7 @@ class TestCltFunctional:
 
     def test_affine_payoff_vanishes(self):
         g = Grid(8.0, 257)
-        f = GridFunction.sample(g, lambda x: 0.7 * x, extension="linear",
-                                weight=GrowthWeight(2))
+        f = GridFunction.sample(g, lambda x: 0.7 * x, weight=GrowthWeight(2))
         for n in (1, 4):
             assert clt_functional(Linear(BERNOULLI), f, n) == pytest.approx(0.0, abs=1e-9)
 

@@ -7,7 +7,9 @@ traced benchmark run (``perfbench/run.py --trace 1``) without failing any
 other test, so this file checks the tracer's names and counter signatures
 against the package. ``Tracer.install`` also patches some methods
 unconditionally, by name; installing and uninstalling it must raise
-nothing and leave every attribute of the package as it was.
+nothing and leave every attribute of the package as it was. A traced
+round of every benchmark op at variant 0 must pass every op, match
+``perfbench/reference.json`` and feed every counter.
 """
 
 import importlib
@@ -18,21 +20,26 @@ from pathlib import Path
 
 import pytest
 
-from chernofflab import _kernels
+from chernofflab import _kernels, chernoff
 from chernofflab.chernoff import ChernoffDiagnostics
 from chernofflab.grid import GridFunction
 from chernofflab.hopflax import RateFunction
 from chernofflab.limits import RateReport
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(TRACING, "perfbench_tracing")
 
 
 def _target(name):
@@ -91,6 +98,15 @@ def _package_attributes():
     return {owner: dict(vars(owner)) for owner in [*modules, *classes]}
 
 
+def _assert_restored(before):
+    after = _package_attributes()
+    assert after.keys() == before.keys()
+    for owner, attrs in before.items():
+        assert after[owner].keys() == attrs.keys(), owner
+        changed = [name for name, value in attrs.items() if after[owner][name] is not value]
+        assert not changed, (owner, changed)
+
+
 def test_install_then_uninstall_restores_every_attribute(tracing):
     before = _package_attributes()
     tracer = tracing.Tracer()
@@ -103,9 +119,34 @@ def test_install_then_uninstall_restores_every_attribute(tracing):
             assert vars(cls)[attr] is not before[cls][attr]
     finally:
         tracer.uninstall()
-    after = _package_attributes()
-    assert after.keys() == before.keys()
-    for owner, attrs in before.items():
-        assert after[owner].keys() == attrs.keys(), owner
-        changed = [name for name, value in attrs.items() if after[owner][name] is not value]
-        assert not changed, (owner, changed)
+    _assert_restored(before)
+
+
+def test_traced_round_of_every_op_passes(tracing, tmp_path):
+    # the counters run inside the traced calls, so one that reads a field
+    # the package no longer has fails its op here, as it would fail the op
+    # in a traced benchmark run
+    workloads = _load(WORKLOADS, "perfbench_workloads")
+    reference = workloads.load_reference()
+    ops = [op for name in workloads.WORKLOADS for op in workloads.build_ops(name, 0)]
+    # the ops build the node-block pool, a module global, on first use
+    chernoff._block_pool()
+    before = _package_attributes()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for i, op in enumerate(ops):
+            tracer.op_id = i
+            ok, result = op.run(str(tmp_path))
+            assert ok, (op.key, result)
+            assert workloads.drift(op.outputs(str(tmp_path), result),
+                                   reference[op.key]) == [], op.key
+    finally:
+        tracer.uninstall()
+    _assert_restored(before)
+    metrics = tracing.layer_metrics(tracer, [1], 0, 1.0)
+    for counted in ("chernoff.one_step.calls", "kernels.interp1.calls",
+                    "kernels.gather_points", "kernels.march_node_updates",
+                    "kernels.legendre_scan.calls", "hopflax.hopf_lax.candidate_evals",
+                    "expectations.expect.calls", "grid.eval.points"):
+        assert metrics[counted] > 0, counted
