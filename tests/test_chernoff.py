@@ -626,6 +626,71 @@ class TestStencilReuse:
         assert not np.array_equal(v.values, held)
 
 
+# every grid-aligned model under each scaling, and the 2D plan cases
+EDGE_SCALINGS = dict(STENCIL_SCALINGS, perturbed=DRIFT)
+EDGE_CASES = {f"{m}-{s}": (model, scaling)
+              for m, model in STENCIL_MODELS.items()
+              for s, scaling in EDGE_SCALINGS.items()}
+EDGE_CASES.update((case, PLAN_CASES[case]) for case in ("linear_2d", "entropic_2d"))
+# the shortfall root is solved to SHORTFALL_TOL; every other model is exact
+# up to rounding
+EDGE_TOL = 10 * SHORTFALL_TOL
+
+
+def edge_case_payoff(case):
+    return plan_case_payoff(case if case.endswith("_2d") else case.split("-")[0])
+
+
+class TestBoxEdge:
+    """Past the box a payoff holds its edge values, so every step keeps
+    order and sup distance there as well as inside."""
+
+    def test_order_kept_where_a_linear_continuation_breaks_it(self):
+        # f = 0 <= g = 1 at node 1 only; every sample point x - 1 of the
+        # left half falls on or past the left edge, where g is 0
+        g = Grid(1.0, 5)
+        f = GridFunction(g, np.zeros(5))
+        bumped = f.replace_values(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
+        op = OneStepOperator(Linear(DiscreteMeasure(np.array([-1.0]), np.array([1.0]))))
+        assert np.array_equal(one_step(op, 1.0, f).values, np.zeros(5))
+        assert np.array_equal(one_step(op, 1.0, bumped).values,
+                              np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("t", [1.0 / 64, 0.3, 1.0])
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_steps_keep_order_and_distance(self, case, t):
+        # g = f + 1 on the second node from each end of every axis, the
+        # nodes a linear continuation weighs negatively past the box; at
+        # t = 1 the outer nodes' sample points leave it
+        f = edge_case_payoff(case)
+        bump = np.zeros(f.values.shape)
+        for axis in range(f.values.ndim):
+            index = [slice(None)] * f.values.ndim
+            index[axis] = [1, -2]
+            bump[tuple(index)] = 1.0
+        op = OneStepOperator(*EDGE_CASES[case])
+        gap = one_step(op, t, f.replace_values(f.values + bump)).values \
+            - one_step(op, t, f).values
+        assert np.min(gap) >= -EDGE_TOL
+        assert np.max(gap) <= 1.0 + EDGE_TOL
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_step_equals_a_wider_box_holding_the_edge_values(self, case):
+        # the box doubled at the same spacing, its new nodes holding the
+        # nearest edge value, steps the old nodes as the box does
+        f = edge_case_payoff(case)
+        g = f.grid
+        n = g.points_per_axis
+        wide = GridFunction(Grid(2.0 * g.half_width, 2 * n - 1, dimension=g.dimension),
+                            np.pad(f.values, (n - 1) // 2, mode="edge"))
+        inner = (slice((n - 1) // 2, (n - 1) // 2 + n),) * g.dimension
+        op = OneStepOperator(*EDGE_CASES[case])
+        for t in (0.3, 1.0):
+            got = one_step(op, t, wide).values[inner]
+            want = one_step(op, t, f).values
+            assert np.max(np.abs(got - want)) <= EDGE_TOL
+
+
 # every per-point model: the plan cases' models, all taken under DRIFT,
 # and a centered one
 ROW_LAYOUT_CASES = {case: model for case, (model, _) in PLAN_CASES.items()}
