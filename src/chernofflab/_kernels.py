@@ -50,10 +50,8 @@ every maximizer, with no loop over the dual grid.
 
 All kernels are sequential on purpose: reductions keep a fixed summation
 order so that repeated runs of an experiment produce byte-identical output.
-The package's only threads live in ``chernoff.one_step``: a per-point step
-of a row-local model splits its nodes into blocks, each with its own gather
-plan, and reduces them on a thread pool; every kernel call still runs on
-one thread.
+The package starts no threads: every kernel call runs on its caller's
+thread.
 """
 
 import numpy as np

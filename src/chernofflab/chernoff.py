@@ -11,10 +11,8 @@ finest one is run alongside, so that the independence of the limit from the
 partition choice is observable.
 """
 
-import os
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -22,13 +20,6 @@ from .errors import InputError, write_csv
 from .expectations import ExpectationModel
 
 _REMAINDER_EPS = 1e-13
-
-# the CPUs this process may run on, read once: the most node blocks one
-# per-point step splits into
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-# (pid, executor) of the threads that run node blocks 1 .. B - 1
-_pool = None
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +127,11 @@ class OneStepOperator:
     """I(t) of ``model`` under ``scaling``; ``op(t, f)`` is ``one_step``.
 
     The operator keeps what its last step built, per thread, in ``_memo``:
-    ``plan``, the per-point gather plans (t, grid, blocks) with
-    one (sample points, plan) entry per node block, and ``stencil``, the
-    grid-aligned stencil with its pad and last geometry. Both hold buffers
-    that each step refills, so threads that step one operator each fill
-    their own. The memo is no part of the operator's identity.
+    ``plan``, the last per-point gather as (t, grid, sample points, plan),
+    and ``stencil``, the grid-aligned stencil with its pad and last
+    geometry. Both hold buffers that each step refills, so threads that
+    step one operator each fill their own. The memo is no part of the
+    operator's identity.
     """
 
     model: ExpectationModel
@@ -161,33 +152,22 @@ def one_step(op, t, f):
 
     Every node x gathers f at psi(t, x, y) = base(x) + scale * y for the
     sample points y the model asks for, and the model reduces the resulting
-    (nodes, k) matrix to t * E[f(psi(t, x, .)) / t]. That matrix is always
-    column-major, the transpose of a C-ordered (k, nodes) gather, so the
-    models' reductions over the k sample points run over contiguous rows.
+    (nodes, k) matrix to t * E[f(psi(t, x, .)) / t] in one call, on the
+    calling thread. That matrix is always column-major, the transpose of a
+    C-ordered (k, nodes) gather, so the models' reductions over the k sample
+    points run over contiguous rows.
     A scaling with no drift moves every node by the same offset scale * y,
     so in 1D the gather is a shifted-slice stencil; the operator keeps it
     for the calling thread, refilled with each step's values while the grid
-    stays the same, and the stencil keeps the geometry of
-    its last offsets and weights, so equal steps compute it once. Otherwise
-    a node reads f only at its own points, so the step of a row-local model
-    splits the nodes into B contiguous blocks, B = min(usable CPUs, nodes,
-    max(1, k // grid.columns_per_block)) with k the size of the model's
-    measure; any other model takes one block, and so does the stencil step.
-    The model reduces each block on its own, the calling thread block 0 and
-    a thread pool the others (one block builds no pool), and the step joins
-    the block results in node order; an error in any block is raised once
-    every block has finished. A block's queries are laid out (k, block
-    nodes) in 1D and (k, block nodes, 2) in 2D, and its gather's geometry
-    is a plan that the operator keeps for the calling thread and reuses
-    while t, the grid and the sample points stay the same,
-    as they do over the full steps of one partition; such steps do not
-    compute the scaling's base either. A plan's output is its own held
-    buffer, which the next gather overwrites; a model's reduction reads it
-    and returns a fresh array. A row-local model reduces each node's k
-    values alone, in the same order for any B, so the bits do not depend on
-    the CPU count; ``Linear``'s matrix product and ``Shortfall``'s
-    batch-wide bisection count would move in the last bits, so they are not
-    split.
+    stays the same, and the stencil keeps the geometry of its last offsets
+    and weights, so equal steps compute it once. Otherwise the queries are
+    laid out (k, nodes) in 1D and (k, nodes, 2) in 2D, and the gather's
+    geometry is a plan that the operator keeps for the calling thread and
+    reuses while t, the grid and the sample points stay the same, as they
+    do over the full steps of one partition; such steps do not compute the
+    scaling's base either. A plan's output is its own held buffer, which
+    the next gather overwrites; a model's reduction reads it and returns a
+    fresh array.
     """
     if not (np.isfinite(t) and t >= 0):
         raise InputError("one_step requires a finite t >= 0")
@@ -197,53 +177,23 @@ def one_step(op, t, f):
     one_d = g.dimension == 1
     scaling = op.scaling
     scale = scaling.scale(t)
+    memo = op._memo
     if one_d and scaling.drift is None:
-        memo = op._memo
         stencil = memo.stencil = f.stencil(getattr(memo, "stencil", None))
 
         def gather(y):
             return stencil(scale * y[:, 0])
         # mean(y, w)[l] = gather(y[l]) @ w for a stack of sample clouds
         gather.mean = lambda y, w: stencil.mean(scale * y[..., 0], w)
-        gathers = [gather]
     else:
-        nodes = f.values.size
-        k = op.model.measure.atoms.shape[0]
-        count = (min(_CPUS, nodes, max(1, k // g.columns_per_block))
-                 if op.model.row_local else 1)
-        held = getattr(op._memo, "plan", None)
-        if not (held is not None and held[:2] == (t, g) and len(held[2]) == count):
-            held = op._memo.plan = (t, g, [None] * count)
-        plans = held[2]
-
-        def gather(b, y):
-            entry = plans[b]
-            if entry is None or not np.array_equal(entry[0], y):
+        def gather(y):
+            held = getattr(memo, "plan", None)
+            if not (held is not None and held[:2] == (t, g) and np.array_equal(held[2], y)):
                 base = scaling.base(t, g.axis if one_d else g.nodes())
-                entry = plans[b] = (y.copy(), f.gather_plan(
-                    base[nodes * b // count:nodes * (b + 1) // count]
-                    + scale * (y if one_d else y[:, None])))
-            return entry[1](f.values).T
-        gathers = [partial(gather, b) for b in range(count)]
-
-    futures = [_block_pool().submit(op.model.reduce, gather, t) for gather in gathers[1:]]
-    try:
-        parts = [op.model.reduce(gathers[0], t)]
-    finally:
-        for fut in futures:
-            fut.exception()  # waits for the block
-    parts += [fut.result() for fut in futures]
-    return f.replace_values(np.concatenate(parts).reshape(f.values.shape))
-
-
-def _block_pool():
-    """The executor of the node blocks past the first, built on first use
-    and again in a forked child, whose copy has no threads."""
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = (os.getpid(), ThreadPoolExecutor(max(1, _CPUS - 1)))
-    return _pool[1]
+                held = memo.plan = (t, g, y.copy(), f.gather_plan(
+                    base + scale * (y if one_d else y[:, None])))
+            return held[3](f.values).T
+    return f.replace_values(op.model.reduce(gather, t).reshape(f.values.shape))
 
 
 def iterate(op, partition, f):

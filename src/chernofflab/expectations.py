@@ -168,13 +168,15 @@ def _finite(vals):
 
 class ExpectationModel:
     """Base class; subclasses implement ``reduce``, and ``expect`` and
-    ``expect_linear`` call it."""
+    ``expect_linear`` call it.
+
+    A reduction may depend on its whole batch of rows in the last bits
+    (``Linear``'s matrix product follows how BLAS blocks the rows, and
+    ``Shortfall``'s bisection count follows the widest row), so a one-step
+    reduces all of its nodes in one call.
+    """
 
     measure: DiscreteMeasure
-    # whether reduce computes each row from that row's values alone, in an
-    # order that no other row changes: the rows of such a model may then be
-    # reduced in blocks with the same bits (see chernoff.one_step)
-    row_local = False
 
     def reduce(self, payoff, t=1.0):
         """t * E[payoff / t] per row.
@@ -227,7 +229,6 @@ class Linear(ExpectationModel):
 @dataclass(frozen=True)
 class Entropic(ExpectationModel):
     measure: DiscreteMeasure
-    row_local = True
 
     def __post_init__(self):
         freeze(self, _logw=np.log(self.measure.weights))
@@ -322,10 +323,6 @@ class Centered(ExpectationModel):
             if self.base.expect_linear(probe) < -1e-9:
                 raise PreconditionError(
                     f"centering requires E[a xi] >= 0; probe a={probe} fails")
-
-    @property
-    def row_local(self):
-        return self.base.row_local
 
     def reduce(self, payoff, t=1.0):
         # the payoff does not depend on a: gather it once per base-model

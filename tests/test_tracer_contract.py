@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from chernofflab import _kernels, chernoff
+from chernofflab import _kernels
 from chernofflab.chernoff import ChernoffDiagnostics
 from chernofflab.grid import GridFunction
 from chernofflab.hopflax import RateFunction
@@ -129,8 +129,6 @@ def test_traced_round_of_every_op_passes(tracing, tmp_path):
     workloads = _load(WORKLOADS, "perfbench_workloads")
     reference = workloads.load_reference()
     ops = [op for name in workloads.WORKLOADS for op in workloads.build_ops(name, 0)]
-    # the ops build the node-block pool, a module global, on first use
-    chernoff._block_pool()
     before = _package_attributes()
     tracer = tracing.Tracer()
     tracer.install()
