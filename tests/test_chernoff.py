@@ -345,33 +345,63 @@ def one_block_step(model, scaling, t, f):
     return model.reduce(gather, t).reshape(f.values.shape)
 
 
+def assert_one_reduce_per_step(model, scaling, f, monkeypatch):
+    # a fresh step, an equal step that reuses what it built, then a new t:
+    # each makes exactly one model.reduce call, on the calling thread
+    calls = []
+    reduce = type(model).reduce
+
+    def spy(self, payoff, t=1.0):
+        calls.append(threading.current_thread())
+        return reduce(self, payoff, t)
+    monkeypatch.setattr(type(model), "reduce", spy)
+    op = OneStepOperator(model, scaling)
+    for t in (1.0 / 16, 1.0 / 16, 0.5):
+        calls.clear()
+        one_step(op, t, f)
+        assert calls == [threading.current_thread()]
+
+
 class TestOneReduction:
     """A per-point step reduces all of its nodes in one call, on the calling
     thread, whatever the host's CPU count."""
 
+    @pytest.mark.parametrize("t", [1.0 / 16, 0.5])
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
-    def test_equals_one_block_step(self, case):
+    def test_equals_one_block_step(self, case, t):
         model, scaling = BLOCK_CASES[case]
         f = block_case_payoff(case)
-        got = one_step(OneStepOperator(model, scaling), 1.0 / 16, f).values
-        assert got.tobytes() == one_block_step(model, scaling, 1.0 / 16, f).tobytes()
+        got = one_step(OneStepOperator(model, scaling), t, f).values
+        assert got.tobytes() == one_block_step(model, scaling, t, f).tobytes()
 
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
     def test_one_reduce_call_on_the_calling_thread(self, case, monkeypatch):
         model, scaling = BLOCK_CASES[case]
-        calls = []
-        reduce = type(model).reduce
+        assert_one_reduce_per_step(model, scaling, block_case_payoff(case), monkeypatch)
 
-        def spy(self, payoff, t=1.0):
-            calls.append(threading.current_thread())
-            return reduce(self, payoff, t)
-        monkeypatch.setattr(type(model), "reduce", spy)
-        op = OneStepOperator(model, scaling)
-        f = block_case_payoff(case)
-        for t in (1.0 / 16, 1.0 / 16, 0.5):
-            calls.clear()
-            one_step(op, t, f)
-            assert calls == [threading.current_thread()]
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_leaves_the_operator_whole(self, failing):
+        # the reduction of step 0 (which builds the plan) or of step 1
+        # (which reuses it) raises after it has gathered: the error reaches
+        # the caller, and the operator's next step is the one-block step
+        state = {"step": 0}
+
+        class FailsOnce(Entropic):
+            def reduce(self, payoff, t=1.0):
+                out = super().reduce(payoff, t)
+                state["step"] += 1
+                if state["step"] - 1 == failing:
+                    raise InputError(f"step {failing} fails")
+                return out
+        model = FailsOnce(BLOCK_MU)
+        f = block_case_payoff("entropic")
+        op = OneStepOperator(model, DRIFT)
+        if failing:
+            one_step(op, 1.0 / 16, f)
+        with pytest.raises(InputError, match=f"step {failing} fails"):
+            one_step(op, 1.0 / 16, f)
+        got = one_step(op, 1.0 / 16, f).values
+        assert got.tobytes() == one_block_step(model, DRIFT, 1.0 / 16, f).tobytes()
 
 
 class TestSharedOperator:
@@ -450,6 +480,12 @@ def count_geometry_builds(monkeypatch):
 
 class TestStencilReuse:
     """The grid-aligned stencil and its geometry are reused across equal steps."""
+
+    @pytest.mark.parametrize("scaling", list(STENCIL_SCALINGS))
+    @pytest.mark.parametrize("model", list(STENCIL_MODELS))
+    def test_one_reduce_call_on_the_calling_thread(self, model, scaling, monkeypatch):
+        assert_one_reduce_per_step(STENCIL_MODELS[model], STENCIL_SCALINGS[scaling],
+                                   plan_case_payoff(model), monkeypatch)
 
     @pytest.mark.parametrize("scaling", list(STENCIL_SCALINGS))
     @pytest.mark.parametrize("model", list(STENCIL_MODELS))
