@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, write_csv
+from .errors import MAX_STEPS, InputError, nonnegative, probes, steps, write_csv
 from .expectations import ExpectationModel
 
 _REMAINDER_EPS = 1e-13
@@ -99,14 +99,19 @@ class SecondOrder(ScalingFamily):
 
 @dataclass(frozen=True)
 class Partition:
-    """Equidistant partition of [0, horizon] with mesh ``step``."""
+    """Equidistant partition of [0, horizon] with mesh ``step``: a finite
+    horizon >= 0, a step in (0, 1] and at most ``MAX_STEPS`` full steps."""
 
     horizon: float
     step: float
 
     def __post_init__(self):
-        if self.horizon < 0 or not (0 < self.step <= 1):
-            raise InputError("partition needs horizon >= 0 and step in (0, 1]")
+        # horizon < (MAX_STEPS + 1) step holds iff full_steps <= MAX_STEPS,
+        # and a product with a step <= 1 cannot overflow
+        if not (0 < nonnegative(self.step, "step") <= 1
+                and nonnegative(self.horizon, "horizon") < (MAX_STEPS + 1) * self.step):
+            raise InputError(f"partition needs a step in (0, 1] and horizon / step "
+                             f"< {MAX_STEPS + 1}, got {self.horizon!r} / {self.step!r}")
 
     @property
     def full_steps(self):
@@ -169,9 +174,7 @@ def one_step(op, t, f):
     the next gather overwrites; a model's reduction reads it and returns a
     fresh array.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise InputError("one_step requires a finite t >= 0")
-    if t == 0.0:
+    if nonnegative(t, "t") == 0.0:
         return f
     g = f.grid
     one_d = g.dimension == 1
@@ -230,20 +233,27 @@ class ChernoffDiagnostics:
 def chernoff_limit(op, t, f, schedule, compact=None, dyadic_base=0.75):
     """Iterate over a refining schedule and report convergence diagnostics.
 
-    ``schedule`` lists the number of uniform steps (strictly increasing);
-    each entry is iterated once. A staggered partition with mesh
-    ``dyadic_base * 2^-j``, j = round(log2(schedule[-1])) (at least 1), is
-    run alongside; its terminal value measures the independence of the limit
-    from the partition choice. ``dyadic_base=None`` skips it and reports the
-    cross-schedule gap as nan. The diagnostics give gaps, not a verdict: a
-    caller holds ``cauchy_gap`` and ``cross_schedule_gap`` to its own bounds.
+    ``schedule`` lists the number of uniform steps as :func:`errors.steps`
+    takes them; each entry is iterated once. A staggered partition with mesh
+    ``dyadic_base * t * 2^-j``, j = round(log2(schedule[-1])) (at least 1,
+    and at most log2(dyadic_base * MAX_STEPS), so that it takes at most
+    ``MAX_STEPS`` full steps), is run alongside; its terminal value measures
+    the independence of the limit from the partition choice.
+    ``dyadic_base`` is a finite number > 0, or None, which skips the
+    staggered partition and reports the cross-schedule gap as nan.
+    ``compact`` is a box that ``GridFunction.sup_norm_on`` takes, by
+    default the middle half of the grid box. The diagnostics give gaps, not
+    a verdict: a caller holds ``cauchy_gap`` and ``cross_schedule_gap`` to
+    its own bounds.
     """
-    schedule = list(schedule)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise InputError("schedule must be strictly increasing")
+    schedule = steps(schedule, "schedule")
+    nonnegative(t, "t")
+    if dyadic_base is not None and not nonnegative(dyadic_base, "dyadic_base") > 0:
+        raise InputError("dyadic_base must be > 0")
     if compact is None:
         r = f.grid.half_width / 2.0
-        compact = (-r, r)
+        compact = (-r, r) if f.grid.dimension == 1 else ((-r, r), (-r, r))
+    f.sup_norm_on(compact)  # a box that holds no node fails before any step
 
     origin = f.grid.origin_index
     gaps, values = [], []
@@ -257,7 +267,8 @@ def chernoff_limit(op, t, f, schedule, compact=None, dyadic_base=0.75):
 
     cross = np.nan
     if dyadic_base is not None:
-        j = max(int(np.round(np.log2(schedule[-1]))), 1)
+        j = min(max(int(np.round(np.log2(schedule[-1]))), 1),
+                int(np.floor(np.log2(dyadic_base * MAX_STEPS))))
         ud = iterate(op, Partition(t, min(dyadic_base * t * 2.0 ** (-j), 1.0)), f)
         cross = prev.replace_values(prev.values - ud.values).sup_norm_on(compact)
 
@@ -274,13 +285,8 @@ def upper_lipschitz_certificate(op, f, probe_times):
     the growth weight of f.
 
     A finite value that is stable under refining the probes witnesses
-    membership of f in the upper Lipschitz set of the operator family.
+    membership of f in the upper Lipschitz set of the operator family. The
+    probe times are a non-empty list in (0, 1] (:func:`errors.probes`).
     """
-    best = 0.0
-    for t in probe_times:
-        if not (0 < t <= 1):
-            raise InputError("probe times must lie in (0, 1]")
-        diff = one_step(op, t, f).values - f.values
-        pos = f.replace_values(np.maximum(diff, 0.0))
-        best = max(best, pos.weighted_norm() / t)
-    return best
+    return max(f.replace_values(np.maximum(one_step(op, t, f).values - f.values, 0.0))
+               .weighted_norm() / t for t in probes(probe_times, "probe_times"))

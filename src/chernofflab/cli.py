@@ -14,11 +14,13 @@ returns, so a parse, output-path or validation error writes nothing.
 
 Each rule is written once. The constructors (``Grid``, ``GrowthWeight``,
 ``Shortfall``, ``ShiftSup``, ``DiscreteMeasure``, ``PenaltyFunction``,
-``gauss_hermite``), ``limits.poly_power`` and ``limits.lattice_scale`` own
-the rules on their arguments, and
-``_Fields.build`` reports a broken one against the field it came from;
-the readers own only what no constructor checks: parsing, finiteness and
-the ranges that make a check able to fail.
+``gauss_hermite``), ``limits.poly_power``, ``limits.lattice_scale`` and
+the shared rules ``errors.steps`` (schedules), ``errors.probes`` (probe
+times) and ``errors.nonnegative`` (``shift_radius``) own the rules on
+their arguments, and ``_Fields.build`` reports a broken one against the
+field it came from, while the field is read; the readers own only what no
+rule checks: parsing, finiteness and the ranges that make a check able to
+fail.
 """
 
 import argparse
@@ -33,7 +35,7 @@ import numpy as np
 from .chernoff import (FirstOrderAffine, OneStepOperator, Partition, Perturbed,
                        SecondOrder, chernoff_limit, iterate)
 from .configs import BUILTINS
-from .errors import ConfigError, InputError, write_csv
+from .errors import MAX_STEPS, ConfigError, InputError, nonnegative, probes, steps, write_csv
 from .expectations import (DiscreteMeasure, Entropic, Linear, PenaltyFunction,
                            ShiftSup, Shortfall, SymmetricTwoPointSup,
                            gauss_hermite)
@@ -209,11 +211,12 @@ class _Fields:
                             f"{MAX_MARCH_WORK:.0e} node updates")
 
     def schedule(self, key):
-        """Strictly increasing positive step counts, as ``chernoff_limit`` needs."""
-        vals = self.numbers(key, lo=0, cast=int)
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            self._fail(key, f"schedule must be strictly increasing, got {vals}")
-        return vals
+        """Step counts, as ``errors.steps`` takes them for ``chernoff_limit``."""
+        return self.build(key, steps, self.numbers(key, cast=int), "schedule")
+
+    def probes(self, key):
+        """Probe times, as ``errors.probes`` takes them for ``generator_check``."""
+        return self.build(key, probes, self.numbers(key), key)
 
     def compact(self, grid, key="compact"):
         """The box (-c, c) of a ``key = c`` field, 0 < c <= R (default 2)."""
@@ -403,9 +406,8 @@ def _tail_event(sections):
     if threshold > top:
         sset._fail("threshold", f"the event X_n >= {threshold:g} is empty: "
                                 f"it exceeds the largest atom {top:g}")
-    radius = sset.number("shift_radius", 0.0)
-    if radius < 0:
-        sset._fail("shift_radius", f"needs a radius >= 0, got {radius:g}")
+    radius = sset.build("shift_radius", nonnegative, sset.number("shift_radius", 0.0),
+                        "shift_radius")
     return measure, threshold, radius, _Fields(sections, "schedule").schedule("n")
 
 
@@ -515,7 +517,7 @@ def _run_wasserstein(sections):
     if not isinstance(model, ShiftSup):
         _Fields(sections, "expectation")._fail("variant", "needs a shift model")
     f, _ = _build_payoff(sections)
-    h_grid = _Fields(sections, "schedule").numbers("h", lo=0.0)
+    h_grid = _Fields(sections, "schedule").probes("h")
     check = _Fields(sections, "check")
     compact = check.compact(f.grid)
     tol = check.number("tolerance", lo=0.0)
@@ -537,7 +539,7 @@ def _run_generator(sections):
     model = _build_model(sections)
     scaling = _build_scaling(sections)
     f, _ = _build_payoff(sections)
-    h_grid = _Fields(sections, "schedule").numbers("h", lo=0.0)
+    h_grid = _Fields(sections, "schedule").probes("h")
     check = _Fields(sections, "check")
     compact = check.compact(f.grid)
     final_tol = check.number("final_tolerance", 0.01, lo=0.0)
@@ -562,7 +564,7 @@ def _run_envelope(sections):
         _Fields(sections, "scaling")._fail("family", "must be perturbed")
     f, _ = _build_payoff(sections)
     check = _Fields(sections, "check")
-    n = _Fields(sections, "schedule").number("uniform", lo=0, cast=int)
+    n = _Fields(sections, "schedule").number("uniform", lo=0, hi=MAX_STEPS, cast=int)
     compact = check.compact(f.grid)
     z = check.span("z_grid", "8,1601", zero=True)
     y = check.span("y_grid", "12,2401")

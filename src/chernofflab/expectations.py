@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, PreconditionError, freeze, sampled
+from .errors import InputError, PreconditionError, freeze, sampled, steps
 
 SHORTFALL_TOL = 1e-10
 CENTERING_PROBES = (1.0, -1.0, 2.0, -2.0)
@@ -90,10 +90,9 @@ class DiscreteMeasure:
 
 def gauss_hermite(n_nodes, mean=0.0, std=1.0):
     """Gaussian N(mean, std^2) as Gauss-Hermite quadrature atoms, 1 to
-    ``GAUSS_HERMITE_MAX`` of them."""
-    if not 1 <= n_nodes <= GAUSS_HERMITE_MAX:
-        raise InputError(f"gauss_hermite takes 1 to {GAUSS_HERMITE_MAX} atoms, "
-                         f"got {n_nodes}")
+    ``GAUSS_HERMITE_MAX`` of them, a count that :func:`errors.steps` takes."""
+    if steps([n_nodes], "n_nodes")[0] > GAUSS_HERMITE_MAX:
+        raise InputError(f"gauss_hermite takes 1 to {GAUSS_HERMITE_MAX} atoms, got {n_nodes}")
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     return DiscreteMeasure(mean + std * np.sqrt(2.0) * x, w / np.sqrt(np.pi))
 
@@ -384,19 +383,18 @@ def legendre(z_grid, values, y_grid):
     """Discrete convex conjugate g*(y) = max_z (y z - g(z)) on the dual grid.
 
     Entries of ``values`` may be +inf (skipped); NaN and -inf raise
-    ``InputError``. Conjugates the lower convex hull of the finite values:
-    one sweep over z, then one ``searchsorted`` of the dual grid into the
-    hull's chord slopes (``_kernels.legendre_scan``).
+    ``InputError``. The grid z is one that :func:`errors.sampled` takes, and
+    the dual grid y is finite and strictly increasing. Conjugates the lower
+    convex hull of the finite values: one sweep over z, then one
+    ``searchsorted`` of the dual grid into the hull's chord slopes
+    (``_kernels.legendre_scan``).
     """
-    z = np.asarray(z_grid, dtype=float)
-    g = np.asarray(values, dtype=float)
-    y = np.asarray(y_grid, dtype=float)
-    if z.shape != g.shape or z.ndim != 1:
-        raise InputError("legendre expects matching 1D grids")
+    z, g = sampled("legendre", z_grid, values)
+    y = np.atleast_1d(np.asarray(y_grid, dtype=float))
+    if not (np.all(np.diff(y) > 0) and np.all(np.isfinite(y))):
+        raise InputError("legendre's dual grid must be finite and strictly increasing")
     if not np.all(np.isfinite(g) | (g == np.inf)):
         raise InputError("legendre values must be finite or +inf, not NaN or -inf")
-    if np.any(np.diff(z) <= 0) or (y.size > 1 and np.any(np.diff(y) <= 0)):
-        raise InputError("legendre grids must be strictly increasing")
     if np.count_nonzero(np.isfinite(g)) < 2:
         raise InputError("legendre needs at least two finite values")
-    return _kernels.legendre_scan(z, g, np.atleast_1d(y.astype(float)))
+    return _kernels.legendre_scan(z, g, y)

@@ -71,8 +71,12 @@ class Grid:
         return mid if self.dimension == 1 else (mid, mid)
 
     def within(self, lo, hi):
-        """Mask of the axis nodes in [lo, hi], with 1e-12 of slack at both ends."""
-        return (self.axis >= lo - 1e-12) & (self.axis <= hi + 1e-12)
+        """Mask of the axis nodes in [lo, hi], with 1e-12 of slack at both
+        ends; a box that holds no node raises InputError."""
+        mask = (self.axis >= lo - 1e-12) & (self.axis <= hi + 1e-12)
+        if not mask.any():
+            raise InputError(f"the box [{lo}, {hi}] holds no node of the grid")
+        return mask
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,7 @@ class GridFunction:
         """max of |f| over nodes inside the compact box.
 
         ``box`` is (lo, hi) in 1D or ((lo1, hi1), (lo2, hi2)) in 2D and must
-        sit inside the grid box.
+        sit inside the grid box and hold a node (:meth:`Grid.within`).
         """
         g = self.grid
         boxes = [box] if g.dimension == 1 else list(box)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, InputError, freeze, sampled, write_csv
+from .errors import GridTooSmallError, InputError, freeze, nonnegative, sampled, write_csv
 from .expectations import legendre
 
 
@@ -47,17 +47,19 @@ def conjugate_rate(model, z_grid, y_grid):
     """Rate phi(y) = sup_z (y z - E[z xi]) from an expectation model (1D).
 
     The infimum of the exact rate is zero; if the discrete minimum deviates
-    beyond 1e-6 the z-grid was too small for the requested dual range.
+    beyond 1e-6 the z-grid was too small for the requested dual range. Both
+    grids are checked as :func:`errors.sampled` checks a grid before the
+    model is reduced on them.
     """
-    z = np.asarray(z_grid, dtype=float)
+    z, y = sampled("z-grid", z_grid, z_grid)[0], sampled("y-grid", y_grid, y_grid)[0]
     if 0.0 not in z:
         raise InputError("z-grid must contain 0 so the rate is nonnegative")
-    phi = legendre(z, model.expect_linear(z), np.asarray(y_grid, dtype=float))
+    phi = legendre(z, model.expect_linear(z), y)
     m = float(np.min(phi))
     if abs(m) > 1e-6:
         raise GridTooSmallError(
             f"rate minimum {m:.3e} deviates from 0 beyond 1e-6; enlarge the y-grid")
-    return RateFunction(np.asarray(y_grid, dtype=float), phi)
+    return RateFunction(y, phi)
 
 
 def _candidates(rate):
@@ -92,9 +94,7 @@ def hopf_lax(f, t, rate):
     nodes), so a call holds a few such (nodes x block) arrays at a time.
     The max is exact, so the block size changes no value.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise InputError("hopf_lax requires a finite t >= 0")
-    if t == 0.0:
+    if nonnegative(t, "t") == 0.0:
         return f
     ys, phis = _candidates(rate)
     # Each gathered value is a convex combination of node values, so it
@@ -155,8 +155,7 @@ def envelope(f, t, z_grid, h_minus, h_plus, y_grid):
 
 def semigroup_defect(f, s, t, rate, compact):
     """sup norm on the compact of S(s+t) f - S(s) S(t) f for Hopf-Lax flows."""
-    if not (np.isfinite(s) and np.isfinite(t) and s >= 0 and t >= 0):
-        raise InputError("semigroup_defect requires finite s, t >= 0")
-    direct = hopf_lax(f, s + t, rate)
+    nonnegative(s, "s")
     nested = hopf_lax(hopf_lax(f, t, rate), s, rate)
+    direct = hopf_lax(f, s + t, rate)
     return direct.replace_values(direct.values - nested.values).sup_norm_on(compact)

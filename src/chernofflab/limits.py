@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chernoff import OneStepOperator, Partition, SecondOrder, iterate
-from .errors import DegenerateSetError, InputError, PreconditionError, write_csv
+from .errors import (DegenerateSetError, InputError, PreconditionError, nonnegative,
+                     probes, steps, write_csv)
 from .expectations import (CENTERING_PROBES, Entropic, Shortfall, _finite,
                            legendre)
 
@@ -37,17 +38,10 @@ _LATTICE_DENOMS = tuple(range(1, 65))
 # limit functionals and the brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _steps(n):
-    """``n`` as an int if it is an integer >= 1 (numpy integers included),
-    else InputError."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError("n must be a positive integer")
-    return int(n)
-
-
 def nonlinear_functional(model, scaling, f, n):
-    """(1/n) E_bar[n f(X_n)] computed as (I(1/n)^n f)(0)."""
-    n = _steps(n)
+    """(1/n) E_bar[n f(X_n)] computed as (I(1/n)^n f)(0), for a step count n
+    that :func:`errors.steps` takes."""
+    n, = steps([n], "n")
     op = OneStepOperator(model, scaling)
     u = iterate(op, Partition(1.0, 1.0 / n), f)
     return float(u.values[f.grid.origin_index])
@@ -98,9 +92,10 @@ def brute_force_functional(model, scaling, f, n):
     besides the probe, which has no rows to reduce. Its cost is the number of distinct reachable
     points times the sample points: at most n + 1 points per level for two
     atoms, and up to m^j after j steps for m sample points off a lattice or
-    under a drift. The measure must be one-dimensional.
+    under a drift. The measure must be one-dimensional, and :func:`errors.steps`
+    must take n.
     """
-    n = _steps(n)
+    n, = steps([n], "n")
     if model.measure.dimension != 1:
         raise InputError("brute force enumeration needs a one-dimensional measure")
     h = 1.0 / n
@@ -155,30 +150,27 @@ def exact_tail_probabilities(measure, threshold, n_grid):
     """P(X_n >= threshold) for X_n the running average, every n in n_grid.
 
     One dynamic-programming pass over the integer lattice carrying the atom
-    sums; snapshots are taken at the requested n. Exact up to float rounding.
+    sums; snapshots are taken at the requested n, which :func:`errors.steps`
+    must take. Exact up to float rounding.
     """
-    if measure.dimension != 1:
-        raise InputError("tail probabilities are one-dimensional")
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
-        raise InputError("n grid must be strictly increasing positive integers")
+    if measure.dimension != 1 or not np.isfinite(threshold):
+        raise InputError(f"tail probabilities need a one-dimensional measure and a "
+                         f"finite threshold, got {threshold!r}")
+    n_grid = steps(n_grid, "n grid")
     atoms = measure.atoms[:, 0]
     d = lattice_scale(atoms)
     ints = np.round(atoms * d).astype(np.int64)
     lo = int(ints.min())
     kernel = np.bincount(ints - lo, measure.weights)
-    dist = np.array([1.0])
-    offset = 0  # dist[j] = P(sum_int = offset + j)
+    dist = np.array([1.0])  # after n steps, dist[j] = P(sum_int = n lo + j)
     out = {}
     want = set(n_grid)
     for n in range(1, n_grid[-1] + 1):
         dist = np.convolve(dist, kernel)
-        offset += lo
         if n in want:
             # sum/ (n d) >= threshold  <=>  sum_int >= threshold * n * d
             cut = int(np.ceil(threshold * n * d - 1e-9))
-            j0 = max(cut - offset, 0)
-            out[n] = float(dist[j0:].sum()) if j0 < dist.shape[0] else 0.0
+            out[n] = float(dist[max(cut - n * lo, 0):].sum())
     return [out[n] for n in n_grid]
 
 
@@ -209,7 +201,9 @@ def _fit_rate(n_grid, values):
 def _tail(measure, threshold, n_grid, shift_radius, model, z_grid):
     """The exact P(X_n >= threshold) for n in ``n_grid``, and the Legendre
     value sup_z (x0 z - E[z xi]) of ``model`` on ``z_grid`` at
-    x0 = threshold - shift_radius, or None when x0 is at most the mean."""
+    x0 = threshold - shift_radius, or None when x0 is at most the mean; the
+    shift radius is a finite number >= 0."""
+    nonnegative(shift_radius, "shift_radius")
     probs = exact_tail_probabilities(measure, threshold, n_grid)
     if all(p == 0.0 for p in probs):
         raise DegenerateSetError("the event has probability zero for every n")
@@ -292,11 +286,10 @@ def generator_values(op, f, nodes):
     """Analytic generator A f on the given nodes: the model's expectation of
     the scaling's ``generator_payoff``, E[f'(x) psi_0(x, .)] for first-order
     scalings and E[y^2 f''(x) / 2] for the second-order one. Derivatives of
-    f come from the grid, at the node nearest to each x (the lower on a tie).
+    f come from the grid, at the node nearest to each x (the lower on a tie);
+    they are one-dimensional, so a 2D grid raises InputError.
     """
     g = f.grid
-    if g.dimension != 1:
-        raise InputError("generator checks are one-dimensional")
     x = np.asarray(nodes, dtype=float)
     u = np.ceil((x + g.half_width) / g.spacing - 0.5)
     idx = np.clip(u, 0, g.points_per_axis - 1).astype(np.int64)
@@ -323,18 +316,16 @@ def generator_check(op, f, h_grid, compact):
 
     The defect sequence of a consistent one-step family decreases to the
     interpolation floor as h shrinks; the returned estimate is the
-    difference quotient at the smallest h.
+    difference quotient at the smallest h. The probes h are a non-empty list
+    in (0, 1] (:func:`errors.probes`), and the compact holds a grid node.
     """
-    h_grid = sorted(h_grid, reverse=True)
+    h_grid = sorted(probes(h_grid, "h_grid"), reverse=True)
     mask = f.grid.within(*compact)
     nodes = f.grid.axis[mask]
     analytic = generator_values(op, f, nodes)
     defects = []
-    estimate = None
     for h in h_grid:
-        u = op(h, f)
-        quot = (u.values[mask] - f.values[mask]) / h
-        defects.append(float(np.max(np.abs(quot - analytic))))
-        estimate = quot
+        estimate = (op(h, f).values[mask] - f.values[mask]) / h
+        defects.append(float(np.max(np.abs(estimate - analytic))))
     return GeneratorDiagnostics(list(h_grid), defects, nodes, estimate,
                                 analytic)

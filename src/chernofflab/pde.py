@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, freeze, sampled
+from .errors import InputError, freeze, nonnegative, sampled
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,9 @@ def _march_steps(t, dt_max):
 def _march(f, t, march_steps, kernel, *args):
     """``kernel(values, h, dt, steps, *args)`` from f up to time t, in
     ``march_steps(h, t)`` equal steps; t = 0 returns f."""
-    if not (np.isfinite(t) and t >= 0):
-        raise InputError("the PDE oracle requires a finite t >= 0")
     if f.grid.dimension != 1:
         raise InputError("the PDE oracle is one-dimensional")
-    if t == 0.0:
+    if nonnegative(t, "t") == 0.0:
         return f
     steps = march_steps(f.grid.spacing, t)
     return f.replace_values(kernel(f.values, f.grid.spacing, t / steps, steps, *args))

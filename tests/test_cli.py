@@ -715,7 +715,13 @@ class TestErrorContract:
          "check.gheat_grid"),
         ("pde_crosscheck_hj", "R = 4\n", "R = 1e-320\n", "grid.R"),
         ("clt_two_point_gaussian", "gheat_grid = 6,385", "gheat_grid = 1e-300,385",
-         "check.gheat_grid")])
+         "check.gheat_grid"),
+        # step counts above errors.MAX_STEPS and probe times above 1, which
+        # the shared rules reject while the field is read
+        ("lln_entropic_gaussian", "uniform = 4,8,16,32,64,128", "uniform = 4,8,2000000",
+         "schedule.uniform"),
+        ("envelope_perturbed", "uniform = 256", "uniform = 2000000", "schedule.uniform"),
+        ("generator_affine_drift", "h = 0.125,", "h = 2,", "schedule.h")])
     def test_field_error_comes_before_any_computation(self, tmp_path, monkeypatch,
                                                       name, old, new, field):
         # fields once read after the computation; every compute entry point
