@@ -16,16 +16,17 @@ allocates nothing and each apply overwrites the last result.
 ``chernoff.one_step`` lays its queries out (k, nodes) and reduces the
 transpose, so the models reduce contiguous rows per sample point.
 ``interp1`` is the one-shot 1D gather behind every 1D grid
-evaluation. ``shift_stencil`` is the gather at
-node-independent offsets (grid-aligned one-steps, the 1D Hopf-Lax
-candidates: only those that can attain the supremum, which leaves the
-outputs unchanged), a ``ShiftStencil`` plan: a
-shifted slice of the padded values
-per offset; its ``mean`` entry takes weighted means over rows of offsets
-as one banded matrix product over those slices, with no gathered matrix.
-The plan holds its pad, refilled in place for each new set of values on
-its grid, and each entry keeps the geometry of its last offsets, so equal
-steps compute it once. One value budget, ``WINDOW_BLOCK_VALUES``, sizes
+evaluation. A ``ShiftStencil`` gathers at node-independent offsets
+(grid-aligned one-steps, the 1D Hopf-Lax candidates: only those that can
+attain the supremum, which leaves the outputs unchanged) through plans
+like ``gather_plan``'s, laid out the same way: ``columns(c)`` takes a
+shifted slice of the padded values per offset, and ``mean(c, w)`` takes
+weighted means over rows of offsets as one banded matrix product over
+those slices, with no gathered matrix. Each computes its geometry once and
+returns ``apply(values)``, which refills the stencil's pad in place and
+gathers; the stencil keeps no geometry, and a caller that repeats its
+offsets keeps the plan, as ``chernoff.one_step`` keeps every plan it
+builds. One value budget, ``WINDOW_BLOCK_VALUES``, sizes
 both blocked loops over (nodes x columns) arrays: the node blocks of
 ``mean`` and, through ``Grid.columns_per_block``, the candidate blocks of
 the Hopf-Lax scan. The package
@@ -46,7 +47,8 @@ one ``searchsorted`` of the dual grid into the hull's chord slopes finds
 every maximizer, with no loop over the dual grid.
 ``perfbench/`` times ``interp1``, the three ``one_step_*`` kernels,
 ``lax_friedrichs``, ``g_heat`` and ``legendre_scan`` by name; ``pad``,
-``gather_plan`` and ``shift_stencil`` count toward their callers' time.
+``gather_plan`` and the ``ShiftStencil`` plans count toward their callers'
+time.
 
 All kernels are sequential on purpose: reductions keep a fixed summation
 order so that repeated runs of an experiment produce byte-identical output.
@@ -143,39 +145,31 @@ def interp1(values, origin, spacing, queries, constant_ext):
     return gather_plan(origin, spacing, values.shape[0], queries, constant_ext)(values)
 
 
-def shift_stencil(values, spacing, held=None):
-    """The :class:`ShiftStencil` of ``values``: ``held`` refilled in place
-    when it was built for the same node count and spacing, else a new one."""
-    key = (values.shape[0], spacing)
-    if held is None or held.key != key:
-        held = ShiftStencil(*key)
-    return held.load(values)
-
-
 class ShiftStencil:
-    """Gather at node-independent offsets: ``stencil(c)[i, j] = f(x_i + c[j])``.
+    """Gather at node-independent offsets, as plans like ``gather_plan``'s.
 
-    A plan over n nodes with ``spacing``. It holds the values padded by n
-    edge values on each side (``pad``), which ``load`` refills in place.
-    With k = floor(c / spacing) and theta = c / spacing - k, column j is
-    then (1 - theta) p[i + k] + theta p[i + k + 1], two shifted slices of
-    the pad p, the same piecewise-linear interpolant ``interp1`` evaluates.
-    Offsets beyond the box are clipped to it, so both slices lie in the
-    padding and read the edge value there.
+    A stencil over n nodes with ``spacing`` holds the pad p of the node
+    values, extended by n edge values on each side (``pad``), and its
+    windows, the values shifted by each whole number of nodes. With
+    k = floor(c / spacing) and theta = c / spacing - k, the gather at
+    offset c is then (1 - theta) p[i + k] + theta p[i + k + 1] at node i,
+    two shifted slices of the pad, the same piecewise-linear interpolant
+    ``interp1`` evaluates. Offsets beyond the box are clipped to it, so
+    both slices lie in the padding and read the edge value there.
 
-    ``stencil.mean(c, w)``, with c of shape (L, m), is the weighted mean
-    ``sum_j w[j] f(x_i + c[l, j])`` at every node i, shape (L, n). It is
-    linear in p with a band of coefficients per row l: K[l, k - lo] collects
-    w (1 - theta) and K[l, k + 1 - lo] collects w theta (one ``np.bincount``),
-    so the mean is one matrix product K @ windows[lo:hi + 1] over the band,
-    taken over blocks of nodes so that the window block it copies holds at
-    most ``WINDOW_BLOCK_VALUES`` values.
-
-    Each entry keeps the geometry of its last offsets: the rows and the
-    weights 1 - theta and theta for ``stencil(c)``; lo, the band width,
-    K and the block size for ``mean(c, w)``. Equal steps of one partition
-    ask for equal offsets, so they compute it once; other offsets or
-    weights replace it.
+    ``columns(c)`` and ``mean(c, w)`` compute the geometry of their offsets
+    once and return ``apply(values)``, which refills the pad with the n
+    node values in place and gathers; the stencil keeps no geometry of its
+    own. ``columns(c)(values)[j, i] = f(x_i + c[j])``: one row per offset,
+    the layout ``gather_plan`` gives queries of shape (m, n). For c of
+    shape (L, m), ``mean(c, w)(values)[l, i] = sum_j w[j] f(x_i + c[l, j])``:
+    linear in p with a band of coefficients per row l, where K[l, k - lo]
+    collects w (1 - theta) and K[l, k + 1 - lo] collects w theta (one
+    ``np.bincount``), so the mean is one matrix product K @ windows[lo:hi
+    + 1] over the band, with no gathered matrix, taken over blocks of nodes
+    so that the window block it copies holds at most
+    ``WINDOW_BLOCK_VALUES`` values. Both applies return a fresh array. The
+    plans of one stencil share its pad, so they run one at a time.
     """
 
     def __init__(self, n, spacing):
@@ -183,12 +177,6 @@ class ShiftStencil:
         self._pad = np.empty(3 * n)
         # windows[n + k] = p[k:k + n], the values shifted by k nodes, k in [-n, n]
         self._windows = sliding_window_view(self._pad, n)
-        self._columns = self._band = None
-
-    def load(self, values):
-        """Refill the pad with ``values``, n nodes; returns the stencil."""
-        pad(values, self.key[0], self._pad)
-        return self
 
     def _cells(self, c):
         # window row of the lower cell node and the weight of the upper one
@@ -197,45 +185,43 @@ class ShiftStencil:
         k = np.floor(u)
         return n + k.astype(np.int64), u - k
 
-    def __call__(self, c):
-        held = self._columns
-        if held is None or not np.array_equal(held[0], c):
-            # the old geometry is freed first, so that the new one and the
-            # gathers after it can reuse its memory
-            held = self._columns = None
-            rows, theta = self._cells(c)
-            theta = theta[:, None]
-            held = self._columns = (c.copy(), rows, rows + 1, 1.0 - theta, theta)
-        _, rows, upper_rows, lower_w, upper_w = held
-        out = self._windows[rows]
-        out *= lower_w
-        upper = self._windows[upper_rows]
-        upper *= upper_w
-        out += upper
-        return out.T
+    def columns(self, c):
+        rows, theta = self._cells(c)
+        theta = theta[:, None]
+        upper_rows, lower_w = rows + 1, 1.0 - theta
+
+        def apply(values):
+            pad(values, self.key[0], self._pad)
+            out = self._windows[rows]
+            out *= lower_w
+            upper = self._windows[upper_rows]
+            upper *= theta
+            out += upper
+            return out
+        return apply
 
     def mean(self, c, w):
-        held = self._band
-        if held is None or not (np.array_equal(held[0], c) and np.array_equal(held[1], w)):
-            held = self._band = None  # freed first, as in __call__
-            rows, theta = self._cells(c)
-            lo = rows.min()
-            width = rows.max() + 2 - lo
-            band = rows - lo + width * np.arange(c.shape[0])[:, None]
-            kernel = np.bincount(np.concatenate([band.ravel(), band.ravel() + 1]),
-                                 np.concatenate([(w * (1.0 - theta)).ravel(),
-                                                 (w * theta).ravel()]),
-                                 minlength=c.shape[0] * width).reshape(c.shape[0], width)
-            block = max(1, WINDOW_BLOCK_VALUES // width)
-            held = self._band = (c.copy(), w.copy(), lo, width, kernel, block)
-        _, _, lo, width, kernel, block = held
+        rows, theta = self._cells(c)
+        lo = rows.min()
+        width = rows.max() + 2 - lo
+        band = rows - lo + width * np.arange(c.shape[0])[:, None]
+        kernel = np.bincount(np.concatenate([band.ravel(), band.ravel() + 1]),
+                             np.concatenate([(w * (1.0 - theta)).ravel(),
+                                             (w * theta).ravel()]),
+                             minlength=c.shape[0] * width).reshape(c.shape[0], width)
+        block = max(1, WINDOW_BLOCK_VALUES // width)
         n = self.key[0]
-        out = np.empty((c.shape[0], n))
-        for i in range(0, n, block):
-            # the strided window block is copied once, for one BLAS product
-            np.matmul(kernel, np.ascontiguousarray(self._windows[lo:lo + width, i:i + block]),
-                      out=out[:, i:i + block])
-        return out
+        windows = self._windows[lo:lo + width]
+
+        def apply(values):
+            pad(values, n, self._pad)
+            out = np.empty((kernel.shape[0], n))
+            for i in range(0, n, block):
+                # the strided window block is copied once, for one BLAS product
+                np.matmul(kernel, np.ascontiguousarray(windows[:, i:i + block]),
+                          out=out[:, i:i + block])
+            return out
+        return apply
 
 
 def one_step_weighted(values, origin, spacing, constant_ext, base, offsets, weights):

@@ -66,11 +66,14 @@ class Perturbed(ScalingFamily):
     """psi(t, x, y) = x + t phi0(x) + t y with phi0 bounded Lipschitz.
 
     Realizes the time-linear perturbation phi(t, x) = t phi0(x); ``lip``
-    is the declared Lipschitz bound of phi0.
+    is the declared Lipschitz bound of phi0, a finite number >= 0.
     """
 
     phi0: object
     lip: float
+
+    def __post_init__(self):
+        nonnegative(self.lip, "lip")
 
     @property
     def drift(self):
@@ -131,12 +134,11 @@ class Partition:
 class OneStepOperator:
     """I(t) of ``model`` under ``scaling``; ``op(t, f)`` is ``one_step``.
 
-    The operator keeps what its last step built, per thread, in ``_memo``:
-    ``plan``, the last per-point gather as (t, grid, sample points, plan),
-    and ``stencil``, the grid-aligned stencil with its pad and last
-    geometry. Both hold buffers that each step refills, so threads that
-    step one operator each fill their own. The memo is no part of the
-    operator's identity.
+    The operator keeps the last gather plan its steps built, per thread, in
+    ``_memo.plan``: (t, grid, sample points, weights, plan), the weights
+    None but for a mean. A plan holds buffers that each step refills, so
+    threads that step one operator each fill their own. The memo is no
+    part of the operator's identity.
     """
 
     model: ExpectationModel
@@ -161,41 +163,51 @@ def one_step(op, t, f):
     calling thread. That matrix is always column-major, the transpose of a
     C-ordered (k, nodes) gather, so the models' reductions over the k sample
     points run over contiguous rows.
-    A scaling with no drift moves every node by the same offset scale * y,
-    so in 1D the gather is a shifted-slice stencil; the operator keeps it
-    for the calling thread, refilled with each step's values while the grid
-    stays the same, and the stencil keeps the geometry of its last offsets
-    and weights, so equal steps compute it once. Otherwise the queries are
-    laid out (k, nodes) in 1D and (k, nodes, 2) in 2D, and the gather's
-    geometry is a plan that the operator keeps for the calling thread and
-    reuses while t, the grid and the sample points stay the same, as they
-    do over the full steps of one partition; such steps do not compute the
-    scaling's base either. A plan's output is its own held buffer, which
-    the next gather overwrites; a model's reduction reads it and returns a
-    fresh array.
+    The gather's geometry is a plan that the operator keeps for the calling
+    thread and reuses while t, the grid, the sample points and, for a mean,
+    the weights stay the same, as they do over the full steps of one
+    partition: one cache test per gather. A scaling with no drift moves
+    every node by the same offset scale * y, so in 1D the plan is a shift
+    stencil's (``GridFunction.stencil``), and the gather also has the entry
+    ``mean(y, w)``, the stencil's banded mean, which ``ShiftSup`` takes;
+    otherwise the queries are laid out (k, nodes) in 1D and (k, nodes, 2)
+    in 2D for ``GridFunction.gather_plan``. A step that reuses a plan
+    computes neither the scaling's base nor its scale. A per-point plan's
+    output is its own held buffer, which the next gather overwrites; a
+    model's reduction reads it and returns a fresh array.
     """
     if nonnegative(t, "t") == 0.0:
         return f
     g = f.grid
     one_d = g.dimension == 1
     scaling = op.scaling
-    scale = scaling.scale(t)
+    aligned = one_d and scaling.drift is None
     memo = op._memo
-    if one_d and scaling.drift is None:
-        stencil = memo.stencil = f.stencil(getattr(memo, "stencil", None))
 
-        def gather(y):
-            return stencil(scale * y[:, 0])
-        # mean(y, w)[l] = gather(y[l]) @ w for a stack of sample clouds
-        gather.mean = lambda y, w: stencil.mean(scale * y[..., 0], w)
-    else:
-        def gather(y):
-            held = getattr(memo, "plan", None)
-            if not (held is not None and held[:2] == (t, g) and np.array_equal(held[2], y)):
+    def plan(y, w=None):
+        # a gather's points are (k, d) and a mean's (L, m, d), so equal
+        # points are of one kind, and a mean's weights must be equal too
+        held = getattr(memo, "plan", None)
+        if not (held is not None and held[:2] == (t, g) and np.array_equal(held[2], y)
+                and (w is None or np.array_equal(held[3], w))):
+            # the old plan is freed first, so that the new one and the
+            # gathers after it can reuse its memory
+            held = memo.plan = None
+            scale = scaling.scale(t)
+            if aligned:
+                stencil, c = f.stencil(), scale * y[..., 0]
+                apply = stencil.columns(c) if w is None else stencil.mean(c, w)
+            else:
                 base = scaling.base(t, g.axis if one_d else g.nodes())
-                held = memo.plan = (t, g, y.copy(), f.gather_plan(
-                    base + scale * (y if one_d else y[:, None])))
-            return held[3](f.values).T
+                apply = f.gather_plan(base + scale * (y if one_d else y[:, None]))
+            held = memo.plan = (t, g, y.copy(), None if w is None else w.copy(), apply)
+        return held[4](f.values)
+
+    def gather(y):
+        return plan(y).T
+    if aligned:
+        # mean(y, w)[l] = gather(y[l]) @ w for a stack of sample clouds
+        gather.mean = plan
     return f.replace_values(op.model.reduce(gather, t).reshape(f.values.shape))
 
 

@@ -14,8 +14,9 @@ returns, so a parse, output-path or validation error writes nothing.
 
 Each rule is written once. The constructors (``Grid``, ``GrowthWeight``,
 ``Shortfall``, ``ShiftSup``, ``DiscreteMeasure``, ``PenaltyFunction``,
-``gauss_hermite``), ``limits.poly_power``, ``limits.lattice_scale`` and
-the shared rules ``errors.steps`` (schedules), ``errors.probes`` (probe
+``gauss_hermite``), ``limits.poly_power``, ``limits.lattice_scale``, the
+PDE march bound (``march_steps``, ``pde.MAX_MARCH_WORK``) and the shared
+rules ``errors.steps`` (schedules), ``errors.probes`` (probe
 times) and ``errors.nonnegative`` (``shift_radius``) own the rules on
 their arguments, and ``_Fields.build`` reports a broken one against the
 field it came from, while the field is read; the readers own only what no
@@ -45,11 +46,6 @@ from .limits import (generator_check, interpolation_floor, lattice_scale, ld_rat
                      poly_power, poly_rate, require_centered)
 from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
 
-# the most node updates (march steps x nodes) a PDE oracle may take, about
-# 40 times the 12,275 steps x 2,049 nodes of pde_crosscheck_hj: a march
-# takes 1/h (Lax-Friedrichs) or 1/h^2 (G-heat) steps, so a fine grid would
-# otherwise march for hours
-MAX_MARCH_WORK = 10 ** 9
 # the most points of a grid, a conjugation grid or a shift grid, about 400
 # times the largest count a built-in uses (2,401): a count above it fails
 # while its field is read, before an array of that size is allocated
@@ -202,13 +198,8 @@ class _Fields:
 
     def march(self, key, ham, grid):
         """Fail on ``key`` when the PDE march of ``ham`` to t = 1 on ``grid``
-        takes more than ``MAX_MARCH_WORK`` node updates."""
-        steps = self.build(key, ham.march_steps, grid.spacing)
-        nodes = grid.points_per_axis
-        if steps * nodes > MAX_MARCH_WORK:
-            self._fail(key, f"spacing {grid.spacing:.3g} makes the PDE march take {steps:.3g} "
-                            f"steps x {nodes} nodes, above MAX_MARCH_WORK = "
-                            f"{MAX_MARCH_WORK:.0e} node updates")
+        takes more than ``pde.MAX_MARCH_WORK`` node updates."""
+        self.build(key, ham.march_steps, grid.spacing, 1.0, grid.points_per_axis)
 
     def schedule(self, key):
         """Step counts, as ``errors.steps`` takes them for ``chernoff_limit``."""

@@ -357,18 +357,22 @@ def shortfall_root(vals, weights, power):
     """Vectorized bisection for the shortfall level, rows = payoff vectors.
 
     The defining map m -> sum w ((1 + v - m)^+)^p is strictly decreasing, so
-    the bracket [min v - 1, max v + 1] always contains the root; the
-    bisection stops once the bracket is below ``SHORTFALL_TOL``, after a
-    count of iterations set by the widest row. Zero rows give no levels
-    and run no iteration. ``1 + v`` is formed once, before the loop:
-    ``1 + v - m`` evaluates left to right, so each iterate keeps its bits.
+    the bracket [min v - 1, max v + 1] always contains the root; a row
+    whose bracket rounds to a point (payoff / t too large) raises
+    ``InputError``. The bisection stops once the bracket is below
+    ``SHORTFALL_TOL``, after a count of iterations set by the widest row.
+    Zero rows give no levels and run no iteration. ``1 + v`` is formed
+    once, before the loop: ``1 + v - m`` evaluates left to right, so each
+    iterate keeps its bits.
     """
     vals = np.asarray(vals, dtype=float)
     lo = vals.min(axis=1) - 1.0
     if lo.size == 0:
         return lo
     hi = vals.max(axis=1) + 1.0
-    assert np.all(lo < hi)
+    if not np.all(lo < hi):
+        raise InputError("shortfall payoff / t is too large to bracket: "
+                         "[min - 1, max + 1] rounds to a point")
     shifted = 1.0 + vals
     for _ in range(int(np.ceil(np.log2((hi - lo).max() / SHORTFALL_TOL))) + 2):
         mid = 0.5 * (lo + hi)

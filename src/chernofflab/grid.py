@@ -156,15 +156,14 @@ class GridFunction:
         return _kernels.gather_plan(-g.half_width, g.spacing, g.points_per_axis, q,
                                     True, g.dimension)
 
-    def stencil(self, held=None):
-        """The 1D gather at node-independent offsets, ``stencil(c)[i, j] =
-        f(x_i + c[j])``, as shifted slices of the padded values; its
-        ``mean(c, w)`` entry takes ``sum_j w[j] f(x_i + c[l, j])`` per row of
-        offsets ``c`` without gathering them. ``held``, a stencil an earlier
-        call returned, is refilled with these values in place and returned,
-        with the geometry of its last offsets, when it was built for this
-        grid; otherwise a new stencil is built."""
-        return _kernels.shift_stencil(self.values, self.grid.spacing, held)
+    def stencil(self):
+        """The 1D gather at node-independent offsets on this grid, a
+        ``ShiftStencil``: ``stencil.columns(c)`` and ``stencil.mean(c, w)``
+        are plans, like ``gather_plan``'s, from node values to
+        ``f(x_i + c[j])`` in row j, and to ``sum_j w[j] f(x_i + c[l, j])``
+        in row l for each row of offsets ``c``, the latter without
+        gathering them."""
+        return _kernels.ShiftStencil(self.grid.points_per_axis, self.grid.spacing)
 
     # -- norms ---------------------------------------------------------------
 

@@ -111,11 +111,12 @@ def hopf_lax(f, t, rate):
     keep = t * (phis - pmin) <= (hi - lo) + slack
     ys, phis = ys[keep], phis[keep]
     if f.grid.dimension == 1:
-        # every node is queried at the same offsets t * y: a shift stencil
+        # every node is queried at the same offsets t * y: one shift
+        # stencil, one plan per block of candidates
         stencil = f.stencil()
 
         def gather(yy):
-            return stencil(t * yy)
+            return stencil.columns(t * yy)(f.values).T
     else:
         if ys.ndim == 1:
             raise InputError("2D grid functions need a radial rate function")

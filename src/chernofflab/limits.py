@@ -246,9 +246,11 @@ def poly_rate(measure, power, threshold, n_grid, shift_radius=0.0, tol=0.05):
     The bound is (inf_{x >= threshold - shift_radius} Lambda*(x))^(-p) with
     Lambda the shortfall transform of linear payoffs, on 1201 points of
     [-6, 6]; an infinite bound (the infimum is zero) is reported as +inf
-    and passes trivially.
+    and passes trivially. ``tol``, the bound's relative slack, is a finite
+    number >= 0.
     """
     power = poly_power(power)
+    nonnegative(tol, "tol")
     probs, lstar = _tail(measure, threshold, n_grid, shift_radius,
                          Shortfall(measure, power), np.linspace(-6.0, 6.0, 1201))
     values = [n ** (power - 1.0) * p for p, n in zip(probs, n_grid)]

@@ -12,6 +12,8 @@ node layers, and are first-order accurate; they cross-check the Chernoff
 limits without sharing any code path with them. ``solve_hj`` interpolates H
 on a strictly increasing gradient grid; ``solve_g_heat`` marches on the lower
 convex hull of G's lines, which ``Hamiltonian2.from_model`` takes from a model.
+A march of more than ``MAX_MARCH_WORK`` node updates raises ``InputError``
+before its first step.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,12 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, freeze, nonnegative, sampled
+
+# the most node updates (march steps x nodes) a PDE march may take, about
+# 40 times the 12,275 steps x 2,049 nodes of pde_crosscheck_hj: a march
+# takes 1/h (Lax-Friedrichs) or 1/h^2 (G-heat) steps, so a fine grid or a
+# long time would otherwise march for hours
+MAX_MARCH_WORK = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -50,14 +58,16 @@ class Hamiltonian1:
         """Largest |H'| over the whole grid, from the grid slopes."""
         return float(np.max(np.abs(np.diff(self.values) / np.diff(self.p_grid))))
 
-    def march_steps(self, h, t=1.0):
-        """The steps ``solve_hj`` takes up to time t on spacing h."""
-        return _march_steps(t, 0.5 * h / (2.0 * max(self.max_slope, 1e-8)))
+    def march_steps(self, h, t, nodes):
+        """The steps ``solve_hj`` takes up to time t on ``nodes`` nodes of
+        spacing h (``_march_steps``)."""
+        return _march_steps(t, 0.5 * h / (2.0 * max(self.max_slope, 1e-8)), nodes)
 
 
 @dataclass(frozen=True)
 class Hamiltonian2:
-    """Second-order nonlinearity G(a) = max_l (lam_l^2 a/2 - cost_l) + Sigma a/2."""
+    """Second-order nonlinearity G(a) = max_l (lam_l^2 a/2 - cost_l) + Sigma a/2,
+    with Sigma = ``sigma2`` a finite number >= 0."""
 
     lam_grid: np.ndarray
     costs: np.ndarray
@@ -73,6 +83,7 @@ class Hamiltonian2:
             raise InputError("all shift costs are infinite")
         if not np.any(np.isclose(cost[fin], 0.0)):
             raise InputError("G(0) = 0 requires a zero-cost lambda entry")
+        nonnegative(self.sigma2, "sigma2")
         freeze(self, lam_grid=lam[fin], costs=cost[fin])
 
     @classmethod
@@ -91,9 +102,10 @@ class Hamiltonian2:
     def max_diffusion(self):
         return 0.5 * float(np.max(self.lam_grid ** 2)) + 0.5 * self.sigma2
 
-    def march_steps(self, h, t=1.0):
-        """The steps ``solve_g_heat`` takes up to time t on spacing h."""
-        return _march_steps(t, 0.5 * h * h / (2.0 * max(self.max_diffusion, 1e-8)))
+    def march_steps(self, h, t, nodes):
+        """The steps ``solve_g_heat`` takes up to time t on ``nodes`` nodes of
+        spacing h (``_march_steps``)."""
+        return _march_steps(t, 0.5 * h * h / (2.0 * max(self.max_diffusion, 1e-8)), nodes)
 
 
 def solve_hj(ham, f, t):
@@ -124,21 +136,23 @@ def solve_g_heat(g2, f, t):
                   0.5 * g2.sigma2)
 
 
-def _march_steps(t, dt_max):
+def _march_steps(t, dt_max, nodes):
     """The fewest equal steps dt = t / steps no longer than dt_max, at least 1;
-    a dt_max so small that their count overflows raises ``InputError``."""
+    ``InputError`` when they take more than ``MAX_MARCH_WORK`` node updates
+    on ``nodes`` nodes, a count that overflows among them."""
     steps = np.ceil(t / dt_max) if dt_max > 0 else np.inf
-    if not np.isfinite(steps):
-        raise InputError(f"a PDE march step of {dt_max:.3g} is too short to count")
+    if not steps * nodes <= MAX_MARCH_WORK:
+        raise InputError(f"a PDE march of {steps:.3g} steps x {nodes} nodes is above "
+                         f"MAX_MARCH_WORK = {MAX_MARCH_WORK:.0e} node updates")
     return max(int(steps), 1)
 
 
 def _march(f, t, march_steps, kernel, *args):
     """``kernel(values, h, dt, steps, *args)`` from f up to time t, in
-    ``march_steps(h, t)`` equal steps; t = 0 returns f."""
+    ``march_steps(h, t, nodes)`` equal steps; t = 0 returns f."""
     if f.grid.dimension != 1:
         raise InputError("the PDE oracle is one-dimensional")
     if nonnegative(t, "t") == 0.0:
         return f
-    steps = march_steps(f.grid.spacing, t)
+    steps = march_steps(f.grid.spacing, t, f.grid.points_per_axis)
     return f.replace_values(kernel(f.values, f.grid.spacing, t / steps, steps, *args))

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction,
                          Hamiltonian1, Hamiltonian2, Linear, OneStepOperator,
-                         Partition, PenaltyFunction, RateFunction,
-                         brute_force_functional, chernoff, chernoff_limit,
+                         Partition, PenaltyFunction, Perturbed, RateFunction,
+                         Shortfall, brute_force_functional, chernoff, chernoff_limit,
                          conjugate_rate, exact_tail_probabilities, gauss_hermite,
                          generator_check, hopf_lax, ld_rate, legendre,
-                         nonlinear_functional, one_step, semigroup_defect,
+                         nonlinear_functional, one_step, poly_rate, semigroup_defect,
                          solve_g_heat, solve_hj, two_point,
                          upper_lipschitz_certificate)
 from chernofflab.errors import MAX_STEPS, InputError, nonnegative, probes, steps
@@ -121,6 +121,25 @@ MALFORMED = [
     ("sup_norm_on-empty-box", lambda: F.sup_norm_on((1.0, 0.5)), "box"),
     ("conjugate_rate-empty-y-grid",
      lambda: conjugate_rate(Entropic(BERNOULLI), np.linspace(-1.0, 1.0, 5), []), "y-grid"),
+    # marches of 5.6e11, 5.6e301 and 3.2e11 steps on 17 nodes, each of which
+    # ran for hours; each fails before its first step
+    ("solve_hj-above-MAX_MARCH_WORK", lambda: solve_hj(HAM, F, 1e10), "MAX_MARCH_WORK"),
+    ("solve_hj-1e300", lambda: solve_hj(HAM, F, 1e300), "MAX_MARCH_WORK"),
+    ("solve_g_heat-above-MAX_MARCH_WORK", lambda: solve_g_heat(G2, F, 1e10),
+     "MAX_MARCH_WORK"),
+    # scalars that were built or compared as nan
+    ("Hamiltonian2-nan-sigma2",
+     lambda: Hamiltonian2(np.array([0.0, 1.0]), np.array([0.0, 0.0]), sigma2=NAN), "sigma2"),
+    ("Hamiltonian2-negative-sigma2",
+     lambda: Hamiltonian2(np.array([0.0, 1.0]), np.array([0.0, 0.0]), sigma2=-5), "sigma2"),
+    ("Perturbed-nan-lip", lambda: Perturbed(np.sin, NAN), "lip"),
+    ("poly_rate-nan-tol",
+     lambda: poly_rate(BERNOULLI, 2.0, 0.5, [200, 400, 600], tol=NAN), "tol"),
+    # payoff / t of 1e300 leaves shortfall_root no bracket; a bare assert
+    # caught it, and nothing under python -O
+    ("Shortfall-unbracketable-payoff",
+     lambda: one_step(OneStepOperator(Shortfall(BERNOULLI, 2.0)), 1e-300, F),
+     "too large to bracket"),
 ]
 
 

@@ -286,10 +286,12 @@ class TestPlanReuse:
         op = OneStepOperator(model, scaling)
         f = plan_case_payoff("perturbed_shift_sup")
         one_step(op, 0.2, f)
-        # the last of the 9 shift clouds, with the plan of its points
-        t, grid, points, _ = op._memo.plan
+        # the last of the 9 shift clouds, with the plan of its points; a
+        # per-point gather has no weights
+        t, grid, points, weights, _ = op._memo.plan
         assert (t, grid) == (0.2, f.grid)
         assert np.array_equal(points, model._clouds[-1])
+        assert weights is None
         # the held plan is no part of the operator's identity
         assert op == OneStepOperator(model, scaling)
         assert "_memo" not in repr(op)
@@ -406,7 +408,7 @@ class TestOneReduction:
 
 class TestSharedOperator:
     """One operator stepped by several threads at once: each thread keeps its
-    own plans and stencil, so none refills another's buffers."""
+    own plan, so none refills another's buffers."""
 
     @pytest.mark.parametrize("model, scaling", [
         (Entropic(BLOCK_MU), FirstOrderAffine()),  # the stencil
@@ -449,9 +451,9 @@ class TestSharedOperator:
         f = block_case_payoff("entropic")
         want = one_step(op, 0.25, f).values
         twin = duplicate(op)
-        assert not hasattr(twin._memo, "stencil")
+        assert not hasattr(twin._memo, "plan")
         assert one_step(twin, 0.25, f).values.tobytes() == want.tobytes()
-        assert op._memo.stencil is not twin._memo.stencil
+        assert op._memo.plan[4] is not twin._memo.plan[4]
 
 
 # every grid-aligned model family, each under both grid-aligned scalings
@@ -469,7 +471,7 @@ STENCIL_SCALINGS = {"first_order": FirstOrderAffine(), "second_order": SecondOrd
 
 
 def count_geometry_builds(monkeypatch):
-    # each build of a held geometry (a stencil's columns or a mean's band)
+    # each build of a stencil plan (a column plan or a mean's band)
     # computes the cells of its offsets once
     builds = []
     cells = _kernels.ShiftStencil._cells
@@ -479,7 +481,7 @@ def count_geometry_builds(monkeypatch):
 
 
 class TestStencilReuse:
-    """The grid-aligned stencil and its geometry are reused across equal steps."""
+    """The grid-aligned stencil plans are reused across equal steps."""
 
     @pytest.mark.parametrize("scaling", list(STENCIL_SCALINGS))
     @pytest.mark.parametrize("model", list(STENCIL_MODELS))
@@ -491,7 +493,7 @@ class TestStencilReuse:
     @pytest.mark.parametrize("model", list(STENCIL_MODELS))
     def test_iterate_equals_fresh_one_steps(self, model, scaling):
         # horizon 0.9 with step 0.2: a remainder step of t = 0.1, then four
-        # full steps; each fresh operator builds its own stencil
+        # full steps; each fresh operator builds its own plan
         parts = (STENCIL_MODELS[model], STENCIL_SCALINGS[scaling])
         f = plan_case_payoff(model)
         partition = Partition(0.9, 0.2)
@@ -504,10 +506,6 @@ class TestStencilReuse:
     @pytest.mark.parametrize("model", ["linear", "symmetric_sup"])
     def test_one_geometry_per_partition(self, model, monkeypatch):
         builds = count_geometry_builds(monkeypatch)
-        plans = []
-        stencil_init = _kernels.ShiftStencil.__init__
-        monkeypatch.setattr(_kernels.ShiftStencil, "__init__",
-                            lambda self, *key: plans.append(key) or stencil_init(self, *key))
         op = OneStepOperator(STENCIL_MODELS[model], SecondOrder())
         f = plan_case_payoff(model)
         iterate(op, Partition(1.0, 1.0 / 16), f)
@@ -516,8 +514,6 @@ class TestStencilReuse:
         builds.clear()
         iterate(op, Partition(0.9, 0.2), f)
         assert len(builds) == 2
-        # one grid: one stencil over both partitions
-        assert len(plans) == 1
 
     def test_changes_are_never_served_a_stale_geometry(self, monkeypatch):
         builds = count_geometry_builds(monkeypatch)
@@ -536,36 +532,73 @@ class TestStencilReuse:
         assert len(builds) == 2 * len(cases)
 
     def test_changed_offsets_or_weights_rebuild(self):
-        # both entries of one held stencil against fresh stencils, with the
-        # offsets, the clouds or the weights changed between calls
+        # plans of one stencil against plans of fresh stencils, with the
+        # offsets, the clouds or the weights changed between plans and each
+        # plan applied to other values: every plan keeps its own geometry,
+        # and every apply refills the pad the plans share
         f = plan_case_payoff("linear")
-        held = f.stencil()
+        stencil = f.stencil()
         c = np.array([0.0, 0.31, -0.7, 5.0])
         clouds = np.array([[0.1, -0.2, 0.45], [1.3, -0.9, 0.0]])
         w = np.array([0.2, 0.5, 0.3])
-        for offsets in (c, 2.0 * c, c[:3], c):
-            assert np.array_equal(held(offsets), f.stencil()(offsets))
-        for cl, cw in ((clouds, w), (clouds, w[::-1]), (0.5 * clouds, w[::-1]),
-                       (clouds[:1], w), (clouds, w)):
-            assert np.array_equal(held.mean(cl, cw), f.stencil().mean(cl, cw))
+        first = stencil.mean(clouds, w)
+        for k, offsets in enumerate((c, 2.0 * c, c[:3], c)):
+            v = (k + 1.0) * f.values
+            assert np.array_equal(stencil.columns(offsets)(v), f.stencil().columns(offsets)(v))
+        for k, (cl, cw) in enumerate(((clouds, w), (clouds, w[::-1]), (0.5 * clouds, w[::-1]),
+                                      (clouds[:1], w), (clouds, w))):
+            v = f.values - k
+            assert np.array_equal(stencil.mean(cl, cw)(v), f.stencil().mean(cl, cw)(v))
+        # the first plan, applied after all the others
+        assert np.array_equal(first(f.values), f.stencil().mean(clouds, w)(f.values))
 
-    def test_operator_holds_one_stencil(self):
+    def test_gathers_and_means_never_share_a_plan(self, monkeypatch):
+        # one step gathers a cloud, takes its mean under two weights, then
+        # the gather and the first mean again: each call is served its own
+        # plan, a fresh stencil's values
+        builds = count_geometry_builds(monkeypatch)
+        f = plan_case_payoff("linear")
+        y = np.array([[-0.5], [0.25], [1.0]])
+        w1, w2 = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
+        calls = [(y, None), (y[None], w1), (y[None], w2), (y, None), (y[None], w1)]
+        got = []
+
+        class Scripted(Linear):
+            def reduce(self, payoff, t=1.0):
+                got.extend(np.array(payoff(p) if w is None else payoff.mean(p, w))
+                           for p, w in calls)
+                return f.values
+        t = 0.2
+        one_step(OneStepOperator(Scripted(two_point())), t, f)
+        assert len(builds) == len(calls)
+        stencil = f.stencil()
+        for (p, w), value in zip(calls, got):
+            c = t * p[..., 0]
+            want = (stencil.columns(c)(f.values).T if w is None
+                    else stencil.mean(c, w)(f.values))
+            assert np.array_equal(value, want)
+
+    def test_operator_holds_one_plan(self):
+        # the memo's one entry is the mean plan of ShiftSup's clouds, for
+        # the last t
         model = STENCIL_MODELS["shift_sup"]
         op = OneStepOperator(model)
         f = plan_case_payoff("shift_sup")
         one_step(op, 0.2, f)
-        held = op._memo.stencil
         one_step(op, 0.1, f.replace_values(2.0 * f.values))
-        assert op._memo.stencil is held
-        assert held.key == (f.grid.points_per_axis, f.grid.spacing)
-        # the held stencil is no part of the operator's identity
+        assert list(vars(op._memo)) == ["plan"]
+        t, grid, points, weights, _ = op._memo.plan
+        assert (t, grid) == (0.1, f.grid)
+        assert np.array_equal(points, model._clouds)
+        assert np.array_equal(weights, model._cloud_weights)
+        # the held plan is no part of the operator's identity
         assert op == OneStepOperator(model)
         assert "_memo" not in repr(op)
 
     @pytest.mark.parametrize("model", ["linear", "shift_sup", "centered_entropic"])
     def test_next_step_leaves_the_last_values_alone(self, model):
-        # the stencil refills its pad on every step; no step result may
-        # share it
+        # the plan refills its stencil's pad on every step; no step result
+        # may share it
         op = OneStepOperator(STENCIL_MODELS[model], SecondOrder())
         u = one_step(op, 0.2, plan_case_payoff(model))
         held = u.values.copy()

@@ -26,7 +26,7 @@ def exhaustive_hopf_lax(f, t, rate):
     them, then the max: the Hopf-Lax values with nothing dropped."""
     ys, phis = hopflax._candidates(rate)
     if f.grid.dimension == 1:
-        gathered = f.stencil()(t * ys)
+        gathered = f.stencil().columns(t * ys)(f.values).T
     else:
         nodes = f.grid.nodes()
         gathered = f.eval(nodes[:, None, :] + t * ys[None, :, :])
@@ -35,14 +35,19 @@ def exhaustive_hopf_lax(f, t, rate):
 
 @pytest.fixture
 def gathered_columns(monkeypatch):
-    """A one-entry list counting the columns every 1D shift stencil gathers."""
+    """A one-entry list counting the columns every 1D shift stencil's column
+    plans gather, at each apply."""
     count = [0]
-    stencil_call = K.ShiftStencil.__call__
+    columns = K.ShiftStencil.columns
 
-    def gather(self, c):
-        count[0] += c.size
-        return stencil_call(self, c)
-    monkeypatch.setattr(K.ShiftStencil, "__call__", gather)
+    def plan(self, c):
+        apply = columns(self, c)
+
+        def gather(values):
+            count[0] += c.size
+            return apply(values)
+        return gather
+    monkeypatch.setattr(K.ShiftStencil, "columns", plan)
     return count
 
 
@@ -305,13 +310,14 @@ class TestHopfLaxBlocks:
     @staticmethod
     def scans(f, t, rate, monkeypatch):
         """hopf_lax under one candidate per block, the default budget and one
-        block for every candidate, with the columns of each 1D gather."""
-        widths, stencil_call = [], K.ShiftStencil.__call__
+        block for every candidate, with the columns of each 1D column plan,
+        one per block."""
+        widths, columns = [], K.ShiftStencil.columns
 
-        def gather(self, c):
+        def plan(self, c):
             widths[-1].append(c.size)
-            return stencil_call(self, c)
-        monkeypatch.setattr(K.ShiftStencil, "__call__", gather)
+            return columns(self, c)
+        monkeypatch.setattr(K.ShiftStencil, "columns", plan)
         n, total = f.values.size, hopflax._candidates(rate)[1].size
         out = []
         for budget in (n, K.WINDOW_BLOCK_VALUES, n * total):

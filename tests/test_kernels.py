@@ -9,11 +9,12 @@ lower hull of its lines only, the loop over every line. A gather plan must
 give the one-shot gathers bit for bit for any values on its grid, and
 return its one held buffer from every apply, refilled; and
 ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
-edge values written out per side, and so must the stencil's held pad,
-refilled in place. The stencil's weighted mean must equal its gather
-followed by a dot, a grid-aligned ``ShiftSup`` step must equal the
-reduction of the same gather with no ``mean`` entry (one payoff call per
-shift), take one mean call and no gather, on a held stencil too, and stay
+edge values written out per side, and so must the stencil's pad, refilled
+in place by every apply of its column and mean plans. The stencil's
+weighted mean must equal its gather followed by a dot, a grid-aligned
+``ShiftSup`` step must equal the reduction of the same gather with no
+``mean`` entry (one payoff call per shift), apply one mean plan and no
+column plan, on a held plan too, and stay
 within 16 MB on a band as wide as the padded values. ``chernoff`` and ``hopflax`` must not import
 ``_kernels``.
 
@@ -122,7 +123,7 @@ def test_shift_stencil_matches_interp1():
         [-3.7, 1.9, 4.0 * h - 1e-13],              # negative, and next to a node
         [8.0, -8.0, 8.3, -9.1, 30.0, -25.0],       # half the box and beyond it
     ])
-    got = K.shift_stencil(values, h)(offsets)
+    got = K.ShiftStencil(g.points_per_axis, h).columns(offsets)(values).T
     want = K.interp1(values, -g.half_width, h, g.axis[:, None] + offsets, True)
     assert got.shape == (g.points_per_axis, offsets.size)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -428,15 +429,20 @@ def test_pad_fills_every_entry_and_keeps_its_input():
     assert np.array_equal(out[m:m + n], v) and np.array_equal(v, before)
 
 
-def test_stencil_refills_its_pad_as_pad_does():
-    # the held pad, refilled in place over other values, against a fresh
-    # pad and the edge values written out per side
+@pytest.mark.parametrize("entry", ["columns", "mean"])
+def test_stencil_refills_its_pad_as_pad_does(entry):
+    # the stencil's pad, refilled in place over other values by each apply
+    # of a column or mean plan, against a fresh pad and the edge values
+    # written out per side
     n = 65
     rng = np.random.default_rng(7)
-    stencil = K.shift_stencil(rng.normal(size=n), 0.1)
+    stencil = K.ShiftStencil(n, 0.1)
+    c = np.array([[0.0, 0.25, -1.3]])
+    apply = stencil.columns(c[0]) if entry == "columns" else stencil.mean(c, np.full(3, 1 / 3))
     for scale in (1.0, 1e-3, 3e5):
         v = scale * rng.normal(size=n) + np.pi
-        got = stencil.load(v)._pad
+        apply(v)
+        got = stencil._pad
         assert got.tobytes() == K.pad(v, n, np.empty(3 * n)).tobytes()
         assert got.tobytes() == stencil_pad(v, n).tobytes()
 
@@ -456,9 +462,9 @@ def test_kernels_are_reached_only_through_the_grid(module):
         assert not any("_kernels" in name for name in names), ast.unparse(node)
 
 
-def mean_by_gather(stencil, clouds, w):
-    # each cloud gathered as stencil columns, then averaged by one dot
-    return np.stack([stencil(c) @ w for c in clouds])
+def mean_by_gather(stencil, values, clouds, w):
+    # each cloud gathered by a column plan, then averaged by one dot
+    return np.stack([stencil.columns(c)(values).T @ w for c in clouds])
 
 
 @pytest.mark.parametrize("budget", [1 << 15, 600])
@@ -469,7 +475,7 @@ def test_stencil_mean_matches_gather_and_dot(budget, monkeypatch):
     g = Grid(4.0, 65)
     h = g.spacing
     values = np.sin(g.axis) + 0.2 * g.axis ** 2
-    stencil = K.shift_stencil(values, h)
+    stencil = K.ShiftStencil(g.points_per_axis, h)
     # atoms on nodes (theta = 0) and three atoms on one floor index
     atoms = np.array([0.0, 2 * h, 0.3 * h, 0.55 * h, 0.9 * h, -1.45, 3.1])
     w = np.array([0.1, 0.2, 0.15, 0.05, 0.2, 0.2, 0.1])
@@ -482,10 +488,10 @@ def test_stencil_mean_matches_gather_and_dot(budget, monkeypatch):
                np.tile(0.5 * w, 2)),
               (atoms[None] + 0.37, w)]                     # a single shift
     for c, cw in clouds:
-        want = mean_by_gather(stencil, c, cw)
-        got = stencil.mean(c, cw)
+        want = mean_by_gather(stencil, values, c, cw)
+        got = stencil.mean(c, cw)(values)
         assert got.shape == (c.shape[0], g.points_per_axis)
-        scale = np.max(np.abs(stencil(c.ravel())))
+        scale = np.max(np.abs(stencil.columns(c.ravel())(values)))
         assert np.max(np.abs(got - want)) <= 4e-15 * scale
 
 
@@ -506,7 +512,7 @@ def test_grid_aligned_shift_sup_step_matches_block_loop(model, scaling):
     for t in (1.0, 0.3, 1.0 / 64):
         scale = op.scaling.scale(t)
         # a gather with no mean entry is called once per shift
-        want = op.model.reduce(lambda y: stencil(scale * y[:, 0]), t)
+        want = op.model.reduce(lambda y: stencil.columns(scale * y[:, 0])(f.values).T, t)
         got = one_step(op, t, f).values
         assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(f.values))
 
@@ -572,19 +578,21 @@ def test_shift_sup_skips_only_positive_zero_costs(penalty):
 
 
 def test_grid_aligned_shift_sup_step_is_one_mean_call(monkeypatch):
-    # every stencil's entries counted, the held one of a repeated step too
+    # every apply of a stencil plan counted, the held one of a repeated
+    # step too
     calls = {}
-    stencil_call, stencil_mean = K.ShiftStencil.__call__, K.ShiftStencil.mean
 
-    def gather(self, c):
-        calls["gather"] += 1
-        return stencil_call(self, c)
+    def counted(entry, name):
+        def build(self, *args):
+            apply = entry(self, *args)
 
-    def mean(self, c, w):
-        calls["mean"] += 1
-        return stencil_mean(self, c, w)
-    monkeypatch.setattr(K.ShiftStencil, "__call__", gather)
-    monkeypatch.setattr(K.ShiftStencil, "mean", mean)
+            def counted_apply(values):
+                calls[name] += 1
+                return apply(values)
+            return counted_apply
+        return build
+    monkeypatch.setattr(K.ShiftStencil, "columns", counted(K.ShiftStencil.columns, "gather"))
+    monkeypatch.setattr(K.ShiftStencil, "mean", counted(K.ShiftStencil.mean, "mean"))
     f = GridFunction.sample(Grid(4.0, 129), np.sin)
     for scaling in (FirstOrderAffine(), SecondOrder()):
         for model in SHIFT_MODELS.values():
