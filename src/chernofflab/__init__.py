@@ -7,16 +7,14 @@ central-limit and large-deviation behaviour against independent closed-form
 """
 
 from .chernoff import (FirstOrderAffine, OneStepOperator, Partition,
-                       Perturbed, ScalingFamily, SecondOrder,
+                       Perturbed, SecondOrder,
                        chernoff_limit, iterate, one_step,
                        upper_lipschitz_certificate)
 from .expectations import (Centered, DiscreteMeasure, Entropic, Linear,
-                           PenaltyFunction, ShiftSup, Shortfall,
-                           SymmetricTwoPointSup, centered, gauss_hermite,
-                           legendre, two_point)
+                           PenaltyFunction, ShiftSup, Shortfall, centered,
+                           gauss_hermite, legendre, two_point)
 from .grid import Grid, GridFunction, GrowthWeight
-from .hopflax import (RateFunction, conjugate_rate, envelope, hopf_lax,
-                      semigroup_defect)
+from .hopflax import RateFunction, conjugate_rate, envelope, hopf_lax
 from .limits import (RateReport, brute_force_functional, clt_functional,
                      exact_tail_probabilities, generator_check, ld_rate,
                      nonlinear_functional, poly_rate)
@@ -32,13 +30,12 @@ __all__ = [
     "NUMBA_ENABLED",
     "Grid", "GridFunction", "GrowthWeight",
     "DiscreteMeasure", "PenaltyFunction", "Linear", "Entropic", "Shortfall",
-    "ShiftSup", "SymmetricTwoPointSup", "Centered", "centered",
+    "ShiftSup", "Centered", "centered",
     "gauss_hermite", "two_point", "legendre",
-    "ScalingFamily", "FirstOrderAffine", "Perturbed", "SecondOrder",
+    "FirstOrderAffine", "Perturbed", "SecondOrder",
     "Partition", "OneStepOperator", "one_step", "iterate", "chernoff_limit",
     "upper_lipschitz_certificate",
     "RateFunction", "conjugate_rate", "hopf_lax", "envelope",
-    "semigroup_defect",
     "Hamiltonian1", "Hamiltonian2", "solve_hj", "solve_g_heat",
     "nonlinear_functional", "clt_functional", "brute_force_functional",
     "exact_tail_probabilities",

@@ -20,6 +20,11 @@ from .errors import MAX_STEPS, InputError, nonnegative, probes, steps, write_csv
 from .expectations import ExpectationModel
 
 _REMAINDER_EPS = 1e-13
+# the staggered partition of chernoff_limit has mesh STAGGERED_BASE * t * 2^-j,
+# j at most STAGGERED_MAX_LEVEL (19), so that it takes at most MAX_STEPS
+# full steps
+STAGGERED_BASE = 0.75
+STAGGERED_MAX_LEVEL = int(np.log2(STAGGERED_BASE * MAX_STEPS))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +137,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class OneStepOperator:
-    """I(t) of ``model`` under ``scaling``; ``op(t, f)`` is ``one_step``.
+    """I(t) of ``model`` under ``scaling``, applied by ``one_step(op, t, f)``.
 
     The operator keeps the last gather plan its steps built, per thread, in
     ``_memo.plan``: (t, grid, sample points, weights, plan), the weights
@@ -149,9 +154,6 @@ class OneStepOperator:
     def __reduce__(self):
         # a thread-local cannot be pickled: a copy starts with an empty memo
         return type(self), (self.model, self.scaling)
-
-    def __call__(self, t, f):
-        return one_step(self, t, f)
 
 
 def one_step(op, t, f):
@@ -242,17 +244,17 @@ class ChernoffDiagnostics:
                   self.values_at_origin)
 
 
-def chernoff_limit(op, t, f, schedule, compact=None, dyadic_base=0.75):
+def chernoff_limit(op, t, f, schedule, compact=None, staggered=True):
     """Iterate over a refining schedule and report convergence diagnostics.
 
     ``schedule`` lists the number of uniform steps as :func:`errors.steps`
-    takes them; each entry is iterated once. A staggered partition with mesh
-    ``dyadic_base * t * 2^-j``, j = round(log2(schedule[-1])) (at least 1,
-    and at most log2(dyadic_base * MAX_STEPS), so that it takes at most
-    ``MAX_STEPS`` full steps), is run alongside; its terminal value measures
-    the independence of the limit from the partition choice.
-    ``dyadic_base`` is a finite number > 0, or None, which skips the
-    staggered partition and reports the cross-schedule gap as nan.
+    takes them; each entry is iterated once. With ``staggered``, a
+    partition with mesh ``STAGGERED_BASE * t * 2^-j`` (0.75 t 2^-j),
+    j = round(log2(schedule[-1])) (at least 1, and at most
+    ``STAGGERED_MAX_LEVEL`` = 19, so that it takes at most ``MAX_STEPS``
+    full steps), is run alongside; its terminal value measures the
+    independence of the limit from the partition choice. Without it, the
+    cross-schedule gap is nan.
     ``compact`` is a box that ``GridFunction.sup_norm_on`` takes, by
     default the middle half of the grid box. The diagnostics give gaps, not
     a verdict: a caller holds ``cauchy_gap`` and ``cross_schedule_gap`` to
@@ -260,8 +262,6 @@ def chernoff_limit(op, t, f, schedule, compact=None, dyadic_base=0.75):
     """
     schedule = steps(schedule, "schedule")
     nonnegative(t, "t")
-    if dyadic_base is not None and not nonnegative(dyadic_base, "dyadic_base") > 0:
-        raise InputError("dyadic_base must be > 0")
     if compact is None:
         r = f.grid.half_width / 2.0
         compact = (-r, r) if f.grid.dimension == 1 else ((-r, r), (-r, r))
@@ -278,10 +278,9 @@ def chernoff_limit(op, t, f, schedule, compact=None, dyadic_base=0.75):
         prev = u
 
     cross = np.nan
-    if dyadic_base is not None:
-        j = min(max(int(np.round(np.log2(schedule[-1]))), 1),
-                int(np.floor(np.log2(dyadic_base * MAX_STEPS))))
-        ud = iterate(op, Partition(t, min(dyadic_base * t * 2.0 ** (-j), 1.0)), f)
+    if staggered:
+        j = min(max(int(np.round(np.log2(schedule[-1]))), 1), STAGGERED_MAX_LEVEL)
+        ud = iterate(op, Partition(t, min(STAGGERED_BASE * t * 2.0 ** (-j), 1.0)), f)
         cross = prev.replace_values(prev.values - ud.values).sup_norm_on(compact)
 
     cauchy = gaps[-1] if len(gaps) > 1 else np.inf

@@ -16,12 +16,14 @@ Each rule is written once. The constructors (``Grid``, ``GrowthWeight``,
 ``Shortfall``, ``ShiftSup``, ``DiscreteMeasure``, ``PenaltyFunction``,
 ``gauss_hermite``), ``limits.poly_power``, ``limits.lattice_scale``, the
 PDE march bound (``march_steps``, ``pde.MAX_MARCH_WORK``) and the shared
-rules ``errors.steps`` (schedules), ``errors.probes`` (probe
-times) and ``errors.nonnegative`` (``shift_radius``) own the rules on
-their arguments, and ``_Fields.build`` reports a broken one against the
-field it came from, while the field is read; the readers own only what no
-rule checks: parsing, finiteness and the ranges that make a check able to
-fail.
+rules ``errors.steps`` (schedules), ``errors.points`` (the point counts
+``[grid] N``, ``shifts``, ``quadratic(r, n)`` and each ``r,count`` field,
+at most ``errors.MAX_POINTS``), ``errors.probes`` (probe times) and
+``errors.nonnegative`` (``shift_radius``) own the rules on their
+arguments, and ``_Fields.build`` reports a broken one against the field it
+came from, while the field is read and before anything of its size is
+allocated; the readers own only what no rule checks: parsing, finiteness
+and the ranges that make a check able to fail.
 """
 
 import argparse
@@ -36,28 +38,15 @@ import numpy as np
 from .chernoff import (FirstOrderAffine, OneStepOperator, Partition, Perturbed,
                        SecondOrder, chernoff_limit, iterate)
 from .configs import BUILTINS
-from .errors import MAX_STEPS, ConfigError, InputError, nonnegative, probes, steps, write_csv
+from .errors import (MAX_STEPS, ConfigError, InputError, nonnegative, points, probes,
+                     steps, write_csv)
 from .expectations import (DiscreteMeasure, Entropic, Linear, PenaltyFunction,
-                           ShiftSup, Shortfall, SymmetricTwoPointSup,
-                           gauss_hermite)
+                           ShiftSup, Shortfall, gauss_hermite)
 from .grid import Grid, GridFunction, GrowthWeight
 from .hopflax import conjugate_rate, envelope, hopf_lax
 from .limits import (generator_check, interpolation_floor, lattice_scale, ld_rate,
                      poly_power, poly_rate, require_centered)
 from .pde import Hamiltonian1, Hamiltonian2, solve_g_heat, solve_hj
-
-# the most points of a grid, a conjugation grid or a shift grid, about 400
-# times the largest count a built-in uses (2,401): a count above it fails
-# while its field is read, before an array of that size is allocated
-MAX_POINTS = 10 ** 6
-
-
-def _capped(count):
-    """``count`` if it is at most ``MAX_POINTS``, else InputError."""
-    if count > MAX_POINTS:
-        raise InputError(f"count {count:g} is above MAX_POINTS = {MAX_POINTS:.0e}")
-    return count
-
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -174,17 +163,13 @@ class _Fields:
             self._fail(key, f"needs exactly two entries, got {len(vals)}")
         return vals
 
-    def points(self, key, count):
-        """``count`` if it is at most ``MAX_POINTS``, else fail on ``key``."""
-        return self.build(key, _capped, count)
-
     def radius_count(self, key, default):
         """The r > 0 and whole count >= 2 of an ``r,count`` field, the count
-        at most ``MAX_POINTS``."""
+        one that ``errors.points`` takes."""
         r, count = self.pair(key, default)
         if not (r > 0 and count >= 2 and count == int(count)):
             self._fail(key, f"needs r > 0 and a whole count >= 2, got {r:g},{count:g}")
-        return r, int(self.points(key, count))
+        return r, self.build(key, points, int(count), "count")
 
     def span(self, key, default, zero=False):
         """np.linspace(-r, r, count) from an ``r,count`` field; with ``zero``,
@@ -226,7 +211,7 @@ _MEASURES = {
         [(float(a), float(w)) for a, w in (p.split(":") for p in pairs)]),
 }
 _PENALTIES = {
-    "quadratic": lambda r, n="129": PenaltyFunction.quadratic(float(r), _capped(int(n))),
+    "quadratic": lambda r, n="129": PenaltyFunction.quadratic(float(r), int(n)),
     "indicator": lambda r: PenaltyFunction.indicator(float(r)),
 }
 
@@ -259,10 +244,10 @@ def _build_model(sections):
                 and shifts[2] == int(shifts[2])):
             fields._fail("shifts", f"must be lo,hi,count with lo <= hi and "
                                    f"a whole count >= 1, got {shifts}")
-        count = int(fields.points("shifts", shifts[2]))
+        count = fields.build("shifts", points, int(shifts[2]), "count")
         shifts = np.linspace(shifts[0], shifts[1], count)
-        make = ShiftSup if variant == "shift_sup" else SymmetricTwoPointSup
-        return fields.build("shifts", make, measure, penalty, shifts)
+        return fields.build("shifts", ShiftSup, measure, penalty, shifts,
+                            variant == "symmetric_two_point")
     fields._fail("variant", f"unknown expectation variant {variant!r}")
 
 
@@ -302,9 +287,9 @@ def _payoff_callable(sections):
 
 def _build_payoff(sections):
     fields = _Fields(sections, "grid")
-    r, n = fields.number("R", lo=0.0), fields.points("N", fields.number("N", cast=int))
-    # N's rules checked on a unit box first, so that the grid's own error
-    # can only be R's
+    r, n = fields.number("R", lo=0.0), fields.number("N", cast=int)
+    # N's rules, errors.points among them, checked on a unit box first, so
+    # that the grid's own error can only be R's
     fields.build("N", Grid, 1.0, n)
     grid = fields.build("R", Grid, r, n)
     weight = fields.build("weight", GrowthWeight, fields.number("weight", 0, cast=int))
@@ -474,7 +459,7 @@ def _run_clt(sections):
     # one pass over the schedule gives the values, the interior iterate
     # and, with a cross_factor, the partition diagnostics
     u, diag = chernoff_limit(OneStepOperator(model, SecondOrder()), 1.0, f, n_list,
-                             compact=compact, dyadic_base=0.75 if cross else None)
+                             compact=compact, staggered=cross)
     values = diag.values_at_origin
     artifacts = {"clt_values.csv": lambda path: write_csv(
         path, "n,value,target", n_list, values, target)}

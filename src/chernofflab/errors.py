@@ -1,8 +1,9 @@
 """Exception types, and the rules the layers share: ``freeze`` for the
 value objects' array fields, ``sampled`` for their 1D samples,
-``nonnegative`` for a time, ``steps`` for a list of step counts, ``probes``
-for a list of probe times and ``write_csv`` for artifact tables. A rule
-raises InputError naming the argument it was given as ``what``."""
+``nonnegative`` for a time, ``whole`` for an integer argument, ``steps``
+for a list of step counts, ``points`` for a point count, ``probes`` for a
+list of probe times and ``write_csv`` for artifact tables. A rule raises
+InputError naming the argument it was given as ``what``."""
 
 import reprlib
 
@@ -11,6 +12,10 @@ import numpy as np
 # the most steps a step count or a partition may take, 500 times the 2,000
 # of the tail built-ins: a count above it fails before anything iterates
 MAX_STEPS = 10 ** 6
+# the most points of a grid, a conjugation grid, a shift grid or a penalty
+# grid, about 400 times the largest count a built-in uses (2,401): a count
+# above it fails before an array of that size is allocated
+MAX_POINTS = 10 ** 6
 # the number types a time may have: an isinstance test against these costs
 # a third of one against numbers.Real
 _REALS = (int, float, np.integer, np.floating)
@@ -71,18 +76,31 @@ def nonnegative(x, what):
     return x
 
 
+def whole(n):
+    """Whether ``n`` is an int or a numpy integer, and no bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def steps(ns, what):
     """``ns`` as a list of ints if it is a non-empty, strictly increasing list
     of whole numbers from 1 to ``MAX_STEPS`` (numpy integers included, bools
     and floats not), else InputError."""
     xs = list(ns) if np.iterable(ns) else []
-    if not xs or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-                         and 1 <= n <= MAX_STEPS for n in xs):
+    if not xs or not all(whole(n) and 1 <= n <= MAX_STEPS for n in xs):
         raise InputError(f"{what} must be a positive integer <= MAX_STEPS = {MAX_STEPS:.0e} "
                          f"in each of one or more entries, got {reprlib.repr(ns)}")
     if not all(a < b for a, b in zip(xs, xs[1:])):
         raise InputError(f"{what} must be strictly increasing, got {reprlib.repr(ns)}")
     return [int(n) for n in xs]
+
+
+def points(n, what):
+    """``n`` as an int if it is a whole number from 1 to ``MAX_POINTS``
+    (numpy integers included, bools and floats not), else InputError."""
+    if not (whole(n) and 1 <= n <= MAX_POINTS):
+        raise InputError(f"{what} must be a whole number from 1 to MAX_POINTS = "
+                         f"{MAX_POINTS:.0e}, got {reprlib.repr(n)}")
+    return int(n)
 
 
 def probes(ts, what):

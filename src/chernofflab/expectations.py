@@ -1,6 +1,6 @@
 """Convex expectation functionals on finitely supported payoff samples.
 
-Five model variants are provided, all constant-preserving, monotone and
+Four model variants are provided, all constant-preserving, monotone and
 convex on evaluations:
 
 * ``Linear``          plain weighted average against a reference measure,
@@ -8,9 +8,9 @@ convex on evaluations:
                       equivalent),
 * ``Shortfall``       utility-shortfall value solved by bisection,
 * ``ShiftSup``        penalized supremum over deterministic shifts of the
-                      reference measure,
-* ``SymmetricTwoPointSup``  penalized supremum over symmetric two-point
-                      mixtures of shifts, the second-order analogue.
+                      reference measure; with ``symmetric=True``, over
+                      symmetric two-point mixtures of shifts, the
+                      second-order analogue.
 
 Each model implements ``reduce(payoff, t)``, returning t * E[payoff / t]
 for every row of a payoff matrix: ``payoff`` maps the sample points the
@@ -37,9 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, PreconditionError, freeze, sampled, steps
+from .errors import InputError, PreconditionError, freeze, points, sampled, steps
 
 SHORTFALL_TOL = 1e-10
+# the widest bracket shortfall_root bisects: its iteration count divides the
+# width by SHORTFALL_TOL, which must stay finite
+SHORTFALL_WIDEST = np.finfo(float).max * SHORTFALL_TOL
 CENTERING_PROBES = (1.0, -1.0, 2.0, -2.0)
 CENTERING_GRID = np.arange(-80, 81) / 20.0
 CENTERING_GRID.flags.writeable = False
@@ -141,8 +144,9 @@ class PenaltyFunction:
 
     @classmethod
     def quadratic(cls, radius=4.0, n=129):
-        """c^2 on [0, radius], n grid points."""
-        c = np.linspace(0.0, radius, n)
+        """c^2 on [0, radius], n grid points, a count that
+        :func:`errors.points` takes."""
+        c = np.linspace(0.0, radius, points(n, "n"))
         return cls(c, c**2)
 
     @classmethod
@@ -256,7 +260,9 @@ class Shortfall(ExpectationModel):
 
 @dataclass(frozen=True)
 class ShiftSup(ExpectationModel):
-    """E[g] = max over shifts s of (sum_i w_i g(a_i + s) - phi(|s|))."""
+    """E[g] = max over shifts s of (sum_i w_i g(a_i + s) - phi(|s|)); with
+    ``symmetric``, g(a_i + s) is replaced by (g(a_i + s) + g(a_i - s)) / 2,
+    the symmetric two-point variant of the second-order scaling."""
 
     measure: DiscreteMeasure
     penalty: PenaltyFunction
@@ -302,11 +308,6 @@ class ShiftSup(ExpectationModel):
 
     def second_order_lines(self):
         return self.shifts[:, 0], self._costs
-
-
-def SymmetricTwoPointSup(measure, penalty, shifts):
-    """Symmetric two-point shift supremum (second-order scaling analogue)."""
-    return ShiftSup(measure, penalty, shifts, symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -358,9 +359,10 @@ def shortfall_root(vals, weights, power):
 
     The defining map m -> sum w ((1 + v - m)^+)^p is strictly decreasing, so
     the bracket [min v - 1, max v + 1] always contains the root; a row
-    whose bracket rounds to a point (payoff / t too large) raises
-    ``InputError``. The bisection stops once the bracket is below
-    ``SHORTFALL_TOL``, after a count of iterations set by the widest row.
+    whose bracket rounds to a point, or is wider than ``SHORTFALL_WIDEST``
+    (payoff / t too large either way), raises ``InputError``. The bisection
+    stops once the bracket is below ``SHORTFALL_TOL``, after a count of
+    iterations set by the widest row.
     Zero rows give no levels and run no iteration. ``1 + v`` is formed
     once, before the loop: ``1 + v - m`` evaluates left to right, so each
     iterate keeps its bits.
@@ -370,11 +372,14 @@ def shortfall_root(vals, weights, power):
     if lo.size == 0:
         return lo
     hi = vals.max(axis=1) + 1.0
-    if not np.all(lo < hi):
+    width = hi - lo
+    widest = width.max()
+    if not (width.min() > 0 and widest <= SHORTFALL_WIDEST):
         raise InputError("shortfall payoff / t is too large to bracket: "
-                         "[min - 1, max + 1] rounds to a point")
+                         "[min - 1, max + 1] rounds to a point or is wider "
+                         "than SHORTFALL_WIDEST")
     shifted = 1.0 + vals
-    for _ in range(int(np.ceil(np.log2((hi - lo).max() / SHORTFALL_TOL))) + 2):
+    for _ in range(int(np.ceil(np.log2(widest / SHORTFALL_TOL))) + 2):
         mid = 0.5 * (lo + hi)
         s = (np.maximum(shifted - mid[:, None], 0.0) ** power) @ weights
         high = s > 1.0

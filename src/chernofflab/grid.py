@@ -19,21 +19,25 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, freeze, write_csv
+from .errors import InputError, freeze, points, whole, write_csv
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid on [-R, R]^d with N nodes per axis (N odd)."""
+    """Uniform tensor grid on [-R, R]^d with N nodes per axis (N odd), d an
+    int 1 or 2 and N^d at most ``errors.MAX_POINTS`` (``errors.points``)."""
 
     half_width: float
     points_per_axis: int
     dimension: int = 1
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise InputError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.points_per_axis < 3 or self.points_per_axis % 2 == 0:
+        if not (whole(self.dimension) and self.dimension in (1, 2)):
+            raise InputError(f"dimension must be the int 1 or 2, got {self.dimension!r}")
+        # the power of a Python int: a numpy integer's wraps around silently
+        n = points(self.points_per_axis, "points_per_axis")
+        points(n ** self.dimension, "points_per_axis ** dimension")
+        if n < 3 or n % 2 == 0:
             raise InputError("points_per_axis must be odd and >= 3")
         if not (self.half_width > 0):
             raise InputError("half_width must be positive")
@@ -81,13 +85,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class GrowthWeight:
-    """Polynomial growth weight kappa_p(x) = (1 + |x|)^(-p), p in {0, 1, 2}."""
+    """Polynomial growth weight kappa_p(x) = (1 + |x|)^(-p), p the int 0, 1
+    or 2."""
 
     exponent: int = 0
 
     def __post_init__(self):
-        if self.exponent not in (0, 1, 2):
-            raise InputError("weight exponent must be 0, 1 or 2")
+        if not (whole(self.exponent) and self.exponent in (0, 1, 2)):
+            raise InputError(f"weight exponent must be the int 0, 1 or 2, "
+                             f"got {self.exponent!r}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

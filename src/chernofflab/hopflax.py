@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, InputError, freeze, nonnegative, sampled, write_csv
+from .errors import (GridTooSmallError, InputError, freeze, nonnegative, sampled, steps,
+                     write_csv)
 from .expectations import legendre
 
 
 @dataclass(frozen=True)
 class RateFunction:
     """Convex rate on a 1D (or radial) grid, +inf marking infinite cost;
-    ``to_csv`` writes it as ``y,phi`` rows, with the token ``inf``."""
+    ``to_csv`` writes it as ``y,phi`` rows, with the token ``inf``. A
+    radial rate is spread over ``directions`` equally spaced angles, a
+    count that :func:`errors.steps` takes."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -37,6 +40,7 @@ class RateFunction:
             raise InputError("rate function must be nonnegative up to tolerance")
         if self.radial and y[0] < 0:
             raise InputError("radial rate grids start at radius >= 0")
+        steps([self.directions], "directions")
         freeze(self, grid=y, values=v)
 
     def to_csv(self, path):
@@ -81,8 +85,11 @@ def hopf_lax(f, t, rate):
     """sup over the rate grid of f(x + t y) - phi(y) t, per node x.
 
     Infinite rate entries are skipped. t = 0 returns f unchanged; t must
-    be finite. The grid function continues constantly past its box, so
-    every gathered value lies in [min f, max f], and a candidate with
+    be finite. A 2D grid function needs a radial rate, and a 1D one a rate
+    that is not radial.
+
+    The grid function continues constantly past its box, so every
+    gathered value lies in [min f, max f], and a candidate with
     t (phi(y) - min phi) above max f - min f (plus a slack far above
     rounding) loses to the minimiser of phi at every node; such candidates
     are dropped before the gather, and the result is the same float at
@@ -96,6 +103,9 @@ def hopf_lax(f, t, rate):
     """
     if nonnegative(t, "t") == 0.0:
         return f
+    if rate.radial != (f.grid.dimension == 2):
+        raise InputError("2D grid functions need a radial rate function, and 1D "
+                         "ones a rate function that is not radial")
     ys, phis = _candidates(rate)
     # Each gathered value is a convex combination of node values, so it
     # lies in [lo, hi] up to a few ulps of max|f|. A dropped candidate
@@ -118,8 +128,6 @@ def hopf_lax(f, t, rate):
         def gather(yy):
             return stencil.columns(t * yy)(f.values).T
     else:
-        if ys.ndim == 1:
-            raise InputError("2D grid functions need a radial rate function")
         nodes = f.grid.nodes()
 
         def gather(yy):
@@ -152,11 +160,3 @@ def envelope(f, t, z_grid, h_minus, h_plus, y_grid):
     if np.any(s_minus.values > s_plus.values + 1e-9):
         raise InputError("envelope ordering failed; check the H bounds")
     return s_minus, s_plus
-
-
-def semigroup_defect(f, s, t, rate, compact):
-    """sup norm on the compact of S(s+t) f - S(s) S(t) f for Hopf-Lax flows."""
-    nonnegative(s, "s")
-    nested = hopf_lax(hopf_lax(f, t, rate), s, rate)
-    direct = hopf_lax(f, s + t, rate)
-    return direct.replace_values(direct.values - nested.values).sup_norm_on(compact)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chernoff import OneStepOperator, Partition, SecondOrder, iterate
+from .chernoff import OneStepOperator, Partition, SecondOrder, iterate, one_step
 from .errors import (DegenerateSetError, InputError, PreconditionError, nonnegative,
                      probes, steps, write_csv)
 from .expectations import (CENTERING_PROBES, Entropic, Shortfall, _finite,
@@ -327,7 +327,7 @@ def generator_check(op, f, h_grid, compact):
     analytic = generator_values(op, f, nodes)
     defects = []
     for h in h_grid:
-        estimate = (op(h, f).values[mask] - f.values[mask]) / h
+        estimate = (one_step(op, h, f).values[mask] - f.values[mask]) / h
         defects.append(float(np.max(np.abs(estimate - analytic))))
     return GeneratorDiagnostics(list(h_grid), defects, nodes, estimate,
                                 analytic)

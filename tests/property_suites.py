@@ -11,8 +11,7 @@ import numpy as np
 from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          GridFunction, Linear, OneStepOperator,
                          PenaltyFunction, Perturbed, SecondOrder, ShiftSup,
-                         Shortfall, SymmetricTwoPointSup, legendre, one_step,
-                         two_point)
+                         Shortfall, legendre, one_step, two_point)
 
 EXACT_TOL = 1e-9
 GRID_TOL = 1e-6
@@ -28,7 +27,7 @@ def expectation_models():
         ("entropic", Entropic(mu)),
         ("shortfall", Shortfall(mu, 2.0)),
         ("shift_sup", ShiftSup(mu, pen, shifts)),
-        ("two_point_sup", SymmetricTwoPointSup(mu, pen, shifts)),
+        ("two_point_sup", ShiftSup(mu, pen, shifts, symmetric=True)),
     ]
 
 
@@ -121,9 +120,9 @@ def suite_centered_insensitivity(cases=100, seed=3):
     failures = []
     centered_models = [
         ("linear0", Linear(two_point())),
-        ("two_point0", SymmetricTwoPointSup(
+        ("two_point0", ShiftSup(
             DiscreteMeasure(np.array([0.0]), np.array([1.0])),
-            PenaltyFunction.quadratic(2.0, 17), np.linspace(-2, 2, 17))),
+            PenaltyFunction.quadratic(2.0, 17), np.linspace(-2, 2, 17), symmetric=True)),
     ]
     for k in range(cases):
         name, model = centered_models[k % len(centered_models)]
@@ -156,9 +155,9 @@ def one_step_operators():
         ("shiftsup_affine", OneStepOperator(
             ShiftSup(mu, pen, np.linspace(-2, 2, 17)), FirstOrderAffine())),
         ("linear_second", OneStepOperator(Linear(mu), SecondOrder())),
-        ("twopoint_second", OneStepOperator(SymmetricTwoPointSup(
+        ("twopoint_second", OneStepOperator(ShiftSup(
             DiscreteMeasure(np.array([0.0]), np.array([1.0])), pen,
-            np.linspace(0, 2, 17)), SecondOrder())),
+            np.linspace(0, 2, 17), symmetric=True), SecondOrder())),
     ]
 
 

@@ -15,7 +15,7 @@ from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          GridFunction, GrowthWeight, Hamiltonian2, Linear,
                          OneStepOperator, Partition, PenaltyFunction,
                          Perturbed, SecondOrder, ShiftSup, Shortfall,
-                         SymmetricTwoPointSup, chernoff_limit, clt_functional,
+                         chernoff_limit, clt_functional,
                          envelope, brute_force_functional, gauss_hermite,
                          generator_check, iterate, ld_rate,
                          nonlinear_functional, poly_rate, solve_g_heat,
@@ -69,9 +69,9 @@ def _experiment6():
         g = Grid(6.0, 1537)
         f = GridFunction.sample(g, lambda x: np.minimum(np.cosh(x), np.cosh(6.0)),
                                 weight=GrowthWeight(2))
-        model = SymmetricTwoPointSup(
+        model = ShiftSup(
             DiscreteMeasure(np.array([0.0]), np.array([1.0])),
-            PenaltyFunction.indicator(1.0), np.linspace(0.0, 1.0, 33))
+            PenaltyFunction.indicator(1.0), np.linspace(0.0, 1.0, 33), symmetric=True)
         op = OneStepOperator(model, SecondOrder())
         start = time.perf_counter()
         u, diag = chernoff_limit(op, 1.0, f, [16, 32, 64, 128],
@@ -257,9 +257,9 @@ def test_criterion_11_upper_lipschitz_certificates():
     ]
     second_order = [
         ("linear2", OneStepOperator(Linear(two_point()), SecondOrder())),
-        ("twopoint2", OneStepOperator(SymmetricTwoPointSup(
+        ("twopoint2", OneStepOperator(ShiftSup(
             DiscreteMeasure(np.array([0.0]), np.array([1.0])),
-            PenaltyFunction.indicator(1.0), np.linspace(0, 1, 33)),
+            PenaltyFunction.indicator(1.0), np.linspace(0, 1, 33), symmetric=True),
             SecondOrder())),
     ]
     grid = Grid(8.0, 2049)

@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction,
+from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction, GrowthWeight,
                          Hamiltonian1, Hamiltonian2, Linear, OneStepOperator,
                          Partition, PenaltyFunction, Perturbed, RateFunction,
                          Shortfall, brute_force_functional, chernoff, chernoff_limit,
                          conjugate_rate, exact_tail_probabilities, gauss_hermite,
                          generator_check, hopf_lax, ld_rate, legendre,
-                         nonlinear_functional, one_step, poly_rate, semigroup_defect,
+                         nonlinear_functional, one_step, poly_rate,
                          solve_g_heat, solve_hj, two_point,
                          upper_lipschitz_certificate)
 from chernofflab.errors import MAX_STEPS, InputError, nonnegative, probes, steps
@@ -65,8 +65,6 @@ MALFORMED = [
     ("chernoff_limit-above-MAX_STEPS",
      lambda: chernoff_limit(OP, 1.0, F, [MAX_STEPS + 1]), "schedule"),
     ("chernoff_limit-nan-t", lambda: chernoff_limit(OP, NAN, F, [1, 2]), "t must"),
-    ("chernoff_limit-zero-dyadic_base",
-     lambda: chernoff_limit(OP, 1.0, F, [1, 2], dyadic_base=0.0), "dyadic_base"),
     ("chernoff_limit-nan-compact",
      lambda: chernoff_limit(OP, 1.0, F, [1, 2], compact=(NAN, 1.0)), "box"),
     ("Partition-nan", lambda: Partition(NAN, 0.5), "horizon"),
@@ -103,8 +101,6 @@ MALFORMED = [
      lambda: ld_rate(BERNOULLI, 0.5, [2, 4], shift_radius=NAN), "shift_radius"),
     ("one_step-negative-t", lambda: one_step(OP, -0.5, F), "t must"),
     ("hopf_lax-bool-t", lambda: hopf_lax(F, True, RATE), "t must"),
-    ("semigroup_defect-negative-s", lambda: semigroup_defect(F, -1.0, 2.0, RATE, K),
-     "s must"),
     ("solve_hj-nan-t", lambda: solve_hj(HAM, F, NAN), "t must"),
     # a NaN grid point passed the strictly-increasing test
     ("PenaltyFunction-nan-grid",
@@ -140,6 +136,34 @@ MALFORMED = [
     ("Shortfall-unbracketable-payoff",
      lambda: one_step(OneStepOperator(Shortfall(BERNOULLI, 2.0)), 1e-300, F),
      "too large to bracket"),
+    # a bracket too wide to bisect: its iteration count overflowed, with a
+    # warning and then an OverflowError
+    ("Shortfall-overflowing-bracket",
+     lambda: Shortfall(BERNOULLI, 2.0).expect(lambda y: 1e300 * y), "too large to bracket"),
+    # node and point counts: a fractional or oversized one was built, and a
+    # bool dimension or a float or bool exponent reached each to_csv header
+    # as d=True, weight=1.0 or weight=True
+    ("Grid-fractional", lambda: Grid(1.0, 5.5), "points_per_axis"),
+    ("Grid-bool", lambda: Grid(1.0, True), "points_per_axis"),
+    ("Grid-above-MAX_POINTS", lambda: Grid(1.0, 10 ** 30 + 1), "MAX_POINTS"),
+    ("Grid-2d-above-MAX_POINTS", lambda: Grid(1.0, 1001, 2), "MAX_POINTS"),
+    # (2^63 - 1)^2 wraps around to 1 in int64
+    ("Grid-2d-int64-wraparound", lambda: Grid(1.0, np.int64(2 ** 63 - 1), 2), "MAX_POINTS"),
+    ("Grid-bool-dimension", lambda: Grid(1.0, 5, True), "dimension"),
+    ("GrowthWeight-float", lambda: GrowthWeight(1.0), "exponent"),
+    ("GrowthWeight-bool", lambda: GrowthWeight(True), "exponent"),
+    ("PenaltyFunction.quadratic-fractional",
+     lambda: PenaltyFunction.quadratic(2.0, 5.5), "n must"),
+    ("PenaltyFunction.quadratic-above-MAX_POINTS",
+     lambda: PenaltyFunction.quadratic(2.0, 10 ** 12), "MAX_POINTS"),
+    # radial rates that were built, then failed in numpy at the first
+    # Hopf-Lax step, or were built and spread over no direction
+    ("RateFunction-zero-directions",
+     lambda: RateFunction([0.0, 1.0], [0.0, 1.0], radial=True, directions=0), "directions"),
+    ("RateFunction-negative-directions",
+     lambda: RateFunction([0.0, 1.0], [0.0, 1.0], radial=True, directions=-3), "directions"),
+    ("hopf_lax-radial-rate-on-1d-grid",
+     lambda: hopf_lax(F, 0.5, RateFunction([0.0, 1.0], [0.0, 1.0], radial=True)), "radial"),
 ]
 
 
@@ -166,16 +190,13 @@ def test_staggered_partition_of_the_largest_schedule_is_built(monkeypatch):
         built.append(partition)
         return f
     monkeypatch.setattr(chernoff, "iterate", record)
-    for base in (0.75, 1.0, 0.5, 1e-3, 3.0):
-        built.clear()
-        chernoff_limit(OP, 1.0, F, [1, MAX_STEPS], dyadic_base=base)
-        uniform, staggered = built[1], built[2]
-        assert uniform.full_steps + (uniform.remainder > 0) == MAX_STEPS
-        assert 0 < staggered.full_steps <= MAX_STEPS
-    # at the default base the staggered mesh stays dyadic: 0.75 * 2^-19
-    built.clear()
-    chernoff_limit(OP, 1.0, F, [MAX_STEPS])
-    assert built[1].step == 0.75 * 2.0 ** -19
+    chernoff_limit(OP, 1.0, F, [1, MAX_STEPS])
+    uniform, staggered = built[1], built[2]
+    assert uniform.full_steps + (uniform.remainder > 0) == MAX_STEPS
+    assert 0 < staggered.full_steps <= MAX_STEPS
+    # the staggered mesh stays dyadic at its cap: 0.75 * 2^-19
+    assert chernoff.STAGGERED_MAX_LEVEL == 19
+    assert staggered.step == chernoff.STAGGERED_BASE * 2.0 ** -19 == 0.75 * 2.0 ** -19
 
 
 def test_chernoff_limit_on_a_2d_grid_takes_its_default_box():
@@ -270,7 +291,6 @@ def test_a_time_through_every_callable_that_takes_one(t):
         ("t must", lambda: hopf_lax(F, t, RATE), is_time(t)),
         ("t must", lambda: solve_hj(HAM, F, t), is_time(t)),
         ("t must", lambda: solve_g_heat(G2, F, t), is_time(t)),
-        ("s must", lambda: semigroup_defect(F, t, 0.25, RATE, K), is_time(t)),
         ("horizon", lambda: Partition(t, 0.5), is_time(t)),
         ("step", lambda: Partition(0.5, t), probe),
         ("shift_radius", lambda: ld_rate(BERNOULLI, 0.5, [2, 4], shift_radius=t),

@@ -11,8 +11,8 @@ from chernofflab import _kernels, chernoff
 from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
                          GridFunction, GrowthWeight, Linear, OneStepOperator,
                          Partition, PenaltyFunction, Perturbed, SecondOrder,
-                         ShiftSup, Shortfall, SymmetricTwoPointSup, centered,
-                         chernoff_limit, gauss_hermite, iterate,
+                         ShiftSup, Shortfall, centered, chernoff_limit,
+                         gauss_hermite, iterate,
                          one_step, two_point, upper_lipschitz_certificate)
 from chernofflab.errors import InputError
 from chernofflab.expectations import SHORTFALL_TOL
@@ -463,8 +463,8 @@ STENCIL_MODELS = {
     "shortfall": Shortfall(gauss_hermite(8), 2.0),
     "shift_sup": ShiftSup(two_point(), PenaltyFunction.quadratic(2.0, 65),
                           np.linspace(-1.0, 1.0, 9)),
-    "symmetric_sup": SymmetricTwoPointSup(two_point(), PenaltyFunction.quadratic(2.0, 65),
-                                          np.linspace(0.0, 1.0, 9)),
+    "symmetric_sup": ShiftSup(two_point(), PenaltyFunction.quadratic(2.0, 65),
+                              np.linspace(0.0, 1.0, 9), symmetric=True),
     "centered_entropic": centered(Entropic(two_point())),
 }
 STENCIL_SCALINGS = {"first_order": FirstOrderAffine(), "second_order": SecondOrder()}
@@ -765,12 +765,11 @@ class TestChernoffLimit:
         # same diagnostics, bit for bit, as running every level up to it
         f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.1 * x**2)
         op = OneStepOperator(Entropic(two_point()), scaling)
-        schedule, t, base, box = [4, 8, 16], 0.8, 0.75, (-1.0, 1.0)
+        schedule, t, base, box = [4, 8, 16], 0.8, chernoff.STAGGERED_BASE, (-1.0, 1.0)
         steps = []
         monkeypatch.setattr(chernoff, "one_step",
                             lambda *args: steps.append(1) or one_step(*args))
-        u, diag = chernoff_limit(op, t, f, schedule, compact=box,
-                                 dyadic_base=base)
+        u, diag = chernoff_limit(op, t, f, schedule, compact=box)
         monkeypatch.undo()
         # each schedule entry once, then 21 full steps and a remainder
         assert len(steps) == sum(schedule) + 22
@@ -786,10 +785,10 @@ class TestChernoffLimit:
         assert diag.cauchy_gap == gaps[-1]
         assert diag.values_at_origin == [float(r.values[64]) for r in runs]
 
-    def test_no_dyadic_base_skips_the_cross_schedule(self):
+    def test_unstaggered_limit_skips_the_cross_schedule(self):
         f = GridFunction.sample(Grid(4.0, 129), np.sin)
         op = OneStepOperator(Linear(two_point()))
-        _, diag = chernoff_limit(op, 1.0, f, [2, 4], dyadic_base=None)
+        _, diag = chernoff_limit(op, 1.0, f, [2, 4], staggered=False)
         assert np.isnan(diag.cross_schedule_gap)
 
     def test_schedule_must_increase(self):

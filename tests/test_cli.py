@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chernofflab import chernoff, cli, pde
+from chernofflab import chernoff, cli, errors, pde
 from chernofflab.cli import (KINDS, list_experiments, main, parse_config_text,
                              run_config_text, serialize_config)
 from chernofflab.configs import BUILTINS
@@ -614,11 +614,11 @@ class TestErrorContract:
     def test_point_counts_stop_at_max_points(self):
         # MAX_POINTS passes and one more fails naming the field, read from
         # the text alone: nothing of either size is built
-        top = cli.MAX_POINTS
+        top = errors.MAX_POINTS
         fields = cli._Fields(cli._Config({"check": {"ok": f"8,{top}",
                                                     "over": f"8,{top + 1}"}}), "check")
         assert fields.radius_count("ok", None) == (8.0, top)
-        with pytest.raises(ConfigError, match="above MAX_POINTS") as info:
+        with pytest.raises(ConfigError, match="MAX_POINTS") as info:
             fields.radius_count("over", None)
         assert info.value.field == "check.over"
 

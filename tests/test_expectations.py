@@ -5,9 +5,8 @@ import pytest
 
 from chernofflab import (DiscreteMeasure, Entropic, Grid, GridFunction,
                          Hamiltonian1, Hamiltonian2, Linear, PenaltyFunction,
-                         RateFunction, ShiftSup, Shortfall,
-                         SymmetricTwoPointSup, centered, gauss_hermite,
-                         legendre, two_point)
+                         RateFunction, ShiftSup, Shortfall, centered,
+                         gauss_hermite, legendre, two_point)
 from chernofflab.errors import InputError, PreconditionError
 
 BERNOULLI = two_point()
@@ -21,7 +20,7 @@ def all_variants():
         Entropic(BERNOULLI),
         Shortfall(BERNOULLI, 2.0),
         ShiftSup(BERNOULLI, pen, shifts),
-        SymmetricTwoPointSup(BERNOULLI, pen, shifts),
+        ShiftSup(BERNOULLI, pen, shifts, symmetric=True),
     ]
 
 
@@ -105,8 +104,8 @@ class TestExpect:
 
     def test_symmetric_two_point_centered(self):
         pen = PenaltyFunction.indicator(1.0)
-        model = SymmetricTwoPointSup(DiscreteMeasure(np.array([0.0]), np.array([1.0])),
-                                     pen, np.linspace(0, 1, 11))
+        model = ShiftSup(DiscreteMeasure(np.array([0.0]), np.array([1.0])),
+                         pen, np.linspace(0, 1, 11), symmetric=True)
         assert model.expect_linear(3.0) == pytest.approx(0.0, abs=1e-12)
         # quadratic payoff saturates the shift budget
         assert model.expect(lambda y: y**2) == pytest.approx(1.0, abs=1e-12)

@@ -41,8 +41,7 @@ import pytest
 from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction,
                          Linear, OneStepOperator, PenaltyFunction, Perturbed,
                          RateFunction, SecondOrder, ShiftSup, Shortfall,
-                         SymmetricTwoPointSup, centered, gauss_hermite,
-                         hopf_lax, one_step, two_point)
+                         centered, gauss_hermite, hopf_lax, one_step, two_point)
 from chernofflab import _kernels as K
 from chernofflab.cli import run_config_text
 from chernofflab.configs import BUILTINS
@@ -57,7 +56,7 @@ MODELS = {
     "entropic": Entropic(MU),
     "shortfall": Shortfall(MU, 2.0),
     "shift_sup": ShiftSup(two_point(), PENALTY, SHIFTS),
-    "symmetric_sup": SymmetricTwoPointSup(two_point(), PENALTY, SHIFTS),
+    "symmetric_sup": ShiftSup(two_point(), PENALTY, SHIFTS, symmetric=True),
 }
 
 SCALINGS = {
@@ -499,7 +498,7 @@ SHIFT_MODELS = {
     "shift_sup": MODELS["shift_sup"],
     "symmetric_sup": MODELS["symmetric_sup"],
     "shift_sup_16_atoms": ShiftSup(MU, PENALTY, SHIFTS),
-    "symmetric_sup_16_atoms": SymmetricTwoPointSup(MU, PENALTY, SHIFTS),
+    "symmetric_sup_16_atoms": ShiftSup(MU, PENALTY, SHIFTS, symmetric=True),
 }
 
 
@@ -540,13 +539,13 @@ def reduce_paying_every_shift(model, payoff, t=1.0):
 
 
 @pytest.mark.parametrize("scaling", list(SCALINGS))
-@pytest.mark.parametrize("variant", [ShiftSup, SymmetricTwoPointSup])
+@pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("penalty", list(ZERO_COST_PENALTIES))
-def test_shift_sup_step_bytes_with_zero_costs(penalty, variant, scaling, monkeypatch):
+def test_shift_sup_step_bytes_with_zero_costs(penalty, symmetric, scaling, monkeypatch):
     # grid-aligned (first and second order) and per-point (perturbed) steps
     # give the bytes of a reduction that subtracts every cost, on a payoff
     # that is -0.0 near the origin
-    model = variant(MU, ZERO_COST_PENALTIES[penalty], SHIFTS)
+    model = ShiftSup(MU, ZERO_COST_PENALTIES[penalty], SHIFTS, symmetric)
     zeros = 1 if penalty == "quadratic" else SHIFTS.size
     assert np.count_nonzero(model._costs == 0) == zeros
     assert np.count_nonzero(np.signbit(model._costs)) == (penalty == "signed_zero") * zeros

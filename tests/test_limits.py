@@ -5,7 +5,7 @@ from chernofflab import (Centered, DiscreteMeasure, Entropic, FirstOrderAffine,
                          Grid, GridFunction, GrowthWeight, Linear,
                          OneStepOperator, PenaltyFunction, Perturbed,
                          RateFunction, SecondOrder, ShiftSup, Shortfall,
-                         SymmetricTwoPointSup, brute_force_functional,
+                         brute_force_functional,
                          clt_functional, exact_tail_probabilities,
                          generator_check, hopf_lax, ld_rate,
                          legendre, nonlinear_functional, one_step, poly_rate,
@@ -275,7 +275,7 @@ class TestBatchedBruteForce:
     @pytest.mark.parametrize("model", [
         Linear(THREE_ATOMS), Entropic(THREE_ATOMS), Shortfall(THREE_ATOMS, 2.0),
         ShiftSup(THREE_ATOMS, SHIFT_PENALTY, np.array([-0.5, 0.0, 0.5])),
-        SymmetricTwoPointSup(THREE_ATOMS, SHIFT_PENALTY, np.array([0.0, 0.25, 0.5])),
+        ShiftSup(THREE_ATOMS, SHIFT_PENALTY, np.array([0.0, 0.25, 0.5]), symmetric=True),
         Centered(Entropic(BERNOULLI)), Centered(Linear(BERNOULLI))],
         ids=["linear", "entropic", "shortfall", "shift_sup", "two_point_sup",
              "centered_entropic", "centered_linear"])
@@ -317,9 +317,9 @@ class TestBatchedBruteForce:
         # convex, so the widest shift, 1, wins every step; its step sqrt(1/n)
         # is a whole number of the grid's 1/128 spacings at n = 16 and 64,
         # and at n = 32 the grid iterate interpolates between nodes
-        model = SymmetricTwoPointSup(DiscreteMeasure.from_pairs([(0.0, 1.0)]),
-                                     PenaltyFunction.indicator(1.0),
-                                     np.linspace(0.0, 1.0, 33))
+        model = ShiftSup(DiscreteMeasure.from_pairs([(0.0, 1.0)]),
+                         PenaltyFunction.indicator(1.0),
+                         np.linspace(0.0, 1.0, 33), symmetric=True)
         f = GridFunction.sample(Grid(6.0, 1537),
                                 lambda x: np.minimum(np.cosh(x), np.cosh(6.0)),
                                 GrowthWeight(2))
@@ -455,9 +455,9 @@ class TestCltFunctional:
         g = Grid(6.0, 769)
         f = GridFunction.sample(g, lambda x: np.minimum(np.cosh(x), np.cosh(6.0)),
                                 weight=GrowthWeight(2))
-        model = SymmetricTwoPointSup(
+        model = ShiftSup(
             DiscreteMeasure(np.array([0.0]), np.array([1.0])),
-            PenaltyFunction.indicator(1.0), np.linspace(0, 1, 17))
+            PenaltyFunction.indicator(1.0), np.linspace(0, 1, 17), symmetric=True)
         v = clt_functional(model, f, 64)
         gx, gw = np.polynomial.hermite.hermgauss(96)
         want = float(gw @ np.cosh(np.sqrt(2.0) * gx) / np.sqrt(np.pi))

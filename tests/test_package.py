@@ -1,8 +1,10 @@
 """The package's export list: every name in ``chernofflab.__all__``
-resolves on the package and is listed once. The package's own checks
-raise: no ``assert`` statement in its source, which ``python -O`` strips."""
+resolves on the package, is listed once and has a user outside the module
+that defines it. The package's own checks raise: no ``assert`` statement
+in its source, which ``python -O`` strips."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +15,24 @@ def test_every_export_resolves_once():
     names = chernofflab.__all__
     assert [n for n, k in Counter(names).items() if k > 1] == []
     assert [n for n in names if not hasattr(chernofflab, n)] == []
+
+
+def test_every_export_is_named_outside_its_module():
+    # a name that no other package module, no perfbench file and not the
+    # README names serves no run, benchmark op or example: it leaves __all__
+    src = Path(chernofflab.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    modules = {path.stem: path.read_text() for path in src.glob("*.py")
+               if path.name != "__init__.py"}
+    outside = [path.read_text() for path in sorted((root / "perfbench").rglob("*"))
+               if path.suffix in (".py", ".md")] + [(root / "README.md").read_text()]
+
+    def named(name):
+        home = getattr(getattr(chernofflab, name), "__module__", "").rsplit(".", 1)[-1]
+        word = re.compile(rf"\b{name}\b")
+        return any(word.search(text) for text in outside) or any(
+            word.search(text) for stem, text in modules.items() if stem != home)
+    assert [n for n in chernofflab.__all__ if not named(n)] == []
 
 
 def test_source_holds_no_assert():

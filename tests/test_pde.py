@@ -3,7 +3,7 @@ import pytest
 
 from chernofflab import (Centered, DiscreteMeasure, Entropic, Grid, GridFunction,
                          Hamiltonian1, Hamiltonian2, Linear, PenaltyFunction,
-                         Shortfall, SymmetricTwoPointSup, gauss_hermite,
+                         ShiftSup, Shortfall, gauss_hermite,
                          solve_g_heat, solve_hj, two_point)
 from chernofflab.errors import InputError
 
@@ -58,7 +58,7 @@ class TestHamiltonian2:
         # the same bytes as G built by hand from the shift grid and penalty
         measure = DiscreteMeasure.from_pairs([(0.0, 1.0)])
         penalty, lam = PenaltyFunction.indicator(1.0), np.linspace(0.0, 1.0, 33)
-        g2 = Hamiltonian2.from_model(SymmetricTwoPointSup(measure, penalty, lam))
+        g2 = Hamiltonian2.from_model(ShiftSup(measure, penalty, lam, symmetric=True))
         want = Hamiltonian2(lam, np.asarray(penalty(np.abs(lam)), dtype=float),
                             float(measure.mean_and_cov()[1][0, 0]))
         assert g2.lam_grid.tobytes() == want.lam_grid.tobytes()
