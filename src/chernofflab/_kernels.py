@@ -35,12 +35,17 @@ reaches these gathers through ``GridFunction`` (``eval``, ``gather_plan``,
 implementations of single Chernoff steps; ``chernoff.one_step`` computes
 the same steps through the models' ``reduce`` and the tests compare the two.
 The explicit marches serve the PDE oracle and run whole-array numpy calls
-per step into two swapped buffers: ``lax_friedrichs`` four (a difference,
-``np.interp`` of the rescaled Hamiltonian, a three-tap ``np.correlate``, a
-sum), ``g_heat`` its first hull line written straight into G and one
-``np.maximum`` per further line on the lower convex hull of its lines, with
-no subtraction for a line that costs +0.0 (x - 0.0 is x bit for bit,
-signed zeros included). The Legendre scan serves the Hopf-Lax and
+per step between two buffers, whose slice views (the moving nodes and
+their neighbours) are built once before the loop: each step reads one
+buffer's views and writes the other's, so no step slices an array.
+``lax_friedrichs`` makes four calls (a difference, ``np.interp`` of the
+rescaled Hamiltonian, a three-tap ``np.correlate``, a sum), ``g_heat``
+writes its first hull line straight into G and takes one ``np.maximum``
+per further line on the lower convex hull of its lines, with no
+subtraction for a line that costs +0.0 (x - 0.0 is x bit for bit, signed
+zeros included) and no Sigma term when ``half_sigma2`` is +0.0: adding
+u_xx * 0.0 could only turn a G of -0.0 into +0.0, where u_xx is +0.0 or
+positive, and there no line scores -0.0. The Legendre scan serves the Hopf-Lax and
 large-deviation oracles: one numpy pass puts the convex prefix of the
 points on the lower convex hull, a sequential sweep builds the rest, and
 one ``searchsorted`` of the dual grid into the hull's chord slopes finds
@@ -267,27 +272,32 @@ def lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha):
     in four whole-array calls: the central difference, ``np.interp`` of it
     on the Hamiltonian rescaled once to (2h ham_p, dt ham_v), the three-tap
     ``np.correlate`` and the sum, written into the other of two buffers.
+    The views each step reads and writes are sliced once per buffer, before
+    the loop; step s reads buffer s % 2, and an odd step count returns the
+    second buffer.
     ``np.interp`` is the piecewise-linear interpolant ``Hamiltonian1`` uses,
     on any strictly increasing ``ham_p``; it saturates beyond the sampled
     gradient range, which keeps the scheme monotone no matter how steep the
     frozen-boundary layer becomes. The two outermost layers stay frozen.
     """
-    u = values.copy()
-    unew = values.copy()
-    m = u.shape[0] - 4  # nodes 2 .. n-3 move
+    buffers = values.copy(), values.copy()
+    m = values.shape[0] - 4  # nodes 2 .. n-3 move
     if m <= 0:
-        return u
+        return buffers[0]
     diff_p = 2.0 * spacing * ham_p
     step_v = dt * ham_v
     visc = alpha * dt / (2.0 * spacing)
     taps = np.array([visc, 1.0 - 2.0 * visc, visc])
     du = np.empty(m)
+    # per buffer: the moving nodes, their right and left neighbours and the
+    # three taps' window; step s reads buffer s % 2 and writes the other
+    src, dst = [(u[2:-2], u[3:-1], u[1:-3], u[1:-1]) for u in buffers]
     for _ in range(steps):
-        np.subtract(u[3:-1], u[1:-3], out=du)
-        np.add(np.interp(du, diff_p, step_v), np.correlate(u[1:-1], taps),
-               out=unew[2:-2])
-        u, unew = unew, u
-    return u
+        _, right, left, window = src
+        np.subtract(right, left, out=du)
+        np.add(np.interp(du, diff_p, step_v), np.correlate(window, taps), out=dst[0])
+        src, dst = dst, src
+    return buffers[steps % 2]
 
 
 def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
@@ -300,25 +310,38 @@ def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
     starting from the first line instead of -inf changes no value. A line
     that costs +0.0 skips its subtraction, which is exact: x - 0.0 is x bit
     for bit, signed zeros included; a cost of -0.0 is subtracted, since
-    -0.0 - (-0.0) is +0.0. The two outermost layers stay frozen.
+    -0.0 - (-0.0) is +0.0.
+
+    A ``half_sigma2`` of +0.0 skips the Sigma term, and -0.0 adds it. The
+    skip is exact for a finite u_xx: g + u_xx * 0.0 differs from g only
+    when g is -0.0 and the product is +0.0, that is where u_xx is +0.0 or
+    positive; there every lam^2 u_xx / 2 is +0.0 or positive, so no line
+    scores -0.0 after its cost and neither does their maximum g. Each
+    buffer's views are sliced once, before the loop; step s reads buffer
+    s % 2. The two outermost layers stay frozen.
     """
     coef = 0.5 * lam * lam
     order = np.lexsort((lam_cost, coef))
     hull = order[_lower_hull(coef[order], lam_cost[order])]
     first, *rest = [(c, k, k != 0 or np.signbit(k))
                     for c, k in zip(coef[hull], lam_cost[hull])]
-    u = values.copy()
-    unew = values.copy()
-    m = u.shape[0] - 4  # nodes 2 .. n-3 move
+    buffers = values.copy(), values.copy()
+    m = values.shape[0] - 4  # nodes 2 .. n-3 move
     if m <= 0:
-        return u
+        return buffers[0]
     h2 = spacing * spacing
+    # adding +0.0 * lap changes no bit (see above); -0.0 * lap is added
+    diffuse = half_sigma2 != 0 or np.signbit(half_sigma2)
     lap, g, term = np.empty(m), np.empty(m), np.empty(m)
+    # per buffer: the moving nodes and their right and left neighbours;
+    # step s reads buffer s % 2 and writes the other
+    src, dst = [(u[2:-2], u[3:-1], u[1:-3]) for u in buffers]
     for _ in range(steps):
+        mid, right, left = src
         # lap = (u[i+1] - 2 u[i] + u[i-1]) / h^2, in that order
-        np.multiply(u[2:-2], 2.0, out=lap)
-        np.subtract(u[3:-1], lap, out=lap)
-        lap += u[1:-3]
+        np.multiply(mid, 2.0, out=lap)
+        np.subtract(right, lap, out=lap)
+        lap += left
         lap /= h2
         c, k, paid = first
         np.multiply(lap, c, out=g)
@@ -330,12 +353,13 @@ def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
                 term -= k
             np.maximum(g, term, out=g)
         # u[i] + dt * (g + half_sigma2 * lap)
-        lap *= half_sigma2
-        g += lap
+        if diffuse:
+            lap *= half_sigma2
+            g += lap
         g *= dt
-        np.add(u[2:-2], g, out=unew[2:-2])
-        u, unew = unew, u
-    return u
+        np.add(mid, g, out=dst[0])
+        src, dst = dst, src
+    return buffers[steps % 2]
 
 
 def _lower_hull(z, g):

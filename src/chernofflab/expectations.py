@@ -42,7 +42,8 @@ from .errors import InputError, PreconditionError, freeze, points, sampled, step
 SHORTFALL_TOL = 1e-10
 # the widest bracket shortfall_root bisects: its iteration count divides the
 # width by SHORTFALL_TOL, which must stay finite
-SHORTFALL_WIDEST = np.finfo(float).max * SHORTFALL_TOL
+_FLOAT_MAX = np.finfo(float).max
+SHORTFALL_WIDEST = _FLOAT_MAX * SHORTFALL_TOL
 CENTERING_PROBES = (1.0, -1.0, 2.0, -2.0)
 CENTERING_GRID = np.arange(-80, 81) / 20.0
 CENTERING_GRID.flags.writeable = False
@@ -358,9 +359,13 @@ def shortfall_root(vals, weights, power):
     """Vectorized bisection for the shortfall level, rows = payoff vectors.
 
     The defining map m -> sum w ((1 + v - m)^+)^p is strictly decreasing, so
-    the bracket [min v - 1, max v + 1] always contains the root; a row
-    whose bracket rounds to a point, or is wider than ``SHORTFALL_WIDEST``
-    (payoff / t too large either way), raises ``InputError``. The bisection
+    the bracket [min v - 1, max v + 1] always contains the root. A row
+    whose bracket rounds to a point, or is wider than ``SHORTFALL_WIDEST``,
+    raises ``InputError`` (payoff / t too large either way), and so does a
+    bracket on which the bisection would overflow: one whose width to the
+    power p is above the largest float, which bounds every
+    ((1 + v - m)^+)^p, or one with an end beyond half the largest float,
+    which bounds every midpoint sum lo + hi. The bisection
     stops once the bracket is below ``SHORTFALL_TOL``, after a count of
     iterations set by the widest row.
     Zero rows give no levels and run no iteration. ``1 + v`` is formed
@@ -372,12 +377,18 @@ def shortfall_root(vals, weights, power):
     if lo.size == 0:
         return lo
     hi = vals.max(axis=1) + 1.0
-    width = hi - lo
-    widest = width.max()
-    if not (width.min() > 0 and widest <= SHORTFALL_WIDEST):
-        raise InputError("shortfall payoff / t is too large to bracket: "
-                         "[min - 1, max + 1] rounds to a point or is wider "
-                         "than SHORTFALL_WIDEST")
+    # the test runs before any bisection arithmetic; the width and its
+    # power may overflow to inf here, which fails it
+    with np.errstate(over="ignore"):
+        width = hi - lo
+        widest = width.max()
+        if not (width.min() > 0 and widest <= SHORTFALL_WIDEST
+                and widest ** power <= _FLOAT_MAX
+                and -lo.min() <= _FLOAT_MAX / 2 and hi.max() <= _FLOAT_MAX / 2):
+            raise InputError("shortfall payoff / t is too large to bracket: "
+                             "[min - 1, max + 1] rounds to a point, is wider than "
+                             "SHORTFALL_WIDEST, its width to the power p overflows, "
+                             "or an end lies beyond half the largest float")
     shifted = 1.0 + vals
     for _ in range(int(np.ceil(np.log2(widest / SHORTFALL_TOL))) + 2):
         mid = 0.5 * (lo + hi)

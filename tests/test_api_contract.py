@@ -140,6 +140,19 @@ MALFORMED = [
     # warning and then an OverflowError
     ("Shortfall-overflowing-bracket",
      lambda: Shortfall(BERNOULLI, 2.0).expect(lambda y: 1e300 * y), "too large to bracket"),
+    # brackets the bisection overflowed on, with numpy's warning: the width
+    # to the power p (squared at 1e160, cubed at 1e110), the width itself
+    # at 1e308, and the midpoint sum lo + hi of two ends near the largest
+    # float, at a power close enough to 1 that the width's power fits
+    ("Shortfall-power-overflow-p2",
+     lambda: Shortfall(BERNOULLI, 2.0).expect(lambda y: 1e160 * y), "too large to bracket"),
+    ("Shortfall-power-overflow-p3",
+     lambda: Shortfall(BERNOULLI, 3.0).expect(lambda y: 1e110 * y), "too large to bracket"),
+    ("Shortfall-width-overflow",
+     lambda: Shortfall(BERNOULLI, 2.0).expect(lambda y: 1e308 * y), "too large to bracket"),
+    ("Shortfall-midpoint-overflow",
+     lambda: Shortfall(BERNOULLI, 1.05).expect(lambda y: 1.7e308 + 1e293 * y),
+     "too large to bracket"),
     # node and point counts: a fractional or oversized one was built, and a
     # bool dimension or a float or bool exponent reached each to_csv header
     # as d=True, weight=1.0 or weight=True
@@ -173,6 +186,12 @@ def test_malformed_call_raises_input_error_naming_its_argument(call, name):
     err = outcome(call)
     assert isinstance(err, InputError), err
     assert name in str(err)
+
+
+def test_shortfall_bracket_below_the_overflow_still_solves():
+    # width 2e150, squared 4e300: still bisected, with no warning
+    got = outcome(lambda: Shortfall(BERNOULLI, 2.0).expect(lambda y: 1e150 * y))
+    assert got == pytest.approx(1e150, rel=1e-12)
 
 
 def test_penalty_with_a_nan_grid_point_is_not_built():

@@ -480,6 +480,31 @@ def count_geometry_builds(monkeypatch):
     return builds
 
 
+def scripted_step_builds(calls, monkeypatch):
+    # one step whose reduction gathers, or takes means of, the scripted
+    # (points, weights) in turn: the geometry builds it makes, each result
+    # checked against a fresh stencil's bytes
+    builds = count_geometry_builds(monkeypatch)
+    f = plan_case_payoff("linear")
+    got = []
+
+    class Scripted(Linear):
+        def reduce(self, payoff, t=1.0):
+            got.extend(np.array(payoff(p) if w is None else payoff.mean(p, w))
+                       for p, w in calls)
+            return f.values
+    t = 0.2
+    one_step(OneStepOperator(Scripted(two_point())), t, f)
+    count = len(builds)
+    stencil = f.stencil()
+    for (p, w), value in zip(calls, got):
+        c = t * p[..., 0]
+        want = (stencil.columns(c)(f.values).T if w is None
+                else stencil.mean(c, w)(f.values))
+        assert value.tobytes() == want.tobytes()
+    return count
+
+
 class TestStencilReuse:
     """The grid-aligned stencil plans are reused across equal steps."""
 
@@ -556,27 +581,27 @@ class TestStencilReuse:
         # one step gathers a cloud, takes its mean under two weights, then
         # the gather and the first mean again: each call is served its own
         # plan, a fresh stencil's values
-        builds = count_geometry_builds(monkeypatch)
-        f = plan_case_payoff("linear")
         y = np.array([[-0.5], [0.25], [1.0]])
         w1, w2 = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
         calls = [(y, None), (y[None], w1), (y[None], w2), (y, None), (y[None], w1)]
-        got = []
+        assert scripted_step_builds(calls, monkeypatch) == len(calls)
 
-        class Scripted(Linear):
-            def reduce(self, payoff, t=1.0):
-                got.extend(np.array(payoff(p) if w is None else payoff.mean(p, w))
-                           for p, w in calls)
-                return f.values
-        t = 0.2
-        one_step(OneStepOperator(Scripted(two_point())), t, f)
-        assert len(builds) == len(calls)
-        stencil = f.stencil()
-        for (p, w), value in zip(calls, got):
-            c = t * p[..., 0]
-            want = (stencil.columns(c)(f.values).T if w is None
-                    else stencil.mean(c, w)(f.values))
-            assert np.array_equal(value, want)
+    def test_equal_bytes_of_another_shape_rebuild(self, monkeypatch):
+        # four sample points laid out (4, 1), (2, 2) and (1, 4): one set of
+        # bytes, three plans; then the first layout again
+        y = np.array([0.5, -0.25, 1.0, 0.125])
+        calls = [(y.reshape(shape), None) for shape in ((4, 1), (2, 2), (1, 4), (4, 1))]
+        assert scripted_step_builds(calls, monkeypatch) == len(calls)
+
+    def test_a_signed_zero_rebuilds(self, monkeypatch):
+        # points, then a mean's weights, that differ from the held ones only
+        # in the sign of a zero, which np.array_equal does not see
+        y, signed_y = np.array([[0.0], [0.5]]), np.array([[-0.0], [0.5]])
+        w, signed_w = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+        calls = [(y, None), (signed_y, None), (y, None),
+                 (y[None], w), (y[None], signed_w), (y[None], w)]
+        assert np.array_equal(signed_y, y) and np.array_equal(signed_w, w)
+        assert scripted_step_builds(calls, monkeypatch) == len(calls)
 
     def test_operator_holds_one_plan(self):
         # the memo's one entry is the mean plan of ShiftSup's clouds, for

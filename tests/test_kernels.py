@@ -23,9 +23,11 @@ steps and marches are compared by bytes (``np.array_equal`` takes -0.0
 for 0.0): grid-aligned ``ShiftSup`` steps against a reduction that
 subtracts every cost, per-point ones (whose gathers have no ``mean``
 entry) against a running maximum over the shifts that subtracts every
-cost, and ``g_heat`` (all-zero, mixed, nonzero and -0.0 costs) and
-``lax_friedrichs`` against their plain marches at an odd step count too,
-which ends in the second of the two swapped buffers. ``legendre_scan``
+cost, and ``g_heat`` (all-zero, mixed, nonzero and -0.0 costs; a
+``half_sigma2`` of +0.0, which it skips, -0.0 and 0.15) and
+``lax_friedrichs`` (on five nodes too, one of them moving) against their
+plain marches at an odd step count too, which ends in the second of the
+two swapped buffers. ``legendre_scan``
 must give the bytes of the monotone sweep over the dual grid
 (``legendre_sweep``) on convex, random, nearly collinear and +inf inputs
 and on the conjugates of the built-ins.
@@ -154,24 +156,25 @@ def g_heat_per_line(values, spacing, dt, steps, lam, cost, half_sigma2):
     return u
 
 
+@pytest.mark.parametrize("half_sigma2", [0.0, -0.0, 0.15])
 @pytest.mark.parametrize("steps", [40, 41])
 @pytest.mark.parametrize("costs", ["zero", "mixed", "nonzero", "signed_zero"])
-def test_g_heat_matches_per_shift_loop(costs, steps):
-    # the march skips the subtraction of a +0.0 cost and writes its first
-    # hull line straight into G; an odd step count returns the buffer the
-    # two swapped buffers leave, not the one the march started in. The
-    # node x = 0 holds -0.0 with u_xx < 0, where the line lam = 0 gives
-    # 0 * u_xx = -0.0: minus a cost of -0.0 that is +0.0, so it must not
-    # be skipped
+def test_g_heat_matches_per_shift_loop(costs, steps, half_sigma2):
+    # the march skips the subtraction of a +0.0 cost and the Sigma term of
+    # a +0.0 half_sigma2, and writes its first hull line straight into G;
+    # an odd step count returns the buffer the two swapped buffers leave,
+    # not the one the march started in. The node x = 0 holds -0.0 with
+    # u_xx < 0, where the line lam = 0 gives 0 * u_xx = -0.0: minus a cost
+    # of -0.0, or plus -0.0 * u_xx, that is +0.0, so neither may be skipped
     spacing, dt = 0.05, 1e-3
     x = np.arange(-60, 61) * spacing
     values = -np.minimum(x * x, 4.0)
     lam = np.linspace(-1.0, 1.0, 33)
     cost = {"zero": np.zeros(33), "mixed": np.where(np.abs(lam) > 0.9, 0.05, 0.0),
             "nonzero": 0.01 + 0.1 * lam ** 2, "signed_zero": np.full(33, -0.0)}[costs]
-    got = K.g_heat(values, spacing, dt, steps, lam, cost, 0.0)
+    got = K.g_heat(values, spacing, dt, steps, lam, cost, half_sigma2)
     assert got.tobytes() == g_heat_per_line(values, spacing, dt, steps, lam, cost,
-                                            0.0).tobytes()
+                                            half_sigma2).tobytes()
     assert not np.array_equal(got, values)
 
 
@@ -299,17 +302,32 @@ def test_g_heat_hull_matches_every_line():
     # (collinear), the duplicates -1, -2 and the entry 1.25 lie on or above it
     lam = np.array([1.5, -0.5, 2.0, 0.0, -1.0, 1.25, 1.0, -2.0, 0.5])
     cost = np.array([0.25, 0.0, 0.6875, 0.0, 0.2, 0.3, 0.09375, 0.6875, 0.0])
-    spacing, dt, steps = 0.05, 2e-4, 40
+    spacing, dt = 0.05, 2e-4
     x = np.arange(-60, 61) * spacing
     values = 0.1 * np.sin(3.0 * x) + 0.1 * x ** 2
     lap = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / spacing ** 2
     for lo, hi in ((-np.inf, 0.0), (0.0, 0.25), (0.25, 0.5), (0.5, np.inf)):
         assert np.count_nonzero((lap > lo) & (lap < hi)) >= 5
-    for half_sigma2 in (0.0, 0.15):
-        got = K.g_heat(values, spacing, dt, steps, lam, cost, half_sigma2)
-        assert np.array_equal(
-            got, g_heat_per_line(values, spacing, dt, steps, lam, cost, half_sigma2))
-        assert not np.array_equal(got, values)
+    # exact multiples of 1/4, flat at +0.0 between convex kinks at k = +-20:
+    # the kernel's u_xx is +0.0 on the flat, -0.0 at k = 0 (nodes -0.0,
+    # +0.0, -0.0) and negative at the -0.0 peak k = -10 (nodes -0.25,
+    # -0.0, -0.25)
+    k = np.arange(-60, 61)
+    kinked = 0.25 * np.maximum(np.abs(k) - 20, 0)
+    kinked[[59, 61, 50]] = -0.0
+    kinked[[49, 51]] = -0.25
+    lap = (kinked[3:-1] - 2.0 * kinked[2:-2]) + kinked[1:-3]
+    assert np.signbit(lap[58]) and lap[58] == 0 and lap[48] < 0
+    assert np.count_nonzero((lap == 0) & ~np.signbit(lap)) >= 5
+    # both step parities, and half_sigma2 of +0.0 (skipped), -0.0 (added)
+    # and 0.15
+    for payoff in (values, kinked):
+        for steps in (40, 41):
+            for half_sigma2 in (0.0, -0.0, 0.15):
+                got = K.g_heat(payoff, spacing, dt, steps, lam, cost, half_sigma2)
+                assert got.tobytes() == g_heat_per_line(payoff, spacing, dt, steps, lam,
+                                                        cost, half_sigma2).tobytes()
+                assert not np.array_equal(got, payoff)
     tiny = np.array([1.0, 2.0, 0.5, 3.0])
     assert np.array_equal(K.g_heat(tiny, spacing, dt, steps, lam, cost, 0.15), tiny)
 
@@ -388,17 +406,24 @@ def test_lax_friedrichs_matches_plain_march(steps):
         unew[[0, 1, n - 2, n - 1]] = u[[0, 1, n - 2, n - 1]]
         u = unew
     # the same scheme in the kernel's order, on fresh arrays
-    v = values.copy()
-    for _ in range(steps):
-        w = v.copy()
-        w[2:-2] = (np.interp(v[3:-1] - v[1:-3], 2.0 * spacing * ham_p, dt * ham_v)
-                   + (visc * v[1:-3] + (1.0 - 2.0 * visc) * v[2:-2] + visc * v[3:-1]))
-        v = w
+    def plain(values):
+        v = values.copy()
+        for _ in range(steps):
+            w = v.copy()
+            w[2:-2] = (np.interp(v[3:-1] - v[1:-3], 2.0 * spacing * ham_p, dt * ham_v)
+                       + (visc * v[1:-3] + (1.0 - 2.0 * visc) * v[2:-2] + visc * v[3:-1]))
+            v = w
+        return v
     # the gradient leaves the sampled range [-2, 2] near the kinks
     assert np.max(np.abs(values[2:] - values[:-2])) / (2.0 * spacing) > 2.0
     got = K.lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha)
-    assert got.tobytes() == v.tobytes()
+    assert got.tobytes() == plain(values).tobytes()
     assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
+    # five nodes: one moving node between two frozen layers a side
+    five = values[58:63]
+    got = K.lax_friedrichs(five, spacing, dt, steps, ham_p, ham_v, alpha)
+    assert got.tobytes() == plain(five).tobytes()
+    assert got[2] != five[2] and np.array_equal(got[[0, 1, 3, 4]], five[[0, 1, 3, 4]])
     tiny = np.array([1.0, 2.0, 0.5, 3.0])
     assert np.array_equal(K.lax_friedrichs(tiny, spacing, dt, steps, ham_p, ham_v, alpha),
                           tiny)
