@@ -10,9 +10,9 @@ from .chernoff import (FirstOrderAffine, OneStepOperator, Partition,
                        Perturbed, SecondOrder,
                        chernoff_limit, iterate, one_step,
                        upper_lipschitz_certificate)
-from .expectations import (Centered, DiscreteMeasure, Entropic, Linear,
-                           PenaltyFunction, ShiftSup, Shortfall, centered,
-                           gauss_hermite, legendre, two_point)
+from .expectations import (DiscreteMeasure, Entropic, Linear, PenaltyFunction,
+                           ShiftSup, Shortfall, centered, gauss_hermite, legendre,
+                           two_point)
 from .grid import Grid, GridFunction, GrowthWeight
 from .hopflax import RateFunction, conjugate_rate, envelope, hopf_lax
 from .limits import (RateReport, brute_force_functional, clt_functional,
@@ -30,7 +30,7 @@ __all__ = [
     "NUMBA_ENABLED",
     "Grid", "GridFunction", "GrowthWeight",
     "DiscreteMeasure", "PenaltyFunction", "Linear", "Entropic", "Shortfall",
-    "ShiftSup", "Centered", "centered",
+    "ShiftSup", "centered",
     "gauss_hermite", "two_point", "legendre",
     "FirstOrderAffine", "Perturbed", "SecondOrder",
     "Partition", "OneStepOperator", "one_step", "iterate", "chernoff_limit",

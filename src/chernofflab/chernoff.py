@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MAX_STEPS, InputError, nonnegative, probes, steps, write_csv
+from .errors import MAX_STEPS, InputError, nonnegative, probes, step_time, steps, write_csv
 from .expectations import ExpectationModel
 
 _REMAINDER_EPS = 1e-13
@@ -48,17 +48,16 @@ class ScalingFamily:
     def map(self, t, x, y):
         return self.base(t, x) + self.scale(t) * y
 
-    def psi0(self, x, y):
-        """Small-time derivative psi_0(x, y) = lim (psi(h,x,y) - x) / h."""
-        if self.drift is None:
-            return np.broadcast_to(y, np.broadcast(x, y).shape).astype(float)
-        return self.drift(x) + y
-
     def generator_payoff(self, f, idx, x):
         """The payoff y -> f'(x) psi_0(x, y) at the points x, whose expectation
-        is the generator A f(x); f' is taken at the grid nodes ``idx``."""
+        is the generator A f(x): psi_0(x, y) = lim (psi(h, x, y) - x) / h is
+        drift(x) + y, or y with no drift. f' is taken at the grid nodes
+        ``idx``."""
         c = f.fd_gradient()[idx][:, None]
-        return lambda y: c * self.psi0(x[:, None], y[:, 0])
+        if self.drift is None:
+            return lambda y: c * y[:, 0]
+        drift = self.drift(x[:, None])
+        return lambda y: c * (drift + y[:, 0])
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,6 @@ class SecondOrder(ScalingFamily):
     def scale(self, t):
         return float(np.sqrt(t))
 
-    def psi0(self, x, y):
-        raise InputError("second-order scaling has no first-order derivative map")
-
     def generator_payoff(self, f, idx, x):
         """The payoff y -> y^2 f''(x) / 2 of the generator, f'' at ``idx``."""
         c = 0.5 * f.fd_hessian()[idx][:, None]
@@ -108,7 +104,8 @@ class SecondOrder(ScalingFamily):
 @dataclass(frozen=True)
 class Partition:
     """Equidistant partition of [0, horizon] with mesh ``step``: a finite
-    horizon >= 0, a step in (0, 1] and at most ``MAX_STEPS`` full steps."""
+    horizon >= 0, a positive step that :func:`errors.step_time` takes, in
+    [``MIN_TIME``, 1], and at most ``MAX_STEPS`` full steps."""
 
     horizon: float
     step: float
@@ -116,9 +113,9 @@ class Partition:
     def __post_init__(self):
         # horizon < (MAX_STEPS + 1) step holds iff full_steps <= MAX_STEPS,
         # and a product with a step <= 1 cannot overflow
-        if not (0 < nonnegative(self.step, "step") <= 1
+        if not (step_time(self.step, "step") > 0
                 and nonnegative(self.horizon, "horizon") < (MAX_STEPS + 1) * self.step):
-            raise InputError(f"partition needs a step in (0, 1] and horizon / step "
+            raise InputError(f"partition needs a step in [MIN_TIME, 1] and horizon / step "
                              f"< {MAX_STEPS + 1}, got {self.horizon!r} / {self.step!r}")
 
     @property
@@ -160,6 +157,10 @@ class OneStepOperator:
 def one_step(op, t, f):
     """Apply I(t) to a grid function; t = 0 returns f unchanged.
 
+    The time is 0 or in [``errors.MIN_TIME``, 1] (:func:`errors.step_time`):
+    a subnormal t overflows payoff / t in ``Entropic`` and ``Shortfall``,
+    and t = 1e308 the sample points of the first-order scalings.
+
     Every node x gathers f at psi(t, x, y) = base(x) + scale * y for the
     sample points y the model asks for, and the model reduces the resulting
     (nodes, k) matrix to t * E[f(psi(t, x, .)) / t] in one call, on the
@@ -178,11 +179,12 @@ def one_step(op, t, f):
     ``mean(y, w)``, the stencil's banded mean, which ``ShiftSup`` takes;
     otherwise the queries are laid out (k, nodes) in 1D and (k, nodes, 2)
     in 2D for ``GridFunction.gather_plan``. A step that reuses a plan
-    computes neither the scaling's base nor its scale. A per-point plan's
-    output is its own held buffer, which the next gather overwrites; a
-    model's reduction reads it and returns a fresh array.
+    computes neither the scaling's base nor its scale, and a step that
+    builds one first checks that the measure has the grid's dimension. A
+    per-point plan's output is its own held buffer, which the next gather
+    overwrites; a model's reduction reads it and returns a fresh array.
     """
-    if nonnegative(t, "t") == 0.0:
+    if step_time(t, "t") == 0.0:
         return f
     g = f.grid
     one_d = g.dimension == 1
@@ -199,6 +201,8 @@ def one_step(op, t, f):
             # the old plan is freed first, so that the new one and the
             # gathers after it can reuse its memory
             held = memo.plan = None
+            if op.model.measure.dimension != g.dimension:
+                raise InputError("the measure's dimension must be the grid's")
             scale = scaling.scale(t)
             if aligned:
                 stencil, c = f.stencil(), scale * y[..., 0]
@@ -308,7 +312,7 @@ def upper_lipschitz_certificate(op, f, probe_times):
 
     A finite value that is stable under refining the probes witnesses
     membership of f in the upper Lipschitz set of the operator family. The
-    probe times are a non-empty list in (0, 1] (:func:`errors.probes`).
+    probe times are a non-empty list in [MIN_TIME, 1] (:func:`errors.probes`).
     """
     return max(f.replace_values(np.maximum(one_step(op, t, f).values - f.values, 0.0))
                .weighted_norm() / t for t in probes(probe_times, "probe_times"))

@@ -16,10 +16,11 @@ Each rule is written once. The constructors (``Grid``, ``GrowthWeight``,
 ``Shortfall``, ``ShiftSup``, ``DiscreteMeasure``, ``PenaltyFunction``,
 ``gauss_hermite``), ``limits.poly_power``, ``limits.lattice_scale``, the
 PDE march bound (``march_steps``, ``pde.MAX_MARCH_WORK``) and the shared
-rules ``errors.steps`` (schedules), ``errors.points`` (the point counts
-``[grid] N``, ``shifts``, ``quadratic(r, n)`` and each ``r,count`` field,
-at most ``errors.MAX_POINTS``), ``errors.probes`` (probe times) and
-``errors.nonnegative`` (``shift_radius``) own the rules on their
+rules ``errors.steps`` (schedules, and ``envelope``'s one ``uniform``
+count as a list of one), ``errors.points`` (the point counts ``[grid] N``,
+``shifts``, ``quadratic(r, n)`` and each ``r,count`` field, at most
+``errors.MAX_POINTS``), ``errors.probes`` (probe times in [``MIN_TIME``,
+1]) and ``errors.nonnegative`` (``shift_radius``) own the rules on their
 arguments, and ``_Fields.build`` reports a broken one against the field it
 came from, while the field is read and before anything of its size is
 allocated; the readers own only what no rule checks: parsing, finiteness
@@ -38,8 +39,8 @@ import numpy as np
 from .chernoff import (FirstOrderAffine, OneStepOperator, Partition, Perturbed,
                        SecondOrder, chernoff_limit, iterate)
 from .configs import BUILTINS
-from .errors import (MAX_STEPS, ConfigError, InputError, nonnegative, points, probes,
-                     steps, write_csv)
+from .errors import (ConfigError, InputError, nonnegative, points, probes, steps,
+                     write_csv)
 from .expectations import (DiscreteMeasure, Entropic, Linear, PenaltyFunction,
                            ShiftSup, Shortfall, gauss_hermite)
 from .grid import Grid, GridFunction, GrowthWeight
@@ -206,9 +207,9 @@ class _Fields:
 
 _MEASURES = {
     "gauss_hermite": lambda n: gauss_hermite(int(n)),
-    "point": lambda a: DiscreteMeasure.from_pairs([(float(a), 1.0)]),
-    "atoms": lambda *pairs: DiscreteMeasure.from_pairs(
-        [(float(a), float(w)) for a, w in (p.split(":") for p in pairs)]),
+    "point": lambda a: DiscreteMeasure([float(a)], [1.0]),
+    "atoms": lambda *pairs: DiscreteMeasure(*zip(
+        *((float(a), float(w)) for a, w in (p.split(":") for p in pairs)))),
 }
 _PENALTIES = {
     "quadratic": lambda r, n="129": PenaltyFunction.quadratic(float(r), int(n)),
@@ -500,13 +501,12 @@ def _run_wasserstein(sections):
     sections.reject_unread()
     diag = generator_check(OneStepOperator(model), f, h_grid, compact)
     # sup_c (c |f'(0)| - phi(c)) + m f'(0) straight from the penalty grid
-    i0 = f.grid.origin_index
-    slope = abs(f.fd_gradient(i0))
+    d0 = float(f.fd_gradient()[f.grid.origin_index])
     pen = model.penalty
     fin = np.isfinite(pen.values)
-    formula = float(np.max(pen.grid[fin] * slope - pen.values[fin]))
+    formula = float(np.max(pen.grid[fin] * abs(d0) - pen.values[fin]))
     m = float(model.measure.mean_and_cov()[0][0])
-    formula += m * f.fd_gradient(i0)
+    formula += m * d0
     return [_close("generator_formula", diag.estimate_at(0.0), formula, tol)], \
         {"generator.csv": diag.to_csv}
 
@@ -540,7 +540,8 @@ def _run_envelope(sections):
         _Fields(sections, "scaling")._fail("family", "must be perturbed")
     f, _ = _build_payoff(sections)
     check = _Fields(sections, "check")
-    n = _Fields(sections, "schedule").number("uniform", lo=0, hi=MAX_STEPS, cast=int)
+    sched = _Fields(sections, "schedule")
+    n, = sched.build("uniform", steps, [sched.number("uniform", cast=int)], "uniform")
     compact = check.compact(f.grid)
     z = check.span("z_grid", "8,1601", zero=True)
     y = check.span("y_grid", "12,2401")
@@ -630,11 +631,6 @@ def run_config_text(text, output_root=None):
     return ok, lines
 
 
-def list_experiments():
-    """Stable catalog of built-in configs as (name, description) pairs."""
-    return [(name, desc) for name, (desc, _) in BUILTINS.items()]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="chernofflab",
@@ -649,7 +645,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name, desc in list_experiments():
+        for name, (desc, _) in BUILTINS.items():
             print(f"{name}: {desc}")
         return 0
     if args.command == "describe":

@@ -1,9 +1,10 @@
 """Exception types, and the rules the layers share: ``freeze`` for the
 value objects' array fields, ``sampled`` for their 1D samples,
-``nonnegative`` for a time, ``whole`` for an integer argument, ``steps``
-for a list of step counts, ``points`` for a point count, ``probes`` for a
-list of probe times and ``write_csv`` for artifact tables. A rule raises
-InputError naming the argument it was given as ``what``."""
+``nonnegative`` for a time, ``step_time`` for the time of a one-step,
+``whole`` for an integer argument, ``steps`` for a list of step counts,
+``points`` for a point count, ``probes`` for a list of probe times and
+``write_csv`` for artifact tables. A rule raises InputError naming the
+argument it was given as ``what``."""
 
 import reprlib
 
@@ -16,6 +17,10 @@ MAX_STEPS = 10 ** 6
 # grid, about 400 times the largest count a built-in uses (2,401): a count
 # above it fails before an array of that size is allocated
 MAX_POINTS = 10 ** 6
+# the least positive time of a one-step, the least normal float 2^-1022:
+# from there on 1 / t is finite, so a payoff of magnitude at most 1 divides
+# by t without overflow, as it does not at t = 5e-324
+MIN_TIME = float(np.finfo(float).tiny)
 # the number types a time may have: an isinstance test against these costs
 # a third of one against numbers.Real
 _REALS = (int, float, np.integer, np.floating)
@@ -76,6 +81,17 @@ def nonnegative(x, what):
     return x
 
 
+def step_time(t, what):
+    """``t`` if :func:`nonnegative` takes it and it is 0 or in
+    [``MIN_TIME``, 1], the times a one-step takes, else InputError. Every
+    caller in the package steps by at most 1 (a partition's step, a probe
+    time), and a larger t can overflow the sample points t y of the
+    first-order scalings, as t = 1e308 does."""
+    if not (nonnegative(t, what) == 0 or MIN_TIME <= t <= 1):
+        raise InputError(f"{what} must be 0 or in [MIN_TIME, 1], got {reprlib.repr(t)}")
+    return t
+
+
 def whole(n):
     """Whether ``n`` is an int or a numpy integer, and no bool."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
@@ -104,11 +120,12 @@ def points(n, what):
 
 
 def probes(ts, what):
-    """``ts`` as a list if it is a non-empty list of times in (0, 1], each
-    taken by :func:`nonnegative`, else InputError."""
+    """``ts`` as a list if it is a non-empty list of positive times, each
+    taken by :func:`step_time`, else InputError."""
     xs = list(ts) if np.iterable(ts) else []
-    if not xs or not all(0 < nonnegative(t, what) <= 1 for t in xs):
-        raise InputError(f"{what} must be one or more times in (0, 1], got {reprlib.repr(ts)}")
+    if not xs or not all(step_time(t, what) > 0 for t in xs):
+        raise InputError(f"{what} must be one or more times in [MIN_TIME, 1], "
+                         f"got {reprlib.repr(ts)}")
     return xs
 
 

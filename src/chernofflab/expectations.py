@@ -15,8 +15,9 @@ convex on evaluations:
 Each model implements ``reduce(payoff, t)``, returning t * E[payoff / t]
 for every row of a payoff matrix: ``payoff`` maps the sample points the
 model needs, shape (k, d), to a (rows, k) matrix. One row is a scalar
-expectation (``expect``), one row per coefficient is ``expect_linear``, and
-one row per grid node is a step of the one-step operator. Zero rows give
+expectation (``expect``), one row per coefficient a is ``expect_linear``
+(E[a xi_1], xi_1 the first coordinate, in any dimension), and one row per
+grid node is a step of the one-step operator. Zero rows give
 shape (0,) and reduce nothing, which is how a caller learns the points
 without a reduction (``limits.brute_force_functional``'s probe). Each model
 queries exactly the points it needs, so all expectations are finite sums.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, PreconditionError, freeze, points, sampled, steps
+from .errors import InputError, PreconditionError, freeze, nonnegative, points, sampled, steps
 
 SHORTFALL_TOL = 1e-10
 # the widest bracket shortfall_root bisects: its iteration count divides the
@@ -51,12 +52,15 @@ CENTERING_GRID.flags.writeable = False
 # subnormals near 370 atoms and turn to NaN after that (numpy 2.4), and its
 # companion matrix grows as the square of the count
 GAUSS_HERMITE_MAX = 256
+# the largest penalty radius: c^2 is finite on [0, RADIUS_MAX]
+RADIUS_MAX = float(np.sqrt(_FLOAT_MAX))
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely supported probability measure on R^d, built in code or from a
-    config spec (``gauss_hermite``, ``atoms``, ``point``)."""
+    config spec (``gauss_hermite``, ``atoms``, ``point``): k finite atoms,
+    shape (k,) or (k, d), and k nonnegative weights that sum to one."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -66,8 +70,8 @@ class DiscreteMeasure:
         if atoms.ndim == 1:
             atoms = atoms[:, None]
         weights = np.asarray(self.weights, dtype=float)
-        if atoms.shape[0] != weights.shape[0]:
-            raise InputError("atoms and weights must have matching lengths")
+        if atoms.ndim != 2 or weights.shape != atoms.shape[:1]:
+            raise InputError("atoms must have shape (k,) or (k, d) and weights (k,)")
         if not np.all(weights >= 0):
             raise InputError("weights must be nonnegative numbers")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -86,19 +90,14 @@ class DiscreteMeasure:
         sigma = (self.atoms * self.weights[:, None]).T @ self.atoms
         return m, sigma
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        atoms, weights = zip(*pairs)
-        return cls(np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float))
 
-
-def gauss_hermite(n_nodes, mean=0.0, std=1.0):
-    """Gaussian N(mean, std^2) as Gauss-Hermite quadrature atoms, 1 to
+def gauss_hermite(n_nodes, std=1.0):
+    """Gaussian N(0, std^2) as Gauss-Hermite quadrature atoms, 1 to
     ``GAUSS_HERMITE_MAX`` of them, a count that :func:`errors.steps` takes."""
     if steps([n_nodes], "n_nodes")[0] > GAUSS_HERMITE_MAX:
         raise InputError(f"gauss_hermite takes 1 to {GAUSS_HERMITE_MAX} atoms, got {n_nodes}")
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
-    return DiscreteMeasure(mean + std * np.sqrt(2.0) * x, w / np.sqrt(np.pi))
+    return DiscreteMeasure(std * np.sqrt(2.0) * x, w / np.sqrt(np.pi))
 
 
 def two_point():
@@ -146,17 +145,26 @@ class PenaltyFunction:
     @classmethod
     def quadratic(cls, radius=4.0, n=129):
         """c^2 on [0, radius], n grid points, a count that
-        :func:`errors.points` takes."""
-        c = np.linspace(0.0, radius, points(n, "n"))
+        :func:`errors.points` takes; the radius is in (0, ``RADIUS_MAX``]."""
+        c = np.linspace(0.0, _radius(radius), points(n, "n"))
         return cls(c, c**2)
 
     @classmethod
     def indicator(cls, radius=1.0):
-        """0 on 65 points of [0, radius], +inf beyond."""
-        c = np.linspace(0.0, radius, 65)
+        """0 on 65 points of [0, radius], +inf beyond; the radius is in
+        (0, ``RADIUS_MAX``]."""
+        c = np.linspace(0.0, _radius(radius), 65)
         grid = np.append(c, radius * (1 + 1e-9))
         vals = np.append(np.zeros(65), np.inf)
         return cls(grid, vals)
+
+
+def _radius(radius):
+    """``radius`` if :func:`errors.nonnegative` takes it and it is in
+    (0, ``RADIUS_MAX``], else InputError."""
+    if not 0 < nonnegative(radius, "radius") <= RADIUS_MAX:
+        raise InputError(f"radius must be in (0, RADIUS_MAX = {RADIUS_MAX:.4g}], got {radius!r}")
+    return radius
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +214,9 @@ class ExpectationModel:
         return float(self.reduce(row)[0])
 
     def expect_linear(self, a):
-        """E[a xi] per coefficient, with xi the first coordinate.
-
-        A scalar gives a float, an array of scalars one value per entry, in
-        its shape. In 2D a coefficient vector gives the single value
-        E[a . xi].
-        """
+        """E[a xi_1] per coefficient a, with xi_1 the first coordinate of xi:
+        a float for a scalar, else an array in the shape of ``a``."""
         a = _finite(a)
-        if a.ndim == 1 and self.measure.dimension > 1:
-            return self.expect(lambda y: y @ a)
         vals = self.reduce(lambda y: np.multiply.outer(a.ravel(), y[:, 0]))
         return vals.reshape(a.shape) if a.ndim else float(vals[0])
 
@@ -235,7 +237,9 @@ class Entropic(ExpectationModel):
     measure: DiscreteMeasure
 
     def __post_init__(self):
-        freeze(self, _logw=np.log(self.measure.weights))
+        # a zero weight's log is -inf, exactly, and _logsumexp takes it
+        with np.errstate(divide="ignore"):
+            freeze(self, _logw=np.log(self.measure.weights))
 
     def reduce(self, payoff, t=1.0):
         g = payoff(self.measure.atoms) / t
@@ -245,14 +249,16 @@ class Entropic(ExpectationModel):
 
 @dataclass(frozen=True)
 class Shortfall(ExpectationModel):
-    """E[g] = inf{m : sum_i w_i ((1 + g_i - m)^+)^p <= 1}, p > 1."""
+    """E[g] = inf{m : sum_i w_i ((1 + g_i - m)^+)^p <= 1}, p in (1, 1024):
+    above, 2^p overflows, and no bracket of shortfall_root fits, not even
+    the [-1, 1] of a zero payoff."""
 
     measure: DiscreteMeasure
     power: float = 2.0
 
     def __post_init__(self):
-        if not self.power > 1:
-            raise InputError("shortfall power must exceed 1")
+        if not 1 < nonnegative(self.power, "power") < 1024:
+            raise InputError(f"shortfall power must be in (1, 1024), got {self.power!r}")
 
     def reduce(self, payoff, t=1.0):
         vals = payoff(self.measure.atoms) / t
@@ -263,7 +269,8 @@ class Shortfall(ExpectationModel):
 class ShiftSup(ExpectationModel):
     """E[g] = max over shifts s of (sum_i w_i g(a_i + s) - phi(|s|)); with
     ``symmetric``, g(a_i + s) is replaced by (g(a_i + s) + g(a_i - s)) / 2,
-    the symmetric two-point variant of the second-order scaling."""
+    the symmetric two-point variant of the second-order scaling. The shifts
+    must be finite; a shift whose cost is +inf is dropped."""
 
     measure: DiscreteMeasure
     penalty: PenaltyFunction
@@ -276,7 +283,11 @@ class ShiftSup(ExpectationModel):
             s = s[:, None]
         if s.shape[1] != self.measure.dimension:
             raise InputError("shift grid dimension must match the measure")
-        cost = self.penalty(np.linalg.norm(s, axis=1))
+        if not np.all(np.isfinite(s)):
+            raise InputError("shifts must be finite")
+        # a norm above the largest float is +inf, which costs +inf
+        with np.errstate(over="ignore"):
+            cost = self.penalty(np.linalg.norm(s, axis=1))
         keep = np.isfinite(cost)
         if not np.any(keep):
             raise InputError("penalty is infinite on the whole shift grid")

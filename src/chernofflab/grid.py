@@ -19,13 +19,14 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, freeze, points, whole, write_csv
+from .errors import InputError, freeze, nonnegative, points, whole, write_csv
 
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor grid on [-R, R]^d with N nodes per axis (N odd), d an
-    int 1 or 2 and N^d at most ``errors.MAX_POINTS`` (``errors.points``)."""
+    int 1 or 2, N^d at most ``errors.MAX_POINTS`` (``errors.points``) and
+    R a number, no bool, in (0, max float / 2] whose spacing is positive."""
 
     half_width: float
     points_per_axis: int
@@ -39,10 +40,12 @@ class Grid:
         points(n ** self.dimension, "points_per_axis ** dimension")
         if n < 3 or n % 2 == 0:
             raise InputError("points_per_axis must be odd and >= 3")
-        if not (self.half_width > 0):
-            raise InputError("half_width must be positive")
-        if not np.isfinite(self.spacing):
-            raise InputError(f"half_width {self.half_width:g} gives a non-finite spacing")
+        # 2 R / (N - 1) is finite for R up to half the largest float, and
+        # positive unless 2 R / (N - 1) underflows
+        if not (0 < nonnegative(self.half_width, "half_width") <= np.finfo(float).max / 2
+                and self.spacing > 0):
+            raise InputError(f"half_width must be in (0, max float / 2] and give a positive "
+                             f"spacing, got {self.half_width!r}")
 
     @property
     def spacing(self):
@@ -195,11 +198,10 @@ class GridFunction:
 
     # -- finite-difference calculus ------------------------------------------
 
-    def fd_gradient(self, index=None):
-        """Central-difference derivative, one-sided at the boundary: at every
-        node, or with ``index`` at that node. One-dimensional only."""
-        d = _axis_gradient(_values_1d(self), self.grid.spacing)
-        return d if index is None else float(d[index])
+    def fd_gradient(self):
+        """Central-difference derivative at every node, one-sided at the
+        boundary. One-dimensional only."""
+        return _axis_gradient(_values_1d(self), self.grid.spacing)
 
     def fd_hessian(self):
         """Central second difference, the edge nodes taking their

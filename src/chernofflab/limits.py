@@ -284,20 +284,6 @@ class GeneratorDiagnostics:
         write_csv(path, "h,defect", self.h_grid, self.defects)
 
 
-def generator_values(op, f, nodes):
-    """Analytic generator A f on the given nodes: the model's expectation of
-    the scaling's ``generator_payoff``, E[f'(x) psi_0(x, .)] for first-order
-    scalings and E[y^2 f''(x) / 2] for the second-order one. Derivatives of
-    f come from the grid, at the node nearest to each x (the lower on a tie);
-    they are one-dimensional, so a 2D grid raises InputError.
-    """
-    g = f.grid
-    x = np.asarray(nodes, dtype=float)
-    u = np.ceil((x + g.half_width) / g.spacing - 0.5)
-    idx = np.clip(u, 0, g.points_per_axis - 1).astype(np.int64)
-    return op.model.reduce(op.scaling.generator_payoff(f, idx, x))
-
-
 def interpolation_floor(f, compact, h_min):
     """Quantization level of a generator defect from linear interpolation.
 
@@ -313,18 +299,22 @@ def interpolation_floor(f, compact, h_min):
 
 
 def generator_check(op, f, h_grid, compact):
-    """Defect max over the compact of |(I(h) f - f)/h - A f| per probe h,
-    with A f from :func:`generator_values`.
+    """Defect max over the compact of |(I(h) f - f)/h - A f| per probe h.
 
-    The defect sequence of a consistent one-step family decreases to the
-    interpolation floor as h shrinks; the returned estimate is the
-    difference quotient at the smallest h. The probes h are a non-empty list
-    in (0, 1] (:func:`errors.probes`), and the compact holds a grid node.
+    The analytic generator A f at the compact's nodes is the model's
+    expectation of the scaling's ``generator_payoff``: E[f'(x) psi_0(x, .)]
+    for first-order scalings and E[y^2 f''(x) / 2] for the second-order one,
+    with f's finite differences at those nodes; they are one-dimensional,
+    so a 2D grid raises InputError. The defect sequence of a consistent
+    one-step family decreases to the interpolation floor as h shrinks; the
+    returned estimate is the difference quotient at the smallest h. The
+    probes h are a non-empty list in [MIN_TIME, 1] (:func:`errors.probes`),
+    and the compact holds a grid node.
     """
     h_grid = sorted(probes(h_grid, "h_grid"), reverse=True)
     mask = f.grid.within(*compact)
     nodes = f.grid.axis[mask]
-    analytic = generator_values(op, f, nodes)
+    analytic = op.model.reduce(op.scaling.generator_payoff(f, np.flatnonzero(mask), nodes))
     defects = []
     for h in h_grid:
         estimate = (one_step(op, h, f).values[mask] - f.values[mask]) / h

@@ -239,11 +239,13 @@ def test_criterion_11_upper_lipschitz_certificates():
               ("cos2", lambda x: 0.5 * np.cos(2 * x))]
     kinked = smooth + [("clipped_abs", lambda x: np.minimum(np.abs(x), 3.0))]
     pen = PenaltyFunction.quadratic(2.0, 65)
+    gaussian = gauss_hermite(32)
     # representatives with a non-vanishing generator positive part: a
     # centered linear model has A f = 0 and its certificate decays to zero,
     # which makes relative stability meaningless
     first_order = [
-        ("linear", OneStepOperator(Linear(gauss_hermite(32, mean=0.3)),
+        ("linear", OneStepOperator(Linear(DiscreteMeasure(0.3 + gaussian.atoms,
+                                                          gaussian.weights)),
                                    FirstOrderAffine())),
         ("entropic", OneStepOperator(Entropic(two_point()), FirstOrderAffine())),
         ("shortfall", OneStepOperator(Shortfall(two_point(), 2.0),

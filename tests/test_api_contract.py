@@ -4,12 +4,16 @@ NaN in what it returns.
 
 ``MALFORMED`` tables calls that once ended otherwise: in an ``IndexError``,
 a ``ZeroDivisionError``, numpy's own error or warning, a NaN, a loop that
-never returns, or a run on a silently changed argument. The hypothesis
-tests draw the inputs of the shared rules ``errors.nonnegative`` (a time)
-and ``errors.steps`` (step counts), nan, +-inf, zero, negative values, empty
-lists, bools, fractional counts and wrong shapes among them, and send them
-through each rule and through the callables that take it. The valid times
-drawn are ordinary ones, in [1e-3, 1]; the valid counts are at most 12.
+never returns, or a run on a silently changed argument. Every ``__all__``
+name has a row there, named by its id's prefix, or an entry in ``EXEMPT``
+with its reason. ``EXACT`` tables calls at the edge of a rule that return
+an exact value with no warning. The hypothesis tests draw the inputs of
+the shared rules ``errors.nonnegative`` (a time), ``errors.step_time`` (a
+one-step's time) and ``errors.steps`` (step counts), nan, +-inf, zero,
+negative values, empty lists, bools, fractional counts and wrong shapes
+among them, and send them through each rule and through the callables that
+take it. The valid times drawn cover [0, 1], subnormals included, and a
+few beyond 1; the valid counts are at most 12.
 """
 
 import warnings
@@ -19,17 +23,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chernofflab
 from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction, GrowthWeight,
                          Hamiltonian1, Hamiltonian2, Linear, OneStepOperator,
                          Partition, PenaltyFunction, Perturbed, RateFunction,
-                         Shortfall, brute_force_functional, chernoff, chernoff_limit,
-                         conjugate_rate, exact_tail_probabilities, gauss_hermite,
-                         generator_check, hopf_lax, ld_rate, legendre,
-                         nonlinear_functional, one_step, poly_rate,
+                         SecondOrder, ShiftSup, Shortfall, brute_force_functional,
+                         centered, chernoff, chernoff_limit, clt_functional,
+                         conjugate_rate, envelope, exact_tail_probabilities,
+                         gauss_hermite, generator_check, hopf_lax, iterate, ld_rate,
+                         legendre, nonlinear_functional, one_step, poly_rate,
                          solve_g_heat, solve_hj, two_point,
                          upper_lipschitz_certificate)
-from chernofflab.errors import MAX_STEPS, InputError, nonnegative, probes, steps
-from chernofflab.expectations import DiscreteMeasure
+from chernofflab.errors import (MAX_STEPS, MIN_TIME, InputError, nonnegative, probes,
+                                step_time, steps)
+from chernofflab.expectations import RADIUS_MAX, DiscreteMeasure
 
 BERNOULLI = two_point()
 GRID = Grid(2.0, 17)
@@ -40,6 +47,18 @@ RATE = RateFunction(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9) ** 2)
 HAM = Hamiltonian1(np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, 2.0, 9) ** 2)
 G2 = Hamiltonian2(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 NAN = np.nan
+PLANE = DiscreteMeasure(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+# the models and scalings of the one-step time rows
+MODELS = {"Linear": Linear(BERNOULLI), "Entropic": Entropic(BERNOULLI),
+          "Shortfall": Shortfall(BERNOULLI, 2.0),
+          "ShiftSup": ShiftSup(BERNOULLI, PenaltyFunction.quadratic(1.0, 9),
+                               np.linspace(-1.0, 1.0, 5))}
+SCALINGS = {"FirstOrderAffine": FirstOrderAffine(), "Perturbed": Perturbed(np.sin, 1.0),
+            "SecondOrder": SecondOrder()}
+
+
+def step_at(t, model, scaling):
+    return lambda: one_step(OneStepOperator(MODELS[model], SCALINGS[scaling]), t, F)
 
 
 def outcome(call):
@@ -89,9 +108,9 @@ MALFORMED = [
     ("generator_check-empty-box", lambda: generator_check(OP, F, [0.1], (1.0, -1.0)),
      "box"),
     ("generator_check-2d-grid",
-     lambda: generator_check(OneStepOperator(Linear(DiscreteMeasure(
-         np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5])))),
-         GridFunction.sample(Grid(2.0, 5, dimension=2), lambda x, y: x + y), [0.5], K),
+     lambda: generator_check(OneStepOperator(Linear(PLANE)),
+                             GridFunction.sample(Grid(2.0, 5, dimension=2),
+                                                 lambda x, y: x + y), [0.5], K),
      "one-dimensional"),
     ("upper_lipschitz_certificate-no-probe",
      lambda: upper_lipschitz_certificate(OP, F, []), "probe_times"),
@@ -177,6 +196,80 @@ MALFORMED = [
      lambda: RateFunction([0.0, 1.0], [0.0, 1.0], radial=True, directions=-3), "directions"),
     ("hopf_lax-radial-rate-on-1d-grid",
      lambda: hopf_lax(F, 0.5, RateFunction([0.0, 1.0], [0.0, 1.0], radial=True)), "radial"),
+    # constructor arguments that were built and broke a later call: a NaN
+    # shift dropped as if it cost +inf, a power whose 2^p overflows every
+    # shortfall bracket, radii that warned in numpy, a bool or numpy
+    # half-width (the bool printed R=1 in every CSV header, the numpy one
+    # overflowed its spacing), a zero spacing, a weight per atom given as a
+    # column and a 3D atom array
+    ("ShiftSup-nan-shift",
+     lambda: ShiftSup(BERNOULLI, PenaltyFunction.quadratic(1.0, 9), [0.0, NAN]), "shifts"),
+    ("Shortfall-inf-power", lambda: Shortfall(BERNOULLI, np.inf), "power"),
+    ("Shortfall-power-1024", lambda: Shortfall(BERNOULLI, 1024), "power"),
+    ("Shortfall-power-1025", lambda: Shortfall(BERNOULLI, 1025.0), "power"),
+    ("PenaltyFunction.quadratic-inf-radius",
+     lambda: PenaltyFunction.quadratic(np.inf), "radius"),
+    ("PenaltyFunction.indicator-inf-radius",
+     lambda: PenaltyFunction.indicator(np.inf), "radius"),
+    ("PenaltyFunction.quadratic-1e308-radius",
+     lambda: PenaltyFunction.quadratic(1e308), "radius"),
+    ("Grid-bool-half-width", lambda: Grid(True, 5), "half_width"),
+    ("Grid-numpy-half-width-overflow", lambda: Grid(np.float64(1.7e308), 5), "half_width"),
+    ("Grid-zero-spacing", lambda: Grid(5e-324, 5), "half_width"),
+    ("DiscreteMeasure-column-weights",
+     lambda: DiscreteMeasure([0.0, 1.0], [[0.5], [0.5]]), "weights"),
+    ("DiscreteMeasure-3d-atoms",
+     lambda: DiscreteMeasure(np.zeros((2, 2, 2)), [0.5, 0.5]), "atoms"),
+    # a one-step on a grid of another dimension than its measure ran: a 2D
+    # measure on its first coordinate, a 1D one along the diagonal
+    ("OneStepOperator-2d-measure-on-1d-grid",
+     lambda: one_step(OneStepOperator(Linear(PLANE)), 0.5, F), "dimension"),
+    ("OneStepOperator-1d-measure-on-2d-grid",
+     lambda: one_step(OneStepOperator(Linear(BERNOULLI)), 0.5,
+                      GridFunction.sample(Grid(2.0, 5, 2), lambda x, y: x + y)), "dimension"),
+    # one-step times at the extremes: t = 1e308 overflowed the sample
+    # points of the first-order scalings, and a subnormal t overflowed
+    # payoff / t, directly or through a partition's step
+    *[(f"one_step-1e308-{model}-{scaling}", step_at(1e308, model, scaling), "t must")
+      for model in MODELS for scaling in ("FirstOrderAffine", "Perturbed")],
+    *[(f"one_step-5e-324-{model}-{scaling}", step_at(5e-324, model, scaling), "t must")
+      for model in ("Entropic", "Shortfall") for scaling in SCALINGS],
+    ("iterate-subnormal-step", lambda: iterate(OP, Partition(1e-310, 1e-310), F), "step"),
+    # a row for each export that had none
+    ("GridFunction-nan-value", lambda: GridFunction(GRID, np.full(17, NAN)), "values"),
+    ("Linear-nan-payoff", lambda: Linear(BERNOULLI).expect(lambda y: NAN * y), "payoff"),
+    ("Entropic-inf-coefficient", lambda: Entropic(BERNOULLI).expect_linear(np.inf),
+     "payoff"),
+    ("centered-negative-mean",
+     lambda: centered(Linear(DiscreteMeasure([1.0, 2.0], [0.5, 0.5]))), "centering"),
+    ("envelope-crossed-bounds",
+     lambda: envelope(F, 1.0, np.linspace(-1.0, 1.0, 5), np.ones(5), np.zeros(5),
+                      np.linspace(-1.0, 1.0, 5)), "H_- <= H_+"),
+    ("clt_functional-uncentered", lambda: clt_functional(Entropic(BERNOULLI), F, 4),
+     "centered"),
+]
+
+# the __all__ names with no MALFORMED row, and why
+EXEMPT = (
+    ("FirstOrderAffine", "takes no arguments"),
+    ("SecondOrder", "takes no arguments"),
+    ("two_point", "takes no arguments"),
+    ("NUMBA_ENABLED", "a constant, not a callable"),
+    ("RateReport", "a record of checked values, built by ld_rate and poly_rate"),
+)
+
+# (id, call, the value it returns exactly)
+EXACT = [
+    # a zero weight's log is -inf: numpy warned "divide by zero"
+    ("Entropic-zero-weight",
+     lambda: Entropic(DiscreteMeasure([0.0, 1.0], [0.0, 1.0])).expect(np.sin), np.sin(1.0)),
+    # a finite shift whose norm overflows costs +inf and is dropped: numpy
+    # warned "overflow encountered in multiply"
+    ("ShiftSup-shift-norm-overflow",
+     lambda: ShiftSup(BERNOULLI, PenaltyFunction.quadratic(1.0, 9), [0.0, 1e200]).shifts,
+     [[0.0]]),
+    ("PenaltyFunction.quadratic-largest-radius",
+     lambda: PenaltyFunction.quadratic(RADIUS_MAX).values[-1], RADIUS_MAX ** 2),
 ]
 
 
@@ -186,6 +279,21 @@ def test_malformed_call_raises_input_error_naming_its_argument(call, name):
     err = outcome(call)
     assert isinstance(err, InputError), err
     assert name in str(err)
+
+
+@pytest.mark.parametrize("call, want", [case[1:] for case in EXACT],
+                         ids=[case[0] for case in EXACT])
+def test_call_at_the_edge_of_a_rule_returns_the_exact_value(call, want):
+    assert np.array_equal(outcome(call), want)
+
+
+def test_every_export_has_a_row_or_an_exemption():
+    # a row's id starts with the name it covers, up to "-" or "."
+    covered = {case[0].split("-")[0].split(".")[0] for case in MALFORMED}
+    exempt = [name for name, _ in EXEMPT]
+    assert [n for n in chernofflab.__all__ if n not in covered and n not in exempt] == []
+    # an exemption names an export that has no row
+    assert [n for n in exempt if n in covered or n not in chernofflab.__all__] == []
 
 
 def test_shortfall_bracket_below_the_overflow_still_solves():
@@ -236,8 +344,9 @@ WRONG = [None, "0.5", [0.5], (0.5,), np.array([0.5]), np.array(0.5),
 TIMES = st.one_of(
     st.sampled_from([NAN, np.inf, -np.inf, 0, 0.0, -0.0, -1, -0.5, -1e-300, True,
                      False, np.bool_(True), np.float64(NAN), np.float32(0.5),
-                     np.int64(1)] + WRONG),
-    st.floats(max_value=0.0), st.floats(1e-3, 1.0), st.integers(-3, 1))
+                     np.int64(1), 5e-324, 1e-310, MIN_TIME, np.nextafter(MIN_TIME, 0.0),
+                     np.nextafter(1.0, 2.0), 1.5, 2] + WRONG),
+    st.floats(max_value=0.0), st.floats(0.0, 1.0), st.integers(-3, 1))
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 COUNT = st.one_of(
     st.integers(-3, 12),
@@ -253,6 +362,10 @@ COUNTS = st.one_of(
 def is_time(x):
     return (isinstance(x, (int, float, np.integer, np.floating))
             and not isinstance(x, bool) and 0 <= x < np.inf)
+
+
+def is_step_time(t):
+    return is_time(t) and (t == 0 or MIN_TIME <= t <= 1)
 
 
 def is_count(n):
@@ -301,17 +414,27 @@ def test_steps_takes_exactly_the_step_counts(ns):
         assert isinstance(got, InputError) and "ns must be" in str(got)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(TIMES, ANY_FLOAT))
+def test_step_time_takes_exactly_the_one_step_times(t):
+    got = outcome(lambda: step_time(t, "t"))
+    if is_step_time(t):
+        assert got is t
+    else:
+        assert isinstance(got, InputError) and "t must be" in str(got)
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(TIMES)
 def test_a_time_through_every_callable_that_takes_one(t):
-    probe = is_time(t) and 0 < t <= 1
+    probe = is_step_time(t) and t > 0
     calls = [
-        ("t must", lambda: one_step(OP, t, F), is_time(t)),
+        ("t must", lambda: one_step(OP, t, F), is_step_time(t)),
         ("t must", lambda: hopf_lax(F, t, RATE), is_time(t)),
         ("t must", lambda: solve_hj(HAM, F, t), is_time(t)),
         ("t must", lambda: solve_g_heat(G2, F, t), is_time(t)),
         ("horizon", lambda: Partition(t, 0.5), is_time(t)),
-        ("step", lambda: Partition(0.5, t), probe),
+        ("step", lambda: Partition(0.5, t), probe and 0.5 < (MAX_STEPS + 1) * t),
         ("shift_radius", lambda: ld_rate(BERNOULLI, 0.5, [2, 4], shift_radius=t),
          is_time(t)),
         ("probe_times", lambda: upper_lipschitz_certificate(OP, F, [t]), probe),

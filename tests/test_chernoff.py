@@ -914,22 +914,16 @@ class TestScalingFamilies:
             lhs = abs(x + fam.map(t, y, z) - fam.map(t, x + y, z))
             assert lhs <= amp * t * abs(x) + 1e-12
 
-    def test_first_order_small_time_derivative(self):
-        fam = FirstOrderAffine()
-        x = np.linspace(-2, 2, 11)
-        y = np.linspace(-1, 1, 11)
-        for h in (1e-3, 1e-5):
-            lhs = (fam.map(h, x, y) - x) / h
-            assert np.allclose(lhs, fam.psi0(x, y), atol=1e-9)
-
-    def test_perturbed_small_time_derivative(self):
-        fam = Perturbed(phi0=lambda x: 0.1 * np.sin(x), lip=0.1)
-        x = np.linspace(-2, 2, 11)
-        y = np.linspace(-1, 1, 11)
-        h = 1e-6
-        lhs = (fam.map(h, x, y) - x) / h
-        assert np.allclose(lhs, fam.psi0(x, y), atol=1e-9)
-
-    def test_second_order_has_no_psi0(self):
-        with pytest.raises(InputError):
-            SecondOrder().psi0(0.0, 0.0)
+    @pytest.mark.parametrize("fam", [FirstOrderAffine(),
+                                     Perturbed(phi0=lambda x: 0.1 * np.sin(x), lip=0.1)],
+                             ids=["first_order", "perturbed"])
+    def test_generator_payoff_is_the_small_time_derivative(self, fam):
+        # with f(x) = x, f' = 1 and the payoff is psi_0(x, y) =
+        # lim (psi(h, x, y) - x) / h at every node x and point y
+        f = GridFunction.sample(Grid(2.0, 11), lambda x: x)
+        x = f.grid.axis
+        y = np.linspace(-1, 1, 7)
+        got = fam.generator_payoff(f, np.arange(x.size), x)(y[:, None])
+        for h in (1e-3, 1e-6):
+            lhs = (fam.map(h, x[:, None], y) - x[:, None]) / h
+            assert np.allclose(lhs, got, atol=1e-6)

@@ -196,14 +196,28 @@ class TestLogMgf:
         (DiscreteMeasure(np.array([[0.0, 1.0], [1.0, -0.5], [-2.0, 0.25]]),
                          np.array([0.5, 0.3, 0.2])), np.array([0.4, -1.5]))])
     def test_is_the_entropic_expectation_bit_for_bit(self, mu, x):
-        # Entropic.expect_linear is the max-shifted log-sum-exp written out
-        got = Entropic(mu).expect_linear(x)
+        # Entropic.expect_linear, and in 2D Entropic.expect of y @ x, is the
+        # max-shifted log-sum-exp written out
         a = mu.atoms
-        e = (a @ x if a.shape[1] > 1 else np.multiply.outer(x, a[:, 0]))
+        if a.shape[1] > 1:
+            got, e = Entropic(mu).expect(lambda y: y @ x), a @ x
+        else:
+            got, e = Entropic(mu).expect_linear(x), np.multiply.outer(x, a[:, 0])
         e = e + np.log(mu.weights)
         m = e.max(axis=-1)
         assert np.array_equal(got, m + np.log(np.exp(e - m[..., None]).sum(axis=-1)))
         assert np.ndim(got) == np.ndim(x) - (a.shape[1] > 1)
+
+    def test_reads_the_first_coordinate_in_2d(self):
+        # one value per coefficient, in its shape, on the first coordinate's
+        # marginal: a 2D measure gives the bytes of its 1D marginal
+        mu = DiscreteMeasure(np.array([[0.0, 1.0], [1.0, -0.5], [-2.0, 0.25]]),
+                             np.array([0.5, 0.3, 0.2]))
+        marginal = DiscreteMeasure(mu.atoms[:, 0], mu.weights)
+        for x in (0.7, np.array([0.4, -1.5]), np.linspace(-1.0, 1.0, 6).reshape(2, 3)):
+            got = Entropic(mu).expect_linear(x)
+            assert np.shape(got) == np.shape(x)
+            assert np.array_equal(got, Entropic(marginal).expect_linear(x))
 
 
 class TestLegendre:

@@ -27,7 +27,7 @@ class TestGrid:
     @pytest.mark.parametrize("half_width", [1e308, np.inf])
     def test_box_whose_spacing_overflows_rejected(self, half_width):
         # 2R overflows: the spacing and every node coordinate would be infinite
-        with pytest.raises(InputError, match="spacing"):
+        with pytest.raises(InputError, match="half_width"):
             Grid(half_width, 5)
 
 
@@ -237,7 +237,7 @@ class TestFiniteDifferences:
         f = make(np.sin, R=4.0, N=257)
         h = f.grid.spacing
         i0 = f.grid.origin_index
-        assert abs(f.fd_gradient(i0) - 1.0) <= h**2
+        assert abs(f.fd_gradient()[i0] - 1.0) <= h**2
 
     def test_central_gradient_exact_on_quadratic(self):
         f = make(lambda x: x**2 - 3.0 * x)
@@ -249,13 +249,6 @@ class TestFiniteDifferences:
         v, h = f.values, f.grid.spacing
         d = f.fd_gradient()
         assert d[0] == (v[1] - v[0]) / h and d[-1] == (v[-1] - v[-2]) / h
-
-    def test_gradient_at_an_index_is_that_entry(self):
-        f = make(np.cos, R=4.0, N=65)
-        d = f.fd_gradient()
-        for i in (0, 7, f.grid.origin_index, 64):
-            got = f.fd_gradient(i)
-            assert isinstance(got, float) and got == d[i]
 
     def test_hessian_edges_take_their_neighbours(self):
         f = make(lambda x: x**3, R=2.0, N=17)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from chernofflab import (Centered, DiscreteMeasure, Entropic, FirstOrderAffine,
+from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine,
                          Grid, GridFunction, GrowthWeight, Linear,
                          OneStepOperator, PenaltyFunction, Perturbed,
                          RateFunction, SecondOrder, ShiftSup, Shortfall,
-                         brute_force_functional,
+                         brute_force_functional, centered,
                          clt_functional, exact_tail_probabilities,
                          generator_check, hopf_lax, ld_rate,
                          legendre, nonlinear_functional, one_step, poly_rate,
@@ -146,7 +146,7 @@ SHIFT_PENALTY = PenaltyFunction(np.array([0.0, 0.5]), np.array([0.0, 0.25]))
 # may move the last bits
 BATCH_MODELS = {
     "entropic": (Entropic, "bytes"),
-    "centered_entropic": (lambda mu: Centered(Entropic(mu)), "bytes"),
+    "centered_entropic": (lambda mu: centered(Entropic(mu)), "bytes"),
     "linear": (Linear, "rel"),
     "shift_sup": (lambda mu: ShiftSup(mu, SHIFT_PENALTY,
                                       np.array([-0.5, 0.0, 0.5])), "rel"),
@@ -195,7 +195,7 @@ class TestBatchedBruteForce:
                                        Shortfall(BERNOULLI, 2.0),
                                        ShiftSup(BERNOULLI, SHIFT_PENALTY,
                                                 np.array([-0.5, 0.0, 0.5])),
-                                       Centered(Entropic(BERNOULLI))],
+                                       centered(Entropic(BERNOULLI))],
                              ids=["entropic", "linear", "shortfall", "shift_sup",
                                   "centered_entropic"])
     def test_one_reduction_per_level(self, model, monkeypatch):
@@ -276,7 +276,7 @@ class TestBatchedBruteForce:
         Linear(THREE_ATOMS), Entropic(THREE_ATOMS), Shortfall(THREE_ATOMS, 2.0),
         ShiftSup(THREE_ATOMS, SHIFT_PENALTY, np.array([-0.5, 0.0, 0.5])),
         ShiftSup(THREE_ATOMS, SHIFT_PENALTY, np.array([0.0, 0.25, 0.5]), symmetric=True),
-        Centered(Entropic(BERNOULLI)), Centered(Linear(BERNOULLI))],
+        centered(Entropic(BERNOULLI)), centered(Linear(BERNOULLI))],
         ids=["linear", "entropic", "shortfall", "shift_sup", "two_point_sup",
              "centered_entropic", "centered_linear"])
     def test_sample_points_do_not_follow_the_payoff(self, model):
@@ -317,7 +317,7 @@ class TestBatchedBruteForce:
         # convex, so the widest shift, 1, wins every step; its step sqrt(1/n)
         # is a whole number of the grid's 1/128 spacings at n = 16 and 64,
         # and at n = 32 the grid iterate interpolates between nodes
-        model = ShiftSup(DiscreteMeasure.from_pairs([(0.0, 1.0)]),
+        model = ShiftSup(DiscreteMeasure([0.0], [1.0]),
                          PenaltyFunction.indicator(1.0),
                          np.linspace(0.0, 1.0, 33), symmetric=True)
         f = GridFunction.sample(Grid(6.0, 1537),
@@ -444,7 +444,6 @@ class TestCltFunctional:
             clt_functional(Linear(mu), self.quad(), 4)
 
     def test_invariant_under_recentering(self):
-        from chernofflab import centered
         model = Linear(BERNOULLI)
         same = centered(model)
         f = self.quad()
@@ -498,27 +497,22 @@ class TestGeneratorCheck:
 
     @pytest.mark.parametrize("scaling", [FirstOrderAffine(), SecondOrder(),
                                          Perturbed(phi0=np.sin, lip=1.0)])
-    def test_generator_values_index_the_nearest_node(self, scaling):
-        # against a per-node argmin of the distance: nodes, points off the
-        # nodes, exact midpoints (ties go to the lower node) and points
-        # beyond the box
-        from chernofflab.limits import generator_values
+    def test_analytic_is_the_expectation_of_the_generator_payoff(self, scaling):
+        # at every node of the box, the edges and their one-sided
+        # differences included, against psi_0 and the differences by hand
         g = Grid(4.0, 129)
-        h = g.spacing
         f = GridFunction.sample(g, lambda x: np.sin(x) + 0.1 * x**3)
-        rng = np.random.default_rng(7)
-        x = np.concatenate([g.axis, g.axis[:-1] + 0.5 * h,
-                            g.axis + rng.uniform(-0.49, 0.49, g.axis.size) * h,
-                            [-9.0, -4.0 - 0.3 * h, 4.0 + 0.7 * h, 11.0]])
         op = OneStepOperator(Entropic(BERNOULLI), scaling)
-        idx = [int(np.argmin(np.abs(g.axis - xk))) for xk in x]
+        x = g.axis
         if isinstance(scaling, SecondOrder):
-            c = 0.5 * f.fd_hessian()[idx][:, None]
+            c = 0.5 * f.fd_hessian()[:, None]
             want = op.model.reduce(lambda y: c * y[:, 0] ** 2)
         else:
-            c = f.fd_gradient()[idx][:, None]
-            want = op.model.reduce(lambda y: c * scaling.psi0(x[:, None], y[:, 0]))
-        assert np.array_equal(generator_values(op, f, x), want)
+            c = f.fd_gradient()[:, None]
+            drift = 0.0 if scaling.drift is None else scaling.drift(x[:, None])
+            want = op.model.reduce(lambda y: c * (drift + y[:, 0]))
+        diag = generator_check(op, f, [0.5], (-4.0, 4.0))
+        assert np.array_equal(diag.nodes, x) and np.array_equal(diag.analytic, want)
 
     def test_estimate_at_origin(self):
         g = Grid(4.0, 1025)

@@ -1,9 +1,11 @@
 """The package's export list: every name in ``chernofflab.__all__``
 resolves on the package, is listed once and has a user outside the module
 that defines it. The package's own checks raise: no ``assert`` statement
-in its source, which ``python -O`` strips."""
+in its source, which ``python -O`` strips. The code-line counter of
+``scripts/code_lines.py`` follows its rule."""
 
 import ast
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -40,3 +42,28 @@ def test_source_holds_no_assert():
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_code_lines_count_code_and_leave_out_docstrings_and_comments():
+    # the rule of scripts/code_lines.py: a line counts if it holds a token
+    # other than a comment and no module, class or function docstring
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = '''"""Module
+docstring."""
+# a comment
+
+class A:
+    """One line."""
+
+    def f(self, x):  # counted
+        """Two
+        lines."""
+        text = """a string
+        over two lines"""
+        return (x +
+                1)
+'''
+    assert code_lines.code_lines(source) == 6

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from chernofflab import (Centered, DiscreteMeasure, Entropic, Grid, GridFunction,
-                         Hamiltonian1, Hamiltonian2, Linear, PenaltyFunction,
-                         ShiftSup, Shortfall, gauss_hermite,
-                         solve_g_heat, solve_hj, two_point)
+from chernofflab import (DiscreteMeasure, Entropic, Grid, GridFunction, Hamiltonian1,
+                         Hamiltonian2, Linear, PenaltyFunction, ShiftSup, Shortfall,
+                         centered, gauss_hermite, solve_g_heat, solve_hj, two_point)
 from chernofflab.errors import InputError
 
 
@@ -56,7 +55,7 @@ class TestHamiltonian2:
 
     def test_shift_model_gives_its_shifts_and_costs(self):
         # the same bytes as G built by hand from the shift grid and penalty
-        measure = DiscreteMeasure.from_pairs([(0.0, 1.0)])
+        measure = DiscreteMeasure([0.0], [1.0])
         penalty, lam = PenaltyFunction.indicator(1.0), np.linspace(0.0, 1.0, 33)
         g2 = Hamiltonian2.from_model(ShiftSup(measure, penalty, lam, symmetric=True))
         want = Hamiltonian2(lam, np.asarray(penalty(np.abs(lam)), dtype=float),
@@ -66,7 +65,7 @@ class TestHamiltonian2:
         assert np.float64(g2.sigma2).tobytes() == np.float64(want.sigma2).tobytes()
 
     @pytest.mark.parametrize("model", [Entropic(two_point()), Shortfall(two_point()),
-                                       Centered(Linear(two_point()))],
+                                       centered(Linear(two_point()))],
                              ids=["entropic", "shortfall", "centered"])
     def test_model_without_a_known_g_raises(self, model):
         with pytest.raises(InputError, match="no known second-order G"):
