@@ -109,7 +109,10 @@ def gather_plan(origin, spacing, n, queries, constant_ext, dimension=1):
     straight into ``out``, where the default ``mode="raise"`` gathers into
     a temporary and copies it over.
     """
-    u = (queries - origin) / spacing
+    # a query beyond the float range of the grid's units gives +-inf here,
+    # which the clip takes to the box edge: the constant continuation
+    with np.errstate(over="ignore"):
+        u = (queries - origin) / spacing
     if constant_ext:
         u = np.clip(u, 0.0, n - 1.0)
     idx = np.floor(u).astype(np.int64)
@@ -186,7 +189,10 @@ class ShiftStencil:
     def _cells(self, c):
         # window row of the lower cell node and the weight of the upper one
         n, spacing = self.key
-        u = np.clip(c / spacing, -n, n - 1.0)
+        # an offset beyond the float range of the grid's units gives +-inf,
+        # which the clip takes into the padding: the edge value
+        with np.errstate(over="ignore"):
+            u = np.clip(c / spacing, -n, n - 1.0)
         k = np.floor(u)
         return n + k.astype(np.int64), u - k
 

@@ -43,10 +43,18 @@ class ScalingFamily:
     def base(self, t, x):
         if self.drift is None:
             return x
-        return x + t * np.asarray(self.drift(x), dtype=float)
+        drift = np.asarray(self.drift(x), dtype=float)
+        # a base beyond the largest float is +-inf, which a gather clips to
+        # the box edge
+        with np.errstate(over="ignore"):
+            return x + t * drift
 
     def map(self, t, x, y):
-        return self.base(t, x) + self.scale(t) * y
+        base = self.base(t, x)
+        # a point beyond the largest float is +-inf, which a gather clips to
+        # the box edge
+        with np.errstate(over="ignore"):
+            return base + self.scale(t) * y
 
     def generator_payoff(self, f, idx, x):
         """The payoff y -> f'(x) psi_0(x, y) at the points x, whose expectation
@@ -203,13 +211,12 @@ def one_step(op, t, f):
             held = memo.plan = None
             if op.model.measure.dimension != g.dimension:
                 raise InputError("the measure's dimension must be the grid's")
-            scale = scaling.scale(t)
             if aligned:
-                stencil, c = f.stencil(), scale * y[..., 0]
+                stencil, c = f.stencil(), scaling.scale(t) * y[..., 0]
                 apply = stencil.columns(c) if w is None else stencil.mean(c, w)
             else:
-                base = scaling.base(t, g.axis if one_d else g.nodes())
-                apply = f.gather_plan(base + scale * (y if one_d else y[:, None]))
+                apply = f.gather_plan(scaling.map(t, g.axis if one_d else g.nodes(),
+                                                  y if one_d else y[:, None]))
             held = memo.plan = (t, g, y.copy(), None if w is None else w.copy(), apply)
         return held[4](f.values)
 

@@ -33,12 +33,14 @@ payoff once per shift and stacks the means. Either way it subtracts the
 penalties from one (shifts, rows) matrix and takes one max over the shifts.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, PreconditionError, freeze, nonnegative, points, sampled, steps
+from .errors import (MIN_TIME, InputError, PreconditionError, freeze, nonnegative, points,
+                     sampled, steps)
 
 SHORTFALL_TOL = 1e-10
 # the widest bracket shortfall_root bisects: its iteration count divides the
@@ -194,7 +196,9 @@ class ExpectationModel:
         """t * E[payoff / t] per row.
 
         ``payoff`` maps sample points of shape (k, d) to a (rows, k) matrix;
-        the result has shape (rows,), (0,) for zero rows.
+        the result has shape (rows,), (0,) for zero rows. ``Entropic`` and
+        ``Shortfall`` take payoff / t, and raise InputError where it leaves
+        the float range: a |payoff| above t times the largest float.
         """
         raise NotImplementedError
 
@@ -242,9 +246,18 @@ class Entropic(ExpectationModel):
             freeze(self, _logw=np.log(self.measure.weights))
 
     def reduce(self, payoff, t=1.0):
-        g = payoff(self.measure.atoms) / t
-        g += self._logw
-        return t * _logsumexp(g, axis=1)
+        g = payoff(self.measure.atoms)
+        # a quotient beyond the float range turns its row's value to +inf
+        # or NaN, so one test of the rows finds it; a -inf beside a finite
+        # quotient adds exp(-inf) = 0, as the exact quotient would
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _quotient(g, t)
+            g += self._logw
+            out = t * _logsumexp(g, axis=1)
+        if not np.isfinite(out).all():
+            raise InputError("entropic payoff / t leaves the float range: each |payoff| "
+                             "must be at most t times the largest float")
+        return out
 
 
 @dataclass(frozen=True)
@@ -261,7 +274,11 @@ class Shortfall(ExpectationModel):
             raise InputError(f"shortfall power must be in (1, 1024), got {self.power!r}")
 
     def reduce(self, payoff, t=1.0):
-        vals = payoff(self.measure.atoms) / t
+        vals = payoff(self.measure.atoms)
+        # a quotient beyond the float range is +-inf, which widens its
+        # bracket beyond any that shortfall_root takes
+        with np.errstate(over="ignore"):
+            vals = _quotient(vals, t)
         return t * shortfall_root(vals, self.measure.weights, self.power)
 
 
@@ -357,13 +374,25 @@ def centered(model):
 # scalar transforms
 # ---------------------------------------------------------------------------
 
+def _quotient(payoff, t):
+    """payoff / t, a fresh array. For t a power of two of at least
+    ``MIN_TIME``, 1 / t is exact, so payoff * (1 / t) is the same real
+    number as payoff / t and rounds to the same float for every input,
+    signed zeros, subnormals, NaN and overflow included; the product costs
+    less. Any other t divides. ``math.frexp`` tests the power of two in a
+    tenth of the time ``np.frexp`` takes."""
+    return payoff * (1.0 / t) if math.frexp(t)[0] == 0.5 and t >= MIN_TIME else payoff / t
+
+
 def _logsumexp(x, axis=None):
     """log sum exp of ``x`` along ``axis``; overwrites ``x``, which the
-    caller owns, so a one-step allocates no (rows, k) temporary here."""
-    m = np.max(x, axis=axis, keepdims=True)
+    caller owns, so a one-step allocates no (rows, k) temporary here. The
+    ndarray methods run the same reductions as ``np.max`` and ``np.sum``
+    without their Python wrappers."""
+    m = x.max(axis=axis, keepdims=True)
     x -= m
     np.exp(x, out=x)
-    return np.squeeze(m, axis) + np.log(np.sum(x, axis=axis))
+    return m.squeeze(axis) + np.log(x.sum(axis=axis))
 
 
 def shortfall_root(vals, weights, power):
@@ -389,8 +418,9 @@ def shortfall_root(vals, weights, power):
         return lo
     hi = vals.max(axis=1) + 1.0
     # the test runs before any bisection arithmetic; the width and its
-    # power may overflow to inf here, which fails it
-    with np.errstate(over="ignore"):
+    # power may overflow to inf here, or be NaN for a row of infinite
+    # values (inf - inf), and either fails it
+    with np.errstate(over="ignore", invalid="ignore"):
         width = hi - lo
         widest = width.max()
         if not (width.min() > 0 and widest <= SHORTFALL_WIDEST

@@ -106,8 +106,9 @@ class GrowthWeight:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real function sampled at the nodes of a :class:`Grid`; ``eval``
-    interpolates it and ``to_csv`` writes it as an artifact."""
+    """Real function sampled at the nodes of a :class:`Grid`, with finite
+    values and a :class:`GrowthWeight`; ``eval`` interpolates it and
+    ``to_csv`` writes it as an artifact."""
 
     grid: Grid
     values: np.ndarray
@@ -119,8 +120,10 @@ class GridFunction:
         shape = (n,) if self.grid.dimension == 1 else (n, n)
         if vals.shape != shape:
             raise InputError(f"values must have shape {shape}, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise InputError("grid function values must all be finite")
+        if not isinstance(self.weight, GrowthWeight):
+            raise InputError(f"weight must be a GrowthWeight, got a {type(self.weight).__name__}")
         freeze(self, values=vals)
 
     # -- construction -----------------------------------------------------

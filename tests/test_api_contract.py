@@ -48,6 +48,14 @@ HAM = Hamiltonian1(np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, 2.0, 9) ** 2)
 G2 = Hamiltonian2(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 NAN = np.nan
 PLANE = DiscreteMeasure(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+# a payoff above t times the largest float at t = 1e-300
+HUGE = GridFunction.sample(GRID, lambda x: 1e10 * np.sin(x))
+# atoms near the largest float, whose steps read the edge values of EXP
+EDGES = DiscreteMeasure([-1e308, 1e308], [0.5, 0.5])
+EXP = GridFunction.sample(GRID, np.exp)
+EDGE_MEAN = np.full(17, np.exp(np.array([-2.0, 2.0])) @ [0.5, 0.5])
+# a drift of 1e308, whose bases and queries pass the largest float
+BIG_DRIFT = Perturbed(lambda x: np.full_like(x, 1e308), 0.0)
 # the models and scalings of the one-step time rows
 MODELS = {"Linear": Linear(BERNOULLI), "Entropic": Entropic(BERNOULLI),
           "Shortfall": Shortfall(BERNOULLI, 2.0),
@@ -235,6 +243,16 @@ MALFORMED = [
     *[(f"one_step-5e-324-{model}-{scaling}", step_at(5e-324, model, scaling), "t must")
       for model in ("Entropic", "Shortfall") for scaling in SCALINGS],
     ("iterate-subnormal-step", lambda: iterate(OP, Partition(1e-310, 1e-310), F), "step"),
+    # a payoff above t times the largest float at an accepted time: payoff
+    # / t warned "overflow encountered in divide" (Shortfall raised its
+    # bracket error after the warning), at a t that divides and at a power
+    # of two that multiplies
+    *[(f"one_step-payoff-over-t-overflow-{model}-{kind}",
+       lambda model=model, t=t: one_step(OneStepOperator(MODELS[model]), t, HUGE),
+       "payoff / t") for model in ("Entropic", "Shortfall")
+      for kind, t in (("divides", 1e-300), ("multiplies", 2.0 ** -996))],
+    # a weight that is not a GrowthWeight: weighted_norm ended in a TypeError
+    ("GridFunction-int-weight", lambda: GridFunction(GRID, np.zeros(17), 2), "weight"),
     # a row for each export that had none
     ("GridFunction-nan-value", lambda: GridFunction(GRID, np.full(17, NAN)), "values"),
     ("Linear-nan-payoff", lambda: Linear(BERNOULLI).expect(lambda y: NAN * y), "payoff"),
@@ -270,6 +288,27 @@ EXACT = [
      [[0.0]]),
     ("PenaltyFunction.quadratic-largest-radius",
      lambda: PenaltyFunction.quadratic(RADIUS_MAX).values[-1], RADIUS_MAX ** 2),
+    # atoms near the largest float step to the box edges, the constant
+    # continuation: c / spacing of the shift stencil and (queries - origin)
+    # / spacing of the per-point plan warned "overflow encountered in
+    # divide", and a drift-perturbed base x + drift or query x + drift + y
+    # "in add"
+    ("one_step-atoms-near-largest-float-stencil",
+     lambda: one_step(OneStepOperator(Linear(EDGES)), 1.0, EXP).values, EDGE_MEAN),
+    ("one_step-atoms-near-largest-float-per-point",
+     lambda: one_step(OneStepOperator(Linear(EDGES), Perturbed(np.sin, 1.0)), 1.0,
+                      EXP).values, EDGE_MEAN),
+    ("one_step-atoms-near-largest-float-2d",
+     lambda: one_step(OneStepOperator(Linear(DiscreteMeasure([[1e308, 1e308], [-1e308, -1e308]],
+                                                             [0.5, 0.5]))), 1.0,
+                      GridFunction.sample(Grid(2.0, 9, 2), lambda x, y: np.exp(x + y))).values,
+     np.full((9, 9), np.exp(np.array([-4.0, 4.0])) @ [0.5, 0.5])),
+    ("one_step-drift-base-beyond-largest-float",
+     lambda: one_step(OneStepOperator(Linear(BERNOULLI), BIG_DRIFT), 1.0,
+                      GridFunction.sample(Grid(8e307, 17), np.tanh)).values, np.ones(17)),
+    ("one_step-drift-query-beyond-largest-float",
+     lambda: one_step(OneStepOperator(Linear(EDGES), BIG_DRIFT), 1.0, EXP).values,
+     np.full(17, np.exp(np.array([0.0, 2.0])) @ [0.5, 0.5])),
 ]
 
 

@@ -2,12 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chernofflab import (DiscreteMeasure, Entropic, Grid, GridFunction,
                          Hamiltonian1, Hamiltonian2, Linear, PenaltyFunction,
                          RateFunction, ShiftSup, Shortfall, centered,
                          gauss_hermite, legendre, two_point)
 from chernofflab.errors import InputError, PreconditionError
+from chernofflab.expectations import shortfall_root
 
 BERNOULLI = two_point()
 
@@ -120,6 +124,69 @@ class TestExpect:
         want = Linear(point).expect(payoff)
         assert Entropic(point).expect(payoff) == pytest.approx(want, abs=1e-12)
         assert Shortfall(point, 2.0).expect(payoff) == pytest.approx(want, abs=1e-9)
+
+
+# the quotient payoff / t of Entropic and Shortfall: a three-atom measure
+# with unequal weights, and payoff entries that hold signed zeros,
+# subnormals and values near the largest float among ordinary floats
+QUOTIENT_MEASURE = DiscreteMeasure(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
+QUOTIENT_MODELS = [Entropic(QUOTIENT_MEASURE), Shortfall(QUOTIENT_MEASURE, 2.0)]
+EDGE_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.2250738585072014e-308,
+                                1.7976931348623157e308, -1.7976931348623157e308, 1e308,
+                                -8.98846567431158e307])
+PAYOFFS = arrays(float, st.tuples(st.integers(1, 4), st.just(3)),
+                 elements=EDGE_ENTRIES | st.floats(allow_nan=False, allow_infinity=False))
+# rows where payoff * (1 / t) and payoff / t give other values at 0.75 2^-7
+# and at 1/3, in both models
+SPLIT_ROWS = np.array([[2.1, -1.1, -0.4], [1.5, -1.5, -2.5], [-1.3, 0.6, -0.8],
+                       [2.9, 0.9, -1.1]])
+
+
+def quotient_reference(model, payoff, t, quotient):
+    """``model.reduce`` written out with ``quotient(payoff, t)`` for payoff / t
+    and numpy's functions, or None where it leaves the float range."""
+    with np.errstate(all="ignore"):
+        g = quotient(payoff, t)
+        if isinstance(model, Shortfall):
+            try:
+                return t * shortfall_root(g, model.measure.weights, model.power)
+            except InputError:
+                return None
+        g = g + np.log(model.measure.weights)
+        m = np.max(g, axis=1, keepdims=True)
+        out = t * (np.squeeze(m, 1) + np.log(np.sum(np.exp(g - m), axis=1)))
+    return out if np.all(np.isfinite(out)) else None
+
+
+def reduce_or_none(model, payoff, t):
+    try:
+        return model.reduce(lambda y: payoff, t)
+    except InputError:
+        return None
+
+
+class TestQuotient:
+    @settings(max_examples=300, deadline=None)
+    @given(payoff=PAYOFFS, k=st.integers(0, 1074))
+    @pytest.mark.parametrize("model", QUOTIENT_MODELS, ids=lambda m: type(m).__name__)
+    def test_power_of_two_time_gives_the_division_bit_for_bit(self, model, payoff, k):
+        # t = 2^-k multiplies by 1 / t, which must round as payoff / t does;
+        # a quotient beyond the float range raises InputError either way.
+        # Below 2^-1022, where 1 / t overflows from 2^-1024 on, t divides
+        t = 2.0 ** -k
+        want = quotient_reference(model, payoff, t, np.divide)
+        got = reduce_or_none(model, payoff, t)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [0.75 * 2.0 ** -7, 1.0 / 3.0])
+    @pytest.mark.parametrize("model", QUOTIENT_MODELS, ids=lambda m: type(m).__name__)
+    def test_other_times_divide(self, model, t):
+        want = quotient_reference(model, SPLIT_ROWS, t, np.divide)
+        product = quotient_reference(model, SPLIT_ROWS, t, lambda p, t: p * (1.0 / t))
+        assert product.tobytes() != want.tobytes()
+        assert model.reduce(lambda y: SPLIT_ROWS, t).tobytes() == want.tobytes()
 
 
 class TestCentered:
