@@ -1,8 +1,10 @@
-"""Print the code lines of each module of src/chernofflab and their total.
+"""Print the code lines of each module of src/chernofflab and their total,
+and beside them the module's docstring lines.
 
-A line counts if it holds a token other than a comment and is not part of
-a module, class or function docstring; blank lines and lines that hold
-only a comment do not count. Run from anywhere:
+A line counts as code if it holds a token other than a comment and is not
+part of a module, class or function docstring; blank lines and lines that
+hold only a comment do not count. The code total is the package's size;
+the docstring column shows where the other lines went. Run from anywhere:
 
     python scripts/code_lines.py
 """
@@ -40,11 +42,15 @@ def code_lines(source):
 
 
 def main():
-    counts = {path.name: code_lines(path.read_text())
-              for path in sorted(PACKAGE.glob("*.py"))}
-    for name, n in counts.items():
-        print(f"{n:6d}  {name}")
-    print(f"{sum(counts.values()):6d}  total")
+    counts = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        counts[path.name] = code_lines(text), len(docstring_lines(ast.parse(text)))
+    print("  code    doc  module")
+    for name, (code, doc) in counts.items():
+        print(f"{code:6d} {doc:6d}  {name}")
+    code, doc = (sum(column) for column in zip(*counts.values()))
+    print(f"{code:6d} {doc:6d}  total")
     return 0
 
 

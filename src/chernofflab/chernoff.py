@@ -56,15 +56,14 @@ class ScalingFamily:
         with np.errstate(over="ignore"):
             return base + self.scale(t) * y
 
-    def generator_payoff(self, f, idx, x):
-        """The payoff y -> f'(x) psi_0(x, y) at the points x, whose expectation
-        is the generator A f(x): psi_0(x, y) = lim (psi(h, x, y) - x) / h is
-        drift(x) + y, or y with no drift. f' is taken at the grid nodes
-        ``idx``."""
+    def generator_payoff(self, f, idx):
+        """The payoff y -> f'(x) psi_0(x, y) at the grid nodes x of index
+        ``idx``, whose expectation is the generator A f(x): psi_0(x, y) =
+        lim (psi(h, x, y) - x) / h is drift(x) + y, or y with no drift."""
         c = f.fd_gradient()[idx][:, None]
         if self.drift is None:
             return lambda y: c * y[:, 0]
-        drift = self.drift(x[:, None])
+        drift = self.drift(f.grid.axis[idx][:, None])
         return lambda y: c * (drift + y[:, 0])
 
 
@@ -99,7 +98,7 @@ class SecondOrder(ScalingFamily):
     def scale(self, t):
         return float(np.sqrt(t))
 
-    def generator_payoff(self, f, idx, x):
+    def generator_payoff(self, f, idx):
         """The payoff y -> y^2 f''(x) / 2 of the generator, f'' at ``idx``."""
         c = 0.5 * f.fd_hessian()[idx][:, None]
         return lambda y: c * y[:, 0] ** 2

@@ -212,7 +212,7 @@ _MEASURES = {
         *((float(a), float(w)) for a, w in (p.split(":") for p in pairs)))),
 }
 _PENALTIES = {
-    "quadratic": lambda r, n="129": PenaltyFunction.quadratic(float(r), int(n)),
+    "quadratic": lambda r, *n: PenaltyFunction.quadratic(float(r), *map(int, n)),
     "indicator": lambda r: PenaltyFunction.indicator(float(r)),
 }
 
@@ -239,7 +239,7 @@ def _build_model(sections):
     if variant == "shortfall":
         return fields.build("power", Shortfall, measure, fields.number("power", 2.0))
     if variant in ("shift_sup", "symmetric_two_point"):
-        penalty = _spec(fields, "penalty", "quadratic(2, 129)", _PENALTIES)
+        penalty = _spec(fields, "penalty", "quadratic(2)", _PENALTIES)
         shifts = fields.numbers("shifts")
         if not (len(shifts) == 3 and shifts[0] <= shifts[1] and shifts[2] >= 1
                 and shifts[2] == int(shifts[2])):

@@ -1,4 +1,5 @@
-"""Exception types, and the rules the layers share: ``freeze`` for the
+"""The two exception types, ``InputError`` for a broken argument and the
+CLI's ``ConfigError``, and the rules the layers share: ``freeze`` for the
 value objects' array fields, ``sampled`` for their 1D samples,
 ``nonnegative`` for a time, ``step_time`` for the time of a one-step,
 ``whole`` for an integer argument, ``steps`` for a list of step counts,
@@ -27,15 +28,8 @@ _REALS = (int, float, np.integer, np.floating)
 
 
 class InputError(ValueError):
-    """Raised when an operation receives arguments outside its contract."""
-
-
-class PreconditionError(InputError):
-    """Raised when a documented precondition fails (e.g. centering probes)."""
-
-
-class GridTooSmallError(InputError):
-    """Raised when a parameter grid is too small for the requested quantity."""
+    """Raised when an operation receives arguments outside its contract; it
+    names the argument, and no subclass narrows it."""
 
 
 class ConfigError(ValueError):
@@ -45,10 +39,6 @@ class ConfigError(ValueError):
         super().__init__(message)
         self.line = line
         self.field = field
-
-
-class DegenerateSetError(InputError):
-    """Raised when an event has probability zero for every sample size."""
 
 
 def freeze(obj, **arrays):
@@ -110,11 +100,12 @@ def steps(ns, what):
     return [int(n) for n in xs]
 
 
-def points(n, what):
-    """``n`` as an int if it is a whole number from 1 to ``MAX_POINTS``
-    (numpy integers included, bools and floats not), else InputError."""
-    if not (whole(n) and 1 <= n <= MAX_POINTS):
-        raise InputError(f"{what} must be a whole number from 1 to MAX_POINTS = "
+def points(n, what, least=1):
+    """``n`` as an int if it is a whole number from ``least`` to
+    ``MAX_POINTS`` (numpy integers included, bools and floats not), else
+    InputError."""
+    if not (whole(n) and least <= n <= MAX_POINTS):
+        raise InputError(f"{what} must be a whole number from {least} to MAX_POINTS = "
                          f"{MAX_POINTS:.0e}, got {reprlib.repr(n)}")
     return int(n)
 

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (MIN_TIME, InputError, PreconditionError, freeze, nonnegative, points,
-                     sampled, steps)
+from .errors import MIN_TIME, InputError, freeze, nonnegative, points, sampled, steps
 
 SHORTFALL_TOL = 1e-10
 # the widest bracket shortfall_root bisects: its iteration count divides the
@@ -54,7 +53,8 @@ CENTERING_GRID.flags.writeable = False
 # subnormals near 370 atoms and turn to NaN after that (numpy 2.4), and its
 # companion matrix grows as the square of the count
 GAUSS_HERMITE_MAX = 256
-# the largest penalty radius: c^2 is finite on [0, RADIUS_MAX]
+# the largest penalty radius or Gaussian std: c^2 and std^2 are finite on
+# [0, RADIUS_MAX]
 RADIUS_MAX = float(np.sqrt(_FLOAT_MAX))
 
 
@@ -95,11 +95,12 @@ class DiscreteMeasure:
 
 def gauss_hermite(n_nodes, std=1.0):
     """Gaussian N(0, std^2) as Gauss-Hermite quadrature atoms, 1 to
-    ``GAUSS_HERMITE_MAX`` of them, a count that :func:`errors.steps` takes."""
+    ``GAUSS_HERMITE_MAX`` of them, a count that :func:`errors.steps` takes;
+    the std is in [0, ``RADIUS_MAX``] (:func:`_scale`)."""
     if steps([n_nodes], "n_nodes")[0] > GAUSS_HERMITE_MAX:
         raise InputError(f"gauss_hermite takes 1 to {GAUSS_HERMITE_MAX} atoms, got {n_nodes}")
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
-    return DiscreteMeasure(std * np.sqrt(2.0) * x, w / np.sqrt(np.pi))
+    return DiscreteMeasure(_scale(std, "std", 0.0) * np.sqrt(2.0) * x, w / np.sqrt(np.pi))
 
 
 def two_point():
@@ -112,9 +113,11 @@ class PenaltyFunction:
     """Convex nondecreasing penalty on a parameter grid, with inf markers.
 
     The grid has at least two strictly increasing points and starts at 0,
-    where ``phi(0) = 0``; evaluation between grid points is linear and
-    becomes infinite as soon as an infinite neighbour is involved. Configs
-    spell penalties as the specs ``quadratic`` and ``indicator``.
+    where ``phi(0) = 0``. The values are nonnegative numbers, no NaN, and
+    +inf from the first +inf on, as a convex nondecreasing penalty is;
+    evaluation between grid points is linear and becomes infinite as soon
+    as an infinite neighbour is involved. Configs spell penalties as the
+    specs ``quadratic`` and ``indicator``.
     """
 
     grid: np.ndarray
@@ -124,9 +127,12 @@ class PenaltyFunction:
         c, v = sampled("penalty", self.grid, self.values)
         if c[0] != 0.0 or v[0] != 0.0:
             raise InputError("penalty must have phi(0) = 0 with 0 the first grid point")
-        if np.any(v < 0):
-            raise InputError("penalty values must be nonnegative")
+        if not np.all(v >= 0):
+            raise InputError("penalty values must be nonnegative numbers, not NaN")
         fin = np.isfinite(v)
+        # a finite value after a +inf: True > False
+        if np.any(fin[1:] > fin[:-1]):
+            raise InputError("penalty values must be +inf from the first +inf on")
         if np.any(np.diff(v[fin]) < -1e-12):
             raise InputError("penalty must be nondecreasing")
         vf = v[fin]
@@ -139,34 +145,41 @@ class PenaltyFunction:
 
     def __call__(self, c):
         c = np.abs(np.asarray(c, dtype=float))
-        out = np.interp(c, self.grid, np.where(np.isfinite(self.values),
-                                               self.values, np.inf))
+        out = np.interp(c, self.grid, self.values)
         out = np.where(c > self.grid[-1], np.inf, out)
         return out if out.ndim else float(out)
 
     @classmethod
     def quadratic(cls, radius=4.0, n=129):
-        """c^2 on [0, radius], n grid points, a count that
-        :func:`errors.points` takes; the radius is in (0, ``RADIUS_MAX``]."""
-        c = np.linspace(0.0, _radius(radius), points(n, "n"))
+        """c^2 on [0, radius], n grid points, a count from 2 that
+        :func:`errors.points` takes; the radius is in [``MIN_TIME``,
+        ``RADIUS_MAX``] (:func:`_scale`). The one home of the default
+        count, which a config's ``quadratic(r)`` takes."""
+        c = np.linspace(0.0, _scale(radius, "radius"), points(n, "n", 2))
         return cls(c, c**2)
 
     @classmethod
     def indicator(cls, radius=1.0):
         """0 on 65 points of [0, radius], +inf beyond; the radius is in
-        (0, ``RADIUS_MAX``]."""
-        c = np.linspace(0.0, _radius(radius), 65)
-        grid = np.append(c, radius * (1 + 1e-9))
+        [``MIN_TIME``, ``RADIUS_MAX``] (:func:`_scale`)."""
+        radius = _scale(radius, "radius")
+        grid = np.append(np.linspace(0.0, radius, 65), radius * (1 + 1e-9))
         vals = np.append(np.zeros(65), np.inf)
         return cls(grid, vals)
 
 
-def _radius(radius):
-    """``radius`` if :func:`errors.nonnegative` takes it and it is in
-    (0, ``RADIUS_MAX``], else InputError."""
-    if not 0 < nonnegative(radius, "radius") <= RADIUS_MAX:
-        raise InputError(f"radius must be in (0, RADIUS_MAX = {RADIUS_MAX:.4g}], got {radius!r}")
-    return radius
+def _scale(x, what, least=MIN_TIME):
+    """``x`` as a Python float if :func:`errors.nonnegative` takes it and it
+    is in [``least``, ``RADIUS_MAX``], else InputError naming ``what``. A
+    penalty radius starts at ``MIN_TIME``, the least normal float: from
+    there on its grid of up to ``MAX_POINTS`` points and the indicator's
+    marker at radius (1 + 1e-9) are strictly increasing, as they are not at
+    5e-324. A numpy float32 would cast the bound to float32, which
+    overflows with a warning, and round its marker to the radius."""
+    if not least <= float(nonnegative(x, what)) <= RADIUS_MAX:
+        raise InputError(f"{what} must be in [{least:.4g}, RADIUS_MAX = {RADIUS_MAX:.4g}], "
+                         f"got {x!r}")
+    return float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +308,8 @@ class ShiftSup(ExpectationModel):
     symmetric: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.symmetric, bool):
+            raise InputError(f"symmetric must be a bool, got {self.symmetric!r}")
         s = np.atleast_1d(np.asarray(self.shifts, dtype=float))
         if s.ndim == 1:
             s = s[:, None]
@@ -350,8 +365,7 @@ class Centered(ExpectationModel):
         object.__setattr__(self, "measure", self.base.measure)
         for probe in CENTERING_PROBES:
             if self.base.expect_linear(probe) < -1e-9:
-                raise PreconditionError(
-                    f"centering requires E[a xi] >= 0; probe a={probe} fails")
+                raise InputError(f"centering requires E[a xi] >= 0; probe a={probe} fails")
 
     def reduce(self, payoff, t=1.0):
         # the payoff does not depend on a: gather it once per base-model

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridTooSmallError, InputError, freeze, nonnegative, sampled, steps,
-                     write_csv)
+from .errors import InputError, freeze, nonnegative, sampled, steps, write_csv
 from .expectations import legendre
 
 
@@ -61,7 +60,7 @@ def conjugate_rate(model, z_grid, y_grid):
     phi = legendre(z, model.expect_linear(z), y)
     m = float(np.min(phi))
     if abs(m) > 1e-6:
-        raise GridTooSmallError(
+        raise InputError(
             f"rate minimum {m:.3e} deviates from 0 beyond 1e-6; enlarge the y-grid")
     return RateFunction(y, phi)
 

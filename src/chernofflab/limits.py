@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chernoff import OneStepOperator, Partition, SecondOrder, iterate, one_step
-from .errors import (DegenerateSetError, InputError, PreconditionError, nonnegative,
-                     probes, steps, write_csv)
+from .errors import InputError, nonnegative, probes, steps, write_csv
 from .expectations import (CENTERING_PROBES, Entropic, Shortfall, _finite,
                            legendre)
 
@@ -48,7 +47,7 @@ def nonlinear_functional(model, scaling, f, n):
 
 
 def require_centered(model):
-    """Raise PreconditionError unless E[a xi] = 0, up to 1e-8, for the probe
+    """Raise InputError unless E[a xi] = 0, up to 1e-8, for the probe
     coefficients.
 
     The second-order scaling has a limit only for centered models; apply
@@ -56,8 +55,7 @@ def require_centered(model):
     """
     for a in CENTERING_PROBES:
         if abs(model.expect_linear(a)) > 1e-8:
-            raise PreconditionError(
-                f"the second-order scaling needs a centered model; E[{a} xi] != 0")
+            raise InputError(f"the second-order scaling needs a centered model; E[{a} xi] != 0")
 
 
 def clt_functional(model, f, n):
@@ -206,7 +204,8 @@ def _tail(measure, threshold, n_grid, shift_radius, model, z_grid):
     nonnegative(shift_radius, "shift_radius")
     probs = exact_tail_probabilities(measure, threshold, n_grid)
     if all(p == 0.0 for p in probs):
-        raise DegenerateSetError("the event has probability zero for every n")
+        raise InputError(f"the event X_n >= threshold = {threshold!r} has probability "
+                         "zero for every n")
     x0 = threshold - shift_radius
     if x0 <= float(measure.mean_and_cov()[0][0]) + 1e-15:
         return probs, None
@@ -314,7 +313,7 @@ def generator_check(op, f, h_grid, compact):
     h_grid = sorted(probes(h_grid, "h_grid"), reverse=True)
     mask = f.grid.within(*compact)
     nodes = f.grid.axis[mask]
-    analytic = op.model.reduce(op.scaling.generator_payoff(f, np.flatnonzero(mask), nodes))
+    analytic = op.model.reduce(op.scaling.generator_payoff(f, np.flatnonzero(mask)))
     defects = []
     for h in h_grid:
         estimate = (one_step(op, h, f).values[mask] - f.values[mask]) / h

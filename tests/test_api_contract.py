@@ -13,7 +13,10 @@ one-step's time) and ``errors.steps`` (step counts), nan, +-inf, zero,
 negative values, empty lists, bools, fractional counts and wrong shapes
 among them, and send them through each rule and through the callables that
 take it. The valid times drawn cover [0, 1], subnormals included, and a
-few beyond 1; the valid counts are at most 12.
+few beyond 1; the valid counts are at most 12. They also send every draw,
+a time, a count or any float, through each scalar field of a constructor
+(``FIELDS``): the field builds its object with no warning and no NaN, or
+raises InputError naming itself, as its own rule says.
 """
 
 import warnings
@@ -34,8 +37,8 @@ from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction, GrowthW
                          legendre, nonlinear_functional, one_step, poly_rate,
                          solve_g_heat, solve_hj, two_point,
                          upper_lipschitz_certificate)
-from chernofflab.errors import (MAX_STEPS, MIN_TIME, InputError, nonnegative, probes,
-                                step_time, steps)
+from chernofflab.errors import (MAX_POINTS, MAX_STEPS, MIN_TIME, InputError, nonnegative,
+                                probes, step_time, steps, whole)
 from chernofflab.expectations import RADIUS_MAX, DiscreteMeasure
 
 BERNOULLI = two_point()
@@ -258,6 +261,9 @@ MALFORMED = [
     ("Linear-nan-payoff", lambda: Linear(BERNOULLI).expect(lambda y: NAN * y), "payoff"),
     ("Entropic-inf-coefficient", lambda: Entropic(BERNOULLI).expect_linear(np.inf),
      "payoff"),
+    # the four rules that raised an InputError subclass of their own: an
+    # uncentered model, given to centered or to clt_functional, a dual grid
+    # too small for the rate's minimum and a tail event that is empty
     ("centered-negative-mean",
      lambda: centered(Linear(DiscreteMeasure([1.0, 2.0], [0.5, 0.5]))), "centering"),
     ("envelope-crossed-bounds",
@@ -265,6 +271,34 @@ MALFORMED = [
                       np.linspace(-1.0, 1.0, 5)), "H_- <= H_+"),
     ("clt_functional-uncentered", lambda: clt_functional(Entropic(BERNOULLI), F, 4),
      "centered"),
+    ("conjugate_rate-too-small-y-grid",
+     lambda: conjugate_rate(Linear(DiscreteMeasure([3.0], [1.0])), np.linspace(-8.0, 8.0, 321),
+                            np.linspace(-1.0, 1.0, 41)), "y-grid"),
+    ("ld_rate-empty-event", lambda: ld_rate(BERNOULLI, 1.5, [4, 8]), "threshold"),
+    # constructor arguments that were built: a penalty with a finite value
+    # after +inf, whose ShiftSup kept shift 2 at cost 4 and dropped 0.5 to
+    # 1.5, or with a NaN value; a std that overflowed the atoms with a
+    # warning, a NaN one that named the atoms, a negative or bool one; and
+    # a symmetric flag that was no bool and built the symmetric model
+    ("PenaltyFunction-finite-after-inf",
+     lambda: PenaltyFunction([0.0, 1.0, 2.0], [0.0, np.inf, 4.0]), "first +inf"),
+    ("PenaltyFunction-nan-value",
+     lambda: PenaltyFunction([0.0, 1.0, 2.0], [0.0, NAN, 4.0]), "NaN"),
+    ("gauss_hermite-overflowing-std", lambda: gauss_hermite(4, std=1e308), "std"),
+    ("gauss_hermite-nan-std", lambda: gauss_hermite(4, std=NAN), "std"),
+    ("gauss_hermite-negative-std", lambda: gauss_hermite(4, std=-1), "std"),
+    ("gauss_hermite-bool-std", lambda: gauss_hermite(4, std=True), "std"),
+    ("ShiftSup-string-symmetric",
+     lambda: ShiftSup(BERNOULLI, PenaltyFunction.quadratic(1.0, 9), [0.0, 1.0],
+                      symmetric="no"), "symmetric"),
+    # a radius or count whose penalty grid is not strictly increasing
+    # failed naming the penalty, not its argument
+    ("PenaltyFunction.quadratic-subnormal-radius",
+     lambda: PenaltyFunction.quadratic(5e-324, 9), "radius"),
+    ("PenaltyFunction.indicator-subnormal-radius",
+     lambda: PenaltyFunction.indicator(1e-320), "radius"),
+    ("PenaltyFunction.quadratic-one-point", lambda: PenaltyFunction.quadratic(2.0, 1),
+     "n must"),
 ]
 
 # the __all__ names with no MALFORMED row, and why
@@ -504,3 +538,40 @@ def test_counts_through_every_callable_that_takes_them(ns, n):
             assert no_nan(got)
         else:
             assert isinstance(got, InputError), got
+
+
+# (the name its error gives, the field's constructor, whether it takes x):
+# each scalar field has its own range. A bound compares with float(x),
+# since a float32 x casts a Python float bound to float32, which
+# overflows with a warning
+FLOAT_MAX = np.finfo(float).max
+FIELDS = [
+    ("half_width", lambda x: Grid(x, 5).axis,
+     lambda x: is_time(x) and 0 < 2.0 * x / 4 and x <= FLOAT_MAX / 2),
+    ("exponent", lambda x: GrowthWeight(x).exponent, lambda x: whole(x) and x in (0, 1, 2)),
+    ("power", lambda x: Shortfall(BERNOULLI, x).power, lambda x: is_time(x) and 1 < x < 1024),
+    ("radius", lambda x: PenaltyFunction.quadratic(x, 9).values,
+     lambda x: is_time(x) and MIN_TIME <= float(x) <= RADIUS_MAX),
+    ("n must", lambda x: PenaltyFunction.quadratic(2.0, x).values,
+     lambda x: whole(x) and 2 <= x <= MAX_POINTS),
+    ("radius", lambda x: PenaltyFunction.indicator(x).values,
+     lambda x: is_time(x) and MIN_TIME <= float(x) <= RADIUS_MAX),
+    ("std", lambda x: gauss_hermite(4, x).atoms, lambda x: is_time(x) and float(x) <= RADIUS_MAX),
+    ("lip", lambda x: Perturbed(np.sin, x).lip, is_time),
+    ("sigma2", lambda x: Hamiltonian2(np.array([0.0, 1.0]), np.array([0.0, 0.0]),
+                                      sigma2=x).sigma2, is_time),
+]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(TIMES, COUNT, ANY_FLOAT,
+                 st.sampled_from([RADIUS_MAX, np.nextafter(RADIUS_MAX, np.inf), 1e308,
+                                  FLOAT_MAX / 2, 1023.5, 1024, 1e-320])))
+def test_a_scalar_through_every_constructor_field(x):
+    for name, build, valid in FIELDS:
+        got = outcome(lambda: build(x))
+        if valid(x):
+            assert not isinstance(got, InputError), (name, got)
+            assert no_nan(got), name
+        else:
+            assert isinstance(got, InputError) and name in str(got), (name, got)

@@ -923,7 +923,7 @@ class TestScalingFamilies:
         f = GridFunction.sample(Grid(2.0, 11), lambda x: x)
         x = f.grid.axis
         y = np.linspace(-1, 1, 7)
-        got = fam.generator_payoff(f, np.arange(x.size), x)(y[:, None])
+        got = fam.generator_payoff(f, np.arange(x.size))(y[:, None])
         for h in (1e-3, 1e-6):
             lhs = (fam.map(h, x[:, None], y) - x[:, None]) / h
             assert np.allclose(lhs, got, atol=1e-6)

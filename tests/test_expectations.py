@@ -10,7 +10,7 @@ from chernofflab import (DiscreteMeasure, Entropic, Grid, GridFunction,
                          Hamiltonian1, Hamiltonian2, Linear, PenaltyFunction,
                          RateFunction, ShiftSup, Shortfall, centered,
                          gauss_hermite, legendre, two_point)
-from chernofflab.errors import InputError, PreconditionError
+from chernofflab.errors import InputError
 from chernofflab.expectations import shortfall_root
 
 BERNOULLI = two_point()
@@ -207,7 +207,7 @@ class TestCentered:
 
     def test_negative_mean_rejected(self):
         mu = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="centering requires"):
             centered(Linear(mu))
 
 

@@ -10,7 +10,7 @@ from chernofflab import _kernels as K
 from chernofflab import hopflax
 from chernofflab.cli import run_config_text
 from chernofflab.configs import BUILTINS
-from chernofflab.errors import GridTooSmallError, InputError
+from chernofflab.errors import InputError
 
 
 def indicator_rate(at=0.0):
@@ -110,7 +110,7 @@ class TestConjugateRate:
     def test_too_small_dual_grid_detected(self):
         model = Linear(DiscreteMeasure(np.array([3.0]), np.array([1.0])))
         z = np.linspace(-8, 8, 321)
-        with pytest.raises(GridTooSmallError):
+        with pytest.raises(InputError, match="enlarge the y-grid"):
             conjugate_rate(model, z, np.linspace(-1, 1, 41))
 
 

@@ -1,7 +1,8 @@
 """The package's export list: every name in ``chernofflab.__all__``
 resolves on the package, is listed once and has a user outside the module
 that defines it. The package's own checks raise: no ``assert`` statement
-in its source, which ``python -O`` strips. The code-line counter of
+in its source, which ``python -O`` strips. Only ``grid``, ``pde`` and
+``expectations`` import ``_kernels``. The code-line counter of
 ``scripts/code_lines.py`` follows its rule."""
 
 import ast
@@ -44,6 +45,31 @@ def test_source_holds_no_assert():
     assert found == []
 
 
+# the modules that reach the kernels: the others gather through Grid and
+# GridFunction, and reduce through the models
+KERNEL_GATEWAYS = ("expectations", "grid", "pde")
+
+
+def imported_names(tree):
+    """The dotted name of every module or name an import of ``tree`` reads:
+    ``a.b`` for ``import a.b``, ``a.b`` and ``.b`` for ``from a import b``
+    and ``from . import b``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_gateways_import_the_kernels():
+    src = Path(chernofflab.__file__).parent
+    found = [path.stem for path in sorted(src.glob("*.py"))
+             if path.stem not in KERNEL_GATEWAYS and any(
+                 "_kernels" in name.split(".")
+                 for name in imported_names(ast.parse(path.read_text())))]
+    assert found == []
+
+
 def test_code_lines_count_code_and_leave_out_docstrings_and_comments():
     # the rule of scripts/code_lines.py: a line counts if it holds a token
     # other than a comment and no module, class or function docstring
@@ -67,3 +93,4 @@ class A:
                 1)
 '''
     assert code_lines.code_lines(source) == 6
+    assert len(code_lines.docstring_lines(ast.parse(source))) == 5
