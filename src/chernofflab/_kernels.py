@@ -20,7 +20,10 @@ evaluation. A ``ShiftStencil`` gathers at node-independent offsets
 (grid-aligned one-steps, the 1D Hopf-Lax candidates: only those that can
 attain the supremum, which leaves the outputs unchanged) through plans
 like ``gather_plan``'s, laid out the same way: ``columns(c)`` takes a
-shifted slice of the padded values per offset, and ``mean(c, w)`` takes
+shifted slice of the padded values per offset and holds its two weights
+expanded over the n nodes, (rows, n) arrays, so that each product it
+applies is one whole-array pass (a (rows, 1) column broadcast runs one
+inner loop per row, at about 1.6 times the time), and ``mean(c, w)`` takes
 weighted means over rows of offsets as one banded matrix product over
 those slices, with no gathered matrix. Each computes its geometry once and
 returns ``apply(values)``, which refills the stencil's pad in place and
@@ -198,11 +201,14 @@ class ShiftStencil:
 
     def columns(self, c):
         rows, theta = self._cells(c)
-        theta = theta[:, None]
+        n = self.key[0]
+        # the weights of every node, (rows, n): both products in apply run
+        # as one whole-array loop, not as one inner loop per row
+        theta = np.repeat(theta[:, None], n, axis=1)
         upper_rows, lower_w = rows + 1, 1.0 - theta
 
         def apply(values):
-            pad(values, self.key[0], self._pad)
+            pad(values, n, self._pad)
             out = self._windows[rows]
             out *= lower_w
             upper = self._windows[upper_rows]

@@ -189,7 +189,10 @@ def one_step(op, t, f):
     computes neither the scaling's base nor its scale, and a step that
     builds one first checks that the measure has the grid's dimension. A
     per-point plan's output is its own held buffer, which the next gather
-    overwrites; a model's reduction reads it and returns a fresh array.
+    overwrites, and a column plan's a new array, which the next gather
+    drops: so the gather is marked ``scratch``, and the model may overwrite
+    the matrix it reduces, as ``Entropic`` and ``Shortfall`` do with
+    payoff / t (``ExpectationModel.reduce``).
     """
     if step_time(t, "t") == 0.0:
         return f
@@ -221,6 +224,7 @@ def one_step(op, t, f):
 
     def gather(y):
         return plan(y).T
+    gather.scratch = True
     if aligned:
         # mean(y, w)[l] = gather(y[l]) @ w for a stack of sample clouds
         gather.mean = plan

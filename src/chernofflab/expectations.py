@@ -31,6 +31,9 @@ provides it (one banded matrix product), and ``ShiftSup`` then takes all of
 its atom means in one call; for payoffs without it, ``ShiftSup`` calls the
 payoff once per shift and stacks the means. Either way it subtracts the
 penalties from one (shifts, rows) matrix and takes one max over the shifts.
+A payoff whose attribute ``scratch`` is true hands over the matrices it
+returns: a model may overwrite them, and ``Entropic`` and ``Shortfall``
+write payoff / t into them. Any other payoff's matrix is only read.
 """
 
 import math
@@ -212,6 +215,9 @@ class ExpectationModel:
         the result has shape (rows,), (0,) for zero rows. ``Entropic`` and
         ``Shortfall`` take payoff / t, and raise InputError where it leaves
         the float range: a |payoff| above t times the largest float.
+        The matrix is only read unless ``payoff.scratch`` is true, as it is
+        for ``chernoff.one_step``'s gathers, whose matrices the next gather
+        refills or drops: then the model may overwrite it.
         """
         raise NotImplementedError
 
@@ -264,7 +270,7 @@ class Entropic(ExpectationModel):
         # or NaN, so one test of the rows finds it; a -inf beside a finite
         # quotient adds exp(-inf) = 0, as the exact quotient would
         with np.errstate(over="ignore", invalid="ignore"):
-            g = _quotient(g, t)
+            g = _quotient(g, t, g if getattr(payoff, "scratch", False) else None)
             g += self._logw
             out = t * _logsumexp(g, axis=1)
         if not np.isfinite(out).all():
@@ -291,7 +297,7 @@ class Shortfall(ExpectationModel):
         # a quotient beyond the float range is +-inf, which widens its
         # bracket beyond any that shortfall_root takes
         with np.errstate(over="ignore"):
-            vals = _quotient(vals, t)
+            vals = _quotient(vals, t, vals if getattr(payoff, "scratch", False) else None)
         return t * shortfall_root(vals, self.measure.weights, self.power)
 
 
@@ -388,14 +394,17 @@ def centered(model):
 # scalar transforms
 # ---------------------------------------------------------------------------
 
-def _quotient(payoff, t):
-    """payoff / t, a fresh array. For t a power of two of at least
-    ``MIN_TIME``, 1 / t is exact, so payoff * (1 / t) is the same real
-    number as payoff / t and rounds to the same float for every input,
-    signed zeros, subnormals, NaN and overflow included; the product costs
-    less. Any other t divides. ``math.frexp`` tests the power of two in a
-    tenth of the time ``np.frexp`` takes."""
-    return payoff * (1.0 / t) if math.frexp(t)[0] == 0.5 and t >= MIN_TIME else payoff / t
+def _quotient(payoff, t, out=None):
+    """payoff / t, written into ``out`` when given (``payoff`` itself for a
+    scratch payoff, an in-place pass) and else into a new array. For t a
+    power of two of at least ``MIN_TIME``, 1 / t is exact, so payoff *
+    (1 / t) is the same real number as payoff / t and rounds to the same
+    float for every input, signed zeros, subnormals, NaN and overflow
+    included; the product costs less. Any other t divides. ``math.frexp``
+    tests the power of two in a tenth of the time ``np.frexp`` takes."""
+    if math.frexp(t)[0] == 0.5 and t >= MIN_TIME:
+        return np.multiply(payoff, 1.0 / t, out=out)
+    return np.divide(payoff, t, out=out)
 
 
 def _logsumexp(x, axis=None):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chernofflab import (DiscreteMeasure, Entropic, Grid, GridFunction,
-                         Hamiltonian1, Hamiltonian2, Linear, PenaltyFunction,
+from chernofflab import (DiscreteMeasure, Entropic, FirstOrderAffine, Grid,
+                         GridFunction, Hamiltonian1, Hamiltonian2, Linear,
+                         OneStepOperator, PenaltyFunction, Perturbed,
                          RateFunction, ShiftSup, Shortfall, centered,
-                         gauss_hermite, legendre, two_point)
+                         gauss_hermite, legendre, one_step, two_point)
 from chernofflab.errors import InputError
 from chernofflab.expectations import shortfall_root
 
@@ -187,6 +188,58 @@ class TestQuotient:
         product = quotient_reference(model, SPLIT_ROWS, t, lambda p, t: p * (1.0 / t))
         assert product.tobytes() != want.tobytes()
         assert model.reduce(lambda y: SPLIT_ROWS, t).tobytes() == want.tobytes()
+
+
+# a (rows, 3) payoff held by its caller, signed zeros included, for models
+# on QUOTIENT_MEASURE's three atoms; ShiftSup's clouds have three points too
+HELD_ROWS = np.concatenate([SPLIT_ROWS, [[0.0, -0.0, 1e-300]]])
+READ_ONLY_MODELS = [Linear(QUOTIENT_MEASURE), *QUOTIENT_MODELS,
+                    ShiftSup(QUOTIENT_MEASURE, PenaltyFunction.quadratic(1.0, 9),
+                             np.linspace(-1.0, 1.0, 5)),
+                    centered(Entropic(QUOTIENT_MEASURE))]
+READ_ONLY_IDS = ["Linear", "Entropic", "Shortfall", "ShiftSup", "centered_Entropic"]
+
+
+class TestScratch:
+    """Only a payoff marked ``scratch`` (a one-step's gather) hands its
+    matrix over; every other payoff's matrix is the caller's, and a model
+    may only read it."""
+
+    @pytest.mark.parametrize("t", [1.0, 2.0 ** -8, 1.0 / 3.0])
+    @pytest.mark.parametrize("model", READ_ONLY_MODELS, ids=READ_ONLY_IDS)
+    def test_reduce_leaves_the_callers_matrix(self, model, t):
+        held = HELD_ROWS.copy()
+        model.reduce(lambda y: held, t)
+        assert held.tobytes() == HELD_ROWS.tobytes()
+
+    @pytest.mark.parametrize("model", READ_ONLY_MODELS, ids=READ_ONLY_IDS)
+    def test_expect_and_expect_linear_leave_the_callers_arrays(self, model):
+        held = HELD_ROWS.copy()
+        model.expect(lambda y: held[0])
+        model.expect_linear(held)
+        model.expect_linear(held[:, 0])
+        assert held.tobytes() == HELD_ROWS.tobytes()
+
+    @pytest.mark.parametrize("t", [2.0 ** -6, 0.75 * 2.0 ** -7])
+    @pytest.mark.parametrize("scaling", ["first_order", "perturbed"])
+    @pytest.mark.parametrize("kind", [Entropic, Shortfall])
+    def test_scratch_step_gives_the_bytes_of_a_fresh_quotient(self, kind, scaling, t):
+        # a one-step's gather is scratch, so Entropic and Shortfall write
+        # payoff / t into it: a grid-aligned stencil step (the LLN's) and a
+        # per-point step must give the bytes of the written-out reduction of
+        # the same gather, laid out (nodes, k) column-major as one_step's
+        model = kind(gauss_hermite(16))
+        scaling = FirstOrderAffine() if scaling == "first_order" else Perturbed(
+            phi0=lambda x: 0.3 * np.sin(x), lip=0.3)
+        f = GridFunction.sample(Grid(4.0, 129), lambda x: np.sin(x) + 0.2 * x ** 2)
+        y = model.measure.atoms
+        if isinstance(scaling, FirstOrderAffine):
+            gathered = f.stencil().columns(scaling.scale(t) * y[:, 0])(f.values).T
+        else:
+            gathered = f.gather_plan(scaling.map(t, f.grid.axis, y))(f.values).copy().T
+        want = quotient_reference(model, gathered, t, np.divide)
+        got = one_step(OneStepOperator(model, scaling), t, f).values
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCentered:

@@ -4,8 +4,11 @@
 the fused ``_kernels.one_step_*`` kernels compute the same steps directly
 and serve as the reference. ``expect_linear`` on an array of coefficients
 must equal its per-coefficient values, in the array's shape. The shifted-slice stencil must equal
-``interp1`` at the same query points, and ``g_heat``, which marches on the
-lower hull of its lines only, the loop over every line. A gather plan must
+``interp1`` at the same query points, and its column plan, whose weights
+are expanded over the nodes, the written-out two-term formula with
+(rows, 1) weight columns byte for byte, signed zeros included; and
+``g_heat``, which marches on the lower hull of its lines only, the loop
+over every line. A gather plan must
 give the one-shot gathers bit for bit for any values on its grid, and
 return its one held buffer from every apply, refilled; and
 ``lax_friedrichs`` its plain per-step march. ``pad`` must equal the
@@ -39,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chernofflab import (Entropic, FirstOrderAffine, Grid, GridFunction,
                          Linear, OneStepOperator, PenaltyFunction, Perturbed,
@@ -128,6 +132,30 @@ def test_shift_stencil_matches_interp1():
     want = K.interp1(values, -g.half_width, h, g.axis[:, None] + offsets, True)
     assert got.shape == (g.points_per_axis, offsets.size)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_shift_stencil_columns_bytes_match_the_written_out_weights():
+    # the plan holds its weights expanded over the nodes; each gathered
+    # value must still be (1 - theta) W[k] + theta W[k + 1] to the bit, with
+    # the weights as (rows, 1) columns and the windows W of the padded values
+    n, h = 33, 0.25
+    rng = np.random.default_rng(11)
+    offsets = np.array([
+        0.0, -0.0, h, -3 * h, 16 * h,          # on nodes, theta = 0
+        0.3 * h, -2.5 * h, 1.7, -0.9, 4.1,     # between nodes
+        8.1, -8.3, 20.0, -20.0, 1e300,         # beyond the box, both sides
+    ])
+    u = np.clip(offsets / h, -n, n - 1.0)
+    k = np.floor(u)
+    rows, theta = n + k.astype(np.int64), (u - k)[:, None]
+    apply = K.ShiftStencil(n, h).columns(offsets)
+    for values in (rng.normal(size=n), np.where(rng.random(n) < 0.5, 0.0, -0.0),
+                   np.concatenate([[-0.0, 0.0], rng.normal(size=n - 4), [0.0, -0.0]])):
+        w = sliding_window_view(K.pad(values, n, np.empty(3 * n)), n)
+        want = (1.0 - theta) * w[rows] + theta * w[rows + 1]
+        got = apply(values)
+        assert got.shape == (offsets.size, n)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_grid_aligned_steps_use_the_stencil(monkeypatch):
