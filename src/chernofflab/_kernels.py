@@ -37,22 +37,24 @@ reaches these gathers through ``GridFunction`` (``eval``, ``gather_plan``,
 ``stencil``). The three ``one_step_*`` kernels are fused reference
 implementations of single Chernoff steps; ``chernoff.one_step`` computes
 the same steps through the models' ``reduce`` and the tests compare the two.
-The explicit marches serve the PDE oracle and run whole-array numpy calls
-per step between two buffers, whose slice views (the moving nodes and
-their neighbours) are built once before the loop: each step reads one
-buffer's views and writes the other's, so no step slices an array.
-``lax_friedrichs`` makes four calls (a difference, ``np.interp`` of the
-rescaled Hamiltonian, a three-tap ``np.correlate``, a sum), ``g_heat``
-writes its first hull line straight into G and takes one ``np.maximum``
-per further line on the lower convex hull of its lines, with no
-subtraction for a line that costs +0.0 (x - 0.0 is x bit for bit, signed
-zeros included) and no Sigma term when ``half_sigma2`` is +0.0: adding
-u_xx * 0.0 could only turn a G of -0.0 into +0.0, where u_xx is +0.0 or
-positive, and there no line scores -0.0. The Legendre scan serves the Hopf-Lax and
-large-deviation oracles: one numpy pass puts the convex prefix of the
-points on the lower convex hull, a sequential sweep builds the rest, and
-one ``searchsorted`` of the dual grid into the hull's chord slopes finds
-every maximizer, with no loop over the dual grid.
+The explicit marches serve the PDE oracle and step through one loop,
+``_two_buffer_march``: it holds two copies of the values and slices each
+one's views (the moving nodes, their neighbours and the three-tap window)
+once, before the loop; each step reads one buffer's views and writes the
+other's moving nodes, so no step slices an array, and the parity of the
+step count picks the buffer returned. Each march hands the loop a step of
+whole-array numpy calls: ``lax_friedrichs`` makes four (a difference,
+``np.interp`` of the rescaled Hamiltonian, a three-tap ``np.correlate``, a
+sum), ``g_heat`` writes its first hull line straight into G and takes one
+``np.maximum`` per further line on the lower convex hull of its lines,
+with no subtraction for a line that costs +0.0 (x - 0.0 is x bit for bit,
+signed zeros included) and no Sigma term when ``half_sigma2`` is +0.0:
+adding u_xx * 0.0 could only turn a G of -0.0 into +0.0, where u_xx is
++0.0 or positive, and there no line scores -0.0. The Legendre scan serves
+the Hopf-Lax and large-deviation oracles: one numpy pass puts the convex
+prefix of the points on the lower convex hull, a sequential sweep builds
+the rest, and one ``searchsorted`` of the dual grid into the hull's chord
+slopes finds every maximizer, with no loop over the dual grid.
 ``perfbench/`` times ``interp1``, the three ``one_step_*`` kernels,
 ``lax_friedrichs``, ``g_heat`` and ``legendre_scan`` by name; ``pad``,
 ``gather_plan`` and the ``ShiftStencil`` plans count toward their callers'
@@ -275,6 +277,30 @@ def one_step_shiftmax(values, origin, spacing, constant_ext, base, atom_offsets,
     return out
 
 
+def _two_buffer_march(values, steps, step):
+    """March ``steps`` explicit steps of ``step`` over the n node ``values``.
+
+    The one loop of both PDE marches. It holds two copies of the values;
+    nodes 2 .. n-3 move and the two outermost layers a side stay frozen, so
+    a grid of at most 4 nodes returns the first copy as it is. Each
+    buffer's views are sliced once, before the loop: its moving nodes,
+    their right and left neighbours and the three-tap window of nodes
+    1 .. n-2. Step s calls ``step(mid, right, left, window, out)`` on the
+    views of buffer s % 2, which writes the moving nodes of the other
+    buffer into ``out``, so no step slices an array; the buffers then swap,
+    and an odd step count returns the second one. The returned array is
+    never ``values`` itself.
+    """
+    buffers = values.copy(), values.copy()
+    if values.shape[0] <= 4:
+        return buffers[0]
+    src, dst = [(u[2:-2], u[3:-1], u[1:-3], u[1:-1]) for u in buffers]
+    for _ in range(steps):
+        step(*src, dst[0])
+        src, dst = dst, src
+    return buffers[steps % 2]
+
+
 def lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha):
     """March u_t = H(u_x) with the monotone Lax-Friedrichs scheme.
 
@@ -283,33 +309,24 @@ def lax_friedrichs(values, spacing, dt, steps, ham_p, ham_v, alpha):
                 + visc u[i+1],                     visc = alpha dt / 2h,
     in four whole-array calls: the central difference, ``np.interp`` of it
     on the Hamiltonian rescaled once to (2h ham_p, dt ham_v), the three-tap
-    ``np.correlate`` and the sum, written into the other of two buffers.
-    The views each step reads and writes are sliced once per buffer, before
-    the loop; step s reads buffer s % 2, and an odd step count returns the
-    second buffer.
+    ``np.correlate`` and the sum, written into the next buffer of
+    ``_two_buffer_march``, which holds the buffers and picks the one
+    returned by the parity of ``steps``.
     ``np.interp`` is the piecewise-linear interpolant ``Hamiltonian1`` uses,
     on any strictly increasing ``ham_p``; it saturates beyond the sampled
     gradient range, which keeps the scheme monotone no matter how steep the
     frozen-boundary layer becomes. The two outermost layers stay frozen.
     """
-    buffers = values.copy(), values.copy()
-    m = values.shape[0] - 4  # nodes 2 .. n-3 move
-    if m <= 0:
-        return buffers[0]
     diff_p = 2.0 * spacing * ham_p
     step_v = dt * ham_v
     visc = alpha * dt / (2.0 * spacing)
     taps = np.array([visc, 1.0 - 2.0 * visc, visc])
-    du = np.empty(m)
-    # per buffer: the moving nodes, their right and left neighbours and the
-    # three taps' window; step s reads buffer s % 2 and writes the other
-    src, dst = [(u[2:-2], u[3:-1], u[1:-3], u[1:-1]) for u in buffers]
-    for _ in range(steps):
-        _, right, left, window = src
+    du = np.empty(max(values.shape[0] - 4, 0))
+
+    def step(mid, right, left, window, out):
         np.subtract(right, left, out=du)
-        np.add(np.interp(du, diff_p, step_v), np.correlate(window, taps), out=dst[0])
-        src, dst = dst, src
-    return buffers[steps % 2]
+        np.add(np.interp(du, diff_p, step_v), np.correlate(window, taps), out=out)
+    return _two_buffer_march(values, steps, step)
 
 
 def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
@@ -328,50 +345,46 @@ def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
     skip is exact for a finite u_xx: g + u_xx * 0.0 differs from g only
     when g is -0.0 and the product is +0.0, that is where u_xx is +0.0 or
     positive; there every lam^2 u_xx / 2 is +0.0 or positive, so no line
-    scores -0.0 after its cost and neither does their maximum g. Each
-    buffer's views are sliced once, before the loop; step s reads buffer
-    s % 2. The two outermost layers stay frozen.
+    scores -0.0 after its cost and neither does their maximum g. The steps
+    run in ``_two_buffer_march``, which holds the buffers and picks the one
+    returned by the parity of ``steps``. The two outermost layers stay
+    frozen.
     """
     coef = 0.5 * lam * lam
     order = np.lexsort((lam_cost, coef))
     hull = order[_lower_hull(coef[order], lam_cost[order])]
     first, *rest = [(c, k, k != 0 or np.signbit(k))
                     for c, k in zip(coef[hull], lam_cost[hull])]
-    buffers = values.copy(), values.copy()
-    m = values.shape[0] - 4  # nodes 2 .. n-3 move
-    if m <= 0:
-        return buffers[0]
+    m = max(values.shape[0] - 4, 0)  # nodes 2 .. n-3 move
     h2 = spacing * spacing
     # adding +0.0 * lap changes no bit (see above); -0.0 * lap is added
     diffuse = half_sigma2 != 0 or np.signbit(half_sigma2)
     lap, g, term = np.empty(m), np.empty(m), np.empty(m)
-    # per buffer: the moving nodes and their right and left neighbours;
-    # step s reads buffer s % 2 and writes the other
-    src, dst = [(u[2:-2], u[3:-1], u[1:-3]) for u in buffers]
-    for _ in range(steps):
-        mid, right, left = src
+
+    # the closed-over arrays are written by in-place ufuncs: an augmented
+    # assignment (lap += left) would make the name local to step
+    def step(mid, right, left, _, out):
         # lap = (u[i+1] - 2 u[i] + u[i-1]) / h^2, in that order
         np.multiply(mid, 2.0, out=lap)
         np.subtract(right, lap, out=lap)
-        lap += left
-        lap /= h2
+        np.add(lap, left, out=lap)
+        np.divide(lap, h2, out=lap)
         c, k, paid = first
         np.multiply(lap, c, out=g)
         if paid:
-            g -= k
+            np.subtract(g, k, out=g)
         for c, k, paid in rest:
             np.multiply(lap, c, out=term)
             if paid:
-                term -= k
+                np.subtract(term, k, out=term)
             np.maximum(g, term, out=g)
         # u[i] + dt * (g + half_sigma2 * lap)
         if diffuse:
-            lap *= half_sigma2
-            g += lap
-        g *= dt
-        np.add(mid, g, out=dst[0])
-        src, dst = dst, src
-    return buffers[steps % 2]
+            np.multiply(lap, half_sigma2, out=lap)
+            np.add(g, lap, out=g)
+        np.multiply(g, dt, out=g)
+        np.add(mid, g, out=out)
+    return _two_buffer_march(values, steps, step)
 
 
 def _lower_hull(z, g):

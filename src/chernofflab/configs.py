@@ -1,19 +1,24 @@
 """Built-in experiment configurations, one or more per experiment kind.
 
 Each entry is the literal config text the parser consumes, so the catalog
-doubles as format documentation. Names are unique and the ordering is
-stable (insertion order).
+doubles as format documentation. A built-in's key is its config's
+``[experiment] name``, read from the text; names are unique and the
+ordering is stable (insertion order).
 """
+
+import re
 
 BUILTINS = {}
 
 
-def _register(name, description, text):
+def _register(description, text):
+    # the key is the text's own [experiment] name, which names the run's
+    # output directory too, so the two cannot differ
+    name = re.search(r"^name = (\S+)$", text, re.M)[1]
     BUILTINS[name] = (description, text.strip() + "\n")
 
 
 _register(
-    "lln_entropic_gaussian",
     "First-order limit of the entropic model on a Gaussian, against the "
     "closed-form concave-quadratic value at the origin",
     """
@@ -52,7 +57,6 @@ rate_y = 10,2001
 """)
 
 _register(
-    "cramer_bernoulli",
     "Exponential tail decay of the averaged fair Bernoulli walk against the "
     "conjugate of its log moment generating function",
     """
@@ -78,7 +82,6 @@ bound_tolerance = 1e-4
 """)
 
 _register(
-    "poly_rate_bernoulli",
     "Polynomial tail decay of the averaged fair Bernoulli walk against the "
     "shortfall-transform bound",
     """
@@ -103,7 +106,6 @@ tolerance = 0.05
 """)
 
 _register(
-    "clt_binary_exact",
     "Second-order scaling of the fair Bernoulli average on a clipped "
     "quadratic payoff: the functional equals 1 for every step count",
     """
@@ -136,7 +138,6 @@ interior = 0.5
 """)
 
 _register(
-    "clt_two_point_gaussian",
     "Second-order limit of the symmetric two-point shift supremum with unit "
     "shift budget: the Gaussian integral of a clipped convex payoff",
     """
@@ -172,7 +173,6 @@ gheat_grid = 6,385
 """)
 
 _register(
-    "wasserstein_generator",
     "Penalized deterministic-shift model over a Gaussian: the measured "
     "generator matches sup_c (c |f'| - c^2) + m f'",
     """
@@ -203,7 +203,6 @@ compact = 2
 """)
 
 _register(
-    "generator_affine_drift",
     "Drift-only one-step family on sin: the generator defect decays "
     "first-order in the probe step",
     """
@@ -235,7 +234,6 @@ compact = 2
 """)
 
 _register(
-    "generator_clt_quadratic",
     "Second-order Bernoulli family on the clipped quadratic: the generator "
     "defect sits at the interpolation floor for every probe step",
     """
@@ -270,7 +268,6 @@ compact = 2
 """)
 
 _register(
-    "generator_entropic_constant",
     "Entropic family on a constant payoff: the generator vanishes "
     "identically",
     """
@@ -303,7 +300,6 @@ compact = 2
 """)
 
 _register(
-    "envelope_perturbed",
     "Perturbed entropic flow sandwiched between the Hopf-Lax envelopes of "
     "the shifted log moment generating function",
     """
@@ -338,7 +334,6 @@ y_grid = 12,2401
 """)
 
 _register(
-    "pde_crosscheck_hj",
     "Lax-Friedrichs viscosity march of the quadratic Hamiltonian against "
     "the Hopf-Lax closed form",
     """

@@ -116,6 +116,11 @@ class TestCatalog:
             kinds.add(parse_config_text(text)["experiment"]["kind"])
         assert kinds == set(KINDS)
 
+    def test_keys_are_the_experiment_names(self):
+        # a run writes into a directory named by [experiment] name
+        assert list(BUILTINS) == [parse_config_text(text)["experiment"]["name"]
+                                  for _, text in BUILTINS.values()]
+
     @pytest.mark.parametrize("name", list(BUILTINS))
     def test_round_trip_parse_serialize_parse(self, name):
         text = BUILTINS[name][1]

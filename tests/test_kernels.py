@@ -30,7 +30,11 @@ cost, and ``g_heat`` (all-zero, mixed, nonzero and -0.0 costs; a
 ``half_sigma2`` of +0.0, which it skips, -0.0 and 0.15) and
 ``lax_friedrichs`` (on five nodes too, one of them moving) against their
 plain marches at an odd step count too, which ends in the second of the
-two swapped buffers. ``legendre_scan``
+two swapped buffers. A march with no moving node (4 nodes or fewer) or
+no step must return the input's bytes in an array of its own and leave
+the input unchanged, and the loop both marches share
+(``_two_buffer_march``) must take no step on 4 nodes or fewer and every
+step on 5. ``legendre_scan``
 must give the bytes of the monotone sweep over the dual grid
 (``legendre_sweep``) on convex, random, nearly collinear and +inf inputs
 and on the conjugates of the built-ins.
@@ -455,6 +459,39 @@ def test_lax_friedrichs_matches_plain_march(steps):
     tiny = np.array([1.0, 2.0, 0.5, 3.0])
     assert np.array_equal(K.lax_friedrichs(tiny, spacing, dt, steps, ham_p, ham_v, alpha),
                           tiny)
+
+
+def march(kernel, values, steps):
+    """``kernel`` ("lax_friedrichs" or "g_heat") on ``values`` for ``steps``."""
+    spacing, dt = 0.05, 1e-3
+    if kernel == "lax_friedrichs":
+        ham_p = np.linspace(-2.0, 2.0, 81)
+        return K.lax_friedrichs(values, spacing, dt, steps, ham_p, np.log(np.cosh(ham_p)), 3.0)
+    lam = np.linspace(-1.0, 1.0, 33)
+    return K.g_heat(values, spacing, dt, steps, lam, 0.01 + 0.1 * lam ** 2, 0.15)
+
+
+@pytest.mark.parametrize("nodes, steps", [(3, 41), (4, 40), (4, 41), (121, 0)])
+@pytest.mark.parametrize("kernel", ["lax_friedrichs", "g_heat"])
+def test_a_march_that_moves_nothing_returns_a_copy(kernel, nodes, steps):
+    # at most 4 nodes leave no node between the two frozen layers a side,
+    # and 0 steps move none: the march returns the input's bytes, -0.0
+    # included, in an array of its own, and leaves the input as it was
+    values = np.resize([-0.0, 2.0, 0.5, 3.0, -1.0], nodes)
+    held = values.copy()
+    got = march(kernel, values, steps)
+    assert not np.shares_memory(got, values)
+    assert got.tobytes() == held.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+@pytest.mark.parametrize("nodes", [3, 4, 5])
+def test_two_buffer_march_steps_only_with_moving_nodes(nodes, steps):
+    # nodes 2 .. n-3 move: 5 nodes take every step, 4 or fewer none
+    calls = []
+    K._two_buffer_march(np.arange(nodes, dtype=float), steps,
+                        lambda *views: calls.append(views))
+    assert len(calls) == (steps if nodes > 4 else 0)
 
 
 def stencil_pad(values, m):
