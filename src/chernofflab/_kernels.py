@@ -361,28 +361,29 @@ def g_heat(values, spacing, dt, steps, lam, lam_cost, half_sigma2):
     diffuse = half_sigma2 != 0 or np.signbit(half_sigma2)
     lap, g, term = np.empty(m), np.empty(m), np.empty(m)
 
-    # the closed-over arrays are written by in-place ufuncs: an augmented
-    # assignment (lap += left) would make the name local to step
-    def step(mid, right, left, _, out):
+    # the workspace and constants are bound as defaults, so that each step
+    # loads them as locals and the augmented assignments below work in place
+    def step(mid, right, left, _, out, lap=lap, g=g, term=term, h2=h2, first=first,
+             rest=rest, diffuse=diffuse, half_sigma2=half_sigma2, dt=dt):
         # lap = (u[i+1] - 2 u[i] + u[i-1]) / h^2, in that order
         np.multiply(mid, 2.0, out=lap)
         np.subtract(right, lap, out=lap)
-        np.add(lap, left, out=lap)
-        np.divide(lap, h2, out=lap)
+        lap += left
+        lap /= h2
         c, k, paid = first
         np.multiply(lap, c, out=g)
         if paid:
-            np.subtract(g, k, out=g)
+            g -= k
         for c, k, paid in rest:
             np.multiply(lap, c, out=term)
             if paid:
-                np.subtract(term, k, out=term)
+                term -= k
             np.maximum(g, term, out=g)
         # u[i] + dt * (g + half_sigma2 * lap)
         if diffuse:
-            np.multiply(lap, half_sigma2, out=lap)
-            np.add(g, lap, out=g)
-        np.multiply(g, dt, out=g)
+            lap *= half_sigma2
+            g += lap
+        g *= dt
         np.add(mid, g, out=out)
     return _two_buffer_march(values, steps, step)
 

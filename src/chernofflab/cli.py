@@ -7,10 +7,14 @@ numerical failure, 2 on a parse error or an unwritable output path and 3
 on a validation error. Payoffs are named analytic families evaluated on
 the grid at load time, never arbitrary expressions.
 
-Each runner reads every field it uses, fails on a key that nothing read
-(exit 3, naming ``section.key``), then computes and returns its checks and
-its artifacts; ``run_config_text`` alone writes files, after the run
-returns, so a parse, output-path or validation error writes nothing.
+A run is read whole before any of it runs. Each kind's reader reads every
+field it uses, the model, scaling and payoff through one shared reader,
+and builds everything whose failure names a field; it returns the run as
+a closure. ``run_config_text`` then fails on a key that nothing read
+(exit 3, naming ``section.key``), and only then calls the closure, which
+computes the checks and the artifacts and raises no field error.
+``run_config_text`` alone writes files, after the run returns, so a parse,
+output-path or validation error writes nothing.
 
 Each rule is written once. The constructors (``Grid``, ``GrowthWeight``,
 ``Shortfall``, ``ShiftSup``, ``DiscreteMeasure``, ``PenaltyFunction``,
@@ -32,7 +36,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -265,8 +268,7 @@ def _build_scaling(sections):
     fields._fail("family", f"unknown scaling family {family!r}")
 
 
-def _payoff_callable(sections):
-    fields = _Fields(sections, "payoff")
+def _payoff_callable(fields):
     family = fields.str_("family")
     if family == "quadratic":
         center = fields.number("center", 0.0)
@@ -286,7 +288,15 @@ def _payoff_callable(sections):
     fields._fail("family", f"unknown payoff family {family!r}")
 
 
-def _build_payoff(sections):
+def _components(sections, scaled=False):
+    """The model, scaling, payoff and payoff callable of a run on a grid.
+
+    The shared reader of every kind that evaluates a payoff on a grid: it
+    reads ``[expectation]``, ``[grid]`` and ``[payoff]``, and ``[scaling]``
+    only for a kind that declares one (``scaled``); otherwise the scaling
+    is None and a ``[scaling]`` key fails as unread."""
+    model = _build_model(sections)
+    scaling = _build_scaling(sections) if scaled else None
     fields = _Fields(sections, "grid")
     r, n = fields.number("R", lo=0.0), fields.number("N", cast=int)
     # N's rules, errors.points among them, checked on a unit box first, so
@@ -294,17 +304,19 @@ def _build_payoff(sections):
     fields.build("N", Grid, 1.0, n)
     grid = fields.build("R", Grid, r, n)
     weight = fields.build("weight", GrowthWeight, fields.number("weight", 0, cast=int))
-    fn = _payoff_callable(sections)
+    payoff = _Fields(sections, "payoff")
+    fn = _payoff_callable(payoff)
     # finite parameters can still overflow the payoff on the grid: sample
     # quietly, and let the rule that the values be finite name the family
     with np.errstate(all="ignore"):
-        f = _Fields(sections, "payoff").build("family", GridFunction.sample,
-                                              grid, fn, weight)
-    return f, fn
+        f = payoff.build("family", GridFunction.sample, grid, fn, weight)
+    return model, scaling, f, fn
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (checks, {file name: writer})
+# experiment readers: each takes the config and its [check] fields, reads
+# its run and returns it as a closure, which computes (checks, {file name:
+# writer}) and raises no ConfigError
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -338,16 +350,8 @@ def _partition_line(diag, factor):
                  f"{factor} x cauchy {diag.cauchy_gap:.2e}")
 
 
-def _write_text(text, path):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _run_lln(sections):
-    model = _build_model(sections)
-    scaling = _build_scaling(sections)
-    f, _ = _build_payoff(sections)
-    check = _Fields(sections, "check")
+def _read_lln(sections, check):
+    model, scaling, f, _ = _components(sections, scaled=True)
     schedule = _Fields(sections, "schedule").schedule("uniform")
     compact = check.compact(f.grid)
     tol = check.number("tolerance", lo=0.0)
@@ -356,17 +360,19 @@ def _run_lln(sections):
     factor = check.number("cross_factor", 2.0, lo=0.0)
     rate_z = check.span("rate_z", "8,1601", zero=True)
     rate_y = check.span("rate_y", "10,2001")
-    sections.reject_unread()
     rate = check.build("rate_y", conjugate_rate, model, rate_z, rate_y)
-    u, diag = chernoff_limit(OneStepOperator(model, scaling), 1.0, f, schedule,
-                             compact=compact)
-    value0 = diag.values_at_origin[-1]
-    oracle0 = float(hopf_lax(f, 1.0, rate).values[f.grid.origin_index])
-    checks = [_close("target_value", value0, target, tol),
-              _close("hopf_lax_oracle", value0, oracle0, otol),
-              _partition_line(diag, factor)]
-    return checks, {"diagnostics.csv": diag.to_csv, "limit.csv": u.to_csv,
-                    "rate.csv": rate.to_csv}
+
+    def run():
+        u, diag = chernoff_limit(OneStepOperator(model, scaling), 1.0, f, schedule,
+                                 compact=compact)
+        value0 = diag.values_at_origin[-1]
+        oracle0 = float(hopf_lax(f, 1.0, rate).values[f.grid.origin_index])
+        checks = [_close("target_value", value0, target, tol),
+                  _close("hopf_lax_oracle", value0, oracle0, otol),
+                  _partition_line(diag, factor)]
+        return checks, {"diagnostics.csv": diag.to_csv, "limit.csv": u.to_csv,
+                        "rate.csv": rate.to_csv}
+    return run
 
 
 def _tail_event(sections):
@@ -388,9 +394,8 @@ def _tail_event(sections):
     return measure, threshold, radius, _Fields(sections, "schedule").schedule("n")
 
 
-def _run_cramer(sections):
+def _read_cramer(sections, check):
     measure, threshold, shift_radius, n_grid = _tail_event(sections)
-    check = _Fields(sections, "check")
     lo, hi = check.pair("slope_window")
     if lo > hi:
         check._fail("slope_window", f"needs lo <= hi, got {lo:g},{hi:g}")
@@ -398,43 +403,61 @@ def _run_cramer(sections):
     if "bound_target" in check.kv:
         bound = (check.number("bound_target"),
                  check.number("bound_tolerance", 1e-4, lo=0.0))
-    sections.reject_unread()
-    report = ld_rate(measure, threshold, n_grid, shift_radius=shift_radius)
-    checks = [Check("slope_window", lo <= report.fitted_rate <= hi,
-                    f"{report.fitted_rate:.6f} in [{lo}, {hi}]")]
-    if bound:
-        checks.append(_close("bound_value", report.bound, *bound))
-    below = all(v <= report.bound + 1e-12 for v in report.values)
-    checks.append(Check("approach_from_below", below,
-                        "every (1/n) log P sits below the bound"))
-    return checks, {"rate_report.csv": report.to_csv}
+
+    def run():
+        report = ld_rate(measure, threshold, n_grid, shift_radius=shift_radius)
+        checks = [Check("slope_window", lo <= report.fitted_rate <= hi,
+                        f"{report.fitted_rate:.6f} in [{lo}, {hi}]")]
+        if bound:
+            checks.append(_close("bound_value", report.bound, *bound))
+        below = all(v <= report.bound + 1e-12 for v in report.values)
+        checks.append(Check("approach_from_below", below,
+                            "every (1/n) log P sits below the bound"))
+        return checks, {"rate_report.csv": report.to_csv}
+    return run
 
 
-def _run_poly_rate(sections):
+def _read_poly_rate(sections, check):
     measure, threshold, shift_radius, n_grid = _tail_event(sections)
     expectation = _Fields(sections, "expectation")
     power = expectation.build("power", poly_power, expectation.number("power", 2.0))
-    tol = _Fields(sections, "check").number("tolerance", 0.05, lo=0.0)
-    sections.reject_unread()
-    report = poly_rate(measure, power, threshold, n_grid,
-                       shift_radius=shift_radius, tol=tol)
-    return [Check("polynomial_bound", report.passed,
-                  f"n^(p-1) P = {report.values[-1]:.3e} <= "
-                  f"bound {report.bound:.4g} x (1 + tol)")], \
-        {"rate_report.csv": report.to_csv}
+    tol = check.number("tolerance", 0.05, lo=0.0)
+
+    def run():
+        report = poly_rate(measure, power, threshold, n_grid,
+                           shift_radius=shift_radius, tol=tol)
+        return [Check("polynomial_bound", report.passed,
+                      f"n^(p-1) P = {report.values[-1]:.3e} <= "
+                      f"bound {report.bound:.4g} x (1 + tol)")], \
+            {"rate_report.csv": report.to_csv}
+    return run
 
 
-def _run_clt(sections):
-    model = _build_model(sections)
+def _read_clt(sections, check):
+    model, _, f, payoff_fn = _components(sections)
     _Fields(sections, "expectation").build("measure", require_centered, model)
-    f, payoff_fn = _build_payoff(sections)
-    check = _Fields(sections, "check")
     n_list = _Fields(sections, "schedule").schedule("n")
     tol = check.number("tolerance", lo=0.0)
+    # the checks that follow the one pass over the schedule, in summary
+    # order: each takes the run's (u, diag, artifacts), adds its files to
+    # artifacts and returns its Check
     gaussian = check.str_("target") == "gaussian"
     if not gaussian:
         target = check.number("target")
-        interior = check.compact(f.grid, "interior") if "interior" in check.kv else None
+
+        def exact_identity(u, diag, _):
+            dev = max(abs(v - target) for v in diag.values_at_origin)
+            return Check("exact_identity", dev <= tol, f"max dev {dev:.2e} <= {tol}")
+        later = [exact_identity]
+        if "interior" in check.kv:
+            interior = check.compact(f.grid, "interior")
+
+            def interior_identity(u, diag, _):
+                shift = target - f.values[f.grid.origin_index]  # u = f + shift
+                sup = u.replace_values(u.values - f.values - shift).sup_norm_on(interior)
+                return Check("interior_identity", sup <= tol,
+                             f"sup on [{interior[0]},{interior[1]}] = {sup:.2e}")
+            later.append(interior_identity)
     gheat = "gheat_tolerance" in check.kv
     if gheat:
         gtol = check.number("gheat_tolerance", lo=0.0)
@@ -443,162 +466,152 @@ def _run_clt(sections):
     if gheat or gaussian:
         g2 = check.build("gheat_tolerance" if gheat else "target",
                          Hamiltonian2.from_model, model)
-    if gaussian and np.any(g2.costs != 0):
-        check._fail("target", "gaussian needs a G whose kept lines all cost 0")
+    if gaussian:
+        if np.any(g2.costs != 0):
+            check._fail("target", "gaussian needs a G whose kept lines all cost 0")
+        std = float(np.sqrt(2.0 * g2.max_diffusion))
+        target = Linear(gauss_hermite(128, std=std)).expect(payoff_fn)
+        later = [lambda u, diag, _: _close("gaussian_limit", diag.values_at_origin[-1],
+                                           target, tol)]
     if gheat:
         check.march("gheat_grid", g2, pgrid)
+
+        def g_heat_crosscheck(u, diag, artifacts):
+            upde = solve_g_heat(g2, GridFunction.sample(pgrid, payoff_fn), 1.0)
+            artifacts["g_heat.csv"] = upde.to_csv
+            pde0 = float(upde.values[pgrid.origin_index])
+            return _close("g_heat_crosscheck", diag.values_at_origin[-1], pde0, gtol)
+        later.append(g_heat_crosscheck)
     cross = "cross_factor" in check.kv
     compact = None
     if cross:
         factor = check.number("cross_factor", lo=0.0)
         compact = check.compact(f.grid)
-    sections.reject_unread()
-    if gaussian:
-        std = float(np.sqrt(2.0 * g2.max_diffusion))
-        target = Linear(gauss_hermite(128, std=std)).expect(payoff_fn)
 
-    # one pass over the schedule gives the values, the interior iterate
-    # and, with a cross_factor, the partition diagnostics
-    u, diag = chernoff_limit(OneStepOperator(model, SecondOrder()), 1.0, f, n_list,
-                             compact=compact, staggered=cross)
-    values = diag.values_at_origin
-    artifacts = {"clt_values.csv": lambda path: write_csv(
-        path, "n,value,target", n_list, values, target)}
+        def partition_independence(u, diag, artifacts):
+            artifacts["diagnostics.csv"] = diag.to_csv
+            return _partition_line(diag, factor)
+        later.append(partition_independence)
 
-    if gaussian:
-        checks = [_close("gaussian_limit", values[-1], target, tol)]
-    else:
-        dev = max(abs(v - target) for v in values)
-        checks = [Check("exact_identity", dev <= tol, f"max dev {dev:.2e} <= {tol}")]
-        if interior:
-            shift = target - f.values[f.grid.origin_index]  # u = f + shift
-            sup = u.replace_values(u.values - f.values - shift).sup_norm_on(interior)
-            checks.append(Check("interior_identity", sup <= tol,
-                                f"sup on [{interior[0]},{interior[1]}] = {sup:.2e}"))
-
-    if gheat:
-        pf = GridFunction.sample(pgrid, payoff_fn)
-        upde = solve_g_heat(g2, pf, 1.0)
-        pde0 = float(upde.values[pgrid.origin_index])
-        checks.append(_close("g_heat_crosscheck", values[-1], pde0, gtol))
-        artifacts["g_heat.csv"] = upde.to_csv
-
-    if cross:
-        artifacts["diagnostics.csv"] = diag.to_csv
-        checks.append(_partition_line(diag, factor))
-    return checks, artifacts
+    def run():
+        # one pass over the schedule gives the values, the interior iterate
+        # and, with a cross_factor, the partition diagnostics
+        u, diag = chernoff_limit(OneStepOperator(model, SecondOrder()), 1.0, f, n_list,
+                                 compact=compact, staggered=cross)
+        artifacts = {"clt_values.csv": lambda path: write_csv(
+            path, "n,value,target", n_list, diag.values_at_origin, target)}
+        return [part(u, diag, artifacts) for part in later], artifacts
+    return run
 
 
-def _run_wasserstein(sections):
-    model = _build_model(sections)
+def _read_wasserstein(sections, check):
+    model, _, f, _ = _components(sections)
     if not isinstance(model, ShiftSup):
         _Fields(sections, "expectation")._fail("variant", "needs a shift model")
-    f, _ = _build_payoff(sections)
     h_grid = _Fields(sections, "schedule").probes("h")
-    check = _Fields(sections, "check")
     compact = check.compact(f.grid)
     tol = check.number("tolerance", lo=0.0)
-    sections.reject_unread()
-    diag = generator_check(OneStepOperator(model), f, h_grid, compact)
-    # sup_c (c |f'(0)| - phi(c)) + m f'(0) straight from the penalty grid
-    d0 = float(f.fd_gradient()[f.grid.origin_index])
-    pen = model.penalty
-    fin = np.isfinite(pen.values)
-    formula = float(np.max(pen.grid[fin] * abs(d0) - pen.values[fin]))
-    m = float(model.measure.mean_and_cov()[0][0])
-    formula += m * d0
-    return [_close("generator_formula", diag.estimate_at(0.0), formula, tol)], \
-        {"generator.csv": diag.to_csv}
+
+    def run():
+        diag = generator_check(OneStepOperator(model), f, h_grid, compact)
+        # sup_c (c |f'(0)| - phi(c)) + m f'(0) straight from the penalty grid
+        d0 = float(f.fd_gradient()[f.grid.origin_index])
+        pen = model.penalty
+        fin = np.isfinite(pen.values)
+        formula = float(np.max(pen.grid[fin] * abs(d0) - pen.values[fin]))
+        m = float(model.measure.mean_and_cov()[0][0])
+        formula += m * d0
+        return [_close("generator_formula", diag.estimate_at(0.0), formula, tol)], \
+            {"generator.csv": diag.to_csv}
+    return run
 
 
-def _run_generator(sections):
-    model = _build_model(sections)
-    scaling = _build_scaling(sections)
-    f, _ = _build_payoff(sections)
+def _read_generator(sections, check):
+    model, scaling, f, _ = _components(sections, scaled=True)
     h_grid = _Fields(sections, "schedule").probes("h")
-    check = _Fields(sections, "check")
     compact = check.compact(f.grid)
     final_tol = check.number("final_tolerance", 0.01, lo=0.0)
-    sections.reject_unread()
-    diag = generator_check(OneStepOperator(model, scaling), f, h_grid, compact)
-    # interpolation floor: linear interpolation quantizes each defect by up
-    # to hg^2 max|f''| / (4 h); below that level ordering is not meaningful
-    floor = interpolation_floor(f, compact, min(h_grid))
-    mono = all(b <= a + floor for a, b in zip(diag.defects, diag.defects[1:]))
-    return [
-        Check("defect_monotone", mono,
-              f"defects {['%.2e' % d for d in diag.defects]}, floor {floor:.1e}"),
-        Check("final_defect", diag.final_defect <= final_tol,
-              f"{diag.final_defect:.2e} <= {final_tol}"),
-    ], {"generator.csv": diag.to_csv}
+
+    def run():
+        diag = generator_check(OneStepOperator(model, scaling), f, h_grid, compact)
+        # interpolation floor: linear interpolation quantizes each defect by up
+        # to hg^2 max|f''| / (4 h); below that level ordering is not meaningful
+        floor = interpolation_floor(f, compact, min(h_grid))
+        mono = all(b <= a + floor for a, b in zip(diag.defects, diag.defects[1:]))
+        return [
+            Check("defect_monotone", mono,
+                  f"defects {['%.2e' % d for d in diag.defects]}, floor {floor:.1e}"),
+            Check("final_defect", diag.final_defect <= final_tol,
+                  f"{diag.final_defect:.2e} <= {final_tol}"),
+        ], {"generator.csv": diag.to_csv}
+    return run
 
 
-def _run_envelope(sections):
-    model = _build_model(sections)
-    scaling = _build_scaling(sections)
+def _read_envelope(sections, check):
+    model, scaling, f, _ = _components(sections, scaled=True)
     if not isinstance(scaling, Perturbed):
         _Fields(sections, "scaling")._fail("family", "must be perturbed")
-    f, _ = _build_payoff(sections)
-    check = _Fields(sections, "check")
     sched = _Fields(sections, "schedule")
     n, = sched.build("uniform", steps, [sched.number("uniform", cast=int)], "uniform")
     compact = check.compact(f.grid)
     z = check.span("z_grid", "8,1601", zero=True)
     y = check.span("y_grid", "12,2401")
     slack = check.number("slack", -5e-3)
-    sections.reject_unread()
     lam, zmax = model.expect_linear(z), float(z[-1])
     if not np.isfinite((float(np.ptp(lam)) + scaling.lip * zmax) * 2.0 * zmax):
         _Fields(sections, "scaling")._fail(
             "amplitude", "overflows the hull of the bands lam -+ lip |z| on the z-grid")
-    u = iterate(OneStepOperator(model, scaling), Partition(1.0, 1.0 / n), f)
-    band = scaling.lip * np.abs(z)
-    s_minus, s_plus = envelope(f, 1.0, z, lam - band, lam + band, y)
-    mask = f.grid.within(*compact)
-    slack_hi = float(np.min((s_plus.values - u.values)[mask]))
-    slack_lo = float(np.min((u.values - s_minus.values)[mask]))
-    return [
-        Check("upper_envelope", slack_hi >= slack,
-              f"min(S+ - u) = {slack_hi:+.2e} >= {slack}"),
-        Check("lower_envelope", slack_lo >= slack,
-              f"min(u - S-) = {slack_lo:+.2e} >= {slack}"),
-    ], {"chernoff.csv": u.to_csv, "envelope_lower.csv": s_minus.to_csv,
-        "envelope_upper.csv": s_plus.to_csv}
+
+    def run():
+        u = iterate(OneStepOperator(model, scaling), Partition(1.0, 1.0 / n), f)
+        band = scaling.lip * np.abs(z)
+        s_minus, s_plus = envelope(f, 1.0, z, lam - band, lam + band, y)
+        mask = f.grid.within(*compact)
+        slack_hi = float(np.min((s_plus.values - u.values)[mask]))
+        slack_lo = float(np.min((u.values - s_minus.values)[mask]))
+        return [
+            Check("upper_envelope", slack_hi >= slack,
+                  f"min(S+ - u) = {slack_hi:+.2e} >= {slack}"),
+            Check("lower_envelope", slack_lo >= slack,
+                  f"min(u - S-) = {slack_lo:+.2e} >= {slack}"),
+        ], {"chernoff.csv": u.to_csv, "envelope_lower.csv": s_minus.to_csv,
+            "envelope_upper.csv": s_plus.to_csv}
+    return run
 
 
-def _run_pde_crosscheck(sections):
-    model = _build_model(sections)
-    f, _ = _build_payoff(sections)
-    check = _Fields(sections, "check")
+def _read_pde_crosscheck(sections, check):
+    model, _, f, _ = _components(sections)
     p_grid = check.span("p_grid", "12,971", zero=True)
     rate_y = check.span("rate_y", "10,2001")
     tol = check.number("tolerance", lo=0.0)
     target = check.number("target") if "target" in check.kv else None
     ham = Hamiltonian1.from_model(model, p_grid)
     _Fields(sections, "grid").march("R", ham, f.grid)
-    sections.reject_unread()
     rate = check.build("rate_y", conjugate_rate, model, p_grid, rate_y)
-    u = solve_hj(ham, f, 1.0)
-    pde0 = float(u.values[f.grid.origin_index])
-    hl = hopf_lax(f, 1.0, rate)
-    hl0 = float(hl.values[f.grid.origin_index])
-    checks = [_close("pde_vs_hopf_lax", pde0, hl0, tol)]
-    if target is not None:
-        checks.append(_close("pde_vs_target", pde0, target, tol))
-    return checks, {"pde.csv": u.to_csv, "hopf_lax.csv": hl.to_csv}
+
+    def run():
+        u = solve_hj(ham, f, 1.0)
+        pde0 = float(u.values[f.grid.origin_index])
+        hl = hopf_lax(f, 1.0, rate)
+        hl0 = float(hl.values[f.grid.origin_index])
+        checks = [_close("pde_vs_hopf_lax", pde0, hl0, tol)]
+        if target is not None:
+            checks.append(_close("pde_vs_target", pde0, target, tol))
+        return checks, {"pde.csv": u.to_csv, "hopf_lax.csv": hl.to_csv}
+    return run
 
 
-_RUNNERS = {
-    "lln": _run_lln,
-    "cramer": _run_cramer,
-    "poly_rate": _run_poly_rate,
-    "clt": _run_clt,
-    "wasserstein": _run_wasserstein,
-    "generator": _run_generator,
-    "envelope": _run_envelope,
-    "pde_crosscheck": _run_pde_crosscheck,
+_READERS = {
+    "lln": _read_lln,
+    "cramer": _read_cramer,
+    "poly_rate": _read_poly_rate,
+    "clt": _read_clt,
+    "wasserstein": _read_wasserstein,
+    "generator": _read_generator,
+    "envelope": _read_envelope,
+    "pde_crosscheck": _read_pde_crosscheck,
 }
-KINDS = tuple(_RUNNERS)
+KINDS = tuple(_READERS)
 
 
 def run_config_text(text, output_root=None):
@@ -619,15 +632,18 @@ def run_config_text(text, output_root=None):
         if os.path.exists(path) and not os.path.isdir(path):
             raise NotADirectoryError(f"not a directory: {path}")
     start = time.perf_counter()
-    checks, artifacts = _RUNNERS[kind](sections)
+    run = _READERS[kind](sections, _Fields(sections, "check"))
+    sections.reject_unread()
+    checks, artifacts = run()
     elapsed = time.perf_counter() - start
     ok = all(c.passed for c in checks)
     lines = [str(c) for c in checks]
     lines.append(f"{name}: {'PASS' if ok else 'FAIL'} in {elapsed:.2f}s")
-    artifacts["summary.txt"] = partial(_write_text, "\n".join(lines) + "\n")
     os.makedirs(outdir, exist_ok=True)
     for fname, write in artifacts.items():
         write(os.path.join(outdir, fname))
+    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     return ok, lines
 
 

@@ -22,8 +22,8 @@ from .expectations import legendre
 class RateFunction:
     """Convex rate on a 1D (or radial) grid, +inf marking infinite cost;
     ``to_csv`` writes it as ``y,phi`` rows, with the token ``inf``. A
-    radial rate is spread over ``directions`` equally spaced angles, a
-    count that :func:`errors.steps` takes."""
+    radial rate, ``radial`` a bool, is spread over ``directions`` equally
+    spaced angles, a count that :func:`errors.steps` takes."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -31,6 +31,8 @@ class RateFunction:
     directions: int = 16
 
     def __post_init__(self):
+        if not isinstance(self.radial, bool):
+            raise InputError(f"radial must be a bool, got {self.radial!r}")
         y, v = sampled("rate function", self.grid, self.values)
         fin = np.isfinite(v)
         if not np.any(fin):

@@ -205,6 +205,12 @@ MALFORMED = [
      lambda: RateFunction([0.0, 1.0], [0.0, 1.0], radial=True, directions=0), "directions"),
     ("RateFunction-negative-directions",
      lambda: RateFunction([0.0, 1.0], [0.0, 1.0], radial=True, directions=-3), "directions"),
+    # a radial flag that was no bool: 2 built a radial rate, which hopf_lax
+    # then refused on a 2D grid, and "no" applied the radial rule radius >= 0
+    ("RateFunction-int-radial",
+     lambda: RateFunction([0.0, 1.0], [0.0, 1.0], radial=2), "radial"),
+    ("RateFunction-string-radial",
+     lambda: RateFunction([0.0, 1.0], [0.0, 1.0], radial="no"), "radial"),
     ("hopf_lax-radial-rate-on-1d-grid",
      lambda: hopf_lax(F, 0.5, RateFunction([0.0, 1.0], [0.0, 1.0], radial=True)), "radial"),
     # constructor arguments that were built and broke a later call: a NaN

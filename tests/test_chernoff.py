@@ -205,6 +205,26 @@ class TestIterate:
         floor = n * f.grid.spacing**2 / 4
         assert u.values[i0] == pytest.approx(1.0, abs=floor + 1e-8)
 
+    def test_entropic_gaussian_gap_is_the_grid_term(self):
+        # on the exact Gaussian law, I(1/n)^n f(0) = -1/3 - ln 3 / (2n) for
+        # f = -(x - 1)^2, with no grid error; what the 64-atom iterate
+        # leaves is the grid term b n dx^2, b about -0.1: negative, about
+        # doubling with n, and about 16x smaller for 4x the nodes
+        op = OneStepOperator(Entropic(gauss_hermite(64)), FirstOrderAffine())
+        gaps = {}
+        for N in (2049, 8193):
+            f = GridFunction.sample(Grid(8.0, N), lambda x: -(x - 1.0) ** 2)
+            for n in (16, 32, 64):
+                u = iterate(op, Partition(1.0, 1.0 / n), f)
+                exact = -1.0 / 3.0 - np.log(3.0) / (2 * n)
+                gaps[N, n] = u.values[f.grid.origin_index] - exact
+        assert all(gap < 0 for gap in gaps.values()), gaps
+        for N in (2049, 8193):
+            for n in (16, 32):
+                assert 1.7 < gaps[N, 2 * n] / gaps[N, n] < 2.3, gaps
+        for n in (16, 32, 64):
+            assert 14 < gaps[2049, n] / gaps[8193, n] < 18, gaps
+
     def test_step_at_least_horizon_is_single_step(self):
         f = GridFunction.sample(Grid(4.0, 129), np.sin)
         op = OneStepOperator(Entropic(two_point()))

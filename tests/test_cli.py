@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chernofflab import chernoff, cli, errors, pde
+from chernofflab import chernoff, cli, errors, hopflax, pde
 from chernofflab.cli import (KINDS, main, parse_config_text, run_config_text,
                              serialize_config)
 from chernofflab.configs import BUILTINS
@@ -264,11 +264,15 @@ class TestRunners:
         assert marches == [march]
 
     def test_run_status_reads_check_verdicts_not_text(self, tmp_path, monkeypatch):
-        # a failed check whose detail happens to contain ": PASS"
-        def runner(sections):
-            return [cli.Check("probe", True, "fine"),
-                    cli.Check("slope_window", False, "previous run: PASS")], {}
-        monkeypatch.setitem(cli._RUNNERS, "cramer", runner)
+        # a failed check whose detail happens to contain ": PASS"; the real
+        # reader reads every key, so that none is rejected as unread
+        read = cli._READERS["cramer"]
+
+        def reader(sections, check):
+            read(sections, check)
+            return lambda: ([cli.Check("probe", True, "fine"),
+                             cli.Check("slope_window", False, "previous run: PASS")], {})
+        monkeypatch.setitem(cli._READERS, "cramer", reader)
         ok, lines = run_config_text(BUILTINS["cramer_bernoulli"][1], str(tmp_path))
         assert not ok
         assert lines[:2] == ["probe: PASS (fine)",
@@ -727,12 +731,18 @@ class TestErrorContract:
         def computed(*args, **kwargs):
             raise AssertionError("computation started before the fields were read")
         for entry in ("chernoff_limit", "iterate", "generator_check", "ld_rate",
-                      "poly_rate", "solve_hj", "solve_g_heat", "conjugate_rate"):
+                      "poly_rate", "solve_hj", "solve_g_heat"):
             monkeypatch.setattr(cli, entry, computed)
+        # the rate is the last build of a read, so only a key that nothing
+        # reads, rejected once the whole run is read, fails after it
+        rates, conjugate_rate = [], cli.conjugate_rate
+        monkeypatch.setattr(cli, "conjugate_rate",
+                            lambda *args: rates.append(args) or conjugate_rate(*args))
         assert old in BUILTINS[name][1]
         with pytest.raises(ConfigError) as err:
             run_config_text(BUILTINS[name][1].replace(old, new), str(tmp_path / "out"))
         assert err.value.field == field
+        assert not rates or "unknown key" in str(err.value)
         assert not (tmp_path / "out").exists()
 
     def test_clt_g_heat_check_uses_the_shift_model_penalty(self, tmp_path):
@@ -798,30 +808,49 @@ class TestErrorContract:
         assert f"(field {field})" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name", ["lln_entropic_gaussian", "pde_crosscheck_hj"])
-    def test_rate_grid_too_small_exits_before_the_run(self, tmp_path, capsys, monkeypatch,
-                                                      name):
-        # a y-grid too narrow for the rate's zero fails naming its field,
-        # before the Chernoff iteration or the HJ march starts
-        def computed(*args, **kwargs):
-            raise AssertionError("computation started before the rate was built")
-        for entry in ("chernoff_limit", "solve_hj"):
-            monkeypatch.setattr(cli, entry, computed)
-        text = BUILTINS[name][1]
-        assert "rate_y = 10,2001" in text
-        assert self.run_main(tmp_path, text.replace("rate_y = 10,2001", "rate_y = 10,2")) == 3
+    @pytest.mark.parametrize("name, old, new, field, why", [
+        # a y-grid too narrow for the rate's zero
+        ("lln_entropic_gaussian", "rate_y = 10,2001", "rate_y = 10,2", "check.rate_y",
+         "enlarge the y-grid"),
+        ("pde_crosscheck_hj", "rate_y = 10,2001", "rate_y = 10,2", "check.rate_y",
+         "enlarge the y-grid"),
+        ("envelope_perturbed", "amplitude = 0.1", "amplitude = 1e308",
+         "scaling.amplitude", "overflows the hull")])
+    def test_whole_run_is_read_before_it_runs(self, tmp_path, capsys, monkeypatch,
+                                              name, old, new, field, why):
+        # these fields once failed after the unread keys were rejected; each
+        # now fails while the run is read, before any one-step, march or
+        # Hopf-Lax scan and before reject_unread
+        work = []
+        for owner, entry in ((chernoff, "one_step"), (pde._kernels, "lax_friedrichs"),
+                             (pde._kernels, "g_heat"), (hopflax, "hopf_lax"),
+                             (cli, "hopf_lax")):
+            real = getattr(owner, entry)
+            monkeypatch.setattr(owner, entry, lambda *args, real=real, entry=entry, **kw:
+                                work.append(entry) or real(*args, **kw))
+        monkeypatch.setattr(cli._Config, "reject_unread",
+                            lambda sections: work.append("reject_unread"))
+        assert old in BUILTINS[name][1]
+        assert self.run_main(tmp_path, BUILTINS[name][1].replace(old, new)) == 3
         err = capsys.readouterr().err
-        assert "(field check.rate_y)" in err and "enlarge the y-grid" in err
+        assert f"(field {field})" in err and why in err
+        assert work == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("error", [
         MemoryError(), _ArrayMemoryError((10 ** 12,), np.dtype(float))])
     def test_failed_allocation_exit_3(self, tmp_path, capsys, monkeypatch, error):
-        # numpy's error for an array it cannot allocate, raised by hand, so
-        # that nothing is allocated
-        def runner(sections):
-            raise error
-        monkeypatch.setitem(cli._RUNNERS, "cramer", runner)
+        # numpy's error for an array it cannot allocate, raised by hand in
+        # the run, so that nothing is allocated
+        read = cli._READERS["cramer"]
+
+        def reader(sections, check):
+            read(sections, check)
+
+            def run():
+                raise error
+            return run
+        monkeypatch.setitem(cli._READERS, "cramer", reader)
         assert main(["run", "cramer_bernoulli", "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err == f"invalid input: {error}\n"
